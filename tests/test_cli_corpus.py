@@ -1,0 +1,62 @@
+"""Frozen CLI corpus: the exact JSON stdout of fixed invocations.
+
+Each case runs ``grascat.cli.main`` in process from inside ``tests/corpus``
+(so input files are named relative to it and echoed paths stay fixed) and
+compares stdout byte for byte with ``tests/corpus/<name>.out``.  The corpus
+is the gate for refactors that must keep the output identical; re-record it
+with ``PYTHONPATH=src python tests/test_cli_corpus.py`` only when an output
+change is intended.
+"""
+from pathlib import Path
+
+import pytest
+
+from grascat.cli import main
+
+CORPUS = Path(__file__).parent / "corpus"
+
+CASES = {
+    "nc_count_3_6": ["nc", "count", "--k", "3", "--n", "6"],
+    "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
+    "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
+    "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
+    "volume_3_6": ["volume", "--k", "3", "--n", "6"],
+    "pk_facets_3_6": ["pk", "facets", "--k", "3", "--n", "6"],
+    "pk_vertices_3_6": ["pk", "vertices", "--k", "3", "--n", "6"],
+    "pk_fvector_3_6": ["pk", "fvector", "--k", "3", "--n", "6"],
+    "newton_3_6": ["newton", "--k", "3", "--n", "6", "--fvector"],
+    "ucheck_random_3_7": ["u-check", "--k", "3", "--n", "7", "--mode", "random",
+                          "--trials", "2", "--seed", "7"],
+    "ucheck_single_4_8": ["u-check", "--k", "4", "--n", "8", "--J", "2,3,6,8"],
+    "amplitude_pk_3_6": ["amplitude", "--k", "3", "--n", "6", "--pk"],
+    "amplitude_prime_shift_3_6": ["amplitude", "--k", "3", "--n", "6",
+                                  "--eta", "prime_eta_36.json", "--shift"],
+    "amplitude_random_2_6": ["amplitude", "--k", "2", "--n", "6",
+                             "--eta", "random-interior", "--seed", "3"],
+    "kinematics_basis_3_6": ["kinematics", "basis", "--k", "3", "--n", "6"],
+    "kinematics_eta_to_s_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
+                                "--input", "prime_eta_36.json"],
+    "search_7": ["search", "--n", "7", "--trials", "1", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_corpus(name, capsys, monkeypatch):
+    monkeypatch.chdir(CORPUS)
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (CORPUS / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    os.chdir(CORPUS)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, name
+        (CORPUS / f"{name}.out").write_text(buf.getvalue())
