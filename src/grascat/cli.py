@@ -34,10 +34,6 @@ def _emit(args, payload, ok=True):
     return 0 if ok else 1
 
 
-def _parse_subset(text):
-    return tuple(int(p) for p in text.replace(" ", "").split(","))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,7 +115,7 @@ def cmd_ucheck(args):
         verdict = polynomial.binary_identities_random_all(
             args.k, args.n, trials=args.trials, seed=args.seed)
         return _emit(args, {"command": "u-check", **verdict}, verdict["pass"])
-    targets = ([_parse_subset(args.J)] if args.J
+    targets = ([roots.parse_subset(args.J)] if args.J
                else combinat.nonfrozen_subsets(args.k, args.n))
     results = []
     ok = True
@@ -329,26 +325,36 @@ def build_parser():
     return top
 
 
+def _error(message, **extra):
+    """Structured failure report on stderr; exit code 2."""
+    print(json.dumps({"schema": SCHEMA, "error": message, **extra}), file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     cap = os.environ.get("GRASCAT_CAP_MB")
     if cap:
         try:
             import resource
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (int(cap) << 20, int(cap) << 20))
-        except (ImportError, ValueError, OSError):
-            pass
-    args = build_parser().parse_args(argv)
+            limit = int(cap) << 20
+            if limit <= 0:
+                raise ValueError("the cap must be a positive number of MB")
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        except (ImportError, ValueError, OSError) as exc:
+            return _error(f"cannot apply GRASCAT_CAP_MB={cap!r}: {exc}")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "nc":
+        need = ("input",) if args.action == "degree" else ("k", "n")
+        missing = [f"--{name}" for name in need if getattr(args, name) is None]
+        if missing:
+            parser.error(f"nc {args.action} requires {' '.join(missing)}")
     try:
         return args.func(args)
-    except (combinat.ResourceLimitExceeded, polytope.ResourceCap) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return 2
+    except (combinat.ResourceLimitExceeded, polytope.ResourceCap, ValueError) as exc:
+        return _error(str(exc))
     except kinematics.AmplitudePole as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc),
-                          "collection": [roots.subset_key(J) for J in exc.collection]}),
-              file=sys.stderr)
-        return 2
+        return _error(str(exc), collection=[roots.subset_key(J) for J in exc.collection])
 
 
 if __name__ == "__main__":

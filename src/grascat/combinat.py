@@ -100,10 +100,6 @@ def is_crossing(I, J, n):
     return compatibility_degree(I, J, n) > 0
 
 
-def all_subsets(k, n):
-    return list(combinations(range(1, n + 1), k))
-
-
 def nonfrozen_subsets(k, n):
     """All k-subsets of [1, n] that are not single cyclic intervals."""
     if not (2 <= k <= n - 2):
@@ -222,7 +218,3 @@ def _degeneracy_order(m, adj):
             if not removed[u]:
                 deg[u] -= 1
     return order
-
-
-def count_maximal_noncrossing(k, n, max_collections=200000):
-    return len(enumerate_maximal_noncrossing(k, n, max_collections))

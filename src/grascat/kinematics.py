@@ -17,7 +17,7 @@ from math import comb
 
 from . import linalg
 from .combinat import is_frozen, nonfrozen_subsets, enumerate_maximal_noncrossing
-from .roots import gamma_hat
+from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
 
@@ -267,18 +267,12 @@ def eta_tripod(A, B, k, n):
     out = eta_functional(A, k, n) * -1
     for t, a in enumerate(A):
         lo, hi = a, A[(t + 1) % len(A)]
-        picks = [x for x in B if _cyclic_between(x, lo, hi, n)]
+        picks = [x for x in B if _in_cyclic_open(x, lo, hi, n)]
         if len(picks) != 1:
             raise ValueError(f"triples {A}, {B} do not interleave")
         repl = tuple(sorted(set(A) - {a} | {picks[0]}))
         out = out + eta_functional(repl, k, n)
     return out
-
-
-def _cyclic_between(x, lo, hi, n):
-    if lo < hi:
-        return lo < x < hi
-    return x > lo or x < hi
 
 
 def eta_hat_shift(n, warn_beyond_validated=True):

@@ -1,126 +1,110 @@
-"""Exact rational linear algebra on lists of lists of Fractions.
+"""Exact linear algebra on lists of lists of ints or Fractions.
 
-Small and boring on purpose: Gaussian elimination with first-nonzero
-pivoting keeps every operation deterministic, which the callers rely on
-for reproducible output.
+Everything runs through one fraction-free Gauss-Jordan kernel
+(`_eliminate`, the Bareiss-Montante scheme on Python ints): each row is
+scaled to integers by the lcm of its denominators, and every update
+``(p*a - f*b) // prev`` divides exactly, because each entry stays a minor
+of the scaled matrix.  All pivots end equal to one value ``d``, so the
+reduced matrix divided by ``d`` is the reduced row echelon form.  Rank,
+determinant, solutions and null spaces are read off it; only those final
+entries become Fractions.  First-nonzero pivoting keeps every operation
+deterministic, and the RREF is unique, so results do not depend on the
+pivot order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 F = Fraction
 
 
-def _as_matrix(rows):
-    return [[F(c) for c in row] for row in rows]
+def _eliminate(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination of an int/Fraction matrix,
+    pivoting over its first ``ncols`` columns (all by default).
 
-
-def rank(rows):
-    M = _as_matrix(rows)
-    if not M:
-        return 0
-    m, n = len(M), len(M[0])
-    r = 0
-    for col in range(n):
+    Returns ``(M, pivots, d, sign, scale)``: the integer matrix M whose
+    division by d is the RREF of the input, the pivot columns in order, the
+    common pivot value d, the sign of the row permutation and the product
+    of the row scales.
+    """
+    M = []
+    scale = 1
+    for row in rows:
+        # a list, not a generator: the argument tuple built from a generator
+        # is resized rather than taken from the tuple free list, but is
+        # still released to it, so that list would fill up for each width
+        den = lcm(*[c.denominator for c in row])
+        M.append([c.numerator * (den // c.denominator) for c in row])
+        scale *= den
+    m = len(M)
+    if ncols is None:
+        ncols = len(M[0]) if M else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if M[i][col]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [c * inv for c in M[r]]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        prow = M[r]
+        p = prow[col]
         for i in range(m):
-            if i != r and M[i][col]:
+            if i != r:
                 f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], prow)]
+        prev = p
+        pivots.append(col)
+    return M, pivots, prev, sign, scale
+
+
+def rank(rows):
+    return len(_eliminate(rows)[1])
 
 
 def det(rows):
-    M = _as_matrix(rows)
-    n = len(M)
-    if any(len(r) != n for r in M):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    d = F(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col]), None)
-        if piv is None:
-            return F(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        d *= M[col][col]
-        inv = 1 / M[col][col]
-        for i in range(col + 1, n):
-            if M[i][col]:
-                f = M[i][col] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-    return sign * d
-
-
-def solve(A, b):
-    """Solve A x = b for square invertible A; raises on singular input."""
-    xs = solve_columns(A, [[v] for v in b])
-    return [row[0] for row in xs]
+    _M, pivots, d, sign, scale = _eliminate(rows)
+    if len(pivots) < n:
+        return F(0)
+    return F(sign * d, scale)
 
 
 def solve_columns(A, B):
     """Solve A X = B columnwise; B given as rows of the RHS matrix."""
     n = len(A)
-    w = len(B[0]) if B else 0
-    M = [[F(c) for c in A[i]] + [F(c) for c in B[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [c * inv for c in M[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-    return [row[n:n + w] for row in M]
+    M, pivots, d, _sign, _scale = _eliminate(
+        [list(A[i]) + list(B[i]) for i in range(n)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [[F(x, d) for x in row[n:]] for row in M]
 
 
 def inverse(A):
     n = len(A)
-    eye = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     return solve_columns(A, eye)
 
 
 def nullspace(rows):
     """Basis of the right null space, echelon-normalized for determinism."""
-    M = _as_matrix(rows)
-    if not M:
+    if not rows:
         return []
-    m, n = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [c * inv for c in M[r]]
-        for i in range(m):
-            if i != r and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    M, pivots, d, _sign, _scale = _eliminate(rows)
+    n = len(M[0])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [F(0)] * n
         vec[fc] = F(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -M[i][fc]
+            vec[pc] = F(-M[i][fc], d)
         basis.append(vec)
     return basis

@@ -398,7 +398,6 @@ class FactoredRatio:
 
     def _expand(self, side, mono_part):
         p = Poly.monomial([], self.k, self.n, coeff=1)
-        exp = list(p.terms)[0]
         p.terms = {tuple(mono_part): 1}
         for key, e in side.items():
             fac = self._polys[key]

@@ -10,13 +10,12 @@ reduced coordinates of the affine hull.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .combinat import nonfrozen_subsets, enumerate_maximal_noncrossing
+from .combinat import _bits, nonfrozen_subsets, enumerate_maximal_noncrossing
 from .polynomial import Poly, pk_factors, delta, planar_face_range, planar_face_vertices
 from .roots import gamma_hat, v_root, lattice_coords
 
@@ -217,16 +216,6 @@ class PolytopeRep:
     def f_vector(self):
         return face_lattice_f_vector(self)
 
-    def to_json(self):
-        return {
-            "ambient": self.ambient,
-            "vertices": [[str(x) for x in v] for v in self.vertices],
-            "inequalities": [{"const": str(c), "coeffs": [str(a) for a in coeffs]}
-                             for (c, coeffs) in self.inequalities],
-            "equalities": [{"const": str(c), "coeffs": [str(a) for a in coeffs]}
-                           for (c, coeffs) in self.equalities],
-        }
-
 
 def _mask(idxs):
     m = 0
@@ -379,29 +368,13 @@ def polytope_from_inequalities(ineqs, eqs, ambient):
 
 
 def _particular_solution(A, b, ambient):
-    rows = len(A)
-    aug = [list(A[r]) + [b[r]] for r in range(rows)]
+    M, pivots, d, _sign, _scale = linalg._eliminate(
+        [list(A[r]) + [b[r]] for r in range(len(A))], ambient)
+    if any(row[ambient] for row in M[len(pivots):]):
+        raise ValueError("inconsistent equalities")
     sol = [F(0)] * ambient
-    pivots = []
-    r = 0
-    for col in range(ambient):
-        piv = next((i for i in range(r, rows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][ambient]:
-            raise ValueError("inconsistent equalities")
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][ambient]
+    for row, col in zip(M, pivots):
+        sol[col] = F(row[ambient], d)
     return tuple(sol)
 
 
@@ -433,13 +406,6 @@ def face_lattice_f_vector(P):
     for f, d in dims.items():
         fv[d] += 1
     return [1] + fv  # leading 1 for the empty face
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +567,6 @@ def minimize_face(vertices, functional, const=F(0)):
     return m, [v for v, val in zip(vertices, vals) if val == m]
 
 
-def minkowski_face_decomposition(summands, functional):
-    """Per-summand minimized faces; their Minkowski sum is the face of the
-    total sum minimized by the functional."""
-    return [minimize_face(pts, functional) for pts in summands]
-
-
 def tau_newton_facets(k, n):
     """Facet data of Newt(prod over all k-subsets of tau_J), monomial
     content discarded: constants c_J = min of gamma_J over the polytope,
@@ -643,26 +603,22 @@ def tau_newton_facets(k, n):
 
 def _in_minkowski_sum(v, factors, P, gammas, constants):
     """Certify that a vertex v of the bounding H-polytope P lies in the
-    Minkowski sum of the factor point sets."""
-    tight = [J for J, g in gammas.items()
+    Minkowski sum of the factor point sets.
+
+    The sum phi of the facet normals tight at v is minimized over P exactly
+    on the points tight on all of those facets, which for a vertex is v
+    alone; so v lies in the sum iff the per-summand minima of phi add up
+    to phi(v)."""
+    tight = [g for J, g in gammas.items()
              if constants[J] == sum(x * y for x, y in zip(g, v))]
-    for attempt in range(40):
-        if attempt == 0:
-            weights = {J: 1 for J in tight}
-        else:
-            rng = random.Random(attempt)
-            weights = {J: rng.randint(1, 1000) for J in tight}
-        phi = [sum(weights[J] * gammas[J][t] for J in tight) for t in range(len(v))]
-        val_v = sum(p * x for p, x in zip(phi, v))
-        # v must be the unique minimizer of phi among P's vertices
-        unique = all(sum(p * x for p, x in zip(phi, u)) > val_v
-                     for u in P.vertices if tuple(u) != tuple(v))
-        if not unique:
-            continue
-        best = sum(min(sum(p * x for p, x in zip(phi, q)) for q in pts)
-                   for pts in factors)
-        return best == val_v
-    raise ResourceCap("could not certify a Minkowski-sum vertex")
+    phi = [sum(g[t] for g in tight) for t in range(len(v))]
+    val_v = sum(p * x for p, x in zip(phi, v))
+    if not all(sum(p * x for p, x in zip(phi, u)) > val_v
+               for u in P.vertices if tuple(u) != tuple(v)):
+        raise AssertionError("tight facet normals do not single out a vertex")
+    best = sum(min(sum(p * x for p, x in zip(phi, q)) for q in pts)
+               for pts in factors)
+    return best == val_v
 
 
 def lift_and_lower_hull(vertices, heights):

@@ -37,10 +37,6 @@ def grid_add(a, b, mult=1):
     return out
 
 
-def grid_scale(a, mult):
-    return {key: mult * c for key, c in a.items() if mult * c}
-
-
 def f_combination(fcoeffs, k, n):
     """Expand a combination of the cyclic differences f_{i,j} into e-basis
     coordinates; f_{i,j} = e_{i,j} - e_{i,j+1} with column n-k wrapping to 1."""

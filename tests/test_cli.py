@@ -1,6 +1,8 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 import json
 
+import pytest
+
 from grascat.cli import main
 
 
@@ -129,3 +131,54 @@ def test_search(capsys):
     assert code == 0
     assert data["quadruples"] > 0
     assert "min_flip_value" in data
+
+
+def _error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    return code, json.loads(err)
+
+
+def test_decompose_subset_out_of_range(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"k": 3, "n": 7, "coeffs": {"1,3,9": "1"}}))
+    code, data = _error(capsys, "decompose", "--input", str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert "1, 3, 9" in data["error"]
+
+
+def test_ucheck_subset_of_wrong_size(capsys):
+    code, data = _error(capsys, "u-check", "--k", "5", "--n", "9", "--J", "1,2,3")
+    assert code == 2 and data["error"]
+
+
+def test_ucheck_subset_with_spaces(capsys):
+    code, out = run(capsys, "u-check", "--k", "4", "--n", "8", "--J", "2, 3,6,8")
+    assert code == 0 and json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("argv", [("nc", "count", "--k", "3"), ("nc", "list"),
+                                  ("nc", "degree", "--k", "3", "--n", "6")])
+def test_nc_missing_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "requires --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["abc", "-3", "0"])
+def test_bad_memory_cap_reported(capsys, monkeypatch, cap):
+    monkeypatch.setenv("GRASCAT_CAP_MB", cap)
+    code, data = _error(capsys, "nc", "count", "--k", "2", "--n", "5")
+    assert code == 2 and "GRASCAT_CAP_MB" in data["error"]
+
+
+def test_unsettable_memory_cap_reported(capsys, monkeypatch):
+    import resource
+
+    def refuse(*_args):
+        raise OSError("not permitted")
+    monkeypatch.setattr(resource, "setrlimit", refuse)
+    monkeypatch.setenv("GRASCAT_CAP_MB", "4096")
+    code, data = _error(capsys, "nc", "count", "--k", "2", "--n", "5")
+    assert code == 2 and "not permitted" in data["error"]

@@ -1,0 +1,107 @@
+"""Exact linear algebra: solves, null spaces, ranks and determinants on
+seeded random int, 0/+-1 and Fraction matrices, rank-deficient ones
+included."""
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from grascat import linalg
+
+KINDS = ("int", "sign", "fraction")
+
+
+def _matrix(rng, m, n, kind, deficient=False):
+    if kind == "int":
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    elif kind == "sign":
+        M = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+    else:
+        M = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+             for _ in range(m)]
+    if deficient and m > 1:
+        i, j, l = rng.sample(range(m), 2) + [rng.randrange(m)]
+        c = rng.randint(-3, 3)
+        M[i] = [c * a + b for a, b in zip(M[j], M[l])]
+    return M
+
+
+def _cases(seed, count=60):
+    rng = random.Random(seed)
+    for t in range(count):
+        yield rng, KINDS[t % 3], rng.randint(1, 8), rng.randint(1, 8), t % 4 == 0
+
+
+def _mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _cofactor_det(M):
+    if not M:
+        return 1
+    return sum((-1) ** c * M[0][c] * _cofactor_det([row[:c] + row[c + 1:] for row in M[1:]])
+               for c in range(len(M)) if M[0][c])
+
+
+def test_solve_columns():
+    solved = singular = 0
+    for rng, kind, n, w, deficient in _cases(1):
+        A = _matrix(rng, n, n, kind, deficient)
+        B = _matrix(rng, n, w % 3 + 1, kind)
+        try:
+            X = linalg.solve_columns(A, B)
+        except ValueError:
+            # singular: certified by a nonzero kernel vector
+            vec = linalg.nullspace(A)[0]
+            assert any(vec) and _mul(A, [[x] for x in vec]) == [[0]] * n
+            singular += 1
+            continue
+        assert _mul(A, X) == B
+        assert _mul(A, linalg.inverse(A)) == [[int(i == j) for j in range(n)]
+                                              for i in range(n)]
+        solved += 1
+    assert solved > 30 and singular > 5
+
+
+def test_nullspace_and_rank():
+    for rng, kind, m, n, deficient in _cases(2):
+        A = _matrix(rng, m, n, kind, deficient)
+        basis = linalg.nullspace(A)
+        for vec in basis:
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in A)
+        assert linalg.rank(A) + len(basis) == n
+        if basis:
+            assert linalg.rank(basis) == len(basis)
+        assert linalg.rank([list(col) for col in zip(*A)]) == linalg.rank(A)
+
+
+def test_det_matches_cofactor_expansion_and_is_multiplicative():
+    for rng, kind, n, _w, deficient in _cases(3, count=45):
+        n = min(n, 6)
+        A = _matrix(rng, n, n, kind, deficient)
+        B = _matrix(rng, n, n, KINDS[(KINDS.index(kind) + 1) % 3])
+        assert linalg.det(A) == _cofactor_det(A)
+        assert linalg.det(_mul(A, B)) == linalg.det(A) * linalg.det(B)
+
+
+def test_singular_input_raises():
+    with pytest.raises(ValueError, match="singular"):
+        linalg.solve_columns([[1, 2], [2, 4]], [[1], [2]])
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse([[0, 0], [0, 1]])
+    with pytest.raises(ValueError, match="square"):
+        linalg.det([[1, 2, 3], [4, 5, 6]])
+    assert linalg.det([[F(1, 2), 1], [1, 2]]) == 0
+
+
+def test_nullspace_pinned_echelon_form():
+    A = [[1, 2, 0, 3, F(1, 2)],
+         [2, 4, 1, 7, 0],
+         [-1, -2, 1, -2, F(-3, 2)]]
+    assert linalg.rank(A) == 2
+    assert linalg.nullspace(A) == [
+        [-2, 1, 0, 0, 0],
+        [-3, 0, -1, 1, 0],
+        [F(-1, 2), 0, 1, 0, 1],
+    ]
+    assert all(isinstance(x, F) for vec in linalg.nullspace(A) for x in vec)
