@@ -20,6 +20,12 @@ CASES = {
     "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
     "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
     "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
+    "decompose_4_8": ["decompose", "--input", "combo_4_8.json"],
+    "nc_degree_4_8": ["nc", "degree", "--input", "combo_4_8.json"],
+    "decompose_3_9": ["decompose", "--input", "combo_3_9.json"],
+    "nc_degree_3_9": ["nc", "degree", "--input", "combo_3_9.json"],
+    "decompose_5_10": ["decompose", "--input", "combo_5_10.json"],
+    "nc_degree_5_10": ["nc", "degree", "--input", "combo_5_10.json"],
     "volume_3_6": ["volume", "--k", "3", "--n", "6"],
     "pk_facets_3_6": ["pk", "facets", "--k", "3", "--n", "6"],
     "pk_vertices_3_6": ["pk", "vertices", "--k", "3", "--n", "6"],
