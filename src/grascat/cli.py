@@ -344,14 +344,19 @@ def main(argv=None):
             return _error(f"cannot apply GRASCAT_CAP_MB={cap!r}: {exc}")
     parser = build_parser()
     args = parser.parse_args(argv)
+    need = ()
     if args.command == "nc":
         need = ("input",) if args.action == "degree" else ("k", "n")
-        missing = [f"--{name}" for name in need if getattr(args, name) is None]
-        if missing:
-            parser.error(f"nc {args.action} requires {' '.join(missing)}")
+    elif args.command == "kinematics" and args.action != "basis":
+        need = ("input",)
+    missing = [f"--{name}" for name in need if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{args.command} {args.action} requires {' '.join(missing)}")
+    if args.command == "amplitude" and not args.pk and args.eta is None:
+        parser.error("amplitude requires --pk or --eta")
     try:
         return args.func(args)
-    except (combinat.ResourceLimitExceeded, polytope.ResourceCap, ValueError) as exc:
+    except (combinat.ResourceLimitExceeded, polytope.ResourceCap, ValueError, OSError) as exc:
         return _error(str(exc))
     except kinematics.AmplitudePole as exc:
         return _error(str(exc), collection=[roots.subset_key(J) for J in exc.collection])

@@ -70,19 +70,28 @@ def compatibility_degree(I, J, n):
     interior entries agree, i_l == j_l for a < l < b, and whose endpoint
     pairs {i_a, i_b}, {j_a, j_b} are not weakly separated.
 
-    Symmetric in I and J.  Zero iff the pair is noncrossing.
+    Two 2-subsets fail weak separation exactly when their four labels are
+    distinct and alternate around the circle, which for x = i_a < u = i_b
+    and y = j_a < v = j_b reads x < y < u < v or y < x < v < u; so n does
+    not enter.  For each a the scan over b stops at the first position
+    where I and J differ, which every later b would have in its interior.
+
+    Symmetric in I and J and invariant under the reflection i -> n + 1 - i
+    of the labels, but not under their cyclic rotation.  Zero iff the pair
+    is noncrossing.
     """
-    I, J = tuple(I), tuple(J)
     k = len(I)
     if len(J) != k:
         raise ValueError("subsets must have the same size")
     deg = 0
-    for a in range(k):
+    for a in range(k - 1):
+        x, y = I[a], J[a]
         for b in range(a + 1, k):
-            if any(I[l] != J[l] for l in range(a + 1, b)):
-                continue
-            if not is_weakly_separated((I[a], I[b]), (J[a], J[b]), n):
+            u, v = I[b], J[b]
+            if x < y < u < v or y < x < v < u:
                 deg += 1
+            if u != v:
+                break
     return deg
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
-from .combinat import check_subset, compatibility_degree, nonfrozen_subsets
+# compatibility_degree stays importable from here for existing callers
+from .combinat import _bits, _noncrossing_graph, check_subset, compatibility_degree  # noqa: F401
 
 F = Fraction
 
@@ -141,95 +143,91 @@ class DecompositionError(ValueError):
 
 class _Fan:
     """Walker for the complete simplicial fan whose maximal cones are the
-    maximal noncrossing collections.  Finds the cone whose relative
-    interior holds a given vector by walking the straight segment from an
-    interior point of a fixed start cone, crossing one wall at a time; each
-    wall has a unique opposite completion because the fan is simplicial and
-    complete."""
+    maximal noncrossing collections: finds the cone holding a vector by
+    walking the segment to it from a start cone, one wall at a time.
+
+    Every cone is unimodular, so the walk runs on integers: row p of its
+    state holds row p of the cone's inverse basis, the coordinate a_p of
+    the start point and the coordinate b_p of the target, scaled by the lcm
+    of its denominators.  A wall's other completion is the one common
+    neighbour of its members in the noncrossing graph; crossing to it is
+    one pivot, on the entry -1.
+
+    The start point p0 = sum_i (1 + eps^i) v_{start_i} is symbolic in an
+    infinitesimal eps > 0, so a_p is the integer vector of its coefficients
+    of 1, eps, ..., eps^d.  The first coordinate to hit zero on the segment
+    has b_p < 0, and p hits zero before q iff a_p b_q - a_q b_p > 0,
+    lexicographically.
+
+    Termination: for every small enough real eps the walk is that of the
+    segment from p0(eps), and it meets no cone of codimension 2 before its
+    end, because a linear form h vanishing on such a cone and the target
+    takes at p0(eps) the value sum_i (1 + eps^i) h(v_{start_i}), a nonzero
+    polynomial in eps.  So exit times never tie, and the segment meets each
+    convex cone in one interval: no cone is entered twice, and the walk
+    ends within catalan_mdim(k, n - k) - 1 flips.
+    """
 
     def __init__(self, k, n):
-        self.k, self.n = k, n
-        self.dim = (k - 1) * (n - k - 1)
-        self.verts = nonfrozen_subsets(k, n)
-        self.coords = {J: lattice_coords(v_root(J, k, n), k, n) for J in self.verts}
-        self._nc = {}
-        self.start = self._greedy_collection()
-
-    def _noncrossing(self, A, B):
-        key = (A, B) if A < B else (B, A)
-        val = self._nc.get(key)
-        if val is None:
-            val = compatibility_degree(A, B, self.n) == 0
-            self._nc[key] = val
-        return val
-
-    def _greedy_collection(self):
-        chosen = []
-        for J in self.verts:
-            if all(self._noncrossing(J, C) for C in chosen):
-                chosen.append(J)
-        if len(chosen) != self.dim:
+        self.dim = d = (k - 1) * (n - k - 1)
+        self.verts, self.adj = _noncrossing_graph(k, n)
+        coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
+        # the nonzero lattice coordinates of each v_J, as (position, value)
+        self.support = [[(t, int(c)) for t, c in enumerate(col) if c] for col in coords]
+        chosen = 0  # the greedy collection
+        for i, nbrs in enumerate(self.adj):
+            if not chosen & ~nbrs:
+                chosen |= 1 << i
+        self.start = list(_bits(chosen))
+        if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
-        return tuple(chosen)
+        inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise AssertionError("start cone is not unimodular")
+        self.start_inv = [[int(x) for x in row] for row in inv]
 
-    def _flip(self, collection, leave):
-        wall = [J for J in collection if J != leave]
-        wallset = set(wall)
-        found = None
-        for X in self.verts:
-            if X == leave or X in wallset:
-                continue
-            if all(self._noncrossing(X, W) for W in wall):
-                if found is not None:
-                    raise AssertionError(
-                        f"wall {wall} has several completions: {found}, {X}")
-                found = X
-        if found is None:
-            raise AssertionError(f"wall {wall} has no second completion")
-        return tuple(sorted(wall + [found]))
-
-    def locate(self, target_coords, max_steps=20000):
-        for attempt in range(20):
-            try:
-                return self._walk(target_coords, attempt, max_steps)
-            except _Restart:
-                continue
-        raise DecompositionError("fan walk failed to converge")
-
-    def _walk(self, target, attempt, max_steps):
-        cone = self.start
-        # interior start point; later attempts perturb it to dodge any
-        # degenerate wall crossings
-        weights = [F(1) + F(idx + 1, 1009 + 97 * attempt * (idx + 2))
-                   for idx in range(self.dim)]
-        if attempt == 0:
-            weights = [F(1)] * self.dim
-        p0 = [sum(w * self.coords[J][t] for w, J in zip(weights, cone))
-              for t in range(self.dim)]
-        s_cur = F(0)
-        for _step in range(max_steps):
-            cols = sorted(cone)
-            A = [[self.coords[J][t] for J in cols] for t in range(self.dim)]
-            sol = linalg.solve_columns(A, [[p0[t], target[t]] for t in range(self.dim)])
-            t0 = [row[0] for row in sol]
-            tau = [row[1] for row in sol]
-            if all(x >= 0 for x in tau):
-                return {J: x for J, x in zip(cols, tau) if x > 0}
-            s_exit, leave = None, None
-            for J, a, b in zip(cols, t0, tau):
-                if b < a:
-                    s = a / (a - b)  # where (1-s)*a + s*b hits zero
-                    if s > s_cur and (s_exit is None or s < s_exit):
-                        s_exit, leave = s, J
+    def locate(self, target):
+        """Positive cone coefficients {J: t_J} of nonzero lattice coordinates."""
+        d = self.dim
+        scale = lcm(*[c.denominator for c in target])
+        goal = [c.numerator * (scale // c.denominator) for c in target]
+        cone = list(self.start)
+        # row p = [inv_p | a_p | b_p], with a_p = 1 + eps^(p+1) at the start
+        rows = [inv_p + [1] + [int(q == p) for q in range(d)]
+                + [sum(x * y for x, y in zip(inv_p, goal))]
+                for p, inv_p in enumerate(self.start_inv)]
+        while True:
+            leave = None
+            for p, row in enumerate(rows):
+                if row[-1] < 0 and (leave is None or _exits_first(row, rows[leave], d)):
+                    leave = p
             if leave is None:
-                raise _Restart
-            s_cur = s_exit
-            cone = self._flip(cone, leave)
-        raise _Restart
+                return {self.verts[cone[p]]: F(rows[p][-1], scale)
+                        for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
+            entering = ((1 << len(self.verts)) - 1) & ~(1 << cone[leave])
+            for i in cone[:leave] + cone[leave + 1:]:
+                entering &= self.adj[i]
+            if not entering or entering & (entering - 1):
+                raise AssertionError(f"a wall of {[self.verts[i] for i in cone]} has "
+                                     f"{bin(entering).count('1')} other completions")
+            X = entering.bit_length() - 1
+            c = [sum(row[t] * x for t, x in self.support[X]) for row in rows]
+            if c[leave] != -1:
+                raise AssertionError(f"pivot entry {c[leave]}, not -1")
+            pivot = [-y for y in rows[leave]]
+            rows = [pivot if p == leave else [x - f * y for x, y in zip(row, pivot)] if f else row
+                    for p, (row, f) in enumerate(zip(rows, c))]
+            cone[leave] = X
 
 
-class _Restart(Exception):
-    pass
+def _exits_first(row_p, row_q, d):
+    """Whether p hits zero before q: a_p b_q - a_q b_p > 0, lexicographically."""
+    b_p, b_q = row_p[-1], row_q[-1]
+    for t in range(d, 2 * d + 1):
+        s = row_p[t] * b_q - row_q[t] * b_p
+        if s:
+            return s > 0
+    raise AssertionError("two exit times coincide")
 
 
 @lru_cache(maxsize=None)

@@ -166,6 +166,31 @@ def test_nc_missing_arguments(capsys, argv):
     assert "requires --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("kinematics", "eta-to-s", "--k", "3", "--n", "6"), "requires --input"),
+    (("kinematics", "s-to-eta", "--k", "3", "--n", "6"), "requires --input"),
+    (("amplitude", "--k", "3", "--n", "6"), "requires --pk or --eta"),
+])
+def test_missing_input_options(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--input", "nope.json"),
+    ("nc", "degree", "--input", "nope.json"),
+    ("kinematics", "eta-to-s", "--k", "3", "--n", "6", "--input", "nope.json"),
+    ("amplitude", "--k", "3", "--n", "6", "--eta", "nope.json"),
+])
+def test_unreadable_input_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, data = _error(capsys, *argv)
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert "nope.json" in data["error"]
+
+
 @pytest.mark.parametrize("cap", ["abc", "-3", "0"])
 def test_bad_memory_cap_reported(capsys, monkeypatch, cap):
     monkeypatch.setenv("GRASCAT_CAP_MB", cap)

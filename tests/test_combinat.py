@@ -5,6 +5,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grascat.combinat import (catalan_mdim, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
@@ -48,14 +50,54 @@ def test_compatibility_degree_values():
         assert compatibility_degree(I, (2, 3, 6, 8), 8) == 2
 
 
-def test_compatibility_symmetry():
-    rng = random.Random(1)
-    for _ in range(300):
-        n = rng.randint(6, 10)
-        k = rng.randint(2, n - 2)
-        I = tuple(sorted(rng.sample(range(1, n + 1), k)))
-        J = tuple(sorted(rng.sample(range(1, n + 1), k)))
-        assert compatibility_degree(I, J, n) == compatibility_degree(J, I, n)
+def _reference_weakly_separated(A, B, n):
+    """Weak separation by definition: the nonzero entries of e_A - e_B,
+    read around the circle, change sign at most twice."""
+    signs = [(a in A) - (a in B) for a in range(1, n + 1)]
+    signs = [s for s in signs if s]
+    return sum(s != t for s, t in zip(signs, signs[1:] + signs[:1])) <= 2
+
+
+def _reference_degree(I, J, n):
+    """Position pairs a < b with agreeing interior whose endpoint pairs are
+    not weakly separated."""
+    k = len(I)
+    return sum(1 for a in range(k) for b in range(a + 1, k)
+               if I[a + 1:b] == J[a + 1:b]
+               and not _reference_weakly_separated({I[a], I[b]}, {J[a], J[b]}, n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_compatibility_degree_matches_definition(n):
+    for k in range(1, n):
+        subsets = list(combinations(range(1, n + 1), k))
+        for I, J in combinations(subsets, 2):
+            assert compatibility_degree(I, J, n) == _reference_degree(I, J, n), (I, J)
+
+
+@st.composite
+def _subset_pairs(draw):
+    n = draw(st.integers(2, 14))
+    k = draw(st.integers(1, n - 1))
+    labels = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    return tuple(sorted(draw(labels))), tuple(sorted(draw(labels))), n
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_subset_pairs())
+def test_compatibility_symmetry(pair):
+    I, J, n = pair
+    assert compatibility_degree(I, J, n) == compatibility_degree(J, I, n)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_subset_pairs())
+def test_compatibility_degree_reflection_invariant(pair):
+    I, J, n = pair
+
+    def reflect(S):
+        return tuple(sorted(n + 1 - s for s in S))
+    assert compatibility_degree(reflect(I), reflect(J), n) == compatibility_degree(I, J, n)
 
 
 def test_noncrossing_examples():

@@ -1,9 +1,12 @@
 """Generalized roots, cubical relations, and the noncrossing expansion."""
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grascat.combinat import is_noncrossing, enumerate_maximal_noncrossing
 from grascat.roots import (DecompositionError, check_four_term, coeffs_from_json,
@@ -198,6 +201,21 @@ def test_decompose_roundtrip_random(k, n, trials):
             assert is_noncrossing(A, B, n)
         if t % 2 == 0:
             assert all(c.denominator == 1 for c in res.values())
+
+
+_maximal_collections = lru_cache(maxsize=None)(enumerate_maximal_noncrossing)
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8)])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decompose_recovers_a_positive_cone_point(k, n, data):
+    # any positive combination over a maximal collection is its own
+    # (unique) noncrossing expansion
+    collection = data.draw(st.sampled_from(_maximal_collections(k, n)))
+    positive = st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)
+    coeffs = {J: data.draw(positive) for J in collection}
+    assert noncrossing_decompose(combo_vector(coeffs, k, n), k, n) == coeffs
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (4, 7)])
