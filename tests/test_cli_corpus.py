@@ -39,6 +39,10 @@ CASES = {
                                   "--eta", "prime_eta_36.json", "--shift"],
     "amplitude_random_2_6": ["amplitude", "--k", "2", "--n", "6",
                              "--eta", "random-interior", "--seed", "3"],
+    "amplitude_eta_3_7": ["amplitude", "--k", "3", "--n", "7", "--eta", "eta_3_7.json"],
+    "amplitude_eta_shift_3_8": ["amplitude", "--k", "3", "--n", "8",
+                                "--eta", "eta_3_8.json", "--shift"],
+    "amplitude_eta_4_8": ["amplitude", "--k", "4", "--n", "8", "--eta", "eta_4_8.json"],
     "kinematics_basis_3_6": ["kinematics", "basis", "--k", "3", "--n", "6"],
     "kinematics_eta_to_s_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
                                 "--input", "prime_eta_36.json"],
