@@ -34,6 +34,15 @@ def _emit(args, payload, ok=True):
     return 0 if ok else 1
 
 
+def _load_subset_map(path, key):
+    """The map under ``key`` of a JSON input file, as {subset: Fraction}."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get(key), dict):
+        raise ValueError(f"{path}: input JSON has no {key!r} object")
+    return {roots.parse_subset(J): F(val) for J, val in data[key].items()}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,14 +151,9 @@ def cmd_amplitude(args):
         values = kinematics.kin_basis(k, n).eta_values(point)
         source = "random-interior"
     else:
-        with open(args.eta) as fh:
-            data = json.load(fh)
-        values = {roots.parse_subset(key): F(val)
-                  for key, val in data["eta"].items()}
+        values = _load_subset_map(args.eta, "eta")
         source = args.eta
     if args.shift:
-        if k != 3:
-            raise SystemExit("--shift is defined for k = 3")
         point = kinematics.kin_basis(k, n).point_from_eta(values)
         hats = kinematics.eta_hat_shift(n, warn_beyond_validated=not args.unsafe_large)
         values = {J: hats[J].value(point) for J in nf}
@@ -173,18 +177,12 @@ def cmd_kinematics(args):
                             "dimension": len(B.basis),
                             "nonfrozen": len(B.nonfrozen)})
     if args.action == "eta-to-s":
-        with open(args.input) as fh:
-            data = json.load(fh)
-        values = {roots.parse_subset(key): F(val) for key, val in data["eta"].items()}
-        point = B.point_from_eta(values)
+        point = B.point_from_eta(_load_subset_map(args.input, "eta"))
         return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
                             "s": {roots.subset_key(J): str(v)
                                   for J, v in sorted(point.items())}})
     if args.action == "s-to-eta":
-        with open(args.input) as fh:
-            data = json.load(fh)
-        point = {roots.parse_subset(key): F(val) for key, val in data["s"].items()}
-        values = B.eta_values(point)
+        values = B.eta_values(_load_subset_map(args.input, "s"))
         return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
                             "eta": {roots.subset_key(J): str(v)
                                     for J, v in sorted(values.items())}})
@@ -352,8 +350,11 @@ def main(argv=None):
     missing = [f"--{name}" for name in need if getattr(args, name) is None]
     if missing:
         parser.error(f"{args.command} {args.action} requires {' '.join(missing)}")
-    if args.command == "amplitude" and not args.pk and args.eta is None:
-        parser.error("amplitude requires --pk or --eta")
+    if args.command == "amplitude":
+        if not args.pk and args.eta is None:
+            parser.error("amplitude requires --pk or --eta")
+        if args.shift and args.k != 3:
+            parser.error("--shift is defined for k = 3")
     try:
         return args.func(args)
     except (combinat.ResourceLimitExceeded, polytope.ResourceCap, ValueError, OSError) as exc:

@@ -164,16 +164,35 @@ def enumerate_maximal_noncrossing(k, n, max_collections=200000):
     is the k-dimensional Catalan number catalan_mdim(k, n-k).  Output is
     sorted for determinism.
     """
-    verts, adj = _noncrossing_graph(k, n)
-    m = len(verts)
-    out = []
+    verts = nonfrozen_subsets(k, n)
+    masks = []
+    _fold_maximal_noncrossing(k, n, max_collections, 0,
+                              lambda R, v: R | 1 << v, masks.append)
+    return sorted(tuple(sorted(verts[i] for i in _bits(R))) for R in masks)
 
-    def expand(R, P, X):
+
+def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
+    """Pivoting Bron-Kerbosch with degeneracy ordering over the noncrossing
+    graph, threading one value down each branch of the search tree.
+
+    A branch that adds vertex v (its index in nonfrozen_subsets(k, n)) to
+    the clique maps the value acc it carries to step(acc, v); the tree's
+    root carries start, and each maximal clique hands its value to leaf,
+    in search order.  Raises ResourceLimitExceeded once there are more than
+    max_collections maximal cliques.
+    """
+    adj = _noncrossing_graph(k, n)[1]
+    m = len(adj)
+    leaves = 0
+
+    def expand(acc, P, X):
+        nonlocal leaves
         if not P and not X:
-            out.append(R)
-            if len(out) > max_collections:
+            leaves += 1
+            if leaves > max_collections:
                 raise ResourceLimitExceeded(
                     f"more than {max_collections} maximal collections for ({k}, {n})")
+            leaf(acc)
             return
         PX = P | X
         # pivot maximizing |P & N(u)|
@@ -182,7 +201,7 @@ def enumerate_maximal_noncrossing(k, n, max_collections=200000):
         while q:
             u = (q & -q).bit_length() - 1
             q &= q - 1
-            c = bin(P & adj[u]).count("1")
+            c = (P & adj[u]).bit_count()
             if c > best:
                 best, pivot = c, u
         cand = P & ~adj[pivot]
@@ -190,22 +209,17 @@ def enumerate_maximal_noncrossing(k, n, max_collections=200000):
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
             cand &= ~bit
-            expand(R | bit, P & adj[v], X & adj[v])
+            expand(step(acc, v), P & adj[v], X & adj[v])
             P &= ~bit
             X |= bit
 
     # degeneracy order start
-    order = _degeneracy_order(m, adj)
     P_all = (1 << m) - 1
     done = 0
-    for v in order:
+    for v in _degeneracy_order(m, adj):
         bit = 1 << v
-        expand(bit, P_all & adj[v] & ~done, done & adj[v])
+        expand(step(start, v), P_all & adj[v] & ~done, done & adj[v])
         done |= bit
-
-    collections = sorted(
-        tuple(sorted(verts[i] for i in _bits(R))) for R in out)
-    return collections
 
 
 def _bits(mask):

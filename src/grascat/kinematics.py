@@ -13,10 +13,11 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 
 from . import linalg
-from .combinat import is_frozen, nonfrozen_subsets, enumerate_maximal_noncrossing
+from .combinat import (_fold_maximal_noncrossing, enumerate_maximal_noncrossing,
+                       is_frozen, nonfrozen_subsets)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -320,17 +321,36 @@ class AmplitudePole(ZeroDivisionError):
 
 def nc_amplitude(k, n, values, max_collections=200000):
     """Sum over all maximal noncrossing collections of the product of
-    1/values[J]; values maps every nonfrozen subset to a nonzero rational."""
-    total = F(0)
-    for coll in enumerate_maximal_noncrossing(k, n, max_collections):
-        prod = F(1)
-        for J in coll:
-            v = F(values[J])
-            if not v:
-                raise AmplitudePole(coll)
-            prod /= v
-        total += prod
-    return total
+    1/values[J]; values maps every nonfrozen subset to a nonzero rational.
+
+    The sum is one pass over the Bron-Kerbosch tree in integers.  With L
+    the lcm of the denominators, a_J = L values[J] and P the product of
+    every a_J, a branch holding the collection R carries the exact quotient
+    P / prod_{J in R} a_J, and each maximal collection adds its quotient to
+    the total; every collection has d = (k-1)(n-k-1) members, so the sum
+    is total L^d / P.
+    """
+    verts = nonfrozen_subsets(k, n)
+    vals = [F(values.get(J, 0)) for J in verts]
+    if not all(vals):
+        # a missing or zero value: report the first one met in the sorted
+        # term-by-term sum; every nonfrozen subset lies in some maximal
+        # collection, so this raises
+        for coll in enumerate_maximal_noncrossing(k, n, max_collections):
+            for J in coll:
+                if not F(values[J]):
+                    raise AmplitudePole(coll)
+    L = lcm(*[v.denominator for v in vals])
+    a = [v.numerator * (L // v.denominator) for v in vals]
+    P = prod(a)
+    total = 0
+
+    def add(Q):
+        nonlocal total
+        total += Q
+
+    _fold_maximal_noncrossing(k, n, max_collections, P, lambda Q, v: Q // a[v], add)
+    return F(total * L ** ((k - 1) * (n - k - 1)), P)
 
 
 # ---------------------------------------------------------------------------

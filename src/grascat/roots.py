@@ -316,6 +316,12 @@ def coeffs_to_json(coeffs, k, n):
 
 
 def coeffs_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("input JSON is not an object")
+    bad = [key for key, kind in (("coeffs", dict), ("k", int), ("n", int))
+           if not isinstance(obj.get(key), kind)]
+    if bad:
+        raise ValueError(f"input JSON lacks {', '.join(map(repr, bad))} or has the wrong type")
     coeffs = {parse_subset(key): F(val) for key, val in obj["coeffs"].items()}
     return coeffs, obj["k"], obj["n"]
 

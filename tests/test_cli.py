@@ -207,3 +207,48 @@ def test_unsettable_memory_cap_reported(capsys, monkeypatch):
     monkeypatch.setenv("GRASCAT_CAP_MB", "4096")
     code, data = _error(capsys, "nc", "count", "--k", "2", "--n", "5")
     assert code == 2 and "not permitted" in data["error"]
+
+
+@pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
+@pytest.mark.parametrize("key,value", [("coeffs", None), ("k", None), ("n", None),
+                                       ("coeffs", [1]), ("k", "3")])
+def test_coeffs_input_missing_or_mistyped_key(tmp_path, capsys, command, key, value):
+    blob = {"k": 3, "n": 7, "coeffs": {"1,3,5": "1"}}
+    if value is None:
+        del blob[key]
+    else:
+        blob[key] = value
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(blob))
+    code, data = _error(capsys, *command, "--input", str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert repr(key) in data["error"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("amplitude", "--k", "2", "--n", "5", "--eta"), "eta"),
+    (("kinematics", "eta-to-s", "--k", "2", "--n", "5", "--input"), "eta"),
+    (("kinematics", "s-to-eta", "--k", "2", "--n", "5", "--input"), "s"),
+])
+@pytest.mark.parametrize("blob", [{"values": {"1,3": "1"}}, {"eta": [1], "s": [1]}, 3])
+def test_subset_map_input_missing_or_mistyped_key(tmp_path, capsys, argv, key, blob):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(blob))
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert repr(key) in data["error"]
+
+
+def test_coeffs_input_not_an_object(tmp_path, capsys):
+    path = tmp_path / "number.json"
+    path.write_text("3")
+    code, data = _error(capsys, "decompose", "--input", str(path))
+    assert code == 2 and "not an object" in data["error"]
+
+
+@pytest.mark.parametrize("source", [("--pk",), ("--eta", "random-interior")])
+def test_amplitude_shift_needs_k3(capsys, source):
+    with pytest.raises(SystemExit) as exc:
+        main(["amplitude", "--k", "2", "--n", "6", *source, "--shift"])
+    assert exc.value.code == 2
+    assert "--shift is defined for k = 3" in capsys.readouterr().err

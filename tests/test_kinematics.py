@@ -1,11 +1,15 @@
 """Kinematic space, planar basis, distinguished points, the kinematic
 shift and amplitude evaluation."""
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grascat.combinat import nonfrozen_subsets
+from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
+                              nonfrozen_subsets)
 from grascat.kinematics import (ETA_HAT_38_TABLE, KinFunctional,
                                 NC_AMPLITUDE_36_VALUE, PRIME_ETA_36,
                                 prime_kinematics_reproduction, check_conservation,
@@ -218,12 +222,75 @@ def test_nc_amplitude_pk_values():
         assert nc_amplitude(k, n, values) == catalan_mdim(k, n - k)
 
 
+def _reference_amplitude(k, n, values):
+    """The amplitude as written: a Fraction sum of prod 1/v_J over the
+    sorted maximal collections."""
+    total = F(0)
+    for coll in enumerate_maximal_noncrossing(k, n):
+        term = F(1)
+        for J in coll:
+            term /= F(values[J])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (4, 8)])
+def test_nc_amplitude_matches_reference(k, n):
+    rng = random.Random(100 * k + n)
+    draws = [lambda: rng.randint(1, 60),
+             lambda: F(rng.randint(1, 60), rng.randint(1, 30)),
+             lambda: F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 30))]
+    # one mixed-sign table at (4,8), whose reference sum takes about a second
+    for draw in draws[2:] if (k, n) == (4, 8) else draws:
+        values = {J: draw() for J in nonfrozen_subsets(k, n)}
+        assert nc_amplitude(k, n, values) == _reference_amplitude(k, n, values)
+
+
+_nonzero = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _scaled_tables(draw):
+    k, n = draw(st.sampled_from([(2, 5), (2, 6), (2, 7), (3, 6), (3, 7)]))
+    values = {J: draw(_nonzero) for J in nonfrozen_subsets(k, n)}
+    return k, n, values, draw(_nonzero)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_scaled_tables())
+def test_nc_amplitude_homogeneity(table):
+    k, n, values, lam = table
+    d = (k - 1) * (n - k - 1)
+    scaled = {J: lam * v for J, v in values.items()}
+    assert nc_amplitude(k, n, scaled) == nc_amplitude(k, n, values) / lam ** d
+
+
 def test_nc_amplitude_pole_report():
     from grascat.kinematics import AmplitudePole
     values = {J: F(1) for J in nonfrozen_subsets(2, 5)}
     values[(1, 3)] = F(0)
-    with pytest.raises(AmplitudePole):
+    with pytest.raises(AmplitudePole) as exc:
         nc_amplitude(2, 5, values)
+    assert exc.value.collection == ((1, 3), (1, 4))
+    # the first sorted collection holding any zero is named
+    values[(1, 3)], values[(2, 5)], values[(3, 5)] = F(1), F(0), F(0)
+    with pytest.raises(AmplitudePole) as exc:
+        nc_amplitude(2, 5, values)
+    assert exc.value.collection == ((1, 3), (3, 5))
+    # a missing subset met before any zero is a KeyError
+    values[(3, 5)] = F(1)
+    del values[(1, 4)]
+    with pytest.raises(KeyError) as exc:
+        nc_amplitude(2, 5, values)
+    assert exc.value.args == ((1, 4),)
+
+
+def test_nc_amplitude_collection_cap():
+    values = {J: F(1) for J in nonfrozen_subsets(2, 5)}
+    assert nc_amplitude(2, 5, values, max_collections=5) == 5
+    with pytest.raises(ResourceLimitExceeded,
+                       match=re.escape("more than 4 maximal collections for (2, 5)")):
+        nc_amplitude(2, 5, values, max_collections=4)
 
 
 def test_degenerate_26_amplitude():
