@@ -17,6 +17,7 @@ CORPUS = Path(__file__).parent / "corpus"
 
 CASES = {
     "nc_count_3_6": ["nc", "count", "--k", "3", "--n", "6"],
+    "nc_count_4_8": ["nc", "count", "--k", "4", "--n", "8"],
     "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
     "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
     "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
@@ -30,7 +31,10 @@ CASES = {
     "pk_facets_3_6": ["pk", "facets", "--k", "3", "--n", "6"],
     "pk_vertices_3_6": ["pk", "vertices", "--k", "3", "--n", "6"],
     "pk_fvector_3_6": ["pk", "fvector", "--k", "3", "--n", "6"],
+    "pk_facets_3_7": ["pk", "facets", "--k", "3", "--n", "7"],
+    "pk_vertices_3_7": ["pk", "vertices", "--k", "3", "--n", "7"],
     "newton_3_6": ["newton", "--k", "3", "--n", "6", "--fvector"],
+    "newton_3_7": ["newton", "--k", "3", "--n", "7", "--fvector"],
     "ucheck_random_3_7": ["u-check", "--k", "3", "--n", "7", "--mode", "random",
                           "--trials", "2", "--seed", "7"],
     "ucheck_single_4_8": ["u-check", "--k", "4", "--n", "8", "--J", "2,3,6,8"],
