@@ -36,11 +36,10 @@ def _emit(args, payload, ok=True):
 
 def _load_subset_map(path, key):
     """The map under ``key`` of a JSON input file, as {subset: Fraction}."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = roots.load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get(key), dict):
         raise ValueError(f"{path}: input JSON has no {key!r} object")
-    return {roots.parse_subset(J): F(val) for J, val in data[key].items()}
+    return {roots.parse_subset(J): roots.parse_value(val) for J, val in data[key].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +47,13 @@ def _load_subset_map(path, key):
 
 def cmd_nc(args):
     if args.action == "count":
-        cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
+        # the leaves of the search tree, with no collection built
+        count = combinat._fold_maximal_noncrossing(
+            args.k, args.n, args.max_cliques, None, lambda acc, v: acc, lambda acc: None)
         expected = combinat.catalan_mdim(args.k, args.n - args.k)
-        ok = len(cols) == expected
+        ok = count == expected
         return _emit(args, {"command": "nc count", "k": args.k, "n": args.n,
-                            "count": len(cols), "catalan": expected, "pass": ok}, ok)
+                            "count": count, "catalan": expected, "pass": ok}, ok)
     if args.action == "list":
         cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
         return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,

@@ -178,8 +178,8 @@ def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
     A branch that adds vertex v (its index in nonfrozen_subsets(k, n)) to
     the clique maps the value acc it carries to step(acc, v); the tree's
     root carries start, and each maximal clique hands its value to leaf,
-    in search order.  Raises ResourceLimitExceeded once there are more than
-    max_collections maximal cliques.
+    in search order.  Returns the number of maximal cliques; raises
+    ResourceLimitExceeded once there are more than max_collections.
     """
     adj = _noncrossing_graph(k, n)[1]
     m = len(adj)
@@ -220,6 +220,7 @@ def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
         bit = 1 << v
         expand(step(start, v), P_all & adj[v] & ~done, done & adj[v])
         done |= bit
+    return leaves
 
 
 def _bits(mask):
@@ -230,7 +231,7 @@ def _bits(mask):
 
 
 def _degeneracy_order(m, adj):
-    deg = [bin(a).count("1") for a in adj]
+    deg = [a.bit_count() for a in adj]
     removed = [False] * m
     order = []
     for _ in range(m):

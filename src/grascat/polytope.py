@@ -4,18 +4,23 @@ Newton polytopes, Minkowski sums, and the named polytopes of the build:
 root polytopes, the PK polytope, fibered simplices, planar faces and the
 PK associahedron.
 
-Points are tuples of Fractions in an ambient R^m; polytopes that live in
-an affine subspace carry explicit equalities and all conversions happen in
-reduced coordinates of the affine hull.
+Points are tuples of exact numbers in an ambient R^m, each an int when it
+is integral and a Fraction otherwise (`_num`); inequality rows and
+double-description rays are primitive int vectors.  Polytopes that live
+in an affine subspace carry explicit equalities and all conversions
+happen in reduced coordinates of the affine hull.  Combinatorial
+questions are answered from vertex-facet incidence bitmasks: a point is a
+vertex iff the facets tight at it meet in it alone, and the face lattice
+is walked one dimension at a time.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
-from .combinat import _bits, nonfrozen_subsets, enumerate_maximal_noncrossing
+from .combinat import nonfrozen_subsets, enumerate_maximal_noncrossing
 from .polynomial import Poly, pk_factors, delta, planar_face_range, planar_face_vertices
 from .roots import gamma_hat, v_root, lattice_coords
 
@@ -94,37 +99,43 @@ def extreme_points(points):
 # ---------------------------------------------------------------------------
 # double description
 
+def _num(x):
+    """The exact value of x: an int when it is integral, else a Fraction."""
+    x = F(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _primitive(vec):
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(F(v) for v in ints)
+    """The positive multiple of a rational vector whose entries are coprime
+    ints (the zero vector stays zero)."""
+    den = lcm(*[v.denominator for v in vec])
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def _independent_rows(rows):
+    """Indices of the first maximal linearly independent subfamily of rows
+    (each row kept iff it is independent of the rows before it): the pivot
+    columns of one elimination of the transpose."""
+    return linalg._eliminate([list(col) for col in zip(*rows)])[1]
 
 
 def cone_rays(rows, max_rays=200000):
-    """Extreme rays of the pointed cone {y : row . y >= 0 for all rows}.
+    """Extreme rays, as primitive int vectors, of the pointed cone
+    {y : row . y >= 0 for all rows}.
 
     Incremental double description with the combinatorial adjacency test.
+    Each row is replaced by its primitive int multiple, which leaves the
+    cone as it is and keeps every dot product in ints.
     """
-    rows = [tuple(F(v) for v in row) for row in rows]
+    rows = [_primitive(row) for row in rows]
     D = len(rows[0])
     # initial simplicial subcone from D independent rows
-    base, idxs = [], []
-    for i, row in enumerate(rows):
-        if linalg.rank(base + [list(row)]) > len(base):
-            base.append(list(row))
-            idxs.append(i)
-        if len(base) == D:
-            break
-    if len(base) < D:
+    idxs = _independent_rows(rows)
+    if len(idxs) < D:
         raise ValueError("cone is not full-dimensional (or input rank-deficient)")
-    inv = linalg.inverse(base)
+    inv = linalg.inverse([rows[i] for i in idxs])
     rays = [_primitive([inv[r][c] for r in range(D)]) for c in range(D)]
     tight = []
     processed = list(idxs)
@@ -225,99 +236,77 @@ def _mask(idxs):
 
 
 def _affine_basis(points):
-    """(origin, basis) for the affine hull of the points."""
+    """(origin, basis) for the affine hull of the points: the first point
+    and the first maximal independent family of differences from it."""
     origin = points[0]
-    basis = []
-    for p in points[1:]:
-        d = [x - y for x, y in zip(p, origin)]
-        if linalg.rank(basis + [d]) > len(basis):
-            basis.append(d)
-    return origin, basis
+    diffs = [[x - y for x, y in zip(p, origin)] for p in points[1:]]
+    return origin, [diffs[i] for i in _independent_rows(diffs)]
 
 
 def hull_of_points(points, ambient=None):
     """PolytopeRep of the convex hull of a finite point set: facets via the
-    double description of the dual cone, vertices as the extreme subset."""
-    pts = sorted(set(tuple(F(x) for x in p) for p in points))
+    double description of the dual cone, vertices as the points that the
+    facet incidence singles out."""
+    pts = sorted(set(tuple(_num(x) for x in p) for p in points))
     if not pts:
         raise ValueError("empty point set")
     m = len(pts[0])
     origin, basis = _affine_basis(pts)
     d = len(basis)
     # equalities: null space of basis (as functionals), anchored at origin
-    eqs = []
-    if d < m:
-        for nv in linalg.nullspace(basis):
-            const = -sum(a * x for a, x in zip(nv, origin))
-            eqs.append((const, tuple(nv)))
+    eqs = [(_num(-sum(a * x for a, x in zip(nv, origin))), tuple(_num(a) for a in nv))
+           for nv in linalg.nullspace(basis)]
     if d == 0:
         return PolytopeRep([pts[0]], [], eqs, m)
-    # reduced coordinates
-    red = _reduce_points(pts, origin, basis)
-    dual_rows = [list(p) + [F(1)] for p in red]
-    rays = cone_rays(dual_rows)
-    ineqs_red = []
-    for ray in rays:
-        a, c = ray[:d], ray[d]
-        if all(x == 0 for x in a):
-            continue  # the trivial constant ray
-        ineqs_red.append((c, a))
-    ineqs = [_lift_inequality(c, a, origin, basis) for (c, a) in ineqs_red]
-    verts = _vertices_from_hrep(red, ineqs_red)
-    vout = [pts[i] for i in verts] if verts else pts
-    return PolytopeRep(vout, ineqs, eqs, m)
+    rays = cone_rays([list(p) + [1] for p in _reduce_points(pts, origin, basis)])
+    # the constant ray (0, ..., 0, 1) is no facet
+    ineqs = [_lift_inequality(ray[d], ray[:d], origin, basis)
+             for ray in rays if any(ray[:d])]
+    incidence = [_mask(i for i, p in enumerate(pts)
+                       if c + sum(a * x for a, x in zip(coeffs, p)) == 0)
+                 for (c, coeffs) in ineqs]
+    verts = [p for i, p in enumerate(pts) if _singles_out(i, incidence)]
+    return PolytopeRep(verts, ineqs, eqs, m)
+
+
+def _singles_out(i, incidence):
+    """Is point i the only point tight on every inequality tight at it?
+
+    With the incidence masks of a polytope's facets over a set of its points
+    that holds its vertices, this is the vertex test: the facets tight at a
+    point meet in the smallest face holding it, which is the point itself
+    exactly when it is a vertex, and otherwise holds two or more vertices.
+    """
+    common = -1
+    for inc in incidence:
+        if inc >> i & 1:
+            common &= inc
+    return common == 1 << i
 
 
 def _reduce_points(pts, origin, basis):
-    """Coordinates of pts in the affine frame (origin; basis)."""
-    cols = [list(col) for col in zip(*basis)]  # m x d
-    sq = _left_inverse(cols)
-    out = []
-    for p in pts:
-        diff = [x - y for x, y in zip(p, origin)]
-        out.append(tuple(sum(sq[r][c] * diff[c] for c in range(len(diff)))
-                         for r in range(len(basis))))
-    return out
+    """Coordinates of pts in the affine hull of (origin; basis): the dot
+    products of p - origin with the basis vectors.
 
-
-def _left_inverse(cols):
-    """(B^T B)^{-1} B^T for a full-column-rank matrix given as rows=m."""
-    m, d = len(cols), len(cols[0])
-    bt_b = [[sum(cols[r][i] * cols[r][j] for r in range(m)) for j in range(d)]
-            for i in range(d)]
-    inv = linalg.inverse(bt_b)
-    return [[sum(inv[i][t] * cols[r][t] for t in range(d)) for r in range(m)]
-            for i in range(d)]
+    They are an invertible linear image of the coordinates in the frame
+    (origin; basis), so the dual cone's rays come in the same order and
+    lower hulls have the same cells; and c + a . t >= 0 in them lifts to the
+    ambient row c + (sum_i a_i basis_i) . (x - origin) >= 0, whose normal
+    lies in the span of the basis, orthogonal to the equalities."""
+    return [tuple(sum(b * (x - y) for b, x, y in zip(row, p, origin)) for row in basis)
+            for p in pts]
 
 
 def _lift_inequality(c, a, origin, basis):
-    """Rewrite c + a . t >= 0 (reduced coords) as C + A . x >= 0 in ambient
-    coordinates via t = (B^T B)^{-1} B^T (x - origin)."""
-    cols = [list(col) for col in zip(*basis)]
-    sq = _left_inverse(cols)
-    d = len(basis)
-    m = len(origin)
-    A = [sum(a[r] * sq[r][j] for r in range(d)) for j in range(m)]
-    C = c - sum(A[j] * origin[j] for j in range(m))
-    cc, aa = _normalize_ineq(C, A)
-    return (cc, aa)
+    """The primitive int ambient row C + A . x >= 0 of c + a . t >= 0 in
+    the coordinates t of _reduce_points."""
+    A = [sum(ai * x for ai, x in zip(a, col)) for col in zip(*basis)]
+    return _normalize_ineq(c - sum(x * y for x, y in zip(A, origin)), A)
 
 
 def _normalize_ineq(c, a):
-    vec = _primitive([F(c)] + [F(x) for x in a])
-    return vec[0], tuple(vec[1:])
-
-
-def _vertices_from_hrep(red_pts, ineqs_red):
-    """Indices of points that are vertices: a point of a polytope is a
-    vertex iff its tight facet normals span the full reduced space."""
-    out = []
-    for i, p in enumerate(red_pts):
-        tight = [list(a) for (c, a) in ineqs_red
-                 if c + sum(x * y for x, y in zip(a, p)) == 0]
-        if tight and linalg.rank(tight) == len(p):
-            out.append(i)
-    return out
+    vec = _primitive([c, *a])
+    return vec[0], vec[1:]
 
 
 def dd_convert(vertices=None, inequalities=None, equalities=(), ambient=None):
@@ -335,36 +324,30 @@ def dd_convert(vertices=None, inequalities=None, equalities=(), ambient=None):
 
 def polytope_from_inequalities(ineqs, eqs, ambient):
     """PolytopeRep from c + a . x >= 0 rows and affine-hull equalities."""
-    ineqs = [(F(c), tuple(F(x) for x in a)) for (c, a) in ineqs]
-    eqs = [(F(c), tuple(F(x) for x in a)) for (c, a) in eqs]
+    ineqs = [(_num(c), tuple(_num(x) for x in a)) for (c, a) in ineqs]
+    eqs = [(_num(c), tuple(_num(x) for x in a)) for (c, a) in eqs]
     if eqs:
         # parameterize the affine subspace: x = x0 + B t
         A = [list(a) for (_c, a) in eqs]
-        b = [-c for (c, _a) in eqs]
-        x0 = _particular_solution(A, b, ambient)
-        basis = linalg.nullspace(A)
+        x0 = _particular_solution(A, [-c for (c, _a) in eqs], ambient)
+        basis = [[_num(x) for x in row] for row in linalg.nullspace(A)]
     else:
-        x0 = tuple(F(0) for _ in range(ambient))
-        basis = [[F(1) if i == j else F(0) for j in range(ambient)]
-                 for i in range(ambient)]
+        x0 = (0,) * ambient
+        basis = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
     d = len(basis)
-    red_rows = []
-    for (c, a) in ineqs:
-        const = c + sum(x * y for x, y in zip(a, x0))
-        coeffs = [sum(a[j] * basis[t][j] for j in range(ambient)) for t in range(d)]
-        red_rows.append((const, coeffs))
-    cone = [list(coeffs) + [const] for (const, coeffs) in red_rows]
-    cone.append([F(0)] * d + [F(1)])
-    rays = cone_rays(cone)
-    verts_red = []
-    for ray in rays:
+    cone = [[sum(x * y for x, y in zip(a, row)) for row in basis]
+            + [c + sum(x * y for x, y in zip(a, x0))] for (c, a) in ineqs]
+    cone.append([0] * d + [1])
+    verts = []
+    for ray in cone_rays(cone):
         if ray[d] == 0:
             raise ValueError("unbounded polyhedron")
-        verts_red.append(tuple(x / ray[d] for x in ray[:d]))
-    verts = sorted(tuple(x0[j] + sum(t[i] * basis[i][j] for i in range(d))
-                         for j in range(ambient)) for t in verts_red)
-    norm_ineqs = [_normalize_ineq(c, a) for (c, a) in ineqs]
-    return PolytopeRep(verts, norm_ineqs, [_normalize_ineq(c, a) for (c, a) in eqs], ambient)
+        # x = x0 + B t with t = ray[:d] / ray[d]
+        verts.append(tuple(
+            _num(F(x0[j] * ray[d] + sum(ray[i] * basis[i][j] for i in range(d)), ray[d]))
+            for j in range(ambient)))
+    return PolytopeRep(sorted(verts), [_normalize_ineq(c, a) for (c, a) in ineqs],
+                       [_normalize_ineq(c, a) for (c, a) in eqs], ambient)
 
 
 def _particular_solution(A, b, ambient):
@@ -372,40 +355,34 @@ def _particular_solution(A, b, ambient):
         [list(A[r]) + [b[r]] for r in range(len(A))], ambient)
     if any(row[ambient] for row in M[len(pivots):]):
         raise ValueError("inconsistent equalities")
-    sol = [F(0)] * ambient
+    sol = [0] * ambient
     for row, col in zip(M, pivots):
-        sol[col] = F(row[ambient], d)
+        sol[col] = _num(F(row[ambient], d))
     return tuple(sol)
 
 
 def face_lattice_f_vector(P):
-    """f-vector including the empty face and the polytope itself, from the
-    closure of facet-incidence intersections."""
-    nverts = len(P.vertices)
-    full = _mask(range(nverts))
-    faces = {full}
-    frontier = {full}
-    while frontier:
-        new = set()
-        for f in frontier:
-            for inc in P.incidence:
-                g = f & inc
-                if g and g not in faces:
-                    new.add(g)
-        faces |= new
-        frontier = new
-    dims = {}
-    verts = P.vertices
-    for f in faces:
-        pts = [verts[i] for i in _bits(f)]
-        d = 0 if len(pts) == 1 else linalg.rank(
-            [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
-        dims[f] = d
-    topdim = dims[full]
-    fv = [0] * (topdim + 1)
-    for f, d in dims.items():
-        fv[d] += 1
-    return [1] + fv  # leading 1 for the empty face
+    """f-vector including the empty face and the polytope itself.
+
+    Faces are vertex bitmasks, walked one dimension at a time down from P:
+    the facets of a face are its inclusion-maximal nonempty proper
+    intersections with the facets of P, and a vertex has none.
+    """
+    level = {_mask(range(len(P.vertices)))}
+    counts = []
+    while level:
+        counts.append(len(level))
+        below = set()
+        for f in level:
+            cuts = sorted({f & inc for inc in P.incidence} - {0, f},
+                          key=int.bit_count, reverse=True)
+            facets = []
+            for g in cuts:
+                if all(g & h != g for h in facets):
+                    facets.append(g)
+            below.update(facets)
+        level = below
+    return [1] + counts[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +390,7 @@ def face_lattice_f_vector(P):
 
 def grid_point(vec_dict, k, n):
     """Dense tuple of a sparse grid vector."""
-    return tuple(F(vec_dict.get((i, j), 0))
+    return tuple(_num(vec_dict.get((i, j), 0))
                  for i in range(1, k) for j in range(1, n - k + 1))
 
 
@@ -432,9 +409,7 @@ def newton(poly, laurent_shift=None):
 
 def gamma_functional(J, k, n):
     """(constant, coefficient tuple) of gamma_J on the dense grid."""
-    g = gamma_hat(J, k, n)
-    return tuple(F(g.get((i, j), 0))
-                 for i in range(1, k) for j in range(1, n - k + 1))
+    return grid_point(gamma_hat(J, k, n), k, n)
 
 
 def row_sum_equalities(k, n, lam=None):
@@ -442,10 +417,10 @@ def row_sum_equalities(k, n, lam=None):
     eqs = []
     m = (k - 1) * (n - k)
     for i in range(k - 1):
-        coeffs = [F(0)] * m
+        coeffs = [0] * m
         for j in range(n - k):
-            coeffs[i * (n - k) + j] = F(1)
-        eqs.append((F(-lam[i]), tuple(coeffs)))
+            coeffs[i * (n - k) + j] = 1
+        eqs.append((_num(-lam[i]), tuple(coeffs)))
     return eqs
 
 
@@ -454,7 +429,7 @@ def pk_polytope(k, n, cross_check=True):
     J}; the vertex set is checked against the Newton polytope of the
     Laurent product P_1...P_{k-1} Q_1...Q_{n-k-1} / prod x_{i,j}."""
     m = (k - 1) * (n - k)
-    ineqs = [(F(1), gamma_functional(J, k, n)) for J in nonfrozen_subsets(k, n)]
+    ineqs = [(1, gamma_functional(J, k, n)) for J in nonfrozen_subsets(k, n)]
     P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n), m)
     if cross_check:
         Ps, Qs = pk_factors(k, n)
@@ -516,9 +491,9 @@ def omega_vertices(k, m):
     # as dense points in R^{(k-1) x m}
     pts = []
     for cols in out:
-        vec = [F(0)] * ((k - 1) * m)
+        vec = [0] * ((k - 1) * m)
         for i, c in enumerate(cols):
-            vec[i * m + (c - 1)] = F(1)
+            vec[i * m + (c - 1)] = 1
         pts.append(tuple(vec))
     return pts
 
@@ -527,16 +502,16 @@ def planar_face_polytope(i, J, k, n):
     """Vertex list of the planar face F^{(i)}_J as a PolytopeRep."""
     pts = []
     for pairs in planar_face_vertices(i, J, k, n):
-        vec = [F(0)] * ((k - 1) * (n - k))
+        vec = [0] * ((k - 1) * (n - k))
         for (r, c) in pairs:
-            vec[(r - 1) * (n - k) + (c - 1)] = F(1)
+            vec[(r - 1) * (n - k) + (c - 1)] = 1
         pts.append(tuple(vec))
     return hull_of_points(pts)
 
 
 def minkowski_sum_points(sets_of_points):
     """Iterated pairwise vertex sums with extreme-point filtering."""
-    cur = [tuple(F(0) for _ in sets_of_points[0][0])]
+    cur = [(0,) * len(sets_of_points[0][0])]
     for pts in sets_of_points:
         cand = {tuple(a + b for a, b in zip(u, w)) for u in cur for w in pts}
         cur = extreme_points(cand)
@@ -559,7 +534,7 @@ def minkowski_summand_count(k, n):
     return comb(n, k) - k * (n - k) - 1
 
 
-def minimize_face(vertices, functional, const=F(0)):
+def minimize_face(vertices, functional, const=0):
     """(minimum value, vertex sublist attaining it) of c + a . x over a
     vertex list."""
     vals = [const + sum(a * x for a, x in zip(functional, v)) for v in vertices]
@@ -596,29 +571,28 @@ def tau_newton_facets(k, n):
            for i in range(k - 1)]
     ineqs = [(-(constants[J]), gammas[J]) for J in nf]
     P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), m)
-    agrees = all(_in_minkowski_sum(v, factors, P, gammas, constants)
-                 for v in P.vertices)
+    agrees = all(_in_minkowski_sum(i, factors, P, gammas)
+                 for i in range(len(P.vertices)))
     return {"constants": constants, "lambda": lam, "agrees": agrees, "polytope": P}
 
 
-def _in_minkowski_sum(v, factors, P, gammas, constants):
-    """Certify that a vertex v of the bounding H-polytope P lies in the
+def _in_minkowski_sum(i, factors, P, gammas):
+    """Certify that vertex i of the bounding H-polytope P, whose
+    inequalities are gamma_J >= c_J in the order of gammas, lies in the
     Minkowski sum of the factor point sets.
 
-    The sum phi of the facet normals tight at v is minimized over P exactly
-    on the points tight on all of those facets, which for a vertex is v
-    alone; so v lies in the sum iff the per-summand minima of phi add up
-    to phi(v)."""
-    tight = [g for J, g in gammas.items()
-             if constants[J] == sum(x * y for x, y in zip(g, v))]
-    phi = [sum(g[t] for g in tight) for t in range(len(v))]
-    val_v = sum(p * x for p, x in zip(phi, v))
-    if not all(sum(p * x for p, x in zip(phi, u)) > val_v
-               for u in P.vertices if tuple(u) != tuple(v)):
+    The sum phi of the facet normals tight at v = P.vertices[i] has
+    phi(u) >= phi(v) on P, with equality iff u is tight on every facet
+    tight at v; so phi is minimized at v alone iff the incidence masks
+    single v out, and then v lies in the sum iff the per-summand minima of
+    phi add up to phi(v)."""
+    if not _singles_out(i, P.incidence):
         raise AssertionError("tight facet normals do not single out a vertex")
+    tight = [g for g, inc in zip(gammas.values(), P.incidence) if inc >> i & 1]
+    phi = [sum(col) for col in zip(*tight)]
     best = sum(min(sum(p * x for p, x in zip(phi, q)) for q in pts)
                for pts in factors)
-    return best == val_v
+    return best == sum(p * x for p, x in zip(phi, P.vertices[i]))
 
 
 def lift_and_lower_hull(vertices, heights):
@@ -632,11 +606,11 @@ def lift_and_lower_hull(vertices, heights):
     """
     if len(vertices) != len(heights):
         raise ValueError("need one height per vertex")
-    base = [tuple(F(x) for x in v) for v in vertices]
+    base = [tuple(_num(x) for x in v) for v in vertices]
     origin, basis = _affine_basis(sorted(set(base)))
     red = _reduce_points(base, origin, basis)
     d = len(basis)
-    lifted = [tuple(list(p) + [F(h)]) for p, h in zip(red, heights)]
+    lifted = [p + (_num(h),) for p, h in zip(red, heights)]
     lorigin, lbasis = _affine_basis(sorted(set(lifted)))
     if len(lbasis) < d + 1:
         return [tuple(range(len(vertices)))]

@@ -315,17 +315,35 @@ def coeffs_to_json(coeffs, k, n):
     }
 
 
+def parse_value(val):
+    """An exact number from an input value: an int (not a bool), a Fraction
+    (how load_json reads a JSON decimal) or a rational string such as
+    "3/2"; anything else, a zero denominator included, raises ValueError."""
+    if not isinstance(val, bool) and isinstance(val, (int, Fraction, str)):
+        try:
+            return F(val)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"input value {json.dumps(val, default=str)} is not a number")
+
+
+def load_json(path):
+    """The JSON document in a file, with decimals read exactly as Fractions
+    (0.1 is 1/10, not the nearest double)."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=Fraction)
+
+
 def coeffs_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("input JSON is not an object")
     bad = [key for key, kind in (("coeffs", dict), ("k", int), ("n", int))
-           if not isinstance(obj.get(key), kind)]
+           if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool)]
     if bad:
         raise ValueError(f"input JSON lacks {', '.join(map(repr, bad))} or has the wrong type")
-    coeffs = {parse_subset(key): F(val) for key, val in obj["coeffs"].items()}
+    coeffs = {parse_subset(key): parse_value(val) for key, val in obj["coeffs"].items()}
     return coeffs, obj["k"], obj["n"]
 
 
 def load_coeffs(path):
-    with open(path) as fh:
-        return coeffs_from_json(json.load(fh))
+    return coeffs_from_json(load_json(path))

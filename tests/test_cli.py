@@ -211,7 +211,8 @@ def test_unsettable_memory_cap_reported(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
 @pytest.mark.parametrize("key,value", [("coeffs", None), ("k", None), ("n", None),
-                                       ("coeffs", [1]), ("k", "3")])
+                                       ("coeffs", [1]), ("k", "3"), ("k", True),
+                                       ("n", True)])
 def test_coeffs_input_missing_or_mistyped_key(tmp_path, capsys, command, key, value):
     blob = {"k": 3, "n": 7, "coeffs": {"1,3,5": "1"}}
     if value is None:
@@ -237,6 +238,35 @@ def test_subset_map_input_missing_or_mistyped_key(tmp_path, capsys, argv, key, b
     code, data = _error(capsys, *argv, str(path))
     assert code == 2 and data["schema"] == "grascat/1"
     assert repr(key) in data["error"]
+
+
+@pytest.mark.parametrize("value", [None, True, [1], {"1": 1}, "1/0"])
+@pytest.mark.parametrize("argv,blob", [
+    (("decompose", "--input"), lambda v: {"k": 3, "n": 7, "coeffs": {"1,3,5": v}}),
+    (("amplitude", "--k", "2", "--n", "5", "--eta"), lambda v: {"eta": {"1,3": v}}),
+])
+def test_non_numeric_input_value(tmp_path, capsys, argv, blob, value):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(blob(value)))
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert f"input value {json.dumps(value)} is not a number" == data["error"]
+
+
+@pytest.mark.parametrize("argv,blob", [
+    (("decompose", "--input"), lambda v: {"k": 3, "n": 7, "coeffs": {"1,3,5": v}}),
+    (("kinematics", "eta-to-s", "--k", "2", "--n", "5", "--input"),
+     lambda v: {"eta": {"1,3": v, "1,4": 2, "2,4": 3, "2,5": 1, "3,5": 1}}),
+])
+def test_json_decimal_is_read_exactly(tmp_path, capsys, argv, blob):
+    outs = []
+    for name, value in (("decimal", 0.1), ("string", "1/10")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob(value)))
+        code, out = run(capsys, *argv, str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_coeffs_input_not_an_object(tmp_path, capsys):

@@ -264,3 +264,92 @@ def test_octahedron_fold():
     shared = set(cells[0]) & set(cells[1])
     # the internal square: origin, v_{136}, v_{145}, apex
     assert shared == {0, 2, 3, 5}
+
+
+def _reference_f_vector(P):
+    """The f-vector as it was computed before the graded walk: close the
+    facet masks under intersection, then take one rank per face."""
+    import grascat.linalg as linalg
+    full = (1 << len(P.vertices)) - 1
+    faces, frontier = {full}, {full}
+    while frontier:
+        frontier = {f & inc for f in frontier for inc in P.incidence} - faces - {0}
+        faces |= frontier
+    fv = [0] * (P.dim + 1)
+    for f in faces:
+        pts = [P.vertices[i] for i in _bits(f)]
+        fv[linalg.rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])] += 1
+    return [1] + fv
+
+
+def _random_hull_points(rng, d, m):
+    """Seeded rational points spanning a d-dimensional affine subspace of
+    R^m, plus points inside edges of their hull."""
+    base = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+            for _ in range(rng.randint(d + 1, d + 8))]
+    A = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(m)]
+    if m == d:
+        A = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    pts = [tuple(sum(a * x for a, x in zip(row, p)) + r for r, row in enumerate(A))
+           for p in base]
+    for _ in range(3):
+        u, v = rng.sample(pts, 2)
+        pts.append(tuple((x + 2 * y) / 3 for x, y in zip(u, v)))
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_graded_f_vector_matches_rank_reference(d, extra):
+    rng = random.Random(100 * d + extra)
+    for _ in range(4):
+        pts = _random_hull_points(rng, d, d + extra)
+        P = hull_of_points(pts)
+        assert P.dim == d and len(P.equalities) == extra
+        fv = P.f_vector()
+        assert fv == _reference_f_vector(P)
+        assert sum((-1) ** i * f for i, f in enumerate(fv)) == 0  # Euler
+        # the H-representation gives back the same polytope
+        back = polytope_from_inequalities(P.inequalities, P.equalities, d + extra)
+        assert back.vertices == sorted(P.vertices) and back.f_vector() == fv
+
+
+def _assert_exact_ints(values):
+    for x in values:
+        assert not isinstance(x, float)
+        assert type(x) is int or (isinstance(x, F) and x.denominator != 1), x
+
+
+def _assert_int_fields(P):
+    for v in P.vertices:
+        _assert_exact_ints(v)
+    for c, coeffs in P.inequalities + P.equalities:
+        _assert_exact_ints((c, *coeffs))
+    _assert_exact_ints(P.incidence)
+    assert type(P.ambient) is int
+
+
+def test_integral_values_are_ints():
+    _assert_int_fields(pk_polytope(3, 6))
+    _assert_int_fields(root_polytope(2, 6))
+    _assert_int_fields(root_polytope(3, 6, hat=True))
+    _assert_int_fields(newton(tau((1, 3, 5), 3, 6) * tau((2, 4, 6), 3, 6)))
+    _assert_int_fields(polytope_from_inequalities(
+        [(F(1), (F(-2), F(0))), (0, (1, 0)), (0, (F(0), F(1))), (F(1, 2), (0, -1))], [], 2))
+    _assert_int_fields(hull_of_points([(F(1, 2), 0), (0, 1), (1, 1)]))
+    cells = lift_and_lower_hull([(0, 0), (1, 0), (0, 1), (1, 1)], [0, 0, 0, F(1, 2)])
+    _assert_exact_ints(i for cell in cells for i in cell)
+    tf = tau_newton_facets(3, 6)
+    _assert_exact_ints(tf["constants"].values())
+    _assert_exact_ints(tf["lambda"])
+    _assert_int_fields(tf["polytope"])
+
+
+def test_relative_interior_points_are_not_vertices():
+    # a square pyramid in R^4 (inside the hyperplane x_4 = 1) with points in
+    # the relative interiors of an edge, of the base and of a triangle
+    apex, base = (1, 1, 2, 1), [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1)]
+    inner = [(1, 0, 0, 1), (1, 1, 0, 1), (1, F(1, 3), F(2, 3), 1)]
+    P = hull_of_points([apex] + base + inner)
+    assert sorted(P.vertices) == sorted([apex] + base)
+    assert P.f_vector() == [1, 5, 8, 5, 1]
