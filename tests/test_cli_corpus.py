@@ -50,7 +50,18 @@ CASES = {
     "kinematics_basis_3_6": ["kinematics", "basis", "--k", "3", "--n", "6"],
     "kinematics_eta_to_s_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
                                 "--input", "prime_eta_36.json"],
+    "kinematics_eta_to_s_3_8": ["kinematics", "eta-to-s", "--k", "3", "--n", "8",
+                                "--input", "eta_3_8.json"],
+    "kinematics_eta_to_s_4_8": ["kinematics", "eta-to-s", "--k", "4", "--n", "8",
+                                "--input", "eta_4_8.json"],
+    "kinematics_s_to_eta_3_6": ["kinematics", "s-to-eta", "--k", "3", "--n", "6",
+                                "--input", "s_3_6.json"],
+    "amplitude_eta_shift_3_7": ["amplitude", "--k", "3", "--n", "7",
+                                "--eta", "eta_3_7.json", "--shift"],
+    "amplitude_random_3_7": ["amplitude", "--k", "3", "--n", "7",
+                             "--eta", "random-interior", "--seed", "5"],
     "search_7": ["search", "--n", "7", "--trials", "1", "--seed", "0"],
+    "search_8": ["search", "--n", "8", "--trials", "1", "--seed", "0"],
 }
 
 
