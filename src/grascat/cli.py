@@ -34,12 +34,21 @@ def _emit(args, payload, ok=True):
     return 0 if ok else 1
 
 
-def _load_subset_map(path, key):
-    """The map under ``key`` of a JSON input file, as {subset: Fraction}."""
+def _load_subset_map(path, key, k, n):
+    """The map under ``key`` of a JSON input file, as {subset: Fraction};
+    every key must be a k-subset of [1, n], and an ``eta`` map may not give
+    a frozen subset, whose eta vanishes on K(k,n), a nonzero value."""
     data = roots.load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get(key), dict):
         raise ValueError(f"{path}: input JSON has no {key!r} object")
-    return {roots.parse_subset(J): roots.parse_value(val) for J, val in data[key].items()}
+    out = {}
+    for text, val in data[key].items():
+        J = combinat.check_subset(roots.parse_subset(text), k, n)
+        out[J] = roots.parse_value(val)
+        if key == "eta" and out[J] and combinat.is_frozen(J, n):
+            raise ValueError(f"eta of the frozen subset {text} is zero on K({k},{n}), "
+                             f"not {out[J]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +161,11 @@ def cmd_amplitude(args):
         values = kinematics.kin_basis(k, n).eta_values(point)
         source = "random-interior"
     else:
-        values = _load_subset_map(args.eta, "eta")
+        values = _load_subset_map(args.eta, "eta", k, n)
         source = args.eta
     if args.shift:
-        point = kinematics.kin_basis(k, n).point_from_eta(values)
         hats = kinematics.eta_hat_shift(n, warn_beyond_validated=not args.unsafe_large)
-        values = {J: hats[J].value(point) for J in nf}
+        values = {J: hats[J].on_eta(values) for J in nf}
     zeros = [J for J in nf if not values.get(J)]
     if zeros:
         return _emit(args, {"command": "amplitude", "k": k, "n": n,
@@ -178,12 +186,16 @@ def cmd_kinematics(args):
                             "dimension": len(B.basis),
                             "nonfrozen": len(B.nonfrozen)})
     if args.action == "eta-to-s":
-        point = B.point_from_eta(_load_subset_map(args.input, "eta"))
+        point = B.point_from_eta(_load_subset_map(args.input, "eta", k, n))
         return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
                             "s": {roots.subset_key(J): str(v)
                                   for J, v in sorted(point.items())}})
     if args.action == "s-to-eta":
-        values = B.eta_values(_load_subset_map(args.input, "s"))
+        point = _load_subset_map(args.input, "s", k, n)
+        if not kinematics.check_conservation(point, k, n):
+            raise ValueError(f"the s-values break momentum conservation: "
+                             f"not a point of K({k},{n})")
+        values = B.eta_values(point)
         return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
                             "eta": {roots.subset_key(J): str(v)
                                     for J, v in sorted(values.items())}})
@@ -196,14 +208,15 @@ def cmd_search(args):
     found (the underlying question is open, nothing is asserted)."""
     k, n = 3, args.n
     hats = kinematics.eta_hat_shift(n, warn_beyond_validated=False)
+    B = kinematics.kin_basis(k, n)
     quads = _flip_quadruples(k, n)
     worst = None
     violations = []
     for t in range(args.trials):
-        point = kinematics.interior_kd_point(k, n, seed=args.seed + t)
+        etas = B.eta_values(kinematics.interior_kd_point(k, n, seed=args.seed + t))
+        hat = {J: f.on_eta(etas) for J, f in hats.items()}
         for (I, J, I2, J2) in quads:
-            val = (hats[I2].value(point) + hats[J2].value(point)
-                   - hats[I].value(point) - hats[J].value(point))
+            val = hat[I2] + hat[J2] - hat[I] - hat[J]
             if worst is None or val < worst[0]:
                 worst = (val, t, (I, J, I2, J2))
             if val <= 0:

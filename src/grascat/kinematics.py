@@ -2,9 +2,11 @@
 points (PK, root kinematics, the K_D cone), octahedral commutators, the
 (3,n) kinematic shift eta-hat, and noncrossing amplitude evaluation.
 
-Functionals are kept as full s-coefficient maps; equality is only ever
-decided by evaluating on a basis of K(k,n), because s-expansions of the
-same functional are far from unique.
+The nonfrozen eta_J form a basis of the dual of K(k,n) and eta_J of a
+frozen J vanishes on K, so functionals are kept as sparse eta-coordinates
+and agree on K iff their coordinates do.  Only `KinBasis` touches s-space:
+its n eta_J rows give the eta values of a point, and its integer map S,
+s_I = sum_J S[I][J] eta_J, gives the point of given eta values.
 """
 from __future__ import annotations
 
@@ -26,75 +28,73 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # the tropical heights and the planar basis
 
-def _L_value(t, x, n):
-    """L_t(x) = x_{t+1} + 2 x_{t+2} + ... + (n-1) x_{t-1}, labels mod n."""
-    tot = 0
-    for r in range(1, n):
-        tot += r * x[(t + r - 1) % n]
-    return tot
+def _L(x, n):
+    """[L_t(x) for t = 0..n-1] of a map x from labels to weights, where
+    L_t(x) = x_{t+1} + 2 x_{t+2} + ... + (n-1) x_{t-1}, labels mod n."""
+    return [sum((a - t) % n * w for a, w in x.items()) for t in range(n)]
 
 
 def rho_height(u, v, n):
     """-(1/n) min_t L_t(v - u) for integer points u, v on the level-k
     hyperplane; this is the tropical height whose bending encodes the
     planar basis."""
-    x = [F(v[i]) - F(u[i]) for i in range(n)]
-    return -F(min(_L_value(t, x, n) for t in range(n)), n)
-
-
-def _indicator(J, n):
-    e = [0] * n
-    for j in J:
-        e[j - 1] = 1
-    return e
+    return -F(min(_L({a: F(v[a - 1]) - F(u[a - 1]) for a in range(1, n + 1)}, n)), n)
 
 
 class KinFunctional:
-    """Linear functional on K(k,n) carried as a full s-coefficient map."""
+    """Linear functional on K(k,n), held as its sparse coordinates ``eta``
+    in the basis of nonfrozen planar invariants eta_J."""
 
-    __slots__ = ("k", "n", "coeffs")
+    __slots__ = ("k", "n", "eta")
 
     def __init__(self, k, n, coeffs=None):
-        self.k, self.n = k, n
-        self.coeffs = {J: F(c) for J, c in (coeffs or {}).items() if c}
+        """The functional sum_I coeffs[I] s_I, converted once through the
+        integer eta -> s map: its eta_J-coordinate is sum_I coeffs[I] S[I][J]."""
+        self.k, self.n, self.eta = k, n, {}
+        if coeffs:
+            S = kin_basis(k, n).S
+            self.eta = self._of(k, n, ((J, a * c) for I, a in coeffs.items()
+                                       for J, c in S[I].items())).eta
+
+    @classmethod
+    def _of(cls, k, n, pairs):
+        """The functional whose eta_J-coordinate is the sum of the c in the
+        pairs (J, c); zeros are dropped and integral values become ints."""
+        acc = {}
+        for J, c in pairs:
+            acc[J] = acc.get(J, 0) + c
+        out = cls(k, n)
+        out.eta = {J: c.numerator if c.denominator == 1 else c for J, c in acc.items() if c}
+        return out
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for J, c in other.coeffs.items():
-            s = out.get(J, F(0)) + c
-            if s:
-                out[J] = s
-            else:
-                out.pop(J, None)
-        return KinFunctional(self.k, self.n, out)
+        return self._of(self.k, self.n, [*self.eta.items(), *other.eta.items()])
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        return KinFunctional(self.k, self.n,
-                             {J: c * scalar for J, c in self.coeffs.items()})
+        return self._of(self.k, self.n, ((J, c * scalar) for J, c in self.eta.items()))
 
     __rmul__ = __mul__
 
+    def on_eta(self, eta_values):
+        """Evaluate on the point of K(k,n) with the given nonfrozen eta
+        values (missing ones are zero)."""
+        return sum((c * eta_values.get(J, 0) for J, c in self.eta.items()), F(0))
+
     def value(self, point):
-        """Evaluate against an s-value map."""
-        return sum((c * point.get(J, F(0)) for J, c in self.coeffs.items()), F(0))
+        """Evaluate on an s-value map, which must lie in K(k,n): the value
+        is read off the point's eta values."""
+        return self.on_eta(kin_basis(self.k, self.n).eta_values(point))
 
 
 @lru_cache(maxsize=None)
 def eta_functional(J, k, n):
-    """Planar kinematic invariant eta_J as a functional; identically zero
-    on K(k,n) iff J is frozen."""
+    """Planar kinematic invariant eta_J as a functional: a unit coordinate
+    vector, empty (identically zero on K(k,n)) iff J is frozen."""
     J = tuple(J)
-    eJ = _indicator(J, n)
-    coeffs = {}
-    for I in combinations(range(1, n + 1), k):
-        x = [a - b for a, b in zip(_indicator(I, n), eJ)]
-        val = -F(min(_L_value(t, x, n) for t in range(n)), n)
-        if val:
-            coeffs[I] = val
-    return KinFunctional(k, n, coeffs)
+    return KinFunctional._of(k, n, [] if is_frozen(J, n) else [(J, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -102,49 +102,53 @@ def eta_functional(J, k, n):
 
 class KinBasis:
     """Rational basis of K(k,n) together with the change of basis between
-    the nonfrozen planar invariants eta_J and K-coordinates."""
+    the nonfrozen planar invariants eta_J and s-values.
+
+    The square integer system of one n eta_J row per nonfrozen J and the
+    n incidence rows is reduced once, augmented with a unit column per eta
+    row; n times those columns of its inverse give S, the sparse int map
+    ``S[I] = {J: c}`` with s_I = sum_J c eta_J on K.  Full rank means the
+    nonfrozen eta_J are a basis of the dual of K, which has dimension
+    C(n,k) - n.
+    """
 
     def __init__(self, k, n):
         self.k, self.n = k, n
         self.subsets = list(combinations(range(1, n + 1), k))
         self.index = {J: t for t, J in enumerate(self.subsets)}
-        rows = []
-        for a in range(1, n + 1):
-            rows.append([F(1) if a in J else F(0) for J in self.subsets])
-        self.basis = linalg.nullspace(rows)
+        incidence = [[int(a in J) for J in self.subsets] for a in range(1, n + 1)]
+        self.basis = linalg.nullspace(incidence)
         self.nonfrozen = nonfrozen_subsets(k, n)
-        if len(self.basis) != comb(n, k) - n:
-            raise AssertionError("kinematic space has unexpected dimension")
-        self.eta_matrix = [[self._on_basis(eta_functional(J, k, n), t)
-                            for t in range(len(self.basis))]
-                           for J in self.nonfrozen]
-        self._inv = linalg.inverse(self.eta_matrix)
+        self._heights = [_L(dict.fromkeys(I, 1), n) for I in self.subsets]
+        self._eta_rows = [self._n_eta_row(J) for J in self.nonfrozen]
+        N, m = len(self.subsets), len(self.nonfrozen)
+        system = [row + [int(r == i) for i in range(m)] for r, row in enumerate(self._eta_rows)]
+        system += [row + [0] * m for row in incidence]
+        M, pivots, d, _sign, _scale = linalg._eliminate(system, N)
+        if len(pivots) != N:
+            raise AssertionError("the nonfrozen eta_J are not a basis of the dual of K")
+        if any(n * x % d for row in M for x in row[N:]):
+            raise AssertionError("the eta -> s map is not integral")
+        self.S = {I: {J: n * x // d for J, x in zip(self.nonfrozen, row[N:]) if x}
+                  for I, row in zip(self.subsets, M)}
 
-    def _on_basis(self, functional, t):
-        vec = self.basis[t]
-        return sum((c * vec[self.index[J]] for J, c in functional.coeffs.items()), F(0))
-
-    def functional_vector(self, functional):
-        """Values of a functional on the basis of K."""
-        return [self._on_basis(functional, t) for t in range(len(self.basis))]
+    def _n_eta_row(self, J):
+        """The s-coefficients of n eta_J, max_t (L_t(e_J) - L_t(e_I)), in
+        the order of ``subsets``."""
+        LJ = _L(dict.fromkeys(J, 1), self.n)
+        return [max(x - y for x, y in zip(LJ, h)) for h in self._heights]
 
     def point_from_eta(self, eta_values):
-        """The unique K-point whose nonfrozen eta-values are as given;
-        returns the full s-value map."""
-        y = [F(eta_values.get(J, 0)) for J in self.nonfrozen]
-        c = [sum(self._inv[t][r] * y[r] for r in range(len(y)))
-             for t in range(len(self.basis))]
-        point = {}
-        for J in self.subsets:
-            idx = self.index[J]
-            val = sum((c[t] * self.basis[t][idx] for t in range(len(c))), F(0))
-            if val:
-                point[J] = val
-        return point
+        """The unique K-point whose nonfrozen eta-values are as given
+        (missing ones are zero); returns the s-value map without zeros."""
+        point = {I: sum((c * F(eta_values.get(J, 0)) for J, c in row.items()), F(0))
+                 for I, row in self.S.items()}
+        return {I: v for I, v in point.items() if v}
 
     def eta_values(self, point):
-        return {J: eta_functional(J, self.k, self.n).value(point)
-                for J in self.nonfrozen}
+        """The nonfrozen eta values of an s-value map."""
+        return {J: F(sum(c * point.get(I, 0) for I, c in zip(self.subsets, row)), self.n)
+                for J, row in zip(self.nonfrozen, self._eta_rows)}
 
 
 @lru_cache(maxsize=None)
@@ -156,17 +160,13 @@ def functionals_equal_on_K(f, g):
     """Equality of two functionals modulo the conservation relations."""
     if (f.k, f.n) != (g.k, g.n):
         raise ValueError("ambient mismatch")
-    B = kin_basis(f.k, f.n)
-    diff = f - g
-    return all(v == 0 for v in B.functional_vector(diff))
+    return f.eta == g.eta
 
 
 def eta_combination(coeffs, k, n):
     """sum c_J eta_J as a KinFunctional."""
-    out = KinFunctional(k, n)
-    for J, c in coeffs.items():
-        out = out + eta_functional(tuple(J), k, n) * F(c)
-    return out
+    return sum((eta_functional(tuple(J), k, n) * F(c) for J, c in coeffs.items()),
+               KinFunctional(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +373,9 @@ def prime_kinematics_reproduction():
     shifts -s_356 = 714 and -s_236 = 1324 from the prime eta table, the
     shifted values eta-hat_124 = 7373 and eta-hat_145 = 11935, and the
     exact noncrossing amplitude."""
-    B = kin_basis(3, 6)
-    point = B.point_from_eta(PRIME_ETA_36)
+    point = kin_basis(3, 6).point_from_eta(PRIME_ETA_36)
     hats = eta_hat_shift(6)
-    hat_values = {J: hats[J].value(point) for J in B.nonfrozen}
+    hat_values = {J: hat.on_eta(PRIME_ETA_36) for J, hat in hats.items()}
     amplitude = nc_amplitude(3, 6, hat_values)
     return {
         "point": point,

@@ -269,6 +269,60 @@ def test_json_decimal_is_read_exactly(tmp_path, capsys, argv, blob):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("subset,message", [
+    ("1,2,9", "not inside [1, 6]"), ("0,2,4", "not inside [1, 6]"),
+    ("1,2", "expected a 3-element subset"), ("1,2,4,5", "expected a 3-element subset"),
+    ("2,1,4", "strictly increasing"), ("1,1,4", "strictly increasing"),
+])
+@pytest.mark.parametrize("argv,key", [
+    (("amplitude", "--k", "3", "--n", "6", "--eta"), "eta"),
+    (("kinematics", "eta-to-s", "--k", "3", "--n", "6", "--input"), "eta"),
+    (("kinematics", "s-to-eta", "--k", "3", "--n", "6", "--input"), "s"),
+])
+def test_subset_map_bad_key(tmp_path, capsys, argv, key, subset, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: {subset: "5"}}))
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert message in data["error"]
+
+
+@pytest.mark.parametrize("argv,zero_code", [
+    (("amplitude", "--k", "3", "--n", "6", "--eta"), 1),  # the missing etas are poles
+    (("kinematics", "eta-to-s", "--k", "3", "--n", "6", "--input"), 0),
+])
+def test_frozen_eta_key(tmp_path, capsys, argv, zero_code):
+    path = tmp_path / "frozen.json"
+    path.write_text(json.dumps({"eta": {"1,2,3": "5", "1,2,4": "1"}}))
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert "frozen subset 1,2,3" in data["error"]
+    # a frozen eta is zero on K(k,n), so giving it as zero is allowed
+    path.write_text(json.dumps({"eta": {"1,2,3": "0", "1,2,4": "1"}}))
+    assert main([*argv, str(path)]) == zero_code
+
+
+def test_s_to_eta_needs_momentum_conservation(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"s": {"1,2,4": 1}}))
+    code, data = _error(capsys, "kinematics", "s-to-eta", "--k", "3", "--n", "6",
+                        "--input", str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert "momentum conservation" in data["error"]
+
+
+def test_amplitude_shift_builds_no_kinematic_basis(capsys, monkeypatch):
+    from pathlib import Path
+
+    from grascat.kinematics import kin_basis
+    monkeypatch.chdir(Path(__file__).parent / "corpus")
+    kin_basis.cache_clear()
+    code, _ = run(capsys, "amplitude", "--k", "3", "--n", "8", "--eta", "eta_3_8.json",
+                  "--shift")
+    assert code == 0
+    assert kin_basis.cache_info().currsize == 0
+
+
 def test_coeffs_input_not_an_object(tmp_path, capsys):
     path = tmp_path / "number.json"
     path.write_text("3")

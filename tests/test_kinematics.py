@@ -61,8 +61,9 @@ def test_frozen_eta_vanish_and_basis(k, n):
     B = kin_basis(k, n)  # construction asserts dimension and invertibility
     for j in range(n):
         J = tuple(sorted((j + t) % n + 1 for t in range(k)))
-        f = eta_functional(J, k, n)
-        assert all(v == 0 for v in B.functional_vector(f))
+        row = B._n_eta_row(J)
+        assert all(sum(c * x for c, x in zip(row, vec)) == 0 for vec in B.basis)
+        assert eta_functional(J, k, n).eta == {}
 
 
 def test_functionals_equal_trivial():
@@ -79,6 +80,41 @@ def test_change_of_basis_roundtrip():
     point = B.point_from_eta(values)
     assert check_conservation(point, 3, 6)
     assert B.eta_values(point) == values
+
+
+_rational = st.fractions(min_value=-60, max_value=60, max_denominator=9)
+
+
+@st.composite
+def _eta_and_s(draw):
+    """A shape, eta values for its nonfrozen subsets and a point of K given
+    as a rational combination of the basis of K."""
+    k, n = draw(st.sampled_from([(2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (3, 8), (4, 8)]))
+    B = kin_basis(k, n)
+    eta = {J: draw(_rational) for J in B.nonfrozen}
+    c = [draw(_rational) for _ in B.basis]
+    s = {I: sum((c[t] * vec[i] for t, vec in enumerate(B.basis)), F(0))
+         for i, I in enumerate(B.subsets)}
+    return B, eta, {I: v for I, v in s.items() if v}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_eta_and_s())
+def test_eta_s_round_trip(case):
+    B, eta, s = case
+    point = B.point_from_eta(eta)
+    assert check_conservation(point, B.k, B.n)
+    assert B.eta_values(point) == eta
+    assert B.point_from_eta(B.eta_values(s)) == s
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 6), (3, 7), (3, 8), (3, 9), (4, 8), (4, 9)])
+def test_eta_to_s_map_is_integral(k, n):
+    B = kin_basis(k, n)
+    nonfrozen = set(B.nonfrozen)
+    assert set(B.S) == set(B.subsets)
+    assert all(type(c) is int and c and J in nonfrozen
+               for row in B.S.values() for J, c in row.items())
 
 
 def test_pk_point():
