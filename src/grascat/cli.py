@@ -179,14 +179,16 @@ def cmd_amplitude(args):
 
 
 def cmd_kinematics(args):
+    # the input is read and checked before the basis is built
     k, n = args.k, args.n
-    B = kinematics.kin_basis(k, n)
     if args.action == "basis":
+        B = kinematics.kin_basis(k, n)
         return _emit(args, {"command": "kinematics basis", "k": k, "n": n,
                             "dimension": len(B.basis),
                             "nonfrozen": len(B.nonfrozen)})
     if args.action == "eta-to-s":
-        point = B.point_from_eta(_load_subset_map(args.input, "eta", k, n))
+        etas = _load_subset_map(args.input, "eta", k, n)
+        point = kinematics.kin_basis(k, n).point_from_eta(etas)
         return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
                             "s": {roots.subset_key(J): str(v)
                                   for J, v in sorted(point.items())}})
@@ -195,7 +197,7 @@ def cmd_kinematics(args):
         if not kinematics.check_conservation(point, k, n):
             raise ValueError(f"the s-values break momentum conservation: "
                              f"not a point of K({k},{n})")
-        values = B.eta_values(point)
+        values = kinematics.kin_basis(k, n).eta_values(point)
         return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
                             "eta": {roots.subset_key(J): str(v)
                                     for J, v in sorted(values.items())}})
@@ -364,6 +366,8 @@ def main(argv=None):
     missing = [f"--{name}" for name in need if getattr(args, name) is None]
     if missing:
         parser.error(f"{args.command} {args.action} requires {' '.join(missing)}")
+    if getattr(args, "trials", 1) < 1:
+        parser.error(f"--trials must be at least 1, not {args.trials}")
     if args.command == "amplitude":
         if not args.pk and args.eta is None:
             parser.error("amplitude requires --pk or --eta")

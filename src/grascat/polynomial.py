@@ -6,20 +6,58 @@ compound-determinant resolved minors, u-variables and the binary
 identities they satisfy.
 
 Polynomials are dicts from dense exponent tuples to integer (or rational)
-coefficients; a FactoredRatio keeps products of polynomial factors
-unexpanded so that the large cancellations in u-variable products stay
-syntactic.
+coefficients.  Every staircase polynomial (tau, m_{i,j}, P_i, Q_j, delta)
+is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly increasing column chains
+c_1 <= c_2 <= ... with each c_t in an interval; `chain_poly` enumerates
+them and builds the sum as one terms dict.
+
+A FactoredRatio is scalar * x^mono * prod f^{e_f} over canonical primitive
+factors f, with one signed exponent map and no zero exponents stored, so
+multiplying and dividing add and subtract exponents and the large
+cancellations in u-variable products stay syntactic.  The random-exact
+identity checks evaluate each distinct factor once per point and read every
+u-variable and product off that table.
 """
 from __future__ import annotations
 
 import random
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, gcd, lcm
 
-from .combinat import compatibility_degree, is_frozen, nonfrozen_subsets
+from .combinat import compatibility_degree, is_frozen, is_weakly_separated, nonfrozen_subsets
 
 F = Fraction
+
+
+def _var_index(i, j, k, n):
+    """Position of x_{i,j} in a dense exponent tuple (row-major)."""
+    if not (1 <= i <= k - 1 and 1 <= j <= n - k):
+        raise IndexError(f"variable x_{{{i},{j}}} outside the ({k},{n}) grid")
+    return (i - 1) * (n - k) + (j - 1)
+
+
+def _grid_values(point, k, n):
+    """Dense list of the values of a point {(i, j): rational}; missing
+    variables are 0."""
+    xs = [F(0)] * ((k - 1) * (n - k))
+    for (i, j), v in point.items():
+        xs[_var_index(i, j, k, n)] = F(v)
+    return xs
+
+
+def _term_sum(terms, xs):
+    """Value of the (exponent tuple, coefficient) pairs at the dense values xs."""
+    tot = F(0)
+    for e, c in terms:
+        m = F(c)
+        for x, p in zip(xs, e):
+            if p:
+                m *= x ** p
+        tot += m
+    return tot
 
 
 class Poly:
@@ -35,11 +73,6 @@ class Poly:
     @property
     def nvars(self):
         return (self.k - 1) * (self.n - self.k)
-
-    def _idx(self, i, j):
-        if not (1 <= i <= self.k - 1 and 1 <= j <= self.n - self.k):
-            raise IndexError(f"variable x_{{{i},{j}}} outside the ({self.k},{self.n}) grid")
-        return (i - 1) * (self.n - self.k) + (j - 1)
 
     @classmethod
     def zero(cls, k, n):
@@ -59,7 +92,7 @@ class Poly:
     def var(cls, i, j, k, n):
         p = cls(k, n)
         exp = [0] * p.nvars
-        exp[p._idx(i, j)] = 1
+        exp[_var_index(i, j, k, n)] = 1
         p.terms[tuple(exp)] = 1
         return p
 
@@ -69,7 +102,7 @@ class Poly:
         p = cls(k, n)
         exp = [0] * p.nvars
         for (i, j) in pairs:
-            exp[p._idx(i, j)] += 1
+            exp[_var_index(i, j, k, n)] += 1
         if coeff:
             p.terms[tuple(exp)] = coeff
         return p
@@ -156,17 +189,7 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        vals = [F(0)] * self.nvars
-        for (i, j), v in point.items():
-            vals[self._idx(i, j)] = F(v)
-        tot = F(0)
-        for e, c in self.terms.items():
-            m = F(c)
-            for idx, p in enumerate(e):
-                if p:
-                    m *= vals[idx] ** p
-            tot += m
-        return tot
+        return _term_sum(self.terms.items(), _grid_values(point, self.k, self.n))
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
@@ -175,18 +198,12 @@ class Poly:
         if not self.terms:
             return F(0), (0,) * self.nvars, Poly.zero(self.k, self.n)
         coeffs = [F(c) for c in self.terms.values()]
-        from math import gcd
-        num_gcd = 0
-        den_lcm = 1
-        for c in coeffs:
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        scale = F(num_gcd, den_lcm)
-        mono = tuple(min(e[idx] for e in self.terms) for idx in range(self.nvars))
+        scale = F(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
+        mono = tuple([min(col) for col in zip(*self.terms)])
         terms = {}
         for e, c in self.terms.items():
-            e2 = tuple(x - y for x, y in zip(e, mono))
             q = F(c) / scale
+            e2 = tuple([x - y for x, y in zip(e, mono)])
             terms[e2] = q.numerator if q.denominator == 1 else q
         prim = Poly(self.k, self.n, terms)
         lead = prim.terms[max(prim.terms, key=lambda e: (sum(e), e))]
@@ -226,7 +243,7 @@ def poly_from_json(obj, k, n):
     for term in obj:
         exp = [0] * p.nvars
         for (i, j, e) in term["exponents"]:
-            exp[p._idx(i, j)] = e
+            exp[_var_index(i, j, k, n)] = e
         seen[tuple(exp)] = F(term["coeff"])
     p.terms = {e: c for e, c in seen.items() if c}
     return p
@@ -298,160 +315,161 @@ def det_poly(rows):
 # ---------------------------------------------------------------------------
 # factored rational expressions
 
-class FactoredRatio:
-    """scalar * monomial * (product of polynomial factors) / (ditto).
+class _Factor:
+    """A canonical primitive polynomial (coprime integer coefficients,
+    positive leading coefficient, no monomial factor) as its sorted
+    (exponent, coefficient) term tuple `Poly.key()`.  `_factor` hands out one
+    object per term tuple, so factors hash and compare by identity: a batch
+    of identities updates the exponent maps tens of thousands of times, and
+    rehashing the term tuple at each update would cost more than the rest of
+    the batch."""
 
-    Factors are kept primitive and canonical so that the only normalization
-    ever needed is multiset cancellation; monomial content is tracked in
-    `mono` with integer (possibly negative) exponents.
+    __slots__ = ("terms", "__weakref__")
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+# the live factors by term tuple; an entry goes with the last ratio using it
+_FACTORS = weakref.WeakValueDictionary()
+
+
+def _factor(terms):
+    return _FACTORS.get(terms) or _FACTORS.setdefault(terms, _Factor(terms))
+
+
+class FactoredRatio:
+    """scalar * x^mono * prod over factors f of f^{exps[f]}.
+
+    The factors are `_Factor`s.  `mono` and `exps` hold signed exponents
+    and a zero exponent is never stored, so the only normalization a
+    product or quotient needs is adding or subtracting exponents.
     """
 
-    __slots__ = ("k", "n", "scalar", "mono", "num", "den", "_polys")
+    __slots__ = ("k", "n", "scalar", "mono", "exps")
 
-    def __init__(self, k, n, scalar=F(1), mono=None, num=None, den=None, polys=None):
+    def __init__(self, k, n, scalar=1, mono=None, exps=None):
         self.k, self.n = k, n
         self.scalar = F(scalar)
         self.mono = mono or (0,) * ((k - 1) * (n - k))
-        self.num = dict(num or {})
-        self.den = dict(den or {})
-        self._polys = dict(polys or {})
+        self.exps = exps or {}
 
     @classmethod
     def from_poly(cls, p):
         scale, mono, prim = p.content_split()
-        if not scale:
-            return cls(p.k, p.n, scalar=F(0))
-        out = cls(p.k, p.n, scalar=scale, mono=mono)
-        if len(prim) > 1 or prim.key() != ((((0,) * prim.nvars), 1),):
-            if prim != 1:
-                key = prim.key()
-                out.num[key] = 1
-                out._polys[key] = prim
-        return out
+        # a primitive part with one term is the constant 1
+        return cls(p.k, p.n, scale, mono, {_factor(prim.key()): 1} if len(prim) > 1 else None)
 
-    @classmethod
-    def one(cls, k, n):
-        return cls(k, n)
-
-    def copy(self):
-        return FactoredRatio(self.k, self.n, self.scalar, self.mono,
-                             self.num, self.den, self._polys)
-
-    def _merge(self, other, flip=False):
-        out = self.copy()
-        out._polys.update(other._polys)
-        if not flip:
-            out.scalar *= other.scalar
-            out.mono = tuple(a + b for a, b in zip(out.mono, other.mono))
-            for side_my, side_ot in ((out.num, other.num), (out.den, other.den)):
-                for key, e in side_ot.items():
-                    side_my[key] = side_my.get(key, 0) + e
-        else:
-            if not other.scalar:
-                raise ZeroDivisionError("division by zero ratio")
-            out.scalar /= other.scalar
-            out.mono = tuple(a - b for a, b in zip(out.mono, other.mono))
-            for side_my, side_ot in ((out.den, other.num), (out.num, other.den)):
-                for key, e in side_ot.items():
-                    side_my[key] = side_my.get(key, 0) + e
-        return out._cancel()
-
-    def _cancel(self):
-        for key in list(self.num):
-            if key in self.den:
-                m = min(self.num[key], self.den[key])
-                self.num[key] -= m
-                self.den[key] -= m
-                if not self.num[key]:
-                    del self.num[key]
-                if not self.den[key]:
-                    del self.den[key]
-        return self
+    def _lift(self, other):
+        if isinstance(other, FactoredRatio):
+            return other
+        if isinstance(other, Poly):
+            return FactoredRatio.from_poly(other)
+        return FactoredRatio(self.k, self.n, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, F)):
-            out = self.copy()
-            out.scalar *= other
-            return out
-        if isinstance(other, Poly):
-            other = FactoredRatio.from_poly(other)
-        return self._merge(other)
+        return _product([(self, 1), (self._lift(other), 1)], self.k, self.n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, F)):
-            out = self.copy()
-            out.scalar /= other
-            return out
-        if isinstance(other, Poly):
-            other = FactoredRatio.from_poly(other)
-        return self._merge(other, flip=True)
+        return _product([(self, 1), (self._lift(other), -1)], self.k, self.n)
 
     def __pow__(self, m):
-        if m < 0:
-            raise ValueError("use division for negative powers")
-        out = FactoredRatio.one(self.k, self.n)
-        for _ in range(m):
-            out = out * self
-        return out
+        return _product([(self, m)], self.k, self.n)
 
-    def _expand(self, side, mono_part):
-        p = Poly.monomial([], self.k, self.n, coeff=1)
-        p.terms = {tuple(mono_part): 1}
-        for key, e in side.items():
-            fac = self._polys[key]
-            for _ in range(e):
-                p = p * fac
-        return p
+    def expand(self):
+        """(numerator, denominator) as polynomials: the scalar's numerator
+        and denominator times the positive and negative exponent parts."""
+        sides = []
+        for sign, c in ((1, self.scalar.numerator), (-1, self.scalar.denominator)):
+            p = Poly(self.k, self.n, {tuple([max(sign * e, 0) for e in self.mono]): 1}) * c
+            for f, e in self.exps.items():
+                if sign * e > 0:
+                    p = p * Poly(self.k, self.n, dict(f.terms)) ** (sign * e)
+            sides.append(p)
+        return tuple(sides)
 
-    def num_poly(self):
-        """Expanded numerator: scalar and positive monomial content included."""
-        mono_pos = tuple(max(e, 0) for e in self.mono)
-        p = self._expand(self.num, mono_pos)
-        return p * self.scalar.numerator
-
-    def den_poly(self):
-        mono_neg = tuple(max(-e, 0) for e in self.mono)
-        p = self._expand(self.den, mono_neg)
-        return p * self.scalar.denominator
+    def _eval(self, xs, table):
+        """Value at the dense point xs, given every factor's value in table."""
+        val = self.scalar
+        for x, e in zip(xs, self.mono):
+            if e:
+                val *= x ** e
+        for f, e in self.exps.items():
+            v = table[f]
+            if e < 0 and not v:
+                raise ZeroDivisionError("denominator factor vanished at the sample point")
+            val *= v ** e
+        return val
 
     def eval(self, point):
-        val = self.scalar
-        nk = self.n - self.k
-        for idx, e in enumerate(self.mono):
-            if e:
-                i, j = divmod(idx, nk)
-                val *= F(point[(i + 1, j + 1)]) ** e
-        for key, e in self.num.items():
-            val *= self._polys[key].eval(point) ** e
-        for key, e in self.den.items():
-            v = self._polys[key].eval(point)
-            if not v:
-                raise ZeroDivisionError("denominator factor vanished at the sample point")
-            val /= v ** e
-        return val
+        xs = _grid_values(point, self.k, self.n)
+        return self._eval(xs, {f: _term_sum(f.terms, xs) for f in self.exps})
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
         compare one cross-multiplied polynomial pair."""
-        if isinstance(other, (int, F)):
-            o = FactoredRatio.one(self.k, self.n)
-            o.scalar = F(other)
-            other = o
-        if isinstance(other, Poly):
-            other = FactoredRatio.from_poly(other)
-        q = self._merge(other, flip=True)
-        return q.num_poly() == q.den_poly()
+        num, den = (self / other).expand()
+        return num == den
 
     def __repr__(self):
-        return (f"FactoredRatio(scalar={self.scalar}, mono={self.mono}, "
-                f"num={[self._polys[k] for k in self.num]}, "
-                f"den={[self._polys[k] for k in self.den]})")
+        factors = [(Poly(self.k, self.n, dict(f.terms)), e) for f, e in self.exps.items()]
+        return f"FactoredRatio(scalar={self.scalar}, mono={self.mono}, factors={factors})"
+
+
+def _product(pairs, k, n):
+    """prod r**c over (FactoredRatio r, int c) pairs: the signed exponents
+    are summed in one pass, and the factors whose exponents cancel to zero
+    are dropped."""
+    num = den = 1
+    mono = [0] * ((k - 1) * (n - k))
+    exps = {}
+    for r, c in pairs:
+        a, b = r.scalar.numerator, r.scalar.denominator
+        if c < 0:
+            a, b = b, a
+        num *= a ** abs(c)
+        den *= b ** abs(c)
+        for idx, e in enumerate(r.mono):
+            if e:
+                mono[idx] += c * e
+        for f, e in r.exps.items():
+            exps[f] = exps.get(f, 0) + c * e
+    return FactoredRatio(k, n, F(num, den), tuple(mono), {f: e for f, e in exps.items() if e})
+
+
+def _quotient(nums, dens, k, n):
+    """prod nums / prod dens for lists of Poly, as one FactoredRatio."""
+    return _product([(FactoredRatio.from_poly(p), 1) for p in nums]
+                    + [(FactoredRatio.from_poly(p), -1) for p in dens], k, n)
 
 
 # ---------------------------------------------------------------------------
 # staircase face polynomials
+
+def chain_poly(row, ivals, k, n):
+    """Sum of x_{row,c_1} x_{row+1,c_2} ... x_{row+r-1,c_r} over the weakly
+    increasing chains c_1 <= ... <= c_r with lo_t <= c_t <= hi_t for
+    (lo_t, hi_t) = ivals[t]: one coefficient-1 monomial per chain, in
+    lexicographic chain order, built as one terms dict."""
+    w = n - k
+    for lo, hi in ivals:
+        if lo < 1 or hi > w:
+            raise ValueError(f"column interval [{lo},{hi}] escapes the ({k},{n}) grid")
+    chains = [()]
+    for lo, hi in ivals:
+        chains = [ch + (c,) for ch in chains
+                  for c in range(max(lo, ch[-1]) if ch else lo, hi + 1)]
+    zero = [0] * ((k - 1) * w)
+    terms = {}
+    for cols in chains:
+        e = zero.copy()
+        for t, c in enumerate(cols):
+            e[(row - 1 + t) * w + c - 1] = 1
+        terms[tuple(e)] = 1
+    return Poly(k, n, terms)
+
 
 def tau(I, k, n):
     """Planar face polynomial tau_I for a weakly increasing index tuple I of
@@ -472,65 +490,31 @@ def tau(I, k, n):
         s += 1
     J = [j - s for j in I[s:]]
     m = len(J)
-    if m <= 1:
-        return Poly.one(k, n)
-    ivals = []
-    for t in range(1, m):
-        lo = J[t - 1] - t
-        hi = (J[t] - t) if t < m - 1 else (J[t] - t - 1)
-        ivals.append((max(lo, 1), min(hi, n - k)))
-    out = Poly.zero(k, n)
-    rows = [s + t for t in range(1, m)]
-
-    def rec(t, prev, pairs):
-        nonlocal out
-        if t == len(ivals):
-            out = out + Poly.monomial(pairs, k, n)
-            return
-        lo, hi = ivals[t]
-        for a in range(max(lo, prev), hi + 1):
-            rec(t + 1, a, pairs + [(rows[t], a)])
-
-    rec(0, 1, [])
-    return out
+    ivals = [(max(J[t - 1] - t, 1), min(J[t] - t - (t == m - 1), n - k)) for t in range(1, m)]
+    return chain_poly(s + 1, ivals, k, n)
 
 
 def pk_factors(k, n):
-    """The PK potential factors: P_i = sum_j x_{i,j} and Q_j summing the
-    monotone 0/1 column shifts (k monomials each)."""
-    Ps = []
-    for i in range(1, k):
-        p = Poly.zero(k, n)
-        for j in range(1, n - k + 1):
-            p = p + Poly.var(i, j, k, n)
-        Ps.append(p)
-    Qs = []
-    for j in range(1, n - k):
-        q = Poly.zero(k, n)
-        for ones in range(k):
-            # t_1 <= ... <= t_{k-1} monotone: the last `ones` entries are 1
-            pairs = [(i, j + (1 if i > k - 1 - ones else 0)) for i in range(1, k)]
-            q = q + Poly.monomial(pairs, k, n)
-        Qs.append(q)
+    """The PK potential factors: P_i = sum_j x_{i,j}, and Q_j summing the
+    weakly increasing column chains in {j, j+1} down the rows (k monomials
+    each)."""
+    Ps = [chain_poly(i, [(1, n - k)], k, n) for i in range(1, k)]
+    Qs = [chain_poly(1, [(j, j + 1)] * (k - 1), k, n) for j in range(1, n - k)]
     return Ps, Qs
 
 
 def planar_face_range(k, n):
     """Admissible (i, J) pairs for the planar faces, grouped over the sizes
     m = 2..k: i in [1, k-m+1] and J an m-subset of [1, (n-2)-(k-m)]."""
-    out = []
-    for m in range(2, k + 1):
-        top = (n - 2) - (k - m)
-        for i in range(1, k - m + 2):
-            for J in combinations(range(1, top + 1), m):
-                out.append((i, J))
-    return out
+    return [(i, J) for m in range(2, k + 1) for i in range(1, k - m + 2)
+            for J in combinations(range(1, (n - 2) - (k - m) + 1), m)]
 
 
-def planar_face_vertices(i, J, k, n):
-    """Integer vertices of the planar face F^{(i)}_J: one unit in each of
-    the rows i..i+m-2, column of row i+l-1 inside [j_l - (l-1),
-    j_{l+1} - (l-1)], with columns weakly increasing down the rows."""
+def delta(i, J, k, n):
+    """Face polynomial of the planar face F^{(i)}_J: the sum of x^v over its
+    integer vertices, which put one unit in each of the rows i..i+m-2, the
+    column of row i+l-1 inside [j_l - (l-1), j_{l+1} - (l-1)], with columns
+    weakly increasing down the rows."""
     J = tuple(J)
     m = len(J)
     if not (2 <= m <= k):
@@ -539,32 +523,7 @@ def planar_face_vertices(i, J, k, n):
         raise ValueError(f"row index i={i} out of range for |J|={m}")
     if J[-1] > (n - 2) - (k - m):
         raise ValueError(f"face index {J} out of range for ({k}, {n})")
-    ivals = []
-    for t in range(1, m):
-        lo, hi = J[t - 1] - (t - 1), J[t] - (t - 1)
-        if lo < 1 or hi > n - k:
-            raise ValueError(f"face interval [{lo},{hi}] escapes the grid")
-        ivals.append((lo, hi))
-    verts = []
-
-    def rec(t, prev, pairs):
-        if t == len(ivals):
-            verts.append(tuple(pairs))
-            return
-        lo, hi = ivals[t]
-        for c in range(max(lo, prev), hi + 1):
-            rec(t + 1, c, pairs + [(i + t, c)])
-
-    rec(0, 1, [])
-    return verts
-
-
-def delta(i, J, k, n):
-    """Face polynomial: sum of x^v over the vertices of F^{(i)}_J."""
-    out = Poly.zero(k, n)
-    for pairs in planar_face_vertices(i, J, k, n):
-        out = out + Poly.monomial(pairs, k, n)
-    return out
+    return chain_poly(i, [(J[t - 1] - (t - 1), J[t] - (t - 1)) for t in range(1, m)], k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +534,7 @@ def m_poly(i, j, k, n):
     """Matrix entry m_{i,j}: sum over weakly increasing column tuples
     (c_i <= ... <= c_{k-1}) in [1, j] of prod_a x_{a,c_a} --- the vertex sum
     of a fibered simplex."""
-    p = Poly.zero(k, n)
-
-    def rec(row, prev, pairs):
-        nonlocal p
-        if row == k:
-            p = p + Poly.monomial(pairs, k, n)
-            return
-        for c in range(prev, j + 1):
-            rec(row + 1, c, pairs + [(row, c)])
-
-    rec(i, 1, [])
-    return p
+    return chain_poly(i, [(1, j)] * (k - i), k, n)
 
 
 @lru_cache(maxsize=None)
@@ -665,7 +613,6 @@ def resolved_minor(J, n):
 def needs_resolution(J, n):
     """Lexicographic criterion: some I < J with (I, J) noncrossing and not
     weakly separated."""
-    from .combinat import is_weakly_separated
     for I in nonfrozen_subsets(3, n):
         if I >= tuple(J):
             break
@@ -676,7 +623,6 @@ def needs_resolution(J, n):
 
 def resolved_count_formula(n):
     """N_n = C(n-5, 3) + 2 (n-5)^2 nontrivially resolved minors on (3, n)."""
-    from math import comb
     return comb(n - 5, 3) + 2 * (n - 5) ** 2
 
 
@@ -715,68 +661,67 @@ def u_variable(J, k, n):
             den = [(i, j, kk, l), (i + 1, j, kk, l + 1)]
     else:
         raise ValueError("u-variables implemented for k = 3 and 4 only")
-    out = FactoredRatio.one(k, n)
-    for idx in num:
-        out = out * tau(tuple(sorted(idx)), k, n)
-    for idx in den:
-        out = out / tau(tuple(sorted(idx)), k, n)
-    return out
+    return _quotient([tau(tuple(sorted(I)), k, n) for I in num],
+                     [tau(tuple(sorted(I)), k, n) for I in den], k, n)
 
 
 def crossing_profile(J, k, n):
     """Sorted list of (I, c_{I,J}) over subsets crossing J."""
-    out = []
-    for I in nonfrozen_subsets(k, n):
-        if I == tuple(J):
-            continue
-        c = compatibility_degree(I, J, n)
-        if c:
-            out.append((I, c))
-    return out
+    J = tuple(J)
+    return [(I, c) for I in nonfrozen_subsets(k, n)
+            if I != J and (c := compatibility_degree(I, J, n))]
+
+
+def _first_random_failure(identities, k, n, trials, seed):
+    """Check u = 1 - rhs for every (u, rhs) pair of FactoredRatios at
+    `trials` exact positive rational points drawn from random.Random(seed);
+    return (index of the first failing pair, witness point) or None.
+
+    Each distinct factor is evaluated once per point.  No denominator can
+    vanish there: every factor is the primitive part of a tau polynomial,
+    whose coefficients are all positive, so it is positive at a positive
+    point, and so is every monomial; every drawn point is therefore used.
+    """
+    rng = random.Random(seed)
+    factors = {f for pair in identities for r in pair for f in r.exps}
+    for _ in range(trials):
+        point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
+                 for i in range(1, k) for j in range(1, n - k + 1)}
+        xs = _grid_values(point, k, n)
+        table = {f: _term_sum(f.terms, xs) for f in factors}
+        for index, (u, rhs) in enumerate(identities):
+            if u._eval(xs, table) != 1 - rhs._eval(xs, table):
+                return index, {f"{i},{j}": str(v) for (i, j), v in point.items()}
+    return None
 
 
 def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     """Verify u_J = 1 - prod over crossing I of u_I^{c_{I,J}}.
 
-    Symbolic mode cancels factors syntactically and compares one
-    cross-multiplied polynomial identity; random mode evaluates both sides
-    at exact positive rational points.  Returns a verdict dict.
+    The product is formed with its shared factors cancelled.  Symbolic mode
+    then compares one cross-multiplied polynomial identity; random mode
+    evaluates both sides at exact positive rational points.  Returns a
+    verdict dict.
     """
+    if mode not in ("symbolic", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
     J = tuple(J)
     profile = crossing_profile(J, k, n)
     verdict = {"J": list(J), "k": k, "n": n, "mode": mode,
                "crossing": len(profile), "pass": False}
     uJ = u_variable(J, k, n)
+    rhs = _product([(u_variable(I, k, n), c) for I, c in profile], k, n)
     if mode == "symbolic":
-        prod = FactoredRatio.one(k, n)
-        for I, c in profile:
-            prod = prod * (u_variable(I, k, n) ** c)
-        lhs = FactoredRatio.from_poly(uJ.den_poly() - uJ.num_poly()) / uJ.den_poly()
-        verdict["pass"] = lhs.ratio_equal(prod)
+        num, den = uJ.expand()
+        verdict["pass"] = (FactoredRatio.from_poly(den - num) / den).ratio_equal(rhs)
         return verdict
-    if mode == "random":
-        rng = random.Random(seed)
-        us = [(u_variable(I, k, n), c) for I, c in profile]
-        verdict["trials"] = trials
-        verdict["seed"] = seed
-        done = 0
-        while done < trials:
-            point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
-                     for i in range(1, k) for j in range(1, n - k + 1)}
-            try:
-                lhs = uJ.eval(point)
-                rhs = F(1)
-                for u, c in us:
-                    rhs *= u.eval(point) ** c
-            except ZeroDivisionError:
-                continue
-            if lhs != 1 - rhs:
-                verdict["witness"] = {f"{i},{j}": str(v) for (i, j), v in point.items()}
-                return verdict
-            done += 1
-        verdict["pass"] = True
-        return verdict
-    raise ValueError(f"unknown mode {mode!r}")
+    verdict["trials"] = trials
+    verdict["seed"] = seed
+    failure = _first_random_failure([(uJ, rhs)], k, n, trials, seed)
+    verdict["pass"] = failure is None
+    if failure:
+        verdict["witness"] = failure[1]
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -814,32 +759,22 @@ def _digits(code):
 
 def binary_identities_random_all(k, n, trials=20, seed=0):
     """Random-exact verification of every binary identity at (k, n): each
-    trial evaluates all u-variables once at an exact positive rational
+    trial evaluates every distinct factor once at an exact positive rational
     point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every nonfrozen
     J.  Returns a verdict dict."""
-    rng = random.Random(seed)
     nf = nonfrozen_subsets(k, n)
     us = {J: u_variable(J, k, n) for J in nf}
-    profiles = {J: crossing_profile(J, k, n) for J in nf}
-    done = 0
-    while done < trials:
-        point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
-                 for i in range(1, k) for j in range(1, n - k + 1)}
-        try:
-            vals = {J: us[J].eval(point) for J in nf}
-        except ZeroDivisionError:
-            continue
-        for J in nf:
-            rhs = F(1)
-            for I, c in profiles[J]:
-                rhs *= vals[I] ** c
-            if vals[J] != 1 - rhs:
-                return {"k": k, "n": n, "mode": "random", "trials": trials,
-                        "seed": seed, "pass": False, "J": list(J),
-                        "witness": {f"{i},{j}": str(v) for (i, j), v in point.items()}}
-        done += 1
-    return {"k": k, "n": n, "mode": "random", "trials": trials,
-            "seed": seed, "pass": True, "checked": len(nf)}
+    identities = [(us[J], _product([(us[I], c) for I, c in crossing_profile(J, k, n)], k, n))
+                  for J in nf]
+    failure = _first_random_failure(identities, k, n, trials, seed)
+    verdict = {"k": k, "n": n, "mode": "random", "trials": trials,
+               "seed": seed, "pass": failure is None}
+    if failure:
+        verdict["J"] = list(nf[failure[0]])
+        verdict["witness"] = failure[1]
+    else:
+        verdict["checked"] = len(nf)
+    return verdict
 
 
 def root_potential_check(k, n):
@@ -851,15 +786,9 @@ def root_potential_check(k, n):
         raise ValueError(f"no tabulated root potential for ({k}, {n})")
     results = {}
     for (i, j), (nums, dens) in table.items():
-        ratio = FactoredRatio.one(k, n)
-        for code in nums:
-            ratio = ratio * plucker(_digits(code), k, n)
-        for code in dens:
-            ratio = ratio / plucker(_digits(code), k, n)
-        target = FactoredRatio.from_poly(Poly.var(i, j, k, n))
-        denom = Poly.zero(k, n)
-        for l in range(1, n - k + 1):
-            denom = denom + Poly.var(i, l, k, n)
-        target = target / denom
+        ratio = _quotient([plucker(_digits(code), k, n) for code in nums],
+                          [plucker(_digits(code), k, n) for code in dens], k, n)
+        # x_{i,j} over the row sum P_i
+        target = _quotient([Poly.var(i, j, k, n)], [chain_poly(i, [(1, n - k)], k, n)], k, n)
         results[(i, j)] = ratio.ratio_equal(target)
     return results

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .combinat import nonfrozen_subsets, enumerate_maximal_noncrossing
-from .polynomial import Poly, pk_factors, delta, planar_face_range, planar_face_vertices
+from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range
 from .roots import gamma_hat, v_root, lattice_coords
 
 F = Fraction
@@ -477,36 +477,15 @@ def triangulation_volume(k, n, max_collections=200000):
 
 def omega_vertices(k, m):
     """0/1 vertices of the fibered simplex: row i has its 1 in column c_i
-    with c_1 <= c_2 <= ... <= c_{k-1}."""
-    out = []
-
-    def rec(row, prev, cols):
-        if row == k:
-            out.append(tuple(cols))
-            return
-        for c in range(prev, m + 1):
-            rec(row + 1, c, cols + [c])
-
-    rec(1, 1, [])
-    # as dense points in R^{(k-1) x m}
-    pts = []
-    for cols in out:
-        vec = [0] * ((k - 1) * m)
-        for i, c in enumerate(cols):
-            vec[i * m + (c - 1)] = 1
-        pts.append(tuple(vec))
-    return pts
+    with c_1 <= c_2 <= ... <= c_{k-1}; dense points in R^{(k-1) x m}, the
+    exponent vectors of the chain sum over [1, m] in the (k, k + m) grid."""
+    return list(chain_poly(1, [(1, m)] * (k - 1), k, k + m).terms)
 
 
 def planar_face_polytope(i, J, k, n):
-    """Vertex list of the planar face F^{(i)}_J as a PolytopeRep."""
-    pts = []
-    for pairs in planar_face_vertices(i, J, k, n):
-        vec = [0] * ((k - 1) * (n - k))
-        for (r, c) in pairs:
-            vec[(r - 1) * (n - k) + (c - 1)] = 1
-        pts.append(tuple(vec))
-    return hull_of_points(pts)
+    """Vertex list of the planar face F^{(i)}_J as a PolytopeRep: the
+    exponent vectors of its face polynomial delta."""
+    return hull_of_points(list(delta(i, J, k, n).terms))
 
 
 def minkowski_sum_points(sets_of_points):

@@ -336,3 +336,28 @@ def test_amplitude_shift_needs_k3(capsys, source):
         main(["amplitude", "--k", "2", "--n", "6", *source, "--shift"])
     assert exc.value.code == 2
     assert "--shift is defined for k = 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("u-check", "--k", "3", "--n", "6", "--mode", "random", "--trials", "-3"),
+    ("u-check", "--k", "3", "--n", "6", "--J", "1,2,4", "--mode", "random", "--trials", "0"),
+    ("search", "--n", "7", "--trials", "0"),
+])
+def test_trials_below_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["eta-to-s", "s-to-eta"])
+def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action):
+    from grascat.kinematics import kin_basis
+    key = "eta" if action == "eta-to-s" else "s"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: {"1,2,3,4,6": "5"}}))
+    kin_basis.cache_clear()
+    code, data = _error(capsys, "kinematics", action, "--k", "4", "--n", "9",
+                        "--input", str(path))
+    assert code == 2 and "expected a 4-element subset" in data["error"]
+    assert kin_basis.cache_info().currsize == 0

@@ -1,17 +1,24 @@
 """Polynomial layer: tau/delta face polynomials, the positive
 parameterization, resolved minors and the u-variable identities."""
+import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grascat import polynomial
+from grascat.combinat import nonfrozen_subsets
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
+                                binary_identities_random_all,
                                 binary_identity_check, compound_X, delta,
                                 divide_exact, m_poly, needs_resolution,
                                 pk_factors, planar_face_range, plucker,
                                 poly_from_json, poly_to_json,
                                 resolved_count_formula, resolved_minor,
                                 root_potential_check, tau, u_variable)
+from grascat.polytope import omega_vertices
 
 
 def x(i, j, k=3, n=6):
@@ -237,3 +244,143 @@ def test_binary_identity_single():
 def test_root_potential_tables():
     assert all(root_potential_check(3, 6).values())
     assert all(root_potential_check(4, 8).values())
+
+
+# ---------------------------------------------------------------------------
+# staircase polynomials against their definitions: every column tuple of the
+# box, kept when weakly increasing
+
+def _chain_sum(row, ivals, k, n):
+    """sum of x_{row,c_1} x_{row+1,c_2} ... over the weakly increasing tuples
+    of the product of the intervals, each clipped to the grid columns."""
+    boxes = [range(max(lo, 1), min(hi, n - k) + 1) for lo, hi in ivals]
+    out = Poly.zero(k, n)
+    for cols in product(*boxes):
+        if all(a <= b for a, b in zip(cols, cols[1:])):
+            out = out + Poly.monomial([(row + t, c) for t, c in enumerate(cols)], k, n)
+    return out
+
+
+def _tau_reference(I, k, n):
+    s = 0
+    while s < k and I[s] == s + 1:
+        s += 1
+    J = [j - s for j in I[s:]]
+    m = len(J)
+    ivals = [(J[t - 1] - t, J[t] - t - (1 if t == m - 1 else 0)) for t in range(1, m)]
+    return _chain_sum(s + 1, ivals, k, n)
+
+
+@pytest.mark.parametrize("k,n", [(3, 9), (4, 9)])
+def test_staircase_polynomials_match_their_definitions(k, n):
+    w = n - k
+    for I in combinations(range(1, n + 1), k):
+        assert tau(I, k, n) == _tau_reference(I, k, n), I
+    for i, J in planar_face_range(k, n):
+        ivals = [(J[t - 1] - (t - 1), J[t] - (t - 1)) for t in range(1, len(J))]
+        assert delta(i, J, k, n) == _chain_sum(i, ivals, k, n), (i, J)
+    for i in range(1, k):
+        for j in range(1, w + 1):
+            assert m_poly(i, j, k, n) == _chain_sum(i, [(1, j)] * (k - i), k, n), (i, j)
+    Ps, Qs = pk_factors(k, n)
+    assert Ps == [_chain_sum(i, [(1, w)], k, n) for i in range(1, k)]
+    assert Qs == [_chain_sum(1, [(j, j + 1)] * (k - 1), k, n) for j in range(1, w)]
+    omega = _chain_sum(1, [(1, w)] * (k - 1), k, n)
+    assert sorted(omega_vertices(k, w)) == sorted(omega.terms)
+
+
+# ---------------------------------------------------------------------------
+# FactoredRatio laws on products of small positive factors
+
+def _pool(k, n):
+    taus = [tau(I, k, n) for I in combinations(range(1, n + 1), k)]
+    return ([t for t in taus if len(t) > 1]
+            + [x(1, 2), 2 * x(1, 1) + 3 * x(2, 2), 2 * x(1, 1) + 4 * x(1, 2) * x(2, 3)])
+
+
+POOL = _pool(3, 6)
+
+
+def _ratio(scalar, factors):
+    out = FactoredRatio(3, 6, scalar)
+    for index, e in factors:
+        for _ in range(abs(e)):
+            out = out * POOL[index] if e > 0 else out / POOL[index]
+    return out
+
+
+ratios = st.builds(
+    _ratio,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.lists(st.tuples(st.integers(0, len(POOL) - 1), st.integers(-2, 2)), max_size=5))
+
+
+def _fields(r):
+    return r.scalar, r.mono, r.exps
+
+
+points = st.dictionaries(st.sampled_from([(i, j) for i in (1, 2) for j in (1, 2, 3)]),
+                         st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                         min_size=6, max_size=6)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios, ratios)
+def test_factored_ratio_product_then_quotient(a, b):
+    q = (a * b) / b
+    assert q.ratio_equal(a)
+    assert _fields(q) == _fields(a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios, st.integers(0, 4))
+def test_factored_ratio_power_is_repeated_product(a, m):
+    repeated = FactoredRatio(3, 6)
+    for _ in range(m):
+        repeated = repeated * a
+    assert _fields(a ** m) == _fields(repeated)
+    assert _fields(a ** -m) == _fields(FactoredRatio(3, 6) / repeated)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios, ratios, points)
+def test_factored_ratio_eval_is_multiplicative(a, b, point):
+    assert (a * b).eval(point) == a.eval(point) * b.eval(point)
+    assert (a / b).eval(point) == a.eval(point) / b.eval(point)
+
+
+def test_factored_ratio_eval_rejects_vanishing_denominator():
+    r = FactoredRatio(3, 6) / (x(1, 1) + x(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        r.eval({(1, 1): 1, (1, 2): -1})
+
+
+# ---------------------------------------------------------------------------
+# random-mode witnesses: with one crossing entry dropped every identity is
+# false, so the witness is the first point drawn from random.Random(seed)
+
+def _first_point(k, n, seed):
+    rng = random.Random(seed)
+    return {f"{i},{j}": str(F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4)))
+            for i in range(1, k) for j in range(1, n - k + 1)}
+
+
+@pytest.fixture
+def broken_profiles(monkeypatch):
+    original = polynomial.crossing_profile
+    monkeypatch.setattr(polynomial, "crossing_profile", lambda J, k, n: original(J, k, n)[1:])
+
+
+@pytest.mark.parametrize("k,n,J", [(3, 7, (2, 4, 6)), (4, 8, (2, 3, 6, 8))])
+def test_single_random_witness_is_first_point(broken_profiles, k, n, J):
+    verdict = binary_identity_check(J, k, n, "random", trials=3, seed=11)
+    assert verdict["pass"] is False
+    assert verdict["witness"] == _first_point(k, n, 11)
+
+
+@pytest.mark.parametrize("k,n", [(3, 8), (4, 8)])
+def test_batch_random_witness_is_first_point(broken_profiles, k, n):
+    verdict = binary_identities_random_all(k, n, trials=3, seed=5)
+    assert verdict["pass"] is False
+    assert verdict["J"] == list(nonfrozen_subsets(k, n)[0])
+    assert verdict["witness"] == _first_point(k, n, 5)
