@@ -28,6 +28,8 @@ CASES = {
     "decompose_5_10": ["decompose", "--input", "combo_5_10.json"],
     "nc_degree_5_10": ["nc", "degree", "--input", "combo_5_10.json"],
     "volume_3_6": ["volume", "--k", "3", "--n", "6"],
+    "volume_4_7": ["volume", "--k", "4", "--n", "7"],
+    "volume_3_8": ["volume", "--k", "3", "--n", "8"],
     "pk_facets_3_6": ["pk", "facets", "--k", "3", "--n", "6"],
     "pk_vertices_3_6": ["pk", "vertices", "--k", "3", "--n", "6"],
     "pk_fvector_3_6": ["pk", "fvector", "--k", "3", "--n", "6"],
