@@ -330,10 +330,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--max-cliques", type=int, default=200000)
-    p.add_argument("--unsafe-large", action="store_true")
+    common(p, kn=False)
     p.set_defaults(func=cmd_search)
 
     return top

@@ -1,15 +1,16 @@
 """Exact linear algebra on lists of lists of ints or Fractions.
 
-Everything runs through one fraction-free Gauss-Jordan kernel
-(`_eliminate`, the Bareiss-Montante scheme on Python ints): each row is
-scaled to integers by the lcm of its denominators, and every update
-``(p*a - f*b) // prev`` divides exactly, because each entry stays a minor
-of the scaled matrix.  All pivots end equal to one value ``d``, so the
-reduced matrix divided by ``d`` is the reduced row echelon form.  Rank,
-determinant, solutions and null spaces are read off it; only those final
-entries become Fractions.  First-nonzero pivoting keeps every operation
-deterministic, and the RREF is unique, so results do not depend on the
-pivot order.
+Every exact elimination runs through one fraction-free row update,
+`_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante on Python
+ints), the simplex tableau of `polytope.in_convex_hull` and the volume fold
+of `polytope.triangulation_volume`.  `_eliminate` scales each row to
+integers by the lcm of its denominators; every update ``(p*a - f*b) //
+prev`` divides exactly, as each entry stays a minor of the scaled matrix.
+All pivots end equal to one value ``d``, so the reduced matrix divided by
+``d`` is the reduced row echelon form.  Rank, determinant, solutions and
+null spaces are read off it; only those final entries become Fractions.
+First-nonzero pivoting keeps every operation deterministic, and the RREF
+is unique, so results do not depend on the pivot order.
 """
 from __future__ import annotations
 
@@ -53,15 +54,23 @@ def _eliminate(rows, ncols=None):
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
             sign = -sign
-        prow = M[r]
-        p = prow[col]
-        for i in range(m):
-            if i != r:
-                f = M[i][col]
-                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], prow)]
-        prev = p
+        prev = _pivot(M, r, col, prev)
         pivots.append(col)
     return M, pivots, prev, sign, scale
+
+
+def _pivot(M, r, col, prev):
+    """Pivot the int matrix M in place on p = M[r][col]: each other row
+    becomes (p*row - f*M[r]) // prev, f its entry in col.  Returns p, the
+    next prev.  Exact along a chain of pivots from prev = 1 (every entry a
+    minor), on a fixed row order (Bareiss) or a simplex basis (Edmonds)."""
+    prow = M[r]
+    p = prow[col]
+    for i, row in enumerate(M):
+        if i != r:
+            f = row[col]
+            M[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    return p
 
 
 def rank(rows):

@@ -2,7 +2,9 @@
 conversion by the double description method, face lattices and f-vectors,
 Newton polytopes, Minkowski sums, and the named polytopes of the build:
 root polytopes, the PK polytope, fibered simplices, planar faces and the
-PK associahedron.
+PK associahedron.  The LP and the root-polytope volume eliminate only
+through `linalg._pivot`: an integer simplex tableau, and a fold over the
+Bron-Kerbosch tree of maximal noncrossing collections.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`_num`); inequality rows and
@@ -20,7 +22,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import linalg
-from .combinat import nonfrozen_subsets, enumerate_maximal_noncrossing
+from .combinat import _bits, _fold_maximal_noncrossing, nonfrozen_subsets
 from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range
 from .roots import gamma_hat, v_root, lattice_coords
 
@@ -32,51 +34,34 @@ class ResourceCap(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# exact LP (phase-1 simplex with Bland's rule)
+# exact LP (integer phase-1 simplex with Bland's rule)
 
 def in_convex_hull(p, points):
-    """Is p a convex combination of the given points?  Exact phase-1
-    simplex; Bland's rule guarantees termination."""
+    """Is p a convex combination of the given points?  Phase-1 simplex
+    with Bland's rule on an integer tableau: all rows, so the artificials
+    and the objective (the last row), are scaled by one lcm L, which keeps
+    Bland's pivot sequence; `linalg._pivot` keeps the tableau D > 0 times
+    the rational one (D the basis determinant), so D cancels in ratios."""
     if not points:
         return False
-    d = len(p)
-    m = d + 1
     N = len(points)
-    rhs = [F(x) for x in p] + [F(1)]
-    cols = [[F(q[r]) if r < d else F(1) for r in range(m)] for q in points]
-    # flip rows to make rhs nonnegative
-    for r in range(m):
-        if rhs[r] < 0:
-            rhs[r] = -rhs[r]
-            for c in range(N):
-                cols[c][r] = -cols[c][r]
-    # tableau with artificial basis
-    T = [[cols[c][r] for c in range(N)] + [F(1) if a == r else F(0) for a in range(m)] + [rhs[r]]
-         for r in range(m)]
-    basis = [N + r for r in range(m)]
-    ncols = N + m
-    # reduced cost row for min sum of artificials
-    z = [F(0)] * (ncols + 1)
-    for r in range(m):
-        for c in range(ncols + 1):
-            z[c] += T[r][c]
+    L = lcm(*[x.denominator for x in p], *[x.denominator for q in points for x in q])
+    T = [[x.numerator * (L // x.denominator) for x in t] for t in zip(*points, p, strict=True)]
+    T.append([L] * (N + 1))
+    T = [row if row[-1] >= 0 else [-x for x in row] for row in T]
+    m = len(T)
+    T.append([sum(col) for col in zip(*T)])
+    basis = list(range(N, N + m))
+    prev = 1
     while True:
-        enter = next((c for c in range(N) if z[c] > 0 and c not in basis), None)
+        z = T[-1]
+        enter = next((c for c in range(N) if z[c] > 0), None)
         if enter is None:
-            return z[ncols] == 0
-        ratios = [(T[r][ncols] / T[r][enter], r) for r in range(m) if T[r][enter] > 0]
-        if not ratios:
-            return z[ncols] == 0  # unbounded cannot happen in phase 1
-        best = min(ratios, key=lambda t: (t[0], basis[t[1]]))
-        r = best[1]
-        piv = T[r][enter]
-        T[r] = [v / piv for v in T[r]]
-        for rr in range(m):
-            if rr != r and T[rr][enter]:
-                f = T[rr][enter]
-                T[rr] = [a - f * b for a, b in zip(T[rr], T[r])]
-        f = z[enter]
-        z = [a - f * b for a, b in zip(z, T[r])]
+            return z[-1] == 0
+        # some row has a positive entry: phase 1 is bounded below by 0
+        r = min((i for i in range(m) if T[i][enter] > 0),
+                key=lambda i: (F(T[i][-1], T[i][enter]), basis[i]))
+        prev = linalg._pivot(T, r, enter, prev)
         basis[r] = enter
 
 
@@ -253,9 +238,9 @@ def hull_of_points(points, ambient=None):
     m = len(pts[0])
     origin, basis = _affine_basis(pts)
     d = len(basis)
-    # equalities: null space of basis (as functionals), anchored at origin
+    # equalities: null space of basis (R^m for one point), anchored at origin
     eqs = [(_num(-sum(a * x for a, x in zip(nv, origin))), tuple(_num(a) for a in nv))
-           for nv in linalg.nullspace(basis)]
+           for nv in linalg.nullspace(basis or [[0] * m])]
     if d == 0:
         return PolytopeRep([pts[0]], [], eqs, m)
     rays = cone_rays([list(p) + [1] for p in _reduce_points(pts, origin, basis)])
@@ -462,17 +447,34 @@ def root_polytope(k, n, hat=False):
 
 
 def triangulation_volume(k, n, max_collections=200000):
-    """Sum of |det| of the lattice coordinates over all maximal noncrossing
-    collections: the relative volume of the root polytope in units 1/d!.
-    Every determinant must be +-1 (unimodularity)."""
-    total = 0
-    for coll in enumerate_maximal_noncrossing(k, n, max_collections):
-        M = [lattice_coords(v_root(J, k, n), k, n) for J in coll]
-        d = linalg.det([list(col) for col in zip(*M)])
-        if abs(d) != 1:
-            raise AssertionError(f"non-unimodular collection {coll}: det {d}")
-        total += abs(d)
-    return int(total)
+    """Relative volume of the root polytope in units 1/d!: the number of
+    maximal noncrossing collections C, each simplex conv(0, v_J : J in C)
+    checked unimodular.  A fold over the Bron-Kerbosch tree whose branches
+    carry the fraction-free forward elimination (`linalg._pivot`) of their
+    members' lattice coordinates, so at a leaf |det| is the last pivot."""
+    verts = nonfrozen_subsets(k, n)
+    coords = [lattice_coords(v_root(J, k, n), k, n) for J in verts]
+    d = (k - 1) * (n - k - 1)
+
+    def add(acc, v):
+        R, echelon = acc
+        M, prev = [None, coords[v]], 1
+        for M[0], col in echelon:
+            prev = linalg._pivot(M, 0, col, prev)
+        col = next((c for c, x in enumerate(M[1]) if x), None)
+        if col is not None:
+            echelon += ((M[1], col),)
+        return R | 1 << v, echelon
+
+    def leaf(acc):
+        R, echelon = acc
+        row, col = echelon[-1]
+        det = abs(row[col]) if len(echelon) == d == R.bit_count() else 0
+        if det != 1:
+            coll = tuple(sorted(verts[i] for i in _bits(R)))
+            raise AssertionError(f"non-unimodular collection {coll}: |det| {det}")
+
+    return _fold_maximal_noncrossing(k, n, max_collections, (0, ()), add, leaf)
 
 
 def omega_vertices(k, m):

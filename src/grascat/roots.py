@@ -4,11 +4,11 @@ the row-sum-zero subspace (the complete simplicial fan of noncrossing
 cones).
 
 Grid vectors live in R^{(k-1) x (n-k)} and are stored sparsely as dicts
-{(i, j): Fraction} with 1-based row/column indices; the ambient (k, n) is
-passed alongside.  gamma_hat gives the e-basis coefficient vector of the
-linear function gamma_J; project_f sends e_{i,j} to f_{i,j} so that every
-row sums to zero, and v_root(J) = project_f(gamma_hat(J)) is the vertex of
-the root polytope attached to J.
+{(i, j): int or Fraction} with 1-based row/column indices; the ambient
+(k, n) is passed alongside.  gamma_hat gives the e-basis coefficient
+vector of the linear function gamma_J; project_f sends e_{i,j} to f_{i,j}
+so that every row sums to zero, and v_root(J) = project_f(gamma_hat(J))
+is the vertex of the root polytope attached to J.
 """
 from __future__ import annotations
 
@@ -52,15 +52,10 @@ def f_combination(fcoeffs, k, n):
 
 
 def gamma_hat(J, k, n):
-    """0/1 e-basis coefficient vector of gamma_J: row i carries the interval
-    [j_i - (i-1), j_{i+1} - i - 1]; empty intervals contribute nothing."""
+    """0/1 int e-basis coefficient vector of gamma_J: row i carries the
+    interval [j_i - (i-1), j_{i+1} - i - 1], possibly empty."""
     J = check_subset(J, k, n)
-    v = {}
-    for i in range(1, k):
-        lo, hi = J[i - 1] - (i - 1), J[i] - i - 1
-        for j in range(lo, hi + 1):
-            v[(i, j)] = v.get((i, j), 0) + 1
-    return {key: F(c) for key, c in v.items() if c}
+    return {(i, j): 1 for i in range(1, k) for j in range(J[i - 1] - (i - 1), J[i] - i)}
 
 
 def project_f(v, k, n):
@@ -83,12 +78,12 @@ def row_sums(v, k, n):
 def lattice_coords(v, k, n):
     """Coordinates of a row-sum-zero vector in the lattice basis
     {f_{i,j} : 1 <= j <= n-k-1} (last column dropped per row): the running
-    partial sums of each row."""
+    partial sums of each row, ints for an int vector."""
     coords = []
     for i in range(1, k):
-        acc = F(0)
+        acc = 0
         for j in range(1, n - k):
-            acc += v.get((i, j), F(0))
+            acc += v.get((i, j), 0)
             coords.append(acc)
     return coords
 
@@ -173,7 +168,7 @@ class _Fan:
         self.verts, self.adj = _noncrossing_graph(k, n)
         coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
         # the nonzero lattice coordinates of each v_J, as (position, value)
-        self.support = [[(t, int(c)) for t, c in enumerate(col) if c] for col in coords]
+        self.support = [[(t, c) for t, c in enumerate(col) if c] for col in coords]
         chosen = 0  # the greedy collection
         for i, nbrs in enumerate(self.adj):
             if not chosen & ~nbrs:
@@ -253,10 +248,7 @@ def noncrossing_decompose(v, k, n):
 
 def noncrossing_degree(coeffs, k, n):
     """Support size of the noncrossing expansion of sum c_J v_J."""
-    v = {}
-    for J, c in coeffs.items():
-        v = grid_add(v, v_root(J, k, n), F(c))
-    return len(noncrossing_decompose(v, k, n))
+    return len(noncrossing_decompose(combo_vector(coeffs, k, n), k, n))
 
 
 def combo_vector(coeffs, k, n, hat=False):

@@ -349,6 +349,26 @@ def test_factored_ratio_eval_is_multiplicative(a, b, point):
     assert (a / b).eval(point) == a.eval(point) / b.eval(point)
 
 
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    max_size=4).map(lambda terms: Poly(3, 6, terms))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_poly_ring_laws(f, g, h):
+    assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+    assert f + g == g + f and f * g == g * f
+    assert f * (g + h) == f * g + f * h
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polys, polys.filter(bool))
+def test_divide_exact_round_trip(f, g):
+    assert divide_exact(f * g, g) == f
+
+
 def test_factored_ratio_eval_rejects_vanishing_denominator():
     r = FactoredRatio(3, 6) / (x(1, 1) + x(1, 2))
     with pytest.raises(ZeroDivisionError):

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grascat import polytope
 from grascat.combinat import nonfrozen_subsets
 from grascat.polynomial import Poly, pk_factors, tau
 from grascat.polytope import (extreme_points, gamma_functional, hull_of_points,
+                              in_convex_hull,
                               lift_and_lower_hull,
                               minimize_face, minkowski_sum_points,
                               minkowski_summand_count, newton, newton_points,
@@ -41,6 +45,9 @@ def test_hull_roundtrips():
     assert tri.dim == 2 and len(tri.equalities) == 1
     back = polytope_from_inequalities(tri.inequalities, tri.equalities, 3)
     assert sorted(back.vertices) == sorted(tri.vertices)
+    # a single point is its own hull
+    one = hull_of_points([(1, 2), (1, 2)])
+    assert one.contains((1, 2)) and not one.contains((5, 7)) and one.f_vector() == [1, 1]
 
 
 def test_simplex_fvector():
@@ -119,9 +126,61 @@ def test_extreme_points_cross_check():
 
 
 @pytest.mark.parametrize("k,n,vol", [(2, 5, 5), (2, 6, 14), (2, 7, 42),
-                                     (3, 6, 42), (4, 7, 462)])
+                                     (3, 6, 42), (4, 7, 462), (3, 8, 6006),
+                                     (4, 8, 24024)])
 def test_triangulation_volume(k, n, vol):
     assert triangulation_volume(k, n) == vol
+
+
+def test_triangulation_volume_names_a_non_unimodular_collection(monkeypatch):
+    # doubling v_J makes every simplex holding J of volume 2
+    J = (1, 3, 5)
+    v_root = polytope.v_root
+    monkeypatch.setattr(polytope, "v_root", lambda I, k, n: (
+        {key: 2 * c for key, c in v_root(I, k, n).items()} if I == J else v_root(I, k, n)))
+    with pytest.raises(AssertionError, match=r"non-unimodular collection .*\(1, 3, 5\).*: \|det\| 2"):
+        triangulation_volume(3, 6)
+
+
+ROOT_POINTS = {(k, n): [grid_point(v_root(J, k, n), k, n) for J in nonfrozen_subsets(k, n)]
+               + [grid_point({}, k, n)] for (k, n) in [(3, 6), (4, 7), (2, 7)]}
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def root_hull_queries(draw):
+    """A rational point near the hull of all root points at (3,6), (4,7) or
+    (2,7), or of a few of them (a lower-dimensional set)."""
+    pts = ROOT_POINTS[draw(st.sampled_from(sorted(ROOT_POINTS)))]
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                            min_size=len(pts), max_size=len(pts)))
+    scale = draw(st.fractions(min_value=0, max_value=2, max_denominator=5)) / (sum(weights) or 1)
+    p = [scale * sum(w * q[t] for w, q in zip(weights, pts)) for t in range(len(pts[0]))]
+    if draw(st.booleans()):
+        p[draw(st.integers(0, len(p) - 1))] += draw(small)
+    return tuple(p), pts
+
+
+@st.composite
+def rational_hull_queries(draw):
+    """Rational points spanning at most d dimensions of R^m, and a point of
+    their linear span or of R^m."""
+    d, extra = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    A = [[draw(small) for _ in range(d)] for _ in range(d + extra)]
+    image = lambda x: tuple(sum(a * y for a, y in zip(row, x)) for row in A)
+    pts = [image(x) for x in draw(st.lists(st.tuples(*[small] * d), min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        return image(draw(st.tuples(*[small] * d))), pts
+    return draw(st.tuples(*[small] * (d + extra))), pts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(root_hull_queries(), rational_hull_queries()))
+def test_in_convex_hull_matches_double_description(query):
+    p, pts = query
+    assert in_convex_hull(p, pts) == hull_of_points(pts).contains(p)
 
 
 def test_omega_vertices():
