@@ -188,6 +188,9 @@ def cmd_kinematics(args):
                             "nonfrozen": len(B.nonfrozen)})
     if args.action == "eta-to-s":
         etas = _load_subset_map(args.input, "eta", k, n)
+        gap = next((J for J in combinat.nonfrozen_subsets(k, n) if J not in etas), None)
+        if gap:
+            raise ValueError(f"{args.input}: no eta for the subset {roots.subset_key(gap)}")
         point = kinematics.kin_basis(k, n).point_from_eta(etas)
         return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
                             "s": {roots.subset_key(J): str(v)

@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm, prod
+from math import comb, prod
 
 from . import linalg
 from .combinat import (_fold_maximal_noncrossing, enumerate_maximal_noncrossing,
@@ -64,7 +64,7 @@ class KinFunctional:
         for J, c in pairs:
             acc[J] = acc.get(J, 0) + c
         out = cls(k, n)
-        out.eta = {J: c.numerator if c.denominator == 1 else c for J, c in acc.items() if c}
+        out.eta = {J: linalg._exact(c) for J, c in acc.items() if c}
         return out
 
     def __add__(self, other):
@@ -340,8 +340,7 @@ def nc_amplitude(k, n, values, max_collections=200000):
             for J in coll:
                 if not F(values[J]):
                     raise AmplitudePole(coll)
-    L = lcm(*[v.denominator for v in vals])
-    a = [v.numerator * (L // v.denominator) for v in vals]
+    a, L = linalg._integral(vals)
     P = prod(a)
     total = 0
 

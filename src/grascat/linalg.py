@@ -1,21 +1,24 @@
-"""Exact linear algebra on lists of lists of ints or Fractions.
+"""Exact linear algebra on lists of lists of ints or Fractions, and the
+one rule for exact numbers that every module follows: `_integral` clears
+a vector's denominators, `_primitive` scales it to coprime ints, and
+`_exact` holds a value as an int when it is integral, else as a Fraction.
 
 Every exact elimination runs through one fraction-free row update,
 `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante on Python
 ints), the simplex tableau of `polytope.in_convex_hull` and the volume fold
 of `polytope.triangulation_volume`.  `_eliminate` scales each row to
-integers by the lcm of its denominators; every update ``(p*a - f*b) //
-prev`` divides exactly, as each entry stays a minor of the scaled matrix.
-All pivots end equal to one value ``d``, so the reduced matrix divided by
-``d`` is the reduced row echelon form.  Rank, determinant, solutions and
-null spaces are read off it; only those final entries become Fractions.
-First-nonzero pivoting keeps every operation deterministic, and the RREF
-is unique, so results do not depend on the pivot order.
+integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
+exactly, as each entry stays a minor of the scaled matrix.  All pivots end
+equal to one value ``d``, so the reduced matrix divided by ``d`` is the
+reduced row echelon form.  Rank, determinant, solutions and null spaces
+are read off it; only those final entries become Fractions.  First-nonzero
+pivoting keeps every operation deterministic, and the RREF is unique, so
+results do not depend on the pivot order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 F = Fraction
 
@@ -29,15 +32,9 @@ def _eliminate(rows, ncols=None):
     common pivot value d, the sign of the row permutation and the product
     of the row scales.
     """
-    M = []
-    scale = 1
-    for row in rows:
-        # a list, not a generator: the argument tuple built from a generator
-        # is resized rather than taken from the tuple free list, but is
-        # still released to it, so that list would fill up for each width
-        den = lcm(*[c.denominator for c in row])
-        M.append([c.numerator * (den // c.denominator) for c in row])
-        scale *= den
+    scaled = [_integral(row) for row in rows]
+    M = [ints for ints, _den in scaled]
+    scale = prod(den for _ints, den in scaled)
     m = len(M)
     if ncols is None:
         ncols = len(M[0]) if M else 0
@@ -71,6 +68,30 @@ def _pivot(M, r, col, prev):
             f = row[col]
             M[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
     return p
+
+
+def _integral(vec):
+    """(ints, den) for a sequence of ints and Fractions: den the lcm of the
+    denominators, ints the list of den times each entry."""
+    # a list, not a generator: the argument tuple built from a generator
+    # is resized rather than taken from the tuple free list, but is
+    # still released to it, so that list would fill up for each width
+    den = lcm(*[c.denominator for c in vec])
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _primitive(vec):
+    """The positive multiple of a rational vector whose entries are coprime
+    ints, as a tuple (the zero vector stays zero)."""
+    ints, _den = _integral(vec)
+    g = gcd(*ints)
+    return tuple([v // g for v in ints]) if g else tuple(ints)
+
+
+def _exact(x):
+    """The exact value of x: an int when it is integral, else a Fraction."""
+    x = x if isinstance(x, (int, F)) else F(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def rank(rows):

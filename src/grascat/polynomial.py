@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import random
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 
-from .combinat import compatibility_degree, is_frozen, is_weakly_separated, nonfrozen_subsets
+from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
+                       is_frozen, is_weakly_separated, nonfrozen_subsets)
+from .linalg import _exact, _integral
 
 F = Fraction
 
@@ -172,7 +175,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, F)):
             other = Poly.const(self.k, self.n, other)
-        return (self.k, self.n) == (other.k, other.n) and _sameterms(self.terms, other.terms)
+        # an int and the equal Fraction compare equal, so do the term dicts
+        return (self.k, self.n) == (other.k, other.n) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.k, self.n, self.key()))
@@ -194,23 +198,19 @@ class Poly:
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
         primitive part having integer coprime coefficients, positive leading
-        coefficient and no common variable factor."""
+        coefficient and no common variable factor.  The scalar is +-g / den
+        for the ints den * c of `linalg._integral` and g their gcd, which for
+        reduced fractions c is gcd(numerators) / lcm(denominators)."""
         if not self.terms:
             return F(0), (0,) * self.nvars, Poly.zero(self.k, self.n)
-        coeffs = [F(c) for c in self.terms.values()]
-        scale = F(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
+        ints, den = _integral(self.terms.values())
+        g = gcd(*ints)
+        if self.terms[max(self.terms, key=lambda e: (sum(e), e))] < 0:
+            g = -g
         mono = tuple([min(col) for col in zip(*self.terms)])
-        terms = {}
-        for e, c in self.terms.items():
-            q = F(c) / scale
-            e2 = tuple([x - y for x, y in zip(e, mono)])
-            terms[e2] = q.numerator if q.denominator == 1 else q
-        prim = Poly(self.k, self.n, terms)
-        lead = prim.terms[max(prim.terms, key=lambda e: (sum(e), e))]
-        if lead < 0:
-            scale = -scale
-            prim = -prim
-        return scale, mono, prim
+        terms = {tuple([x - y for x, y in zip(e, mono)]): c // g
+                 for e, c in zip(self.terms, ints)}
+        return F(g, den), mono, Poly(self.k, self.n, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -226,15 +226,6 @@ class Poly:
             body = "*".join(mono) or "1"
             bits.append(f"{c}*{body}" if c != 1 or not mono else body)
         return " + ".join(bits)
-
-
-def _sameterms(a, b):
-    if len(a) != len(b):
-        return False
-    for e, c in a.items():
-        if b.get(e) != c and F(b.get(e, 0)) != F(c):
-            return False
-    return True
 
 
 def poly_from_json(obj, k, n):
@@ -276,10 +267,7 @@ def divide_exact(f, g):
         diff = tuple(a - b for a, b in zip(flead, glead))
         if any(d < 0 for d in diff):
             raise ArithmeticError("non-exact polynomial division")
-        q = F(fk[flead]) / F(gc)
-        if q.denominator == 1:
-            q = q.numerator
-        quot[diff] = q
+        quot[diff] = q = _exact(F(fk[flead], gc))
         for e, c in g.terms.items():
             e2 = tuple(a + b for a, b in zip(diff, e))
             s = fk.get(e2, 0) - q * c
@@ -610,15 +598,23 @@ def resolved_minor(J, n):
     return divide_exact(num, den)
 
 
+def _graph_row(J, k, n):
+    """(nonfrozen subsets, mask of those crossing J, mask of those before J
+    not crossing it), read off `combinat._noncrossing_graph`; both masks are
+    0 for a frozen J, which crosses nothing and is weakly separated from all."""
+    verts, adj = _noncrossing_graph(k, n)
+    t = bisect_left(verts, J)
+    if verts[t:t + 1] != [J]:
+        return verts, 0, 0
+    return verts, ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t), adj[t] & ((1 << t) - 1)
+
+
 def needs_resolution(J, n):
     """Lexicographic criterion: some I < J with (I, J) noncrossing and not
     weakly separated."""
-    for I in nonfrozen_subsets(3, n):
-        if I >= tuple(J):
-            break
-        if compatibility_degree(I, J, n) == 0 and not is_weakly_separated(I, J, n):
-            return True
-    return False
+    J = tuple(J)
+    verts, _cross, before = _graph_row(J, 3, n)
+    return any(not is_weakly_separated(verts[i], J, n) for i in _bits(before))
 
 
 def resolved_count_formula(n):
@@ -630,46 +626,32 @@ def resolved_count_formula(n):
 # u-variables
 
 def u_variable(J, k, n):
-    """Planar face ratio u_J as a normalized FactoredRatio, k in {3, 4}."""
-    J = tuple(J)
+    """Planar face ratio u_J as a normalized FactoredRatio, k in {3, 4}, by
+    one ladder rule in 0-based positions: with J[q+1:] the run of labels J
+    ends with at n (q = k - 1 if none) and up, B' the tuples J, B with their
+    first entry raised by one (the orientation the binary identities pin),
+    u_J is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J)
+    tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q)."""
+    J = check_subset(J, k, n)
     if is_frozen(J, n):
         raise ValueError(f"{J} is frozen; no u-variable")
-    if k == 3:
-        i, j, kk = J
-        if (j, kk) == (n - 1, n):
-            # same orientation as the k=4 ladder; the binary identities pin
-            # the numerator to tau_{i+1} rather than tau_{i-1}
-            num, den = [(i + 1, n - 1, n)], [(i, n - 1, n)]
-        elif kk == n:
-            num = [(i + 1, j, kk), (i, j + 1, j + 2)]
-            den = [(i, j, kk), (i + 1, j + 1, j + 2)]
-        else:
-            num = [(i + 1, j, kk), (i, j, kk + 1)]
-            den = [(i, j, kk), (i + 1, j, kk + 1)]
-    elif k == 4:
-        i, j, kk, l = J
-        if (j, kk, l) == (n - 2, n - 1, n):
-            num, den = [(i + 1, n - 2, n - 1, n)], [(i, n - 2, n - 1, n)]
-        elif (kk, l) == (n - 1, n):
-            num = [(i + 1, j, n - 1, n), (i, j + 1, j + 2, j + 3)]
-            den = [(i, j, n - 1, n), (i + 1, j + 1, j + 2, j + 3)]
-        elif l == n:
-            num = [(i + 1, j, kk, n), (i, j, kk + 1, kk + 2)]
-            den = [(i, j, kk, n), (i + 1, j, kk + 1, kk + 2)]
-        else:
-            num = [(i + 1, j, kk, l), (i, j, kk, l + 1)]
-            den = [(i, j, kk, l), (i + 1, j, kk, l + 1)]
-    else:
+    if k not in (3, 4):
         raise ValueError("u-variables implemented for k = 3 and 4 only")
-    return _quotient([tau(tuple(sorted(I)), k, n) for I in num],
-                     [tau(tuple(sorted(I)), k, n) for I in den], k, n)
+    q = next(q for q in range(k - 1, -1, -1) if J[q] != n - k + 1 + q)
+    num, den = [(J[0] + 1, *J[1:])], [J]
+    if q:
+        B = J[:q] + tuple(range(J[q] + 1, J[q] + k - q + 1))
+        num.append(B)
+        den.append((B[0] + 1, *B[1:]))
+    return _quotient([tau(I, k, n) for I in num], [tau(I, k, n) for I in den], k, n)
 
 
 def crossing_profile(J, k, n):
-    """Sorted list of (I, c_{I,J}) over subsets crossing J."""
+    """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
+    non-neighbours in the noncrossing graph."""
     J = tuple(J)
-    return [(I, c) for I in nonfrozen_subsets(k, n)
-            if I != J and (c := compatibility_degree(I, J, n))]
+    verts, cross, _before = _graph_row(J, k, n)
+    return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
 
 
 def _first_random_failure(identities, k, n, trials, seed):

@@ -7,19 +7,18 @@ through `linalg._pivot`: an integer simplex tableau, and a fold over the
 Bron-Kerbosch tree of maximal noncrossing collections.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
-is integral and a Fraction otherwise (`_num`); inequality rows and
-double-description rays are primitive int vectors.  Polytopes that live
-in an affine subspace carry explicit equalities and all conversions
-happen in reduced coordinates of the affine hull.  Combinatorial
-questions are answered from vertex-facet incidence bitmasks: a point is a
-vertex iff the facets tight at it meet in it alone, and the face lattice
-is walked one dimension at a time.
+is integral and a Fraction otherwise (`linalg._exact`); inequality rows and
+double-description rays are primitive int vectors (`linalg._primitive`).
+Polytopes that live in an affine subspace carry explicit equalities and
+all conversions happen in reduced coordinates of the affine hull.
+Combinatorial questions are answered from vertex-facet incidence bitmasks:
+a point is a vertex iff the facets tight at it meet in it alone, and the
+face lattice is walked one dimension at a time.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 from . import linalg
 from .combinat import _bits, _fold_maximal_noncrossing, nonfrozen_subsets
@@ -39,14 +38,15 @@ class ResourceCap(RuntimeError):
 def in_convex_hull(p, points):
     """Is p a convex combination of the given points?  Phase-1 simplex
     with Bland's rule on an integer tableau: all rows, so the artificials
-    and the objective (the last row), are scaled by one lcm L, which keeps
-    Bland's pivot sequence; `linalg._pivot` keeps the tableau D > 0 times
-    the rational one (D the basis determinant), so D cancels in ratios."""
+    and the objective (the last row), are scaled by one common denominator
+    L (`linalg._integral`), which keeps Bland's pivot sequence;
+    `linalg._pivot` keeps the tableau D > 0 times the rational one (D the
+    basis determinant), so D cancels in ratios."""
     if not points:
         return False
     N = len(points)
-    L = lcm(*[x.denominator for x in p], *[x.denominator for q in points for x in q])
-    T = [[x.numerator * (L // x.denominator) for x in t] for t in zip(*points, p, strict=True)]
+    flat, L = linalg._integral([x for t in zip(*points, p, strict=True) for x in t])
+    T = [flat[i:i + N + 1] for i in range(0, len(flat), N + 1)]
     T.append([L] * (N + 1))
     T = [row if row[-1] >= 0 else [-x for x in row] for row in T]
     m = len(T)
@@ -84,21 +84,6 @@ def extreme_points(points):
 # ---------------------------------------------------------------------------
 # double description
 
-def _num(x):
-    """The exact value of x: an int when it is integral, else a Fraction."""
-    x = F(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _primitive(vec):
-    """The positive multiple of a rational vector whose entries are coprime
-    ints (the zero vector stays zero)."""
-    den = lcm(*[v.denominator for v in vec])
-    ints = [v.numerator * (den // v.denominator) for v in vec]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g else tuple(ints)
-
-
 def _independent_rows(rows):
     """Indices of the first maximal linearly independent subfamily of rows
     (each row kept iff it is independent of the rows before it): the pivot
@@ -114,14 +99,14 @@ def cone_rays(rows, max_rays=200000):
     Each row is replaced by its primitive int multiple, which leaves the
     cone as it is and keeps every dot product in ints.
     """
-    rows = [_primitive(row) for row in rows]
+    rows = [linalg._primitive(row) for row in rows]
     D = len(rows[0])
     # initial simplicial subcone from D independent rows
     idxs = _independent_rows(rows)
     if len(idxs) < D:
         raise ValueError("cone is not full-dimensional (or input rank-deficient)")
     inv = linalg.inverse([rows[i] for i in idxs])
-    rays = [_primitive([inv[r][c] for r in range(D)]) for c in range(D)]
+    rays = [linalg._primitive([inv[r][c] for r in range(D)]) for c in range(D)]
     tight = []
     processed = list(idxs)
     for ray in rays:
@@ -155,8 +140,8 @@ def cone_rays(rows, max_rays=200000):
                         break
                 if not adjacent:
                     continue
-                r = _primitive([vals[tp] * rays[tm][c] - vals[tm] * rays[tp][c]
-                                for c in range(D)])
+                r = linalg._primitive([vals[tp] * rays[tm][c] - vals[tm] * rays[tp][c]
+                                       for c in range(D)])
                 new_rays.append(r)
                 new_tight.append(common | (1 << pos))
         keep_idx = plus + zero
@@ -232,15 +217,15 @@ def hull_of_points(points, ambient=None):
     """PolytopeRep of the convex hull of a finite point set: facets via the
     double description of the dual cone, vertices as the points that the
     facet incidence singles out."""
-    pts = sorted(set(tuple(_num(x) for x in p) for p in points))
+    pts = sorted(set(tuple(linalg._exact(x) for x in p) for p in points))
     if not pts:
         raise ValueError("empty point set")
     m = len(pts[0])
     origin, basis = _affine_basis(pts)
     d = len(basis)
     # equalities: null space of basis (R^m for one point), anchored at origin
-    eqs = [(_num(-sum(a * x for a, x in zip(nv, origin))), tuple(_num(a) for a in nv))
-           for nv in linalg.nullspace(basis or [[0] * m])]
+    eqs = [(linalg._exact(-sum(a * x for a, x in zip(nv, origin))),
+            tuple(linalg._exact(a) for a in nv)) for nv in linalg.nullspace(basis or [[0] * m])]
     if d == 0:
         return PolytopeRep([pts[0]], [], eqs, m)
     rays = cone_rays([list(p) + [1] for p in _reduce_points(pts, origin, basis)])
@@ -290,7 +275,7 @@ def _lift_inequality(c, a, origin, basis):
 
 
 def _normalize_ineq(c, a):
-    vec = _primitive([c, *a])
+    vec = linalg._primitive([c, *a])
     return vec[0], vec[1:]
 
 
@@ -309,13 +294,13 @@ def dd_convert(vertices=None, inequalities=None, equalities=(), ambient=None):
 
 def polytope_from_inequalities(ineqs, eqs, ambient):
     """PolytopeRep from c + a . x >= 0 rows and affine-hull equalities."""
-    ineqs = [(_num(c), tuple(_num(x) for x in a)) for (c, a) in ineqs]
-    eqs = [(_num(c), tuple(_num(x) for x in a)) for (c, a) in eqs]
+    ineqs = [(linalg._exact(c), tuple(linalg._exact(x) for x in a)) for (c, a) in ineqs]
+    eqs = [(linalg._exact(c), tuple(linalg._exact(x) for x in a)) for (c, a) in eqs]
     if eqs:
         # parameterize the affine subspace: x = x0 + B t
         A = [list(a) for (_c, a) in eqs]
         x0 = _particular_solution(A, [-c for (c, _a) in eqs], ambient)
-        basis = [[_num(x) for x in row] for row in linalg.nullspace(A)]
+        basis = [[linalg._exact(x) for x in row] for row in linalg.nullspace(A)]
     else:
         x0 = (0,) * ambient
         basis = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
@@ -329,7 +314,7 @@ def polytope_from_inequalities(ineqs, eqs, ambient):
             raise ValueError("unbounded polyhedron")
         # x = x0 + B t with t = ray[:d] / ray[d]
         verts.append(tuple(
-            _num(F(x0[j] * ray[d] + sum(ray[i] * basis[i][j] for i in range(d)), ray[d]))
+            linalg._exact(F(x0[j] * ray[d] + sum(ray[i] * basis[i][j] for i in range(d)), ray[d]))
             for j in range(ambient)))
     return PolytopeRep(sorted(verts), [_normalize_ineq(c, a) for (c, a) in ineqs],
                        [_normalize_ineq(c, a) for (c, a) in eqs], ambient)
@@ -342,7 +327,7 @@ def _particular_solution(A, b, ambient):
         raise ValueError("inconsistent equalities")
     sol = [0] * ambient
     for row, col in zip(M, pivots):
-        sol[col] = _num(F(row[ambient], d))
+        sol[col] = linalg._exact(F(row[ambient], d))
     return tuple(sol)
 
 
@@ -375,7 +360,7 @@ def face_lattice_f_vector(P):
 
 def grid_point(vec_dict, k, n):
     """Dense tuple of a sparse grid vector."""
-    return tuple(_num(vec_dict.get((i, j), 0))
+    return tuple(linalg._exact(vec_dict.get((i, j), 0))
                  for i in range(1, k) for j in range(1, n - k + 1))
 
 
@@ -405,7 +390,7 @@ def row_sum_equalities(k, n, lam=None):
         coeffs = [0] * m
         for j in range(n - k):
             coeffs[i * (n - k) + j] = 1
-        eqs.append((_num(-lam[i]), tuple(coeffs)))
+        eqs.append((linalg._exact(-lam[i]), tuple(coeffs)))
     return eqs
 
 
@@ -587,11 +572,11 @@ def lift_and_lower_hull(vertices, heights):
     """
     if len(vertices) != len(heights):
         raise ValueError("need one height per vertex")
-    base = [tuple(_num(x) for x in v) for v in vertices]
+    base = [tuple(linalg._exact(x) for x in v) for v in vertices]
     origin, basis = _affine_basis(sorted(set(base)))
     red = _reduce_points(base, origin, basis)
     d = len(basis)
-    lifted = [p + (_num(h),) for p, h in zip(red, heights)]
+    lifted = [p + (linalg._exact(h),) for p, h in zip(red, heights)]
     lorigin, lbasis = _affine_basis(sorted(set(lifted)))
     if len(lbasis) < d + 1:
         return [tuple(range(len(vertices)))]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
 # compatibility_degree stays importable from here for existing callers
@@ -184,8 +183,7 @@ class _Fan:
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of nonzero lattice coordinates."""
         d = self.dim
-        scale = lcm(*[c.denominator for c in target])
-        goal = [c.numerator * (scale // c.denominator) for c in target]
+        goal, scale = linalg._integral(target)
         cone = list(self.start)
         # row p = [inv_p | a_p | b_p], with a_p = 1 + eps^(p+1) at the start
         rows = [inv_p + [1] + [int(q == p) for q in range(d)]

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from grascat.cli import main
+from grascat.combinat import nonfrozen_subsets
 
 
 def run(capsys, *argv):
@@ -297,9 +298,24 @@ def test_frozen_eta_key(tmp_path, capsys, argv, zero_code):
     code, data = _error(capsys, *argv, str(path))
     assert code == 2 and data["schema"] == "grascat/1"
     assert "frozen subset 1,2,3" in data["error"]
-    # a frozen eta is zero on K(k,n), so giving it as zero is allowed
-    path.write_text(json.dumps({"eta": {"1,2,3": "0", "1,2,4": "1"}}))
+    # a frozen eta is zero on K(k,n), so giving it as zero is allowed;
+    # eta-to-s needs every nonfrozen eta, amplitude reads missing ones as poles
+    etas = {"1,2,3": "0", "1,2,4": "1"}
+    if argv[0] == "kinematics":
+        etas.update({",".join(map(str, J)): "1" for J in nonfrozen_subsets(3, 6)})
+    path.write_text(json.dumps({"eta": etas}))
     assert main([*argv, str(path)]) == zero_code
+
+
+def test_eta_to_s_needs_every_nonfrozen_eta(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"eta": {"1,2,4": 5, "1,3,5": 2}}))
+    code, data = _error(capsys, "kinematics", "eta-to-s", "--k", "3", "--n", "6",
+                        "--input", str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    # the first nonfrozen subset missing, in sorted order
+    assert data["error"].endswith("no eta for the subset 1,2,5")
+    assert capsys.readouterr().out == ""
 
 
 def test_s_to_eta_needs_momentum_conservation(tmp_path, capsys):

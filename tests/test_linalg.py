@@ -3,8 +3,11 @@ seeded random int, 0/+-1 and Fraction matrices, rank-deficient ones
 included."""
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grascat import linalg
 
@@ -105,3 +108,41 @@ def test_nullspace_pinned_echelon_form():
         [F(-1, 2), 0, 1, 0, 1],
     ]
     assert all(isinstance(x, F) for vec in linalg.nullspace(A) for x in vec)
+
+
+# ---------------------------------------------------------------------------
+# the exact-number rule
+
+exacts = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12))
+vectors = st.lists(exacts, max_size=6)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(vectors)
+def test_integral_clears_the_least_denominator(vec):
+    ints, den = linalg._integral(vec)
+    assert type(ints) is list and all(type(a) is int for a in ints)
+    assert ints == [den * x for x in vec]
+    # no smaller den: a common factor of den and every int would divide out
+    assert den >= 1 and gcd(den, *ints) == 1
+
+
+@settings(derandomize=True, max_examples=300)
+@given(vectors)
+def test_primitive_is_the_coprime_positive_multiple(vec):
+    prim = linalg._primitive(vec)
+    assert type(prim) is tuple and all(type(a) is int for a in prim)
+    assert gcd(*prim) == (1 if any(vec) else 0)
+    # the same ray: one positive ratio on the support, zeros where vec has them
+    assert [a == 0 for a in prim] == [x == 0 for x in vec]
+    ratios = {F(a) / x for a, x in zip(prim, vec) if x}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    assert linalg._primitive(list(prim)) == prim
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.one_of(exacts, exacts.map(str)))
+def test_exact_is_int_iff_integral(x):
+    value = linalg._exact(x)
+    assert value == F(x)
+    assert type(value) is (int if F(x).denominator == 1 else F)

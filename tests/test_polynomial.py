@@ -404,3 +404,118 @@ def test_batch_random_witness_is_first_point(broken_profiles, k, n):
     assert verdict["pass"] is False
     assert verdict["J"] == list(nonfrozen_subsets(k, n)[0])
     assert verdict["witness"] == _first_point(k, n, 5)
+
+
+# ---------------------------------------------------------------------------
+# references: the exact-number rule, the u-variable ladder and the crossing
+# profile against the formulas they replaced
+
+def _content_split_reference(p):
+    """content_split with one Fraction per term: the content is
+    gcd(numerators) / lcm(denominators)."""
+    from math import gcd, lcm
+    if not p.terms:
+        return F(0), (0,) * p.nvars, Poly.zero(p.k, p.n)
+    coeffs = [F(c) for c in p.terms.values()]
+    scale = F(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
+    mono = tuple(min(col) for col in zip(*p.terms))
+    terms = {}
+    for e, c in p.terms.items():
+        q = F(c) / scale
+        terms[tuple(x - y for x, y in zip(e, mono))] = q.numerator if q.denominator == 1 else q
+    prim = Poly(p.k, p.n, terms)
+    if prim.terms[max(prim.terms, key=lambda e: (sum(e), e))] < 0:
+        scale, prim = -scale, -prim
+    return scale, mono, prim
+
+
+SPLIT_KINDS = ("int", "rational", "negative-leading", "common-monomial")
+
+
+def _split_cases(seed, count=160):
+    rng = random.Random(seed)
+    for t in range(count):
+        kind = SPLIT_KINDS[t % 4]
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            c = (rng.randint(-30, 30) if kind == "int"
+                 else F(rng.randint(-30, 30), rng.randint(1, 12)))
+            if c:
+                terms[tuple(rng.randint(0, 3) for _ in range(6))] = c
+        if terms and kind == "negative-leading":
+            lead = max(terms, key=lambda e: (sum(e), e))
+            terms[lead] = -abs(terms[lead])
+        if kind == "common-monomial":
+            shift = [rng.randint(1, 3) for _ in range(6)]
+            terms = {tuple(x + s for x, s in zip(e, shift)): c for e, c in terms.items()}
+        yield kind, Poly(3, 6, terms)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_content_split_matches_fraction_reference(seed):
+    seen = set()
+    for kind, p in _split_cases(seed):
+        scale, mono, prim = p.content_split()
+        ref_scale, ref_mono, ref_prim = _content_split_reference(p)
+        assert (scale, mono, prim.terms) == (ref_scale, ref_mono, ref_prim.terms)
+        assert type(scale) is F and all(type(c) is int for c in prim.terms.values())
+        seen.add(kind)
+    assert seen == set(SPLIT_KINDS)
+
+
+def test_content_split_builds_one_fraction(monkeypatch):
+    made = []
+
+    class Counting(F):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    p = tau((2, 5, 9), 3, 12) * 6 + tau((1, 4, 8), 3, 12) * 4
+    monkeypatch.setattr(polynomial, "F", Counting)
+    scale, _mono, prim = p.content_split()
+    assert scale == 2 and len(prim) == len(p) and len(made) == 1
+
+
+def _u_variable_table(J, k, n):
+    """The seven hand-written k = 3 and k = 4 cases of u_J as (num, den)
+    tau index lists."""
+    if k == 3:
+        i, j, kk = J
+        if (j, kk) == (n - 1, n):
+            return [(i + 1, n - 1, n)], [(i, n - 1, n)]
+        if kk == n:
+            return [(i + 1, j, kk), (i, j + 1, j + 2)], [(i, j, kk), (i + 1, j + 1, j + 2)]
+        return [(i + 1, j, kk), (i, j, kk + 1)], [(i, j, kk), (i + 1, j, kk + 1)]
+    i, j, kk, l = J
+    if (j, kk, l) == (n - 2, n - 1, n):
+        return [(i + 1, n - 2, n - 1, n)], [(i, n - 2, n - 1, n)]
+    if (kk, l) == (n - 1, n):
+        return ([(i + 1, j, n - 1, n), (i, j + 1, j + 2, j + 3)],
+                [(i, j, n - 1, n), (i + 1, j + 1, j + 2, j + 3)])
+    if l == n:
+        return ([(i + 1, j, kk, n), (i, j, kk + 1, kk + 2)],
+                [(i, j, kk, n), (i + 1, j, kk + 1, kk + 2)])
+    return [(i + 1, j, kk, l), (i, j, kk, l + 1)], [(i, j, kk, l), (i + 1, j, kk, l + 1)]
+
+
+@pytest.mark.parametrize("k,n", [(3, n) for n in range(5, 13)] + [(4, n) for n in range(6, 12)])
+def test_u_variable_ladder_matches_case_table(k, n):
+    for J in nonfrozen_subsets(k, n):
+        num, den = _u_variable_table(J, k, n)
+        ref = polynomial._quotient([tau(tuple(sorted(I)), k, n) for I in num],
+                                   [tau(tuple(sorted(I)), k, n) for I in den], k, n)
+        assert _fields(u_variable(J, k, n)) == _fields(ref), J
+
+
+@pytest.mark.parametrize("k,n", [(3, n) for n in range(6, 13)] + [(4, 8), (4, 9)])
+def test_crossing_profile_matches_definition(k, n):
+    from grascat.combinat import compatibility_degree, is_frozen
+    nf = nonfrozen_subsets(k, n)
+    frozen = 0
+    for J in combinations(range(1, n + 1), k):
+        expected = [(I, c) for I in nf if I != J and (c := compatibility_degree(I, J, n))]
+        assert polynomial.crossing_profile(J, k, n) == expected, J
+        frozen += is_frozen(J, n)
+        assert expected or is_frozen(J, n)
+    assert frozen == n
