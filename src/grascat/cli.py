@@ -44,6 +44,8 @@ def _load_subset_map(path, key, k, n):
     out = {}
     for text, val in data[key].items():
         J = combinat.check_subset(roots.parse_subset(text), k, n)
+        if J in out:
+            raise ValueError(f"two {key} keys name the subset {roots.subset_key(J)}")
         out[J] = roots.parse_value(val)
         if key == "eta" and out[J] and combinat.is_frozen(J, n):
             raise ValueError(f"eta of the frozen subset {text} is zero on K({k},{n}), "
@@ -275,8 +277,9 @@ def build_parser():
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", default=None)
+
+    def max_cliques(p):
         p.add_argument("--max-cliques", type=int, default=200000)
-        p.add_argument("--unsafe-large", action="store_true")
 
     p = sub.add_parser("nc", help="noncrossing complex queries")
     p.add_argument("action", choices=("count", "list", "degree"))
@@ -284,6 +287,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--input")
     common(p, kn=False)
+    max_cliques(p)
     p.set_defaults(func=cmd_nc)
 
     p = sub.add_parser("decompose", help="noncrossing expansion of a combination")
@@ -293,6 +297,7 @@ def build_parser():
 
     p = sub.add_parser("volume", help="relative volume of the root polytope")
     common(p)
+    max_cliques(p)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("pk", help="PK polytope reports")
@@ -319,8 +324,10 @@ def build_parser():
                    help="JSON file with an 'eta' map, or 'random-interior'")
     p.add_argument("--shift", action="store_true",
                    help="apply the (3,n) kinematic shift to the eta values")
+    p.add_argument("--unsafe-large", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     common(p)
+    max_cliques(p)
     p.set_defaults(func=cmd_amplitude)
 
     p = sub.add_parser("kinematics", help="basis-change utilities")
@@ -375,7 +382,7 @@ def main(argv=None):
             parser.error("--shift is defined for k = 3")
     try:
         return args.func(args)
-    except (combinat.ResourceLimitExceeded, polytope.ResourceCap, ValueError, OSError) as exc:
+    except (combinat.ResourceLimitExceeded, ValueError, OSError) as exc:
         return _error(str(exc))
     except kinematics.AmplitudePole as exc:
         return _error(str(exc), collection=[roots.subset_key(J) for J in exc.collection])

@@ -9,6 +9,8 @@ Bron-Kerbosch tree of maximal noncrossing collections.
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); inequality rows and
 double-description rays are primitive int vectors (`linalg._primitive`).
+The double description holds each extreme ray of the cone of the rows so
+far exactly once, with the rows tight on it as a bitmask.
 Polytopes that live in an affine subspace carry explicit equalities and
 all conversions happen in reduced coordinates of the affine hull.
 Combinatorial questions are answered from vertex-facet incidence bitmasks:
@@ -21,15 +23,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .combinat import _bits, _fold_maximal_noncrossing, nonfrozen_subsets
-from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range
+from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing,
+                       nonfrozen_subsets)
+from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import gamma_hat, v_root, lattice_coords
 
 F = Fraction
-
-
-class ResourceCap(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -97,70 +96,49 @@ def cone_rays(rows, max_rays=200000):
 
     Incremental double description with the combinatorial adjacency test.
     Each row is replaced by its primitive int multiple, which leaves the
-    cone as it is and keeps every dot product in ints.
+    cone as it is and keeps every dot product in ints.  The start cone is
+    simplicial on D independent rows: ray c, column c of their inverse, is
+    tight on each start row but the c-th.  Every other row, in order, keeps
+    the rays on its nonnegative side, in their order, and appends one ray
+    per adjacent (+, -) pair.
+    Tight sets are bitmasks over row indices.
+
+    No ray repeats (Fukuda & Prodon, Double description method revisited,
+    1996): a pair is adjacent iff no third ray is tight wherever both are,
+    so the two span a 2-face with no other old ray on it, and the new ray
+    is where that face meets the new hyperplane, in its relative interior,
+    which it shares with no other face.
     """
     rows = [linalg._primitive(row) for row in rows]
     D = len(rows[0])
-    # initial simplicial subcone from D independent rows
     idxs = _independent_rows(rows)
     if len(idxs) < D:
         raise ValueError("cone is not full-dimensional (or input rank-deficient)")
     inv = linalg.inverse([rows[i] for i in idxs])
     rays = [linalg._primitive([inv[r][c] for r in range(D)]) for c in range(D)]
-    tight = []
-    processed = list(idxs)
-    for ray in rays:
-        mask = 0
-        for pos, i in enumerate(processed):
-            if sum(a * b for a, b in zip(rows[i], ray)) == 0:
-                mask |= 1 << pos
-        tight.append(mask)
+    start = _mask(idxs)
+    tight = [start & ~(1 << i) for i in idxs]
     for i, row in enumerate(rows):
-        if i in idxs:
+        if start >> i & 1:
             continue
         vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
-        plus = [t for t, v in enumerate(vals) if v > 0]
-        zero = [t for t, v in enumerate(vals) if v == 0]
         minus = [t for t, v in enumerate(vals) if v < 0]
-        if not minus:
-            pos = len(processed)
-            processed.append(i)
-            for t in zero:
-                tight[t] |= 1 << pos
-            continue
         new_rays, new_tight = [], []
-        pos = len(processed)
-        for tp in plus:
+        for tp in (t for t, v in enumerate(vals) if v > 0):
             for tm in minus:
                 common = tight[tp] & tight[tm]
-                adjacent = True
-                for t in range(len(rays)):
-                    if t not in (tp, tm) and tight[t] & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                r = linalg._primitive([vals[tp] * rays[tm][c] - vals[tm] * rays[tp][c]
-                                       for c in range(D)])
-                new_rays.append(r)
-                new_tight.append(common | (1 << pos))
-        keep_idx = plus + zero
-        rays = [rays[t] for t in keep_idx] + new_rays
-        tight = [tight[t] | ((1 << pos) if t in zero else 0) for t in keep_idx] + new_tight
-        processed.append(i)
+                for t, mask in enumerate(tight):
+                    if mask & common == common and t != tp and t != tm:
+                        break  # not adjacent
+                else:
+                    new_rays.append(linalg._primitive(
+                        [vals[tp] * x - vals[tm] * y for x, y in zip(rays[tm], rays[tp])]))
+                    new_tight.append(common | 1 << i)
+        keep = [t for t, v in enumerate(vals) if v >= 0]
+        rays = [rays[t] for t in keep] + new_rays
+        tight = [tight[t] | (vals[t] == 0) << i for t in keep] + new_tight
         if len(rays) > max_rays:
-            raise ResourceCap(f"double description exceeded {max_rays} rays")
-        # dedupe (plus x minus can regenerate an existing ray)
-        seen = {}
-        ded_r, ded_t = [], []
-        for r, t in zip(rays, tight):
-            if r in seen:
-                ded_t[seen[r]] |= t
-            else:
-                seen[r] = len(ded_r)
-                ded_r.append(r)
-                ded_t.append(t)
-        rays, tight = ded_r, ded_t
+            raise ResourceLimitExceeded(f"double description exceeded {max_rays} rays")
     return rays
 
 
@@ -213,7 +191,7 @@ def _affine_basis(points):
     return origin, [diffs[i] for i in _independent_rows(diffs)]
 
 
-def hull_of_points(points, ambient=None):
+def hull_of_points(points):
     """PolytopeRep of the convex hull of a finite point set: facets via the
     double description of the dual cone, vertices as the points that the
     facet incidence singles out."""
@@ -279,31 +257,15 @@ def _normalize_ineq(c, a):
     return vec[0], vec[1:]
 
 
-def dd_convert(vertices=None, inequalities=None, equalities=(), ambient=None):
-    """Double-description conversion between representations: pass a vertex
-    list to get facets, or inequality (and equality) rows to get vertices;
-    either way the result is a full PolytopeRep with incidence."""
-    if (vertices is None) == (inequalities is None):
-        raise ValueError("pass exactly one of vertices / inequalities")
-    if vertices is not None:
-        return hull_of_points(vertices)
-    if ambient is None:
-        ambient = len(inequalities[0][1])
-    return polytope_from_inequalities(inequalities, list(equalities), ambient)
-
-
 def polytope_from_inequalities(ineqs, eqs, ambient):
     """PolytopeRep from c + a . x >= 0 rows and affine-hull equalities."""
     ineqs = [(linalg._exact(c), tuple(linalg._exact(x) for x in a)) for (c, a) in ineqs]
     eqs = [(linalg._exact(c), tuple(linalg._exact(x) for x in a)) for (c, a) in eqs]
-    if eqs:
-        # parameterize the affine subspace: x = x0 + B t
-        A = [list(a) for (_c, a) in eqs]
-        x0 = _particular_solution(A, [-c for (c, _a) in eqs], ambient)
-        basis = [[linalg._exact(x) for x in row] for row in linalg.nullspace(A)]
-    else:
-        x0 = (0,) * ambient
-        basis = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+    # x = x0 + B t: the null space of [a | c] is B padded with 0s, then (x0, 1)
+    null = linalg.nullspace([[*a, c] for (c, a) in eqs] or [[0] * (ambient + 1)])
+    if not null or null[-1][ambient] != 1:
+        raise ValueError("inconsistent equalities")
+    *basis, x0 = [[linalg._exact(x) for x in vec[:ambient]] for vec in null]
     d = len(basis)
     cone = [[sum(x * y for x, y in zip(a, row)) for row in basis]
             + [c + sum(x * y for x, y in zip(a, x0))] for (c, a) in ineqs]
@@ -318,17 +280,6 @@ def polytope_from_inequalities(ineqs, eqs, ambient):
             for j in range(ambient)))
     return PolytopeRep(sorted(verts), [_normalize_ineq(c, a) for (c, a) in ineqs],
                        [_normalize_ineq(c, a) for (c, a) in eqs], ambient)
-
-
-def _particular_solution(A, b, ambient):
-    M, pivots, d, _sign, _scale = linalg._eliminate(
-        [list(A[r]) + [b[r]] for r in range(len(A))], ambient)
-    if any(row[ambient] for row in M[len(pivots):]):
-        raise ValueError("inconsistent equalities")
-    sol = [0] * ambient
-    for row, col in zip(M, pivots):
-        sol[col] = linalg._exact(F(row[ambient], d))
-    return tuple(sol)
 
 
 def face_lattice_f_vector(P):
@@ -520,12 +471,9 @@ def tau_newton_facets(k, n):
     H-rep vertex to lie in the Minkowski sum by comparing the per-summand
     minimum of a functional that the vertex uniquely minimizes.
     """
-    from .polynomial import tau
     factors = []
     for J in combinations(range(1, n + 1), k):
-        pts = newton_points(tau(J, k, n))
-        mono = tuple(min(p[t] for p in pts) for t in range(len(pts[0])))
-        pts = sorted(set(tuple(x - m for x, m in zip(p, mono)) for p in pts))
+        pts = newton_points(tau(J, k, n).content_split()[2])
         if len(pts) > 1:
             factors.append(pts)
     m = (k - 1) * (n - k)
@@ -577,10 +525,9 @@ def lift_and_lower_hull(vertices, heights):
     red = _reduce_points(base, origin, basis)
     d = len(basis)
     lifted = [p + (linalg._exact(h),) for p, h in zip(red, heights)]
-    lorigin, lbasis = _affine_basis(sorted(set(lifted)))
-    if len(lbasis) < d + 1:
-        return [tuple(range(len(vertices)))]
     hull = hull_of_points(lifted)
+    if hull.equalities:
+        return [tuple(range(len(vertices)))]
     cells = []
     for (c, a) in hull.inequalities:
         if a[d] <= 0:

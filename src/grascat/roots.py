@@ -319,9 +319,19 @@ def parse_value(val):
 
 def load_json(path):
     """The JSON document in a file, with decimals read exactly as Fractions
-    (0.1 is 1/10, not the nearest double)."""
+    (0.1 is 1/10, not the nearest double); a key repeated in one object
+    raises ValueError."""
     with open(path) as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=Fraction, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"input JSON repeats the key {key!r}")
+        obj[key] = val
+    return obj
 
 
 def coeffs_from_json(obj):
@@ -331,7 +341,12 @@ def coeffs_from_json(obj):
            if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool)]
     if bad:
         raise ValueError(f"input JSON lacks {', '.join(map(repr, bad))} or has the wrong type")
-    coeffs = {parse_subset(key): parse_value(val) for key, val in obj["coeffs"].items()}
+    coeffs = {}
+    for key, val in obj["coeffs"].items():
+        J = parse_subset(key)
+        if J in coeffs:
+            raise ValueError(f"two coeffs keys name the subset {subset_key(J)}")
+        coeffs[J] = parse_value(val)
     return coeffs, obj["k"], obj["n"]
 
 

@@ -377,3 +377,34 @@ def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action
                         "--input", str(path))
     assert code == 2 and "expected a 4-element subset" in data["error"]
     assert kin_basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (("decompose", "--input"), '{"k": 3, "n": 6, "coeffs": {"1,3,5": 1, " 1,3,5": 2}}',
+     "two coeffs keys name the subset 1,3,5"),
+    (("decompose", "--input"), '{"k": 3, "n": 6, "coeffs": {"1,3,5": 1, "1,3,5": 2}}',
+     "input JSON repeats the key '1,3,5'"),
+    (("amplitude", "--k", "3", "--n", "6", "--eta"), '{"eta": {"1,2,4": 5, "01,2,4": 7}}',
+     "two eta keys name the subset 1,2,4"),
+    (("kinematics", "eta-to-s", "--k", "3", "--n", "6", "--input"),
+     '{"eta": {"1,2,4": 5, "1, 2,4": 7}}', "two eta keys name the subset 1,2,4"),
+    (("kinematics", "s-to-eta", "--k", "3", "--n", "6", "--input"),
+     '{"s": {"1,2,4": 5, "1,2,4": 7}}', "input JSON repeats the key '1,2,4'"),
+])
+def test_two_keys_naming_one_subset_rejected(tmp_path, capsys, argv, text, message):
+    # otherwise the later value would win without a word
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert data["error"] == message
+
+
+def test_max_cliques_only_where_read(capsys):
+    # pk never enumerates collections, so it takes no --max-cliques
+    with pytest.raises(SystemExit) as exc:
+        main(["pk", "fvector", "--k", "3", "--n", "6", "--max-cliques", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-cliques 5" in capsys.readouterr().err
+    code, data = _error(capsys, "nc", "count", "--k", "3", "--n", "7", "--max-cliques", "3")
+    assert code == 2 and data["error"] == "more than 3 maximal collections for (3, 7)"

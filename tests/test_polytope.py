@@ -2,15 +2,17 @@
 Newton polytopes, the PK polytope and associahedron."""
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grascat import polytope
-from grascat.combinat import nonfrozen_subsets
+from grascat import linalg, polytope
+from grascat.combinat import ResourceLimitExceeded, nonfrozen_subsets
 from grascat.polynomial import Poly, pk_factors, tau
-from grascat.polytope import (extreme_points, gamma_functional, hull_of_points,
+from grascat.polytope import (cone_rays, extreme_points, gamma_functional, hull_of_points,
                               in_convex_hull,
                               lift_and_lower_hull,
                               minimize_face, minkowski_sum_points,
@@ -35,11 +37,6 @@ def test_hull_roundtrips():
     assert len(sq.inequalities) == 4 and sq.f_vector() == [1, 4, 4, 1]
     back = polytope_from_inequalities(sq.inequalities, sq.equalities, 2)
     assert sorted(back.vertices) == sorted(sq.vertices)
-    # the dd_convert front end accepts either representation
-    from grascat.polytope import dd_convert
-    assert sorted(dd_convert(vertices=sq.vertices).vertices) == sorted(sq.vertices)
-    assert sorted(dd_convert(inequalities=sq.inequalities).vertices) == \
-        sorted(sq.vertices)
     # a polytope inside an affine subspace
     tri = hull_of_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert tri.dim == 2 and len(tri.equalities) == 1
@@ -48,6 +45,75 @@ def test_hull_roundtrips():
     # a single point is its own hull
     one = hull_of_points([(1, 2), (1, 2)])
     assert one.contains((1, 2)) and not one.contains((5, 7)) and one.f_vector() == [1, 1]
+
+
+def test_conversion_errors():
+    with pytest.raises(ValueError, match="inconsistent equalities"):
+        polytope_from_inequalities([(0, (1, 0))], [(-1, (1, 1)), (-3, (2, 2))], 2)
+    with pytest.raises(ValueError, match="inconsistent equalities"):
+        polytope_from_inequalities([(0, (1, 0))], [(-1, (1, 0)), (0, (0, 1)), (-1, (0, 1))], 2)
+    # the quadrant x, y >= 0
+    with pytest.raises(ValueError, match="unbounded polyhedron"):
+        polytope_from_inequalities([(0, (1, 0)), (0, (0, 1))], [], 2)
+    # the rows (1, 0, 0), (2, 0, 0), (0, 1, 0) leave a line in the cone
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        cone_rays([(1, 0, 0), (2, 0, 0), (0, 1, 0)])
+
+
+def test_cone_rays_cap():
+    square = [(x, y, 1) for x in (0, 1) for y in (0, 1)]
+    assert len(cone_rays(square)) == 4
+    with pytest.raises(ResourceLimitExceeded, match="exceeded 1 rays"):
+        cone_rays(square, max_rays=1)
+
+
+@st.composite
+def cone_rows(draw):
+    """Int rows of full rank D, each flipped to be >= 0 at a point y0 so the
+    cone is not just 0, with some repeated (up to a positive factor) and
+    some redundant (a positive sum of two others)."""
+    D = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[entry] * D), min_size=D, max_size=D + 4))
+    y0 = draw(st.tuples(*[entry] * D))
+    rows = [r if sum(a * y for a, y in zip(r, y0)) >= 0 else tuple(-a for a in r)
+            for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(1, 3))
+        rows.append(tuple(c * a for a in r) if draw(st.booleans())
+                    else tuple(a + b for a, b in zip(r, s)))
+    rows = draw(st.permutations(rows))
+    assume(linalg.rank(rows) == D)
+    return rows
+
+
+def _brute_force_rays(rows):
+    """The primitive generators y != 0 of the cone tight on D - 1 independent
+    rows."""
+    D = len(rows[0])
+    out = set()
+    for sub in combinations(rows, D - 1):
+        null = linalg.nullspace(list(sub))
+        if len(null) == 1:
+            for ray in (linalg._primitive(null[0]), linalg._primitive([-x for x in null[0]])):
+                if all(sum(a * y for a, y in zip(r, ray)) >= 0 for r in rows):
+                    out.add(ray)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cone_rows())
+def test_cone_rays_are_distinct_primitive_extreme_rays(rows):
+    rays = cone_rays(rows)
+    assert len(set(rays)) == len(rays)
+    D = len(rows[0])
+    for ray in rays:
+        assert all(type(x) is int for x in ray) and gcd(*ray) == 1
+        vals = [sum(a * y for a, y in zip(r, ray)) for r in rows]
+        assert min(vals) >= 0
+        assert linalg.rank([r for r, v in zip(rows, vals) if v == 0]) == D - 1
+    assert set(rays) == _brute_force_rays(rows)
 
 
 def test_simplex_fvector():
