@@ -46,6 +46,7 @@ CASES = {
     "ucheck_random_single_3_6": ["u-check", "--k", "3", "--n", "6", "--J", "1,2,4",
                                  "--mode", "random", "--trials", "4", "--seed", "3"],
     "ucheck_symbolic_4_8": ["u-check", "--k", "4", "--n", "8"],
+    "ucheck_symbolic_4_9": ["u-check", "--k", "4", "--n", "9"],
     "ucheck_random_3_9": ["u-check", "--k", "3", "--n", "9", "--mode", "random",
                           "--trials", "1", "--seed", "4"],
     "amplitude_pk_3_6": ["amplitude", "--k", "3", "--n", "6", "--pk"],
