@@ -18,6 +18,7 @@ from . import combinat, kinematics, polynomial, polytope, roots
 
 F = Fraction
 SCHEMA = "grascat/1"
+MAX_CLIQUES = 200000
 
 
 def _emit(args, payload, ok=True):
@@ -278,8 +279,8 @@ def build_parser():
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", default=None)
 
-    def max_cliques(p):
-        p.add_argument("--max-cliques", type=int, default=200000)
+    def max_cliques(p, default=MAX_CLIQUES):
+        p.add_argument("--max-cliques", type=int, default=default)
 
     p = sub.add_parser("nc", help="noncrossing complex queries")
     p.add_argument("action", choices=("count", "list", "degree"))
@@ -287,7 +288,8 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--input")
     common(p, kn=False)
-    max_cliques(p)
+    # no default, so that main can reject --max-cliques where it is not read
+    max_cliques(p, default=None)
     p.set_defaults(func=cmd_nc)
 
     p = sub.add_parser("decompose", help="noncrossing expansion of a combination")
@@ -373,6 +375,14 @@ def main(argv=None):
     missing = [f"--{name}" for name in need if getattr(args, name) is None]
     if missing:
         parser.error(f"{args.command} {args.action} requires {' '.join(missing)}")
+    if args.command == "nc":
+        reads = need if args.action == "degree" else need + ("max_cliques",)
+        unread = [f"--{name.replace('_', '-')}" for name in ("k", "n", "input", "max_cliques")
+                  if name not in reads and getattr(args, name) is not None]
+        if unread:
+            parser.error(f"nc {args.action} does not read {' '.join(unread)}")
+        if args.max_cliques is None:
+            args.max_cliques = MAX_CLIQUES
     if getattr(args, "trials", 1) < 1:
         parser.error(f"--trials must be at least 1, not {args.trials}")
     if args.command == "amplitude":

@@ -13,10 +13,16 @@ them and builds the sum as one terms dict.
 
 A FactoredRatio is scalar * x^mono * prod f^{e_f} over canonical primitive
 factors f, with one signed exponent map and no zero exponents stored, so
-multiplying and dividing add and subtract exponents and the large
-cancellations in u-variable products stay syntactic.  The random-exact
-identity checks evaluate each distinct factor once per point and read every
-u-variable and product off that table.
+multiplying and dividing add and subtract exponents.
+
+A u-variable is held as its ladder: the signed exponents of its (at most
+four) tau indices.  A product of u-variables (u_J itself, or the crossing
+product of a binary identity) sums the ladders' exponents on tau indices,
+drops the indices that cancel and makes one FactoredRatio product over the
+rest.  Its taus come from a table local to one identity check, so each tau
+is built once per call and the table goes when the call returns.  The
+random-exact identity checks evaluate each distinct factor once per point
+and read both sides of every identity off those values.
 """
 from __future__ import annotations
 
@@ -625,13 +631,15 @@ def resolved_count_formula(n):
 # ---------------------------------------------------------------------------
 # u-variables
 
-def u_variable(J, k, n):
-    """Planar face ratio u_J as a normalized FactoredRatio, k in {3, 4}, by
-    one ladder rule in 0-based positions: with J[q+1:] the run of labels J
-    ends with at n (q = k - 1 if none) and up, B' the tuples J, B with their
-    first entry raised by one (the orientation the binary identities pin),
-    u_J is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J)
-    tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q)."""
+def _ladder(J, k, n):
+    """u_J as its ladder {tau index: +-1}, k in {3, 4}, by one rule in
+    0-based positions: with J[q+1:] the run of labels J ends with at n
+    (q = k - 1 if none) and up, B' the tuples J, B with their first entry
+    raised by one (the orientation the binary identities pin), u_J is
+    tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J) tau(B')),
+    for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four indices are
+    distinct: up and B' differ from J and B in entry 0, and B from J and
+    up from B' in entry q."""
     J = check_subset(J, k, n)
     if is_frozen(J, n):
         raise ValueError(f"{J} is frozen; no u-variable")
@@ -643,7 +651,32 @@ def u_variable(J, k, n):
         B = J[:q] + tuple(range(J[q] + 1, J[q] + k - q + 1))
         num.append(B)
         den.append((B[0] + 1, *B[1:]))
-    return _quotient([tau(I, k, n) for I in num], [tau(I, k, n) for I in den], k, n)
+    return {**dict.fromkeys(num, 1), **dict.fromkeys(den, -1)}
+
+
+def _ladder_product(pairs, k, n, taus):
+    """prod u^c over (ladder of u, int c) pairs as one FactoredRatio: the
+    exponents are summed on tau indices first, the indices whose exponents
+    cancel are dropped, and one `_product` runs over the rest.  `taus` is
+    the caller's table of tau FactoredRatios by index, filled on first use,
+    so each tau is built once per table."""
+    exps = {}
+    for ladder, c in pairs:
+        for I, e in ladder.items():
+            exps[I] = exps.get(I, 0) + c * e
+    factors = []
+    for I, e in exps.items():
+        if e:
+            if I not in taus:
+                taus[I] = FactoredRatio.from_poly(tau(I, k, n))
+            factors.append((taus[I], e))
+    return _product(factors, k, n)
+
+
+def u_variable(J, k, n):
+    """Planar face ratio u_J as a normalized FactoredRatio, k in {3, 4}: the
+    product over its ladder (see `_ladder`)."""
+    return _ladder_product([(_ladder(J, k, n), 1)], k, n, {})
 
 
 def crossing_profile(J, k, n):
@@ -680,10 +713,10 @@ def _first_random_failure(identities, k, n, trials, seed):
 def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     """Verify u_J = 1 - prod over crossing I of u_I^{c_{I,J}}.
 
-    The product is formed with its shared factors cancelled.  Symbolic mode
-    then compares one cross-multiplied polynomial identity; random mode
-    evaluates both sides at exact positive rational points.  Returns a
-    verdict dict.
+    Both sides are ladder products over one tau table, so the product's
+    cancelling taus are never built.  Symbolic mode then compares one
+    cross-multiplied polynomial identity; random mode evaluates both sides
+    at exact positive rational points.  Returns a verdict dict.
     """
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -691,8 +724,9 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     profile = crossing_profile(J, k, n)
     verdict = {"J": list(J), "k": k, "n": n, "mode": mode,
                "crossing": len(profile), "pass": False}
-    uJ = u_variable(J, k, n)
-    rhs = _product([(u_variable(I, k, n), c) for I, c in profile], k, n)
+    taus = {}
+    uJ = _ladder_product([(_ladder(J, k, n), 1)], k, n, taus)
+    rhs = _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n, taus)
     if mode == "symbolic":
         num, den = uJ.expand()
         verdict["pass"] = (FactoredRatio.from_poly(den - num) / den).ratio_equal(rhs)
@@ -740,13 +774,17 @@ def _digits(code):
 
 
 def binary_identities_random_all(k, n, trials=20, seed=0):
-    """Random-exact verification of every binary identity at (k, n): each
-    trial evaluates every distinct factor once at an exact positive rational
-    point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every nonfrozen
-    J.  Returns a verdict dict."""
+    """Random-exact verification of every binary identity at (k, n): every
+    side is a ladder product over one tau table, and each trial evaluates
+    every distinct factor once at an exact positive rational point and then
+    checks u_J = 1 - prod u_I^{c_{I,J}} for every nonfrozen J.  Returns a
+    verdict dict."""
     nf = nonfrozen_subsets(k, n)
-    us = {J: u_variable(J, k, n) for J in nf}
-    identities = [(us[J], _product([(us[I], c) for I, c in crossing_profile(J, k, n)], k, n))
+    ladders = {J: _ladder(J, k, n) for J in nf}
+    taus = {}
+    identities = [(_ladder_product([(ladders[J], 1)], k, n, taus),
+                   _ladder_product([(ladders[I], c) for I, c in crossing_profile(J, k, n)],
+                                   k, n, taus))
                   for J in nf]
     failure = _first_random_failure(identities, k, n, trials, seed)
     verdict = {"k": k, "n": n, "mode": "random", "trials": trials,

@@ -279,6 +279,14 @@ def tripod_vector(U, Uprime, n):
     return {J: c for J, c in coeffs.items() if c}
 
 
+def tripod_pair(U, Uprime, n):
+    """The image of the tripod (U, Uprime) in the bijection of tripods of
+    Delta_{3,n} with noncrossing pairs of 3-subsets that are not weakly
+    separated: the noncrossing expansion of `tripod_vector`, which is that
+    pair with coefficients 1, as a {subset: coefficient} map."""
+    return noncrossing_decompose(combo_vector(tripod_vector(U, Uprime, n), 3, n), 3, n)
+
+
 def _in_cyclic_open(x, lo, hi, n):
     """x strictly inside the cyclic interval (lo, hi)."""
     if lo < hi:

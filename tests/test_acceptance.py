@@ -12,6 +12,7 @@ computed and checked here).
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -278,3 +279,22 @@ def test_criterion_11_root_potential():
     assert len(r48) == 12 and all(r48.values())
     report("11 (root-potential coordinate identities: 6 ratios at (3,6), "
            "12 at (4,8))", True)
+
+
+# -- 12 ---------------------------------------------------------------------
+
+def test_criterion_12_tripod_bijection():
+    for n in range(6, 11):
+        images = set()
+        for a, b, c, d, e, f in combinations(range(1, n + 1), 6):
+            # the two tripods of a 6-subset
+            for U, Uprime in (((a, c, e), (b, d, f)), ((b, d, f), (c, e, a))):
+                pair = roots.tripod_pair(U, Uprime, n)
+                assert sorted(pair.values()) == [1, 1], (n, U, Uprime)
+                images.add(tuple(sorted(pair)))
+        expected = {(I, J) for I, J in combinations(combinations(range(1, n + 1), 3), 2)
+                    if combinat.is_noncrossing(I, J, n)
+                    and not combinat.is_weakly_separated(I, J, n)}
+        assert len(images) == 2 * comb(n, 6) and images == expected, n
+    report("12 (tripod bijection: 2 C(n,6) tripods onto the noncrossing pairs that "
+           "are not weakly separated, n = 6..10)", True)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -328,8 +329,6 @@ def test_s_to_eta_needs_momentum_conservation(tmp_path, capsys):
 
 
 def test_amplitude_shift_builds_no_kinematic_basis(capsys, monkeypatch):
-    from pathlib import Path
-
     from grascat.kinematics import kin_basis
     monkeypatch.chdir(Path(__file__).parent / "corpus")
     kin_basis.cache_clear()
@@ -408,3 +407,24 @@ def test_max_cliques_only_where_read(capsys):
     assert "unrecognized arguments: --max-cliques 5" in capsys.readouterr().err
     code, data = _error(capsys, "nc", "count", "--k", "3", "--n", "7", "--max-cliques", "3")
     assert code == 2 and data["error"] == "more than 3 maximal collections for (3, 7)"
+
+
+TRIPOD_37 = str(Path(__file__).parent / "corpus" / "tripod_37.json")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("nc", "degree", "--input", TRIPOD_37, "--max-cliques", "1"),
+     "nc degree does not read --max-cliques"),
+    (("nc", "degree", "--input", TRIPOD_37, "--k", "3"), "nc degree does not read --k"),
+    (("nc", "degree", "--input", TRIPOD_37, "--n", "7"), "nc degree does not read --n"),
+    (("nc", "count", "--k", "3", "--n", "6", "--input", TRIPOD_37),
+     "nc count does not read --input"),
+    (("nc", "list", "--k", "2", "--n", "6", "--input", TRIPOD_37),
+     "nc list does not read --input"),
+])
+def test_nc_rejects_options_its_action_does_not_read(capsys, argv, message):
+    # otherwise the option would be accepted and ignored without a word
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Polynomial layer: tau/delta face polynomials, the positive
 parameterization, resolved minors and the u-variable identities."""
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -519,3 +520,46 @@ def test_crossing_profile_matches_definition(k, n):
         frozen += is_frozen(J, n)
         assert expected or is_frozen(J, n)
     assert frozen == n
+
+
+def _crossing_product_reference(J, k, n, us):
+    """The crossing product of u_J's binary identity as a product of whole
+    u-variables, the formula the ladder sum replaced."""
+    return polynomial._product([(us[I], c) for I, c in polynomial.crossing_profile(J, k, n)],
+                               k, n)
+
+
+@pytest.mark.parametrize("k,n", [(3, n) for n in range(6, 11)] + [(4, 8), (4, 9)])
+def test_ladder_sum_matches_product_of_u_variables(k, n):
+    nf = nonfrozen_subsets(k, n)
+    us = {I: u_variable(I, k, n) for I in nf}
+    taus = {}
+    for J in nf:
+        ladders = [(polynomial._ladder(I, k, n), c)
+                   for I, c in polynomial.crossing_profile(J, k, n)]
+        summed = polynomial._ladder_product(ladders, k, n, taus)
+        assert _fields(summed) == _fields(_crossing_product_reference(J, k, n, us)), J
+
+
+@pytest.fixture
+def tau_builds(monkeypatch):
+    built = Counter()
+    original = polynomial.tau
+
+    def counting(I, k, n):
+        built[tuple(I)] += 1
+        return original(I, k, n)
+
+    monkeypatch.setattr(polynomial, "tau", counting)
+    return built
+
+
+def test_each_tau_built_once_per_identity_check(tau_builds):
+    for k, n in [(3, 7), (4, 8)]:
+        for J in nonfrozen_subsets(k, n):
+            tau_builds.clear()
+            assert binary_identity_check(J, k, n)["pass"]
+            assert tau_builds and max(tau_builds.values()) == 1, J
+    tau_builds.clear()
+    assert binary_identities_random_all(4, 9, trials=1)["pass"]
+    assert tau_builds and max(tau_builds.values()) == 1
