@@ -18,6 +18,7 @@ CORPUS = Path(__file__).parent / "corpus"
 CASES = {
     "nc_count_3_6": ["nc", "count", "--k", "3", "--n", "6"],
     "nc_count_4_8": ["nc", "count", "--k", "4", "--n", "8"],
+    "nc_count_3_10": ["nc", "count", "--k", "3", "--n", "10", "--max-cliques", "2000000"],
     "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
     "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
     "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
@@ -50,6 +51,8 @@ CASES = {
     "ucheck_random_3_9": ["u-check", "--k", "3", "--n", "9", "--mode", "random",
                           "--trials", "1", "--seed", "4"],
     "amplitude_pk_3_6": ["amplitude", "--k", "3", "--n", "6", "--pk"],
+    "amplitude_pk_4_9": ["amplitude", "--k", "4", "--n", "9", "--pk",
+                         "--max-cliques", "2000000"],
     "amplitude_prime_shift_3_6": ["amplitude", "--k", "3", "--n", "6",
                                   "--eta", "prime_eta_36.json", "--shift"],
     "amplitude_random_2_6": ["amplitude", "--k", "2", "--n", "6",
