@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import combinat, kinematics, polynomial, polytope, roots
@@ -59,9 +60,8 @@ def _load_subset_map(path, key, k, n):
 
 def cmd_nc(args):
     if args.action == "count":
-        # the leaves of the search tree, with no collection built
-        count = combinat._fold_maximal_noncrossing(
-            args.k, args.n, args.max_cliques, None, lambda acc, v: acc, lambda acc: None)
+        # the leaf count stored in the search DAG, with no collection built
+        count = combinat._search_dag(args.k, args.n, args.max_cliques).count
         expected = combinat.catalan_mdim(args.k, args.n - args.k)
         ok = count == expected
         return _emit(args, {"command": "nc count", "k": args.k, "n": args.n,
@@ -348,6 +348,13 @@ def build_parser():
     return top
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of `main`, built once per process; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def _error(message, **extra):
     """Structured failure report on stderr; exit code 2."""
     print(json.dumps({"schema": SCHEMA, "error": message, **extra}), file=sys.stderr)
@@ -365,7 +372,7 @@ def main(argv=None):
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError) as exc:
             return _error(f"cannot apply GRASCAT_CAP_MB={cap!r}: {exc}")
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     need = ()
     if args.command == "nc":

@@ -9,6 +9,7 @@ cyclic notions, so they depend on n).
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from itertools import combinations
 
@@ -158,7 +159,8 @@ def _noncrossing_graph(k, n):
 
 def enumerate_maximal_noncrossing(k, n, max_collections=200000):
     """All maximal pairwise-noncrossing collections of nonfrozen subsets,
-    via pivoting Bron-Kerbosch with degeneracy ordering.
+    the leaves of the pivoting Bron-Kerbosch search with degeneracy
+    ordering (see `_search_dag`).
 
     Every maximal collection has exactly (k-1)(n-k-1) members; their number
     is the k-dimensional Catalan number catalan_mdim(k, n-k).  Output is
@@ -172,32 +174,135 @@ def enumerate_maximal_noncrossing(k, n, max_collections=200000):
 
 
 def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
-    """Pivoting Bron-Kerbosch with degeneracy ordering over the noncrossing
-    graph, threading one value down each branch of the search tree.
+    """Walk the Bron-Kerbosch search tree top-down, in search order,
+    threading one value down each branch.
 
     A branch that adds vertex v (its index in nonfrozen_subsets(k, n)) to
     the clique maps the value acc it carries to step(acc, v); the tree's
     root carries start, and each maximal clique hands its value to leaf,
-    in search order.  Returns the number of maximal cliques; raises
-    ResourceLimitExceeded once there are more than max_collections.
+    in search order.  The tree is the unfolding of the cached search DAG,
+    without its dead branches.  Returns the number of maximal cliques;
+    raises ResourceLimitExceeded, before any leaf, when there are more
+    than max_collections.
+    """
+    dag = _search_dag(k, n, max_collections)
+    first, vertex, child = dag.first, dag.vertex, dag.child
+
+    def walk(node, acc):
+        if node == _LEAF:
+            leaf(acc)
+            return
+        for e in range(first[node], first[node + 1]):
+            walk(child[e], step(acc, vertex[e]))
+
+    walk(dag.root, start)
+    return dag.count
+
+
+class SearchDag:
+    """The pivoting Bron-Kerbosch search over the noncrossing graph of
+    (k, n), with each distinct subproblem stored once.
+
+    A subtree of the search depends only on its (P, X) pair: the pivot,
+    the candidates and each child's pair are functions of P and X alone.
+    So the search tree folds into a DAG with one node per distinct pair.
+    Nodes are numbered in post-order, children before parents.  Node
+    ``_LEAF`` (0) is the empty pair, a maximal clique; node ``root`` (the
+    last) is the degeneracy-ordered top level.  The edges of node i are
+    first[i] .. first[i+1]-1, in search order: edge e adds vertex[e] to the
+    clique and leads to node child[e].  Branches that end in no maximal
+    clique are dropped: node ``_DEAD`` (1) stands for every empty P with a
+    nonempty X, and no edge leads to a node without leaves.  ``count`` is
+    the number of maximal cliques, the number of root-to-leaf paths, and
+    counts[i] the number of paths from node i to the leaf.
+
+    Walking it top-down meets the leaves of the unmerged search tree in
+    search order; a bottom-up fold (``fold_up``) visits each node once.
+    """
+
+    __slots__ = ("first", "vertex", "child", "counts", "root", "count")
+
+    def __init__(self, first, vertex, child, counts):
+        self.first, self.vertex, self.child, self.counts = first, vertex, child, counts
+        self.root = len(counts) - 1
+        self.count = counts[self.root]
+
+    def fold_up(self, leaf_value, edge):
+        """The value of the root when node ``_LEAF`` holds leaf_value and
+        every other node the sum over its edges e of
+        edge(value of child[e], vertex[e]); dead nodes hold 0."""
+        first, vertex, child = self.first, self.vertex, self.child
+        value = [0] * (self.root + 1)
+        value[_LEAF] = leaf_value
+        for node in range(_DEAD + 1, self.root + 1):
+            value[node] = sum(edge(value[child[e]], vertex[e])
+                              for e in range(first[node], first[node + 1]))
+        return value[self.root]
+
+
+_LEAF, _DEAD = 0, 1
+
+# (k, n) -> SearchDag, filled by _search_dag; a build that hits its cap
+# leaves no entry
+_SEARCH_DAGS = {}
+
+
+def _search_dag(k, n, max_collections):
+    """The cached search DAG of (k, n); raises ResourceLimitExceeded when
+    it has, or while building finds, more than max_collections leaves."""
+    dag = _SEARCH_DAGS.get((k, n))
+    if dag is None:
+        dag = _SEARCH_DAGS[k, n] = _build_search_dag(k, n, max_collections)
+    elif dag.count > max_collections:
+        raise _too_many(k, n, max_collections)
+    return dag
+
+
+def _too_many(k, n, max_collections):
+    return ResourceLimitExceeded(
+        f"more than {max_collections} maximal collections for ({k}, {n})")
+
+
+def _build_search_dag(k, n, max_collections):
+    """Pivoting Bron-Kerbosch with degeneracy ordering over the noncrossing
+    graph, memoised on (P, X) into a `SearchDag`.
+
+    The memo starts with the leaf, so every leaf reached is a memo hit.
+    The running leaf count adds a hit node's whole count, so it equals the
+    unmerged search's count at the same point of the search order, and
+    the build raises ResourceLimitExceeded no later than that search
+    would.
     """
     adj = _noncrossing_graph(k, n)[1]
     m = len(adj)
+    first = array("i", [0, 0, 0])
+    vertex, child = array("i"), array("i")
+    counts = array("q", [1, 0])  # maximal cliques below each node
+    memo = {(0, 0): _LEAF}
     leaves = 0
 
-    def expand(acc, P, X):
+    def finish(edges):
+        for v, c in edges:
+            vertex.append(v)
+            child.append(c)
+        first.append(len(child))
+        counts.append(sum(counts[c] for _v, c in edges))
+        return len(counts) - 1
+
+    def node(P, X):
         nonlocal leaves
-        if not P and not X:
-            leaves += 1
+        if not P and X:
+            return _DEAD
+        key = (P, X)
+        hit = memo.get(key)
+        if hit is not None:
+            leaves += counts[hit]
             if leaves > max_collections:
-                raise ResourceLimitExceeded(
-                    f"more than {max_collections} maximal collections for ({k}, {n})")
-            leaf(acc)
-            return
-        PX = P | X
+                raise _too_many(k, n, max_collections)
+            return hit
         # pivot maximizing |P & N(u)|
         best, pivot = -1, -1
-        q = PX
+        q = P | X
         while q:
             u = (q & -q).bit_length() - 1
             q &= q - 1
@@ -205,22 +310,29 @@ def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
             if c > best:
                 best, pivot = c, u
         cand = P & ~adj[pivot]
+        edges = []
         while cand:
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
             cand &= ~bit
-            expand(step(acc, v), P & adj[v], X & adj[v])
+            c = node(P & adj[v], X & adj[v])
+            if counts[c]:
+                edges.append((v, c))
             P &= ~bit
             X |= bit
+        memo[key] = hit = finish(edges)
+        return hit
 
-    # degeneracy order start
     P_all = (1 << m) - 1
     done = 0
+    edges = []
     for v in _degeneracy_order(m, adj):
-        bit = 1 << v
-        expand(step(start, v), P_all & adj[v] & ~done, done & adj[v])
-        done |= bit
-    return leaves
+        c = node(P_all & adj[v] & ~done, done & adj[v])
+        if counts[c]:
+            edges.append((v, c))
+        done |= 1 << v
+    finish(edges)
+    return SearchDag(first, vertex, child, counts)
 
 
 def _bits(mask):

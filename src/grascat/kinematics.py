@@ -18,8 +18,8 @@ from itertools import combinations
 from math import comb, prod
 
 from . import linalg
-from .combinat import (_fold_maximal_noncrossing, enumerate_maximal_noncrossing,
-                       is_frozen, nonfrozen_subsets)
+from .combinat import (_bits, _fold_maximal_noncrossing, _search_dag, is_frozen,
+                       nonfrozen_subsets)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -323,33 +323,45 @@ def nc_amplitude(k, n, values, max_collections=200000):
     """Sum over all maximal noncrossing collections of the product of
     1/values[J]; values maps every nonfrozen subset to a nonzero rational.
 
-    The sum is one pass over the Bron-Kerbosch tree in integers.  With L
-    the lcm of the denominators, a_J = L values[J] and P the product of
-    every a_J, a branch holding the collection R carries the exact quotient
-    P / prod_{J in R} a_J, and each maximal collection adds its quotient to
-    the total; every collection has d = (k-1)(n-k-1) members, so the sum
-    is total L^d / P.
+    The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG
+    (`combinat.SearchDag`), in integers.  With L the lcm of the
+    denominators, a_J = L values[J] and D the product of every a_J, each
+    node gets T = D at the leaf and T(node) = sum over its edges (v, child)
+    of T(child) // a_v.  Unfolded, T(node) is the sum over the maximal
+    cliques below it of D / prod a_J over the vertices J added below it.
+    Every division is exact: the vertices below the edge of v lie in
+    P & N(v), which excludes v, so a_v divides each term of T(child) and
+    hence their sum.  Merging equal (P, X) subtrees changes nothing,
+    because a subtree's T depends only on its pair.  So T(root) is the
+    term-by-term integer total, the sum over collections R of
+    D / prod_{J in R} a_J; every collection has d = (k-1)(n-k-1) members,
+    so the amplitude is T(root) L^d / D.
     """
     verts = nonfrozen_subsets(k, n)
     vals = [F(values.get(J, 0)) for J in verts]
     if not all(vals):
-        # a missing or zero value: report the first one met in the sorted
-        # term-by-term sum; every nonfrozen subset lies in some maximal
-        # collection, so this raises
-        for coll in enumerate_maximal_noncrossing(k, n, max_collections):
-            for J in coll:
-                if not F(values[J]):
-                    raise AmplitudePole(coll)
+        # a missing or zero value: report it in the sorted-first collection
+        # holding one, which is what a sorted term-by-term sum meets first;
+        # every nonfrozen subset lies in some maximal collection, so this
+        # raises.  verts is sorted, so for equal-size masks R and S the
+        # sorted tuple of R comes first iff the lowest bit of R ^ S is in R.
+        bad = sum(1 << i for i, x in enumerate(vals) if not x)
+        first = None
+
+        def keep(R):
+            nonlocal first
+            if R & bad and (first is None or R & (R ^ first) & -(R ^ first)):
+                first = R
+
+        _fold_maximal_noncrossing(k, n, max_collections, 0, lambda R, v: R | 1 << v, keep)
+        coll = tuple(verts[i] for i in _bits(first))
+        for J in coll:
+            if not F(values[J]):
+                raise AmplitudePole(coll)
     a, L = linalg._integral(vals)
-    P = prod(a)
-    total = 0
-
-    def add(Q):
-        nonlocal total
-        total += Q
-
-    _fold_maximal_noncrossing(k, n, max_collections, P, lambda Q, v: Q // a[v], add)
-    return F(total * L ** ((k - 1) * (n - k - 1)), P)
+    D = prod(a)
+    total = _search_dag(k, n, max_collections).fold_up(D, lambda T, v: T // a[v])
+    return F(total * L ** ((k - 1) * (n - k - 1)), D)
 
 
 # ---------------------------------------------------------------------------

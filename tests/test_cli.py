@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from grascat import cli, combinat
 from grascat.cli import main
 from grascat.combinat import nonfrozen_subsets
 
@@ -428,3 +429,23 @@ def test_nc_rejects_options_its_action_does_not_read(capsys, argv, message):
         main(list(argv))
     assert exc.value.code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_capped_nc_count_stops_early(capsys):
+    """The capped search-DAG build stops with the cap message and exit 2,
+    and leaves nothing cached."""
+    code, data = _error(capsys, "nc", "count", "--k", "5", "--n", "12",
+                        "--max-cliques", "1000")
+    assert code == 2
+    assert data["error"] == "more than 1000 maximal collections for (5, 12)"
+    assert (5, 12) not in combinat._SEARCH_DAGS
+
+
+def test_parser_is_built_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == first == cli.build_parser().format_help()
+    assert cli._parser() is cli._parser()

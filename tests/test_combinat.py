@@ -1,17 +1,23 @@
 """Subset combinatorics: frozen/weak separation/crossing predicates,
 compatibility degree, and the noncrossing complex."""
 import random
+import re
+from fractions import Fraction as F
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat.combinat import (catalan_mdim, compatibility_degree,
+from grascat import combinat, linalg
+from grascat.combinat import (ResourceLimitExceeded, _degeneracy_order,
+                              _fold_maximal_noncrossing, _noncrossing_graph,
+                              _search_dag, catalan_mdim, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
                               is_frozen, is_noncrossing, is_weakly_separated,
                               k3_exponent_rule, nonfrozen_subsets)
+from grascat.kinematics import nc_amplitude
 
 
 def test_frozen():
@@ -157,3 +163,116 @@ def test_compat_support_count_5_14():
     cnt = sum(1 for I in combinations(range(1, 15), 5)
               if I != J and compatibility_degree(I, J, 14) > 0)
     assert cnt == 1293
+
+
+def _reference_fold(k, n, start, step, leaf):
+    """The pivoting Bron-Kerbosch search as it was before its subtrees were
+    merged: one recursive call per node of the search tree, each choosing
+    its pivot from scratch, threading step(acc, v) down every branch and
+    handing each maximal clique's value to leaf.  Returns the leaf count."""
+    adj = _noncrossing_graph(k, n)[1]
+    m = len(adj)
+    leaves = 0
+
+    def expand(acc, P, X):
+        nonlocal leaves
+        if not P and not X:
+            leaves += 1
+            leaf(acc)
+            return
+        best, pivot = -1, -1
+        q = P | X
+        while q:
+            u = (q & -q).bit_length() - 1
+            q &= q - 1
+            c = (P & adj[u]).bit_count()
+            if c > best:
+                best, pivot = c, u
+        cand = P & ~adj[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            bit = 1 << v
+            cand &= ~bit
+            expand(step(acc, v), P & adj[v], X & adj[v])
+            P &= ~bit
+            X |= bit
+
+    done = 0
+    for v in _degeneracy_order(m, adj):
+        expand(step(start, v), (1 << m) - 1 & adj[v] & ~done, done & adj[v])
+        done |= 1 << v
+    return leaves
+
+
+DAG_SHAPES = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8), (3, 9),
+              (4, 7), (4, 8)]
+
+
+def _add(R, v):
+    return R | 1 << v
+
+
+@pytest.mark.parametrize("k,n", DAG_SHAPES)
+def test_search_dag_unfolds_to_the_search_tree(k, n):
+    """The top-down walk of the DAG meets the reference tree's leaves in
+    the same order, and the DAG's stored count is their number."""
+    expected = []
+    count = _reference_fold(k, n, 0, _add, expected.append)
+    assert count == catalan_mdim(k, n - k)
+    leaves = []
+    assert _fold_maximal_noncrossing(k, n, count, 0, _add, leaves.append) == count
+    assert leaves == expected
+    assert _search_dag(k, n, count).count == count
+
+
+@pytest.mark.parametrize("k,n", DAG_SHAPES)
+def test_search_dag_amplitude_total(k, n):
+    """The bottom-up DAG fold gives the reference tree's integer total of
+    D / prod a_J, for all-distinct rational values and for values drawn
+    from three repeated ones."""
+    rng = random.Random(10 * k + n)
+    verts = nonfrozen_subsets(k, n)
+    tables = [[F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 30))
+               for _ in verts],
+              [rng.choice((F(2, 3), F(-5), F(7, 2))) for _ in verts]]
+    d = (k - 1) * (n - k - 1)
+    for vals in tables:
+        a, L = linalg._integral(vals)
+        D = prod(a)
+        expected = 0
+
+        def add(Q):
+            nonlocal expected
+            expected += Q
+
+        _reference_fold(k, n, D, lambda Q, v: Q // a[v], add)
+        assert _search_dag(k, n, 10 ** 6).fold_up(D, lambda T, v: T // a[v]) == expected
+        values = dict(zip(verts, vals))
+        assert nc_amplitude(k, n, values) == F(expected * L ** d, D)
+
+
+def test_capped_search_dag_build_caches_nothing(monkeypatch):
+    monkeypatch.delitem(combinat._SEARCH_DAGS, (3, 7), raising=False)
+    with pytest.raises(ResourceLimitExceeded,
+                       match=re.escape("more than 461 maximal collections for (3, 7)")):
+        _search_dag(3, 7, 461)
+    assert (3, 7) not in combinat._SEARCH_DAGS
+    dag = _search_dag(3, 7, 462)
+    assert combinat._SEARCH_DAGS[3, 7] is dag and dag.count == 462
+    # a cached DAG checks its stored count against the cap first
+    with pytest.raises(ResourceLimitExceeded,
+                       match=re.escape("more than 100 maximal collections for (3, 7)")):
+        enumerate_maximal_noncrossing(3, 7, 100)
+
+
+def test_search_dag_is_built_once_per_shape(monkeypatch):
+    monkeypatch.delitem(combinat._SEARCH_DAGS, (3, 7), raising=False)
+    builds = []
+    build = combinat._build_search_dag
+    monkeypatch.setattr(combinat, "_build_search_dag",
+                        lambda *args: builds.append(args) or build(*args))
+    verts = nonfrozen_subsets(3, 7)
+    nc_amplitude(3, 7, {J: F(i + 1) for i, J in enumerate(verts)})
+    nc_amplitude(3, 7, {J: F(1, i + 2) for i, J in enumerate(verts)})
+    assert len(enumerate_maximal_noncrossing(3, 7)) == 462
+    assert builds == [(3, 7, 200000)]

@@ -321,6 +321,22 @@ def test_nc_amplitude_pole_report():
     assert exc.value.args == ((1, 4),)
 
 
+@pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (4, 8)])
+def test_nc_amplitude_pole_is_the_sorted_first(k, n):
+    """The pole report names the first sorted collection holding a zero
+    or missing value, as a sorted term-by-term sum would meet it."""
+    from grascat.kinematics import AmplitudePole
+    rng = random.Random(7 * k + n)
+    verts = nonfrozen_subsets(k, n)
+    cols = enumerate_maximal_noncrossing(k, n)
+    for _ in range(6):
+        zeros = set(rng.sample(verts, rng.randint(1, 3)))
+        values = {J: F(0) if J in zeros else F(rng.randint(1, 9)) for J in verts}
+        with pytest.raises(AmplitudePole) as exc:
+            nc_amplitude(k, n, values)
+        assert exc.value.collection == next(c for c in cols if zeros.intersection(c))
+
+
 def test_nc_amplitude_collection_cap():
     values = {J: F(1) for J in nonfrozen_subsets(2, 5)}
     assert nc_amplitude(2, 5, values, max_collections=5) == 5
