@@ -392,6 +392,8 @@ def main(argv=None):
             args.max_cliques = MAX_CLIQUES
     if getattr(args, "trials", 1) < 1:
         parser.error(f"--trials must be at least 1, not {args.trials}")
+    if getattr(args, "max_cliques", 1) < 1:
+        parser.error(f"--max-cliques must be at least 1, not {args.max_cliques}")
     if args.command == "amplitude":
         if not args.pk and args.eta is None:
             parser.error("amplitude requires --pk or --eta")

@@ -145,16 +145,43 @@ def k3_exponent_rule(I, J):
 
 @lru_cache(maxsize=None)
 def _noncrossing_graph(k, n):
-    """Adjacency bitmasks of the noncrossing graph on nonfrozen subsets."""
+    """(verts, adj, degree) of the noncrossing graph on the nonfrozen
+    subsets verts: adj[a] is the bitmask of the neighbours of verts[a], and
+    the array('H') row degree[a] holds its compatibility degree with every
+    vertex, 0 on noncrossing pairs and on the diagonal; one pass over the
+    pairs computes both."""
     verts = nonfrozen_subsets(k, n)
     m = len(verts)
     adj = [0] * m
+    degree = [array("H", bytes(2 * m)) for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            if is_noncrossing(verts[a], verts[b], n):
+            c = compatibility_degree(verts[a], verts[b], n)
+            if c:
+                degree[a][b] = degree[b][a] = c
+            else:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    return verts, adj
+    return verts, adj, degree
+
+
+def _first_collection(adj, chosen=0):
+    """The sorted-first maximal clique of the graph adj that holds the
+    clique chosen: chosen extended by each vertex, in index order, that is
+    adjacent to everything chosen so far.
+
+    Greedy is maximal, since a vertex it skips is not adjacent to some
+    vertex chosen before it.  Against any other maximal clique C holding
+    chosen, take the least index i in one of the two but not both.  Every
+    vertex greedy had chosen before reaching i lies in C, so were i in C it
+    would be adjacent to all of them, and greedy would have taken it.  So
+    i is greedy's, and the sorted index list of greedy's clique comes
+    first; for verts sorted, so does its sorted tuple of subsets.
+    """
+    for i, nbrs in enumerate(adj):
+        if not chosen & ~nbrs:
+            chosen |= 1 << i
+    return chosen
 
 
 def enumerate_maximal_noncrossing(k, n, max_collections=200000):

@@ -18,8 +18,8 @@ from itertools import combinations
 from math import comb, prod
 
 from . import linalg
-from .combinat import (_bits, _fold_maximal_noncrossing, _search_dag, is_frozen,
-                       nonfrozen_subsets)
+from .combinat import (_bits, _first_collection, _noncrossing_graph, _search_dag,
+                       is_frozen, nonfrozen_subsets)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -337,24 +337,15 @@ def nc_amplitude(k, n, values, max_collections=200000):
     D / prod_{J in R} a_J; every collection has d = (k-1)(n-k-1) members,
     so the amplitude is T(root) L^d / D.
     """
-    verts = nonfrozen_subsets(k, n)
+    verts, adj, _degree = _noncrossing_graph(k, n)
     vals = [F(values.get(J, 0)) for J in verts]
     if not all(vals):
         # a missing or zero value: report it in the sorted-first collection
-        # holding one, which is what a sorted term-by-term sum meets first;
-        # every nonfrozen subset lies in some maximal collection, so this
-        # raises.  verts is sorted, so for equal-size masks R and S the
-        # sorted tuple of R comes first iff the lowest bit of R ^ S is in R.
-        bad = sum(1 << i for i, x in enumerate(vals) if not x)
-        first = None
-
-        def keep(R):
-            nonlocal first
-            if R & bad and (first is None or R & (R ^ first) & -(R ^ first)):
-                first = R
-
-        _fold_maximal_noncrossing(k, n, max_collections, 0, lambda R, v: R | 1 << v, keep)
-        coll = tuple(verts[i] for i in _bits(first))
+        # holding one, which is what a sorted term-by-term sum meets first,
+        # the least of the sorted-first collections through each such
+        # vertex; it holds one, so the loop below raises
+        coll = min(tuple(verts[i] for i in _bits(_first_collection(adj, 1 << v)))
+                   for v, x in enumerate(vals) if not x)
         for J in coll:
             if not F(values[J]):
                 raise AmplitudePole(coll)

@@ -34,8 +34,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
-from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
-                       is_frozen, is_weakly_separated, nonfrozen_subsets)
+from .combinat import (_bits, _noncrossing_graph, check_subset, is_frozen,
+                       is_weakly_separated, nonfrozen_subsets)
 from .linalg import _exact, _integral
 
 F = Fraction
@@ -605,21 +605,22 @@ def resolved_minor(J, n):
 
 
 def _graph_row(J, k, n):
-    """(nonfrozen subsets, mask of those crossing J, mask of those before J
-    not crossing it), read off `combinat._noncrossing_graph`; both masks are
-    0 for a frozen J, which crosses nothing and is weakly separated from all."""
-    verts, adj = _noncrossing_graph(k, n)
+    """(nonfrozen subsets, J's row of crossing degrees, mask of those before
+    J not crossing it), read off `combinat._noncrossing_graph`; the row is
+    empty and the mask 0 for a frozen J, which crosses nothing and is weakly
+    separated from all."""
+    verts, adj, degree = _noncrossing_graph(k, n)
     t = bisect_left(verts, J)
     if verts[t:t + 1] != [J]:
-        return verts, 0, 0
-    return verts, ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t), adj[t] & ((1 << t) - 1)
+        return verts, (), 0
+    return verts, degree[t], adj[t] & ((1 << t) - 1)
 
 
 def needs_resolution(J, n):
     """Lexicographic criterion: some I < J with (I, J) noncrossing and not
     weakly separated."""
     J = tuple(J)
-    verts, _cross, before = _graph_row(J, 3, n)
+    verts, _row, before = _graph_row(J, 3, n)
     return any(not is_weakly_separated(verts[i], J, n) for i in _bits(before))
 
 
@@ -632,10 +633,10 @@ def resolved_count_formula(n):
 # u-variables
 
 def _ladder(J, k, n):
-    """u_J as its ladder {tau index: +-1}, k in {3, 4}, by one rule in
-    0-based positions: with J[q+1:] the run of labels J ends with at n
-    (q = k - 1 if none) and up, B' the tuples J, B with their first entry
-    raised by one (the orientation the binary identities pin), u_J is
+    """u_J as its ladder {tau index: +-1}, for any k, by one rule in 0-based
+    positions: with J[q+1:] the run of labels J ends with at n (q = k - 1
+    if none) and up, B' the tuples J, B with their first entry raised by
+    one (the orientation the binary identities pin), u_J is
     tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J) tau(B')),
     for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four indices are
     distinct: up and B' differ from J and B in entry 0, and B from J and
@@ -643,8 +644,6 @@ def _ladder(J, k, n):
     J = check_subset(J, k, n)
     if is_frozen(J, n):
         raise ValueError(f"{J} is frozen; no u-variable")
-    if k not in (3, 4):
-        raise ValueError("u-variables implemented for k = 3 and 4 only")
     q = next(q for q in range(k - 1, -1, -1) if J[q] != n - k + 1 + q)
     num, den = [(J[0] + 1, *J[1:])], [J]
     if q:
@@ -674,17 +673,17 @@ def _ladder_product(pairs, k, n, taus):
 
 
 def u_variable(J, k, n):
-    """Planar face ratio u_J as a normalized FactoredRatio, k in {3, 4}: the
-    product over its ladder (see `_ladder`)."""
+    """Planar face ratio u_J as a normalized FactoredRatio: the product over
+    its ladder (see `_ladder`)."""
     return _ladder_product([(_ladder(J, k, n), 1)], k, n, {})
 
 
 def crossing_profile(J, k, n):
-    """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
-    non-neighbours in the noncrossing graph."""
+    """Sorted list of (I, c_{I,J}) over subsets crossing J: the nonzero
+    entries of J's row of crossing degrees in the noncrossing graph."""
     J = tuple(J)
-    verts, cross, _before = _graph_row(J, k, n)
-    return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
+    verts, row, _before = _graph_row(J, k, n)
+    return [(verts[i], c) for i, c in enumerate(row) if c]
 
 
 def _first_random_failure(identities, k, n, trials, seed):

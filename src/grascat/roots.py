@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .combinat import _bits, _first_collection, _noncrossing_graph, check_subset
 # compatibility_degree stays importable from here for existing callers
-from .combinat import _bits, _noncrossing_graph, check_subset, compatibility_degree  # noqa: F401
+from .combinat import compatibility_degree  # noqa: F401
 
 F = Fraction
 
@@ -164,15 +165,11 @@ class _Fan:
 
     def __init__(self, k, n):
         self.dim = d = (k - 1) * (n - k - 1)
-        self.verts, self.adj = _noncrossing_graph(k, n)
+        self.verts, self.adj, _degree = _noncrossing_graph(k, n)
         coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
         # the nonzero lattice coordinates of each v_J, as (position, value)
         self.support = [[(t, c) for t, c in enumerate(col) if c] for col in coords]
-        chosen = 0  # the greedy collection
-        for i, nbrs in enumerate(self.adj):
-            if not chosen & ~nbrs:
-                chosen |= 1 << i
-        self.start = list(_bits(chosen))
+        self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
         inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])

@@ -366,6 +366,19 @@ def test_trials_below_one_rejected(capsys, argv):
     assert "--trials must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("nc", "count", "--k", "3", "--n", "6", "--max-cliques", "-5"),
+    ("volume", "--k", "3", "--n", "6", "--max-cliques", "0"),
+    ("amplitude", "--k", "3", "--n", "6", "--pk", "--max-cliques", "-1"),
+])
+def test_max_cliques_below_one_rejected(capsys, argv):
+    # otherwise it would be reported as "more than -5 maximal collections"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"--max-cliques must be at least 1, not {argv[-1]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("action", ["eta-to-s", "s-to-eta"])
 def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action):
     from grascat.kinematics import kin_basis

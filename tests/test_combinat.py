@@ -165,6 +165,16 @@ def test_compat_support_count_5_14():
     assert cnt == 1293
 
 
+@pytest.mark.parametrize("k,n", [(2, 7), (3, 8), (4, 8)])
+def test_noncrossing_graph_keeps_the_crossing_degrees(k, n):
+    verts, adj, degree = _noncrossing_graph(k, n)
+    for a, I in enumerate(verts):
+        assert degree[a][a] == 0
+        for b, J in enumerate(verts[:a]):
+            assert degree[a][b] == degree[b][a] == compatibility_degree(I, J, n), (I, J)
+            assert (adj[a] >> b & 1) == (degree[a][b] == 0)
+
+
 def _reference_fold(k, n, start, step, leaf):
     """The pivoting Bron-Kerbosch search as it was before its subtrees were
     merged: one recursive call per node of the search tree, each choosing

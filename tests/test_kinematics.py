@@ -3,13 +3,14 @@ shift and amplitude evaluation."""
 import random
 import re
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
-                              nonfrozen_subsets)
+                              is_noncrossing, nonfrozen_subsets)
 from grascat.kinematics import (ETA_HAT_38_TABLE, KinFunctional,
                                 NC_AMPLITUDE_36_VALUE, PRIME_ETA_36,
                                 prime_kinematics_reproduction, check_conservation,
@@ -152,7 +153,6 @@ def test_octahedral_commutator_examples():
 
 @pytest.mark.parametrize("k,n", [(2, 7), (3, 6), (3, 7)])
 def test_octahedral_commutators_nonnegative(k, n):
-    from itertools import combinations
     point = interior_kd_point(k, n, seed=17)
     count = 0
     for J in nonfrozen_subsets(k, n):
@@ -321,7 +321,7 @@ def test_nc_amplitude_pole_report():
     assert exc.value.args == ((1, 4),)
 
 
-@pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (4, 8)])
+@pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (3, 8), (4, 8)])
 def test_nc_amplitude_pole_is_the_sorted_first(k, n):
     """The pole report names the first sorted collection holding a zero
     or missing value, as a sorted term-by-term sum would meet it."""
@@ -335,6 +335,20 @@ def test_nc_amplitude_pole_is_the_sorted_first(k, n):
         with pytest.raises(AmplitudePole) as exc:
             nc_amplitude(k, n, values)
         assert exc.value.collection == next(c for c in cols if zeros.intersection(c))
+
+
+def test_nc_amplitude_pole_ignores_the_collection_cap():
+    """The pole report reads the noncrossing graph, not the search, so a
+    zero at (5,10), with far more than 1000 collections, still names one."""
+    from grascat.kinematics import AmplitudePole
+    verts = nonfrozen_subsets(5, 10)
+    zero = verts[len(verts) // 2]
+    values = {J: F(0) if J == zero else F(1) for J in verts}
+    with pytest.raises(AmplitudePole) as exc:
+        nc_amplitude(5, 10, values, max_collections=1000)
+    coll = exc.value.collection
+    assert len(coll) == 16 and zero in coll and list(coll) == sorted(coll)
+    assert all(is_noncrossing(I, J, 10) for I, J in combinations(coll, 2))
 
 
 def test_nc_amplitude_collection_cap():
