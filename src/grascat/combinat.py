@@ -145,24 +145,16 @@ def k3_exponent_rule(I, J):
 
 @lru_cache(maxsize=None)
 def _noncrossing_graph(k, n):
-    """(verts, adj, degree) of the noncrossing graph on the nonfrozen
-    subsets verts: adj[a] is the bitmask of the neighbours of verts[a], and
-    the array('H') row degree[a] holds its compatibility degree with every
-    vertex, 0 on noncrossing pairs and on the diagonal; one pass over the
-    pairs computes both."""
+    """Adjacency bitmasks of the noncrossing graph on nonfrozen subsets."""
     verts = nonfrozen_subsets(k, n)
     m = len(verts)
     adj = [0] * m
-    degree = [array("H", bytes(2 * m)) for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            c = compatibility_degree(verts[a], verts[b], n)
-            if c:
-                degree[a][b] = degree[b][a] = c
-            else:
+            if is_noncrossing(verts[a], verts[b], n):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    return verts, adj, degree
+    return verts, adj
 
 
 def _first_collection(adj, chosen=0):

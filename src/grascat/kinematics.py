@@ -337,7 +337,7 @@ def nc_amplitude(k, n, values, max_collections=200000):
     D / prod_{J in R} a_J; every collection has d = (k-1)(n-k-1) members,
     so the amplitude is T(root) L^d / D.
     """
-    verts, adj, _degree = _noncrossing_graph(k, n)
+    verts, adj = _noncrossing_graph(k, n)
     vals = [F(values.get(J, 0)) for J in verts]
     if not all(vals):
         # a missing or zero value: report it in the sorted-first collection

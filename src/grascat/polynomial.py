@@ -34,8 +34,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
-from .combinat import (_bits, _noncrossing_graph, check_subset, is_frozen,
-                       is_weakly_separated, nonfrozen_subsets)
+from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
+                       is_frozen, is_weakly_separated, nonfrozen_subsets)
 from .linalg import _exact, _integral
 
 F = Fraction
@@ -605,22 +605,21 @@ def resolved_minor(J, n):
 
 
 def _graph_row(J, k, n):
-    """(nonfrozen subsets, J's row of crossing degrees, mask of those before
-    J not crossing it), read off `combinat._noncrossing_graph`; the row is
-    empty and the mask 0 for a frozen J, which crosses nothing and is weakly
-    separated from all."""
-    verts, adj, degree = _noncrossing_graph(k, n)
+    """(nonfrozen subsets, mask of those crossing J, mask of those before J
+    not crossing it), read off `combinat._noncrossing_graph`; both masks are
+    0 for a frozen J, which crosses nothing and is weakly separated from all."""
+    verts, adj = _noncrossing_graph(k, n)
     t = bisect_left(verts, J)
     if verts[t:t + 1] != [J]:
-        return verts, (), 0
-    return verts, degree[t], adj[t] & ((1 << t) - 1)
+        return verts, 0, 0
+    return verts, ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t), adj[t] & ((1 << t) - 1)
 
 
 def needs_resolution(J, n):
     """Lexicographic criterion: some I < J with (I, J) noncrossing and not
     weakly separated."""
     J = tuple(J)
-    verts, _row, before = _graph_row(J, 3, n)
+    verts, _cross, before = _graph_row(J, 3, n)
     return any(not is_weakly_separated(verts[i], J, n) for i in _bits(before))
 
 
@@ -679,11 +678,11 @@ def u_variable(J, k, n):
 
 
 def crossing_profile(J, k, n):
-    """Sorted list of (I, c_{I,J}) over subsets crossing J: the nonzero
-    entries of J's row of crossing degrees in the noncrossing graph."""
+    """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
+    non-neighbours in the noncrossing graph."""
     J = tuple(J)
-    verts, row, _before = _graph_row(J, k, n)
-    return [(verts[i], c) for i, c in enumerate(row) if c]
+    verts, cross, _before = _graph_row(J, k, n)
+    return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
 
 
 def _first_random_failure(identities, k, n, trials, seed):

@@ -165,7 +165,7 @@ class _Fan:
 
     def __init__(self, k, n):
         self.dim = d = (k - 1) * (n - k - 1)
-        self.verts, self.adj, _degree = _noncrossing_graph(k, n)
+        self.verts, self.adj = _noncrossing_graph(k, n)
         coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
         # the nonzero lattice coordinates of each v_J, as (position, value)
         self.support = [[(t, c) for t, c in enumerate(col) if c] for col in coords]

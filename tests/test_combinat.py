@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import combinat, linalg
-from grascat.combinat import (ResourceLimitExceeded, _degeneracy_order,
-                              _fold_maximal_noncrossing, _noncrossing_graph,
+from grascat.combinat import (ResourceLimitExceeded, _bits, _degeneracy_order,
+                              _first_collection, _fold_maximal_noncrossing,
+                              _noncrossing_graph,
                               _search_dag, catalan_mdim, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
                               is_frozen, is_noncrossing, is_weakly_separated,
@@ -165,14 +166,14 @@ def test_compat_support_count_5_14():
     assert cnt == 1293
 
 
-@pytest.mark.parametrize("k,n", [(2, 7), (3, 8), (4, 8)])
-def test_noncrossing_graph_keeps_the_crossing_degrees(k, n):
-    verts, adj, degree = _noncrossing_graph(k, n)
-    for a, I in enumerate(verts):
-        assert degree[a][a] == 0
-        for b, J in enumerate(verts[:a]):
-            assert degree[a][b] == degree[b][a] == compatibility_degree(I, J, n), (I, J)
-            assert (adj[a] >> b & 1) == (degree[a][b] == 0)
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8)])
+def test_first_collection_is_the_sorted_first_through_each_subset(k, n):
+    verts, adj = _noncrossing_graph(k, n)
+    cols = enumerate_maximal_noncrossing(k, n)
+    assert tuple(verts[i] for i in _bits(_first_collection(adj))) == cols[0]
+    for v, J in enumerate(verts):
+        first = tuple(verts[i] for i in _bits(_first_collection(adj, 1 << v)))
+        assert first == next(c for c in cols if J in c), J
 
 
 def _reference_fold(k, n, start, step, leaf):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import combinat, polynomial
+from grascat import polynomial
 from grascat.combinat import nonfrozen_subsets
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identities_random_all,
@@ -539,23 +539,6 @@ def test_ladder_sum_matches_product_of_u_variables(k, n):
                    for I, c in polynomial.crossing_profile(J, k, n)]
         summed = polynomial._ladder_product(ladders, k, n, taus)
         assert _fields(summed) == _fields(_crossing_product_reference(J, k, n, us)), J
-
-
-def test_identity_batch_reads_degrees_off_the_built_graph(monkeypatch):
-    """Once the noncrossing graph of (k, n) is built, a batch of identity
-    checks works out no crossing degree again."""
-    combinat._noncrossing_graph(4, 9)
-    calls = Counter()
-    original = combinat.compatibility_degree
-
-    def counting(I, J, n):
-        calls["degree"] += 1
-        return original(I, J, n)
-
-    monkeypatch.setattr(combinat, "compatibility_degree", counting)
-    monkeypatch.setattr(polynomial, "compatibility_degree", counting, raising=False)
-    assert binary_identities_random_all(4, 9, trials=1)["pass"]
-    assert calls["degree"] == 0
 
 
 @pytest.fixture
