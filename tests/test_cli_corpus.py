@@ -38,6 +38,9 @@ CASES = {
     "pk_vertices_3_7": ["pk", "vertices", "--k", "3", "--n", "7"],
     "newton_3_6": ["newton", "--k", "3", "--n", "6", "--fvector"],
     "newton_3_7": ["newton", "--k", "3", "--n", "7", "--fvector"],
+    "pk_fvector_3_8": ["pk", "fvector", "--k", "3", "--n", "8"],
+    "pk_facets_4_8": ["pk", "facets", "--k", "4", "--n", "8"],
+    "newton_4_7": ["newton", "--k", "4", "--n", "7", "--fvector"],
     "ucheck_random_3_7": ["u-check", "--k", "3", "--n", "7", "--mode", "random",
                           "--trials", "2", "--seed", "7"],
     "ucheck_single_4_8": ["u-check", "--k", "4", "--n", "8", "--J", "2,3,6,8"],
