@@ -110,10 +110,16 @@ def is_crossing(I, J, n):
     return compatibility_degree(I, J, n) > 0
 
 
-def nonfrozen_subsets(k, n):
-    """All k-subsets of [1, n] that are not single cyclic intervals."""
+def check_kn(k, n):
+    """Raise ValueError unless 2 <= k <= n - 2, the range of (k, n) that has
+    nonfrozen k-subsets of [1, n]."""
     if not (2 <= k <= n - 2):
         raise ValueError(f"need 2 <= k <= n-2, got ({k}, {n})")
+
+
+def nonfrozen_subsets(k, n):
+    """All k-subsets of [1, n] that are not single cyclic intervals."""
+    check_kn(k, n)
     return [J for J in combinations(range(1, n + 1), k) if not is_frozen(J, n)]
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing,
+from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing, check_kn,
                        nonfrozen_subsets)
 from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import gamma_hat, v_root, lattice_coords
@@ -323,50 +323,34 @@ def newton_points(poly, laurent_shift=None):
                       for exp in poly.terms))
 
 
-def newton(poly, laurent_shift=None):
+def newton(poly):
     """Newton polytope (hull of exponent vectors)."""
-    return hull_of_points(newton_points(poly, laurent_shift))
+    return hull_of_points(newton_points(poly))
 
 
 def gamma_functional(J, k, n):
-    """(constant, coefficient tuple) of gamma_J on the dense grid."""
+    """Coefficient tuple of the linear function gamma_J on the dense grid."""
     return grid_point(gamma_hat(J, k, n), k, n)
 
 
-def row_sum_equalities(k, n, lam=None):
-    lam = lam or [0] * (k - 1)
-    eqs = []
-    m = (k - 1) * (n - k)
-    for i in range(k - 1):
-        coeffs = [0] * m
-        for j in range(n - k):
-            coeffs[i * (n - k) + j] = 1
-        eqs.append((linalg._exact(-lam[i]), tuple(coeffs)))
-    return eqs
+def row_sum_equalities(k, n, lam):
+    """The equalities sum_j x_{i,j} = lam_i on the dense grid."""
+    w = n - k
+    return [(-lam[i], tuple(int(i * w <= t < (i + 1) * w) for t in range((k - 1) * w)))
+            for i in range(k - 1)]
 
 
-def pk_polytope(k, n, cross_check=True):
+def pk_polytope(k, n):
     """The PK polytope: H-rep {row sums 0, gamma_J + 1 >= 0 over nonfrozen
-    J}; the vertex set is checked against the Newton polytope of the
-    Laurent product P_1...P_{k-1} Q_1...Q_{n-k-1} / prod x_{i,j}."""
-    m = (k - 1) * (n - k)
-    ineqs = [(1, gamma_functional(J, k, n)) for J in nonfrozen_subsets(k, n)]
-    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n), m)
-    if cross_check:
-        Ps, Qs = pk_factors(k, n)
-        prod = Poly.one(k, n)
-        for f in Ps + Qs:
-            prod = prod * f
-        pts = newton_points(prod, laurent_shift=(1,) * m)
-        ptset = set(pts)
-        # Newt == Pi: every exponent satisfies the H-rep and every vertex of
-        # the H-polytope is an exponent vector
-        for p in pts:
-            if not P.contains(p):
-                raise AssertionError(f"exponent vector {p} escapes the PK H-rep")
-        for v in P.vertices:
-            if tuple(v) not in ptset:
-                raise AssertionError(f"PK vertex {v} is not an exponent vector")
+    J}, certified by `_newton_hrep` to be the Newton polytope of the Laurent
+    product P_1...P_{k-1} Q_1...Q_{n-k-1} / prod x_{i,j}."""
+    check_kn(k, n)
+    Ps, Qs = pk_factors(k, n)
+    factors = [newton_points(Ps[0], (1,) * ((k - 1) * (n - k)))]
+    factors += [newton_points(f) for f in Ps[1:] + Qs]
+    constants, lam, P, agrees = _newton_hrep(factors, k, n)
+    if any(c != -1 for c in constants.values()) or any(lam) or not agrees:
+        raise AssertionError("the PK H-rep is not the Newton polytope of the PK product")
     return P
 
 
@@ -463,31 +447,41 @@ def tau_newton_facets(k, n):
     """Facet data of Newt(prod over all k-subsets of tau_J), monomial
     content discarded: constants c_J = min of gamma_J over the polytope,
     row sums lambda_i, and whether the candidate H-rep {gamma_J >= c_J}
-    carves out exactly the Newton polytope.  Returns dict with keys
-    'constants', 'lambda', 'agrees', 'polytope'.
-
-    Works summand by summand (gamma is linear, so its minimum over a
-    Minkowski sum is the sum of per-summand minima), and certifies each
-    H-rep vertex to lie in the Minkowski sum by comparing the per-summand
-    minimum of a functional that the vertex uniquely minimizes.
-    """
-    factors = []
-    for J in combinations(range(1, n + 1), k):
-        pts = newton_points(tau(J, k, n).content_split()[2])
-        if len(pts) > 1:
-            factors.append(pts)
-    m = (k - 1) * (n - k)
-    nf = nonfrozen_subsets(k, n)
-    gammas = {J: gamma_functional(J, k, n) for J in nf}
-    constants = {J: sum(min(sum(g * x for g, x in zip(gammas[J], p)) for p in pts)
-                        for pts in factors) for J in nf}
-    lam = [sum(sum(pts[0][i * (n - k) + j] for j in range(n - k)) for pts in factors)
-           for i in range(k - 1)]
-    ineqs = [(-(constants[J]), gammas[J]) for J in nf]
-    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), m)
-    agrees = all(_in_minkowski_sum(i, factors, P, gammas)
-                 for i in range(len(P.vertices)))
+    carves out exactly the Newton polytope (`_newton_hrep`).  Returns dict
+    with keys 'constants', 'lambda', 'agrees', 'polytope'."""
+    factors = [pts for J in combinations(range(1, n + 1), k)
+               if len(pts := newton_points(tau(J, k, n).content_split()[2])) > 1]
+    constants, lam, P, agrees = _newton_hrep(factors, k, n)
     return {"constants": constants, "lambda": lam, "agrees": agrees, "polytope": P}
+
+
+def _newton_hrep(factors, k, n):
+    """(constants, lam, P, agrees) for the Newton polytope of a product of
+    Laurent polynomials with positive coefficients on the (k, n) grid, given
+    as the exponent vectors of its factors.
+
+    No coefficients cancel, so Newt(prod f) is the Minkowski sum of the
+    Newt(f), and a linear form's minimum over it is the sum of the
+    per-factor minima: c_J for gamma_J.  Each factor's points have one row
+    sum vector (ValueError otherwise), and these add up to lam.  So Newt
+    lies in P = {gamma_J >= c_J over nonfrozen J, row sums lam}, and
+    `agrees` (every vertex of P is in the sum, `_in_minkowski_sum`) gives
+    P inside Newt: agrees iff P == Newt.
+    """
+    w = n - k
+    lam = [0] * (k - 1)
+    for pts in factors:
+        sums = {tuple(sum(p[i * w:(i + 1) * w]) for i in range(k - 1)) for p in pts}
+        if len(sums) != 1:
+            raise ValueError(f"a factor has the unequal row sums {sorted(sums)}")
+        lam = [a + b for a, b in zip(lam, sums.pop())]
+    gammas = {J: gamma_functional(J, k, n) for J in nonfrozen_subsets(k, n)}
+    constants = {J: sum(min(sum(g * x for g, x in zip(gamma, p)) for p in pts)
+                        for pts in factors) for J, gamma in gammas.items()}
+    ineqs = [(-constants[J], gamma) for J, gamma in gammas.items()]
+    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), (k - 1) * w)
+    agrees = all(_in_minkowski_sum(i, factors, P, gammas) for i in range(len(P.vertices)))
+    return constants, lam, P, agrees
 
 
 def _in_minkowski_sum(i, factors, P, gammas):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .combinat import _bits, _first_collection, _noncrossing_graph, check_subset
+from .combinat import _bits, _first_collection, _noncrossing_graph, check_kn, check_subset
 # compatibility_degree stays importable from here for existing callers
 from .combinat import compatibility_degree  # noqa: F401
 
@@ -230,8 +230,10 @@ def noncrossing_decompose(v, k, n):
     noncrossing collection, for any rational v with zero row sums.
 
     Integer lattice input gives integer coefficients (the cone bases are
-    unimodular).  Raises DecompositionError when a row sum is nonzero.
+    unimodular).  Raises ValueError unless 2 <= k <= n - 2, and
+    DecompositionError when a row sum is nonzero.
     """
+    check_kn(k, n)
     v = {key: F(c) for key, c in v.items() if c}
     for i, s in enumerate(row_sums(v, k, n), start=1):
         if s:

@@ -109,7 +109,7 @@ def test_criterion_3_fan_completeness():
 def test_criterion_4_pk_polytope_facets_and_vertices():
     from math import comb
     for (k, n) in [(3, 6), (3, 7), (2, 4), (2, 5), (2, 6), (2, 7)]:
-        P = polytope.pk_polytope(k, n)  # internal Newton vertex cross-check
+        P = polytope.pk_polytope(k, n)  # internal Newton polytope certificate
         assert len(P.inequalities) == comb(n, k) - n
         d = P.dim
         for inc in P.incidence:
@@ -136,9 +136,9 @@ def _bits(mask):
     "(1,128,456,661,483,178,28,1), consistent with its duality with the "
     "root polytope"))
 def test_criterion_4_fvectors_as_stated():
-    assert polytope.pk_polytope(3, 6, cross_check=False).f_vector() == \
+    assert polytope.pk_polytope(3, 6).f_vector() == \
         [1, 42, 84, 56, 14, 1]
-    assert polytope.pk_polytope(3, 7, cross_check=False).f_vector() == \
+    assert polytope.pk_polytope(3, 7).f_vector() == \
         [1, 462, 1386, 1596, 882, 238, 28, 1]
 
 
@@ -149,10 +149,10 @@ def test_criterion_4_fvectors_tau_product():
     assert tf["agrees"]
     assert tf["polytope"].f_vector() == [1, 462, 1386, 1596, 882, 238, 28, 1]
     # the PK polytope's own combinatorics, frozen and duality-checked
-    P36 = polytope.pk_polytope(3, 6, cross_check=False)
+    P36 = polytope.pk_polytope(3, 6)
     assert P36.f_vector() == [1, 27, 60, 47, 14, 1]
     assert len(polytope.root_polytope(3, 6).inequalities) == 27
-    P37 = polytope.pk_polytope(3, 7, cross_check=False)
+    P37 = polytope.pk_polytope(3, 7)
     assert P37.f_vector() == [1, 128, 456, 661, 483, 178, 28, 1]
     report("4 (reference f-vectors, realized by the tau-product Newton polytope)",
            True, "PK polytope itself has (1,27,...), (1,128,...): see ledger")

@@ -150,6 +150,25 @@ def test_decompose_subset_out_of_range(tmp_path, capsys):
     assert "1, 3, 9" in data["error"]
 
 
+@pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
+@pytest.mark.parametrize("k,n,coeffs", [
+    (2, 3, {"1,3": "1"}), (-1, 5, {}), (0, 5, {}), (1, 5, {"2": "1"}), (3, 4, {"1,2,4": "1"})])
+def test_decompose_rejects_impossible_k_n(tmp_path, capsys, command, k, n, coeffs):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({"k": k, "n": n, "coeffs": coeffs}))
+    code, data = _error(capsys, *command, "--input", str(path))
+    assert code == 2 and data == {"schema": "grascat/1",
+                                  "error": f"need 2 <= k <= n-2, got ({k}, {n})"}
+
+
+@pytest.mark.parametrize("argv", [("pk", "facets", "--k", "1", "--n", "4"),
+                                  ("pk", "facets", "--k", "4", "--n", "5"),
+                                  ("newton", "--k", "1", "--n", "4")])
+def test_impossible_k_n_rejected(capsys, argv):
+    code, data = _error(capsys, *argv)
+    assert code == 2 and data["error"] == f"need 2 <= k <= n-2, got ({argv[-3]}, {argv[-1]})"
+
+
 def test_ucheck_subset_of_wrong_size(capsys):
     code, data = _error(capsys, "u-check", "--k", "5", "--n", "9", "--J", "1,2,3")
     assert code == 2 and data["error"]

@@ -135,10 +135,11 @@ def test_newton_of_factors():
 
 
 @pytest.mark.parametrize("k,n,facets", [
-    (2, 4, 2), (2, 5, 5), (2, 6, 9), (2, 7, 14), (2, 8, 20), (3, 6, 14), (3, 7, 28)])
+    (2, 4, 2), (2, 5, 5), (2, 6, 9), (2, 7, 14), (2, 8, 20), (3, 6, 14), (3, 7, 28),
+    (4, 7, 28)])
 def test_pk_polytope(k, n, facets):
     from math import comb
-    P = pk_polytope(k, n)  # cross-checks the Newton vertex set internally
+    P = pk_polytope(k, n)  # certified internally as the Laurent product's Newton polytope
     assert len(P.inequalities) == facets == comb(n, k) - n
     # every inequality is facet-defining
     d = P.dim
@@ -159,6 +160,33 @@ def _bits(mask):
         mask &= mask - 1
 
 
+def test_pk_polytope_rejects_a_wrong_product(monkeypatch):
+    # without Q_1 the product's row sums are -1, not 0, and its Newton
+    # polytope is not the PK H-rep
+    def without_q1(k, n):
+        Ps, Qs = pk_factors(k, n)
+        return Ps, Qs[1:]
+
+    monkeypatch.setattr(polytope, "pk_factors", without_q1)
+    with pytest.raises(AssertionError, match="PK H-rep"):
+        pk_polytope(3, 6)
+
+
+def test_newton_hrep_needs_constant_row_sums():
+    # row sums (1, 0) and (2, 0) in the 2 x 3 grid of (3, 6)
+    factor = [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)]
+    with pytest.raises(ValueError, match="unequal row sums"):
+        polytope._newton_hrep([factor], 3, 6)
+
+
+def test_newton_hrep_flags_a_sum_smaller_than_its_hrep():
+    # a segment: the minima of the gamma_J bound a triangle around it, and
+    # the triangle's third vertex is not in the sum
+    segment = [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)]
+    _constants, lam, P, agrees = polytope._newton_hrep([segment], 3, 6)
+    assert lam == [1, 1] and len(P.vertices) == 3 and not agrees
+
+
 def test_pk_polytope_vertex_counts():
     # frozen facts of this implementation, dual to the root polytope
     assert len(pk_polytope(3, 6).vertices) == 27
@@ -167,7 +195,7 @@ def test_pk_polytope_vertex_counts():
 
 @pytest.mark.parametrize("k,n", [(3, 6), (2, 5), (2, 6), (2, 7)])
 def test_pk_root_duality(k, n):
-    P = pk_polytope(k, n, cross_check=False)
+    P = pk_polytope(k, n)
     R = root_polytope(k, n)
     # facets of Pi <-> vertices of R and vice versa
     assert len(R.inequalities) == len(P.vertices)

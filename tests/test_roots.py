@@ -171,6 +171,13 @@ def test_decompose_rejects_bad_rows():
         noncrossing_decompose({(1, 1): F(1)}, 3, 6)
 
 
+@pytest.mark.parametrize("k,n", [(2, 3), (1, 5), (0, 5), (-1, 5), (3, 4)])
+def test_decompose_rejects_impossible_k_n(k, n):
+    # the zero vector too: it has no expansion to give outside the range
+    with pytest.raises(ValueError, match=r"need 2 <= k <= n-2"):
+        noncrossing_decompose({}, k, n)
+
+
 def _random_h_vector(rng, k, n, int_only):
     v = {}
     for i in range(1, k):
