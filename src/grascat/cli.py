@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import combinat, kinematics, polynomial, polytope, roots
+from .roots import gamma_hat, grid_add
 
 F = Fraction
 SCHEMA = "grascat/1"
@@ -58,36 +59,39 @@ def _load_subset_map(path, key, k, n):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_nc(args):
-    if args.action == "count":
-        # the leaf count stored in the search DAG, with no collection built
-        count = combinat._search_dag(args.k, args.n, args.max_cliques).count
-        expected = combinat.catalan_mdim(args.k, args.n - args.k)
-        ok = count == expected
-        return _emit(args, {"command": "nc count", "k": args.k, "n": args.n,
-                            "count": count, "catalan": expected, "pass": ok}, ok)
-    if args.action == "list":
-        cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
-        return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,
-                            "collections": [[roots.subset_key(J) for J in c] for c in cols]})
-    if args.action == "degree":
-        coeffs, k, n = roots.load_coeffs(args.input)
-        expansion = roots.noncrossing_decompose(roots.combo_vector(coeffs, k, n), k, n)
-        return _emit(args, {"command": "nc degree", "k": k, "n": n,
-                            "degree": len(expansion),
-                            "expansion": {roots.subset_key(J): str(c)
-                                          for J, c in sorted(expansion.items())}})
-    raise SystemExit(f"unknown nc action {args.action}")
+def _expansion(path):
+    """(k, n, {subset key: coefficient}) of the noncrossing expansion of the
+    combination in an input file, sorted by subset."""
+    coeffs, k, n = roots.load_coeffs(path)
+    expansion = roots.noncrossing_decompose(roots.combo_vector(coeffs, k, n), k, n)
+    return k, n, {roots.subset_key(J): str(c) for J, c in sorted(expansion.items())}
+
+
+def cmd_nc_count(args):
+    # the leaf count stored in the search DAG, with no collection built
+    count = combinat._search_dag(args.k, args.n, args.max_cliques).count
+    expected = combinat.catalan_mdim(args.k, args.n - args.k)
+    ok = count == expected
+    return _emit(args, {"command": "nc count", "k": args.k, "n": args.n,
+                        "count": count, "catalan": expected, "pass": ok}, ok)
+
+
+def cmd_nc_list(args):
+    cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
+    return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,
+                        "collections": [[roots.subset_key(J) for J in c] for c in cols]})
+
+
+def cmd_nc_degree(args):
+    k, n, expansion = _expansion(args.input)
+    return _emit(args, {"command": "nc degree", "k": k, "n": n,
+                        "degree": len(expansion), "expansion": expansion})
 
 
 def cmd_decompose(args):
-    coeffs, k, n = roots.load_coeffs(args.input)
-    v = roots.combo_vector(coeffs, k, n)
-    expansion = roots.noncrossing_decompose(v, k, n)
+    k, n, expansion = _expansion(args.input)
     return _emit(args, {"command": "decompose", "k": k, "n": n,
-                        "expansion": {roots.subset_key(J): str(c)
-                                      for J, c in sorted(expansion.items())},
-                        "degree": len(expansion)})
+                        "expansion": expansion, "degree": len(expansion)})
 
 
 def cmd_volume(args):
@@ -109,11 +113,9 @@ def cmd_pk(args):
         payload = {"command": "pk vertices", "k": args.k, "n": args.n,
                    "count": len(P.vertices),
                    "vertices": [[str(x) for x in v] for v in P.vertices]}
-    elif args.action == "fvector":
+    else:
         payload = {"command": "pk fvector", "k": args.k, "n": args.n,
                    "f_vector": P.f_vector()}
-    else:
-        raise SystemExit(f"unknown pk action {args.action}")
     return _emit(args, payload)
 
 
@@ -181,33 +183,34 @@ def cmd_amplitude(args):
                         "value": str(value), "terms": terms})
 
 
-def cmd_kinematics(args):
-    # the input is read and checked before the basis is built
+def cmd_kinematics_basis(args):
+    B = kinematics.kin_basis(args.k, args.n)
+    return _emit(args, {"command": "kinematics basis", "k": args.k, "n": args.n,
+                        "dimension": len(B.basis), "nonfrozen": len(B.nonfrozen)})
+
+
+# eta-to-s and s-to-eta read and check the input before the basis is built
+
+def cmd_eta_to_s(args):
     k, n = args.k, args.n
-    if args.action == "basis":
-        B = kinematics.kin_basis(k, n)
-        return _emit(args, {"command": "kinematics basis", "k": k, "n": n,
-                            "dimension": len(B.basis),
-                            "nonfrozen": len(B.nonfrozen)})
-    if args.action == "eta-to-s":
-        etas = _load_subset_map(args.input, "eta", k, n)
-        gap = next((J for J in combinat.nonfrozen_subsets(k, n) if J not in etas), None)
-        if gap:
-            raise ValueError(f"{args.input}: no eta for the subset {roots.subset_key(gap)}")
-        point = kinematics.kin_basis(k, n).point_from_eta(etas)
-        return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
-                            "s": {roots.subset_key(J): str(v)
-                                  for J, v in sorted(point.items())}})
-    if args.action == "s-to-eta":
-        point = _load_subset_map(args.input, "s", k, n)
-        if not kinematics.check_conservation(point, k, n):
-            raise ValueError(f"the s-values break momentum conservation: "
-                             f"not a point of K({k},{n})")
-        values = kinematics.kin_basis(k, n).eta_values(point)
-        return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
-                            "eta": {roots.subset_key(J): str(v)
-                                    for J, v in sorted(values.items())}})
-    raise SystemExit(f"unknown kinematics action {args.action}")
+    etas = _load_subset_map(args.input, "eta", k, n)
+    gap = next((J for J in combinat.nonfrozen_subsets(k, n) if J not in etas), None)
+    if gap:
+        raise ValueError(f"{args.input}: no eta for the subset {roots.subset_key(gap)}")
+    point = kinematics.kin_basis(k, n).point_from_eta(etas)
+    return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
+                        "s": {roots.subset_key(J): str(v) for J, v in sorted(point.items())}})
+
+
+def cmd_s_to_eta(args):
+    k, n = args.k, args.n
+    point = _load_subset_map(args.input, "s", k, n)
+    if not kinematics.check_conservation(point, k, n):
+        raise ValueError(f"the s-values break momentum conservation: "
+                         f"not a point of K({k},{n})")
+    values = kinematics.kin_basis(k, n).eta_values(point)
+    return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
+                        "eta": {roots.subset_key(J): str(v) for J, v in sorted(values.items())}})
 
 
 def cmd_search(args):
@@ -243,7 +246,6 @@ def cmd_search(args):
 def _flip_quadruples(k, n):
     """Quadruples (I, J, I', J') with gamma_I + gamma_J = gamma_I' +
     gamma_J', the first pair noncrossing and the second not."""
-    from .roots import gamma_hat, grid_add
     groups = {}
     nf = combinat.nonfrozen_subsets(k, n)
     for A, B in combinations(nf, 2):
@@ -272,78 +274,77 @@ def build_parser():
                     "root systems, PK polytopes and noncrossing amplitudes")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, kn=True):
+    def common(p, func, kn=True):
+        # every parser that runs a command: its shared options and handler
         if kn:
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", default=None)
+        p.set_defaults(func=func)
 
-    def max_cliques(p, default=MAX_CLIQUES):
-        p.add_argument("--max-cliques", type=int, default=default)
+    def max_cliques(p):
+        p.add_argument("--max-cliques", type=int, default=MAX_CLIQUES)
 
-    p = sub.add_parser("nc", help="noncrossing complex queries")
-    p.add_argument("action", choices=("count", "list", "degree"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--input")
-    common(p, kn=False)
-    # no default, so that main can reject --max-cliques where it is not read
-    max_cliques(p, default=None)
-    p.set_defaults(func=cmd_nc)
+    # nc and kinematics: one subparser per action, with exactly the options
+    # that action reads
+    nc = sub.add_parser("nc", help="noncrossing complex queries").add_subparsers(
+        dest="action", required=True)
+    for action, func in (("count", cmd_nc_count), ("list", cmd_nc_list)):
+        p = nc.add_parser(action)
+        common(p, func)
+        max_cliques(p)
+    p = nc.add_parser("degree")
+    p.add_argument("--input", required=True)
+    common(p, cmd_nc_degree, kn=False)
 
     p = sub.add_parser("decompose", help="noncrossing expansion of a combination")
     p.add_argument("--input", required=True)
-    common(p, kn=False)
-    p.set_defaults(func=cmd_decompose)
+    common(p, cmd_decompose, kn=False)
 
     p = sub.add_parser("volume", help="relative volume of the root polytope")
-    common(p)
+    common(p, cmd_volume)
     max_cliques(p)
-    p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("pk", help="PK polytope reports")
     p.add_argument("action", choices=("facets", "vertices", "fvector"))
-    common(p)
-    p.set_defaults(func=cmd_pk)
+    common(p, cmd_pk)
 
     p = sub.add_parser("newton", help="facet data of the tau-product Newton polytope")
     p.add_argument("--fvector", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_newton)
+    common(p, cmd_newton)
 
     p = sub.add_parser("u-check", help="binary identity verification")
     p.add_argument("--J", default=None, help="single subset, e.g. 2,3,6,8")
     p.add_argument("--mode", choices=("symbolic", "random"), default="symbolic")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_ucheck)
+    common(p, cmd_ucheck)
 
     p = sub.add_parser("amplitude", help="noncrossing amplitude evaluation")
-    p.add_argument("--pk", action="store_true")
-    p.add_argument("--eta", default=None,
-                   help="JSON file with an 'eta' map, or 'random-interior'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pk", action="store_true")
+    source.add_argument("--eta", help="JSON file with an 'eta' map, or 'random-interior'")
     p.add_argument("--shift", action="store_true",
                    help="apply the (3,n) kinematic shift to the eta values")
     p.add_argument("--unsafe-large", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, cmd_amplitude)
     max_cliques(p)
-    p.set_defaults(func=cmd_amplitude)
 
-    p = sub.add_parser("kinematics", help="basis-change utilities")
-    p.add_argument("action", choices=("basis", "eta-to-s", "s-to-eta"))
-    p.add_argument("--input")
-    common(p)
-    p.set_defaults(func=cmd_kinematics)
+    kin = sub.add_parser("kinematics", help="basis-change utilities").add_subparsers(
+        dest="action", required=True)
+    common(kin.add_parser("basis"), cmd_kinematics_basis)
+    for action, func in (("eta-to-s", cmd_eta_to_s), ("s-to-eta", cmd_s_to_eta)):
+        p = kin.add_parser(action)
+        p.add_argument("--input", required=True)
+        common(p, func)
 
     p = sub.add_parser("search", help="eta-hat flip positivity search (open question)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    common(p, kn=False)
-    p.set_defaults(func=cmd_search)
+    common(p, cmd_search, kn=False)
 
     return top
 
@@ -374,37 +375,16 @@ def main(argv=None):
             return _error(f"cannot apply GRASCAT_CAP_MB={cap!r}: {exc}")
     parser = _parser()
     args = parser.parse_args(argv)
-    need = ()
-    if args.command == "nc":
-        need = ("input",) if args.action == "degree" else ("k", "n")
-    elif args.command == "kinematics" and args.action != "basis":
-        need = ("input",)
-    missing = [f"--{name}" for name in need if getattr(args, name) is None]
-    if missing:
-        parser.error(f"{args.command} {args.action} requires {' '.join(missing)}")
-    if args.command == "nc":
-        reads = need if args.action == "degree" else need + ("max_cliques",)
-        unread = [f"--{name.replace('_', '-')}" for name in ("k", "n", "input", "max_cliques")
-                  if name not in reads and getattr(args, name) is not None]
-        if unread:
-            parser.error(f"nc {args.action} does not read {' '.join(unread)}")
-        if args.max_cliques is None:
-            args.max_cliques = MAX_CLIQUES
     if getattr(args, "trials", 1) < 1:
         parser.error(f"--trials must be at least 1, not {args.trials}")
     if getattr(args, "max_cliques", 1) < 1:
         parser.error(f"--max-cliques must be at least 1, not {args.max_cliques}")
-    if args.command == "amplitude":
-        if not args.pk and args.eta is None:
-            parser.error("amplitude requires --pk or --eta")
-        if args.shift and args.k != 3:
-            parser.error("--shift is defined for k = 3")
+    if getattr(args, "shift", False) and args.k != 3:
+        parser.error("--shift is defined for k = 3")
     try:
         return args.func(args)
     except (combinat.ResourceLimitExceeded, ValueError, OSError) as exc:
         return _error(str(exc))
-    except kinematics.AmplitudePole as exc:
-        return _error(str(exc), collection=[roots.subset_key(J) for J in exc.collection])
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from itertools import combinations
 from . import linalg
 from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing, check_kn,
                        nonfrozen_subsets)
-from .polynomial import Poly, chain_poly, delta, pk_factors, planar_face_range, tau
+from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import gamma_hat, v_root, lattice_coords
 
 F = Fraction
@@ -420,14 +420,18 @@ def minkowski_sum_points(sets_of_points):
 
 
 def pk_associahedron(k, n):
-    """Minkowski sum of all planar faces, realized as the Newton polytope
-    of the product of the face polynomials delta^{(i)}_J; returns
-    (PolytopeRep, summand count)."""
+    """Minkowski sum of all planar faces F^{(i)}_J, the Newton polytope of
+    the product of the face polynomials delta^{(i)}_J, certified by
+    `_newton_hrep` from the exponent vectors of each delta without forming
+    the product.  The facets come out as gamma_J rows plus row-sum
+    equalities, the form `pk_polytope` uses.  Returns (PolytopeRep,
+    summand count)."""
     pairs = planar_face_range(k, n)
-    prod = Poly.one(k, n)
-    for (i, J) in pairs:
-        prod = prod * delta(i, J, k, n)
-    return newton(prod), len(pairs)
+    _, _, P, agrees = _newton_hrep([newton_points(delta(i, J, k, n)) for (i, J) in pairs],
+                                   k, n)
+    if not agrees:
+        raise AssertionError("the gamma_J H-rep is not the Minkowski sum of the planar faces")
+    return P, len(pairs)
 
 
 def minkowski_summand_count(k, n):

@@ -179,19 +179,30 @@ def test_ucheck_subset_with_spaces(capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
-@pytest.mark.parametrize("argv", [("nc", "count", "--k", "3"), ("nc", "list"),
-                                  ("nc", "degree", "--k", "3", "--n", "6")])
-def test_nc_missing_arguments(capsys, argv):
+# explicit ids keep the names these cases have always run under
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("nc", "count", "--k", "3"), "required: --n", id="argv0"),
+    pytest.param(("nc", "list"), "required: --k, --n", id="argv1"),
+    pytest.param(("nc", "degree", "--k", "3", "--n", "6"), "required: --input", id="argv2"),
+])
+def test_nc_missing_arguments(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "requires --" in capsys.readouterr().err
+    assert f"error: the following arguments are {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("kinematics", "eta-to-s", "--k", "3", "--n", "6"), "requires --input"),
-    (("kinematics", "s-to-eta", "--k", "3", "--n", "6"), "requires --input"),
-    (("amplitude", "--k", "3", "--n", "6"), "requires --pk or --eta"),
+    pytest.param(("kinematics", "eta-to-s", "--k", "3", "--n", "6"),
+                 "the following arguments are required: --input",
+                 id="argv0-requires --input"),
+    pytest.param(("kinematics", "s-to-eta", "--k", "3", "--n", "6"),
+                 "the following arguments are required: --input",
+                 id="argv1-requires --input"),
+    pytest.param(("amplitude", "--k", "3", "--n", "6"),
+                 "one of the arguments --pk --eta is required",
+                 id="argv2-requires --pk or --eta"),
 ])
 def test_missing_input_options(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -446,14 +457,19 @@ TRIPOD_37 = str(Path(__file__).parent / "corpus" / "tripod_37.json")
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("nc", "degree", "--input", TRIPOD_37, "--max-cliques", "1"),
-     "nc degree does not read --max-cliques"),
-    (("nc", "degree", "--input", TRIPOD_37, "--k", "3"), "nc degree does not read --k"),
-    (("nc", "degree", "--input", TRIPOD_37, "--n", "7"), "nc degree does not read --n"),
-    (("nc", "count", "--k", "3", "--n", "6", "--input", TRIPOD_37),
-     "nc count does not read --input"),
-    (("nc", "list", "--k", "2", "--n", "6", "--input", TRIPOD_37),
-     "nc list does not read --input"),
+    pytest.param(("nc", "degree", "--input", TRIPOD_37, "--max-cliques", "1"),
+                 "unrecognized arguments: --max-cliques 1",
+                 id="argv0-nc degree does not read --max-cliques"),
+    pytest.param(("nc", "degree", "--input", TRIPOD_37, "--k", "3"),
+                 "unrecognized arguments: --k 3", id="argv1-nc degree does not read --k"),
+    pytest.param(("nc", "degree", "--input", TRIPOD_37, "--n", "7"),
+                 "unrecognized arguments: --n 7", id="argv2-nc degree does not read --n"),
+    pytest.param(("nc", "count", "--k", "3", "--n", "6", "--input", TRIPOD_37),
+                 f"unrecognized arguments: --input {TRIPOD_37}",
+                 id="argv3-nc count does not read --input"),
+    pytest.param(("nc", "list", "--k", "2", "--n", "6", "--input", TRIPOD_37),
+                 f"unrecognized arguments: --input {TRIPOD_37}",
+                 id="argv4-nc list does not read --input"),
 ])
 def test_nc_rejects_options_its_action_does_not_read(capsys, argv, message):
     # otherwise the option would be accepted and ignored without a word
@@ -461,6 +477,37 @@ def test_nc_rejects_options_its_action_does_not_read(capsys, argv, message):
         main(list(argv))
     assert exc.value.code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("kinematics", "basis", "--k", "3", "--n", "6", "--input", "nope.json"),
+     "error: unrecognized arguments: --input nope.json"),
+    (("amplitude", "--k", "3", "--n", "6", "--pk", "--eta", "eta_3_7.json"),
+     "error: argument --eta: not allowed with argument --pk"),
+    (("nc", "--k", "3", "--n", "6", "count"), "error: argument action: invalid choice: '3'"),
+])
+def test_unread_or_conflicting_options_rejected(capsys, argv, message):
+    # kinematics basis reads no file, amplitude reads one eta source, and
+    # options follow the action
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_text_format(capsys):
+    code, out = run(capsys, "nc", "count", "--k", "3", "--n", "6", "--format", "text")
+    assert code == 0
+    assert out == ("schema: grascat/1\ncommand: nc count\nk: 3\nn: 6\n"
+                   "count: 42\ncatalan: 42\npass: True\n")
+
+
+def test_output_file(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, out = run(capsys, "nc", "count", "--k", "3", "--n", "6", "--output", str(path))
+    assert code == 0 and out == ""
+    corpus = Path(__file__).parent / "corpus"
+    assert path.read_bytes() == (corpus / "nc_count_3_6.out").read_bytes()
 
 
 def test_capped_nc_count_stops_early(capsys):

@@ -307,6 +307,19 @@ def test_pk_associahedron_36():
     assert KA.f_vector() == [1, 42, 84, 56, 14, 1]
 
 
+def test_pk_associahedron_37():
+    KA, count = pk_associahedron(3, 7)
+    assert count == 22 == minkowski_summand_count(3, 7)
+    assert KA.f_vector() == [1, 462, 1386, 1596, 882, 238, 28, 1]
+    assert len(KA.inequalities) == 28
+
+
+def test_pk_associahedron_needs_the_certificate(monkeypatch):
+    monkeypatch.setattr(polytope, "_in_minkowski_sum", lambda *args: False)
+    with pytest.raises(AssertionError):
+        pk_associahedron(2, 5)
+
+
 def test_pk_associahedron_is_loday_for_k2():
     KA, count = pk_associahedron(2, 6)
     from math import comb
