@@ -169,7 +169,7 @@ def cmd_amplitude(args):
         values = _load_subset_map(args.eta, "eta", k, n)
         source = args.eta
     if args.shift:
-        hats = kinematics.eta_hat_shift(n, warn_beyond_validated=not args.unsafe_large)
+        hats = kinematics.eta_hat_shift(n)
         values = {J: hats[J].on_eta(values) for J in nf}
     zeros = [J for J in nf if not values.get(J)]
     if zeros:
@@ -218,7 +218,7 @@ def cmd_search(args):
     interior points of the planar cone; reports the minimum flip value
     found (the underlying question is open, nothing is asserted)."""
     k, n = 3, args.n
-    hats = kinematics.eta_hat_shift(n, warn_beyond_validated=False)
+    hats = kinematics.eta_hat_shift(n)
     B = kinematics.kin_basis(k, n)
     quads = _flip_quadruples(k, n)
     worst = None
@@ -327,7 +327,6 @@ def build_parser():
     source.add_argument("--eta", help="JSON file with an 'eta' map, or 'random-interior'")
     p.add_argument("--shift", action="store_true",
                    help="apply the (3,n) kinematic shift to the eta values")
-    p.add_argument("--unsafe-large", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     common(p, cmd_amplitude)
     max_cliques(p)

@@ -208,7 +208,7 @@ def kd_membership(point, k, n, strict=False):
     return True
 
 
-def interior_kd_point(k, n, seed=None, spread=F(1, 4)):
+def interior_kd_point(k, n, seed=None):
     """A strictly interior point of K_D: the uniform point (all nonfrozen
     s = -1) plus, when seeded, a small random K-perturbation that keeps
     every sign strict."""
@@ -221,7 +221,7 @@ def interior_kd_point(k, n, seed=None, spread=F(1, 4)):
     rng = random.Random(seed)
     B = kin_basis(k, n)
     bound = max(max(abs(x) for x in vec) for vec in B.basis)
-    eps = spread / (bound * len(B.basis))
+    eps = F(1, 4) / (bound * len(B.basis))
     for t, vec in enumerate(B.basis):
         c = eps * F(rng.randint(-1000, 1000), 1000)
         for J, idx in B.index.items():
@@ -276,7 +276,7 @@ def eta_tripod(A, B, k, n):
     return out
 
 
-def eta_hat_shift(n, warn_beyond_validated=True):
+def eta_hat_shift(n):
     """Resolved planar invariants eta-hat for (3, n) as functionals.
 
     eta-hat_I differs from eta_I exactly when I admits a crossing partner
@@ -285,9 +285,9 @@ def eta_hat_shift(n, warn_beyond_validated=True):
     (j, i2, n) minus eta_{j,j+1,n}, and for j = i2+1 (when i2+1 < i3 and
     i3 <= n-2) the tripod on (i2, i3, n) against (i1, j, n-1) minus
     eta_{j,n-1,n}; an overcount of (N-1) eta_I is subtracted when N terms
-    contribute.
+    contribute.  Warns (UserWarning) for n > 9, beyond the validated range.
     """
-    if n > 9 and warn_beyond_validated:
+    if n > 9:
         warnings.warn(f"kinematic shift for (3, {n}) is beyond the validated range n <= 9",
                       stacklevel=2)
     out = {}

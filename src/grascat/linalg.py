@@ -6,7 +6,9 @@ a vector's denominators, `_primitive` scales it to coprime ints, and
 Every exact elimination runs through one fraction-free row update,
 `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante on Python
 ints), the simplex tableau of `polytope.in_convex_hull` and the volume fold
-of `polytope.triangulation_volume`.  `_eliminate` scales each row to
+of `polytope.triangulation_volume`, which pivots only on entries +-1 with
+prev = p, so each of its updates is an integer unimodular row operation
+and no divisor chain is carried.  `_eliminate` scales each row to
 integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
 exactly, as each entry stays a minor of the scaled matrix.  All pivots end
 equal to one value ``d``, so the reduced matrix divided by ``d`` is the
@@ -60,7 +62,9 @@ def _pivot(M, r, col, prev):
     """Pivot the int matrix M in place on p = M[r][col]: each other row
     becomes (p*row - f*M[r]) // prev, f its entry in col.  Returns p, the
     next prev.  Exact along a chain of pivots from prev = 1 (every entry a
-    minor), on a fixed row order (Bareiss) or a simplex basis (Edmonds)."""
+    minor), on a fixed row order (Bareiss) or a simplex basis (Edmonds),
+    and at a unit pivot p = +-1 with prev = p, where a row becomes
+    row - f*p*M[r]."""
     prow = M[r]
     p = prow[col]
     for i, row in enumerate(M):

@@ -106,14 +106,13 @@ class Poly:
         return p
 
     @classmethod
-    def monomial(cls, pairs, k, n, coeff=1):
+    def monomial(cls, pairs, k, n):
         """Product of x_{i,j} over (i, j) pairs (repeats allowed)."""
         p = cls(k, n)
         exp = [0] * p.nvars
         for (i, j) in pairs:
             exp[_var_index(i, j, k, n)] += 1
-        if coeff:
-            p.terms[tuple(exp)] = coeff
+        p.terms[tuple(exp)] = 1
         return p
 
     def _check(self, other):

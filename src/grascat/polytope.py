@@ -4,7 +4,9 @@ Newton polytopes, Minkowski sums, and the named polytopes of the build:
 root polytopes, the PK polytope, fibered simplices, planar faces and the
 PK associahedron.  The LP and the root-polytope volume eliminate only
 through `linalg._pivot`: an integer simplex tableau, and a fold over the
-Bron-Kerbosch tree of maximal noncrossing collections.
+Bron-Kerbosch tree of maximal noncrossing collections that keeps, down
+each branch, its members' lattice rows reduced to +-1 pivots, so every
+leaf is a unimodular simplex by construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); inequality rows and
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing, check_kn,
@@ -315,12 +318,9 @@ def grid_point(vec_dict, k, n):
                  for i in range(1, k) for j in range(1, n - k + 1))
 
 
-def newton_points(poly, laurent_shift=None):
-    """Distinct exponent vectors of a polynomial, optionally shifted down
-    by a monomial (Laurent normalization)."""
-    shift = laurent_shift or (0,) * poly.nvars
-    return sorted(set(tuple(e - s for e, s in zip(exp, shift))
-                      for exp in poly.terms))
+def newton_points(poly):
+    """The exponent vectors of a polynomial, sorted."""
+    return sorted(poly.terms)
 
 
 def newton(poly):
@@ -346,7 +346,8 @@ def pk_polytope(k, n):
     product P_1...P_{k-1} Q_1...Q_{n-k-1} / prod x_{i,j}."""
     check_kn(k, n)
     Ps, Qs = pk_factors(k, n)
-    factors = [newton_points(Ps[0], (1,) * ((k - 1) * (n - k)))]
+    # the Laurent shift by 1 / prod x_{i,j} moves P_1's points alone
+    factors = [[tuple(e - 1 for e in p) for p in newton_points(Ps[0])]]
     factors += [newton_points(f) for f in Ps[1:] + Qs]
     constants, lam, P, agrees = _newton_hrep(factors, k, n)
     if any(c != -1 for c in constants.values()) or any(lam) or not agrees:
@@ -369,30 +370,54 @@ def root_polytope(k, n, hat=False):
 def triangulation_volume(k, n, max_collections=200000):
     """Relative volume of the root polytope in units 1/d!: the number of
     maximal noncrossing collections C, each simplex conv(0, v_J : J in C)
-    checked unimodular.  A fold over the Bron-Kerbosch tree whose branches
-    carry the fraction-free forward elimination (`linalg._pivot`) of their
-    members' lattice coordinates, so at a leaf |det| is the last pivot."""
+    checked unimodular.
+
+    A fold over the Bron-Kerbosch tree whose branches carry unit-pivot
+    rows.  A branch that adds v reduces v's lattice row against the
+    branch's rows, in the order they were kept, with `linalg._pivot` at
+    prev = p = +-1 (so it divides exactly), skipping a row whose pivot
+    column the new row already has 0 in; then it keeps the reduced row
+    with its first +-1 entry as pivot.  Each kept row has a +-1 pivot in a
+    new column and 0 in the earlier pivot columns, and the row operations
+    are integer and unimodular.  So a leaf holding d = (k-1)(n-k-1) rows is
+    a triangular matrix with +-1 on its diagonal, up to a column
+    permutation, and its simplex is unimodular: the leaf only counts its
+    rows.  A nonzero reduced row without a +-1 entry raises: when its
+    entries share a factor g > 1, every completion of the branch has |det|
+    divisible by g; when they are coprime, no unit pivot is found, which
+    does not make the cone non-unimodular.  A zero reduced row leaves a
+    short leaf, |det| 0.
+    """
     verts = nonfrozen_subsets(k, n)
     coords = [lattice_coords(v_root(J, k, n), k, n) for J in verts]
     d = (k - 1) * (n - k - 1)
 
+    def named(R):
+        return tuple(sorted(verts[i] for i in _bits(R)))
+
     def add(acc, v):
         R, echelon = acc
-        M, prev = [None, coords[v]], 1
+        R |= 1 << v
+        M = [None, coords[v]]
         for M[0], col in echelon:
-            prev = linalg._pivot(M, 0, col, prev)
-        col = next((c for c, x in enumerate(M[1]) if x), None)
+            if M[1][col]:
+                linalg._pivot(M, 0, col, M[0][col])
+        row = M[1]
+        col = next((c for c, x in enumerate(row) if x == 1 or x == -1), None)
         if col is not None:
-            echelon += ((M[1], col),)
-        return R | 1 << v, echelon
+            return R, echelon + ((row, col),)
+        g = gcd(*row)
+        if g > 1:
+            raise AssertionError(f"non-unimodular partial collection {named(R)}: "
+                                 f"every completion has |det| divisible by {g}")
+        if g:
+            raise AssertionError(f"no unit pivot for the partial collection {named(R)}")
+        return R, echelon
 
     def leaf(acc):
         R, echelon = acc
-        row, col = echelon[-1]
-        det = abs(row[col]) if len(echelon) == d == R.bit_count() else 0
-        if det != 1:
-            coll = tuple(sorted(verts[i] for i in _bits(R)))
-            raise AssertionError(f"non-unimodular collection {coll}: |det| {det}")
+        if not len(echelon) == d == R.bit_count():
+            raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
 
     return _fold_maximal_noncrossing(k, n, max_collections, (0, ()), add, leaf)
 
@@ -439,10 +464,10 @@ def minkowski_summand_count(k, n):
     return comb(n, k) - k * (n - k) - 1
 
 
-def minimize_face(vertices, functional, const=0):
-    """(minimum value, vertex sublist attaining it) of c + a . x over a
-    vertex list."""
-    vals = [const + sum(a * x for a, x in zip(functional, v)) for v in vertices]
+def minimize_face(vertices, functional):
+    """(minimum value, vertex sublist attaining it) of a . x over a vertex
+    list."""
+    vals = [sum(a * x for a, x in zip(functional, v)) for v in vertices]
     m = min(vals)
     return m, [v for v, val in zip(vertices, vals) if val == m]
 

@@ -248,13 +248,11 @@ def noncrossing_degree(coeffs, k, n):
     return len(noncrossing_decompose(combo_vector(coeffs, k, n), k, n))
 
 
-def combo_vector(coeffs, k, n, hat=False):
-    """Grid vector of a formal combination sum c_J v_J (or gamma_hat with
-    hat=True)."""
+def combo_vector(coeffs, k, n):
+    """Grid vector of a formal combination sum c_J v_J."""
     v = {}
-    build = gamma_hat if hat else v_root
     for J, c in coeffs.items():
-        v = grid_add(v, build(J, k, n), F(c))
+        v = grid_add(v, v_root(J, k, n), F(c))
     return v
 
 

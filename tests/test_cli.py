@@ -485,10 +485,13 @@ def test_nc_rejects_options_its_action_does_not_read(capsys, argv, message):
     (("amplitude", "--k", "3", "--n", "6", "--pk", "--eta", "eta_3_7.json"),
      "error: argument --eta: not allowed with argument --pk"),
     (("nc", "--k", "3", "--n", "6", "count"), "error: argument action: invalid choice: '3'"),
+    (("amplitude", "--k", "3", "--n", "6", "--pk", "--unsafe-large"),
+     "error: unrecognized arguments: --unsafe-large"),
 ])
 def test_unread_or_conflicting_options_rejected(capsys, argv, message):
-    # kinematics basis reads no file, amplitude reads one eta source, and
-    # options follow the action
+    # kinematics basis reads no file, amplitude reads one eta source,
+    # options follow the action, and the shift's n > 9 warning is a Python
+    # warning (python -W), not an option
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

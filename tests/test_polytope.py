@@ -221,18 +221,44 @@ def test_extreme_points_cross_check():
 
 @pytest.mark.parametrize("k,n,vol", [(2, 5, 5), (2, 6, 14), (2, 7, 42),
                                      (3, 6, 42), (4, 7, 462), (3, 8, 6006),
-                                     (4, 8, 24024)])
+                                     (4, 8, 24024), (3, 9, 87516)])
 def test_triangulation_volume(k, n, vol):
     assert triangulation_volume(k, n) == vol
 
 
-def test_triangulation_volume_names_a_non_unimodular_collection(monkeypatch):
-    # doubling v_J makes every simplex holding J of volume 2
-    J = (1, 3, 5)
+@pytest.mark.slow
+@pytest.mark.parametrize("k,n,vol", [(3, 10, 1385670), (5, 9, 1662804)])
+def test_triangulation_volume_slow(k, n, vol):
+    assert triangulation_volume(k, n, max_collections=2000000) == vol
+
+
+def _patch_root(monkeypatch, J, vec):
     v_root = polytope.v_root
     monkeypatch.setattr(polytope, "v_root", lambda I, k, n: (
-        {key: 2 * c for key, c in v_root(I, k, n).items()} if I == J else v_root(I, k, n)))
-    with pytest.raises(AssertionError, match=r"non-unimodular collection .*\(1, 3, 5\).*: \|det\| 2"):
+        vec(v_root(J, k, n)) if I == J else v_root(I, k, n)))
+
+
+def test_triangulation_volume_names_a_non_unimodular_collection(monkeypatch):
+    # doubling v_J makes every simplex holding J of volume 2
+    _patch_root(monkeypatch, (1, 3, 5), lambda v: {key: 2 * c for key, c in v.items()})
+    with pytest.raises(AssertionError, match=r"non-unimodular partial collection "
+                       r".*\(1, 3, 5\).*: every completion has \|det\| divisible by 2"):
+        triangulation_volume(3, 6)
+
+
+def test_triangulation_volume_names_a_row_without_a_unit_pivot(monkeypatch):
+    # lattice row (2, 3, 0, 0): coprime entries, none of them +-1
+    _patch_root(monkeypatch, (1, 3, 5), lambda v: {(1, 1): 2, (1, 2): 1, (1, 3): -3})
+    with pytest.raises(AssertionError,
+                       match=r"no unit pivot for the partial collection .*\(1, 3, 5\)"):
+        triangulation_volume(3, 6)
+
+
+def test_triangulation_volume_names_a_singular_collection(monkeypatch):
+    # v_{135} = v_{145}: a collection holding both reduces one row to 0
+    _patch_root(monkeypatch, (1, 3, 5), lambda v: v_root((1, 4, 5), 3, 6))
+    with pytest.raises(AssertionError, match=r"non-unimodular collection "
+                       r".*\(1, 3, 5\), \(1, 4, 5\).*: \|det\| 0"):
         triangulation_volume(3, 6)
 
 
