@@ -4,6 +4,10 @@ reproducible, scriptable subcommand with JSON output.
 Exit code 0 means every requested check passed; structured failure
 reports otherwise.  All randomness is seeded and the seed is echoed in
 the report, so identical invocations produce byte-identical output.
+
+This module alone reads and writes the JSON format: input maps keyed by
+subsets ("1,3,5") with exact values, read by `_load_subset_map`, and the
+reports; the library modules take and return plain tuples and numbers.
 """
 from __future__ import annotations
 
@@ -20,7 +24,9 @@ from .roots import gamma_hat, grid_add
 
 F = Fraction
 SCHEMA = "grascat/1"
-MAX_CLIQUES = 200000
+# the option value under which u-check and amplitude run something random,
+# the only case in which they read --seed and --trials
+RANDOM_MODE = {"u-check": ("mode", "random"), "amplitude": ("eta", "random-interior")}
 
 
 def _emit(args, payload, ok=True):
@@ -37,23 +43,77 @@ def _emit(args, payload, ok=True):
     return 0 if ok else 1
 
 
-def _load_subset_map(path, key, k, n):
-    """The map under ``key`` of a JSON input file, as {subset: Fraction};
-    every key must be a k-subset of [1, n], and an ``eta`` map may not give
-    a frozen subset, whose eta vanishes on K(k,n), a nonzero value."""
-    data = roots.load_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get(key), dict):
+def subset_key(J):
+    return ",".join(str(j) for j in J)
+
+
+def parse_subset(key):
+    return tuple(int(p) for p in key.split(","))
+
+
+def parse_value(val):
+    """An exact number from an input value: an int (not a bool), a Fraction
+    (how load_json reads a JSON decimal) or a rational string such as
+    "3/2"; anything else, a zero denominator included, raises ValueError."""
+    if not isinstance(val, bool) and isinstance(val, (int, Fraction, str)):
+        try:
+            return F(val)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"input value {json.dumps(val, default=str)} is not a number")
+
+
+def load_json(path):
+    """The JSON document in a file, with decimals read exactly as Fractions
+    (0.1 is 1/10, not the nearest double); a key repeated in one object
+    raises ValueError."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=Fraction, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"input JSON repeats the key {key!r}")
+        obj[key] = val
+    return obj
+
+
+def _load_subset_map(path, key, k=None, n=None):
+    """(values, k, n) of a JSON input file: the map under ``key`` as
+    {subset: Fraction}, every key a k-subset of [1, n].  Without k and n
+    (a ``coeffs`` file) they are read from the file as well.  An ``eta``
+    map may not give a frozen subset, whose eta vanishes on K(k,n), a
+    nonzero value."""
+    data = load_json(path)
+    if k is None:
+        if not isinstance(data, dict):
+            raise ValueError("input JSON is not an object")
+        bad = [name for name, kind in ((key, dict), ("k", int), ("n", int))
+               if not isinstance(data.get(name), kind) or isinstance(data.get(name), bool)]
+        if bad:
+            raise ValueError(f"input JSON lacks {', '.join(map(repr, bad))} "
+                             f"or has the wrong type")
+        k, n = data["k"], data["n"]
+    elif not isinstance(data, dict) or not isinstance(data.get(key), dict):
         raise ValueError(f"{path}: input JSON has no {key!r} object")
     out = {}
     for text, val in data[key].items():
-        J = combinat.check_subset(roots.parse_subset(text), k, n)
+        J = combinat.check_subset(parse_subset(text), k, n)
         if J in out:
-            raise ValueError(f"two {key} keys name the subset {roots.subset_key(J)}")
-        out[J] = roots.parse_value(val)
+            raise ValueError(f"two {key} keys name the subset {subset_key(J)}")
+        out[J] = parse_value(val)
         if key == "eta" and out[J] and combinat.is_frozen(J, n):
             raise ValueError(f"eta of the frozen subset {text} is zero on K({k},{n}), "
                              f"not {out[J]}")
-    return out
+    return out, k, n
+
+
+def _dump_subset_map(values):
+    """The output form of a {subset: number} map: subset keys in sorted
+    order, numbers as exact strings."""
+    return {subset_key(J): str(v) for J, v in sorted(values.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +122,9 @@ def _load_subset_map(path, key, k, n):
 def _expansion(path):
     """(k, n, {subset key: coefficient}) of the noncrossing expansion of the
     combination in an input file, sorted by subset."""
-    coeffs, k, n = roots.load_coeffs(path)
+    coeffs, k, n = _load_subset_map(path, "coeffs")
     expansion = roots.noncrossing_decompose(roots.combo_vector(coeffs, k, n), k, n)
-    return k, n, {roots.subset_key(J): str(c) for J, c in sorted(expansion.items())}
+    return k, n, _dump_subset_map(expansion)
 
 
 def cmd_nc_count(args):
@@ -79,7 +139,7 @@ def cmd_nc_count(args):
 def cmd_nc_list(args):
     cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
     return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,
-                        "collections": [[roots.subset_key(J) for J in c] for c in cols]})
+                        "collections": [[subset_key(J) for J in c] for c in cols]})
 
 
 def cmd_nc_degree(args):
@@ -125,8 +185,7 @@ def cmd_newton(args):
                "facets": len(report["polytope"].inequalities),
                "vertices": len(report["polytope"].vertices),
                "lambda": [str(x) for x in report["lambda"]],
-               "constants": {roots.subset_key(J): str(c)
-                             for J, c in sorted(report["constants"].items())},
+               "constants": _dump_subset_map(report["constants"]),
                "hrep_agrees": report["agrees"]}
     if args.fvector:
         payload["f_vector"] = report["polytope"].f_vector()
@@ -139,7 +198,7 @@ def cmd_ucheck(args):
         verdict = polynomial.binary_identities_random_all(
             args.k, args.n, trials=args.trials, seed=args.seed)
         return _emit(args, {"command": "u-check", **verdict}, verdict["pass"])
-    targets = ([roots.parse_subset(args.J)] if args.J
+    targets = ([parse_subset(args.J)] if args.J
                else combinat.nonfrozen_subsets(args.k, args.n))
     results = []
     ok = True
@@ -166,7 +225,7 @@ def cmd_amplitude(args):
         values = kinematics.kin_basis(k, n).eta_values(point)
         source = "random-interior"
     else:
-        values = _load_subset_map(args.eta, "eta", k, n)
+        values = _load_subset_map(args.eta, "eta", k, n)[0]
         source = args.eta
     if args.shift:
         hats = kinematics.eta_hat_shift(n)
@@ -175,7 +234,7 @@ def cmd_amplitude(args):
     if zeros:
         return _emit(args, {"command": "amplitude", "k": k, "n": n,
                             "error": "zero pole",
-                            "poles": [roots.subset_key(J) for J in zeros]}, ok=False)
+                            "poles": [subset_key(J) for J in zeros]}, ok=False)
     value = kinematics.nc_amplitude(k, n, values, args.max_cliques)
     terms = combinat.catalan_mdim(k, n - k)
     return _emit(args, {"command": "amplitude", "k": k, "n": n, "source": source,
@@ -193,24 +252,24 @@ def cmd_kinematics_basis(args):
 
 def cmd_eta_to_s(args):
     k, n = args.k, args.n
-    etas = _load_subset_map(args.input, "eta", k, n)
+    etas = _load_subset_map(args.input, "eta", k, n)[0]
     gap = next((J for J in combinat.nonfrozen_subsets(k, n) if J not in etas), None)
     if gap:
-        raise ValueError(f"{args.input}: no eta for the subset {roots.subset_key(gap)}")
+        raise ValueError(f"{args.input}: no eta for the subset {subset_key(gap)}")
     point = kinematics.kin_basis(k, n).point_from_eta(etas)
     return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
-                        "s": {roots.subset_key(J): str(v) for J, v in sorted(point.items())}})
+                        "s": _dump_subset_map(point)})
 
 
 def cmd_s_to_eta(args):
     k, n = args.k, args.n
-    point = _load_subset_map(args.input, "s", k, n)
+    point = _load_subset_map(args.input, "s", k, n)[0]
     if not kinematics.check_conservation(point, k, n):
         raise ValueError(f"the s-values break momentum conservation: "
                          f"not a point of K({k},{n})")
     values = kinematics.kin_basis(k, n).eta_values(point)
     return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
-                        "eta": {roots.subset_key(J): str(v) for J, v in sorted(values.items())}})
+                        "eta": _dump_subset_map(values)})
 
 
 def cmd_search(args):
@@ -233,8 +292,8 @@ def cmd_search(args):
             if val <= 0:
                 violations.append({
                     "trial": t,
-                    "noncrossing_pair": [roots.subset_key(I), roots.subset_key(J)],
-                    "crossing_pair": [roots.subset_key(I2), roots.subset_key(J2)],
+                    "noncrossing_pair": [subset_key(I), subset_key(J)],
+                    "crossing_pair": [subset_key(I2), subset_key(J2)],
                     "value": str(val)})
     return _emit(args, {"command": "search", "k": k, "n": n,
                         "trials": args.trials, "seed": args.seed,
@@ -284,7 +343,7 @@ def build_parser():
         p.set_defaults(func=func)
 
     def max_cliques(p):
-        p.add_argument("--max-cliques", type=int, default=MAX_CLIQUES)
+        p.add_argument("--max-cliques", type=int, default=combinat.MAX_COLLECTIONS)
 
     # nc and kinematics: one subparser per action, with exactly the options
     # that action reads
@@ -317,8 +376,8 @@ def build_parser():
     p = sub.add_parser("u-check", help="binary identity verification")
     p.add_argument("--J", default=None, help="single subset, e.g. 2,3,6,8")
     p.add_argument("--mode", choices=("symbolic", "random"), default="symbolic")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None, help="random mode only (default 20)")
+    p.add_argument("--seed", type=int, default=None, help="random mode only (default 0)")
     common(p, cmd_ucheck)
 
     p = sub.add_parser("amplitude", help="noncrossing amplitude evaluation")
@@ -327,7 +386,8 @@ def build_parser():
     source.add_argument("--eta", help="JSON file with an 'eta' map, or 'random-interior'")
     p.add_argument("--shift", action="store_true",
                    help="apply the (3,n) kinematic shift to the eta values")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="--eta random-interior only (default 0)")
     common(p, cmd_amplitude)
     max_cliques(p)
 
@@ -374,6 +434,15 @@ def main(argv=None):
             return _error(f"cannot apply GRASCAT_CAP_MB={cap!r}: {exc}")
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.command in RANDOM_MODE:
+        # None marks an option not given: it takes its default, and one given
+        # where nothing random runs is rejected
+        option, value = RANDOM_MODE[args.command]
+        for name, default in (("seed", 0), ("trials", 20)):
+            if getattr(args, name, default) is None:
+                setattr(args, name, default)
+            elif hasattr(args, name) and getattr(args, option) != value:
+                parser.error(f"--{name} is read only with --{option} {value}")
     if getattr(args, "trials", 1) < 1:
         parser.error(f"--trials must be at least 1, not {args.trials}")
     if getattr(args, "max_cliques", 1) < 1:

@@ -14,6 +14,11 @@ from functools import lru_cache
 from itertools import combinations
 
 
+# the default cap on the maximal collections one search may find, shared by
+# every enumeration and the CLI's --max-cliques
+MAX_COLLECTIONS = 200000
+
+
 class ResourceLimitExceeded(RuntimeError):
     """Raised when an enumeration would exceed a configured cap."""
 
@@ -182,7 +187,7 @@ def _first_collection(adj, chosen=0):
     return chosen
 
 
-def enumerate_maximal_noncrossing(k, n, max_collections=200000):
+def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     """All maximal pairwise-noncrossing collections of nonfrozen subsets,
     the leaves of the pivoting Bron-Kerbosch search with degeneracy
     ordering (see `_search_dag`).

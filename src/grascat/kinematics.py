@@ -18,8 +18,8 @@ from itertools import combinations
 from math import comb, prod
 
 from . import linalg
-from .combinat import (_bits, _first_collection, _noncrossing_graph, _search_dag,
-                       is_frozen, nonfrozen_subsets)
+from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
+                       _search_dag, is_frozen, nonfrozen_subsets)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -319,7 +319,7 @@ class AmplitudePole(ZeroDivisionError):
         super().__init__(f"zero eta-hat on the collection {collection}")
 
 
-def nc_amplitude(k, n, values, max_collections=200000):
+def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     """Sum over all maximal noncrossing collections of the product of
     1/values[J]; values maps every nonfrozen subset to a nonzero rational.
 

@@ -233,30 +233,6 @@ class Poly:
         return " + ".join(bits)
 
 
-def poly_from_json(obj, k, n):
-    p = Poly.zero(k, n)
-    seen = {}
-    for term in obj:
-        exp = [0] * p.nvars
-        for (i, j, e) in term["exponents"]:
-            exp[_var_index(i, j, k, n)] = e
-        seen[tuple(exp)] = F(term["coeff"])
-    p.terms = {e: c for e, c in seen.items() if c}
-    return p
-
-
-def poly_to_json(p):
-    out = []
-    for e, c in sorted(p.terms.items(), key=lambda ec: (sum(ec[0]), ec[0])):
-        exps = []
-        for idx, v in enumerate(e):
-            if v:
-                i, j = divmod(idx, p.n - p.k)
-                exps.append([i + 1, j + 1, v])
-        out.append({"exponents": exps, "coeff": str(c)})
-    return out
-
-
 def divide_exact(f, g):
     """Exact polynomial quotient f / g; raises when the division leaves a
     remainder (which signals a bug in the caller's identity)."""

@@ -26,8 +26,8 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .combinat import (ResourceLimitExceeded, _bits, _fold_maximal_noncrossing, check_kn,
-                       nonfrozen_subsets)
+from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
+                       _fold_maximal_noncrossing, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import gamma_hat, v_root, lattice_coords
 
@@ -367,7 +367,7 @@ def root_polytope(k, n, hat=False):
     return hull_of_points(pts)
 
 
-def triangulation_volume(k, n, max_collections=200000):
+def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     """Relative volume of the root polytope in units 1/d!: the number of
     maximal noncrossing collections C, each simplex conv(0, v_J : J in C)
     checked unimodular.

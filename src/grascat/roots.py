@@ -12,7 +12,6 @@ is the vertex of the root polytope attached to J.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -289,71 +288,3 @@ def _in_cyclic_open(x, lo, hi, n):
     if lo < hi:
         return lo < x < hi
     return x > lo or x < hi
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-def subset_key(J):
-    return ",".join(str(j) for j in J)
-
-
-def parse_subset(key):
-    return tuple(int(p) for p in key.split(","))
-
-
-def coeffs_to_json(coeffs, k, n):
-    return {
-        "k": k,
-        "n": n,
-        "coeffs": {subset_key(J): str(coeffs[J]) for J in sorted(coeffs)},
-    }
-
-
-def parse_value(val):
-    """An exact number from an input value: an int (not a bool), a Fraction
-    (how load_json reads a JSON decimal) or a rational string such as
-    "3/2"; anything else, a zero denominator included, raises ValueError."""
-    if not isinstance(val, bool) and isinstance(val, (int, Fraction, str)):
-        try:
-            return F(val)
-        except ZeroDivisionError:
-            pass
-    raise ValueError(f"input value {json.dumps(val, default=str)} is not a number")
-
-
-def load_json(path):
-    """The JSON document in a file, with decimals read exactly as Fractions
-    (0.1 is 1/10, not the nearest double); a key repeated in one object
-    raises ValueError."""
-    with open(path) as fh:
-        return json.load(fh, parse_float=Fraction, object_pairs_hook=_unique_keys)
-
-
-def _unique_keys(pairs):
-    obj = {}
-    for key, val in pairs:
-        if key in obj:
-            raise ValueError(f"input JSON repeats the key {key!r}")
-        obj[key] = val
-    return obj
-
-
-def coeffs_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("input JSON is not an object")
-    bad = [key for key, kind in (("coeffs", dict), ("k", int), ("n", int))
-           if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool)]
-    if bad:
-        raise ValueError(f"input JSON lacks {', '.join(map(repr, bad))} or has the wrong type")
-    coeffs = {}
-    for key, val in obj["coeffs"].items():
-        J = parse_subset(key)
-        if J in coeffs:
-            raise ValueError(f"two coeffs keys name the subset {subset_key(J)}")
-        coeffs[J] = parse_value(val)
-    return coeffs, obj["k"], obj["n"]
-
-
-def load_coeffs(path):
-    return coeffs_from_json(load_json(path))

@@ -531,3 +531,46 @@ def test_parser_is_built_once(capsys):
         main(["--help"])
     assert capsys.readouterr().out == first == cli.build_parser().format_help()
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
+@pytest.mark.parametrize("subset,message", [
+    ("2,1,4", "subset must be strictly increasing: (2, 1, 4)"),
+    ("1,2,4,5", "expected a 3-element subset, got (1, 2, 4, 5)"),
+])
+def test_coeffs_bad_key(tmp_path, capsys, command, subset, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"k": 3, "n": 7, "coeffs": {subset: "1"}}))
+    code, data = _error(capsys, *command, "--input", str(path))
+    assert code == 2 and data == {"schema": "grascat/1", "error": message}
+
+
+def test_coeffs_keys_and_values_read_in_file_order(tmp_path, capsys):
+    # each key is checked before its value is read, so the first bad entry
+    # is the one reported
+    path = tmp_path / "bad.json"
+    path.write_text('{"k": 3, "n": 7, "coeffs": {"1,2,9": "1", "1,2,4": "q"}}')
+    code, data = _error(capsys, "decompose", "--input", str(path))
+    assert code == 2 and data["error"] == "subset (1, 2, 9) not inside [1, 7]"
+
+
+ETA_37 = str(Path(__file__).parent / "corpus" / "eta_3_7.json")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("amplitude", "--k", "3", "--n", "6", "--pk", "--seed", "3"),
+                 "--seed is read only with --eta random-interior", id="amplitude --pk --seed"),
+    pytest.param(("amplitude", "--k", "3", "--n", "7", "--eta", ETA_37, "--seed", "0"),
+                 "--seed is read only with --eta random-interior",
+                 id="amplitude --eta FILE --seed"),
+    pytest.param(("u-check", "--k", "3", "--n", "6", "--seed", "4"),
+                 "--seed is read only with --mode random", id="symbolic u-check --seed"),
+    pytest.param(("u-check", "--k", "3", "--n", "6", "--J", "1,2,4", "--trials", "5"),
+                 "--trials is read only with --mode random", id="symbolic u-check --trials"),
+])
+def test_seed_and_trials_rejected_where_nothing_random_runs(capsys, argv, message):
+    # otherwise they would be accepted, and the seed echoed, with no effect
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err

@@ -287,3 +287,14 @@ def test_search_dag_is_built_once_per_shape(monkeypatch):
     nc_amplitude(3, 7, {J: F(1, i + 2) for i, J in enumerate(verts)})
     assert len(enumerate_maximal_noncrossing(3, 7)) == 462
     assert builds == [(3, 7, 200000)]
+
+
+def test_one_default_cap():
+    import inspect
+
+    from grascat import cli, polytope
+    defaults = [inspect.signature(f).parameters["max_collections"].default
+                for f in (enumerate_maximal_noncrossing, polytope.triangulation_volume,
+                          nc_amplitude)]
+    args = cli.build_parser().parse_args(["volume", "--k", "3", "--n", "6"])
+    assert defaults + [args.max_cliques] == [combinat.MAX_COLLECTIONS] * 4

@@ -16,7 +16,6 @@ from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identity_check, compound_X, delta,
                                 divide_exact, m_poly, needs_resolution,
                                 pk_factors, planar_face_range, plucker,
-                                poly_from_json, poly_to_json,
                                 resolved_count_formula, resolved_minor,
                                 root_potential_check, tau, u_variable)
 from grascat.polytope import omega_vertices
@@ -34,11 +33,6 @@ def test_poly_ring_ops():
     p = x(1, 1) + x(1, 2)
     assert p.eval({(1, 1): 1, (1, 2): 1}) == 2
     assert (a - a) == Poly.zero(3, 6)
-
-
-def test_poly_json_roundtrip():
-    p = 3 * x(1, 1) * x(2, 2) - x(1, 3)
-    assert poly_from_json(poly_to_json(p), 3, 6) == p
 
 
 def test_divide_exact():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat.combinat import is_noncrossing, enumerate_maximal_noncrossing
-from grascat.roots import (DecompositionError, check_four_term, coeffs_from_json,
-                           coeffs_to_json, combo_vector, cube_antipode,
+from grascat.roots import (DecompositionError, check_four_term, combo_vector, cube_antipode,
                            f_combination, gamma_hat, grid_add, lattice_coords,
                            noncrossing_decompose, noncrossing_degree,
                            project_f, tripod_vector, v_root)
@@ -231,10 +230,3 @@ def test_lattice_basis_unimodular(k, n):
     for coll in enumerate_maximal_noncrossing(k, n):
         M = [lattice_coords(v_root(J, k, n), k, n) for J in coll]
         assert abs(linalg.det(M)) == 1
-
-
-def test_json_roundtrip():
-    coeffs = {(1, 3, 5): F(3, 2), (2, 4, 6): F(-1)}
-    blob = coeffs_to_json(coeffs, 3, 6)
-    back, k, n = coeffs_from_json(blob)
-    assert (back, k, n) == (coeffs, 3, 6)
