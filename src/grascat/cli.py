@@ -85,7 +85,14 @@ def _load_subset_map(path, key, k=None, n=None):
     {subset: Fraction}, every key a k-subset of [1, n].  Without k and n
     (a ``coeffs`` file) they are read from the file as well.  An ``eta``
     map may not give a frozen subset, whose eta vanishes on K(k,n), a
-    nonzero value."""
+    nonzero value.  Every ValueError names the file."""
+    try:
+        return _read_subset_map(path, key, k, n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_subset_map(path, key, k, n):
     data = load_json(path)
     if k is None:
         if not isinstance(data, dict):
@@ -97,7 +104,7 @@ def _load_subset_map(path, key, k=None, n=None):
                              f"or has the wrong type")
         k, n = data["k"], data["n"]
     elif not isinstance(data, dict) or not isinstance(data.get(key), dict):
-        raise ValueError(f"{path}: input JSON has no {key!r} object")
+        raise ValueError(f"input JSON has no {key!r} object")
     out = {}
     for text, val in data[key].items():
         J = combinat.check_subset(parse_subset(text), k, n)

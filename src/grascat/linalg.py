@@ -3,12 +3,14 @@ one rule for exact numbers that every module follows: `_integral` clears
 a vector's denominators, `_primitive` scales it to coprime ints, and
 `_exact` holds a value as an int when it is integral, else as a Fraction.
 
-Every exact elimination runs through one fraction-free row update,
-`_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante on Python
-ints), the simplex tableau of `polytope.in_convex_hull` and the volume fold
-of `polytope.triangulation_volume`, which pivots only on entries +-1 with
-prev = p, so each of its updates is an integer unimodular row operation
-and no divisor chain is carried.  `_eliminate` scales each row to
+Every exact elimination but one runs through one fraction-free row
+update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante
+on Python ints), the simplex tableau of `polytope.in_convex_hull` and the
+volume fold of `polytope.triangulation_volume`, which pivots only on
+entries +-1 with prev = p, so each of its updates is an integer unimodular
+row operation and no divisor chain is carried.  The exception is the flip
+of the fan walk in `roots._Fan.locate`, its own unit-pivot row update,
+which skips the rows with 0 in the entering column.  `_eliminate` scales each row to
 integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
 exactly, as each entry stays a minor of the scaled matrix.  All pivots end
 equal to one value ``d``, so the reduced matrix divided by ``d`` is the

@@ -5,8 +5,8 @@ root polytopes, the PK polytope, fibered simplices, planar faces and the
 PK associahedron.  The LP and the root-polytope volume eliminate only
 through `linalg._pivot`: an integer simplex tableau, and a fold over the
 Bron-Kerbosch tree of maximal noncrossing collections that keeps, down
-each branch, its members' lattice rows reduced to +-1 pivots, so every
-leaf is a unimodular simplex by construction and no determinant is read.
+each branch, its members' `roots._fan` rows reduced to +-1 pivots, so
+every leaf is unimodular by construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); inequality rows and
@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
                        _fold_maximal_noncrossing, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
-from .roots import gamma_hat, v_root, lattice_coords
+from .roots import _fan, gamma_hat, v_root
 
 F = Fraction
+MAX_RAYS = 200000  # the most rays a double description may hold
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def _independent_rows(rows):
     return linalg._eliminate([list(col) for col in zip(*rows)])[1]
 
 
-def cone_rays(rows, max_rays=200000):
+def cone_rays(rows):
     """Extreme rays, as primitive int vectors, of the pointed cone
     {y : row . y >= 0 for all rows}.
 
@@ -140,8 +141,8 @@ def cone_rays(rows, max_rays=200000):
         keep = [t for t, v in enumerate(vals) if v >= 0]
         rays = [rays[t] for t in keep] + new_rays
         tight = [tight[t] | (vals[t] == 0) << i for t in keep] + new_tight
-        if len(rays) > max_rays:
-            raise ResourceLimitExceeded(f"double description exceeded {max_rays} rays")
+        if len(rays) > MAX_RAYS:
+            raise ResourceLimitExceeded(f"double description exceeded {MAX_RAYS} rays")
     return rays
 
 
@@ -373,24 +374,23 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     checked unimodular.
 
     A fold over the Bron-Kerbosch tree whose branches carry unit-pivot
-    rows.  A branch that adds v reduces v's lattice row against the
-    branch's rows, in the order they were kept, with `linalg._pivot` at
-    prev = p = +-1 (so it divides exactly), skipping a row whose pivot
-    column the new row already has 0 in; then it keeps the reduced row
-    with its first +-1 entry as pivot.  Each kept row has a +-1 pivot in a
-    new column and 0 in the earlier pivot columns, and the row operations
-    are integer and unimodular.  So a leaf holding d = (k-1)(n-k-1) rows is
-    a triangular matrix with +-1 on its diagonal, up to a column
-    permutation, and its simplex is unimodular: the leaf only counts its
-    rows.  A nonzero reduced row without a +-1 entry raises: when its
-    entries share a factor g > 1, every completion of the branch has |det|
-    divisible by g; when they are coprime, no unit pivot is found, which
-    does not make the cone non-unimodular.  A zero reduced row leaves a
-    short leaf, |det| 0.
+    rows: the roots in the start-cone basis of `roots._fan`, a lattice
+    basis, so every |det| is as in lattice coordinates.  A branch that
+    adds v reduces v's row against the branch's rows, in the order kept,
+    by `linalg._pivot` at prev = p = +-1 (exact), skipping a row whose
+    pivot column the new row has 0 in, and keeps it with its first +-1
+    entry as pivot.  Each kept row has a +-1 pivot in a new column and 0
+    in the earlier pivot columns, and the row operations are integer and
+    unimodular, so a leaf of d = (k-1)(n-k-1) rows is triangular with +-1
+    on its diagonal up to a column permutation: unimodular, and the leaf
+    only counts its rows.  A nonzero reduced row without a +-1 entry
+    raises: when its entries share a factor g > 1, every completion of the
+    branch has |det| divisible by g; when they are coprime, no unit pivot
+    is found, which does not make the cone non-unimodular.  A zero reduced
+    row leaves a short leaf, |det| 0.
     """
-    verts = nonfrozen_subsets(k, n)
-    coords = [lattice_coords(v_root(J, k, n), k, n) for J in verts]
-    d = (k - 1) * (n - k - 1)
+    fan = _fan(k, n)
+    verts, rows, d = fan.verts, fan.rows, fan.dim
 
     def named(R):
         return tuple(sorted(verts[i] for i in _bits(R)))
@@ -398,7 +398,7 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     def add(acc, v):
         R, echelon = acc
         R |= 1 << v
-        M = [None, coords[v]]
+        M = [None, rows[v]]
         for M[0], col in echelon:
             if M[1][col]:
                 linalg._pivot(M, 0, col, M[0][col])
@@ -460,7 +460,6 @@ def pk_associahedron(k, n):
 
 
 def minkowski_summand_count(k, n):
-    from math import comb
     return comb(n, k) - k * (n - k) - 1
 
 

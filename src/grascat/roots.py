@@ -140,23 +140,22 @@ class _Fan:
     maximal noncrossing collections: finds the cone holding a vector by
     walking the segment to it from a start cone, one wall at a time.
 
-    Every cone is unimodular, so the walk runs on integers: row p of its
-    state holds row p of the cone's inverse basis, the coordinate a_p of
-    the start point and the coordinate b_p of the target, scaled by the lcm
-    of its denominators.  A wall's other completion is the one common
-    neighbour of its members in the noncrossing graph; crossing to it is
-    one pivot, on the entry -1.
-
-    The start point p0 = sum_i (1 + eps^i) v_{start_i} is symbolic in an
-    infinitesimal eps > 0, so a_p is the integer vector of its coefficients
-    of 1, eps, ..., eps^d.  The first coordinate to hit zero on the segment
-    has b_p < 0, and p hits zero before q iff a_p b_q - a_q b_p > 0,
-    lexicographically.
+    Every cone is unimodular, so the start cone is a lattice basis, and
+    rows[i], v_{verts[i]} in it, is an int tuple: a unit vector for a start
+    root.  Row p of the walk's state holds the coordinates a_p of the start
+    point and b_p of the target, scaled to ints, in the cone.  The start
+    point p0 = sum_i (1 + eps^i) e_i is symbolic in an infinitesimal
+    eps > 0, so a_p = [sum(inv_p) | inv_p] holds its coefficients of
+    eps^0, ..., eps^d, with inv_p row p of the cone's inverse basis.  A
+    wall's other completion is the one common neighbour of its members in
+    the noncrossing graph; crossing to it is one pivot, on the entry -1.
+    The first coordinate to hit zero on the segment has b_p < 0, and p
+    hits zero before q iff a_p b_q - a_q b_p > 0, lexicographically.
 
     Termination: for every small enough real eps the walk is that of the
     segment from p0(eps), and it meets no cone of codimension 2 before its
     end, because a linear form h vanishing on such a cone and the target
-    takes at p0(eps) the value sum_i (1 + eps^i) h(v_{start_i}), a nonzero
+    takes at p0(eps) the value sum_i (1 + eps^i) h(e_i), a nonzero
     polynomial in eps.  So exit times never tie, and the segment meets each
     convex cone in one interval: no cone is entered twice, and the walk
     ends within catalan_mdim(k, n - k) - 1 flips.
@@ -166,8 +165,6 @@ class _Fan:
         self.dim = d = (k - 1) * (n - k - 1)
         self.verts, self.adj = _noncrossing_graph(k, n)
         coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
-        # the nonzero lattice coordinates of each v_J, as (position, value)
-        self.support = [[(t, c) for t, c in enumerate(col) if c] for col in coords]
         self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
@@ -175,14 +172,18 @@ class _Fan:
         if any(x.denominator != 1 for row in inv for x in row):
             raise AssertionError("start cone is not unimodular")
         self.start_inv = [[int(x) for x in row] for row in inv]
+        cols = list(zip(*self.start_inv))  # rows[i] = sum c * cols[t], c = coords[i][t] != 0
+        self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
+                                          for t, c in enumerate(v) if c]))) for v in coords]
+        self.support = [[(t, c) for t, c in enumerate(row) if c] for row in self.rows]
 
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of nonzero lattice coordinates."""
         d = self.dim
         goal, scale = linalg._integral(target)
         cone = list(self.start)
-        # row p = [inv_p | a_p | b_p], with a_p = 1 + eps^(p+1) at the start
-        rows = [inv_p + [1] + [int(q == p) for q in range(d)]
+        # row p = [1 | e_p | b_p]: a_p = 1 + eps^(p+1) at the start
+        rows = [[1] + [int(q == p) for q in range(d)]
                 + [sum(x * y for x, y in zip(inv_p, goal))]
                 for p, inv_p in enumerate(self.start_inv)]
         while True:
@@ -200,7 +201,7 @@ class _Fan:
                 raise AssertionError(f"a wall of {[self.verts[i] for i in cone]} has "
                                      f"{bin(entering).count('1')} other completions")
             X = entering.bit_length() - 1
-            c = [sum(row[t] * x for t, x in self.support[X]) for row in rows]
+            c = [sum(row[1 + t] * x for t, x in self.support[X]) for row in rows]
             if c[leave] != -1:
                 raise AssertionError(f"pivot entry {c[leave]}, not -1")
             pivot = [-y for y in rows[leave]]
@@ -212,7 +213,7 @@ class _Fan:
 def _exits_first(row_p, row_q, d):
     """Whether p hits zero before q: a_p b_q - a_q b_p > 0, lexicographically."""
     b_p, b_q = row_p[-1], row_q[-1]
-    for t in range(d, 2 * d + 1):
+    for t in range(d + 1):
         s = row_p[t] * b_q - row_q[t] * b_p
         if s:
             return s > 0

@@ -283,7 +283,7 @@ def test_non_numeric_input_value(tmp_path, capsys, argv, blob, value):
     path.write_text(json.dumps(blob(value)))
     code, data = _error(capsys, *argv, str(path))
     assert code == 2 and data["schema"] == "grascat/1"
-    assert f"input value {json.dumps(value)} is not a number" == data["error"]
+    assert f"{path}: input value {json.dumps(value)} is not a number" == data["error"]
 
 
 @pytest.mark.parametrize("argv,blob", [
@@ -440,7 +440,7 @@ def test_two_keys_naming_one_subset_rejected(tmp_path, capsys, argv, text, messa
     path.write_text(text)
     code, data = _error(capsys, *argv, str(path))
     assert code == 2 and data["schema"] == "grascat/1"
-    assert data["error"] == message
+    assert data["error"] == f"{path}: {message}"
 
 
 def test_max_cliques_only_where_read(capsys):
@@ -542,7 +542,7 @@ def test_coeffs_bad_key(tmp_path, capsys, command, subset, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"k": 3, "n": 7, "coeffs": {subset: "1"}}))
     code, data = _error(capsys, *command, "--input", str(path))
-    assert code == 2 and data == {"schema": "grascat/1", "error": message}
+    assert code == 2 and data == {"schema": "grascat/1", "error": f"{path}: {message}"}
 
 
 def test_coeffs_keys_and_values_read_in_file_order(tmp_path, capsys):
@@ -551,7 +551,7 @@ def test_coeffs_keys_and_values_read_in_file_order(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"k": 3, "n": 7, "coeffs": {"1,2,9": "1", "1,2,4": "q"}}')
     code, data = _error(capsys, "decompose", "--input", str(path))
-    assert code == 2 and data["error"] == "subset (1, 2, 9) not inside [1, 7]"
+    assert code == 2 and data["error"] == f"{path}: subset (1, 2, 9) not inside [1, 7]"
 
 
 ETA_37 = str(Path(__file__).parent / "corpus" / "eta_3_7.json")

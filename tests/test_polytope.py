@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grascat import linalg, polytope
+from grascat import linalg, polytope, roots
 from grascat.combinat import ResourceLimitExceeded, nonfrozen_subsets
 from grascat.polynomial import Poly, pk_factors, tau
 from grascat.polytope import (cone_rays, extreme_points, gamma_functional, hull_of_points,
@@ -60,11 +60,12 @@ def test_conversion_errors():
         cone_rays([(1, 0, 0), (2, 0, 0), (0, 1, 0)])
 
 
-def test_cone_rays_cap():
+def test_cone_rays_cap(monkeypatch):
     square = [(x, y, 1) for x in (0, 1) for y in (0, 1)]
     assert len(cone_rays(square)) == 4
+    monkeypatch.setattr(polytope, "MAX_RAYS", 1)
     with pytest.raises(ResourceLimitExceeded, match="exceeded 1 rays"):
-        cone_rays(square, max_rays=1)
+        cone_rays(square)
 
 
 @st.composite
@@ -232,23 +233,24 @@ def test_triangulation_volume_slow(k, n, vol):
     assert triangulation_volume(k, n, max_collections=2000000) == vol
 
 
-def _patch_root(monkeypatch, J, vec):
-    v_root = polytope.v_root
-    monkeypatch.setattr(polytope, "v_root", lambda I, k, n: (
-        vec(v_root(J, k, n)) if I == J else v_root(I, k, n)))
+def _patch_root(monkeypatch, J, new_row):
+    """Give J the row new_row(row of each subset) in the cached (3,6) fan."""
+    fan = roots._fan(3, 6)
+    row = dict(zip(fan.verts, fan.rows))
+    monkeypatch.setattr(fan, "rows", [new_row(row) if I == J else row[I] for I in fan.verts])
 
 
 def test_triangulation_volume_names_a_non_unimodular_collection(monkeypatch):
     # doubling v_J makes every simplex holding J of volume 2
-    _patch_root(monkeypatch, (1, 3, 5), lambda v: {key: 2 * c for key, c in v.items()})
+    _patch_root(monkeypatch, (1, 3, 5), lambda row: tuple(2 * c for c in row[(1, 3, 5)]))
     with pytest.raises(AssertionError, match=r"non-unimodular partial collection "
                        r".*\(1, 3, 5\).*: every completion has \|det\| divisible by 2"):
         triangulation_volume(3, 6)
 
 
 def test_triangulation_volume_names_a_row_without_a_unit_pivot(monkeypatch):
-    # lattice row (2, 3, 0, 0): coprime entries, none of them +-1
-    _patch_root(monkeypatch, (1, 3, 5), lambda v: {(1, 1): 2, (1, 2): 1, (1, 3): -3})
+    # row (2, 3, 0, 0): coprime entries, none of them +-1
+    _patch_root(monkeypatch, (1, 3, 5), lambda row: (2, 3, 0, 0))
     with pytest.raises(AssertionError,
                        match=r"no unit pivot for the partial collection .*\(1, 3, 5\)"):
         triangulation_volume(3, 6)
@@ -256,7 +258,7 @@ def test_triangulation_volume_names_a_row_without_a_unit_pivot(monkeypatch):
 
 def test_triangulation_volume_names_a_singular_collection(monkeypatch):
     # v_{135} = v_{145}: a collection holding both reduces one row to 0
-    _patch_root(monkeypatch, (1, 3, 5), lambda v: v_root((1, 4, 5), 3, 6))
+    _patch_root(monkeypatch, (1, 3, 5), lambda row: row[(1, 4, 5)])
     with pytest.raises(AssertionError, match=r"non-unimodular collection "
                        r".*\(1, 3, 5\), \(1, 4, 5\).*: \|det\| 0"):
         triangulation_volume(3, 6)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat.combinat import is_noncrossing, enumerate_maximal_noncrossing
-from grascat.roots import (DecompositionError, check_four_term, combo_vector, cube_antipode,
-                           f_combination, gamma_hat, grid_add, lattice_coords,
+from grascat.polytope import triangulation_volume
+from grascat.roots import (DecompositionError, _fan, check_four_term, combo_vector,
+                           cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
                            noncrossing_decompose, noncrossing_degree,
                            project_f, tripod_vector, v_root)
 
@@ -222,6 +223,25 @@ def test_decompose_recovers_a_positive_cone_point(k, n, data):
     positive = st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)
     coeffs = {J: data.draw(positive) for J in collection}
     assert noncrossing_decompose(combo_vector(coeffs, k, n), k, n) == coeffs
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (5, 10)])
+def test_fan_rows_are_the_roots_in_the_start_basis(k, n):
+    fan = _fan(k, n)
+    d = fan.dim
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in fan.rows)
+    assert [fan.rows[i] for i in fan.start] == [tuple(int(t == p) for t in range(d))
+                                                for p in range(d)]
+    basis = [lattice_coords(v_root(fan.verts[i], k, n), k, n) for i in fan.start]
+    for J, row in zip(fan.verts, fan.rows):
+        assert ([sum(c * b[t] for c, b in zip(row, basis)) for t in range(d)]
+                == lattice_coords(v_root(J, k, n), k, n))
+
+
+def test_volume_reads_the_cached_fan():
+    _fan.cache_clear()
+    triangulation_volume(3, 7)
+    assert _fan.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (4, 7)])
