@@ -96,7 +96,9 @@ def _primitive(vec):
 
 def _exact(x):
     """The exact value of x: an int when it is integral, else a Fraction."""
-    x = x if isinstance(x, (int, F)) else F(x)
+    if type(x) is int:  # the common case, on every entry of `roots.grid_point`
+        return x
+    x = x if isinstance(x, F) else F(x)
     return x.numerator if x.denominator == 1 else x
 
 

@@ -6,10 +6,12 @@ compound-determinant resolved minors, u-variables and the binary
 identities they satisfy.
 
 Polynomials are dicts from dense exponent tuples to integer (or rational)
-coefficients.  Every staircase polynomial (tau, m_{i,j}, P_i, Q_j, delta)
-is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly increasing column chains
-c_1 <= c_2 <= ... with each c_t in an interval; `chain_poly` enumerates
-them and builds the sum as one terms dict.
+coefficients.  Exponent tuples and evaluation points are laid out as
+`roots.grid_point`, the one dense form of a grid vector, which also rejects
+a variable outside the grid.  Every staircase polynomial (tau, m_{i,j},
+P_i, Q_j, delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly
+increasing column chains c_1 <= c_2 <= ... with each c_t in an interval;
+`chain_poly` enumerates them and builds the sum as one terms dict.
 
 A FactoredRatio is scalar * x^mono * prod f^{e_f} over canonical primitive
 factors f, with one signed exponent map and no zero exponents stored, so
@@ -29,6 +31,7 @@ from __future__ import annotations
 import random
 import weakref
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -37,24 +40,9 @@ from math import comb, gcd
 from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
                        is_frozen, is_weakly_separated, nonfrozen_subsets)
 from .linalg import _exact, _integral
+from .roots import grid_point
 
 F = Fraction
-
-
-def _var_index(i, j, k, n):
-    """Position of x_{i,j} in a dense exponent tuple (row-major)."""
-    if not (1 <= i <= k - 1 and 1 <= j <= n - k):
-        raise IndexError(f"variable x_{{{i},{j}}} outside the ({k},{n}) grid")
-    return (i - 1) * (n - k) + (j - 1)
-
-
-def _grid_values(point, k, n):
-    """Dense list of the values of a point {(i, j): rational}; missing
-    variables are 0."""
-    xs = [F(0)] * ((k - 1) * (n - k))
-    for (i, j), v in point.items():
-        xs[_var_index(i, j, k, n)] = F(v)
-    return xs
 
 
 def _term_sum(terms, xs):
@@ -99,21 +87,12 @@ class Poly:
 
     @classmethod
     def var(cls, i, j, k, n):
-        p = cls(k, n)
-        exp = [0] * p.nvars
-        exp[_var_index(i, j, k, n)] = 1
-        p.terms[tuple(exp)] = 1
-        return p
+        return cls.monomial([(i, j)], k, n)
 
     @classmethod
     def monomial(cls, pairs, k, n):
-        """Product of x_{i,j} over (i, j) pairs (repeats allowed)."""
-        p = cls(k, n)
-        exp = [0] * p.nvars
-        for (i, j) in pairs:
-            exp[_var_index(i, j, k, n)] += 1
-        p.terms[tuple(exp)] = 1
-        return p
+        """Product of x_{i,j} over (i, j) tuples (repeats allowed)."""
+        return cls(k, n, {grid_point(Counter(pairs), k, n): 1})
 
     def _check(self, other):
         if (self.k, self.n) != (other.k, other.n):
@@ -198,7 +177,7 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        return _term_sum(self.terms.items(), _grid_values(point, self.k, self.n))
+        return _term_sum(self.terms.items(), grid_point(point, self.k, self.n))
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
@@ -363,8 +342,8 @@ class FactoredRatio:
         """Value at the dense point xs, given every factor's value in table."""
         val = self.scalar
         for x, e in zip(xs, self.mono):
-            if e:
-                val *= x ** e
+            if e:  # x may be an int, and an int ** e is a float for e < 0
+                val = val * x ** e if e > 0 else val / x ** -e
         for f, e in self.exps.items():
             v = table[f]
             if e < 0 and not v:
@@ -373,7 +352,7 @@ class FactoredRatio:
         return val
 
     def eval(self, point):
-        xs = _grid_values(point, self.k, self.n)
+        xs = grid_point(point, self.k, self.n)
         return self._eval(xs, {f: _term_sum(f.terms, xs) for f in self.exps})
 
     def ratio_equal(self, other):
@@ -421,23 +400,14 @@ def chain_poly(row, ivals, k, n):
     """Sum of x_{row,c_1} x_{row+1,c_2} ... x_{row+r-1,c_r} over the weakly
     increasing chains c_1 <= ... <= c_r with lo_t <= c_t <= hi_t for
     (lo_t, hi_t) = ivals[t]: one coefficient-1 monomial per chain, in
-    lexicographic chain order, built as one terms dict."""
-    w = n - k
-    for lo, hi in ivals:
-        if lo < 1 or hi > w:
-            raise ValueError(f"column interval [{lo},{hi}] escapes the ({k},{n}) grid")
+    lexicographic chain order, built as one terms dict.  A chain is the
+    tuple of its cells (row + t, c_t); one outside the grid raises
+    IndexError (`grid_point`)."""
     chains = [()]
-    for lo, hi in ivals:
-        chains = [ch + (c,) for ch in chains
-                  for c in range(max(lo, ch[-1]) if ch else lo, hi + 1)]
-    zero = [0] * ((k - 1) * w)
-    terms = {}
-    for cols in chains:
-        e = zero.copy()
-        for t, c in enumerate(cols):
-            e[(row - 1 + t) * w + c - 1] = 1
-        terms[tuple(e)] = 1
-    return Poly(k, n, terms)
+    for r, (lo, hi) in enumerate(ivals, start=row):
+        chains = [ch + ((r, c),) for ch in chains
+                  for c in range(max(lo, ch[-1][1]) if ch else lo, hi + 1)]
+    return Poly(k, n, {grid_point(dict.fromkeys(ch, 1), k, n): 1 for ch in chains})
 
 
 def tau(I, k, n):
@@ -675,7 +645,7 @@ def _first_random_failure(identities, k, n, trials, seed):
     for _ in range(trials):
         point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                  for i in range(1, k) for j in range(1, n - k + 1)}
-        xs = _grid_values(point, k, n)
+        xs = grid_point(point, k, n)
         table = {f: _term_sum(f.terms, xs) for f in factors}
         for index, (u, rhs) in enumerate(identities):
             if u._eval(xs, table) != 1 - rhs._eval(xs, table):

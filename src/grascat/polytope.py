@@ -9,7 +9,9 @@ each branch, its members' `roots._fan` rows reduced to +-1 pivots, so
 every leaf is unimodular by construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
-is integral and a Fraction otherwise (`linalg._exact`); inequality rows and
+is integral and a Fraction otherwise (`linalg._exact`); a point of the
+(k, n) grid is the dense form `roots.grid_point`, which holds the grid
+layout (row-major, x_{i,j} at (i-1)(n-k) + j-1); inequality rows and
 double-description rays are primitive int vectors (`linalg._primitive`).
 The double description holds each extreme ray of the cone of the rows so
 far exactly once, with the rows tight on it as a bitmask.
@@ -29,7 +31,7 @@ from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
                        _fold_maximal_noncrossing, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
-from .roots import _fan, gamma_hat, v_root
+from .roots import _fan, gamma_functional, gamma_hat, grid_point, row_sums, v_root
 
 F = Fraction
 MAX_RAYS = 200000  # the most rays a double description may hold
@@ -313,12 +315,6 @@ def face_lattice_f_vector(P):
 # ---------------------------------------------------------------------------
 # Newton polytopes and the named polytopes
 
-def grid_point(vec_dict, k, n):
-    """Dense tuple of a sparse grid vector."""
-    return tuple(linalg._exact(vec_dict.get((i, j), 0))
-                 for i in range(1, k) for j in range(1, n - k + 1))
-
-
 def newton_points(poly):
     """The exponent vectors of a polynomial, sorted."""
     return sorted(poly.terms)
@@ -329,16 +325,10 @@ def newton(poly):
     return hull_of_points(newton_points(poly))
 
 
-def gamma_functional(J, k, n):
-    """Coefficient tuple of the linear function gamma_J on the dense grid."""
-    return grid_point(gamma_hat(J, k, n), k, n)
-
-
 def row_sum_equalities(k, n, lam):
     """The equalities sum_j x_{i,j} = lam_i on the dense grid."""
-    w = n - k
-    return [(-lam[i], tuple(int(i * w <= t < (i + 1) * w) for t in range((k - 1) * w)))
-            for i in range(k - 1)]
+    return [(-lam[i - 1], grid_point({(i, j): 1 for j in range(1, n - k + 1)}, k, n))
+            for i in range(1, k)]
 
 
 def pk_polytope(k, n):
@@ -496,10 +486,9 @@ def _newton_hrep(factors, k, n):
     `agrees` (every vertex of P is in the sum, `_in_minkowski_sum`) gives
     P inside Newt: agrees iff P == Newt.
     """
-    w = n - k
     lam = [0] * (k - 1)
     for pts in factors:
-        sums = {tuple(sum(p[i * w:(i + 1) * w]) for i in range(k - 1)) for p in pts}
+        sums = {tuple(row_sums(p, k, n)) for p in pts}
         if len(sums) != 1:
             raise ValueError(f"a factor has the unequal row sums {sorted(sums)}")
         lam = [a + b for a, b in zip(lam, sums.pop())]
@@ -507,7 +496,7 @@ def _newton_hrep(factors, k, n):
     constants = {J: sum(min(sum(g * x for g, x in zip(gamma, p)) for p in pts)
                         for pts in factors) for J, gamma in gammas.items()}
     ineqs = [(-constants[J], gamma) for J, gamma in gammas.items()]
-    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), (k - 1) * w)
+    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), (k - 1) * (n - k))
     agrees = all(_in_minkowski_sum(i, factors, P, gammas) for i in range(len(P.vertices)))
     return constants, lam, P, agrees
 

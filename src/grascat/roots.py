@@ -5,19 +5,24 @@ cones).
 
 Grid vectors live in R^{(k-1) x (n-k)} and are stored sparsely as dicts
 {(i, j): int or Fraction} with 1-based row/column indices; the ambient
-(k, n) is passed alongside.  gamma_hat gives the e-basis coefficient
-vector of the linear function gamma_J; project_f sends e_{i,j} to f_{i,j}
-so that every row sums to zero, and v_root(J) = project_f(gamma_hat(J))
-is the vertex of the root polytope attached to J.
+(k, n) is passed alongside.  `grid_point` is their one dense form, the
+row-major tuple, and the one bounds check of the grid layout: every
+module that needs dense coordinates reads them from it.  gamma_hat gives
+the e-basis coefficient vector of the linear function gamma_J; project_f
+sends e_{i,j} to f_{i,j} so that every row sums to zero, and
+v_root(J) = project_f(gamma_hat(J)) is the vertex of the root polytope
+attached to J.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import linalg
 from .combinat import _bits, _first_collection, _noncrossing_graph, check_kn, check_subset
-# compatibility_degree stays importable from here for existing callers
+# perfbench's test_tracer_wraps_every_lookup_site_and_restores asserts that
+# roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
 
 F = Fraction
@@ -25,6 +30,19 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # grid vectors
+
+def grid_point(v, k, n):
+    """Dense row-major tuple of a sparse grid vector: x_{i,j} at
+    (i-1)(n-k) + j-1, each entry exact (`linalg._exact`), missing keys 0.
+    A key outside [1, k-1] x [1, n-k] raises IndexError."""
+    w = n - k
+    xs = [0] * ((k - 1) * w)
+    for (i, j), c in v.items():
+        if not (1 <= i <= k - 1 and 1 <= j <= w):
+            raise IndexError(f"variable x_{{{i},{j}}} outside the ({k},{n}) grid")
+        xs[(i - 1) * w + j - 1] = linalg._exact(c)
+    return tuple(xs)
+
 
 def grid_add(a, b, mult=1):
     """a + mult*b for sparse grid vectors; drops exact zeros."""
@@ -62,29 +80,33 @@ def project_f(v, k, n):
     return f_combination(v, k, n)
 
 
+def gamma_functional(J, k, n):
+    """Coefficient tuple of the linear function gamma_J on the dense grid."""
+    return grid_point(gamma_hat(J, k, n), k, n)
+
+
 def v_root(J, k, n):
     """Root vector v_J in the quotient; zero iff J is a cyclic interval."""
     return project_f(gamma_hat(J, k, n), k, n)
 
 
-def row_sums(v, k, n):
-    sums = [F(0)] * (k - 1)
-    for (i, _j), c in v.items():
-        sums[i - 1] += c
-    return sums
+def row_sums(x, k, n):
+    """The k-1 row sums of a dense grid point."""
+    w = n - k
+    return [sum(x[r:r + w]) for r in range(0, (k - 1) * w, w)]
 
 
 def lattice_coords(v, k, n):
-    """Coordinates of a row-sum-zero vector in the lattice basis
+    """Coordinates of a row-sum-zero grid vector in the lattice basis
     {f_{i,j} : 1 <= j <= n-k-1} (last column dropped per row): the running
-    partial sums of each row, ints for an int vector."""
-    coords = []
-    for i in range(1, k):
-        acc = 0
-        for j in range(1, n - k):
-            acc += v.get((i, j), 0)
-            coords.append(acc)
-    return coords
+    partial sums of each dense row, ints for an int vector."""
+    return _running_sums(grid_point(v, k, n), n - k)
+
+
+def _running_sums(x, w):
+    """The running partial sums of each row of length w of the dense point
+    x, the last (the row sum) dropped."""
+    return [s for r in range(0, len(x), w) for s in accumulate(x[r:r + w - 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +186,11 @@ class _Fan:
     def __init__(self, k, n):
         self.dim = d = (k - 1) * (n - k - 1)
         self.verts, self.adj = _noncrossing_graph(k, n)
-        coords = [lattice_coords(v_root(J, k, n), k, n) for J in self.verts]
+        # the running sums of x_{i,j} - x_{i,j-1} (column 0 read as n-k)
+        # telescope: lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
+        w = n - k
+        coords = [[g[r + j] - g[r + w - 1] for r in range(0, len(g), w) for j in range(w - 1)]
+                  for g in (gamma_functional(J, k, n) for J in self.verts)]
         self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
@@ -230,17 +256,18 @@ def noncrossing_decompose(v, k, n):
     noncrossing collection, for any rational v with zero row sums.
 
     Integer lattice input gives integer coefficients (the cone bases are
-    unimodular).  Raises ValueError unless 2 <= k <= n - 2, and
-    DecompositionError when a row sum is nonzero.
+    unimodular).  Raises ValueError unless 2 <= k <= n - 2, IndexError for
+    a key outside the grid (`grid_point`), and DecompositionError when a
+    row sum is nonzero.
     """
     check_kn(k, n)
-    v = {key: F(c) for key, c in v.items() if c}
-    for i, s in enumerate(row_sums(v, k, n), start=1):
+    x = grid_point(v, k, n)
+    for i, s in enumerate(row_sums(x, k, n), start=1):
         if s:
             raise DecompositionError(f"row {i} sums to {s}, not 0")
-    if not v:
+    if not any(x):
         return {}
-    return _fan(k, n).locate(lattice_coords(v, k, n))
+    return _fan(k, n).locate(_running_sums(x, n - k))
 
 
 def noncrossing_degree(coeffs, k, n):

@@ -1,6 +1,7 @@
 """Polynomial layer: tau/delta face polynomials, the positive
 parameterization, resolved minors and the u-variable identities."""
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -368,6 +369,21 @@ def test_factored_ratio_eval_rejects_vanishing_denominator():
     r = FactoredRatio(3, 6) / (x(1, 1) + x(1, 2))
     with pytest.raises(ZeroDivisionError):
         r.eval({(1, 1): 1, (1, 2): -1})
+
+
+@pytest.mark.parametrize("row,ivals,bad", [(0, [(1, 1)], "x_{0,1}"), (3, [(1, 1)], "x_{3,1}"),
+                                            (2, [(1, 1), (1, 1)], "x_{3,1}"),
+                                            (1, [(1, 4)], "x_{1,4}")])
+def test_chain_poly_rejects_cells_outside_the_grid(row, ivals, bad):
+    # row 0 must not wrap round to the last row of the dense tuple
+    with pytest.raises(IndexError, match=re.escape(bad + " outside the (3,6) grid")):
+        polynomial.chain_poly(row, ivals, 3, 6)
+
+
+def test_factored_ratio_eval_is_exact_on_negative_monomial_exponents():
+    # the point's integral coordinate is an int, and 2 ** -1 is a float
+    val = (FactoredRatio(3, 6) / Poly.var(1, 1, 3, 6)).eval({(1, 1): 2})
+    assert val == F(1, 2) and type(val) is F
 
 
 # ---------------------------------------------------------------------------

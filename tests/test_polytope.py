@@ -1,6 +1,7 @@
 """Polyhedral engine: LP separation, double description, face lattices,
 Newton polytopes, the PK polytope and associahedron."""
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
@@ -133,6 +134,11 @@ def test_newton_of_factors():
     assert NQ.dim == 2 and len(NQ.vertices) == 3  # a (k-1)-simplex
     pt = newton(Poly.monomial([(1, 1), (2, 2)], 3, 6))
     assert len(pt.vertices) == 1
+
+
+def test_grid_point_rejects_keys_outside_the_grid():
+    with pytest.raises(IndexError, match=re.escape("x_{5,9} outside the (3,6) grid")):
+        grid_point({(5, 9): 1, (1, 1): 2}, 3, 6)
 
 
 @pytest.mark.parametrize("k,n,facets", [

@@ -1,5 +1,6 @@
 """Generalized roots, cubical relations, and the noncrossing expansion."""
 import random
+import re
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -169,6 +170,21 @@ def test_degree_examples():
 def test_decompose_rejects_bad_rows():
     with pytest.raises(DecompositionError):
         noncrossing_decompose({(1, 1): F(1)}, 3, 6)
+
+
+@pytest.mark.parametrize("v,bad", [({(1, 0): 1, (1, 1): -1}, "x_{1,0}"),
+                                   ({(0, 1): 1, (0, 2): -1}, "x_{0,1}"),
+                                   ({(1, 1): 1, (1, 9): -1}, "x_{1,9}"),
+                                   ({(3, 1): 1, (3, 2): -1}, "x_{3,1}")])
+def test_decompose_rejects_keys_outside_the_grid(v, bad):
+    # row sums zero, but a key is off the 2 x 3 grid: no expansion is given
+    with pytest.raises(IndexError, match=re.escape(bad + " outside the (3,6) grid")):
+        noncrossing_decompose(v, 3, 6)
+
+
+def test_lattice_coords_rejects_keys_outside_the_grid():
+    with pytest.raises(IndexError, match=re.escape("x_{1,4} outside the (3,6) grid")):
+        lattice_coords({(1, 4): 1}, 3, 6)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (1, 5), (0, 5), (-1, 5), (3, 4)])
