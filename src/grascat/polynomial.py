@@ -21,10 +21,14 @@ A u-variable is held as its ladder: the signed exponents of its (at most
 four) tau indices.  A product of u-variables (u_J itself, or the crossing
 product of a binary identity) sums the ladders' exponents on tau indices,
 drops the indices that cancel and makes one FactoredRatio product over the
-rest.  Its taus come from a table local to one identity check, so each tau
-is built once per call and the table goes when the call returns.  The
-random-exact identity checks evaluate each distinct factor once per point
-and read both sides of every identity off those values.
+rest.  Its taus come from one cached table per (k, n), `_tau_table`, so
+each tau is built once per (k, n), and each binary identity is built once
+per (k, n) and J (`_identity`).  Polynomials are evaluated by one integer
+kernel, `_term_sum`: the point's denominators are cleared once, each total
+degree is summed in ints, and one Fraction is made at the end.  The
+random-exact identity checks evaluate each distinct factor once per point,
+read both sides of every identity off those values as unreduced int pairs
+and compare them cross-multiplied.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
+from operator import add, sub
 
 from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
                        is_frozen, is_weakly_separated, nonfrozen_subsets)
@@ -45,16 +50,24 @@ from .roots import grid_point
 F = Fraction
 
 
-def _term_sum(terms, xs):
-    """Value of the (exponent tuple, coefficient) pairs at the dense values xs."""
-    tot = F(0)
+def _term_sum(terms, point):
+    """Value of the (exponent tuple, coefficient) pairs at a dense point
+    given as `linalg._integral`'s (ints X, den D), i.e. at X / D, as a
+    Fraction.  Each total degree d sums c * prod X^p in ints (in the
+    coefficients' type), and the value is one Fraction
+    sum_d N_d D^(top-d) / D^top."""
+    X, D = point
+    sums = {}
     for e, c in terms:
-        m = F(c)
-        for x, p in zip(xs, e):
+        for x, p in zip(X, e):
             if p:
-                m *= x ** p
-        tot += m
-    return tot
+                c *= x if p == 1 else x ** p
+        d = sum(e)
+        sums[d] = sums.get(d, 0) + c
+    if not sums:
+        return F(0)
+    top = max(sums)
+    return F(sum([N * D ** (top - d) for d, N in sums.items()]), D ** top)
 
 
 class Poly:
@@ -136,7 +149,7 @@ class Poly:
         terms = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
@@ -177,7 +190,7 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        return _term_sum(self.terms.items(), grid_point(point, self.k, self.n))
+        return _term_sum(self.terms.items(), _integral(grid_point(point, self.k, self.n)))
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
@@ -224,12 +237,12 @@ def divide_exact(f, g):
     gc = g.terms[glead]
     while fk:
         flead = max(fk, key=lambda e: (sum(e), e))
-        diff = tuple(a - b for a, b in zip(flead, glead))
+        diff = tuple(map(sub, flead, glead))
         if any(d < 0 for d in diff):
             raise ArithmeticError("non-exact polynomial division")
         quot[diff] = q = _exact(F(fk[flead], gc))
         for e, c in g.terms.items():
-            e2 = tuple(a + b for a, b in zip(diff, e))
+            e2 = tuple(map(add, diff, e))
             s = fk.get(e2, 0) - q * c
             if s:
                 fk[e2] = s
@@ -339,21 +352,26 @@ class FactoredRatio:
         return tuple(sides)
 
     def _eval(self, xs, table):
-        """Value at the dense point xs, given every factor's value in table."""
-        val = self.scalar
-        for x, e in zip(xs, self.mono):
-            if e:  # x may be an int, and an int ** e is a float for e < 0
-                val = val * x ** e if e > 0 else val / x ** -e
-        for f, e in self.exps.items():
-            v = table[f]
-            if e < 0 and not v:
-                raise ZeroDivisionError("denominator factor vanished at the sample point")
-            val *= v ** e
-        return val
+        """Value at the dense point xs, given every factor's value in table,
+        as an unreduced pair (num, den) of ints: each base's numerator and
+        denominator go to the sides its exponent's sign says."""
+        num, den = self.scalar.numerator, self.scalar.denominator
+        bases = [(x, e) for x, e in zip(xs, self.mono) if e]
+        bases += [(table[f], e) for f, e in self.exps.items()]
+        for v, e in bases:
+            a, b = v.numerator, v.denominator
+            if e < 0:
+                a, b, e = b, a, -e
+            num *= a ** e
+            den *= b ** e
+        if not den:
+            raise ZeroDivisionError("denominator factor vanished at the sample point")
+        return num, den
 
     def eval(self, point):
         xs = grid_point(point, self.k, self.n)
-        return self._eval(xs, {f: _term_sum(f.terms, xs) for f in self.exps})
+        cleared = _integral(xs)
+        return F(*self._eval(xs, {f: _term_sum(f.terms, cleared) for f in self.exps}))
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
@@ -576,8 +594,10 @@ def resolved_count_formula(n):
 # ---------------------------------------------------------------------------
 # u-variables
 
+@lru_cache(maxsize=None)
 def _ladder(J, k, n):
-    """u_J as its ladder {tau index: +-1}, for any k, by one rule in 0-based
+    """u_J as its ladder {tau index: +-1}, for a tuple J and any k (cached;
+    callers only read the dict), by one rule in 0-based
     positions: with J[q+1:] the run of labels J ends with at n (q = k - 1
     if none) and up, B' the tuples J, B with their first entry raised by
     one (the orientation the binary identities pin), u_J is
@@ -600,9 +620,9 @@ def _ladder(J, k, n):
 def _ladder_product(pairs, k, n, taus):
     """prod u^c over (ladder of u, int c) pairs as one FactoredRatio: the
     exponents are summed on tau indices first, the indices whose exponents
-    cancel are dropped, and one `_product` runs over the rest.  `taus` is
-    the caller's table of tau FactoredRatios by index, filled on first use,
-    so each tau is built once per table."""
+    cancel are dropped, and one `_product` runs over the rest.  `taus` is a
+    table of tau FactoredRatios by index, filled on first use, so each tau
+    is built once per table."""
     exps = {}
     for ladder, c in pairs:
         for I, e in ladder.items():
@@ -616,10 +636,17 @@ def _ladder_product(pairs, k, n, taus):
     return _product(factors, k, n)
 
 
+@lru_cache(maxsize=None)
+def _tau_table(k, n):
+    """The (k, n) table of tau FactoredRatios by index that every ladder
+    product at (k, n) fills and reads."""
+    return {}
+
+
 def u_variable(J, k, n):
     """Planar face ratio u_J as a normalized FactoredRatio: the product over
     its ladder (see `_ladder`)."""
-    return _ladder_product([(_ladder(J, k, n), 1)], k, n, {})
+    return _ladder_product([(_ladder(tuple(J), k, n), 1)], k, n, _tau_table(k, n))
 
 
 def crossing_profile(J, k, n):
@@ -628,6 +655,17 @@ def crossing_profile(J, k, n):
     J = tuple(J)
     verts, cross, _before = _graph_row(J, k, n)
     return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
+
+
+@lru_cache(maxsize=None)
+def _identity(J, k, n):
+    """(number of subsets crossing J, u_J, prod over crossing I of
+    u_I^{c_{I,J}}) for a checked subset J: the binary identity of J, both
+    sides ladder products over the (k, n) tau table, built once per J."""
+    profile = crossing_profile(J, k, n)
+    taus = _tau_table(k, n)
+    return (len(profile), _ladder_product([(_ladder(J, k, n), 1)], k, n, taus),
+            _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n, taus))
 
 
 def _first_random_failure(identities, k, n, trials, seed):
@@ -646,9 +684,12 @@ def _first_random_failure(identities, k, n, trials, seed):
         point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                  for i in range(1, k) for j in range(1, n - k + 1)}
         xs = grid_point(point, k, n)
-        table = {f: _term_sum(f.terms, xs) for f in factors}
+        cleared = _integral(xs)
+        table = {f: _term_sum(f.terms, cleared) for f in factors}
         for index, (u, rhs) in enumerate(identities):
-            if u._eval(xs, table) != 1 - rhs._eval(xs, table):
+            # a/b = 1 - c/d, cross-multiplied
+            (a, b), (c, d) = u._eval(xs, table), rhs._eval(xs, table)
+            if a * d != (d - c) * b:
                 return index, {f"{i},{j}": str(v) for (i, j), v in point.items()}
     return None
 
@@ -656,20 +697,17 @@ def _first_random_failure(identities, k, n, trials, seed):
 def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     """Verify u_J = 1 - prod over crossing I of u_I^{c_{I,J}}.
 
-    Both sides are ladder products over one tau table, so the product's
-    cancelling taus are never built.  Symbolic mode then compares one
-    cross-multiplied polynomial identity; random mode evaluates both sides
-    at exact positive rational points.  Returns a verdict dict.
+    Both sides come from the cached identity of J (`_identity`), so the
+    product's cancelling taus are never built.  Symbolic mode then compares
+    one cross-multiplied polynomial identity; random mode evaluates both
+    sides at exact positive rational points.  Returns a verdict dict.
     """
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    J = tuple(J)
-    profile = crossing_profile(J, k, n)
+    J = check_subset(J, k, n)
+    crossing, uJ, rhs = _identity(J, k, n)
     verdict = {"J": list(J), "k": k, "n": n, "mode": mode,
-               "crossing": len(profile), "pass": False}
-    taus = {}
-    uJ = _ladder_product([(_ladder(J, k, n), 1)], k, n, taus)
-    rhs = _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n, taus)
+               "crossing": crossing, "pass": False}
     if mode == "symbolic":
         num, den = uJ.expand()
         verdict["pass"] = (FactoredRatio.from_poly(den - num) / den).ratio_equal(rhs)
@@ -717,18 +755,13 @@ def _digits(code):
 
 
 def binary_identities_random_all(k, n, trials=20, seed=0):
-    """Random-exact verification of every binary identity at (k, n): every
-    side is a ladder product over one tau table, and each trial evaluates
-    every distinct factor once at an exact positive rational point and then
-    checks u_J = 1 - prod u_I^{c_{I,J}} for every nonfrozen J.  Returns a
-    verdict dict."""
+    """Random-exact verification of every binary identity at (k, n): the
+    cached identity of every nonfrozen J (`_identity`) is read, and each
+    trial evaluates every distinct factor once at an exact positive rational
+    point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every J.
+    Returns a verdict dict."""
     nf = nonfrozen_subsets(k, n)
-    ladders = {J: _ladder(J, k, n) for J in nf}
-    taus = {}
-    identities = [(_ladder_product([(ladders[J], 1)], k, n, taus),
-                   _ladder_product([(ladders[I], c) for I, c in crossing_profile(J, k, n)],
-                                   k, n, taus))
-                  for J in nf]
+    identities = [_identity(J, k, n)[1:] for J in nf]
     failure = _first_random_failure(identities, k, n, trials, seed)
     verdict = {"k": k, "n": n, "mode": "random", "trials": trials,
                "seed": seed, "pass": failure is None}
