@@ -596,15 +596,15 @@ def resolved_count_formula(n):
 
 @lru_cache(maxsize=None)
 def _ladder(J, k, n):
-    """u_J as its ladder {tau index: +-1}, for a tuple J and any k (cached;
-    callers only read the dict), by one rule in 0-based
-    positions: with J[q+1:] the run of labels J ends with at n (q = k - 1
-    if none) and up, B' the tuples J, B with their first entry raised by
-    one (the orientation the binary identities pin), u_J is
-    tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J) tau(B')),
-    for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four indices are
-    distinct: up and B' differ from J and B in entry 0, and B from J and
-    up from B' in entry q."""
+    """u_J as its ladder {tau index: +-1}, for a tuple J and any k, by one
+    rule in 0-based positions: with J[q+1:] the run of labels J ends with
+    at n (q = k - 1 if none) and up, B' the tuples J, B with their first
+    entry raised by one (the orientation the binary identities pin), u_J
+    is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J)
+    tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four
+    indices are distinct: up and B' differ from J and B in entry 0, and B
+    from J and up from B' in entry q.  The ladder is cached, so callers
+    only read the dict."""
     J = check_subset(J, k, n)
     if is_frozen(J, n):
         raise ValueError(f"{J} is frozen; no u-variable")
