@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import combinat, kinematics, polynomial, polytope, roots
@@ -415,7 +414,7 @@ def build_parser():
     return top
 
 
-@lru_cache(maxsize=None)
+@combinat.shape_cache
 def _parser():
     """The parser of `main`, built once per process; parsing leaves it
     unchanged."""

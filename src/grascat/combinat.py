@@ -5,12 +5,17 @@ enumeration of maximal noncrossing collections.
 Subsets are plain sorted tuples of ints in [1, n]; the ambient (k, n) is
 passed explicitly where it matters (frozenness and weak separation are
 cyclic notions, so they depend on n).
+
+Every structure built per shape, here and in `roots`, `kinematics`,
+`polynomial` and `cli`, is kept for the whole process by one layer: the
+`shape_cache` decorator, whose keys are ints and tuples of ints only, and
+the search DAGs of `_search_dag`.  `clear_caches()` empties all of them.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 
@@ -23,9 +28,54 @@ class ResourceLimitExceeded(RuntimeError):
     """Raised when an enumeration would exceed a configured cap."""
 
 
+# the clear of every per-shape cache, run in order by clear_caches
+_CLEARS = []
+
+
+def _is_ints(arg):
+    """arg is an exact int, or a tuple of exact ints (bool is not one)."""
+    return type(arg) is int or type(arg) is tuple and all(type(a) is int for a in arg)
+
+
+def shape_cache(build):
+    """Keep build(*args) for the whole process, one entry per argument
+    tuple, and register the cache with `clear_caches`.
+
+    An lru_cache with typed keys over a miss path that raises ValueError,
+    before anything is built, unless every argument is an int or a tuple
+    of ints (bool rejected).  A hit is a plain lru_cache hit, unchecked;
+    typed keys make 3.0 miss where 3 hits, so it raises cold and warm.
+    Typing does not reach into a tuple: a warm call with (1.0, 3, 5) hits
+    the entry of (1, 3, 5) and returns its value.  The callers of
+    `polynomial._ladder` and `_identity` run `check_subset` first;
+    `kinematics.eta_functional` and `polynomial.resolved_minor` keep that
+    residual.
+    """
+    @wraps(build)
+    def miss(*args):
+        for arg in args:
+            if not _is_ints(arg):
+                raise ValueError(f"{build.__name__}: argument {arg!r} is not an int "
+                                 f"or a tuple of ints")
+        return build(*args)
+
+    cached = lru_cache(maxsize=None, typed=True)(miss)
+    _CLEARS.append(cached.cache_clear)
+    return cached
+
+
+def clear_caches():
+    """Empty every per-shape cache: each `shape_cache` and the search DAGs."""
+    for clear in _CLEARS:
+        clear()
+
+
 def check_subset(J, k, n):
-    """Validate that J is a strictly increasing k-tuple inside [1, n]."""
+    """Validate that J is a strictly increasing k-tuple of ints inside
+    [1, n]; bool is not an int here."""
     J = tuple(J)
+    if not _is_ints(J):
+        raise ValueError(f"subset entries must be ints, got {J}")
     if len(J) != k:
         raise ValueError(f"expected a {k}-element subset, got {J}")
     if any(a >= b for a, b in zip(J, J[1:])):
@@ -116,8 +166,11 @@ def is_crossing(I, J, n):
 
 
 def check_kn(k, n):
-    """Raise ValueError unless 2 <= k <= n - 2, the range of (k, n) that has
-    nonfrozen k-subsets of [1, n]."""
+    """Raise ValueError unless k and n are ints (not bool) with
+    2 <= k <= n - 2, the range of (k, n) that has nonfrozen k-subsets of
+    [1, n]."""
+    if type(k) is not int or type(n) is not int:
+        raise ValueError(f"k and n must be ints, got ({k!r}, {n!r})")
     if not (2 <= k <= n - 2):
         raise ValueError(f"need 2 <= k <= n-2, got ({k}, {n})")
 
@@ -154,7 +207,7 @@ def k3_exponent_rule(I, J):
     return 1
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def _noncrossing_graph(k, n):
     """Adjacency bitmasks of the noncrossing graph on nonfrozen subsets."""
     verts = nonfrozen_subsets(k, n)
@@ -275,6 +328,7 @@ _LEAF, _DEAD = 0, 1
 # (k, n) -> SearchDag, filled by _search_dag; a build that hits its cap
 # leaves no entry
 _SEARCH_DAGS = {}
+_CLEARS.append(_SEARCH_DAGS.clear)
 
 
 def _search_dag(k, n, max_collections):

@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
-                       _search_dag, is_frozen, nonfrozen_subsets)
+                       _search_dag, is_frozen, nonfrozen_subsets, shape_cache)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -89,11 +88,10 @@ class KinFunctional:
         return self.on_eta(kin_basis(self.k, self.n).eta_values(point))
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def eta_functional(J, k, n):
     """Planar kinematic invariant eta_J as a functional: a unit coordinate
     vector, empty (identically zero on K(k,n)) iff J is frozen."""
-    J = tuple(J)
     return KinFunctional._of(k, n, [] if is_frozen(J, n) else [(J, 1)])
 
 
@@ -151,7 +149,7 @@ class KinBasis:
                 for J, row in zip(self.nonfrozen, self._eta_rows)}
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def kin_basis(k, n):
     return KinBasis(k, n)
 

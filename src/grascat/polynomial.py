@@ -21,11 +21,11 @@ A u-variable is held as its ladder: the signed exponents of its (at most
 four) tau indices.  A product of u-variables (u_J itself, or the crossing
 product of a binary identity) sums the ladders' exponents on tau indices,
 drops the indices that cancel and makes one FactoredRatio product over the
-rest.  Its taus come from one cached table per (k, n), `_tau_table`, so
-each tau is built once per (k, n), and each binary identity is built once
-per (k, n) and J (`_identity`).  Polynomials are evaluated by one integer
-kernel, `_term_sum`: the point's denominators are cleared once, each total
-degree is summed in ints, and one Fraction is made at the end.  The
+rest.  Each tau FactoredRatio is built once per (k, n) and index
+(`_tau_ratio`), and each binary identity once per (k, n) and J
+(`_identity`).  Polynomials are evaluated by one integer kernel,
+`_term_sum`: the point's denominators are cleared once, each total degree
+is summed in ints, and one Fraction is made at the end.  The
 random-exact identity checks evaluate each distinct factor once per point,
 read both sides of every identity off those values as unreduced int pairs
 and compare them cross-multiplied.
@@ -37,13 +37,12 @@ import weakref
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 from operator import add, sub
 
 from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
-                       is_frozen, is_weakly_separated, nonfrozen_subsets)
+                       is_frozen, is_weakly_separated, nonfrozen_subsets, shape_cache)
 from .linalg import _exact, _integral
 from .roots import grid_point
 
@@ -486,7 +485,7 @@ def delta(i, J, k, n):
 # ---------------------------------------------------------------------------
 # positive parameterization
 
-@lru_cache(maxsize=None)
+@shape_cache
 def m_poly(i, j, k, n):
     """Matrix entry m_{i,j}: sum over weakly increasing column tuples
     (c_i <= ... <= c_{k-1}) in [1, j] of prod_a x_{a,c_a} --- the vertex sum
@@ -494,7 +493,7 @@ def m_poly(i, j, k, n):
     return chain_poly(i, [(1, j)] * (k - i), k, n)
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def bcfw_matrix(k, n):
     """k x n positive-parameterization matrix: identity block in columns
     1..k, then column k+j holding m_{i,j} 'in rows i < k and 1 in the last
@@ -551,7 +550,7 @@ def compound_A(i, j, kk, n):
     return det_poly([[c1[r], c2[r], c3[r]] for r in range(3)])
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def resolved_minor(J, n):
     """Resolved minor p-hat_J on the (3, n) parameterization, as an exact
     polynomial; equals plucker(J) unless some lexicographically smaller I
@@ -594,18 +593,17 @@ def resolved_count_formula(n):
 # ---------------------------------------------------------------------------
 # u-variables
 
-@lru_cache(maxsize=None)
+@shape_cache
 def _ladder(J, k, n):
-    """u_J as its ladder {tau index: +-1}, for a tuple J and any k, by one
-    rule in 0-based positions: with J[q+1:] the run of labels J ends with
-    at n (q = k - 1 if none) and up, B' the tuples J, B with their first
-    entry raised by one (the orientation the binary identities pin), u_J
-    is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) / (tau(J)
-    tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four
+    """u_J as its ladder {tau index: +-1}, for a checked subset J and any
+    k, by one rule in 0-based positions: with J[q+1:] the run of labels J
+    ends with at n (q = k - 1 if none) and up, B' the tuples J, B with
+    their first entry raised by one (the orientation the binary identities
+    pin), u_J is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) /
+    (tau(J) tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four
     indices are distinct: up and B' differ from J and B in entry 0, and B
     from J and up from B' in entry q.  The ladder is cached, so callers
     only read the dict."""
-    J = check_subset(J, k, n)
     if is_frozen(J, n):
         raise ValueError(f"{J} is frozen; no u-variable")
     q = next(q for q in range(k - 1, -1, -1) if J[q] != n - k + 1 + q)
@@ -617,36 +615,27 @@ def _ladder(J, k, n):
     return {**dict.fromkeys(num, 1), **dict.fromkeys(den, -1)}
 
 
-def _ladder_product(pairs, k, n, taus):
+def _ladder_product(pairs, k, n):
     """prod u^c over (ladder of u, int c) pairs as one FactoredRatio: the
     exponents are summed on tau indices first, the indices whose exponents
-    cancel are dropped, and one `_product` runs over the rest.  `taus` is a
-    table of tau FactoredRatios by index, filled on first use, so each tau
-    is built once per table."""
+    cancel are dropped, and one `_product` runs over the rest."""
     exps = {}
     for ladder, c in pairs:
         for I, e in ladder.items():
             exps[I] = exps.get(I, 0) + c * e
-    factors = []
-    for I, e in exps.items():
-        if e:
-            if I not in taus:
-                taus[I] = FactoredRatio.from_poly(tau(I, k, n))
-            factors.append((taus[I], e))
-    return _product(factors, k, n)
+    return _product([(_tau_ratio(I, k, n), e) for I, e in exps.items() if e], k, n)
 
 
-@lru_cache(maxsize=None)
-def _tau_table(k, n):
-    """The (k, n) table of tau FactoredRatios by index that every ladder
-    product at (k, n) fills and reads."""
-    return {}
+@shape_cache
+def _tau_ratio(I, k, n):
+    """tau(I) as a FactoredRatio, built once per (k, n) and index."""
+    return FactoredRatio.from_poly(tau(I, k, n))
 
 
 def u_variable(J, k, n):
     """Planar face ratio u_J as a normalized FactoredRatio: the product over
     its ladder (see `_ladder`)."""
-    return _ladder_product([(_ladder(tuple(J), k, n), 1)], k, n, _tau_table(k, n))
+    return _ladder_product([(_ladder(check_subset(J, k, n), k, n), 1)], k, n)
 
 
 def crossing_profile(J, k, n):
@@ -657,15 +646,14 @@ def crossing_profile(J, k, n):
     return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def _identity(J, k, n):
     """(number of subsets crossing J, u_J, prod over crossing I of
     u_I^{c_{I,J}}) for a checked subset J: the binary identity of J, both
-    sides ladder products over the (k, n) tau table, built once per J."""
+    sides ladder products, built once per J."""
     profile = crossing_profile(J, k, n)
-    taus = _tau_table(k, n)
-    return (len(profile), _ladder_product([(_ladder(J, k, n), 1)], k, n, taus),
-            _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n, taus))
+    return (len(profile), _ladder_product([(_ladder(J, k, n), 1)], k, n),
+            _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n))
 
 
 def _first_random_failure(identities, k, n, trials, seed):

@@ -16,11 +16,11 @@ attached to J.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from . import linalg
-from .combinat import _bits, _first_collection, _noncrossing_graph, check_kn, check_subset
+from .combinat import (_bits, _first_collection, _noncrossing_graph, check_kn, check_subset,
+                       shape_cache)
 # perfbench's test_tracer_wraps_every_lookup_site_and_restores asserts that
 # roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
@@ -246,7 +246,7 @@ def _exits_first(row_p, row_q, d):
     raise AssertionError("two exit times coincide")
 
 
-@lru_cache(maxsize=None)
+@shape_cache
 def _fan(k, n):
     return _Fan(k, n)
 

@@ -362,7 +362,7 @@ def test_s_to_eta_needs_momentum_conservation(tmp_path, capsys):
 def test_amplitude_shift_builds_no_kinematic_basis(capsys, monkeypatch):
     from grascat.kinematics import kin_basis
     monkeypatch.chdir(Path(__file__).parent / "corpus")
-    kin_basis.cache_clear()
+    combinat.clear_caches()
     code, _ = run(capsys, "amplitude", "--k", "3", "--n", "8", "--eta", "eta_3_8.json",
                   "--shift")
     assert code == 0
@@ -415,7 +415,7 @@ def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action
     key = "eta" if action == "eta-to-s" else "s"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({key: {"1,2,3,4,6": "5"}}))
-    kin_basis.cache_clear()
+    combinat.clear_caches()
     code, data = _error(capsys, "kinematics", action, "--k", "4", "--n", "9",
                         "--input", str(path))
     assert code == 2 and "expected a 4-element subset" in data["error"]

@@ -14,11 +14,13 @@ from grascat import combinat, linalg
 from grascat.combinat import (ResourceLimitExceeded, _bits, _degeneracy_order,
                               _first_collection, _fold_maximal_noncrossing,
                               _noncrossing_graph,
-                              _search_dag, catalan_mdim, compatibility_degree,
+                              _search_dag, catalan_mdim, check_kn, check_subset,
+                              compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
                               is_frozen, is_noncrossing, is_weakly_separated,
                               k3_exponent_rule, nonfrozen_subsets)
-from grascat.kinematics import nc_amplitude
+from grascat.kinematics import kin_basis, nc_amplitude
+from grascat.polytope import triangulation_volume
 
 
 def test_frozen():
@@ -262,8 +264,8 @@ def test_search_dag_amplitude_total(k, n):
         assert nc_amplitude(k, n, values) == F(expected * L ** d, D)
 
 
-def test_capped_search_dag_build_caches_nothing(monkeypatch):
-    monkeypatch.delitem(combinat._SEARCH_DAGS, (3, 7), raising=False)
+def test_capped_search_dag_build_caches_nothing():
+    combinat.clear_caches()
     with pytest.raises(ResourceLimitExceeded,
                        match=re.escape("more than 461 maximal collections for (3, 7)")):
         _search_dag(3, 7, 461)
@@ -277,7 +279,7 @@ def test_capped_search_dag_build_caches_nothing(monkeypatch):
 
 
 def test_search_dag_is_built_once_per_shape(monkeypatch):
-    monkeypatch.delitem(combinat._SEARCH_DAGS, (3, 7), raising=False)
+    combinat.clear_caches()
     builds = []
     build = combinat._build_search_dag
     monkeypatch.setattr(combinat, "_build_search_dag",
@@ -298,3 +300,54 @@ def test_one_default_cap():
                           nc_amplitude)]
     args = cli.build_parser().parse_args(["volume", "--k", "3", "--n", "6"])
     assert defaults + [args.max_cliques] == [combinat.MAX_COLLECTIONS] * 4
+
+
+# ---------------------------------------------------------------------------
+# the per-shape cache layer and its ints-only arguments
+
+@pytest.mark.parametrize("J", [(1.0, 3, 5), (True, 3, 5), (1, 3, F(5)), ("1", 3, 5)])
+def test_check_subset_takes_ints_only(J):
+    with pytest.raises(ValueError, match="subset entries must be ints"):
+        check_subset(J, 3, 6)
+
+
+@pytest.mark.parametrize("k,n", [(3.0, 6), (3, 6.0), (True, 6), (3, F(6))])
+def test_check_kn_takes_ints_only(k, n):
+    with pytest.raises(ValueError, match="k and n must be ints"):
+        check_kn(k, n)
+
+
+@pytest.mark.parametrize("build", [triangulation_volume, kin_basis],
+                         ids=lambda f: f.__name__)
+def test_non_int_shape_raises_cold_and_warm(build):
+    # typed keys: 3.0 misses the entry of 3, and the miss rejects it
+    combinat.clear_caches()
+    with pytest.raises(ValueError, match="is not an int or a tuple of ints"):
+        build(3.0, 6)
+    build(3, 6)
+    for k, n in [(3.0, 6), (3, 6.0), (True, 6)]:
+        with pytest.raises(ValueError, match="is not an int or a tuple of ints"):
+            build(k, n)
+
+
+def test_clear_caches_empties_every_shape_cache():
+    from grascat import cli, kinematics, polynomial, roots
+    caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
+              kinematics.kin_basis, polynomial.m_poly, polynomial.bcfw_matrix,
+              polynomial.resolved_minor, polynomial._ladder, polynomial._tau_ratio,
+              polynomial._identity, cli._parser]
+    # the registry holds the clears of these caches and of the search DAGs
+    assert len(combinat._CLEARS) == len(caches) + 1
+    assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
+                                     | {combinat._SEARCH_DAGS.clear})
+    triangulation_volume(3, 6)  # the graph, the fan and the search DAG
+    kinematics.eta_functional((1, 3, 5), 3, 6)
+    kinematics.kin_basis(3, 6)
+    polynomial.resolved_minor((2, 4, 6), 6)  # and the matrix and its entries
+    polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity
+    cli._parser()
+    sizes = {c.__name__: c.cache_info().currsize for c in caches}
+    assert all(sizes.values()) and combinat._SEARCH_DAGS, sizes
+    combinat.clear_caches()
+    sizes = {c.__name__: c.cache_info().currsize for c in caches}
+    assert not any(sizes.values()) and not combinat._SEARCH_DAGS, sizes

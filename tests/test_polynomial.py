@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grascat import polynomial
-from grascat.combinat import nonfrozen_subsets
+from grascat.combinat import clear_caches, nonfrozen_subsets
 from grascat.linalg import _integral
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identities_random_all,
@@ -544,17 +544,11 @@ def _crossing_product_reference(J, k, n, us):
 def test_ladder_sum_matches_product_of_u_variables(k, n):
     nf = nonfrozen_subsets(k, n)
     us = {I: u_variable(I, k, n) for I in nf}
-    taus = {}
     for J in nf:
         ladders = [(polynomial._ladder(I, k, n), c)
                    for I, c in polynomial.crossing_profile(J, k, n)]
-        summed = polynomial._ladder_product(ladders, k, n, taus)
+        summed = polynomial._ladder_product(ladders, k, n)
         assert _fields(summed) == _fields(_crossing_product_reference(J, k, n, us)), J
-
-
-def _clear_identity_caches():
-    polynomial._identity.cache_clear()
-    polynomial._tau_table.cache_clear()
 
 
 @pytest.fixture
@@ -566,15 +560,15 @@ def tau_builds(monkeypatch):
         built[tuple(I)] += 1
         return original(I, k, n)
 
-    _clear_identity_caches()
+    clear_caches()
     monkeypatch.setattr(polynomial, "tau", counting)
     yield built
-    _clear_identity_caches()
+    clear_caches()
 
 
 def test_each_tau_built_once_per_identity_check(tau_builds):
-    # the tau table and the identities are kept per (k, n): over every
-    # check at a shape each tau is built at most once in total
+    # the tau FactoredRatios and the identities are kept per (k, n): over
+    # every check at a shape each tau is built at most once in total
     for k, n in [(3, 7), (4, 8)]:
         for J in nonfrozen_subsets(k, n):
             assert binary_identity_check(J, k, n)["pass"]
@@ -595,12 +589,26 @@ def test_warm_identity_verdicts_equal_cold_ones(seed):
                 [binary_identity_check(J, 4, 8, "random", trials=2, seed=seed)
                  for J in nonfrozen_subsets(4, 8)]]
 
-    _clear_identity_caches()
+    clear_caches()
     cold = verdicts()
     warm = verdicts()
-    _clear_identity_caches()
+    clear_caches()
     assert cold == warm == verdicts()
     assert all(v["pass"] for v in cold[:2] + cold[2])
+
+
+def test_float_subset_neither_poisons_nor_reads_the_identity_cache():
+    # lru_cache keys compare 1.0 == 1, so (1.0, 3, 5) must be rejected
+    # before any cache is read or filled, whichever call comes first
+    clear_caches()
+    with pytest.raises(ValueError, match="subset entries must be ints"):
+        binary_identity_check((1.0, 3, 5), 3, 6)
+    assert binary_identity_check((1, 3, 5), 3, 6)["pass"]
+    clear_caches()
+    assert binary_identity_check((1, 3, 5), 3, 6)["pass"]
+    for call in (binary_identity_check, u_variable):
+        with pytest.raises(ValueError, match="subset entries must be ints"):
+            call((1.0, 3, 5), 3, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +629,10 @@ def broken_profiles(monkeypatch):
     # identities are cached per (k, n) and J: build them afresh with the
     # broken profiles, and keep none of them for later tests
     original = polynomial.crossing_profile
-    polynomial._identity.cache_clear()
+    clear_caches()
     monkeypatch.setattr(polynomial, "crossing_profile", lambda J, k, n: original(J, k, n)[1:])
     yield
-    polynomial._identity.cache_clear()
+    clear_caches()
 
 
 @pytest.mark.parametrize("k,n,J", [(3, 7, (2, 4, 6)), (4, 8, (2, 3, 6, 8))])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat.combinat import is_noncrossing, enumerate_maximal_noncrossing
+from grascat.combinat import clear_caches, enumerate_maximal_noncrossing, is_noncrossing
 from grascat.polytope import triangulation_volume
 from grascat.roots import (DecompositionError, _fan, check_four_term, combo_vector,
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
@@ -255,7 +255,7 @@ def test_fan_rows_are_the_roots_in_the_start_basis(k, n):
 
 
 def test_volume_reads_the_cached_fan():
-    _fan.cache_clear()
+    clear_caches()
     triangulation_volume(3, 7)
     assert _fan.cache_info().currsize == 1
 
