@@ -5,7 +5,9 @@ Each case runs ``grascat.cli.main`` in process from inside ``tests/corpus``
 compares stdout byte for byte with ``tests/corpus/<name>.out``.  The corpus
 is the gate for refactors that must keep the output identical; re-record it
 with ``PYTHONPATH=src python tests/test_cli_corpus.py`` only when an output
-change is intended.
+change is intended.  Naming cases, as in ``... test_cli_corpus.py NAME...``,
+re-records only those, so a new case leaves every other ``.out`` file as it
+is; an unknown name records nothing and exits nonzero.
 """
 from pathlib import Path
 
@@ -71,6 +73,8 @@ CASES = {
     "amplitude_eta_shift_3_8": ["amplitude", "--k", "3", "--n", "8",
                                 "--eta", "eta_3_8.json", "--shift"],
     "amplitude_eta_4_8": ["amplitude", "--k", "4", "--n", "8", "--eta", "eta_4_8.json"],
+    "amplitude_eta_mixed_3_9": ["amplitude", "--k", "3", "--n", "9",
+                                "--eta", "eta_mixed_3_9.json"],
     "kinematics_basis_3_6": ["kinematics", "basis", "--k", "3", "--n", "6"],
     "kinematics_eta_to_s_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
                                 "--input", "prime_eta_36.json"],
@@ -102,10 +106,15 @@ if __name__ == "__main__":
     import contextlib
     import io
     import os
+    import sys
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown corpus case(s): {', '.join(unknown)}")
     os.chdir(CORPUS)
-    for name, argv in CASES.items():
+    for name in names:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0, name
+            assert main(CASES[name]) == 0, name
         (CORPUS / f"{name}.out").write_text(buf.getvalue())
