@@ -455,10 +455,18 @@ def main(argv=None):
         parser.error(f"--max-cliques must be at least 1, not {args.max_cliques}")
     if getattr(args, "shift", False) and args.k != 3:
         parser.error("--shift is defined for k = 3")
+    # exact values of any size print and parse: str() and int() refuse ints
+    # over 4300 digits by default (Python 3.10.7 and later)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (combinat.ResourceLimitExceeded, ValueError, OSError) as exc:
         return _error(str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

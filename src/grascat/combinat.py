@@ -6,10 +6,10 @@ Subsets are plain sorted tuples of ints in [1, n]; the ambient (k, n) is
 passed explicitly where it matters (frozenness and weak separation are
 cyclic notions, so they depend on n).
 
-Every structure built per shape, here and in `roots`, `kinematics`,
-`polynomial` and `cli`, is kept for the whole process by one layer: the
-`shape_cache` decorator, whose keys are ints and tuples of ints only, and
-the search DAGs of `_search_dag`.  `clear_caches()` empties all of them.
+Every per-shape structure that callers ask for more than once, here and
+in `roots`, `kinematics`, `polynomial` and `cli`, is kept for the whole
+process by one layer: the `shape_cache` decorator, whose keys are ints and
+tuples of ints only, and `_search_dag`'s DAGs.  `clear_caches()` empties all.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ def _is_ints(arg):
 
 def shape_cache(build):
     """Keep build(*args) for the whole process, one entry per argument
-    tuple, and register the cache with `clear_caches`.
+    tuple, and register the cache with `clear_caches`.  The layer holds
+    the per-shape structures that callers ask for more than once.
 
     An lru_cache with typed keys over a miss path that raises ValueError,
     before anything is built, unless every argument is an int or a tuple
@@ -48,8 +49,7 @@ def shape_cache(build):
     Typing does not reach into a tuple: a warm call with (1.0, 3, 5) hits
     the entry of (1, 3, 5) and returns its value.  The callers of
     `polynomial._ladder` and `_identity` run `check_subset` first;
-    `kinematics.eta_functional` and `polynomial.resolved_minor` keep that
-    residual.
+    `kinematics.eta_functional` keeps that residual.
     """
     @wraps(build)
     def miss(*args):

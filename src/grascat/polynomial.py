@@ -485,7 +485,6 @@ def delta(i, J, k, n):
 # ---------------------------------------------------------------------------
 # positive parameterization
 
-@shape_cache
 def m_poly(i, j, k, n):
     """Matrix entry m_{i,j}: sum over weakly increasing column tuples
     (c_i <= ... <= c_{k-1}) in [1, j] of prod_a x_{a,c_a} --- the vertex sum
@@ -550,12 +549,11 @@ def compound_A(i, j, kk, n):
     return det_poly([[c1[r], c2[r], c3[r]] for r in range(3)])
 
 
-@shape_cache
 def resolved_minor(J, n):
     """Resolved minor p-hat_J on the (3, n) parameterization, as an exact
     polynomial; equals plucker(J) unless some lexicographically smaller I
     forms a noncrossing-but-not-weakly-separated pair with J."""
-    i, j, kk = J
+    i, j, kk = check_subset(J, 3, n)
     if i == 1:
         return plucker(J, 3, n)
     if j == n - 1 and kk == n:

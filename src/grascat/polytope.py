@@ -1,12 +1,14 @@
-"""Exact rational polyhedral machinery: extreme points by LP, V/H
-conversion by the double description method, face lattices and f-vectors,
-Newton polytopes, Minkowski sums, and the named polytopes of the build:
-root polytopes, the PK polytope, fibered simplices, planar faces and the
-PK associahedron.  The LP and the root-polytope volume eliminate only
-through `linalg._pivot`: an integer simplex tableau, and a fold over the
-Bron-Kerbosch tree of maximal noncrossing collections that keeps, down
-each branch, its members' `roots._fan` rows reduced to +-1 pivots, so
-every leaf is unimodular by construction and no determinant is read.
+"""Exact rational polyhedral machinery: V/H conversion by the double
+description method, face lattices and f-vectors, Newton polytopes,
+Minkowski sums, and the named polytopes of the build: root polytopes, the
+PK polytope, fibered simplices, planar faces and the PK associahedron.
+The LP membership test `in_convex_hull` is kept only for perfbench's
+polytopes workload; nothing in the package calls it.  The LP and the
+root-polytope volume eliminate only through `linalg._pivot`: an integer
+simplex tableau, and a fold over the Bron-Kerbosch tree of maximal
+noncrossing collections that keeps, down each branch, its members'
+`roots._fan` rows reduced to +-1 pivots, so every leaf is unimodular by
+construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); a point of the
@@ -68,22 +70,6 @@ def in_convex_hull(p, points):
                 key=lambda i: (F(T[i][-1], T[i][enter]), basis[i]))
         prev = linalg._pivot(T, r, enter, prev)
         basis[r] = enter
-
-
-def extreme_points(points):
-    """The extreme points of a finite rational point set, via exact LP
-    separation; interior points are pruned as they are found."""
-    pts = sorted(set(tuple(F(x) for x in p) for p in points))
-    keep = list(pts)
-    i = 0
-    while i < len(keep):
-        p = keep[i]
-        others = keep[:i] + keep[i + 1:]
-        if in_convex_hull(p, others):
-            keep.pop(i)
-        else:
-            i += 1
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +409,6 @@ def planar_face_polytope(i, J, k, n):
     """Vertex list of the planar face F^{(i)}_J as a PolytopeRep: the
     exponent vectors of its face polynomial delta."""
     return hull_of_points(list(delta(i, J, k, n).terms))
-
-
-def minkowski_sum_points(sets_of_points):
-    """Iterated pairwise vertex sums with extreme-point filtering."""
-    cur = [(0,) * len(sets_of_points[0][0])]
-    for pts in sets_of_points:
-        cand = {tuple(a + b for a, b in zip(u, w)) for u in cur for w in pts}
-        cur = extreme_points(cand)
-    return cur
 
 
 def pk_associahedron(k, n):

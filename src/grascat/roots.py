@@ -204,7 +204,7 @@ class _Fan:
         self.support = [[(t, c) for t, c in enumerate(row) if c] for row in self.rows]
 
     def locate(self, target):
-        """Positive cone coefficients {J: t_J} of nonzero lattice coordinates."""
+        """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
         d = self.dim
         goal, scale = linalg._integral(target)
         cone = list(self.start)
@@ -265,8 +265,6 @@ def noncrossing_decompose(v, k, n):
     for i, s in enumerate(row_sums(x, k, n), start=1):
         if s:
             raise DecompositionError(f"row {i} sums to {s}, not 0")
-    if not any(x):
-        return {}
     return _fan(k, n).locate(_running_sums(x, n - k))
 
 

@@ -1,12 +1,16 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 import json
+import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from grascat import cli, combinat
-from grascat.cli import main
+from grascat.cli import main, subset_key
 from grascat.combinat import nonfrozen_subsets
+from grascat.kinematics import nc_amplitude
 
 
 def run(capsys, *argv):
@@ -110,6 +114,34 @@ def test_amplitude_zero_pole_exit(tmp_path, capsys):
     code, out = run(capsys, "amplitude", "--k", "2", "--n", "5", "--eta", str(path))
     assert code == 1
     assert "1,3" in json.loads(out)["poles"]
+
+
+@pytest.mark.parametrize("k,n,digits,quoted", [(3, 8, 100, True), (2, 5, 5000, False)],
+                         ids=["value-over-4300-digits", "input-over-4300-digits"])
+def test_exact_values_of_any_size_print(tmp_path, capsys, k, n, digits, quoted):
+    # str() and int() refuse ints over 4300 digits unless the limit is lifted:
+    # 100-digit etas at (3,8) give a value of 8710 characters, and 5000-digit
+    # JSON integers are input over the limit; the file is written as text
+    rng = random.Random(digits)
+    texts = {J: rng.choice("123456789") + "".join(rng.choices("0123456789", k=digits - 1))
+             for J in nonfrozen_subsets(k, n)}
+    path = tmp_path / "eta.json"
+    path.write_text('{"eta": {' + ", ".join(
+        f'"{subset_key(J)}": ' + (f'"{t}"' if quoted else t) for J, t in texts.items()) + "}}")
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out = run(capsys, "amplitude", "--k", str(k), "--n", str(n), "--eta", str(path))
+    assert code == 0
+    assert get_limit() == limit
+    value = json.loads(out)["value"]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(value) == nc_amplitude(k, n, {J: Fraction(int(t))
+                                                      for J, t in texts.items()})
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_kinematics_roundtrip(tmp_path, capsys):

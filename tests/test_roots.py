@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat.combinat import clear_caches, enumerate_maximal_noncrossing, is_noncrossing
+from grascat.combinat import (clear_caches, enumerate_maximal_noncrossing, is_noncrossing,
+                              nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
 from grascat.roots import (DecompositionError, _fan, check_four_term, combo_vector,
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
@@ -139,6 +140,21 @@ def test_decompose_5_10():
             (1, 3, 6, 7, 9): 1, (1, 4, 5, 7, 9): 1, (2, 3, 5, 7, 9): 1}
     v = combo_vector(cmap, 5, 10)
     assert noncrossing_decompose(v, 5, 10) == {(1, 4, 5, 8, 9): 1, (2, 3, 6, 7, 10): 1}
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8), (3, 10), (5, 10)])
+def test_decompose_zero_vector(k, n):
+    # the zero vector expands over the empty collection: given as {}, with
+    # explicit zero entries, or as a combination of roots that cancels
+    assert noncrossing_decompose({}, k, n) == {}
+    assert noncrossing_decompose({(1, 1): F(0), (k - 1, n - k): 0}, k, n) == {}
+    coeffs = {J: (-1) ** t * (t % 3 + 1) for t, J in enumerate(nonfrozen_subsets(k, n)[:6])}
+    for J, c in noncrossing_decompose(combo_vector(coeffs, k, n), k, n).items():
+        coeffs[J] = coeffs.get(J, 0) - c
+    assert any(coeffs.values())
+    zero = combo_vector(coeffs, k, n)
+    assert zero == {}
+    assert noncrossing_decompose(zero, k, n) == {}
 
 
 def test_tripods():
