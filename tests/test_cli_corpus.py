@@ -75,6 +75,8 @@ CASES = {
     "amplitude_eta_4_8": ["amplitude", "--k", "4", "--n", "8", "--eta", "eta_4_8.json"],
     "amplitude_eta_mixed_3_9": ["amplitude", "--k", "3", "--n", "9",
                                 "--eta", "eta_mixed_3_9.json"],
+    "amplitude_eta_mixed_4_9": ["amplitude", "--k", "4", "--n", "9",
+                                "--eta", "eta_mixed_4_9.json", "--max-cliques", "2000000"],
     "kinematics_basis_3_6": ["kinematics", "basis", "--k", "3", "--n", "6"],
     "kinematics_eta_to_s_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
                                 "--input", "prime_eta_36.json"],
