@@ -18,10 +18,9 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from . import combinat, kinematics, polynomial, polytope, roots
+from . import combinat, kinematics, linalg, polynomial, polytope, roots
 from .roots import gamma_hat, grid_add
 
-F = Fraction
 SCHEMA = "grascat/1"
 # the option value under which u-check and amplitude run something random,
 # the only case in which they read --seed and --trials
@@ -51,12 +50,13 @@ def parse_subset(key):
 
 
 def parse_value(val):
-    """An exact number from an input value: an int (not a bool), a Fraction
-    (how load_json reads a JSON decimal) or a rational string such as
-    "3/2"; anything else, a zero denominator included, raises ValueError."""
+    """The exact number (`linalg._exact`) of an input value, the one
+    conversion of input numbers: an int (not a bool), a Fraction (how
+    load_json reads a JSON decimal) or a rational string such as "3/2";
+    anything else, a zero denominator included, raises ValueError."""
     if not isinstance(val, bool) and isinstance(val, (int, Fraction, str)):
         try:
-            return F(val)
+            return linalg._exact(val)
         except ZeroDivisionError:
             pass
     raise ValueError(f"input value {json.dumps(val, default=str)} is not a number")
@@ -81,7 +81,7 @@ def _unique_keys(pairs):
 
 def _load_subset_map(path, key, k=None, n=None):
     """(values, k, n) of a JSON input file: the map under ``key`` as
-    {subset: Fraction}, every key a k-subset of [1, n].  Without k and n
+    {subset: int or Fraction}, every key a k-subset of [1, n].  Without k and n
     (a ``coeffs`` file) they are read from the file as well.  An ``eta``
     map may not give a frozen subset, whose eta vanishes on K(k,n), a
     nonzero value.  Every ValueError names the file."""
@@ -224,7 +224,7 @@ def cmd_amplitude(args):
     nf = combinat.nonfrozen_subsets(k, n)
     seed = args.seed
     if args.pk:
-        values = {J: F(1) for J in nf}
+        values = dict.fromkeys(nf, 1)
         source = "pk"
     elif args.eta == "random-interior":
         point = kinematics.interior_kd_point(k, n, seed=seed)
@@ -464,6 +464,8 @@ def main(argv=None):
         return args.func(args)
     except (combinat.ResourceLimitExceeded, ValueError, OSError) as exc:
         return _error(str(exc))
+    except MemoryError:
+        return _error(f"out of memory under GRASCAT_CAP_MB={cap!r}" if cap else "out of memory")
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

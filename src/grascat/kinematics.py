@@ -37,7 +37,7 @@ def rho_height(u, v, n):
     """-(1/n) min_t L_t(v - u) for integer points u, v on the level-k
     hyperplane; this is the tropical height whose bending encodes the
     planar basis."""
-    return -F(min(_L({a: F(v[a - 1]) - F(u[a - 1]) for a in range(1, n + 1)}, n)), n)
+    return linalg._exact(F(-min(_L({a: v[a - 1] - u[a - 1] for a in range(1, n + 1)}, n)), n))
 
 
 class KinFunctional:
@@ -80,7 +80,7 @@ class KinFunctional:
     def on_eta(self, eta_values):
         """Evaluate on the point of K(k,n) with the given nonfrozen eta
         values (missing ones are zero)."""
-        return sum((c * eta_values.get(J, 0) for J, c in self.eta.items()), F(0))
+        return linalg._exact(sum(c * eta_values.get(J, 0) for J, c in self.eta.items()))
 
     def value(self, point):
         """Evaluate on an s-value map, which must lie in K(k,n): the value
@@ -139,13 +139,14 @@ class KinBasis:
     def point_from_eta(self, eta_values):
         """The unique K-point whose nonfrozen eta-values are as given
         (missing ones are zero); returns the s-value map without zeros."""
-        point = {I: sum((c * F(eta_values.get(J, 0)) for J, c in row.items()), F(0))
+        point = {I: sum(c * eta_values.get(J, 0) for J, c in row.items())
                  for I, row in self.S.items()}
-        return {I: v for I, v in point.items() if v}
+        return {I: linalg._exact(v) for I, v in point.items() if v}
 
     def eta_values(self, point):
         """The nonfrozen eta values of an s-value map."""
-        return {J: F(sum(c * point.get(I, 0) for I, c in zip(self.subsets, row)), self.n)
+        return {J: linalg._exact(F(sum(c * point.get(I, 0) for I, c in zip(self.subsets, row)),
+                                   self.n))
                 for J, row in zip(self.nonfrozen, self._eta_rows)}
 
 
@@ -163,7 +164,7 @@ def functionals_equal_on_K(f, g):
 
 def eta_combination(coeffs, k, n):
     """sum c_J eta_J as a KinFunctional."""
-    return sum((eta_functional(tuple(J), k, n) * F(c) for J, c in coeffs.items()),
+    return sum((eta_functional(tuple(J), k, n) * c for J, c in coeffs.items()),
                KinFunctional(k, n))
 
 
@@ -172,8 +173,7 @@ def eta_combination(coeffs, k, n):
 
 def check_conservation(point, k, n):
     for a in range(1, n + 1):
-        tot = sum((v for J, v in point.items() if a in J), F(0))
-        if tot:
+        if sum(v for J, v in point.items() if a in J):
             return False
     return True
 
@@ -185,8 +185,8 @@ def pk_point(k, n):
     for j in range(n):
         plus = tuple(sorted((j + t) % n + 1 for t in range(k)))
         minus = tuple(sorted([(j + t) % n + 1 for t in range(k - 1)] + [(j + k) % n + 1]))
-        point[plus] = point.get(plus, F(0)) + 1
-        point[minus] = point.get(minus, F(0)) - 1
+        point[plus] = point.get(plus, 0) + 1
+        point[minus] = point.get(minus, 0) - 1
     return {J: v for J, v in point.items() if v}
 
 
@@ -196,7 +196,7 @@ def kd_membership(point, k, n, strict=False):
     if not check_conservation(point, k, n):
         return False
     for J in combinations(range(1, n + 1), k):
-        v = point.get(J, F(0))
+        v = point.get(J, 0)
         if is_frozen(J, n):
             if v < 0 or (strict and v == 0):
                 return False
@@ -210,10 +210,8 @@ def interior_kd_point(k, n, seed=None):
     """A strictly interior point of K_D: the uniform point (all nonfrozen
     s = -1) plus, when seeded, a small random K-perturbation that keeps
     every sign strict."""
-    base = {}
-    r = comb(n - 1, k - 1) - k
-    for J in combinations(range(1, n + 1), k):
-        base[J] = F(r, k) if is_frozen(J, n) else F(-1)
+    frozen = linalg._exact(F(comb(n - 1, k - 1) - k, k))
+    base = {J: frozen if is_frozen(J, n) else -1 for J in combinations(range(1, n + 1), k)}
     if seed is None:
         return base
     rng = random.Random(seed)
@@ -224,7 +222,7 @@ def interior_kd_point(k, n, seed=None):
         c = eps * F(rng.randint(-1000, 1000), 1000)
         for J, idx in B.index.items():
             if vec[idx]:
-                base[J] = base.get(J, F(0)) + c * vec[idx]
+                base[J] += c * vec[idx]
     return {J: v for J, v in base.items() if v}
 
 
@@ -252,7 +250,7 @@ def root_kinematics_point(alpha, k, n):
     values = {}
     for J in nonfrozen_subsets(k, n):
         g = gamma_hat(J, k, n)
-        values[J] = sum((F(c) * F(alpha.get(key, 0)) for key, c in g.items()), F(0))
+        values[J] = sum(c * alpha.get(key, 0) for key, c in g.items())
     return kin_basis(k, n).point_from_eta(values)
 
 
@@ -319,24 +317,24 @@ class AmplitudePole(ZeroDivisionError):
 
 def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     """Sum over all maximal noncrossing collections of the product of
-    1/values[J]; values maps every nonfrozen subset to a nonzero rational.
+    1/values[J]; values maps every nonfrozen subset to a nonzero int or
+    Fraction.
 
     The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG
-    (`combinat.SearchDag`), in integers.  With L the lcm of the
-    denominators, a_J = L values[J] and D the product of every a_J, each
-    node gets T = D at the leaf and T(node) = sum over its edges (v, child)
-    of T(child) // a_v.  Unfolded, T(node) is the sum over the maximal
-    cliques below it of D / prod a_J over the vertices J added below it.
-    Every division is exact: the vertices below the edge of v lie in
-    P & N(v), which excludes v, so a_v divides each term of T(child) and
+    (`combinat.SearchDag`), in integers.  With values[J] = p_J / q_J in
+    lowest terms and D the product of every p_J, each node gets T = D at
+    the leaf and T(node) = sum over its edges (v, child) of
+    T(child) // p_v * q_v.  Unfolded, T(node) is the sum over the maximal
+    cliques below it of D prod q_J / p_J over the vertices J added below
+    it.  Every division is exact: the vertices below the edge of v lie in
+    P & N(v), which excludes v, so p_v divides each term of T(child) and
     hence their sum.  Merging equal (P, X) subtrees changes nothing,
-    because a subtree's T depends only on its pair.  So T(root) is the
-    term-by-term integer total, the sum over collections R of
-    D / prod_{J in R} a_J; every collection has d = (k-1)(n-k-1) members,
-    so the amplitude is T(root) L^d / D.
+    because a subtree's T depends only on its pair.  So T(root) is
+    D times the sum over collections R of prod_{J in R} 1 / values[J], and
+    the amplitude is T(root) / D.
     """
     verts, adj = _noncrossing_graph(k, n)
-    vals = [F(values.get(J, 0)) for J in verts]
+    vals = [values.get(J, 0) for J in verts]
     if not all(vals):
         # a missing or zero value: report it in the sorted-first collection
         # holding one, which is what a sorted term-by-term sum meets first,
@@ -345,12 +343,12 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
         coll = min(tuple(verts[i] for i in _bits(_first_collection(adj, 1 << v)))
                    for v, x in enumerate(vals) if not x)
         for J in coll:
-            if not F(values[J]):
+            if not values[J]:
                 raise AmplitudePole(coll)
-    a, L = linalg._integral(vals)
-    D = prod(a)
-    total = _search_dag(k, n, max_collections).fold_up(D, lambda T, v: T // a[v])
-    return F(total * L ** ((k - 1) * (n - k - 1)), D)
+    p, q = [x.numerator for x in vals], [x.denominator for x in vals]
+    D = prod(p)
+    total = _search_dag(k, n, max_collections).fold_up(D, lambda T, v: T // p[v] * q[v])
+    return linalg._exact(F(total, D))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +377,8 @@ def prime_kinematics_reproduction():
     amplitude = nc_amplitude(3, 6, hat_values)
     return {
         "point": point,
-        "minus_s356": -point.get((3, 5, 6), F(0)),
-        "minus_s236": -point.get((2, 3, 6), F(0)),
+        "minus_s356": -point.get((3, 5, 6), 0),
+        "minus_s236": -point.get((2, 3, 6), 0),
         "eta_hat_124": hat_values[(1, 2, 4)],
         "eta_hat_145": hat_values[(1, 4, 5)],
         "hat_values": hat_values,

@@ -25,8 +25,6 @@ from .combinat import (_bits, _first_collection, _noncrossing_graph, check_kn, c
 # roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
 
-F = Fraction
-
 
 # ---------------------------------------------------------------------------
 # grid vectors
@@ -218,7 +216,7 @@ class _Fan:
                 if row[-1] < 0 and (leave is None or _exits_first(row, rows[leave], d)):
                     leave = p
             if leave is None:
-                return {self.verts[cone[p]]: F(rows[p][-1], scale)
+                return {self.verts[cone[p]]: linalg._exact(Fraction(rows[p][-1], scale))
                         for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
             entering = ((1 << len(self.verts)) - 1) & ~(1 << cone[leave])
             for i in cone[:leave] + cone[leave + 1:]:
@@ -277,7 +275,7 @@ def combo_vector(coeffs, k, n):
     """Grid vector of a formal combination sum c_J v_J."""
     v = {}
     for J, c in coeffs.items():
-        v = grid_add(v, v_root(J, k, n), F(c))
+        v = grid_add(v, v_root(J, k, n), c)
     return v
 
 
@@ -294,10 +292,10 @@ def tripod_vector(U, Uprime, n):
     for x, lo, hi in ((Uprime[0], u, v), (Uprime[1], v, w), (Uprime[2], w, u)):
         if not _in_cyclic_open(x, lo, hi, n):
             raise ValueError(f"label {x} not in the cyclic gap ({lo}, {hi})")
-    coeffs = {tuple(sorted(U)): F(-1)}
+    coeffs = {tuple(sorted(U)): -1}
     for old, new in zip(U, Uprime):
         S = tuple(sorted(set(U) - {old} | {new}))
-        coeffs[S] = coeffs.get(S, F(0)) + 1
+        coeffs[S] = coeffs.get(S, 0) + 1
     return {J: c for J, c in coeffs.items() if c}
 
 

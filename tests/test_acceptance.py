@@ -230,6 +230,18 @@ def test_criterion_8_pk_amplitude():
     report("8 (PK amplitude equals the multidimensional Catalan number)", True)
 
 
+@pytest.mark.slow
+def test_criterion_8_pk_amplitude_slow(capsys):
+    from grascat.cli import main
+    want = combinat.catalan_mdim(3, 8)
+    assert main(["nc", "count", "--k", "3", "--n", "11", "--max-cliques", str(want)]) == 0
+    assert '"count": %d' % want in capsys.readouterr().out
+    values = dict.fromkeys(combinat.nonfrozen_subsets(3, 11), 1)
+    value = kinematics.nc_amplitude(3, 11, values, max_collections=want)
+    assert value == want and type(value) is int
+    report("8-slow (PK amplitude at (3,11))", True)
+
+
 # -- 9 ----------------------------------------------------------------------
 
 def test_criterion_9_resolved_minors():

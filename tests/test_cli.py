@@ -274,6 +274,35 @@ def test_unsettable_memory_cap_reported(capsys, monkeypatch):
     assert code == 2 and "not permitted" in data["error"]
 
 
+@pytest.mark.parametrize("cap", [None, "4096"])
+def test_out_of_memory_reported(capsys, monkeypatch, cap):
+    import resource
+
+    def exhaust(*_args):
+        raise MemoryError
+    monkeypatch.setattr(combinat, "_search_dag", exhaust)
+    monkeypatch.setattr(resource, "setrlimit", lambda *_args: None)
+    if cap:
+        monkeypatch.setenv("GRASCAT_CAP_MB", cap)
+    else:
+        monkeypatch.delenv("GRASCAT_CAP_MB", raising=False)
+    code, data = _error(capsys, "nc", "count", "--k", "3", "--n", "6")
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert "out of memory" in data["error"]
+    assert ("GRASCAT_CAP_MB='4096'" in data["error"]) == bool(cap)
+
+
+def test_input_values_are_ints_where_integral(tmp_path):
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"k": 3, "n": 7, "coeffs": {"1,3,5": 5, "2,3,5": "5", '
+                    '"1,4,5": "3/2", "1,3,6": 2.0}}')
+    values, k, n = cli._load_subset_map(path, "coeffs")
+    assert (k, n) == (3, 7)
+    assert values == {(1, 3, 5): 5, (2, 3, 5): 5, (1, 4, 5): Fraction(3, 2), (1, 3, 6): 2}
+    assert {J: type(v) for J, v in values.items()} == {
+        (1, 3, 5): int, (2, 3, 5): int, (1, 4, 5): Fraction, (1, 3, 6): int}
+
+
 @pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
 @pytest.mark.parametrize("key,value", [("coeffs", None), ("k", None), ("n", None),
                                        ("coeffs", [1]), ("k", "3"), ("k", True),

@@ -122,12 +122,13 @@ def test_pk_point():
     from math import comb
     for (k, n) in [(2, 5), (3, 6), (4, 7), (4, 8)]:
         pk = pk_point(k, n)
+        assert all(type(v) is int for v in pk.values())
         assert check_conservation(pk, k, n)
         assert kd_membership(pk, k, n)
         # strict only in the tiny case where every subset is a window
         assert kd_membership(pk, k, n, strict=True) == (comb(n, k) == 2 * n)
         B = kin_basis(k, n)
-        assert all(v == 1 for v in B.eta_values(pk).values())
+        assert all(v == 1 and type(v) is int for v in B.eta_values(pk).values())
 
 
 def test_kd_membership():
@@ -249,13 +250,16 @@ def test_prime_point_kd_report():
     pt = B.point_from_eta(PRIME_ETA_36)
     assert not kd_membership(pt, 3, 6)
     assert pt[(1, 3, 5)] == 144 and pt[(1, 2, 5)] == 3450
+    # int etas give an int point
+    assert all(type(v) is int for v in pt.values())
 
 
 def test_nc_amplitude_pk_values():
     from grascat.combinat import catalan_mdim
     for (k, n) in [(2, 5), (2, 6), (3, 6)]:
         values = {J: F(1) for J in nonfrozen_subsets(k, n)}
-        assert nc_amplitude(k, n, values) == catalan_mdim(k, n - k)
+        value = nc_amplitude(k, n, values)
+        assert value == catalan_mdim(k, n - k) and type(value) is int
 
 
 def _reference_amplitude(k, n, values):
@@ -280,6 +284,28 @@ def test_nc_amplitude_matches_reference(k, n):
     for draw in draws[2:] if (k, n) == (4, 8) else draws:
         values = {J: draw() for J in nonfrozen_subsets(k, n)}
         assert nc_amplitude(k, n, values) == _reference_amplitude(k, n, values)
+
+
+@st.composite
+def _amplitude_tables(draw):
+    """A (k, n) and a table of nonzero values of mixed signs: all ints, or
+    Fractions with unrelated denominators up to 1000."""
+    k, n = draw(st.sampled_from([(2, 6), (3, 6), (3, 7), (4, 7)]))
+    ints = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+    value = ints if draw(st.booleans()) else st.builds(F, ints, st.integers(1, 10 ** 3))
+    return k, n, {J: draw(value) for J in nonfrozen_subsets(k, n)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_amplitude_tables())
+def test_nc_amplitude_is_the_collection_sum(table):
+    k, n, values = table
+    assert nc_amplitude(k, n, values) == _reference_amplitude(k, n, values)
+
+
+def test_point_from_eta_takes_numbers_only():
+    with pytest.raises(TypeError):
+        kin_basis(3, 6).point_from_eta({(1, 2, 4): "3"})
 
 
 _nonzero = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool)
