@@ -44,6 +44,8 @@ CASES = {
     "pk_fvector_3_8": ["pk", "fvector", "--k", "3", "--n", "8"],
     "pk_facets_4_8": ["pk", "facets", "--k", "4", "--n", "8"],
     "newton_4_7": ["newton", "--k", "4", "--n", "7", "--fvector"],
+    "newton_3_8": ["newton", "--k", "3", "--n", "8", "--fvector"],
+    "pk_fvector_4_8": ["pk", "fvector", "--k", "4", "--n", "8"],
     "ucheck_random_3_7": ["u-check", "--k", "3", "--n", "7", "--mode", "random",
                           "--trials", "2", "--seed", "7"],
     "ucheck_single_4_8": ["u-check", "--k", "4", "--n", "8", "--J", "2,3,6,8"],
