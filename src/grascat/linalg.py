@@ -6,7 +6,8 @@ a vector's denominators, `_primitive` scales it to coprime ints, and
 Every exact elimination but one runs through one fraction-free row
 update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante
 on Python ints), the simplex tableau of `polytope.in_convex_hull` and the
-volume fold of `polytope.triangulation_volume`, which pivots only on
+unit-pivot fold of `polytope._unit_pivot_steps` (the volume and the
+vertices of the PK and tau-Newton polytopes), which pivots only on
 entries +-1 with prev = p, so each of its updates is an integer unimodular
 row operation and no divisor chain is carried.  The exception is the flip
 of the fan walk in `roots._Fan.locate`, its own unit-pivot row update,

@@ -1,14 +1,28 @@
 """Exact rational polyhedral machinery: V/H conversion by the double
-description method, face lattices and f-vectors, Newton polytopes,
-Minkowski sums, and the named polytopes of the build: root polytopes, the
-PK polytope, fibered simplices, planar faces and the PK associahedron.
-The LP membership test `in_convex_hull` is kept only for perfbench's
-polytopes workload; nothing in the package calls it.  The LP and the
-root-polytope volume eliminate only through `linalg._pivot`: an integer
-simplex tableau, and a fold over the Bron-Kerbosch tree of maximal
-noncrossing collections that keeps, down each branch, its members'
-`roots._fan` rows reduced to +-1 pivots, so every leaf is unimodular by
-construction and no determinant is read.
+description method, face lattices and f-vectors, Newton polytopes, and the
+named polytopes of the build: root polytopes, the PK polytope, fibered
+simplices, planar faces and the PK associahedron.  The LP membership test
+`in_convex_hull` is kept only for perfbench's polytopes workload; nothing
+in the package calls it.
+
+The PK polytope, the tau-product Newton polytope and the PK associahedron
+are H-polytopes P = {gamma_J >= c_J over nonfrozen J, row sums lam}
+(`_newton_hrep`), and they are read off the noncrossing fan, with no double
+description and no face-lattice walk (`_fan_polytope`; Hohlweg, Pilaud and
+Stella, Polytopal realizations of finite type g-vector fans, 2018).  The
+maximal noncrossing collections C are the cones of a complete unimodular
+fan, and each gives the integer point x_C with gamma_J(x_C) = c_J for J in
+C.  If every distinct x_C satisfies every inequality, the x_C are exactly
+the vertices of P, and its faces are the sets F_S of vertices tight on
+every J of a noncrossing S, of codimension the largest |S| giving F_S.
+If some x_C is infeasible, or the search DAG of the collections has more
+than MAX_COLLECTIONS leaves, P comes from the double description.
+
+Every fold over the search DAG of the collections eliminates only through
+`linalg._pivot`, as does the LP's integer simplex tableau: the
+root-polytope volume and the vertices x_C keep, down each branch, the
+members' `roots._fan` rows reduced to +-1 pivots, so every leaf is
+unimodular by construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); a point of the
@@ -21,13 +35,15 @@ Polytopes that live in an affine subspace carry explicit equalities and
 all conversions happen in reduced coordinates of the affine hull.
 Combinatorial questions are answered from vertex-facet incidence bitmasks:
 a point is a vertex iff the facets tight at it meet in it alone, and the
-face lattice is walked one dimension at a time.
+face lattice of any other polytope is walked one dimension at a time.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
+from operator import mul
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
@@ -139,17 +155,21 @@ def cone_rays(rows):
 
 class PolytopeRep:
     """Vertices plus facet inequalities (c + a . x >= 0) plus the affine
-    hull (b + e . x = 0 rows), with vertex-facet incidence bitmasks."""
+    hull (b + e . x = 0 rows), with vertex-facet incidence bitmasks: one
+    per inequality, bit i set iff vertex i is tight on it.  A caller that
+    already has them passes them as incidence; otherwise they are read off
+    the dot products."""
 
-    def __init__(self, vertices, inequalities, equalities, ambient):
+    def __init__(self, vertices, inequalities, equalities, ambient, incidence=None):
         self.vertices = vertices
         self.inequalities = inequalities
         self.equalities = equalities
         self.ambient = ambient
-        self.incidence = [
-            _mask(i for i, v in enumerate(vertices)
-                  if c + sum(a * x for a, x in zip(coeffs, v)) == 0)
-            for (c, coeffs) in inequalities]
+        if incidence is None:
+            incidence = [_mask(i for i, v in enumerate(vertices)
+                               if c + sum(a * x for a, x in zip(coeffs, v)) == 0)
+                         for (c, coeffs) in inequalities]
+        self.incidence = incidence
 
     @property
     def dim(self):
@@ -205,8 +225,10 @@ def hull_of_points(points):
     incidence = [_mask(i for i, p in enumerate(pts)
                        if c + sum(a * x for a, x in zip(coeffs, p)) == 0)
                  for (c, coeffs) in ineqs]
-    verts = [p for i, p in enumerate(pts) if _singles_out(i, incidence)]
-    return PolytopeRep(verts, ineqs, eqs, m)
+    keep = [i for i in range(len(pts)) if _singles_out(i, incidence)]
+    # the masks over pts, re-indexed to the vertices
+    incidence = [_mask(t for t, i in enumerate(keep) if inc >> i & 1) for inc in incidence]
+    return PolytopeRep([pts[i] for i in keep], ineqs, eqs, m, incidence)
 
 
 def _singles_out(i, incidence):
@@ -350,23 +372,37 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     checked unimodular.
 
     A fold over the Bron-Kerbosch tree whose branches carry unit-pivot
-    rows: the roots in the start-cone basis of `roots._fan`, a lattice
-    basis, so every |det| is as in lattice coordinates.  A branch that
-    adds v reduces v's row against the branch's rows, in the order kept,
-    by `linalg._pivot` at prev = p = +-1 (exact), skipping a row whose
-    pivot column the new row has 0 in, and keeps it with its first +-1
-    entry as pivot.  Each kept row has a +-1 pivot in a new column and 0
-    in the earlier pivot columns, and the row operations are integer and
-    unimodular, so a leaf of d = (k-1)(n-k-1) rows is triangular with +-1
-    on its diagonal up to a column permutation: unimodular, and the leaf
-    only counts its rows.  A nonzero reduced row without a +-1 entry
-    raises: when its entries share a factor g > 1, every completion of the
-    branch has |det| divisible by g; when they are coprime, no unit pivot
-    is found, which does not make the cone non-unimodular.  A zero reduced
-    row leaves a short leaf, |det| 0.
+    rows (`_unit_pivot_steps`): the roots in the start-cone basis of
+    `roots._fan`, a lattice basis, so every |det| is as in lattice
+    coordinates.  A leaf of d = (k-1)(n-k-1) kept rows is triangular with
+    +-1 on its diagonal up to a column permutation: unimodular, and the
+    leaf only counts its rows.
     """
     fan = _fan(k, n)
-    verts, rows, d = fan.verts, fan.rows, fan.dim
+    add, full = _unit_pivot_steps(fan, fan.rows)
+    return _fold_maximal_noncrossing(k, n, max_collections, (0, ()), add, full)
+
+
+def _unit_pivot_steps(fan, rows):
+    """(add, full): the step and the leaf check of a fold over the
+    Bron-Kerbosch tree whose branches carry (R, echelon), R the bitmask of
+    the collection so far and echelon its members' rows, reduced.
+
+    rows[v] starts with v's d = fan.dim coordinates in the start-cone
+    basis; any entries after them ride along through every row operation.
+    A branch that adds v reduces v's row against the branch's rows, in the
+    order kept, by `linalg._pivot` at prev = p = +-1 (exact), skipping a
+    row whose pivot column the new row has 0 in, and keeps it with its
+    first +-1 coordinate as pivot.  Each kept row has a +-1 pivot in a new
+    column and 0 in the earlier pivot columns, and the row operations are
+    integer and unimodular.  A nonzero reduced row without a +-1
+    coordinate raises: when its coordinates share a factor g > 1, every
+    completion of the branch has |det| divisible by g; when they are
+    coprime, no unit pivot is found, which does not make the cone
+    non-unimodular.  A zero reduced row leaves a short leaf, |det| 0, on
+    which full raises.
+    """
+    verts, d = fan.verts, fan.dim
 
     def named(R):
         return tuple(sorted(verts[i] for i in _bits(R)))
@@ -379,10 +415,10 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
             if M[1][col]:
                 linalg._pivot(M, 0, col, M[0][col])
         row = M[1]
-        col = next((c for c, x in enumerate(row) if x == 1 or x == -1), None)
-        if col is not None:
+        col = next((c for c, x in enumerate(row) if x == 1 or x == -1), d)
+        if col < d:
             return R, echelon + ((row, col),)
-        g = gcd(*row)
+        g = gcd(*row[:d])
         if g > 1:
             raise AssertionError(f"non-unimodular partial collection {named(R)}: "
                                  f"every completion has |det| divisible by {g}")
@@ -390,12 +426,12 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
             raise AssertionError(f"no unit pivot for the partial collection {named(R)}")
         return R, echelon
 
-    def leaf(acc):
+    def full(acc):
         R, echelon = acc
         if not len(echelon) == d == R.bit_count():
             raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
 
-    return _fold_maximal_noncrossing(k, n, max_collections, (0, ()), add, leaf)
+    return add, full
 
 
 def omega_vertices(k, m):
@@ -457,11 +493,20 @@ def _newton_hrep(factors, k, n):
 
     No coefficients cancel, so Newt(prod f) is the Minkowski sum of the
     Newt(f), and a linear form's minimum over it is the sum of the
-    per-factor minima: c_J for gamma_J.  Each factor's points have one row
-    sum vector (ValueError otherwise), and these add up to lam.  So Newt
-    lies in P = {gamma_J >= c_J over nonfrozen J, row sums lam}, and
-    `agrees` (every vertex of P is in the sum, `_in_minkowski_sum`) gives
-    P inside Newt: agrees iff P == Newt.
+    per-factor minima: c_J for gamma_J, read off one table of gamma_J at
+    every factor point.  Each factor's points have one row sum vector
+    (ValueError otherwise), and these add up to lam.  So Newt lies in
+    P = {gamma_J >= c_J over nonfrozen J, row sums lam}, and `agrees`
+    (every vertex of P is in the sum, `_in_minkowski_sum`) gives P inside
+    Newt: agrees iff P == Newt.
+
+    P is read off the noncrossing fan (`_fan_polytope`), and vertex x_C is
+    certified with the collection C that reached it.  Two cases fall back
+    to the double description (`polytope_from_inequalities`): some x_C
+    infeasible, so that P is not dual to the fan, and a search DAG with
+    more than MAX_COLLECTIONS leaves.  There a vertex is certified with
+    the facets tight at it, once `_singles_out` checks that they single it
+    out.
     """
     lam = [0] * (k - 1)
     for pts in factors:
@@ -469,32 +514,198 @@ def _newton_hrep(factors, k, n):
         if len(sums) != 1:
             raise ValueError(f"a factor has the unequal row sums {sorted(sums)}")
         lam = [a + b for a, b in zip(lam, sums.pop())]
-    gammas = {J: gamma_functional(J, k, n) for J in nonfrozen_subsets(k, n)}
-    constants = {J: sum(min(sum(g * x for g, x in zip(gamma, p)) for p in pts)
-                        for pts in factors) for J, gamma in gammas.items()}
-    ineqs = [(-constants[J], gamma) for J, gamma in gammas.items()]
-    P = polytope_from_inequalities(ineqs, row_sum_equalities(k, n, lam), (k - 1) * (n - k))
-    agrees = all(_in_minkowski_sum(i, factors, P, gammas) for i in range(len(P.vertices)))
-    return constants, lam, P, agrees
+    subsets = nonfrozen_subsets(k, n)
+    gammas = [gamma_functional(J, k, n) for J in subsets]
+    # the table: gamma_J at every point of every factor
+    table = [[[sum(map(mul, gamma, p)) for p in pts] for pts in factors] for gamma in gammas]
+    c = [sum(map(min, row)) for row in table]
+    # argmin[j]: the points, numbered factor after factor, at which gamma_j
+    # takes its factor's minimum; factor_bits[f]: the points of factor f
+    argmin = []
+    for row in table:
+        low = [min(vals) for vals in row for _ in vals]
+        argmin.append(_mask(t for t, (v, m) in enumerate(zip(chain(*row), low)) if v == m))
+    factor_bits, offset = [], 0
+    for pts in factors:
+        factor_bits.append(((1 << len(pts)) - 1) << offset)
+        offset += len(pts)
+    ineqs = [(-cJ, gamma) for cJ, gamma in zip(c, gammas)]
+    eqs = row_sum_equalities(k, n, lam)
+    try:
+        P, witnesses = _fan_polytope(k, n, lam, ineqs, eqs)
+    except _NoFanRoute:
+        P = polytope_from_inequalities(ineqs, eqs, (k - 1) * (n - k))
+        witnesses = []
+        for i in range(len(P.vertices)):
+            if not _singles_out(i, P.incidence):
+                raise AssertionError("tight facet normals do not single out a vertex")
+            witnesses.append([j for j, inc in enumerate(P.incidence) if inc >> i & 1])
+    agrees = all(_in_minkowski_sum(S, argmin, factor_bits) for S in witnesses)
+    return dict(zip(subsets, c)), lam, P, agrees
 
 
-def _in_minkowski_sum(i, factors, P, gammas):
-    """Certify that vertex i of the bounding H-polytope P, whose
-    inequalities are gamma_J >= c_J in the order of gammas, lies in the
-    Minkowski sum of the factor point sets.
+class _NoFanRoute(Exception):
+    """Some x_C of `_fan_polytope` is infeasible, or the search DAG has more
+    than MAX_COLLECTIONS leaves."""
 
-    The sum phi of the facet normals tight at v = P.vertices[i] has
-    phi(u) >= phi(v) on P, with equality iff u is tight on every facet
-    tight at v; so phi is minimized at v alone iff the incidence masks
-    single v out, and then v lies in the sum iff the per-summand minima of
-    phi add up to phi(v)."""
-    if not _singles_out(i, P.incidence):
-        raise AssertionError("tight facet normals do not single out a vertex")
-    tight = [g for g, inc in zip(gammas.values(), P.incidence) if inc >> i & 1]
-    phi = [sum(col) for col in zip(*tight)]
-    best = sum(min(sum(p * x for p, x in zip(phi, q)) for q in pts)
-               for pts in factors)
-    return best == sum(p * x for p, x in zip(phi, P.vertices[i]))
+
+def _fan_polytope(k, n, lam, ineqs, eqs):
+    """(P, witnesses) for P = {gamma_J >= c_J over nonfrozen J, row sums
+    lam}, given as the rows -c_J + gamma_J >= 0 in `nonfrozen_subsets`
+    order, read off the noncrossing fan; witnesses[i] lists (by index) the
+    J of the first maximal noncrossing collection C, in search order, with
+    x_C = vertex i.
+
+    On the chart x = x0 + y of the row sums, x0 = lam_i in the last column
+    of row i and y of zero row sums, gamma_J(x) = gamma_J(x0) + rows[J] . z,
+    with rows[J] the start-cone row of `roots._fan` and z = A^T u, where A
+    is the start cone's basis and u holds the first n-k-1 entries of each
+    row of y.  So x_C, the point with gamma_J = c_J for J in C, solves
+    rows[J] . z = b_J = c_J - gamma_J(x0) on C.  One fold over the search
+    DAG, `triangulation_volume`'s, carries b_J as an entry after each row;
+    a leaf's rows are triangular with +-1 pivots, and back-substitution
+    gives x_C as an integer point.  It maps back through start_inv.
+
+    If every distinct x_C satisfies every inequality, P is dual to the fan
+    (Hohlweg, Pilaud and Stella, Polytopal realizations of finite type
+    g-vector fans, 2018):
+    - w = sum over J in C of a_J gamma_J with every a_J > 0 takes its
+      minimum over P at x_C alone, since the gamma_J of C are a basis
+      modulo the row sums; so x_C is a vertex;
+    - every functional lies in some noncrossing cone (fan completeness),
+      so the normal cone of any vertex meets the interior of a maximal
+      one, and P has no other vertex;
+    - a w in the relative interior of the cone of a noncrossing S is
+      minimized on F_S, the vertices tight on every J in S, so every face
+      is some F_S, and its codimension is the largest |S| with that F_S.
+    `_FanPolytope.f_vector` counts the faces so.  Otherwise, and when the
+    search DAG has more than MAX_COLLECTIONS leaves, raises
+    _NoFanRoute.
+    """
+    fan = _fan(k, n)
+    d, rows, w = fan.dim, fan.rows, n - k
+    b = [-c0 - sum(gamma[r + w - 1] * s for r, s in zip(range(0, len(gamma), w), lam))
+         for c0, gamma in ineqs]
+    add, full = _unit_pivot_steps(fan, [row + (bJ,) for row, bJ in zip(rows, b)])
+    found = {}  # z of x_C -> the first C, in search order, that reaches it
+
+    def leaf(acc):
+        full(acc)
+        R, echelon = acc
+        z = [0] * d
+        for row, col in reversed(echelon):  # z is 0 at the columns not yet solved
+            z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
+        found.setdefault(tuple(z), R)
+
+    try:
+        _fold_maximal_noncrossing(k, n, MAX_COLLECTIONS, (0, ()), add, leaf)
+    except ResourceLimitExceeded as exc:
+        raise _NoFanRoute from exc
+    inv_cols = list(zip(*fan.start_inv))
+    verts = []
+    for z, R in found.items():
+        slack = [sum(map(mul, row, z)) - bJ for row, bJ in zip(rows, b)]
+        if min(slack) < 0:
+            raise _NoFanRoute
+        u = [sum(map(mul, col, z)) for col in inv_cols]
+        x = []
+        for i, s in enumerate(lam):
+            part = u[i * (w - 1):(i + 1) * (w - 1)]
+            x += part
+            x.append(s - sum(part))
+        verts.append((tuple(x), [j for j, t in enumerate(slack) if not t], list(_bits(R))))
+    verts.sort()
+    incidence = [0] * len(rows)
+    for i, (_x, zeros, _C) in enumerate(verts):
+        for j in zeros:
+            incidence[j] |= 1 << i
+    P = _FanPolytope([x for x, _zeros, _C in verts], [_normalize_ineq(c0, a) for c0, a in ineqs],
+                     [_normalize_ineq(c0, a) for c0, a in eqs], (k - 1) * w, incidence,
+                     fan.adj, all(len(zeros) == d for _x, zeros, _C in verts))
+    return P, [C for _x, _zeros, C in verts]
+
+
+class _FanPolytope(PolytopeRep):
+    """A PolytopeRep read off the noncrossing fan (`_fan_polytope`), whose
+    faces are the F_S over the noncrossing collections S."""
+
+    def __init__(self, vertices, inequalities, equalities, ambient, incidence, adj, simple):
+        super().__init__(vertices, inequalities, equalities, ambient, incidence)
+        self._adj, self._simple = adj, simple
+
+    def f_vector(self):
+        """When every vertex is tight on exactly d facets, P is simple and
+        x_C is tight on the J of C alone; then F_S holds the x_C with C
+        containing S, and distinct S give distinct faces (in a simplicial
+        sphere the maximal faces containing S meet in S), so the faces are
+        counted by clique size and no face is stored.  Otherwise the F_S
+        are deduplicated, each at its largest |S|."""
+        if self._simple:
+            return [1] + _clique_counts(self._adj)[::-1]
+        codims = {}
+        adj, incidence = self._adj, self.incidence
+
+        def grow(cand, size, face):
+            if codims.get(face, -1) < size:
+                codims[face] = size
+            while cand:
+                v = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                grow(cand & adj[v], size + 1, face & incidence[v])
+
+        grow((1 << len(adj)) - 1, 0, _mask(range(len(self.vertices))))
+        d = max(codims.values())  # the codimension of a vertex x_C
+        dims = Counter(d - size for size in codims.values())
+        return [1] + [dims[j] for j in range(max(dims) + 1)]
+
+
+def _clique_counts(adj):
+    """counts[s]: the cliques of s vertices of the graph with adjacency
+    bitmasks adj, the empty one included.
+
+    The cliques inside a vertex set P are the empty one and, for each v in
+    P, v joined to a clique inside the neighbours of v that follow it in
+    P.  Their counts depend on P alone, so each distinct P is counted
+    once."""
+    memo = {}
+
+    def inside(P):
+        counts = memo.get(P)
+        if counts is None:
+            counts = [1]
+            rest = P
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                for size, c in enumerate(inside(rest & adj[v]), 1):
+                    if size < len(counts):
+                        counts[size] += c
+                    else:
+                        counts.append(c)
+            memo[P] = counts
+        return counts
+
+    return inside((1 << len(adj)) - 1)
+
+
+def _in_minkowski_sum(S, argmin, factor_bits):
+    """Certify that the vertex v of the bounding H-polytope P at which
+    phi = sum of gamma_J over J in S takes its minimum over P alone lies in
+    the Minkowski sum of the factor point sets.
+
+    The sum lies in P, so phi is at least phi(v) = sum of c_J over J in S
+    on it, and its minimum there is the sum of the per-factor minima of
+    phi; if they add up to phi(v), the sum's face minimizing phi lies in
+    the face {v} of P, and v is in the sum; if v is in the sum, they do.
+    The minimum of a sum of linear forms is at least the sum of their
+    minima, with equality iff one point attains each; so they add up to
+    phi(v) iff every factor has a point at which each gamma_J, J in S,
+    takes its minimum over the factor: iff the AND of the argmin masks of
+    S meets the bits of every factor."""
+    common = -1
+    for j in S:
+        common &= argmin[j]
+    return all(common & bits for bits in factor_bits)
 
 
 def lift_and_lower_hull(vertices, heights):

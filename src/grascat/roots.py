@@ -254,15 +254,18 @@ def noncrossing_decompose(v, k, n):
     noncrossing collection, for any rational v with zero row sums.
 
     Integer lattice input gives integer coefficients (the cone bases are
-    unimodular).  Raises ValueError unless 2 <= k <= n - 2, IndexError for
-    a key outside the grid (`grid_point`), and DecompositionError when a
-    row sum is nonzero.
+    unimodular), and the zero vector gives {} without building the fan.
+    Raises ValueError unless 2 <= k <= n - 2, IndexError for a key outside
+    the grid (`grid_point`), and DecompositionError when a row sum is
+    nonzero.
     """
     check_kn(k, n)
     x = grid_point(v, k, n)
     for i, s in enumerate(row_sums(x, k, n), start=1):
         if s:
             raise DecompositionError(f"row {i} sums to {s}, not 0")
+    if not any(x):
+        return {}
     return _fan(k, n).locate(_running_sums(x, n - k))
 
 

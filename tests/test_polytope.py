@@ -373,6 +373,139 @@ def test_tau_newton_facets_36():
     assert tf["polytope"].f_vector() == [1, 42, 84, 56, 14, 1]
 
 
+@pytest.mark.slow
+def test_tau_newton_facets_48():
+    tf = tau_newton_facets(4, 8)
+    assert tf["agrees"] and len(tf["polytope"].inequalities) == 62
+    assert tf["polytope"].f_vector() == [1, 24024, 108108, 204204, 210210, 128106, 46992,
+                                         10086, 1170, 62, 1]
+
+
+# the fan route of _newton_hrep against the double description
+
+def _newton_hrep_calls(monkeypatch):
+    """Record (factors, k, n, result) of every _newton_hrep call."""
+    calls = []
+    real = polytope._newton_hrep
+
+    def spy(factors, k, n):
+        out = real(factors, k, n)
+        calls.append((factors, k, n, out))
+        return out
+
+    monkeypatch.setattr(polytope, "_newton_hrep", spy)
+    return calls
+
+
+def _dot(a, x):
+    return sum(p * q for p, q in zip(a, x))
+
+
+def _double_description_hrep(factors, k, n):
+    """(constants, lam, P, f-vector, agrees) by the double description, the
+    face-lattice walk and the per-vertex certificate with phi the sum of
+    the facet normals tight at the vertex."""
+    lam = [sum(col) for col in zip(*(roots.row_sums(pts[0], k, n) for pts in factors))]
+    gammas = {J: gamma_functional(J, k, n) for J in nonfrozen_subsets(k, n)}
+    constants = {J: sum(min(_dot(g, p) for p in pts) for pts in factors)
+                 for J, g in gammas.items()}
+    P = polytope_from_inequalities([(-constants[J], g) for J, g in gammas.items()],
+                                   polytope.row_sum_equalities(k, n, lam), (k - 1) * (n - k))
+    agrees = True
+    for i, v in enumerate(P.vertices):
+        tight = [g for g, inc in zip(gammas.values(), P.incidence) if inc >> i & 1]
+        phi = [sum(col) for col in zip(*tight)]
+        agrees &= sum(min(_dot(phi, q) for q in pts) for pts in factors) == _dot(phi, v)
+    return constants, lam, P, polytope.face_lattice_f_vector(P), agrees
+
+
+BUILDS = {"pk": pk_polytope, "tau": tau_newton_facets, "assoc": pk_associahedron}
+
+
+@pytest.mark.parametrize("build,k,n", [
+    ("pk", 2, 5), ("pk", 2, 6), ("pk", 3, 6), ("pk", 3, 7), ("pk", 4, 7),
+    ("tau", 3, 6), ("tau", 3, 7), ("assoc", 2, 6), ("assoc", 3, 6)])
+def test_fan_route_matches_the_double_description(monkeypatch, build, k, n):
+    calls = _newton_hrep_calls(monkeypatch)
+    BUILDS[build](k, n)
+    (factors, _k, _n, (constants, lam, P, agrees)), = calls
+    assert type(P) is polytope._FanPolytope
+    ref_constants, ref_lam, Q, ref_fv, ref_agrees = _double_description_hrep(factors, k, n)
+    assert (constants, lam, agrees) == (ref_constants, ref_lam, ref_agrees) and agrees
+    assert P.vertices == Q.vertices
+    assert P.inequalities == Q.inequalities and P.equalities == Q.equalities
+    assert P.incidence == Q.incidence and P.ambient == Q.ambient
+    assert P.f_vector() == ref_fv
+
+
+def test_fan_route_runs_no_double_description(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the double description or the face lattice ran")
+
+    monkeypatch.setattr(polytope, "cone_rays", unreachable)
+    monkeypatch.setattr(polytope, "face_lattice_f_vector", unreachable)
+    P = pk_polytope(3, 7)
+    assert P.f_vector() == [1, 128, 456, 661, 483, 178, 28, 1] and not P._simple
+    tf = tau_newton_facets(3, 6)
+    assert tf["agrees"] and tf["polytope"].f_vector() == [1, 42, 84, 56, 14, 1]
+    KA, _count = pk_associahedron(3, 6)
+    assert KA.f_vector() == [1, 42, 84, 56, 14, 1]
+    # simple: the f-vector is counted off the noncrossing cliques
+    assert tf["polytope"]._simple and KA._simple
+
+
+def test_fan_route_falls_back_past_max_collections(monkeypatch):
+    fan_P = pk_polytope(3, 7)
+    rays = []
+    real = polytope.cone_rays
+    monkeypatch.setattr(polytope, "cone_rays", lambda rows: rays.append(1) or real(rows))
+    monkeypatch.setattr(polytope, "MAX_COLLECTIONS", 461)  # (3,7) has 462
+    P = pk_polytope(3, 7)
+    assert rays and type(P) is polytope.PolytopeRep
+    assert P.vertices == fan_P.vertices and P.incidence == fan_P.incidence
+    assert P.inequalities == fan_P.inequalities and P.equalities == fan_P.equalities
+    assert P.f_vector() == fan_P.f_vector()
+
+
+@pytest.mark.parametrize("segment,route", [
+    # the triangle of test_newton_hrep_flags_a_sum_smaller_than_its_hrep: a
+    # polytope of lower dimension whose x_C are all feasible
+    ([(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)], polytope._FanPolytope),
+    # some x_C is infeasible, and P comes from the double description
+    ([(1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 1)], polytope.PolytopeRep)])
+def test_newton_hrep_of_a_segment(segment, route):
+    constants, lam, P, agrees = polytope._newton_hrep([segment], 3, 6)
+    ref_constants, ref_lam, Q, ref_fv, ref_agrees = _double_description_hrep([segment], 3, 6)
+    assert type(P) is route
+    assert (constants, lam, agrees) == (ref_constants, ref_lam, ref_agrees) and not agrees
+    assert (P.vertices, P.incidence) == (Q.vertices, Q.incidence)
+    assert P.f_vector() == ref_fv
+
+
+def _seeded_newton_polytopes():
+    rng = random.Random(11)
+    for k, n in [(3, 6), (3, 7), (4, 7), (4, 8)]:
+        subsets = list(combinations(range(1, n + 1), k))
+        p = Poly.one(k, n)
+        for J in rng.sample(subsets, 3):
+            p = p * tau(J, k, n)
+        yield newton(p)
+
+
+def test_passed_incidence_is_the_dot_product_one():
+    rng = random.Random(3)
+    hulls = [hull_of_points([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))]),
+             hull_of_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+             hull_of_points([(1, 1, 2, 1), (0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1),
+                             (2, 2, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1)])]
+    hulls += [hull_of_points(_random_hull_points(rng, d, d + extra))
+              for d in (2, 3, 4) for extra in (0, 1)]
+    # the fan route's masks are checked in test_fan_route_matches_the_double_description
+    for P in hulls + list(_seeded_newton_polytopes()):
+        dot = polytope.PolytopeRep(P.vertices, P.inequalities, P.equalities, P.ambient)
+        assert P.incidence == dot.incidence
+
+
 def test_minimize_face_Q_rule():
     # min of gamma_J over Newt(Q_t) is 1 exactly when j_1 <= t < t+k+1 <= j_k
     for (k, n) in [(3, 6), (3, 7), (4, 8)]:

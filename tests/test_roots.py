@@ -157,6 +157,17 @@ def test_decompose_zero_vector(k, n):
     assert noncrossing_decompose(zero, k, n) == {}
 
 
+def test_decompose_zero_vector_builds_no_fan():
+    # a zero input expands over the empty collection before the fan is built
+    clear_caches()
+    assert noncrossing_decompose({}, 5, 10) == {}
+    assert noncrossing_decompose({(1, 1): F(0)}, 5, 10) == {}
+    assert _fan.cache_info().currsize == 0
+    with pytest.raises(DecompositionError, match="row 1 sums to 1, not 0"):
+        noncrossing_decompose({(1, 1): 1}, 5, 10)
+    assert _fan.cache_info().currsize == 0
+
+
 def test_tripods():
     tp = tripod_vector((1, 3, 5), (2, 4, 6), 7)
     assert tp == {(1, 3, 5): -1, (2, 3, 5): 1, (1, 4, 5): 1, (1, 3, 6): 1}
