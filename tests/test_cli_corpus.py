@@ -86,10 +86,15 @@ CASES = {
                                 "--input", "eta_3_8.json"],
     "kinematics_eta_to_s_4_8": ["kinematics", "eta-to-s", "--k", "4", "--n", "8",
                                 "--input", "eta_4_8.json"],
+    "kinematics_basis_4_9": ["kinematics", "basis", "--k", "4", "--n", "9"],
+    "kinematics_eta_to_s_4_9": ["kinematics", "eta-to-s", "--k", "4", "--n", "9",
+                                "--input", "eta_mixed_4_9.json"],
     "kinematics_s_to_eta_3_6": ["kinematics", "s-to-eta", "--k", "3", "--n", "6",
                                 "--input", "s_3_6.json"],
     "amplitude_eta_shift_3_7": ["amplitude", "--k", "3", "--n", "7",
                                 "--eta", "eta_3_7.json", "--shift"],
+    "amplitude_eta_shift_3_9": ["amplitude", "--k", "3", "--n", "9",
+                                "--eta", "eta_mixed_3_9.json", "--shift"],
     "amplitude_random_3_7": ["amplitude", "--k", "3", "--n", "7",
                              "--eta", "random-interior", "--seed", "5"],
     "search_7": ["search", "--n", "7", "--trials", "1", "--seed", "0"],
