@@ -310,16 +310,25 @@ class SearchDag:
         self.root = len(counts) - 1
         self.count = counts[self.root]
 
-    def fold_up(self, leaf_value, edge):
+    def fold_up(self, leaf_value, div, mul):
         """The value of the root when node ``_LEAF`` holds leaf_value and
-        every other node the sum over its edges e of
-        edge(value of child[e], vertex[e]); dead nodes hold 0."""
-        first, vertex, child = self.first, self.vertex, self.child
+        every other node the sum over its edges e, adding v = vertex[e], of
+        (value of child[e]) // div[v] * mul[v]; dead nodes hold 0.  div and
+        mul are int sequences indexed by vertex, read once per edge into
+        per-edge lists before the pass."""
+        first, child = self.first, self.child
+        de = [div[v] for v in self.vertex]
+        me = [mul[v] for v in self.vertex]
         value = [0] * (self.root + 1)
         value[_LEAF] = leaf_value
+        e = first[_DEAD + 1]
         for node in range(_DEAD + 1, self.root + 1):
-            value[node] = sum(edge(value[child[e]], vertex[e])
-                              for e in range(first[node], first[node + 1]))
+            end = first[node + 1]
+            s = 0
+            while e < end:
+                s += value[child[e]] // de[e] * me[e]
+                e += 1
+            value[node] = s
         return value[self.root]
 
 

@@ -15,6 +15,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from operator import sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
@@ -102,12 +103,19 @@ class KinBasis:
     """Rational basis of K(k,n) together with the change of basis between
     the nonfrozen planar invariants eta_J and s-values.
 
-    The square integer system of one n eta_J row per nonfrozen J and the
-    n incidence rows is reduced once, augmented with a unit column per eta
-    row; n times those columns of its inverse give S, the sparse int map
-    ``S[I] = {J: c}`` with s_I = sum_J c eta_J on K.  Full rank means the
-    nonfrozen eta_J are a basis of the dual of K, which has dimension
-    C(n,k) - n.
+    The map S, the sparse int map ``S[I] = {J: c}`` with
+    s_I = sum_J c eta_J on K, is written down in closed form (`_s_row`):
+
+        s_I = sum over T subset of I with (T - 1) & I empty of
+              (-1)^(|T|+1) eta_{(I - T) | (T - 1)},
+
+    T - 1 lowering each label of T by one cyclically (1 - 1 = n), and a
+    term on a frozen subset dropped.  An integer certificate proves it is
+    the inverse of the eta rows: the null space of the n incidence rows
+    has dimension C(n,k) - n, every column of S conserves momentum (lies
+    in K), and the n eta_J rows times S are n times the identity.  So S
+    maps onto K, the nonfrozen eta_J are a basis of the dual of K, and S
+    is the integral eta -> s map.
     """
 
     def __init__(self, k, n):
@@ -119,22 +127,40 @@ class KinBasis:
         self.nonfrozen = nonfrozen_subsets(k, n)
         self._heights = [_L(dict.fromkeys(I, 1), n) for I in self.subsets]
         self._eta_rows = [self._n_eta_row(J) for J in self.nonfrozen]
-        N, m = len(self.subsets), len(self.nonfrozen)
-        system = [row + [int(r == i) for i in range(m)] for r, row in enumerate(self._eta_rows)]
-        system += [row + [0] * m for row in incidence]
-        M, pivots, d, _sign, _scale = linalg._eliminate(system, N)
-        if len(pivots) != N:
-            raise AssertionError("the nonfrozen eta_J are not a basis of the dual of K")
-        if any(n * x % d for row in M for x in row[N:]):
-            raise AssertionError("the eta -> s map is not integral")
-        self.S = {I: {J: n * x // d for J, x in zip(self.nonfrozen, row[N:]) if x}
-                  for I, row in zip(self.subsets, M)}
+        position = {J: t for t, J in enumerate(self.nonfrozen)}
+        self.S = {I: _s_row(I, n, position) for I in self.subsets}
+        self._certify(position)
+
+    def _certify(self, position):
+        """Raise AssertionError unless K has dimension C(n,k) - n, every
+        column of S conserves momentum and the eta rows times S are n I."""
+        n, m = self.n, len(self.nonfrozen)
+        if len(self.basis) != m:
+            raise AssertionError("K does not have dimension C(n,k) - n")
+        rows = [[(position[J], c) for J, c in row.items()] for row in self.S.values()]
+        label_sums = [[0] * m for _ in range(n)]
+        for I, row in zip(self.subsets, rows):
+            for a in I:
+                sums = label_sums[a - 1]
+                for t, c in row:
+                    sums[t] += c
+        if any(map(any, label_sums)):
+            raise AssertionError("the eta -> s map leaves K")
+        for r, eta_row in enumerate(self._eta_rows):
+            product = [0] * m
+            product[r] = -n
+            for x, row in zip(eta_row, rows):
+                if x:
+                    for t, c in row:
+                        product[t] += x * c
+            if any(product):
+                raise AssertionError("the nonfrozen eta_J are not a basis of the dual of K")
 
     def _n_eta_row(self, J):
         """The s-coefficients of n eta_J, max_t (L_t(e_J) - L_t(e_I)), in
         the order of ``subsets``."""
         LJ = _L(dict.fromkeys(J, 1), self.n)
-        return [max(x - y for x, y in zip(LJ, h)) for h in self._heights]
+        return [max(map(sub, LJ, h)) for h in self._heights]
 
     def point_from_eta(self, eta_values):
         """The unique K-point whose nonfrozen eta-values are as given
@@ -148,6 +174,21 @@ class KinBasis:
         return {J: linalg._exact(F(sum(c * point.get(I, 0) for I, c in zip(self.subsets, row)),
                                    self.n))
                 for J, row in zip(self.nonfrozen, self._eta_rows)}
+
+
+def _s_row(I, n, position):
+    """s_I in the nonfrozen eta_J (keyed and ordered by ``position``): the
+    term of T is (-1)^(|T|+1) eta_J with J = (I - T) | (T - 1).  J and I
+    determine T = I - J, so no two terms share a J and each entry is +-1."""
+    terms = []
+    for size in range(len(I) + 1):
+        for T in combinations(I, size):
+            lowered = {(a - 2) % n + 1 for a in T}
+            if lowered.isdisjoint(I):
+                J = tuple(sorted(lowered.union(I).difference(T)))
+                if J in position:
+                    terms.append((position[J], J, -1 if size % 2 == 0 else 1))
+    return {J: c for _t, J, c in sorted(terms)}
 
 
 @shape_cache
@@ -281,29 +322,38 @@ def eta_hat_shift(n):
     (j, i2, n) minus eta_{j,j+1,n}, and for j = i2+1 (when i2+1 < i3 and
     i3 <= n-2) the tripod on (i2, i3, n) against (i1, j, n-1) minus
     eta_{j,n-1,n}; an overcount of (N-1) eta_I is subtracted when N terms
-    contribute.  Warns (UserWarning) for n > 9, beyond the validated range.
+    contribute.  Warns (UserWarning) on every call with n > 9, beyond the
+    validated range.  The rows are built once per n (`_shift_rows`); each
+    call returns new functionals.
     """
     if n > 9:
         warnings.warn(f"kinematic shift for (3, {n}) is beyond the validated range n <= 9",
                       stacklevel=2)
     out = {}
+    for I, row in _shift_rows(n):
+        out[I] = hat = KinFunctional(3, n)
+        hat.eta = dict(row)
+    return out
+
+
+@shape_cache
+def _shift_rows(n):
+    """The eta-coordinates of every eta-hat_I of `eta_hat_shift`, as an
+    immutable table ((I, ((J, c), ...)), ...) in nonfrozen order."""
+    rows = []
     for I in nonfrozen_subsets(3, n):
         i1, i2, i3 = I
         first = [j for j in range(i1 + 1, i2 - 1)] if i3 < n else []
         second = [i2 + 1] if (i2 + 1 < i3 and i3 <= n - 2) else []
-        terms = len(first) + len(second)
-        if not terms:
-            out[I] = eta_functional(I, 3, n)
-            continue
-        acc = eta_functional(I, 3, n) * (-(terms - 1))
+        acc = eta_functional(I, 3, n) * (1 - len(first) - len(second))
         for j in first:
             acc = acc + eta_tripod((i1, j + 1, i3), (j, i2, n), 3, n)
             acc = acc - eta_functional((j, j + 1, n), 3, n)
         for j in second:
             acc = acc + eta_tripod((i2, i3, n), (i1, j, n - 1), 3, n)
             acc = acc - eta_functional((j, n - 1, n), 3, n)
-        out[I] = acc
-    return out
+        rows.append((I, tuple(acc.eta.items())))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +370,13 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     1/values[J]; values maps every nonfrozen subset to a nonzero int or
     Fraction.
 
-    The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG
-    (`combinat.SearchDag`), in integers.  With values[J] = p_J / q_J in
-    lowest terms and D the product of every p_J, each node gets T = D at
-    the leaf and T(node) = sum over its edges (v, child) of
-    T(child) // p_v * q_v.  Unfolded, T(node) is the sum over the maximal
-    cliques below it of D prod q_J / p_J over the vertices J added below
-    it.  Every division is exact: the vertices below the edge of v lie in
+    The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG,
+    in integers: `combinat.SearchDag.fold_up(D, p, q)`.  With
+    values[J] = p_J / q_J in lowest terms and D the product of every p_J,
+    each node gets T = D at the leaf and T(node) = sum over its edges
+    (v, child) of T(child) // p_v * q_v.  Unfolded, T(node) is the sum
+    over the maximal cliques below it of D prod q_J / p_J over the
+    vertices J added below it.  Every division is exact: the vertices below the edge of v lie in
     P & N(v), which excludes v, so p_v divides each term of T(child) and
     hence their sum.  Merging equal (P, X) subtrees changes nothing,
     because a subtree's T depends only on its pair.  So T(root) is
@@ -347,7 +397,7 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
                 raise AmplitudePole(coll)
     p, q = [x.numerator for x in vals], [x.denominator for x in vals]
     D = prod(p)
-    total = _search_dag(k, n, max_collections).fold_up(D, lambda T, v: T // p[v] * q[v])
+    total = _search_dag(k, n, max_collections).fold_up(D, p, q)
     return linalg._exact(F(total, D))
 
 

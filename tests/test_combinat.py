@@ -259,7 +259,7 @@ def test_search_dag_amplitude_total(k, n):
             expected += Q
 
         _reference_fold(k, n, D, lambda Q, v: Q // a[v], add)
-        assert _search_dag(k, n, 10 ** 6).fold_up(D, lambda T, v: T // a[v]) == expected
+        assert _search_dag(k, n, 10 ** 6).fold_up(D, a, [1] * len(a)) == expected
         values = dict(zip(verts, vals))
         assert nc_amplitude(k, n, values) == F(expected * L ** d, D)
 
@@ -333,8 +333,8 @@ def test_non_int_shape_raises_cold_and_warm(build):
 def test_clear_caches_empties_every_shape_cache():
     from grascat import cli, kinematics, polynomial, roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
-              kinematics.kin_basis, polynomial.bcfw_matrix, polynomial._ladder,
-              polynomial._tau_ratio, polynomial._identity, cli._parser]
+              kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
+              polynomial._ladder, polynomial._tau_ratio, polynomial._identity, cli._parser]
     # the registry holds the clears of these caches and of the search DAGs
     assert len(combinat._CLEARS) == len(caches) + 1
     assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
@@ -342,6 +342,7 @@ def test_clear_caches_empties_every_shape_cache():
     triangulation_volume(3, 6)  # the graph, the fan and the search DAG
     kinematics.eta_functional((1, 3, 5), 3, 6)
     kinematics.kin_basis(3, 6)
+    kinematics.eta_hat_shift(6)
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
     polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity
     cli._parser()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grascat import kinematics, linalg
 from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
                               is_noncrossing, nonfrozen_subsets)
 from grascat.kinematics import (ETA_HAT_38_TABLE, KinFunctional,
@@ -118,6 +119,69 @@ def test_eta_to_s_map_is_integral(k, n):
                for row in B.S.values() for J, c in row.items())
 
 
+def _eliminated_S(B):
+    """S as an elimination gives it: the square integer system of the n
+    eta_J rows and the n incidence rows, augmented with a unit column per
+    eta row, reduced; n times those columns of its inverse are S."""
+    N, m, n = len(B.subsets), len(B.nonfrozen), B.n
+    incidence = [[int(a in J) for J in B.subsets] for a in range(1, n + 1)]
+    system = [row + [int(r == i) for i in range(m)] for r, row in enumerate(B._eta_rows)]
+    system += [row + [0] * m for row in incidence]
+    M, pivots, d, _sign, _scale = linalg._eliminate(system, N)
+    assert len(pivots) == N
+    assert not any(n * x % d for row in M for x in row[N:])
+    return {I: {J: n * x // d for J, x in zip(B.nonfrozen, row[N:]) if x}
+            for I, row in zip(B.subsets, M)}
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (2, 7), (2, 9), (3, 6), (3, 7), (3, 8),
+                                 (3, 9), (4, 8), (4, 9),
+                                 pytest.param(5, 10, marks=pytest.mark.slow)])
+def test_closed_form_S_is_the_elimination(k, n):
+    B = kin_basis(k, n)
+    # the same entries, in the same key order
+    assert ([(I, list(row.items())) for I, row in B.S.items()]
+            == [(I, list(row.items())) for I, row in _eliminated_S(B).items()])
+
+
+def _flip_a_sign(real):
+    def row(I, n, position):
+        out = real(I, n, position)
+        if I == (1, 2, 4):
+            J = next(iter(out))
+            out[J] = -out[J]
+        return out
+    return row
+
+
+def _add_the_pk_point(real):
+    # moves the column of (1, 3, 5) by a K-point: still in K, wrong eta values
+    pk = pk_point(3, 6)
+
+    def row(I, n, position):
+        out = real(I, n, position)
+        out[(1, 3, 5)] = out.get((1, 3, 5), 0) + pk.get(I, 0)
+        return {J: c for J, c in out.items() if c}
+    return row
+
+
+@pytest.mark.parametrize("breaks,match", [
+    (_flip_a_sign, "the eta -> s map leaves K"),
+    (_add_the_pk_point, "the nonfrozen eta_J are not a basis of the dual of K"),
+])
+def test_kin_basis_certificate_rejects_a_wrong_row(monkeypatch, breaks, match):
+    monkeypatch.setattr(kinematics, "_s_row", breaks(kinematics._s_row))
+    with pytest.raises(AssertionError, match=match):
+        kinematics.KinBasis(3, 6)
+
+
+def test_kin_basis_certificate_checks_the_dimension(monkeypatch):
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: real(rows)[:-1])
+    with pytest.raises(AssertionError, match="K does not have dimension"):
+        kinematics.KinBasis(3, 6)
+
+
 def test_pk_point():
     from math import comb
     for (k, n) in [(2, 5), (3, 6), (4, 7), (4, 8)]:
@@ -218,8 +282,20 @@ def test_eta_hat_38_against_table():
 
 
 def test_eta_hat_warns_beyond_range():
-    with pytest.warns(UserWarning):
-        eta_hat_shift(10)
+    # on every call: the rows are cached, the warning is not
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="beyond the validated range"):
+            eta_hat_shift(10)
+
+
+def test_eta_hat_shift_shares_no_mutable_object():
+    want = {J: dict(f.eta) for J, f in eta_hat_shift(6).items()}
+    hats = eta_hat_shift(6)
+    hats[(1, 2, 4)].eta.clear()
+    hats[(1, 3, 5)].eta[(1, 2, 4)] = 7
+    del hats[(1, 4, 5)]
+    assert {J: f.eta for J, f in eta_hat_shift(6).items()} == want
+    assert eta_functional((1, 3, 5), 3, 6).eta == {(1, 3, 5): 1}
 
 
 def test_prime_kinematics_benchmark():
