@@ -91,8 +91,19 @@ def _load_subset_map(path, key, k=None, n=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@combinat.shape_cache
+def _nonfrozen(k, n):
+    """`combinat.nonfrozen_subsets(k, n)` as a tuple and as a frozenset."""
+    nf = tuple(combinat.nonfrozen_subsets(k, n))
+    return nf, frozenset(nf)
+
+
 def _read_subset_map(path, key, k, n):
     data = load_json(path)
+    # a nonfrozen k-subset passes check_subset and is not frozen, so only
+    # the keys outside that set are checked; a coeffs file gives its own
+    # (k, n), of any size, so its keys are all checked
+    known = _nonfrozen(k, n)[1] if k is not None and 2 <= k <= n - 2 else ()
     if k is None:
         if not isinstance(data, dict):
             raise ValueError("input JSON is not an object")
@@ -106,11 +117,13 @@ def _read_subset_map(path, key, k, n):
         raise ValueError(f"input JSON has no {key!r} object")
     out = {}
     for text, val in data[key].items():
-        J = combinat.check_subset(parse_subset(text), k, n)
+        J = parse_subset(text)
+        if J not in known:
+            J = combinat.check_subset(J, k, n)
         if J in out:
             raise ValueError(f"two {key} keys name the subset {subset_key(J)}")
         out[J] = parse_value(val)
-        if key == "eta" and out[J] and combinat.is_frozen(J, n):
+        if key == "eta" and out[J] and J not in known and combinat.is_frozen(J, n):
             raise ValueError(f"eta of the frozen subset {text} is zero on K({k},{n}), "
                              f"not {out[J]}")
     return out, k, n
@@ -221,7 +234,7 @@ def cmd_ucheck(args):
 
 def cmd_amplitude(args):
     k, n = args.k, args.n
-    nf = combinat.nonfrozen_subsets(k, n)
+    nf = _nonfrozen(k, n)[0]
     seed = args.seed
     if args.pk:
         values = dict.fromkeys(nf, 1)
@@ -259,7 +272,7 @@ def cmd_kinematics_basis(args):
 def cmd_eta_to_s(args):
     k, n = args.k, args.n
     etas = _load_subset_map(args.input, "eta", k, n)[0]
-    gap = next((J for J in combinat.nonfrozen_subsets(k, n) if J not in etas), None)
+    gap = next((J for J in _nonfrozen(k, n)[0] if J not in etas), None)
     if gap:
         raise ValueError(f"{args.input}: no eta for the subset {subset_key(gap)}")
     point = kinematics.kin_basis(k, n).point_from_eta(etas)

@@ -172,6 +172,17 @@ class _Fan:
     The first coordinate to hit zero on the segment has b_p < 0, and p
     hits zero before q iff a_p b_q - a_q b_p > 0, lexicographically.
 
+    Exchange relations: crossing the wall W from W + r to W + X writes v_X
+    in the cone W + r as -v_r + sum c_s v_s over some S in W.  The walk
+    learns this relation once per pair and keeps it in `relations`, under
+    (r, X) and (X, r), as the (s, c_s) pairs; it lives as long as the fan,
+    so `combinat.clear_caches` empties it with `_fan`.  A later flip across
+    the same pair uses it when every s lies in that flip's wall: the
+    coordinates of v_X in a basis are unique, so then they are exactly
+    -e_r plus the stored c_s, whatever the wall.  Otherwise it solves
+    again, as on a first crossing.  The flip updates only the rows of S
+    and the pivot row.
+
     Termination: for every small enough real eps the walk is that of the
     segment from p0(eps), and it meets no cone of codimension 2 before its
     end, because a linear form h vanishing on such a cone and the target
@@ -200,16 +211,21 @@ class _Fan:
         self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
                                           for t, c in enumerate(v) if c]))) for v in coords]
         self.support = [[(t, c) for t, c in enumerate(row) if c] for row in self.rows]
+        # start_inv is sparse (a few entries +-1 per row); the start rows'
+        # eps part [1 | e_p] is the same for every walk
+        self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in self.start_inv]
+        self.start_eps = [[1] + [int(q == p) for q in range(d)] for p in range(d)]
+        self.relations = {}
 
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
         d = self.dim
         goal, scale = linalg._integral(target)
         cone = list(self.start)
+        pos = {v: p for p, v in enumerate(cone)}
         # row p = [1 | e_p | b_p]: a_p = 1 + eps^(p+1) at the start
-        rows = [[1] + [int(q == p) for q in range(d)]
-                + [sum(x * y for x, y in zip(inv_p, goal))]
-                for p, inv_p in enumerate(self.start_inv)]
+        rows = [eps + [sum([x * goal[t] for t, x in terms])]
+                for eps, terms in zip(self.start_eps, self.start_terms)]
         while True:
             leave = None
             for p, row in enumerate(rows):
@@ -218,20 +234,38 @@ class _Fan:
             if leave is None:
                 return {self.verts[cone[p]]: linalg._exact(Fraction(rows[p][-1], scale))
                         for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
-            entering = ((1 << len(self.verts)) - 1) & ~(1 << cone[leave])
+            r = cone[leave]
+            entering = ((1 << len(self.verts)) - 1) & ~(1 << r)
             for i in cone[:leave] + cone[leave + 1:]:
                 entering &= self.adj[i]
             if not entering or entering & (entering - 1):
                 raise AssertionError(f"a wall of {[self.verts[i] for i in cone]} has "
                                      f"{bin(entering).count('1')} other completions")
             X = entering.bit_length() - 1
-            c = [sum(row[1 + t] * x for t, x in self.support[X]) for row in rows]
-            if c[leave] != -1:
-                raise AssertionError(f"pivot entry {c[leave]}, not -1")
-            pivot = [-y for y in rows[leave]]
-            rows = [pivot if p == leave else [x - f * y for x, y in zip(row, pivot)] if f else row
-                    for p, (row, f) in enumerate(zip(rows, c))]
+            pivot = rows[leave]
+            for p, f in self.exchange(r, X, cone, pos, rows):
+                rows[p] = [x + f * y for x, y in zip(rows[p], pivot)]
+            rows[leave] = [-y for y in pivot]
             cone[leave] = X
+            del pos[r]
+            pos[X] = leave
+
+    def exchange(self, r, X, cone, pos, rows):
+        """The coordinates of v_X in the cone whose vertices sit at `cone`
+        (positions `pos`, inverse-basis rows `rows`), r among them, as
+        (position, coefficient) pairs: every nonzero one but the -1 of r.
+        Read off the stored relation of the pair (r, X) when every vertex
+        of it is in the wall, else solved and stored."""
+        rel = self.relations.get((r, X))
+        if rel is not None and all(s != r and s in pos for s, _c in rel):
+            return [(pos[s], c) for s, c in rel]
+        leave = pos[r]
+        c = [sum([row[1 + t] * x for t, x in self.support[X]]) for row in rows]
+        if c[leave] != -1:
+            raise AssertionError(f"pivot entry {c[leave]}, not -1")
+        terms = [(p, f) for p, f in enumerate(c) if f and p != leave]
+        self.relations[r, X] = self.relations[X, r] = tuple((cone[p], f) for p, f in terms)
+        return terms
 
 
 def _exits_first(row_p, row_q, d):

@@ -242,6 +242,18 @@ def test_criterion_8_pk_amplitude_slow(capsys):
     report("8-slow (PK amplitude at (3,11))", True)
 
 
+@pytest.mark.slow
+def test_criterion_8_pk_amplitude_slow_4_10(capsys):
+    from grascat.cli import main
+    want = combinat.catalan_mdim(4, 6)
+    assert want == 140229804
+    assert main(["nc", "count", "--k", "4", "--n", "10", "--max-cliques", str(want)]) == 0
+    assert '"count": %d' % want in capsys.readouterr().out
+    assert main(["amplitude", "--k", "4", "--n", "10", "--pk", "--max-cliques", str(want)]) == 0
+    assert '"value": "%d"' % want in capsys.readouterr().out
+    report("8-slow (PK amplitude at (4,10))", True)
+
+
 # -- 9 ----------------------------------------------------------------------
 
 def test_criterion_9_resolved_minors():

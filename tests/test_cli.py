@@ -635,3 +635,47 @@ def test_seed_and_trials_rejected_where_nothing_random_runs(capsys, argv, messag
         main(list(argv))
     assert exc.value.code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "--k", "3", "--n", "7", "--eta"),
+    ("kinematics", "eta-to-s", "--k", "3", "--n", "7", "--input"),
+])
+def test_well_formed_eta_keys_skip_the_subset_checks(tmp_path, capsys, monkeypatch, argv):
+    # every key of a well-formed file is a nonfrozen subset: one set lookup
+    # each, no check_subset and no is_frozen once the shape's set is built
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"eta": {subset_key(J): str(t % 5 + 1)
+                                        for t, J in enumerate(nonfrozen_subsets(3, 7))}}))
+    assert main([*argv, str(path)]) == 0
+    first = capsys.readouterr().out
+    calls = []
+    for name in ("check_subset", "is_frozen"):
+        real = getattr(combinat, name)
+        monkeypatch.setattr(combinat, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    assert main([*argv, str(path)]) == 0
+    assert calls == [] and capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("etas,message", [
+    ({"2,1,4": 5}, "subset must be strictly increasing: (2, 1, 4)"),
+    ({"7,1,2": 5}, "subset must be strictly increasing: (7, 1, 2)"),
+    ({"1,2,4": 5, "01,2,4": 7}, "two eta keys name the subset 1,2,4"),
+    ({"1,2,4": 5, " 1,2,4": 7}, "two eta keys name the subset 1,2,4"),
+    ({"1,2,3": 5}, "eta of the frozen subset 1,2,3 is zero on K(3,7), not 5"),
+    ({"01,2,3": 5}, "eta of the frozen subset 01,2,3 is zero on K(3,7), not 5"),
+    ({"1,2,9": 5}, "subset (1, 2, 9) not inside [1, 7]"),
+    ({"0,2,4": 5}, "subset (0, 2, 4) not inside [1, 7]"),
+    ({"1,2": 5}, "expected a 3-element subset, got (1, 2)"),
+    ({"a,2,4": 5}, "invalid literal for int() with base 10: 'a'"),
+])
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "--k", "3", "--n", "7", "--eta"),
+    ("kinematics", "eta-to-s", "--k", "3", "--n", "7", "--input"),
+])
+def test_malformed_eta_key_messages(tmp_path, capsys, argv, etas, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"eta": etas}))
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data == {"schema": "grascat/1", "error": f"{path}: {message}"}

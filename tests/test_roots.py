@@ -293,3 +293,81 @@ def test_lattice_basis_unimodular(k, n):
     for coll in enumerate_maximal_noncrossing(k, n):
         M = [lattice_coords(v_root(J, k, n), k, n) for J in coll]
         assert abs(linalg.det(M)) == 1
+
+
+# the fan walk's exchange relations, learned once per crossed pair
+
+def _seeded_inputs(k, n, seed, count, rational=False):
+    rng = random.Random(seed)
+    nf = nonfrozen_subsets(k, n)
+    out = []
+    for _ in range(count):
+        coeffs = {J: (F(rng.randint(-9, 9), rng.randint(1, 4)) if rational
+                      else rng.choice((-3, -2, -1, 1, 2, 3))) for J in rng.sample(nf, 3)}
+        out.append(combo_vector(coeffs, k, n))
+    return out
+
+
+def _typed(expansion):
+    return [(J, type(c), c) for J, c in expansion.items()]
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (3, 9), (5, 10)])
+def test_exchange_relations_are_vector_identities(k, n):
+    # each stored relation, v_r + v_X = sum c_s v_s, checked on the roots
+    # themselves rather than in the walk's basis
+    clear_caches()
+    for v in _seeded_inputs(k, n, 10 * k + n, 40):
+        noncrossing_decompose(v, k, n)
+    fan = _fan(k, n)
+    assert fan.relations
+
+    def coords(i):
+        return lattice_coords(v_root(fan.verts[i], k, n), k, n)
+
+    for (r, X), rel in fan.relations.items():
+        assert fan.relations[X, r] == rel
+        assert r not in dict(rel) and X not in dict(rel)
+        # as observed at every shape walked so far: |S| <= 2 (S is empty
+        # when v_X = -v_r), coefficients 1
+        assert len(rel) <= 2 and all(c == 1 for _s, c in rel)
+        lhs = [a + b for a, b in zip(coords(r), coords(X))]
+        assert lhs == [sum(c * coords(s)[t] for s, c in rel) for t in range(fan.dim)]
+
+
+def test_decompose_with_warm_and_cleared_relations_agree():
+    inputs = [(v, k, n) for k, n in [(2, 6), (3, 7), (4, 8), (3, 9), (5, 10)]
+              for rational in (False, True)
+              for v in _seeded_inputs(k, n, 7 * k + n, 15, rational)]
+    clear_caches()
+    warm = [_typed(noncrossing_decompose(v, k, n)) for v, k, n in inputs]
+    learned = {(k, n): dict(_fan(k, n).relations) for _v, k, n in inputs}
+    # a second pass crosses only pairs already learned: it reads every
+    # relation and stores none anew
+    assert [_typed(noncrossing_decompose(v, k, n)) for v, k, n in inputs] == warm
+    assert all(_fan(k, n).relations[key] is rel
+               for (k, n), rels in learned.items() for key, rel in rels.items())
+    cold = []
+    for v, k, n in inputs:
+        clear_caches()
+        assert not _fan(k, n).relations
+        cold.append(_typed(noncrossing_decompose(v, k, n)))
+    assert cold == warm
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8), (5, 10)])
+def test_planted_relation_outside_the_wall_is_solved_again(k, n):
+    vs = _seeded_inputs(k, n, 3, 10)
+    clear_caches()
+    want = [_typed(noncrossing_decompose(v, k, n)) for v in vs]
+    fan = _fan(k, n)
+    true = dict(fan.relations)
+    # wrong entries naming the leaving root, or a root that crosses it and
+    # so lies in no wall next to it
+    for how in ("leaving", "crossing"):
+        for r, X in true:
+            u = r if how == "leaving" else next(
+                u for u in range(len(fan.verts)) if u != r and not fan.adj[r] >> u & 1)
+            fan.relations[r, X] = ((u, 1),) + true[r, X]
+        assert [_typed(noncrossing_decompose(v, k, n)) for v in vs] == want
+        assert fan.relations == true
