@@ -18,11 +18,11 @@ every J of a noncrossing S, of codimension the largest |S| giving F_S.
 If some x_C is infeasible, or the search DAG of the collections has more
 than MAX_COLLECTIONS leaves, P comes from the double description.
 
-Every fold over the search DAG of the collections eliminates only through
-`linalg._pivot`, as does the LP's integer simplex tableau: the
-root-polytope volume and the vertices x_C keep, down each branch, the
-members' `roots._fan` rows reduced to +-1 pivots, so every leaf is
-unimodular by construction and no determinant is read.
+The root-polytope volume and the vertices x_C come from one fold over the
+search DAG of the collections, `_unit_pivot_fold`, which keeps down each
+branch the members' `roots._fan` rows reduced to +-1 pivots by
+`linalg._pivot`, as the LP's integer simplex tableau is: every leaf is
+checked unimodular by construction and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); a point of the
@@ -49,7 +49,7 @@ from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
                        _fold_maximal_noncrossing, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
-from .roots import _fan, gamma_functional, gamma_hat, grid_point, row_sums, v_root
+from .roots import _fan, gamma_hat, grid_point, row_sums, v_root
 
 F = Fraction
 MAX_RAYS = 200000  # the most rays a double description may hold
@@ -369,24 +369,20 @@ def root_polytope(k, n, hat=False):
 def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     """Relative volume of the root polytope in units 1/d!: the number of
     maximal noncrossing collections C, each simplex conv(0, v_J : J in C)
-    checked unimodular.
-
-    A fold over the Bron-Kerbosch tree whose branches carry unit-pivot
-    rows (`_unit_pivot_steps`): the roots in the start-cone basis of
-    `roots._fan`, a lattice basis, so every |det| is as in lattice
-    coordinates.  A leaf of d = (k-1)(n-k-1) kept rows is triangular with
-    +-1 on its diagonal up to a column permutation: unimodular, and the
-    leaf only counts its rows.
+    checked unimodular by `_unit_pivot_fold` on the roots in the
+    start-cone basis of `roots._fan`, a lattice basis, so every |det| is
+    as in lattice coordinates.
     """
     fan = _fan(k, n)
-    add, full = _unit_pivot_steps(fan, fan.rows)
-    return _fold_maximal_noncrossing(k, n, max_collections, (0, ()), add, full)
+    return _unit_pivot_fold(fan, fan.rows, max_collections, lambda R, echelon: None)
 
 
-def _unit_pivot_steps(fan, rows):
-    """(add, full): the step and the leaf check of a fold over the
-    Bron-Kerbosch tree whose branches carry (R, echelon), R the bitmask of
-    the collection so far and echelon its members' rows, reduced.
+def _unit_pivot_fold(fan, rows, max_collections, leaf):
+    """Fold over the Bron-Kerbosch tree of the maximal noncrossing
+    collections of the fan's (k, n) whose branches carry (R, echelon), R
+    the bitmask of the collection so far and echelon its members' rows,
+    reduced; checks every collection unimodular, hands each one's
+    (R, echelon) to leaf(R, echelon) and returns the number of leaves.
 
     rows[v] starts with v's d = fan.dim coordinates in the start-cone
     basis; any entries after them ride along through every row operation.
@@ -395,12 +391,13 @@ def _unit_pivot_steps(fan, rows):
     row whose pivot column the new row has 0 in, and keeps it with its
     first +-1 coordinate as pivot.  Each kept row has a +-1 pivot in a new
     column and 0 in the earlier pivot columns, and the row operations are
-    integer and unimodular.  A nonzero reduced row without a +-1
-    coordinate raises: when its coordinates share a factor g > 1, every
-    completion of the branch has |det| divisible by g; when they are
-    coprime, no unit pivot is found, which does not make the cone
-    non-unimodular.  A zero reduced row leaves a short leaf, |det| 0, on
-    which full raises.
+    integer and unimodular, so a leaf of d kept rows is triangular with
+    +-1 on its diagonal up to a column permutation: unimodular.  A nonzero
+    reduced row without a +-1 coordinate raises: when its coordinates
+    share a factor g > 1, every completion of the branch has |det|
+    divisible by g; when they are coprime, no unit pivot is found, which
+    does not make the cone non-unimodular.  A zero reduced row leaves a
+    short leaf, |det| 0, which raises before leaf sees it.
     """
     verts, d = fan.verts, fan.dim
 
@@ -430,8 +427,9 @@ def _unit_pivot_steps(fan, rows):
         R, echelon = acc
         if not len(echelon) == d == R.bit_count():
             raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
+        leaf(R, echelon)
 
-    return add, full
+    return _fold_maximal_noncrossing(fan.k, fan.n, max_collections, (0, ()), add, full)
 
 
 def omega_vertices(k, m):
@@ -514,10 +512,9 @@ def _newton_hrep(factors, k, n):
         if len(sums) != 1:
             raise ValueError(f"a factor has the unequal row sums {sorted(sums)}")
         lam = [a + b for a, b in zip(lam, sums.pop())]
-    subsets = nonfrozen_subsets(k, n)
-    gammas = [gamma_functional(J, k, n) for J in subsets]
+    fan = _fan(k, n)
     # the table: gamma_J at every point of every factor
-    table = [[[sum(map(mul, gamma, p)) for p in pts] for pts in factors] for gamma in gammas]
+    table = [[[sum(map(mul, gamma, p)) for p in pts] for pts in factors] for gamma in fan.gammas]
     c = [sum(map(min, row)) for row in table]
     # argmin[j]: the points, numbered factor after factor, at which gamma_j
     # takes its factor's minimum; factor_bits[f]: the points of factor f
@@ -529,10 +526,10 @@ def _newton_hrep(factors, k, n):
     for pts in factors:
         factor_bits.append(((1 << len(pts)) - 1) << offset)
         offset += len(pts)
-    ineqs = [(-cJ, gamma) for cJ, gamma in zip(c, gammas)]
+    ineqs = [(-cJ, gamma) for cJ, gamma in zip(c, fan.gammas)]
     eqs = row_sum_equalities(k, n, lam)
     try:
-        P, witnesses = _fan_polytope(k, n, lam, ineqs, eqs)
+        P, witnesses = _fan_polytope(fan, lam, ineqs, eqs)
     except _NoFanRoute:
         P = polytope_from_inequalities(ineqs, eqs, (k - 1) * (n - k))
         witnesses = []
@@ -541,7 +538,7 @@ def _newton_hrep(factors, k, n):
                 raise AssertionError("tight facet normals do not single out a vertex")
             witnesses.append([j for j, inc in enumerate(P.incidence) if inc >> i & 1])
     agrees = all(_in_minkowski_sum(S, argmin, factor_bits) for S in witnesses)
-    return dict(zip(subsets, c)), lam, P, agrees
+    return dict(zip(fan.verts, c)), lam, P, agrees
 
 
 class _NoFanRoute(Exception):
@@ -549,22 +546,18 @@ class _NoFanRoute(Exception):
     than MAX_COLLECTIONS leaves."""
 
 
-def _fan_polytope(k, n, lam, ineqs, eqs):
+def _fan_polytope(fan, lam, ineqs, eqs):
     """(P, witnesses) for P = {gamma_J >= c_J over nonfrozen J, row sums
-    lam}, given as the rows -c_J + gamma_J >= 0 in `nonfrozen_subsets`
-    order, read off the noncrossing fan; witnesses[i] lists (by index) the
-    J of the first maximal noncrossing collection C, in search order, with
+    lam}, given as the rows -c_J + gamma_J >= 0 in the order of fan.verts,
+    read off the noncrossing fan; witnesses[i] lists (by index) the J of
+    the first maximal noncrossing collection C, in search order, with
     x_C = vertex i.
 
-    On the chart x = x0 + y of the row sums, x0 = lam_i in the last column
-    of row i and y of zero row sums, gamma_J(x) = gamma_J(x0) + rows[J] . z,
-    with rows[J] the start-cone row of `roots._fan` and z = A^T u, where A
-    is the start cone's basis and u holds the first n-k-1 entries of each
-    row of y.  So x_C, the point with gamma_J = c_J for J in C, solves
-    rows[J] . z = b_J = c_J - gamma_J(x0) on C.  One fold over the search
-    DAG, `triangulation_volume`'s, carries b_J as an entry after each row;
-    a leaf's rows are triangular with +-1 pivots, and back-substitution
-    gives x_C as an integer point.  It maps back through start_inv.
+    On the fan's chart (`roots._Fan.chart`), gamma_J = c_J reads
+    rows[J] . z = b_J = c_J - gamma_J(x0), x0 the chart at z = 0.  The
+    fold `_unit_pivot_fold` carries b_J as an entry after each row; a
+    leaf's rows are triangular with +-1 pivots, and back-substitution gives
+    the integer z of x_C, which the chart maps to the grid.
 
     If every distinct x_C satisfies every inequality, P is dual to the fan
     (Hohlweg, Pilaud and Stella, Polytopal realizations of finite type
@@ -582,45 +575,35 @@ def _fan_polytope(k, n, lam, ineqs, eqs):
     search DAG has more than MAX_COLLECTIONS leaves, raises
     _NoFanRoute.
     """
-    fan = _fan(k, n)
-    d, rows, w = fan.dim, fan.rows, n - k
-    b = [-c0 - sum(gamma[r + w - 1] * s for r, s in zip(range(0, len(gamma), w), lam))
-         for c0, gamma in ineqs]
-    add, full = _unit_pivot_steps(fan, [row + (bJ,) for row, bJ in zip(rows, b)])
+    d, rows = fan.dim, fan.rows
+    x0 = fan.chart([0] * d, lam)
+    b = [-c0 - sum(map(mul, gamma, x0)) for c0, gamma in ineqs]
     found = {}  # z of x_C -> the first C, in search order, that reaches it
 
-    def leaf(acc):
-        full(acc)
-        R, echelon = acc
+    def leaf(R, echelon):
         z = [0] * d
         for row, col in reversed(echelon):  # z is 0 at the columns not yet solved
             z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
         found.setdefault(tuple(z), R)
 
     try:
-        _fold_maximal_noncrossing(k, n, MAX_COLLECTIONS, (0, ()), add, leaf)
+        _unit_pivot_fold(fan, [row + (bJ,) for row, bJ in zip(rows, b)], MAX_COLLECTIONS, leaf)
     except ResourceLimitExceeded as exc:
         raise _NoFanRoute from exc
-    inv_cols = list(zip(*fan.start_inv))
     verts = []
     for z, R in found.items():
         slack = [sum(map(mul, row, z)) - bJ for row, bJ in zip(rows, b)]
         if min(slack) < 0:
             raise _NoFanRoute
-        u = [sum(map(mul, col, z)) for col in inv_cols]
-        x = []
-        for i, s in enumerate(lam):
-            part = u[i * (w - 1):(i + 1) * (w - 1)]
-            x += part
-            x.append(s - sum(part))
-        verts.append((tuple(x), [j for j, t in enumerate(slack) if not t], list(_bits(R))))
+        verts.append((fan.chart(z, lam), [j for j, t in enumerate(slack) if not t],
+                      list(_bits(R))))
     verts.sort()
     incidence = [0] * len(rows)
     for i, (_x, zeros, _C) in enumerate(verts):
         for j in zeros:
             incidence[j] |= 1 << i
     P = _FanPolytope([x for x, _zeros, _C in verts], [_normalize_ineq(c0, a) for c0, a in ineqs],
-                     [_normalize_ineq(c0, a) for c0, a in eqs], (k - 1) * w, incidence,
+                     [_normalize_ineq(c0, a) for c0, a in eqs], len(x0), incidence,
                      fan.adj, all(len(zeros) == d for _x, zeros, _C in verts))
     return P, [C for _x, _zeros, C in verts]
 

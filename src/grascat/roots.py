@@ -162,8 +162,9 @@ class _Fan:
 
     Every cone is unimodular, so the start cone is a lattice basis, and
     rows[i], v_{verts[i]} in it, is an int tuple: a unit vector for a start
-    root.  Row p of the walk's state holds the coordinates a_p of the start
-    point and b_p of the target, scaled to ints, in the cone.  The start
+    root, and gammas[i] is gamma_{verts[i]} on the dense grid.  Row p of
+    the walk's state holds the coordinates a_p of the start point and b_p
+    of the target, scaled to ints, in the cone.  The start
     point p0 = sum_i (1 + eps^i) e_i is symbolic in an infinitesimal
     eps > 0, so a_p = [sum(inv_p) | inv_p] holds its coefficients of
     eps^0, ..., eps^d, with inv_p row p of the cone's inverse basis.  A
@@ -193,29 +194,43 @@ class _Fan:
     """
 
     def __init__(self, k, n):
+        self.k, self.n = k, n
         self.dim = d = (k - 1) * (n - k - 1)
         self.verts, self.adj = _noncrossing_graph(k, n)
+        self.gammas = [gamma_functional(J, k, n) for J in self.verts]
         # the running sums of x_{i,j} - x_{i,j-1} (column 0 read as n-k)
         # telescope: lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
         w = n - k
         coords = [[g[r + j] - g[r + w - 1] for r in range(0, len(g), w) for j in range(w - 1)]
-                  for g in (gamma_functional(J, k, n) for J in self.verts)]
+                  for g in self.gammas]
         self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
         inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
         if any(x.denominator != 1 for row in inv for x in row):
             raise AssertionError("start cone is not unimodular")
-        self.start_inv = [[int(x) for x in row] for row in inv]
-        cols = list(zip(*self.start_inv))  # rows[i] = sum c * cols[t], c = coords[i][t] != 0
+        start_inv = [[int(x) for x in row] for row in inv]
+        self.start_cols = cols = list(zip(*start_inv))  # rows[i] = sum coords[i][t] cols[t]
         self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
                                           for t, c in enumerate(v) if c]))) for v in coords]
         self.support = [[(t, c) for t, c in enumerate(row) if c] for row in self.rows]
         # start_inv is sparse (a few entries +-1 per row); the start rows'
         # eps part [1 | e_p] is the same for every walk
-        self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in self.start_inv]
+        self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in start_inv]
         self.start_eps = [[1] + [int(q == p) for q in range(d)] for p in range(d)]
         self.relations = {}
+
+    def chart(self, z, lam):
+        """The grid point, a tuple, with row sums lam and start-cone
+        coordinates z: x = x0 + y, x0 holding lam_i in the last column of
+        row i and y of zero row sums, whose first n-k-1 entries in each row
+        form u with z = A^T u, A the start cone's basis.  So gamma_J(x) =
+        gamma_J(x0) + rows[J] . z with x0 = chart(0, lam), and x is an
+        integer point for integer z and lam."""
+        w = self.n - self.k - 1
+        u = [sum([c * x for c, x in zip(col, z)]) for col in self.start_cols]
+        rows = [u[r:r + w] for r in range(0, self.dim, w)]
+        return tuple(x for row, s in zip(rows, lam) for x in row + [s - sum(row)])
 
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
@@ -232,8 +247,10 @@ class _Fan:
                 if row[-1] < 0 and (leave is None or _exits_first(row, rows[leave], d)):
                     leave = p
             if leave is None:
-                return {self.verts[cone[p]]: linalg._exact(Fraction(rows[p][-1], scale))
-                        for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
+                out = {self.verts[cone[p]]: rows[p][-1]
+                       for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
+                return out if scale == 1 else {J: linalg._exact(Fraction(b, scale))
+                                               for J, b in out.items()}
             r = cone[leave]
             entering = ((1 << len(self.verts)) - 1) & ~(1 << r)
             for i in cone[:leave] + cone[leave + 1:]:

@@ -28,6 +28,7 @@ def test_frozen():
     assert is_frozen((1, 5, 6), 6)
     assert not is_frozen((1, 3, 5), 6)
     assert is_frozen((1, 2, 7, 8), 8)
+    assert is_frozen((1, 2, 3), 3)
 
 
 def test_weak_separation():

@@ -198,6 +198,8 @@ def test_pk_point():
 def test_kd_membership():
     assert kd_membership({}, 3, 6)  # the origin, not interior
     assert not kd_membership({}, 3, 6, strict=True)
+    # every sign right, but momentum is not conserved
+    assert not kd_membership({(1, 2, 4): -1}, 3, 6)
     p = interior_kd_point(3, 6)
     assert kd_membership(p, 3, 6, strict=True)
     p = interior_kd_point(3, 9, seed=11)

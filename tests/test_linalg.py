@@ -67,6 +67,7 @@ def test_solve_columns():
 
 
 def test_nullspace_and_rank():
+    assert linalg.nullspace([]) == []
     for rng, kind, m, n, deficient in _cases(2):
         A = _matrix(rng, m, n, kind, deficient)
         basis = linalg.nullspace(A)

@@ -15,7 +15,7 @@ from grascat.combinat import clear_caches, nonfrozen_subsets
 from grascat.linalg import _integral
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identities_random_all,
-                                binary_identity_check, compound_X, delta,
+                                binary_identity_check, compound_X, delta, det_poly,
                                 divide_exact, m_poly, needs_resolution,
                                 pk_factors, planar_face_range, plucker,
                                 resolved_count_formula, resolved_minor,
@@ -35,6 +35,11 @@ def test_poly_ring_ops():
     p = x(1, 1) + x(1, 2)
     assert p.eval({(1, 1): 1, (1, 2): 1}) == 2
     assert (a - a) == Poly.zero(3, 6)
+    # constants on either side, the zero product, hashing and the zero repr
+    assert a - 2 == a + (-2) and 2 - a == -a + 2 and Poly.one(3, 6) == 1
+    assert a * 0 == Poly.zero(3, 6) and not a * 0
+    assert hash(a * b) == hash(b * a) and repr(Poly.zero(3, 6)) == "0"
+    assert det_poly([[a]]) == a
 
 
 def test_divide_exact():
@@ -327,6 +332,7 @@ def test_factored_ratio_product_then_quotient(a, b):
     q = (a * b) / b
     assert q.ratio_equal(a)
     assert _fields(q) == _fields(a)
+    assert _fields(3 * a / 3) == _fields(a)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

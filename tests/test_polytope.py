@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from grascat import linalg, polytope, roots
 from grascat.combinat import ResourceLimitExceeded, nonfrozen_subsets
 from grascat.polynomial import Poly, pk_factors, tau
-from grascat.polytope import (cone_rays, gamma_functional, hull_of_points,
+from grascat.polytope import (cone_rays, hull_of_points,
                               in_convex_hull,
                               lift_and_lower_hull,
                               minimize_face,
@@ -22,7 +22,7 @@ from grascat.polytope import (cone_rays, gamma_functional, hull_of_points,
                               planar_face_polytope, polytope_from_inequalities,
                               root_polytope,
                               tau_newton_facets, triangulation_volume, grid_point)
-from grascat.roots import v_root
+from grascat.roots import gamma_functional, v_root
 
 
 def test_extreme_points():
@@ -46,6 +46,9 @@ def test_hull_roundtrips():
     # a single point is its own hull
     one = hull_of_points([(1, 2), (1, 2)])
     assert one.contains((1, 2)) and not one.contains((5, 7)) and one.f_vector() == [1, 1]
+    # x >= 1 and x <= 0: no vertex, dimension -1
+    none = polytope_from_inequalities([(-1, (1,)), (0, (-1,))], [], 1)
+    assert none.vertices == [] and none.dim == -1
 
 
 def test_conversion_errors():
@@ -236,28 +239,36 @@ def _patch_root(monkeypatch, J, new_row):
     monkeypatch.setattr(fan, "rows", [new_row(row) if I == J else row[I] for I in fan.verts])
 
 
-def test_triangulation_volume_names_a_non_unimodular_collection(monkeypatch):
+# the one unit-pivot fold checks every collection for both of its callers
+FOLD_CALLERS = pytest.mark.parametrize("build", [triangulation_volume, pk_polytope],
+                                       ids=lambda f: f.__name__)
+
+
+@FOLD_CALLERS
+def test_unit_pivot_fold_names_a_non_unimodular_collection(monkeypatch, build):
     # doubling v_J makes every simplex holding J of volume 2
     _patch_root(monkeypatch, (1, 3, 5), lambda row: tuple(2 * c for c in row[(1, 3, 5)]))
     with pytest.raises(AssertionError, match=r"non-unimodular partial collection "
                        r".*\(1, 3, 5\).*: every completion has \|det\| divisible by 2"):
-        triangulation_volume(3, 6)
+        build(3, 6)
 
 
-def test_triangulation_volume_names_a_row_without_a_unit_pivot(monkeypatch):
+@FOLD_CALLERS
+def test_unit_pivot_fold_names_a_row_without_a_unit_pivot(monkeypatch, build):
     # row (2, 3, 0, 0): coprime entries, none of them +-1
     _patch_root(monkeypatch, (1, 3, 5), lambda row: (2, 3, 0, 0))
     with pytest.raises(AssertionError,
                        match=r"no unit pivot for the partial collection .*\(1, 3, 5\)"):
-        triangulation_volume(3, 6)
+        build(3, 6)
 
 
-def test_triangulation_volume_names_a_singular_collection(monkeypatch):
+@FOLD_CALLERS
+def test_unit_pivot_fold_names_a_singular_collection(monkeypatch, build):
     # v_{135} = v_{145}: a collection holding both reduces one row to 0
     _patch_root(monkeypatch, (1, 3, 5), lambda row: row[(1, 4, 5)])
     with pytest.raises(AssertionError, match=r"non-unimodular collection "
                        r".*\(1, 3, 5\), \(1, 4, 5\).*: \|det\| 0"):
-        triangulation_volume(3, 6)
+        build(3, 6)
 
 
 ROOT_POINTS = {(k, n): [grid_point(v_root(J, k, n), k, n) for J in nonfrozen_subsets(k, n)]
@@ -299,6 +310,7 @@ def rational_hull_queries(draw):
 def test_in_convex_hull_matches_double_description(query):
     p, pts = query
     assert in_convex_hull(p, pts) == hull_of_points(pts).contains(p)
+    assert not in_convex_hull(p, [])
 
 
 def test_omega_vertices():
