@@ -17,9 +17,9 @@ integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
 exactly, as each entry stays a minor of the scaled matrix.  All pivots end
 equal to one value ``d``, so the reduced matrix divided by ``d`` is the
 reduced row echelon form.  Rank, determinant, solutions and null spaces
-are read off it; only those final entries become Fractions.  First-nonzero
-pivoting keeps every operation deterministic, and the RREF is unique, so
-results do not depend on the pivot order.
+are read off it, each entry an int where it is integral (`_ratio`).
+First-nonzero pivoting keeps every operation deterministic, and the RREF
+is unique, so results do not depend on the pivot order.
 """
 from __future__ import annotations
 
@@ -104,6 +104,11 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _ratio(a, d):
+    """`_exact(Fraction(a, d))` for ints a and d != 0, built directly."""
+    return a // d if a % d == 0 else F(a, d)
+
+
 def rank(rows):
     return len(_eliminate(rows)[1])
 
@@ -113,9 +118,7 @@ def det(rows):
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     _M, pivots, d, sign, scale = _eliminate(rows)
-    if len(pivots) < n:
-        return F(0)
-    return F(sign * d, scale)
+    return _ratio(sign * d, scale) if len(pivots) == n else 0
 
 
 def solve_columns(A, B):
@@ -125,13 +128,12 @@ def solve_columns(A, B):
         [list(A[i]) + list(B[i]) for i in range(n)], n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [[F(x, d) for x in row[n:]] for row in M]
+    return [[_ratio(x, d) for x in row[n:]] for row in M]
 
 
 def inverse(A):
     n = len(A)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return solve_columns(A, eye)
+    return solve_columns(A, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def nullspace(rows):
@@ -142,9 +144,8 @@ def nullspace(rows):
     n = len(M[0])
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
-        vec = [F(0)] * n
-        vec[fc] = F(1)
+        vec = [int(c == fc) for c in range(n)]
         for i, pc in enumerate(pivots):
-            vec[pc] = F(-M[i][fc], d)
+            vec[pc] = _ratio(-M[i][fc], d)
         basis.append(vec)
     return basis

@@ -663,7 +663,10 @@ def _first_random_failure(identities, k, n, trials, seed):
     vanish there: every factor is the primitive part of a tau polynomial,
     whose coefficients are all positive, so it is positive at a positive
     point, and so is every monomial; every drawn point is therefore used.
+    Raises ValueError for trials < 1, which would check nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     factors = {f for pair in identities for r in pair for f in r.exps}
     for _ in range(trials):

@@ -215,7 +215,7 @@ def hull_of_points(points):
     d = len(basis)
     # equalities: null space of basis (R^m for one point), anchored at origin
     eqs = [(linalg._exact(-sum(a * x for a, x in zip(nv, origin))),
-            tuple(linalg._exact(a) for a in nv)) for nv in linalg.nullspace(basis or [[0] * m])]
+            tuple(nv)) for nv in linalg.nullspace(basis or [[0] * m])]
     if d == 0:
         return PolytopeRep([pts[0]], [], eqs, m)
     rays = cone_rays([list(p) + [1] for p in _reduce_points(pts, origin, basis)])
@@ -279,7 +279,7 @@ def polytope_from_inequalities(ineqs, eqs, ambient):
     null = linalg.nullspace([[*a, c] for (c, a) in eqs] or [[0] * (ambient + 1)])
     if not null or null[-1][ambient] != 1:
         raise ValueError("inconsistent equalities")
-    *basis, x0 = [[linalg._exact(x) for x in vec[:ambient]] for vec in null]
+    *basis, x0 = [vec[:ambient] for vec in null]
     d = len(basis)
     cone = [[sum(x * y for x, y in zip(a, row)) for row in basis]
             + [c + sum(x * y for x, y in zip(a, x0))] for (c, a) in ineqs]

@@ -175,14 +175,14 @@ class _Fan:
 
     Exchange relations: crossing the wall W from W + r to W + X writes v_X
     in the cone W + r as -v_r + sum c_s v_s over some S in W.  The walk
-    learns this relation once per pair and keeps it in `relations`, under
-    (r, X) and (X, r), as the (s, c_s) pairs; it lives as long as the fan,
-    so `combinat.clear_caches` empties it with `_fan`.  A later flip across
-    the same pair uses it when every s lies in that flip's wall: the
-    coordinates of v_X in a basis are unique, so then they are exactly
-    -e_r plus the stored c_s, whatever the wall.  Otherwise it solves
-    again, as on a first crossing.  The flip updates only the rows of S
-    and the pivot row.
+    solves each pair once and keeps S, as vertex indices, in `relations`
+    under (r, X) and (X, r), once certified: every c_s is 1 and each s is
+    adjacent to every other vertex of L, the common neighbours of r and X.
+    A later flip reads S unchecked: a wall W' exchanging r and X lies in L
+    and is a maximal clique of it (a vertex of L adjacent to all of W' would
+    extend W' + r), each s lies in every maximal clique of L, so S is in
+    W', and coordinates in a basis are unique.  The flip adds the pivot row
+    to the rows of S; `combinat.clear_caches` empties `relations` with `_fan`.
 
     Termination: for every small enough real eps the walk is that of the
     segment from p0(eps), and it meets no cone of codimension 2 before its
@@ -206,10 +206,9 @@ class _Fan:
         self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
-        inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
-        if any(x.denominator != 1 for row in inv for x in row):
+        start_inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
+        if any(type(x) is not int for row in start_inv for x in row):
             raise AssertionError("start cone is not unimodular")
-        start_inv = [[int(x) for x in row] for row in inv]
         self.start_cols = cols = list(zip(*start_inv))  # rows[i] = sum coords[i][t] cols[t]
         self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
                                           for t, c in enumerate(v) if c]))) for v in coords]
@@ -260,29 +259,29 @@ class _Fan:
                                      f"{bin(entering).count('1')} other completions")
             X = entering.bit_length() - 1
             pivot = rows[leave]
-            for p, f in self.exchange(r, X, cone, pos, rows):
-                rows[p] = [x + f * y for x, y in zip(rows[p], pivot)]
+            for p in self.exchange(r, X, cone, pos, rows):
+                rows[p] = [x + y for x, y in zip(rows[p], pivot)]
             rows[leave] = [-y for y in pivot]
             cone[leave] = X
             del pos[r]
             pos[X] = leave
 
     def exchange(self, r, X, cone, pos, rows):
-        """The coordinates of v_X in the cone whose vertices sit at `cone`
-        (positions `pos`, inverse-basis rows `rows`), r among them, as
-        (position, coefficient) pairs: every nonzero one but the -1 of r.
-        Read off the stored relation of the pair (r, X) when every vertex
-        of it is in the wall, else solved and stored."""
+        """The positions of S, v_X = -v_r + sum over S of v_s, in the cone at
+        `cone` (positions `pos`, inverse-basis rows `rows`, r among them):
+        the pair's certified relation, solved on its first crossing."""
         rel = self.relations.get((r, X))
-        if rel is not None and all(s != r and s in pos for s, _c in rel):
-            return [(pos[s], c) for s, c in rel]
-        leave = pos[r]
-        c = [sum([row[1 + t] * x for t, x in self.support[X]]) for row in rows]
-        if c[leave] != -1:
-            raise AssertionError(f"pivot entry {c[leave]}, not -1")
-        terms = [(p, f) for p, f in enumerate(c) if f and p != leave]
-        self.relations[r, X] = self.relations[X, r] = tuple((cone[p], f) for p, f in terms)
-        return terms
+        if rel is None:
+            leave = pos[r]
+            c = [sum([row[1 + t] * x for t, x in self.support[X]]) for row in rows]
+            rel = tuple(cone[p] for p, f in enumerate(c) if f and p != leave)
+            common = self.adj[r] & self.adj[X]
+            if c[leave] != -1 or any(c[pos[s]] != 1 or common & ~self.adj[s] & ~(1 << s)
+                                     for s in rel):
+                raise AssertionError(f"the exchange of {self.verts[r]} and {self.verts[X]} "
+                                     f"fails its certificate: coefficients {sorted(set(c))}")
+            self.relations[r, X] = self.relations[X, r] = rel
+        return [pos[s] for s in rel]
 
 
 def _exits_first(row_p, row_q, d):

@@ -46,6 +46,11 @@ def _cofactor_det(M):
                for c in range(len(M)) if M[0][c])
 
 
+def _exact_typed(x):
+    """Whether x is an int when it is integral, else a Fraction."""
+    return type(x) is (int if F(x).denominator == 1 else F)
+
+
 def test_solve_columns():
     solved = singular = 0
     for rng, kind, n, w, deficient in _cases(1):
@@ -60,8 +65,10 @@ def test_solve_columns():
             singular += 1
             continue
         assert _mul(A, X) == B
-        assert _mul(A, linalg.inverse(A)) == [[int(i == j) for j in range(n)]
-                                              for i in range(n)]
+        inv = linalg.inverse(A)
+        assert _mul(A, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+        # integral entries are ints, the others Fractions
+        assert all(_exact_typed(x) for row in X + inv for x in row)
         solved += 1
     assert solved > 30 and singular > 5
 
@@ -73,6 +80,7 @@ def test_nullspace_and_rank():
         basis = linalg.nullspace(A)
         for vec in basis:
             assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in A)
+            assert all(_exact_typed(x) for x in vec)
         assert linalg.rank(A) + len(basis) == n
         if basis:
             assert linalg.rank(basis) == len(basis)
@@ -85,6 +93,7 @@ def test_det_matches_cofactor_expansion_and_is_multiplicative():
         A = _matrix(rng, n, n, kind, deficient)
         B = _matrix(rng, n, n, KINDS[(KINDS.index(kind) + 1) % 3])
         assert linalg.det(A) == _cofactor_det(A)
+        assert _exact_typed(linalg.det(A))
         assert linalg.det(_mul(A, B)) == linalg.det(A) * linalg.det(B)
 
 
@@ -95,7 +104,8 @@ def test_singular_input_raises():
         linalg.inverse([[0, 0], [0, 1]])
     with pytest.raises(ValueError, match="square"):
         linalg.det([[1, 2, 3], [4, 5, 6]])
-    assert linalg.det([[F(1, 2), 1], [1, 2]]) == 0
+    det = linalg.det([[F(1, 2), 1], [1, 2]])
+    assert det == 0 and type(det) is int
 
 
 def test_nullspace_pinned_echelon_form():
@@ -108,7 +118,8 @@ def test_nullspace_pinned_echelon_form():
         [-3, 0, -1, 1, 0],
         [F(-1, 2), 0, 1, 0, 1],
     ]
-    assert all(isinstance(x, F) for vec in linalg.nullspace(A) for x in vec)
+    assert [[type(x) for x in vec] for vec in linalg.nullspace(A)] == [
+        [int] * 5, [int] * 5, [F] + [int] * 4]
 
 
 # ---------------------------------------------------------------------------

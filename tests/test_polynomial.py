@@ -243,6 +243,15 @@ def test_binary_identity_single():
     assert v["pass"] and v["seed"] == 3
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_identity_checks_reject_trials_below_one(trials):
+    # no point drawn would pass every identity without checking one
+    with pytest.raises(ValueError, match=f"trials must be at least 1, not {trials}"):
+        binary_identity_check((1, 2, 4), 3, 7, "random", trials=trials)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, not {trials}"):
+        binary_identities_random_all(3, 7, trials=trials)
+
+
 def test_root_potential_tables():
     assert all(root_potential_check(3, 6).values())
     assert all(root_potential_check(4, 8).values())

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat.combinat import (clear_caches, enumerate_maximal_noncrossing, is_noncrossing,
-                              nonfrozen_subsets)
+from grascat import linalg
+from grascat.combinat import (_bits, clear_caches, compatibility_degree,
+                              enumerate_maximal_noncrossing, is_noncrossing, nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
-from grascat.roots import (DecompositionError, _fan, check_four_term, combo_vector,
+from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, combo_vector,
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
                            noncrossing_decompose, noncrossing_degree,
                            project_f, tripod_vector, v_root)
@@ -289,7 +290,6 @@ def test_volume_reads_the_cached_fan():
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (4, 7)])
 def test_lattice_basis_unimodular(k, n):
-    import grascat.linalg as linalg
     for coll in enumerate_maximal_noncrossing(k, n):
         M = [lattice_coords(v_root(J, k, n), k, n) for J in coll]
         assert abs(linalg.det(M)) == 1
@@ -312,10 +312,21 @@ def _typed(expansion):
     return [(J, type(c), c) for J, c in expansion.items()]
 
 
+def _assert_certified(fan, r, X, S):
+    """S is the certified exchange of the crossing pair (r, X):
+    v_r + v_X = sum over S of v_s on the fan's rows, and each s in S is
+    adjacent to every other common neighbour of r and X."""
+    assert not fan.adj[r] >> X & 1 and r not in S and X not in S
+    common = fan.adj[r] & fan.adj[X]
+    assert all(common & ~fan.adj[s] & ~(1 << s) == 0 for s in S)
+    assert ([a + b for a, b in zip(fan.rows[r], fan.rows[X])]
+            == [sum(fan.rows[s][t] for s in S) for t in range(fan.dim)])
+
+
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (3, 9), (5, 10)])
 def test_exchange_relations_are_vector_identities(k, n):
-    # each stored relation, v_r + v_X = sum c_s v_s, checked on the roots
-    # themselves rather than in the walk's basis
+    # each stored relation, v_r + v_X = sum over S of v_s, checked on the
+    # roots themselves rather than in the walk's basis, and certified
     clear_caches()
     for v in _seeded_inputs(k, n, 10 * k + n, 40):
         noncrossing_decompose(v, k, n)
@@ -325,14 +336,85 @@ def test_exchange_relations_are_vector_identities(k, n):
     def coords(i):
         return lattice_coords(v_root(fan.verts[i], k, n), k, n)
 
-    for (r, X), rel in fan.relations.items():
-        assert fan.relations[X, r] == rel
-        assert r not in dict(rel) and X not in dict(rel)
+    for (r, X), S in fan.relations.items():
+        assert fan.relations[X, r] is S
+        assert type(S) is tuple and all(type(s) is int for s in S)
+        _assert_certified(fan, r, X, S)
         # as observed at every shape walked so far: |S| <= 2 (S is empty
-        # when v_X = -v_r), coefficients 1
-        assert len(rel) <= 2 and all(c == 1 for _s, c in rel)
+        # when v_X = -v_r)
+        assert len(S) <= 2
         lhs = [a + b for a, b in zip(coords(r), coords(X))]
-        assert lhs == [sum(c * coords(s)[t] for s, c in rel) for t in range(fan.dim)]
+        assert lhs == [sum(coords(s)[t] for s in S) for t in range(fan.dim)]
+
+
+class _CountingDict(dict):
+    """A dict that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
+
+    def __setitem__(self, key, value):
+        self.writes[key] = self.writes.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_each_exchange_is_solved_at_most_once():
+    shapes = [(2, 6), (3, 7), (4, 8), (3, 9), (5, 10)]
+    clear_caches()
+    fans = {(k, n): _fan(k, n) for k, n in shapes}
+    for fan in fans.values():
+        fan.relations = _CountingDict()
+    try:
+        for _ in range(2):
+            for (k, n), fan in fans.items():
+                for rational in (False, True):
+                    for v in _seeded_inputs(k, n, 5 * k + n, 25, rational):
+                        noncrossing_decompose(v, k, n)
+        for fan in fans.values():
+            # one solve writes both orders of its pair, and no pair is
+            # solved twice
+            assert fan.relations and set(fan.relations.writes) == set(fan.relations)
+            assert set(fan.relations.writes.values()) == {1}
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("how", ["adjacency", "coefficient", "pivot"])
+def test_uncertified_exchange_raises_naming_both_subsets(monkeypatch, how):
+    k, n = 4, 8
+    v = _seeded_inputs(k, n, 1, 1)[0]
+    clear_caches()
+    noncrossing_decompose(v, k, n)
+    # the walk's first flip: its pair, and a member s of its S
+    (r, X), S = next((key, S) for key, S in _fan(k, n).relations.items() if S)
+    clear_caches()
+    fan = _fan(k, n)
+    try:
+        if how == "adjacency":
+            # join r and X to a vertex u crossing s: u enters L, but the
+            # wall holds s, so u is no completion of it and the walk is as
+            # before up to this flip
+            u = next(u for u in range(len(fan.verts))
+                     if u not in (r, X, S[0]) and not fan.adj[S[0]] >> u & 1)
+            adj = list(fan.adj)
+            adj[r] |= 1 << u
+            adj[X] |= 1 << u
+            adj[u] |= 1 << r | 1 << X
+            monkeypatch.setattr(fan, "adj", adj)
+        else:
+            # v_X + v_s has coefficient 2 on s, v_X + 2 v_r has 1 on r
+            y, f = (S[0], 1) if how == "coefficient" else (r, 2)
+            row = [a + f * b for a, b in zip(fan.rows[X], fan.rows[y])]
+            support = list(fan.support)
+            support[X] = [(t, c) for t, c in enumerate(row) if c]
+            monkeypatch.setattr(fan, "support", support)
+        with pytest.raises(AssertionError, match="fails its certificate") as info:
+            noncrossing_decompose(v, k, n)
+        assert str(fan.verts[r]) in str(info.value) and str(fan.verts[X]) in str(info.value)
+        assert (r, X) not in fan.relations
+    finally:
+        clear_caches()
 
 
 def test_decompose_with_warm_and_cleared_relations_agree():
@@ -355,19 +437,83 @@ def test_decompose_with_warm_and_cleared_relations_agree():
     assert cold == warm
 
 
-@pytest.mark.parametrize("k,n", [(3, 7), (4, 8), (5, 10)])
-def test_planted_relation_outside_the_wall_is_solved_again(k, n):
-    vs = _seeded_inputs(k, n, 3, 10)
-    clear_caches()
-    want = [_typed(noncrossing_decompose(v, k, n)) for v in vs]
-    fan = _fan(k, n)
-    true = dict(fan.relations)
-    # wrong entries naming the leaving root, or a root that crosses it and
-    # so lies in no wall next to it
-    for how in ("leaving", "crossing"):
-        for r, X in true:
-            u = r if how == "leaving" else next(
-                u for u in range(len(fan.verts)) if u != r and not fan.adj[r] >> u & 1)
-            fan.relations[r, X] = ((u, 1),) + true[r, X]
-        assert [_typed(noncrossing_decompose(v, k, n)) for v in vs] == want
-        assert fan.relations == true
+# the exchangeable pairs of the noncrossing fan: every crossing pair (r, X)
+# whose common neighbours L hold a (d-1)-clique W, so that W + r and W + X
+# are adjacent maximal cones
+
+def _greedy_clique(adj, mask):
+    """The clique greedy builds from the vertices of mask in index order."""
+    chosen = 0
+    for i in _bits(mask):
+        if not chosen & ~adj[i]:
+            chosen |= 1 << i
+    return chosen
+
+
+def _has_clique(adj, mask, size):
+    """Whether the vertices of mask hold a clique of the given size."""
+    if size == 0:
+        return True
+    for i in _bits(mask):
+        mask &= ~(1 << i)
+        if mask.bit_count() + 1 < size:
+            return False
+        if _has_clique(adj, mask & adj[i], size - 1):
+            return True
+    return False
+
+
+def _crossing(I, J):
+    """The one crossing (a, b) of a pair of compatibility degree 1, in
+    `compatibility_degree`'s sense."""
+    (ab,) = [(a, b) for a in range(len(I) - 1) for b in range(a + 1, len(I))
+             if all(I[l] == J[l] for l in range(a + 1, b))
+             and (I[a] < J[a] < I[b] < J[b] or J[a] < I[a] < J[b] < I[b])]
+    return ab
+
+
+def _sweep_exchangeable_pairs(k, n, full):
+    """Check every crossing pair (r, X) with a greedy wall W in L: it has
+    compatibility degree 1, and S, the nonfrozen members of the tail swap
+    at its crossing, lies in W and is certified.  As W + r is a basis, S is
+    then the exchange of the pair.  With `full`, also solve the pair in the
+    cone W + r with the fan's own `exchange`, and check that no other
+    crossing pair has a (d-1)-clique in L.  Returns the number of pairs
+    with a greedy wall."""
+    fan = _Fan(k, n)
+    index = {J: i for i, J in enumerate(fan.verts)}
+    d, count = fan.dim, 0
+    for r, X in combinations(range(len(fan.verts)), 2):
+        if fan.adj[r] >> X & 1:
+            continue
+        common = fan.adj[r] & fan.adj[X]
+        wall = list(_bits(_greedy_clique(fan.adj, common)))
+        if len(wall) < d - 1:
+            assert not full or not _has_clique(fan.adj, common, d - 1)
+            continue
+        count += 1
+        I, J = fan.verts[r], fan.verts[X]
+        assert compatibility_degree(I, J, n) == 1
+        _a, b = _crossing(I, J)
+        S = tuple(sorted(index[T] for T in (I[:b] + J[b:], J[:b] + I[b:]) if T in index))
+        assert set(S) <= set(wall)
+        _assert_certified(fan, r, X, S)
+        if full:
+            # the walk's state in the cone W + r: rows [0 | inverse-basis row]
+            cone = wall + [r]
+            inv = linalg.inverse([[fan.rows[i][t] for i in cone] for t in range(d)])
+            pos = {v: p for p, v in enumerate(cone)}
+            got = [cone[p] for p in fan.exchange(r, X, cone, pos, [[0, *row] for row in inv])]
+            assert sorted(got) == list(S) and fan.relations[r, X] == fan.relations[X, r]
+    return count
+
+
+@pytest.mark.parametrize("k,n,pairs", [(2, 8, 70), (3, 7, 133), (4, 8, 658), (3, 9, 966)])
+def test_exchangeable_pairs_are_certified_four_term_relations(k, n, pairs):
+    assert _sweep_exchangeable_pairs(k, n, full=True) == pairs
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,n,pairs", [(5, 10, 10548), (4, 10, 7140), (3, 12, 7656)])
+def test_exchangeable_pairs_are_certified_four_term_relations_slow(k, n, pairs):
+    assert _sweep_exchangeable_pairs(k, n, full=False) == pairs
