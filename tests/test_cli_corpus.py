@@ -30,6 +30,8 @@ CASES = {
     "nc_degree_3_9": ["nc", "degree", "--input", "combo_3_9.json"],
     "decompose_5_10": ["decompose", "--input", "combo_5_10.json"],
     "nc_degree_5_10": ["nc", "degree", "--input", "combo_5_10.json"],
+    "decompose_6_12": ["decompose", "--input", "combo_6_12.json"],
+    "nc_degree_4_11": ["nc", "degree", "--input", "combo_4_11.json"],
     "volume_3_6": ["volume", "--k", "3", "--n", "6"],
     "volume_4_7": ["volume", "--k", "4", "--n", "7"],
     "volume_3_8": ["volume", "--k", "3", "--n", "8"],
