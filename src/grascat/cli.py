@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -25,6 +26,7 @@ SCHEMA = "grascat/1"
 # the option value under which u-check and amplitude run something random,
 # the only case in which they read --seed and --trials
 RANDOM_MODE = {"u-check": ("mode", "random"), "amplitude": ("eta", "random-interior")}
+MAX_EXPONENT = 4300  # the largest decimal exponent read: CPython's default int-string digit limit
 
 
 def _emit(args, payload, ok=True):
@@ -51,9 +53,12 @@ def parse_subset(key):
 
 def parse_value(val):
     """The exact number (`linalg._exact`) of an input value, the one
-    conversion of input numbers: an int (not a bool), a Fraction (how
-    load_json reads a JSON decimal) or a rational string such as "3/2";
-    anything else, a zero denominator included, raises ValueError."""
+    conversion of input numbers: an int (not a bool), a Fraction or a string
+    such as "3/2" or "0.1" (a JSON decimal, as load_json keeps it); ValueError
+    otherwise, also for a zero denominator or an exponent over MAX_EXPONENT."""
+    exp = isinstance(val, str) and re.search(r"e([-+]?\d+(?:_\d+)*)", val, re.IGNORECASE)
+    if exp and abs(int(exp[1])) > MAX_EXPONENT:
+        raise ValueError(f"input value {val!r} has a decimal exponent over {MAX_EXPONENT}")
     if not isinstance(val, bool) and isinstance(val, (int, Fraction, str)):
         try:
             return linalg._exact(val)
@@ -63,11 +68,11 @@ def parse_value(val):
 
 
 def load_json(path):
-    """The JSON document in a file, with decimals read exactly as Fractions
-    (0.1 is 1/10, not the nearest double); a key repeated in one object
-    raises ValueError."""
+    """The JSON document in a file, with each decimal kept as its text, for
+    `parse_value` to read exactly (0.1 is 1/10, not the nearest double); a
+    key repeated in one object raises ValueError."""
     with open(path) as fh:
-        return json.load(fh, parse_float=Fraction, object_pairs_hook=_unique_keys)
+        return json.load(fh, parse_float=str, object_pairs_hook=_unique_keys)
 
 
 def _unique_keys(pairs):

@@ -129,26 +129,28 @@ def compatibility_degree(I, J, n):
     Two 2-subsets fail weak separation exactly when their four labels are
     distinct and alternate around the circle, which for x = i_a < u = i_b
     and y = j_a < v = j_b reads x < y < u < v or y < x < v < u; so n does
-    not enter.  For each a the scan over b stops at the first position
-    where I and J differ, which every later b would have in its interior.
+    not enter.  With four distinct labels, a and b are consecutive
+    positions where I and J differ: `_crossing_labels` scans them once.
 
     Symmetric in I and J and invariant under the reflection i -> n + 1 - i
     of the labels, but not under their cyclic rotation.  Zero iff the pair
     is noncrossing.
     """
-    k = len(I)
-    if len(J) != k:
+    if len(J) != len(I):
         raise ValueError("subsets must have the same size")
-    deg = 0
-    for a in range(k - 1):
-        x, y = I[a], J[a]
-        for b in range(a + 1, k):
-            u, v = I[b], J[b]
+    return _crossing_labels(I, J).bit_count()
+
+
+def _crossing_labels(I, J):
+    """Bitmask of the labels i_b, one per crossing (a, b), so b = I.index(label);
+    x, y are the entries where I and J last differed (0, 0 crosses nothing)."""
+    labels = x = y = 0
+    for u, v in zip(I, J):
+        if u != v:
             if x < y < u < v or y < x < v < u:
-                deg += 1
-            if u != v:
-                break
-    return deg
+                labels |= 1 << u
+            x, y = u, v
+    return labels
 
 
 def is_noncrossing(I, J, n):

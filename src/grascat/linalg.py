@@ -11,8 +11,8 @@ vertices of the PK and tau-Newton polytopes), which pivots only on
 entries +-1 with prev = p, so each of its updates is an integer unimodular
 row operation and no divisor chain is carried.  The exception is the flip
 of the fan walk in `roots._Fan.locate`, its own unit-pivot row update,
-which changes only the pivot row and the rows of the crossed pair's
-exchange relation (`roots._Fan.exchange`).  `_eliminate` scales each row to
+which changes only the pivot row and the rows of the exchange relation
+read off the crossed pair, not solved (`roots._Fan.exchange`).  `_eliminate` scales each row to
 integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
 exactly, as each entry stays a minor of the scaled matrix.  All pivots end
 equal to one value ``d``, so the reduced matrix divided by ``d`` is the

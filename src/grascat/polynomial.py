@@ -89,7 +89,7 @@ class Poly:
 
     @classmethod
     def const(cls, k, n, c):
-        c = c if isinstance(c, (int, F)) else F(c)
+        c = _exact(c)
         nv = (k - 1) * (n - k)
         return cls(k, n, {(0,) * nv: c} if c else {})
 
@@ -189,7 +189,7 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        return _term_sum(self.terms.items(), _integral(grid_point(point, self.k, self.n)))
+        return _exact(_term_sum(self.terms.items(), _integral(grid_point(point, self.k, self.n))))
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
@@ -370,7 +370,7 @@ class FactoredRatio:
     def eval(self, point):
         xs = grid_point(point, self.k, self.n)
         cleared = _integral(xs)
-        return F(*self._eval(xs, {f: _term_sum(f.terms, cleared) for f in self.exps}))
+        return _exact(F(*self._eval(xs, {f: _term_sum(f.terms, cleared) for f in self.exps})))
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
-from .combinat import (_bits, _first_collection, _noncrossing_graph, check_kn, check_subset,
-                       shape_cache)
+from .combinat import (_bits, _crossing_labels, _first_collection, _noncrossing_graph, check_kn,
+                       check_subset, shape_cache)
 # perfbench's test_tracer_wraps_every_lookup_site_and_restores asserts that
 # roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
@@ -173,16 +173,15 @@ class _Fan:
     The first coordinate to hit zero on the segment has b_p < 0, and p
     hits zero before q iff a_p b_q - a_q b_p > 0, lexicographically.
 
-    Exchange relations: crossing the wall W from W + r to W + X writes v_X
-    in the cone W + r as -v_r + sum c_s v_s over some S in W.  The walk
-    solves each pair once and keeps S, as vertex indices, in `relations`
-    under (r, X) and (X, r), once certified: every c_s is 1 and each s is
-    adjacent to every other vertex of L, the common neighbours of r and X.
-    A later flip reads S unchecked: a wall W' exchanging r and X lies in L
-    and is a maximal clique of it (a vertex of L adjacent to all of W' would
-    extend W' + r), each s lies in every maximal clique of L, so S is in
-    W', and coordinates in a basis are unique.  The flip adds the pivot row
-    to the rows of S; `combinat.clear_caches` empties `relations` with `_fan`.
+    Exchange relations come from a lemma: at a crossing (a, b) of I and J
+    the tail swaps I[:b] + J[b:] and J[:b] + I[b:] are increasing, and
+    their gammas sum to gamma_I + gamma_J (only row b differs, and its four
+    intervals telescope), so v_I + v_J is the sum of v_s over S, the
+    nonfrozen tail swaps.  `exchange` keeps S in `relations` once the pair
+    crosses once and each s is in L = N(r) & N(X) and adjacent to the rest
+    of L.  A wall W exchanging r and X is a maximal clique of L (a vertex of
+    L adjacent to all of W would extend W + r), and s is in every maximal
+    clique of L, so S is in W: the flip adds the pivot row to the rows of S.
 
     Termination: for every small enough real eps the walk is that of the
     segment from p0(eps), and it meets no cone of codimension 2 before its
@@ -197,6 +196,7 @@ class _Fan:
         self.k, self.n = k, n
         self.dim = d = (k - 1) * (n - k - 1)
         self.verts, self.adj = _noncrossing_graph(k, n)
+        self.index = {J: i for i, J in enumerate(self.verts)}
         self.gammas = [gamma_functional(J, k, n) for J in self.verts]
         # the running sums of x_{i,j} - x_{i,j-1} (column 0 read as n-k)
         # telescope: lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
@@ -212,7 +212,6 @@ class _Fan:
         self.start_cols = cols = list(zip(*start_inv))  # rows[i] = sum coords[i][t] cols[t]
         self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
                                           for t, c in enumerate(v) if c]))) for v in coords]
-        self.support = [[(t, c) for t, c in enumerate(row) if c] for row in self.rows]
         # start_inv is sparse (a few entries +-1 per row); the start rows'
         # eps part [1 | e_p] is the same for every walk
         self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in start_inv]
@@ -235,53 +234,46 @@ class _Fan:
         """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
         d = self.dim
         goal, scale = linalg._integral(target)
-        cone = list(self.start)
-        pos = {v: p for p, v in enumerate(cone)}
-        # row p = [1 | e_p | b_p]: a_p = 1 + eps^(p+1) at the start
-        rows = [eps + [sum([x * goal[t] for t, x in terms])]
-                for eps, terms in zip(self.start_eps, self.start_terms)]
+        # a row per cone member, [1 | e_p | b_p] for start position p: a_p = 1 + eps^(p+1)
+        rows = {v: eps + [sum([x * goal[t] for t, x in terms])]
+                for v, eps, terms in zip(self.start, self.start_eps, self.start_terms)}
         while True:
-            leave = None
-            for p, row in enumerate(rows):
-                if row[-1] < 0 and (leave is None or _exits_first(row, rows[leave], d)):
-                    leave = p
-            if leave is None:
-                out = {self.verts[cone[p]]: rows[p][-1]
-                       for p in sorted(range(d), key=cone.__getitem__) if rows[p][-1]}
+            r = None
+            for v, row in rows.items():
+                if row[-1] < 0 and (r is None or _exits_first(row, rows[r], d)):
+                    r = v
+            if r is None:
+                out = {self.verts[v]: rows[v][-1] for v in sorted(rows) if rows[v][-1]}
                 return out if scale == 1 else {J: linalg._exact(Fraction(b, scale))
                                                for J, b in out.items()}
-            r = cone[leave]
+            pivot = rows.pop(r)
             entering = ((1 << len(self.verts)) - 1) & ~(1 << r)
-            for i in cone[:leave] + cone[leave + 1:]:
+            for i in rows:
                 entering &= self.adj[i]
             if not entering or entering & (entering - 1):
-                raise AssertionError(f"a wall of {[self.verts[i] for i in cone]} has "
+                raise AssertionError(f"a wall of {[self.verts[i] for i in (*rows, r)]} has "
                                      f"{bin(entering).count('1')} other completions")
             X = entering.bit_length() - 1
-            pivot = rows[leave]
-            for p in self.exchange(r, X, cone, pos, rows):
-                rows[p] = [x + y for x, y in zip(rows[p], pivot)]
-            rows[leave] = [-y for y in pivot]
-            cone[leave] = X
-            del pos[r]
-            pos[X] = leave
+            for s in self.exchange(r, X):
+                rows[s] = [x + y for x, y in zip(rows[s], pivot)]
+            rows[X] = [-y for y in pivot]
 
-    def exchange(self, r, X, cone, pos, rows):
-        """The positions of S, v_X = -v_r + sum over S of v_s, in the cone at
-        `cone` (positions `pos`, inverse-basis rows `rows`, r among them):
-        the pair's certified relation, solved on its first crossing."""
+    def exchange(self, r, X):
+        """S, sorted vertex indices, with v_r + v_X = sum over S of v_s: the
+        pair's tail swaps, certified on first use (L - adj[s] is {s})."""
         rel = self.relations.get((r, X))
         if rel is None:
-            leave = pos[r]
-            c = [sum([row[1 + t] * x for t, x in self.support[X]]) for row in rows]
-            rel = tuple(cone[p] for p, f in enumerate(c) if f and p != leave)
+            I, J = self.verts[r], self.verts[X]
+            labels = _crossing_labels(I, J)
+            b = I.index(labels.bit_length() - 1) if labels else 0
+            swaps = (I[:b] + J[b:], J[:b] + I[b:])
+            rel = tuple(sorted(self.index[T] for T in swaps if T in self.index))
             common = self.adj[r] & self.adj[X]
-            if c[leave] != -1 or any(c[pos[s]] != 1 or common & ~self.adj[s] & ~(1 << s)
-                                     for s in rel):
-                raise AssertionError(f"the exchange of {self.verts[r]} and {self.verts[X]} "
-                                     f"fails its certificate: coefficients {sorted(set(c))}")
+            if labels.bit_count() != 1 or any(common & ~self.adj[s] != 1 << s for s in rel):
+                raise AssertionError(f"the exchange of {I} and {J} fails its certificate: "
+                                     f"{labels.bit_count()} crossings, tail swaps {swaps}")
             self.relations[r, X] = self.relations[X, r] = rel
-        return [pos[s] for s in rel]
+        return rel
 
 
 def _exits_first(row_p, row_q, d):

@@ -347,6 +347,33 @@ def test_non_numeric_input_value(tmp_path, capsys, argv, blob, value):
     assert f"{path}: input value {json.dumps(value)} is not a number" == data["error"]
 
 
+@pytest.mark.parametrize("argv,text", [
+    (("decompose", "--input"), '{"k": 3, "n": 6, "coeffs": {"1,3,5": 1e1000000000}}'),
+    (("decompose", "--input"), '{"k": 3, "n": 6, "coeffs": {"1,3,5": -2.5E+4301}}'),
+    (("amplitude", "--k", "3", "--n", "6", "--eta"), '{"eta": {"1,3,5": "1e-1000000000"}}'),
+    (("amplitude", "--k", "3", "--n", "6", "--eta"), '{"eta": {"1,3,5": "1.5E-4_301"}}'),
+], ids=["json-number", "json-number-capital", "string", "string-underscores"])
+def test_huge_decimal_exponent_is_rejected(tmp_path, capsys, argv, text):
+    # Fraction would build 10 ** exponent: an exponent over 4300 in
+    # magnitude is refused before any digit is made
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, data = _error(capsys, *argv, str(path))
+    assert code == 2 and data["schema"] == "grascat/1"
+    assert data["error"].startswith(f"{path}: input value ")
+    assert data["error"].endswith(f"has a decimal exponent over {cli.MAX_EXPONENT}")
+    assert cli.MAX_EXPONENT == 4300
+
+
+@pytest.mark.parametrize("value,want", [("1e4300", "1" + "0" * 4300),
+                                        ('"1E-4_300"', "1/1" + "0" * 4300)])
+def test_decimal_exponent_at_the_limit_parses(tmp_path, capsys, value, want):
+    path = tmp_path / "limit.json"
+    path.write_text('{"k": 3, "n": 6, "coeffs": {"1,3,5": %s}}' % value)
+    code, out = run(capsys, "decompose", "--input", str(path))
+    assert code == 0 and json.loads(out)["expansion"] == {"1,3,5": want}
+
+
 @pytest.mark.parametrize("argv,blob", [
     (("decompose", "--input"), lambda v: {"k": 3, "n": 7, "coeffs": {"1,3,5": v}}),
     (("kinematics", "eta-to-s", "--k", "2", "--n", "5", "--input"),

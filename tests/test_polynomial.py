@@ -358,7 +358,8 @@ def test_factored_ratio_power_is_repeated_product(a, m):
 @given(ratios, ratios, points)
 def test_factored_ratio_eval_is_multiplicative(a, b, point):
     assert (a * b).eval(point) == a.eval(point) * b.eval(point)
-    assert (a / b).eval(point) == a.eval(point) / b.eval(point)
+    # eval gives an int where integral, and int / int is a float
+    assert (a / b).eval(point) == F(a.eval(point)) / b.eval(point)
 
 
 polys = st.dictionaries(
@@ -431,6 +432,19 @@ def test_factored_ratio_eval_is_exact_on_negative_monomial_exponents():
     # the point's integral coordinate is an int, and 2 ** -1 is a float
     val = (FactoredRatio(3, 6) / Poly.var(1, 1, 3, 6)).eval({(1, 1): 2})
     assert val == F(1, 2) and type(val) is F
+
+
+def test_integral_values_are_ints():
+    # values and stored coefficients follow `linalg._exact`: an int where
+    # integral, else a Fraction
+    p, r = Poly.var(1, 1, 3, 6), FactoredRatio.from_poly(x(1, 1) + x(1, 2))
+    for v, want in ((p.eval({(1, 1): 2}), 2), (p.eval({(1, 1): F(4, 2)}), 2),
+                    (p.eval({(1, 1): F(1, 2)}), F(1, 2)), (r.eval({(1, 1): 2}), 2),
+                    (r.eval({(1, 1): F(1, 3), (1, 2): F(2, 3)}), 1),
+                    (r.eval({(1, 1): F(1, 3)}), F(1, 3))):
+        assert v == want and type(v) is type(want)
+    assert [type(c) for c in Poly.const(3, 6, F(2, 1)).terms.values()] == [int]
+    assert [type(c) for c in Poly.const(3, 6, F(1, 2)).terms.values()] == [F]
 
 
 # ---------------------------------------------------------------------------

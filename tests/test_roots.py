@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import linalg
-from grascat.combinat import (_bits, clear_caches, compatibility_degree,
+from grascat.combinat import (_bits, _crossing_labels, clear_caches, compatibility_degree,
                               enumerate_maximal_noncrossing, is_noncrossing, nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
 from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, combo_vector,
@@ -340,8 +340,8 @@ def test_exchange_relations_are_vector_identities(k, n):
         assert fan.relations[X, r] is S
         assert type(S) is tuple and all(type(s) is int for s in S)
         _assert_certified(fan, r, X, S)
-        # as observed at every shape walked so far: |S| <= 2 (S is empty
-        # when v_X = -v_r)
+        # S holds the nonfrozen tail swaps: |S| <= 2 (S is empty when
+        # v_X = -v_r)
         assert len(S) <= 2
         lhs = [a + b for a, b in zip(coords(r), coords(X))]
         assert lhs == [sum(coords(s)[t] for s in S) for t in range(fan.dim)]
@@ -372,15 +372,15 @@ def test_each_exchange_is_solved_at_most_once():
                     for v in _seeded_inputs(k, n, 5 * k + n, 25, rational):
                         noncrossing_decompose(v, k, n)
         for fan in fans.values():
-            # one solve writes both orders of its pair, and no pair is
-            # solved twice
+            # one certificate writes both orders of its pair, and no pair
+            # is certified twice
             assert fan.relations and set(fan.relations.writes) == set(fan.relations)
             assert set(fan.relations.writes.values()) == {1}
     finally:
         clear_caches()
 
 
-@pytest.mark.parametrize("how", ["adjacency", "coefficient", "pivot"])
+@pytest.mark.parametrize("how", ["adjacency", "degree"])
 def test_uncertified_exchange_raises_naming_both_subsets(monkeypatch, how):
     k, n = 4, 8
     v = _seeded_inputs(k, n, 1, 1)[0]
@@ -402,15 +402,19 @@ def test_uncertified_exchange_raises_naming_both_subsets(monkeypatch, how):
             adj[X] |= 1 << u
             adj[u] |= 1 << r | 1 << X
             monkeypatch.setattr(fan, "adj", adj)
+            run, args = noncrossing_decompose, (v, k, n)
         else:
-            # v_X + v_s has coefficient 2 on s, v_X + 2 v_r has 1 on r
-            y, f = (S[0], 1) if how == "coefficient" else (r, 2)
-            row = [a + f * b for a, b in zip(fan.rows[X], fan.rows[y])]
-            support = list(fan.support)
-            support[X] = [(t, c) for t, c in enumerate(row) if c]
-            monkeypatch.setattr(fan, "support", support)
+            # a bare pair that crosses twice, in a graph where it is the one
+            # missing edge, so that every tail swap passes the L part
+            r, X = next((r, X) for r, X in combinations(range(len(fan.verts)), 2)
+                        if compatibility_degree(fan.verts[r], fan.verts[X], n) == 2)
+            adj = [((1 << len(fan.verts)) - 1) & ~(1 << i) for i in range(len(fan.verts))]
+            adj[r] &= ~(1 << X)
+            adj[X] &= ~(1 << r)
+            monkeypatch.setattr(fan, "adj", adj)
+            run, args = fan.exchange, (r, X)
         with pytest.raises(AssertionError, match="fails its certificate") as info:
-            noncrossing_decompose(v, k, n)
+            run(*args)
         assert str(fan.verts[r]) in str(info.value) and str(fan.verts[X]) in str(info.value)
         assert (r, X) not in fan.relations
     finally:
@@ -472,16 +476,31 @@ def _crossing(I, J):
     return ab
 
 
+def _tail_swaps(fan, r, X):
+    """The vertex indices of the nonfrozen tail swaps at the second position
+    b of the one crossing of the pair, found by `_crossing`."""
+    I, J = fan.verts[r], fan.verts[X]
+    _a, b = _crossing(I, J)
+    return tuple(sorted(fan.index[T] for T in (I[:b] + J[b:], J[:b] + I[b:]) if T in fan.index))
+
+
+def _solve_in_cone(fan, cone, X):
+    """The oracle: the coordinates {vertex: c} of v_X in the basis of the
+    cone, by an exact solve on the fan's rows; zeros dropped."""
+    A = [[fan.rows[i][t] for i in cone] for t in range(fan.dim)]
+    c = linalg.solve_columns(A, [[x] for x in fan.rows[X]])
+    return {i: row[0] for i, row in zip(cone, c) if row[0]}
+
+
 def _sweep_exchangeable_pairs(k, n, full):
     """Check every crossing pair (r, X) with a greedy wall W in L: it has
-    compatibility degree 1, and S, the nonfrozen members of the tail swap
-    at its crossing, lies in W and is certified.  As W + r is a basis, S is
-    then the exchange of the pair.  With `full`, also solve the pair in the
-    cone W + r with the fan's own `exchange`, and check that no other
+    compatibility degree 1, and its tail swaps S lie in W and are
+    certified.  As W + r is a basis, S is then the exchange of the pair.
+    With `full`, also check that `fan.exchange(r, X)` is S and the solve of
+    v_X in the cone W + r is -v_r + sum over S of v_s, and that no other
     crossing pair has a (d-1)-clique in L.  Returns the number of pairs
     with a greedy wall."""
     fan = _Fan(k, n)
-    index = {J: i for i, J in enumerate(fan.verts)}
     d, count = fan.dim, 0
     for r, X in combinations(range(len(fan.verts)), 2):
         if fan.adj[r] >> X & 1:
@@ -492,19 +511,13 @@ def _sweep_exchangeable_pairs(k, n, full):
             assert not full or not _has_clique(fan.adj, common, d - 1)
             continue
         count += 1
-        I, J = fan.verts[r], fan.verts[X]
-        assert compatibility_degree(I, J, n) == 1
-        _a, b = _crossing(I, J)
-        S = tuple(sorted(index[T] for T in (I[:b] + J[b:], J[:b] + I[b:]) if T in index))
+        assert compatibility_degree(fan.verts[r], fan.verts[X], n) == 1
+        S = _tail_swaps(fan, r, X)
         assert set(S) <= set(wall)
         _assert_certified(fan, r, X, S)
         if full:
-            # the walk's state in the cone W + r: rows [0 | inverse-basis row]
-            cone = wall + [r]
-            inv = linalg.inverse([[fan.rows[i][t] for i in cone] for t in range(d)])
-            pos = {v: p for p, v in enumerate(cone)}
-            got = [cone[p] for p in fan.exchange(r, X, cone, pos, [[0, *row] for row in inv])]
-            assert sorted(got) == list(S) and fan.relations[r, X] == fan.relations[X, r]
+            assert fan.exchange(r, X) == S and fan.relations[X, r] is fan.relations[r, X]
+            assert _solve_in_cone(fan, wall + [r], X) == {r: -1, **dict.fromkeys(S, 1)}
     return count
 
 
@@ -517,3 +530,75 @@ def test_exchangeable_pairs_are_certified_four_term_relations(k, n, pairs):
 @pytest.mark.parametrize("k,n,pairs", [(5, 10, 10548), (4, 10, 7140), (3, 12, 7656)])
 def test_exchangeable_pairs_are_certified_four_term_relations_slow(k, n, pairs):
     assert _sweep_exchangeable_pairs(k, n, full=False) == pairs
+
+
+# the lemma behind `_Fan.exchange`: at the crossing (a, b) of a pair of
+# degree 1, gamma_I + gamma_J = gamma_T1 + gamma_T2 for the tail swaps
+# T1 = I[:b] + J[b:] and T2 = J[:b] + I[b:]
+
+@pytest.mark.parametrize("k,n,pairs", [(2, 8, 70), (3, 7, 133), (4, 8, 658), (3, 9, 966)])
+def test_tail_swaps_at_a_crossing_telescope(k, n, pairs):
+    count = 0
+    for I, J in combinations(nonfrozen_subsets(k, n), 2):
+        if compatibility_degree(I, J, n) != 1:
+            continue
+        count += 1
+        _a, b = _crossing(I, J)
+        assert _crossing_labels(I, J) == 1 << I[b]
+        T1, T2 = I[:b] + J[b:], J[:b] + I[b:]
+        assert (grid_add(gamma_hat(I, k, n), gamma_hat(J, k, n))
+                == grid_add(gamma_hat(T1, k, n), gamma_hat(T2, k, n)))
+    assert count == pairs
+
+
+def _degree_one_pairs_sum_to_their_tail_swaps(k, n):
+    """Check v_r + v_X = sum over the tail swaps S of v_s on the fan's rows
+    for every pair of degree 1; returns the number of pairs."""
+    fan = _fan(k, n)
+    count = 0
+    for r, X in combinations(range(len(fan.verts)), 2):
+        if compatibility_degree(fan.verts[r], fan.verts[X], n) == 1:
+            count += 1
+            S = _tail_swaps(fan, r, X)
+            assert ([a + b for a, b in zip(fan.rows[r], fan.rows[X])]
+                    == [sum(fan.rows[s][t] for s in S) for t in range(fan.dim)])
+    return count
+
+
+def _learned_relations_match_the_solve(k, n, inputs):
+    """Walk each input, rebuilding the walk's cone W + r at each flip from
+    the start cone and the exchanges so far, and check each relation the
+    walk reads against the oracle solve of v_X in that cone.  Returns the
+    number of flips."""
+    fan = _fan(k, n)
+    exchange, flips, cone = fan.exchange, [], set()
+
+    def recording(r, X):
+        flips.append((sorted(cone), r, X))
+        cone.symmetric_difference_update((r, X))
+        return exchange(r, X)
+
+    fan.exchange = recording
+    try:
+        for v in inputs:
+            cone.clear()
+            cone.update(fan.start)
+            noncrossing_decompose(v, k, n)
+    finally:
+        del fan.exchange
+    for W_r, r, X in flips:
+        assert r in W_r and X not in W_r
+        assert _solve_in_cone(fan, W_r, X) == {r: -1, **dict.fromkeys(fan.relations[r, X], 1)}
+    return len(flips)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,n,pairs", [(6, 12, 156651), (4, 11, 18480)])
+def test_tail_swap_relations_at_large_shapes(k, n, pairs):
+    clear_caches()
+    try:
+        assert _degree_one_pairs_sum_to_their_tail_swaps(k, n) == pairs
+        inputs = [v for rational in (False, True) for v in _seeded_inputs(k, n, k + n, 10, rational)]
+        assert _learned_relations_match_the_solve(k, n, inputs) > 0
+    finally:
+        clear_caches()
