@@ -66,6 +66,7 @@ CASES = {
     "ucheck_random_3_12": ["u-check", "--k", "3", "--n", "12", "--mode", "random",
                            "--trials", "2", "--seed", "3"],
     "ucheck_symbolic_3_10": ["u-check", "--k", "3", "--n", "10"],
+    "ucheck_symbolic_5_10": ["u-check", "--k", "5", "--n", "10"],
     "amplitude_pk_3_6": ["amplitude", "--k", "3", "--n", "6", "--pk"],
     "amplitude_pk_4_9": ["amplitude", "--k", "4", "--n", "9", "--pk",
                          "--max-cliques", "2000000"],
