@@ -24,11 +24,17 @@ drops the indices that cancel and makes one FactoredRatio product over the
 rest.  Each tau FactoredRatio is built once per (k, n) and index
 (`_tau_ratio`), and each binary identity once per (k, n) and J
 (`_identity`).  Polynomials are evaluated by one integer kernel,
-`_term_sum`: the point's denominators are cleared once, each total degree
-is summed in ints, and one Fraction is made at the end.  The
-random-exact identity checks evaluate each distinct factor once per point,
-read both sides of every identity off those values as unreduced int pairs
-and compare them cross-multiplied.
+`_term_sum`, over a sparse form of their terms (`_sparse`: each monomial as
+the indices of its variables, so a term costs one multiplication per
+variable it has rather than a pass over the whole grid): the point's
+denominators are cleared once, each total degree is summed in ints, and one
+Fraction is made at the end.  Each factor keeps its sparse form, built
+once; `Poly.eval` converts once per call.  The random-exact identity checks
+evaluate each distinct factor once per point, read both sides of every
+identity off those values as unreduced int pairs and compare them
+cross-multiplied.  The symbolic check keeps u_J's denominator factored, so
+its taus cancel against the crossing product's before anything is
+expanded.
 """
 from __future__ import annotations
 
@@ -43,25 +49,32 @@ from operator import add, sub
 
 from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
                        is_frozen, is_weakly_separated, nonfrozen_subsets, shape_cache)
-from .linalg import _exact, _integral
+from .linalg import _exact, _integral, _ratio
 from .roots import grid_point
 
 F = Fraction
 
 
-def _term_sum(terms, point):
-    """Value of the (exponent tuple, coefficient) pairs at a dense point
-    given as `linalg._integral`'s (ints X, den D), i.e. at X / D, as a
-    Fraction.  Each total degree d sums c * prod X^p in ints (in the
-    coefficients' type), and the value is one Fraction
-    sum_d N_d D^(top-d) / D^top."""
+def _sparse(terms):
+    """The (exponent tuple, coefficient) pairs `terms` in the sparse form
+    `_term_sum` reads: one (index tuple, coefficient) pair per term, the
+    index tuple naming each variable of the term's monomial, x^p p times."""
+    return tuple([(tuple([i for i, p in enumerate(e) for _ in range(p)]), c)
+                  for e, c in terms])
+
+
+def _term_sum(sparse, point):
+    """Value of the `_sparse` terms at a dense point given as
+    `linalg._integral`'s (ints X, den D), i.e. at X / D, as a Fraction.
+    Each term multiplies its coefficient by X at its indices only, each
+    total degree d is summed in ints (in the coefficients' type), and the
+    value is one Fraction sum_d N_d D^(top-d) / D^top."""
     X, D = point
     sums = {}
-    for e, c in terms:
-        for x, p in zip(X, e):
-            if p:
-                c *= x if p == 1 else x ** p
-        d = sum(e)
+    for idx, c in sparse:
+        for i in idx:
+            c *= X[i]
+        d = len(idx)
         sums[d] = sums.get(d, 0) + c
     if not sums:
         return F(0)
@@ -189,16 +202,18 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        return _exact(_term_sum(self.terms.items(), _integral(grid_point(point, self.k, self.n))))
+        cleared = _integral(grid_point(point, self.k, self.n))
+        return _exact(_term_sum(_sparse(self.terms.items()), cleared))
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
         primitive part having integer coprime coefficients, positive leading
         coefficient and no common variable factor.  The scalar is +-g / den
         for the ints den * c of `linalg._integral` and g their gcd, which for
-        reduced fractions c is gcd(numerators) / lcm(denominators)."""
+        reduced fractions c is gcd(numerators) / lcm(denominators), an int
+        when integral (`linalg._ratio`)."""
         if not self.terms:
-            return F(0), (0,) * self.nvars, Poly.zero(self.k, self.n)
+            return 0, (0,) * self.nvars, Poly.zero(self.k, self.n)
         ints, den = _integral(self.terms.values())
         g = gcd(*ints)
         if self.terms[max(self.terms, key=lambda e: (sum(e), e))] < 0:
@@ -206,7 +221,7 @@ class Poly:
         mono = tuple([min(col) for col in zip(*self.terms)])
         terms = {tuple([x - y for x, y in zip(e, mono)]): c // g
                  for e, c in zip(self.terms, ints)}
-        return F(g, den), mono, Poly(self.k, self.n, terms)
+        return _ratio(g, den), mono, Poly(self.k, self.n, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -278,16 +293,18 @@ def det_poly(rows):
 class _Factor:
     """A canonical primitive polynomial (coprime integer coefficients,
     positive leading coefficient, no monomial factor) as its sorted
-    (exponent, coefficient) term tuple `Poly.key()`.  `_factor` hands out one
-    object per term tuple, so factors hash and compare by identity: a batch
-    of identities updates the exponent maps tens of thousands of times, and
-    rehashing the term tuple at each update would cost more than the rest of
-    the batch."""
+    (exponent, coefficient) term tuple `Poly.key()`, with the same terms in
+    the `_sparse` form that `_term_sum` evaluates, built once here.
+    `_factor` hands out one object per term tuple, so factors hash and
+    compare by identity: a batch of identities updates the exponent maps
+    tens of thousands of times, and rehashing the term tuple at each update
+    would cost more than the rest of the batch."""
 
-    __slots__ = ("terms", "__weakref__")
+    __slots__ = ("terms", "sparse", "__weakref__")
 
     def __init__(self, terms):
         self.terms = terms
+        self.sparse = _sparse(terms)
 
 
 # the live factors by term tuple; an entry goes with the last ratio using it
@@ -310,7 +327,7 @@ class FactoredRatio:
 
     def __init__(self, k, n, scalar=1, mono=None, exps=None):
         self.k, self.n = k, n
-        self.scalar = F(scalar)
+        self.scalar = _exact(scalar)
         self.mono = mono or (0,) * ((k - 1) * (n - k))
         self.exps = exps or {}
 
@@ -370,7 +387,7 @@ class FactoredRatio:
     def eval(self, point):
         xs = grid_point(point, self.k, self.n)
         cleared = _integral(xs)
-        return _exact(F(*self._eval(xs, {f: _term_sum(f.terms, cleared) for f in self.exps})))
+        return _exact(F(*self._eval(xs, {f: _term_sum(f.sparse, cleared) for f in self.exps})))
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
@@ -401,7 +418,7 @@ def _product(pairs, k, n):
                 mono[idx] += c * e
         for f, e in r.exps.items():
             exps[f] = exps.get(f, 0) + c * e
-    return FactoredRatio(k, n, F(num, den), tuple(mono), {f: e for f, e in exps.items() if e})
+    return FactoredRatio(k, n, _ratio(num, den), tuple(mono), {f: e for f, e in exps.items() if e})
 
 
 def _quotient(nums, dens, k, n):
@@ -674,7 +691,7 @@ def _first_random_failure(identities, k, n, trials, seed):
                  for i in range(1, k) for j in range(1, n - k + 1)}
         xs = grid_point(point, k, n)
         cleared = _integral(xs)
-        table = {f: _term_sum(f.terms, cleared) for f in factors}
+        table = {f: _term_sum(f.sparse, cleared) for f in factors}
         for index, (u, rhs) in enumerate(identities):
             # a/b = 1 - c/d, cross-multiplied
             (a, b), (c, d) = u._eval(xs, table), rhs._eval(xs, table)
@@ -687,9 +704,15 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     """Verify u_J = 1 - prod over crossing I of u_I^{c_{I,J}}.
 
     Both sides come from the cached identity of J (`_identity`), so the
-    product's cancelling taus are never built.  Symbolic mode then compares
-    one cross-multiplied polynomial identity; random mode evaluates both
-    sides at exact positive rational points.  Returns a verdict dict.
+    product's cancelling taus are never built.  Symbolic mode writes
+    1 - u_J as the primitive factors of den - num (u_J = num / den
+    expanded) times u_J's own denominator, inverted and still factored, so
+    that its taus cancel against the crossing product's by adding
+    exponents; one cross-multiplied polynomial comparison of what is left
+    decides.  Factors cancel only when they are the same canonical
+    primitive polynomial, so this is an exact proof of equality as rational
+    functions.  Random mode evaluates both sides at exact positive rational
+    points.  Returns a verdict dict.
     """
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -699,7 +722,12 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
                "crossing": crossing, "pass": False}
     if mode == "symbolic":
         num, den = uJ.expand()
-        verdict["pass"] = (FactoredRatio.from_poly(den - num) / den).ratio_equal(rhs)
+        # 1 - u_J = (den - num) / den with den kept factored: u_J's own
+        # inverted denominator, whose taus cancel against the product's
+        inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
+                                tuple([min(e, 0) for e in uJ.mono]),
+                                {f: e for f, e in uJ.exps.items() if e < 0})
+        verdict["pass"] = (FactoredRatio.from_poly(den - num) * inverse).ratio_equal(rhs)
         return verdict
     verdict["trials"] = trials
     verdict["seed"] = seed

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grascat import polynomial
+from grascat import linalg, polynomial
 from grascat.combinat import clear_caches, nonfrozen_subsets
 from grascat.linalg import _integral
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
@@ -405,12 +405,25 @@ coords = st.one_of(st.integers(-4, 4),
 @example(Poly(3, 6, {(2, 0, 0, 0, 0, 0): F(3, 2), (0, 1, 0, 0, 0, 0): 1}), (-3, -1, 0, 2, 4, -4))
 @example(Poly(3, 6, {(1, 1, 0, 0, 0, 0): F(1, 2), (0, 0, 0, 0, 0, 0): F(5, 3)}),
          (F(-1, 2), F(3, 7), 0, 1, F(-4, 3), 2))
+@example(Poly(3, 6, {(3, 0, 0, 0, 1, 0): F(-1, 4), (0, 0, 2, 0, 0, 0): 2}),
+         (F(2, 3), -1, F(-5, 2), 0, 3, 1))
 def test_term_sum_matches_one_fraction_per_term(f, xs):
     # f is not homogeneous in general; xs mixes ints, zeros, negatives and
     # Fractions, as `roots.grid_point` makes them
-    got = polynomial._term_sum(f.terms.items(), _integral(xs))
+    got = polynomial._term_sum(polynomial._sparse(f.terms.items()), _integral(xs))
     assert got == _term_sum_reference(f.terms.items(), xs)
     assert type(got) is F
+
+
+def test_factor_sparse_form_expands_back_to_its_terms():
+    k, n = 3, 12
+    factors = {f for J in nonfrozen_subsets(k, n)
+               for r in polynomial._identity(J, k, n)[1:] for f in r.exps}
+    assert factors
+    nv = (k - 1) * (n - k)
+    for f in factors:
+        dense = [(tuple([Counter(idx)[i] for i in range(nv)]), c) for idx, c in f.sparse]
+        assert tuple(dense) == f.terms
 
 
 def test_factored_ratio_eval_rejects_vanishing_denominator():
@@ -499,12 +512,16 @@ def test_content_split_matches_fraction_reference(seed):
         scale, mono, prim = p.content_split()
         ref_scale, ref_mono, ref_prim = _content_split_reference(p)
         assert (scale, mono, prim.terms) == (ref_scale, ref_mono, ref_prim.terms)
-        assert type(scale) is F and all(type(c) is int for c in prim.terms.values())
-        seen.add(kind)
-    assert seen == set(SPLIT_KINDS)
+        # the scale follows `linalg._exact`: an int iff it is integral
+        assert type(scale) is (int if ref_scale.denominator == 1 else F)
+        assert all(type(c) is int for c in prim.terms.values())
+        seen.add((kind, type(scale)))
+    assert {kind for kind, _t in seen} == set(SPLIT_KINDS)
+    assert {t for _kind, t in seen} == {int, F}
 
 
-def test_content_split_builds_one_fraction(monkeypatch):
+def _split_counting_fractions(monkeypatch, p):
+    """p.content_split() with every Fraction it builds counted."""
     made = []
 
     class Counting(F):
@@ -512,10 +529,25 @@ def test_content_split_builds_one_fraction(monkeypatch):
             made.append(args)
             return super().__new__(cls, *args)
 
+    for module in (polynomial, linalg):
+        monkeypatch.setattr(module, "F", Counting)
+    return p.content_split(), made
+
+
+def test_content_split_builds_one_fraction(monkeypatch):
+    p = tau((2, 5, 9), 3, 12) * F(9, 2) + tau((1, 4, 8), 3, 12) * F(3, 2)
+    (scale, _mono, prim), made = _split_counting_fractions(monkeypatch, p)
+    assert scale == F(3, 2) and len(prim) == len(p) and len(made) == 1
+
+
+def test_content_split_builds_no_fraction_for_an_integral_scale(monkeypatch):
     p = tau((2, 5, 9), 3, 12) * 6 + tau((1, 4, 8), 3, 12) * 4
-    monkeypatch.setattr(polynomial, "F", Counting)
-    scale, _mono, prim = p.content_split()
-    assert scale == 2 and len(prim) == len(p) and len(made) == 1
+    (scale, _mono, prim), made = _split_counting_fractions(monkeypatch, p)
+    assert scale == 2 and type(scale) is int and len(prim) == len(p) and not made
+    # FactoredRatio keeps the scalar as content_split gives it
+    r = FactoredRatio.from_poly(p)
+    assert r.scalar == 2 and type(r.scalar) is int
+    assert type((r * F(1, 2)).scalar) is int and isinstance((r / 4).scalar, F)
 
 
 def _u_variable_table(J, k, n):
@@ -578,6 +610,21 @@ def test_ladder_sum_matches_product_of_u_variables(k, n):
                    for I, c in polynomial.crossing_profile(J, k, n)]
         summed = polynomial._ladder_product(ladders, k, n)
         assert _fields(summed) == _fields(_crossing_product_reference(J, k, n, us)), J
+
+
+def _whole_denominator_verdict(J, k, n):
+    """The symbolic verdict with u_J's expanded denominator lifted into one
+    opaque factor, the form `binary_identity_check` replaced."""
+    _crossing, uJ, rhs = polynomial._identity(J, k, n)
+    num, den = uJ.expand()
+    return (FactoredRatio.from_poly(den - num) / den).ratio_equal(rhs)
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_symbolic_verdict_matches_whole_denominator_form(k, n):
+    for J in nonfrozen_subsets(k, n):
+        assert binary_identity_check(J, k, n, "symbolic")["pass"] is True, J
+        assert _whole_denominator_verdict(J, k, n) is True, J
 
 
 @pytest.fixture
@@ -677,3 +724,16 @@ def test_batch_random_witness_is_first_point(broken_profiles, k, n):
     assert verdict["pass"] is False
     assert verdict["J"] == list(nonfrozen_subsets(k, n)[0])
     assert verdict["witness"] == _first_point(k, n, 5)
+
+
+@pytest.mark.parametrize("k,n,J", [(3, 7, (2, 4, 6)), (4, 8, (2, 3, 6, 8))])
+def test_symbolic_check_fails_on_broken_profile(broken_profiles, k, n, J):
+    assert binary_identity_check(J, k, n, "symbolic")["pass"] is False
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_broken_symbolic_verdicts_match_whole_denominator_form(broken_profiles, k, n):
+    nf = nonfrozen_subsets(k, n)
+    verdicts = [binary_identity_check(J, k, n, "symbolic")["pass"] for J in nf]
+    assert verdicts == [_whole_denominator_verdict(J, k, n) for J in nf]
+    assert not any(verdicts)
