@@ -14,8 +14,9 @@ increasing column chains c_1 <= c_2 <= ... with each c_t in an interval;
 `chain_poly` enumerates them and builds the sum as one terms dict.
 
 A FactoredRatio is scalar * x^mono * prod f^{e_f} over canonical primitive
-factors f, with one signed exponent map and no zero exponents stored, so
-multiplying and dividing add and subtract exponents.
+factors f, with a sparse signed monomial and one signed exponent map, and no
+zero exponents stored, so multiplying and dividing add and subtract
+exponents.
 
 A u-variable is held as its ladder: the signed exponents of its (at most
 four) tau indices.  A product of u-variables (u_J itself, or the crossing
@@ -29,12 +30,16 @@ the indices of its variables, so a term costs one multiplication per
 variable it has rather than a pass over the whole grid): the point's
 denominators are cleared once, each total degree is summed in ints, and one
 Fraction is made at the end.  Each factor keeps its sparse form, built
-once; `Poly.eval` converts once per call.  The random-exact identity checks
-evaluate each distinct factor once per point, read both sides of every
-identity off those values as unreduced int pairs and compare them
-cross-multiplied.  The symbolic check keeps u_J's denominator factored, so
-its taus cancel against the crossing product's before anything is
-expanded.
+once; `Poly.eval` converts once per call.  A FactoredRatio is evaluated on
+int pairs: each coordinate of the point and each factor's value there is
+made one (numerator, denominator) pair (`_point_values`), and the ratio
+multiplies the pairs of the variables and factors it has into one unreduced
+pair.  The random-exact identity checks make those pairs once per point for
+every distinct factor, read both sides of every identity off them and
+compare them cross-multiplied.  The symbolic check compares the crossing
+product with 1 - u_J, built once per J (`_one_minus_u`) with u_J's
+denominator kept factored, so its taus cancel against the product's before
+anything is expanded.
 """
 from __future__ import annotations
 
@@ -61,6 +66,13 @@ def _sparse(terms):
     index tuple naming each variable of the term's monomial, x^p p times."""
     return tuple([(tuple([i for i, p in enumerate(e) for _ in range(p)]), c)
                   for e, c in terms])
+
+
+def _check_exponent(m):
+    """Reject an exponent that is not an int (`bool` included), as
+    `combinat.shape_cache` rejects such a key."""
+    if type(m) is not int:
+        raise TypeError(f"exponent must be an int, not {type(m).__name__}")
 
 
 def _term_sum(sparse, point):
@@ -172,14 +184,21 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, m):
-        out = Poly.one(self.k, self.n)
-        base = self
-        while m:
+        """self ** m for an int m >= 0, by square-and-multiply started from
+        self, so that self ** 1 is self and self ** 0 is Poly.one."""
+        _check_exponent(m)
+        if m < 0:
+            raise ValueError(f"Poly exponent must be nonnegative, not {m}")
+        if not m:
+            return Poly.one(self.k, self.n)
+        out, base = None, self
+        while True:
             if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
+                out = base if out is None else out * base
             m >>= 1
-        return out
+            if not m:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, F)):
@@ -318,9 +337,12 @@ def _factor(terms):
 class FactoredRatio:
     """scalar * x^mono * prod over factors f of f^{exps[f]}.
 
-    The factors are `_Factor`s.  `mono` and `exps` hold signed exponents
-    and a zero exponent is never stored, so the only normalization a
-    product or quotient needs is adding or subtracting exponents.
+    The factors are `_Factor`s.  `mono` is sparse, a dict from the dense
+    index of a grid variable (`roots.grid_point`'s layout) to its exponent,
+    and `exps` maps each factor to its exponent.  Both hold signed exponents
+    and never a zero one, so the only normalization a product or quotient
+    needs is adding or subtracting exponents, and every pass over a ratio
+    visits only the variables and factors it has.
     """
 
     __slots__ = ("k", "n", "scalar", "mono", "exps")
@@ -328,14 +350,15 @@ class FactoredRatio:
     def __init__(self, k, n, scalar=1, mono=None, exps=None):
         self.k, self.n = k, n
         self.scalar = _exact(scalar)
-        self.mono = mono or (0,) * ((k - 1) * (n - k))
+        self.mono = mono or {}
         self.exps = exps or {}
 
     @classmethod
     def from_poly(cls, p):
         scale, mono, prim = p.content_split()
         # a primitive part with one term is the constant 1
-        return cls(p.k, p.n, scale, mono, {_factor(prim.key()): 1} if len(prim) > 1 else None)
+        return cls(p.k, p.n, scale, {i: e for i, e in enumerate(mono) if e},
+                   {_factor(prim.key()): 1} if len(prim) > 1 else None)
 
     def _lift(self, other):
         if isinstance(other, FactoredRatio):
@@ -353,41 +376,57 @@ class FactoredRatio:
         return _product([(self, 1), (self._lift(other), -1)], self.k, self.n)
 
     def __pow__(self, m):
+        _check_exponent(m)
         return _product([(self, m)], self.k, self.n)
 
     def expand(self):
-        """(numerator, denominator) as polynomials: the scalar's numerator
-        and denominator times the positive and negative exponent parts."""
+        """(numerator, denominator) as polynomials: the product of the
+        factors with positive (negative) exponents, shifted by the positive
+        (negative) part of the monomial and scaled by the scalar's numerator
+        (denominator)."""
+        k, n = self.k, self.n
+        nv = (k - 1) * (n - k)
         sides = []
         for sign, c in ((1, self.scalar.numerator), (-1, self.scalar.denominator)):
-            p = Poly(self.k, self.n, {tuple([max(sign * e, 0) for e in self.mono]): 1}) * c
+            p = None
             for f, e in self.exps.items():
                 if sign * e > 0:
-                    p = p * Poly(self.k, self.n, dict(f.terms)) ** (sign * e)
-            sides.append(p)
+                    q = Poly(k, n, dict(f.terms)) ** (sign * e)
+                    p = q if p is None else p * q
+            terms = p.terms if p else {(0,) * nv: 1}
+            shift = [0] * nv
+            for i, e in self.mono.items():
+                if sign * e > 0:
+                    shift[i] = sign * e
+            sides.append(Poly(k, n, {tuple(map(add, e, shift)): a * c for e, a in terms.items()}
+                              if c else {}))
         return tuple(sides)
 
     def _eval(self, xs, table):
-        """Value at the dense point xs, given every factor's value in table,
-        as an unreduced pair (num, den) of ints: each base's numerator and
-        denominator go to the sides its exponent's sign says."""
+        """Value as an unreduced pair (num, den) of ints, given the point's
+        coordinates xs (by dense index) and every factor's value there
+        (table, by factor), each a (numerator, denominator) int pair: each
+        base's numerator and denominator go to the sides its exponent's sign
+        says."""
         num, den = self.scalar.numerator, self.scalar.denominator
-        bases = [(x, e) for x, e in zip(xs, self.mono) if e]
-        bases += [(table[f], e) for f, e in self.exps.items()]
-        for v, e in bases:
-            a, b = v.numerator, v.denominator
-            if e < 0:
-                a, b, e = b, a, -e
-            num *= a ** e
-            den *= b ** e
+        for bases, values in ((self.mono, xs), (self.exps, table)):
+            for key, e in bases.items():
+                a, b = values[key]
+                if e < 0:
+                    a, b, e = b, a, -e
+                if e == 1:
+                    num *= a
+                    den *= b
+                else:
+                    num *= a ** e
+                    den *= b ** e
         if not den:
             raise ZeroDivisionError("denominator factor vanished at the sample point")
         return num, den
 
     def eval(self, point):
-        xs = grid_point(point, self.k, self.n)
-        cleared = _integral(xs)
-        return _exact(F(*self._eval(xs, {f: _term_sum(f.sparse, cleared) for f in self.exps})))
+        values = _point_values(grid_point(point, self.k, self.n), self.exps)
+        return _exact(F(*self._eval(*values)))
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
@@ -400,12 +439,24 @@ class FactoredRatio:
         return f"FactoredRatio(scalar={self.scalar}, mono={self.mono}, factors={factors})"
 
 
+def _point_values(xs, factors):
+    """(coordinates, table) at the dense point xs as `FactoredRatio._eval`
+    reads them: each coordinate, and the value there of each of `factors`
+    (one `_term_sum` per factor), as a (numerator, denominator) int pair."""
+    cleared = _integral(xs)
+    table = {}
+    for f in factors:
+        v = _term_sum(f.sparse, cleared)
+        table[f] = v.numerator, v.denominator
+    return [(v.numerator, v.denominator) for v in xs], table
+
+
 def _product(pairs, k, n):
     """prod r**c over (FactoredRatio r, int c) pairs: the signed exponents
-    are summed in one pass, and the factors whose exponents cancel to zero
-    are dropped."""
+    are summed in one pass, and the variables and factors whose exponents
+    cancel to zero are dropped."""
     num = den = 1
-    mono = [0] * ((k - 1) * (n - k))
+    mono = {}
     exps = {}
     for r, c in pairs:
         a, b = r.scalar.numerator, r.scalar.denominator
@@ -413,12 +464,12 @@ def _product(pairs, k, n):
             a, b = b, a
         num *= a ** abs(c)
         den *= b ** abs(c)
-        for idx, e in enumerate(r.mono):
-            if e:
-                mono[idx] += c * e
+        for i, e in r.mono.items():
+            mono[i] = mono.get(i, 0) + c * e
         for f, e in r.exps.items():
             exps[f] = exps.get(f, 0) + c * e
-    return FactoredRatio(k, n, _ratio(num, den), tuple(mono), {f: e for f, e in exps.items() if e})
+    return FactoredRatio(k, n, _ratio(num, den), {i: e for i, e in mono.items() if e},
+                         {f: e for f, e in exps.items() if e})
 
 
 def _quotient(nums, dens, k, n):
@@ -671,13 +722,29 @@ def _identity(J, k, n):
             _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n))
 
 
+@shape_cache
+def _one_minus_u(J, k, n):
+    """1 - u_J for a checked nonfrozen subset J, built once per J: the
+    primitive factors of den - num (u_J = num / den expanded) times u_J's
+    own denominator, inverted and still factored, so that its taus cancel
+    against a crossing product's by adding exponents."""
+    uJ = _identity(J, k, n)[1]
+    num, den = uJ.expand()
+    inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
+                            {i: e for i, e in uJ.mono.items() if e < 0},
+                            {f: e for f, e in uJ.exps.items() if e < 0})
+    return FactoredRatio.from_poly(den - num) * inverse
+
+
 def _first_random_failure(identities, k, n, trials, seed):
     """Check u = 1 - rhs for every (u, rhs) pair of FactoredRatios at
     `trials` exact positive rational points drawn from random.Random(seed);
     return (index of the first failing pair, witness point) or None.
 
-    Each distinct factor is evaluated once per point.  No denominator can
-    vanish there: every factor is the primitive part of a tau polynomial,
+    Each coordinate and each distinct factor's value is made a (numerator,
+    denominator) int pair once per point (`_point_values`), and both sides
+    of every identity are read off those pairs.  No denominator can vanish
+    there: every factor is the primitive part of a tau polynomial,
     whose coefficients are all positive, so it is positive at a positive
     point, and so is every monomial; every drawn point is therefore used.
     Raises ValueError for trials < 1, which would check nothing.
@@ -689,9 +756,7 @@ def _first_random_failure(identities, k, n, trials, seed):
     for _ in range(trials):
         point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                  for i in range(1, k) for j in range(1, n - k + 1)}
-        xs = grid_point(point, k, n)
-        cleared = _integral(xs)
-        table = {f: _term_sum(f.sparse, cleared) for f in factors}
+        xs, table = _point_values(grid_point(point, k, n), factors)
         for index, (u, rhs) in enumerate(identities):
             # a/b = 1 - c/d, cross-multiplied
             (a, b), (c, d) = u._eval(xs, table), rhs._eval(xs, table)
@@ -704,15 +769,16 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     """Verify u_J = 1 - prod over crossing I of u_I^{c_{I,J}}.
 
     Both sides come from the cached identity of J (`_identity`), so the
-    product's cancelling taus are never built.  Symbolic mode writes
-    1 - u_J as the primitive factors of den - num (u_J = num / den
-    expanded) times u_J's own denominator, inverted and still factored, so
-    that its taus cancel against the crossing product's by adding
-    exponents; one cross-multiplied polynomial comparison of what is left
-    decides.  Factors cancel only when they are the same canonical
-    primitive polynomial, so this is an exact proof of equality as rational
-    functions.  Random mode evaluates both sides at exact positive rational
-    points.  Returns a verdict dict.
+    product's cancelling taus are never built.  Symbolic mode compares the
+    crossing product with 1 - u_J, built once per J with u_J's own
+    denominator kept factored (`_one_minus_u`), so that its taus cancel
+    against the product's by adding exponents; one cross-multiplied
+    polynomial comparison of what is left decides.  Factors cancel only
+    when they are the same canonical primitive polynomial, so this is an
+    exact proof of equality as rational functions.  Random mode evaluates
+    both sides at exact positive rational points as int pairs
+    (`_first_random_failure`) and never builds 1 - u_J.  Returns a verdict
+    dict.
     """
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -721,13 +787,7 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     verdict = {"J": list(J), "k": k, "n": n, "mode": mode,
                "crossing": crossing, "pass": False}
     if mode == "symbolic":
-        num, den = uJ.expand()
-        # 1 - u_J = (den - num) / den with den kept factored: u_J's own
-        # inverted denominator, whose taus cancel against the product's
-        inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
-                                tuple([min(e, 0) for e in uJ.mono]),
-                                {f: e for f, e in uJ.exps.items() if e < 0})
-        verdict["pass"] = (FactoredRatio.from_poly(den - num) * inverse).ratio_equal(rhs)
+        verdict["pass"] = _one_minus_u(J, k, n).ratio_equal(rhs)
         return verdict
     verdict["trials"] = trials
     verdict["seed"] = seed

@@ -335,8 +335,8 @@ def test_clear_caches_empties_every_shape_cache():
     from grascat import cli, kinematics, polynomial, roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
-              polynomial._ladder, polynomial._tau_ratio, polynomial._identity, cli._parser,
-              cli._nonfrozen]
+              polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
+              polynomial._one_minus_u, cli._parser, cli._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs
     assert len(combinat._CLEARS) == len(caches) + 1
     assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
@@ -346,7 +346,7 @@ def test_clear_caches_empties_every_shape_cache():
     kinematics.kin_basis(3, 6)
     kinematics.eta_hat_shift(6)
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
-    polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity
+    polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity, 1 - u
     cli._parser()
     cli._nonfrozen(3, 6)
     sizes = {c.__name__: c.cache_info().currsize for c in caches}

@@ -21,6 +21,7 @@ from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 resolved_count_formula, resolved_minor,
                                 root_potential_check, tau, u_variable)
 from grascat.polytope import omega_vertices
+from grascat.roots import grid_point
 
 
 def x(i, j, k=3, n=6):
@@ -40,6 +41,30 @@ def test_poly_ring_ops():
     assert a * 0 == Poly.zero(3, 6) and not a * 0
     assert hash(a * b) == hash(b * a) and repr(Poly.zero(3, 6)) == "0"
     assert det_poly([[a]]) == a
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_poly_power_is_repeated_product(m):
+    p = x(1, 1) + 2 * x(2, 3) - F(1, 2)
+    repeated = Poly.one(3, 6)
+    for _ in range(m):
+        repeated = repeated * p
+    assert p ** m == repeated
+    # the square-and-multiply starts from the base: no multiply by one
+    assert (p ** 1) is p
+
+
+def test_powers_reject_negative_and_non_int_exponents():
+    p = x(1, 1) + 1
+    # a negative exponent used to loop for ever on -1 >> 1 == -1
+    with pytest.raises(ValueError, match="nonnegative, not -1"):
+        p ** -1
+    r = FactoredRatio.from_poly(4 * (x(1, 1) + 1))
+    for m in (0.5, 2.0, True, F(2)):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            p ** m
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            r ** m
 
 
 def test_divide_exact():
@@ -354,6 +379,31 @@ def test_factored_ratio_power_is_repeated_product(a, m):
     assert _fields(a ** -m) == _fields(FactoredRatio(3, 6) / repeated)
 
 
+def _expand_reference(r):
+    """(numerator, denominator) of r from Poly.one by one Poly multiply per
+    unit of every exponent, monomial variables included: the expansion that
+    `FactoredRatio.expand` shortened."""
+    sides = []
+    for sign, c in ((1, F(r.scalar).numerator), (-1, F(r.scalar).denominator)):
+        p = Poly.one(r.k, r.n) * c
+        bases = [(Poly.var(*[a + 1 for a in divmod(i, r.n - r.k)], r.k, r.n), e)
+                 for i, e in r.mono.items()]
+        bases += [(Poly(r.k, r.n, dict(f.terms)), e) for f, e in r.exps.items()]
+        for base, e in bases:
+            for _ in range(max(sign * e, 0)):
+                p = p * base
+        sides.append(p)
+    return tuple(sides)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios)
+def test_factored_ratio_expand_matches_repeated_products(a):
+    a = a * x(1, 2) ** 2 / x(2, 1) ** 3
+    assert a.expand() == _expand_reference(a)
+    assert all(a.mono.values()) and all(a.exps.values())
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(ratios, ratios, points)
 def test_factored_ratio_eval_is_multiplicative(a, b, point):
@@ -627,6 +677,70 @@ def test_symbolic_verdict_matches_whole_denominator_form(k, n):
         assert _whole_denominator_verdict(J, k, n) is True, J
 
 
+def _fraction_value(r, point):
+    """r at point as one Fraction from its expanded sides, by `Poly.eval`."""
+    num, den = r.expand()
+    return F(num.eval(point)) / den.eval(point)
+
+
+def _seeded_points(k, n, seed, count=3):
+    rng = random.Random(seed)
+    return [{(i, j): F(rng.randint(1, 50), rng.randint(1, 50))
+             for i in range(1, k) for j in range(1, n - k + 1)} for _ in range(count)]
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_pair_evaluation_matches_expanded_sides(k, n):
+    sides = [r for J in nonfrozen_subsets(k, n) for r in polynomial._identity(J, k, n)[1:]]
+    factors = {f for r in sides for f in r.exps}
+    for point in _seeded_points(k, n, seed=k * n):
+        # one table for every factor, as the random checks make it
+        xs, table = polynomial._point_values(grid_point(point, k, n), factors)
+        assert all(type(v) is int for pair in xs + list(table.values()) for v in pair)
+        for r in sides:
+            num, den = r._eval(xs, table)
+            assert type(num) is int and type(den) is int
+            assert F(num, den) == _fraction_value(r, point), r
+
+
+def test_pair_evaluation_of_signed_powers():
+    # exponents +-2 and +-3 on factors and on monomial variables, a
+    # rational scalar, and points with negative and rational coordinates
+    f = [FactoredRatio.from_poly(POOL[i]) for i in (0, 1, -2, -1)]
+    r = (FactoredRatio(3, 6, F(-3, 7)) * f[0] ** 2 / f[1] ** 2 * f[2] ** 3 / f[3] ** 3
+         / x(1, 2) ** 2 * x(2, 1) ** 3 / x(1, 1) ** 3 * x(2, 3))
+    assert sorted(r.exps.values()) == [-3, -2, 2, 3]
+    assert sorted(r.mono.values()) == [-3, -2, 1, 3]
+    rng = random.Random(7)
+    for _ in range(3):
+        point = {(i, j): F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                 for i in (1, 2) for j in (1, 2, 3)}
+        assert r.eval(point) == _fraction_value(r, point)
+
+
+def _inline_one_minus_u(J, k, n):
+    """1 - u_J built from the cached u_J on every call: the form that
+    `polynomial._one_minus_u` builds once per J."""
+    _crossing, uJ, _rhs = polynomial._identity(J, k, n)
+    num, den = uJ.expand()
+    inverse = FactoredRatio(k, n, F(1, uJ.scalar.denominator),
+                            {i: e for i, e in uJ.mono.items() if e < 0},
+                            {f: e for f, e in uJ.exps.items() if e < 0})
+    return FactoredRatio.from_poly(den - num) * inverse
+
+
+def _inline_verdict(J, k, n):
+    return _inline_one_minus_u(J, k, n).ratio_equal(polynomial._identity(J, k, n)[2])
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_cached_one_minus_u_matches_inline_form(k, n):
+    for J in nonfrozen_subsets(k, n):
+        cached, inline = polynomial._one_minus_u(J, k, n), _inline_one_minus_u(J, k, n)
+        assert _fields(cached) == _fields(inline), J
+        assert binary_identity_check(J, k, n)["pass"] is _inline_verdict(J, k, n) is True, J
+
+
 @pytest.fixture
 def tau_builds(monkeypatch):
     built = Counter()
@@ -736,4 +850,5 @@ def test_broken_symbolic_verdicts_match_whole_denominator_form(broken_profiles, 
     nf = nonfrozen_subsets(k, n)
     verdicts = [binary_identity_check(J, k, n, "symbolic")["pass"] for J in nf]
     assert verdicts == [_whole_denominator_verdict(J, k, n) for J in nf]
+    assert verdicts == [_inline_verdict(J, k, n) for J in nf]
     assert not any(verdicts)
