@@ -203,6 +203,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, F)):
             other = Poly.const(self.k, self.n, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         # an int and the equal Fraction compare equal, so do the term dicts
         return (self.k, self.n) == (other.k, other.n) and self.terms == other.terms
 

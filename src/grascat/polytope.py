@@ -12,11 +12,14 @@ description and no face-lattice walk (`_fan_polytope`; Hohlweg, Pilaud and
 Stella, Polytopal realizations of finite type g-vector fans, 2018).  The
 maximal noncrossing collections C are the cones of a complete unimodular
 fan, and each gives the integer point x_C with gamma_J(x_C) = c_J for J in
-C.  If every distinct x_C satisfies every inequality, the x_C are exactly
-the vertices of P, and its faces are the sets F_S of vertices tight on
-every J of a noncrossing S, of codimension the largest |S| giving F_S.
-If some x_C is infeasible, or the search DAG of the collections has more
-than MAX_COLLECTIONS leaves, P comes from the double description.
+C.  Each distinct x_C is certified once to lie in the Minkowski sum of the
+factors, inside P, on U, the union of the C that reach it.  Then the x_C
+are exactly the vertices of P, the facets tight at x_C are the J of its U
+(the normal cone of x_C is the union of those C), and the faces are the
+sets F_S of vertices tight on every J of a noncrossing S, of codimension
+the largest |S| giving F_S.  If some certificate fails, or the search DAG
+of the collections has more than MAX_COLLECTIONS leaves, P comes from the
+double description.
 
 The root-polytope volume and the vertices x_C come from one fold over the
 search DAG of the collections, `_unit_pivot_fold`, which keeps down each
@@ -197,7 +200,12 @@ def _mask(idxs):
 
 def _affine_basis(points):
     """(origin, basis) for the affine hull of the points: the first point
-    and the first maximal independent family of differences from it."""
+    and the first maximal independent family of differences from it.
+    ValueError for no points or points of unequal lengths."""
+    if not points:
+        raise ValueError("empty point set")
+    if len({len(p) for p in points}) > 1:
+        raise ValueError("points of unequal lengths")
     origin = points[0]
     diffs = [[x - y for x, y in zip(p, origin)] for p in points[1:]]
     return origin, [diffs[i] for i in _independent_rows(diffs)]
@@ -208,10 +216,8 @@ def hull_of_points(points):
     double description of the dual cone, vertices as the points that the
     facet incidence singles out."""
     pts = sorted(set(tuple(linalg._exact(x) for x in p) for p in points))
-    if not pts:
-        raise ValueError("empty point set")
-    m = len(pts[0])
     origin, basis = _affine_basis(pts)
+    m = len(origin)
     d = len(basis)
     # equalities: null space of basis (R^m for one point), anchored at origin
     eqs = [(linalg._exact(-sum(a * x for a, x in zip(nv, origin))),
@@ -498,13 +504,13 @@ def _newton_hrep(factors, k, n):
     (every vertex of P is in the sum, `_in_minkowski_sum`) gives P inside
     Newt: agrees iff P == Newt.
 
-    P is read off the noncrossing fan (`_fan_polytope`), and vertex x_C is
-    certified with the collection C that reached it.  Two cases fall back
-    to the double description (`polytope_from_inequalities`): some x_C
-    infeasible, so that P is not dual to the fan, and a search DAG with
-    more than MAX_COLLECTIONS leaves.  There a vertex is certified with
-    the facets tight at it, once `_singles_out` checks that they single it
-    out.
+    P is read off the noncrossing fan (`_fan_polytope`), which certifies
+    every vertex in the sum before it builds P, so agrees is True there.
+    It returns None when some vertex fails its certificate or the search
+    DAG has more than MAX_COLLECTIONS leaves; then P comes from the double
+    description (`polytope_from_inequalities`), and a vertex is certified
+    with the facets tight at it, once `_singles_out` checks that they
+    single it out.
     """
     lam = [0] * (k - 1)
     for pts in factors:
@@ -526,42 +532,42 @@ def _newton_hrep(factors, k, n):
     for pts in factors:
         factor_bits.append(((1 << len(pts)) - 1) << offset)
         offset += len(pts)
+    constants = dict(zip(fan.verts, c))
+    # gamma_J is a nonzero 0/1 row and a row-sum row has 1s: both primitive
     ineqs = [(-cJ, gamma) for cJ, gamma in zip(c, fan.gammas)]
     eqs = row_sum_equalities(k, n, lam)
-    try:
-        P, witnesses = _fan_polytope(fan, lam, ineqs, eqs)
-    except _NoFanRoute:
-        P = polytope_from_inequalities(ineqs, eqs, (k - 1) * (n - k))
-        witnesses = []
-        for i in range(len(P.vertices)):
-            if not _singles_out(i, P.incidence):
-                raise AssertionError("tight facet normals do not single out a vertex")
-            witnesses.append([j for j, inc in enumerate(P.incidence) if inc >> i & 1])
-    agrees = all(_in_minkowski_sum(S, argmin, factor_bits) for S in witnesses)
-    return dict(zip(fan.verts, c)), lam, P, agrees
+    P = _fan_polytope(fan, lam, ineqs, eqs,
+                      lambda U: _in_minkowski_sum(_bits(U), argmin, factor_bits))
+    if P is not None:
+        return constants, lam, P, True
+    P = polytope_from_inequalities(ineqs, eqs, (k - 1) * (n - k))
+    if not all(_singles_out(i, P.incidence) for i in range(len(P.vertices))):
+        raise AssertionError("tight facet normals do not single out a vertex")
+    tight = [[j for j, inc in enumerate(P.incidence) if inc >> i & 1]
+             for i in range(len(P.vertices))]
+    return constants, lam, P, all(_in_minkowski_sum(S, argmin, factor_bits) for S in tight)
 
 
-class _NoFanRoute(Exception):
-    """Some x_C of `_fan_polytope` is infeasible, or the search DAG has more
-    than MAX_COLLECTIONS leaves."""
-
-
-def _fan_polytope(fan, lam, ineqs, eqs):
-    """(P, witnesses) for P = {gamma_J >= c_J over nonfrozen J, row sums
+def _fan_polytope(fan, lam, ineqs, eqs, certify):
+    """The _FanPolytope P = {gamma_J >= c_J over nonfrozen J, row sums
     lam}, given as the rows -c_J + gamma_J >= 0 in the order of fan.verts,
-    read off the noncrossing fan; witnesses[i] lists (by index) the J of
-    the first maximal noncrossing collection C, in search order, with
-    x_C = vertex i.
+    read off the noncrossing fan; None when the search DAG has more than
+    MAX_COLLECTIONS leaves or certify(U) fails for some vertex.
 
     On the fan's chart (`roots._Fan.chart`), gamma_J = c_J reads
     rows[J] . z = b_J = c_J - gamma_J(x0), x0 the chart at z = 0.  The
     fold `_unit_pivot_fold` carries b_J as an entry after each row; a
     leaf's rows are triangular with +-1 pivots, and back-substitution gives
-    the integer z of x_C, which the chart maps to the grid.
+    the integer z of x_C, which the chart maps to the grid.  Each distinct
+    x_C keeps U, the union (a bitmask over fan.verts) of the maximal
+    noncrossing collections C that reach it.
 
-    If every distinct x_C satisfies every inequality, P is dual to the fan
-    (Hohlweg, Pilaud and Stella, Polytopal realizations of finite type
-    g-vector fans, 2018):
+    certify(U), `_in_minkowski_sum` on U, holds iff the Minkowski sum Newt
+    has a point q with gamma_J(q) = c_J for every J in U.  U holds a C,
+    whose gamma_J are a basis modulo the row sums, so q = x_C, and x_C is
+    in Newt, inside P.
+    With every x_C feasible, P is dual to the fan (Hohlweg, Pilaud and
+    Stella, Polytopal realizations of finite type g-vector fans, 2018):
     - w = sum over J in C of a_J gamma_J with every a_J > 0 takes its
       minimum over P at x_C alone, since the gamma_J of C are a basis
       modulo the row sums; so x_C is a vertex;
@@ -571,41 +577,39 @@ def _fan_polytope(fan, lam, ineqs, eqs):
     - a w in the relative interior of the cone of a noncrossing S is
       minimized on F_S, the vertices tight on every J in S, so every face
       is some F_S, and its codimension is the largest |S| with that F_S.
-    `_FanPolytope.f_vector` counts the faces so.  Otherwise, and when the
-    search DAG has more than MAX_COLLECTIONS leaves, raises
-    _NoFanRoute.
+    The facets tight at a vertex x are its U, with no slack read: J is
+    tight at x iff gamma_J lies in the normal cone of x (c_J is the
+    minimum of gamma_J over Newt, inside P); that normal cone is the union
+    of the cones C with x_C = x; and a ray of a simplicial fan lies in a
+    maximal cone only as one of that cone's rays.  So incidence[J] holds
+    the vertices whose U holds J, and P is simple iff every U has d
+    members.  `_FanPolytope.f_vector` counts the faces so.
     """
-    d, rows = fan.dim, fan.rows
+    d = fan.dim
     x0 = fan.chart([0] * d, lam)
     b = [-c0 - sum(map(mul, gamma, x0)) for c0, gamma in ineqs]
-    found = {}  # z of x_C -> the first C, in search order, that reaches it
+    found = {}  # z of x_C -> U, the union of the C that reach it
 
     def leaf(R, echelon):
         z = [0] * d
         for row, col in reversed(echelon):  # z is 0 at the columns not yet solved
             z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
-        found.setdefault(tuple(z), R)
+        z = tuple(z)
+        found[z] = found.get(z, 0) | R
 
     try:
-        _unit_pivot_fold(fan, [row + (bJ,) for row, bJ in zip(rows, b)], MAX_COLLECTIONS, leaf)
-    except ResourceLimitExceeded as exc:
-        raise _NoFanRoute from exc
-    verts = []
-    for z, R in found.items():
-        slack = [sum(map(mul, row, z)) - bJ for row, bJ in zip(rows, b)]
-        if min(slack) < 0:
-            raise _NoFanRoute
-        verts.append((fan.chart(z, lam), [j for j, t in enumerate(slack) if not t],
-                      list(_bits(R))))
-    verts.sort()
-    incidence = [0] * len(rows)
-    for i, (_x, zeros, _C) in enumerate(verts):
-        for j in zeros:
+        _unit_pivot_fold(fan, [row + (bJ,) for row, bJ in zip(fan.rows, b)], MAX_COLLECTIONS, leaf)
+    except ResourceLimitExceeded:
+        return None
+    if not all(map(certify, found.values())):
+        return None
+    verts = sorted((fan.chart(z, lam), U) for z, U in found.items())
+    incidence = [0] * len(ineqs)
+    for i, (_x, U) in enumerate(verts):
+        for j in _bits(U):
             incidence[j] |= 1 << i
-    P = _FanPolytope([x for x, _zeros, _C in verts], [_normalize_ineq(c0, a) for c0, a in ineqs],
-                     [_normalize_ineq(c0, a) for c0, a in eqs], len(x0), incidence,
-                     fan.adj, all(len(zeros) == d for _x, zeros, _C in verts))
-    return P, [C for _x, _zeros, C in verts]
+    return _FanPolytope([x for x, _U in verts], ineqs, eqs, len(x0), incidence, fan.adj,
+                        all(U.bit_count() == d for _x, U in verts))
 
 
 class _FanPolytope(PolytopeRep):

@@ -79,9 +79,18 @@ CASES = {
     "hull_of_points": (
         lambda: polytope.hull_of_points([]),
         ValueError, "empty point set"),
+    "hull_of_points lengths": (
+        lambda: polytope.hull_of_points([(0, 0), (1,), (0, 1)]),
+        ValueError, "points of unequal lengths"),
     "lift_and_lower_hull": (
         lambda: polytope.lift_and_lower_hull([(0,), (1,)], [0]),
         ValueError, "need one height per vertex"),
+    "lift_and_lower_hull empty": (
+        lambda: polytope.lift_and_lower_hull([], []),
+        ValueError, "empty point set"),
+    "lift_and_lower_hull lengths": (
+        lambda: polytope.lift_and_lower_hull([(0, 0), (1,), (0, 1)], [0, 0, 0]),
+        ValueError, "points of unequal lengths"),
 }
 
 

@@ -43,6 +43,14 @@ def test_poly_ring_ops():
     assert det_poly([[a]]) == a
 
 
+@pytest.mark.parametrize("other", [None, "x", 1.5, object()])
+def test_poly_equality_with_a_foreign_operand_is_false(other):
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    one = Poly.one(3, 6)
+    assert not one == other and one != other and not other == one
+    assert other not in [one] and one not in [other]
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_poly_power_is_repeated_product(m):
     p = x(1, 1) + 2 * x(2, 3) - F(1, 2)

@@ -479,19 +479,84 @@ def test_fan_route_falls_back_past_max_collections(monkeypatch):
     assert P.f_vector() == fan_P.f_vector()
 
 
-@pytest.mark.parametrize("segment,route", [
+@pytest.mark.parametrize("segment", [
     # the triangle of test_newton_hrep_flags_a_sum_smaller_than_its_hrep: a
-    # polytope of lower dimension whose x_C are all feasible
-    ([(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)], polytope._FanPolytope),
-    # some x_C is infeasible, and P comes from the double description
-    ([(1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 1)], polytope.PolytopeRep)])
-def test_newton_hrep_of_a_segment(segment, route):
+    # polytope of lower dimension whose x_C are all feasible, but not all
+    # in the sum
+    [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0)],
+    # some x_C is infeasible
+    [(1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 1)]])
+def test_newton_hrep_of_a_segment(segment):
+    # some x_C fails its certificate, and P comes from the double description
     constants, lam, P, agrees = polytope._newton_hrep([segment], 3, 6)
     ref_constants, ref_lam, Q, ref_fv, ref_agrees = _double_description_hrep([segment], 3, 6)
-    assert type(P) is route
+    assert type(P) is polytope.PolytopeRep
     assert (constants, lam, agrees) == (ref_constants, ref_lam, ref_agrees) and not agrees
     assert (P.vertices, P.incidence) == (Q.vertices, Q.incidence)
     assert P.f_vector() == ref_fv
+
+
+def _certify_spy(monkeypatch, fail_at=None):
+    """Wrap the certify of every _fan_polytope call; record its arguments,
+    and fail the call numbered fail_at (from 0)."""
+    calls = []
+    real = polytope._fan_polytope
+
+    def spy(fan, lam, ineqs, eqs, certify):
+        def wrapped(U):
+            calls.append(U)
+            return len(calls) - 1 != fail_at and certify(U)
+        return real(fan, lam, ineqs, eqs, wrapped)
+
+    monkeypatch.setattr(polytope, "_fan_polytope", spy)
+    return calls
+
+
+@pytest.mark.parametrize("build,k,n", [("pk", 3, 6), ("tau", 3, 6), ("assoc", 3, 6)])
+def test_a_failed_certificate_falls_back_to_the_double_description(monkeypatch, build, k, n):
+    calls = _newton_hrep_calls(monkeypatch)
+    certified = _certify_spy(monkeypatch, fail_at=2)
+    BUILDS[build](k, n)
+    (factors, _k, _n, (constants, lam, P, agrees)), = calls
+    assert len(certified) == 3 and type(P) is polytope.PolytopeRep
+    ref_constants, ref_lam, Q, ref_fv, ref_agrees = _double_description_hrep(factors, k, n)
+    assert (constants, lam, agrees) == (ref_constants, ref_lam, ref_agrees) and agrees
+    assert (P.vertices, P.incidence) == (Q.vertices, Q.incidence)
+    assert (P.inequalities, P.equalities) == (Q.inequalities, Q.equalities)
+    assert P.f_vector() == ref_fv
+
+
+def _check_against_the_slacks(P, d):
+    """The slack oracle: every vertex of P satisfies its rows, the incidence
+    masks are the zero sets of the slacks, and P._simple holds iff every
+    vertex lies on exactly d facets."""
+    zeros = [0] * len(P.inequalities)
+    on = []
+    for i, v in enumerate(P.vertices):
+        assert all(b + _dot(e, v) == 0 for b, e in P.equalities)
+        slack = [c + _dot(a, v) for c, a in P.inequalities]
+        assert min(slack) >= 0
+        for j, t in enumerate(slack):
+            if not t:
+                zeros[j] |= 1 << i
+        on.append(slack.count(0))
+    assert P.incidence == zeros
+    assert P._simple == all(t == d for t in on)
+
+
+@pytest.mark.parametrize("k,n", [
+    (2, 6), (3, 6), (3, 7), (4, 7), (3, 8),
+    pytest.param(4, 8, marks=pytest.mark.slow), pytest.param(3, 9, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("build", ["pk", "tau", "assoc"])
+def test_fan_polytope_against_the_slacks(monkeypatch, build, k, n):
+    calls = _newton_hrep_calls(monkeypatch)
+    certified = _certify_spy(monkeypatch)
+    BUILDS[build](k, n)
+    (_factors, _k, _n, (_constants, _lam, P, agrees)), = calls
+    assert type(P) is polytope._FanPolytope and agrees
+    # one certificate per vertex, on its own union of collections
+    assert len(certified) == len(set(certified)) == len(P.vertices)
+    _check_against_the_slacks(P, (k - 1) * (n - k - 1))
 
 
 def _seeded_newton_polytopes():
