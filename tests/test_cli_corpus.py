@@ -36,6 +36,8 @@ CASES = {
     "volume_4_7": ["volume", "--k", "4", "--n", "7"],
     "volume_3_8": ["volume", "--k", "3", "--n", "8"],
     "volume_3_9": ["volume", "--k", "3", "--n", "9"],
+    "volume_3_10": ["volume", "--k", "3", "--n", "10", "--max-cliques", "2000000"],
+    "volume_5_9": ["volume", "--k", "5", "--n", "9", "--max-cliques", "2000000"],
     "pk_facets_3_6": ["pk", "facets", "--k", "3", "--n", "6"],
     "pk_vertices_3_6": ["pk", "vertices", "--k", "3", "--n", "6"],
     "pk_fvector_3_6": ["pk", "fvector", "--k", "3", "--n", "6"],
