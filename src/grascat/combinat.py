@@ -223,6 +223,21 @@ def _noncrossing_graph(k, n):
     return verts, adj
 
 
+def _has_clique(adj, cand, size):
+    """Whether the vertices of the bitmask cand hold size pairwise adjacent
+    ones in the graph with adjacency bitmasks adj: a plain recursive search
+    that cuts a branch once fewer candidates remain than the clique still
+    needs."""
+    if not size:
+        return True
+    while cand.bit_count() >= size:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        if _has_clique(adj, cand & adj[v], size - 1):
+            return True
+    return False
+
+
 def _first_collection(adj, chosen=0):
     """The sorted-first maximal clique of the graph adj that holds the
     clique chosen: chosen extended by each vertex, in index order, that is

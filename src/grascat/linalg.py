@@ -5,14 +5,11 @@ a vector's denominators, `_primitive` scales it to coprime ints, and
 
 Every exact elimination but one runs through one fraction-free row
 update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante
-on Python ints), the simplex tableau of `polytope.in_convex_hull` and the
-one unit-pivot fold, `polytope._unit_pivot_fold` (the volume and the
-vertices of the PK and tau-Newton polytopes), which pivots only on
-entries +-1 with prev = p, so each of its updates is an integer unimodular
-row operation and no divisor chain is carried.  The exception is the flip
-of the fan walk in `roots._Fan.locate`, its own unit-pivot row update,
-which changes only the pivot row and the rows of the exchange relation
-read off the crossed pair, not solved (`roots._Fan.exchange`).  `_eliminate` scales each row to
+on Python ints) and the simplex tableau of `polytope.in_convex_hull`.
+The exception is the flip of the fan walk in `roots._Fan.locate`, its own
+unit-pivot row update, which changes only the pivot row and the rows of
+the exchange relation read off the crossed pair, not solved
+(`roots._Fan.exchange`).  `_eliminate` scales each row to
 integers with `_integral`; every update ``(p*a - f*b) // prev`` divides
 exactly, as each entry stays a minor of the scaled matrix.  All pivots end
 equal to one value ``d``, so the reduced matrix divided by ``d`` is the

@@ -10,22 +10,22 @@ are H-polytopes P = {gamma_J >= c_J over nonfrozen J, row sums lam}
 (`_newton_hrep`), and they are read off the noncrossing fan, with no double
 description and no face-lattice walk (`_fan_polytope`; Hohlweg, Pilaud and
 Stella, Polytopal realizations of finite type g-vector fans, 2018).  The
-maximal noncrossing collections C are the cones of a complete unimodular
-fan, and each gives the integer point x_C with gamma_J(x_C) = c_J for J in
-C.  Each distinct x_C is certified once to lie in the Minkowski sum of the
-factors, inside P, on U, the union of the C that reach it.  Then the x_C
-are exactly the vertices of P, the facets tight at x_C are the J of its U
-(the normal cone of x_C is the union of those C), and the faces are the
-sets F_S of vertices tight on every J of a noncrossing S, of codimension
-the largest |S| giving F_S.  If some certificate fails, or the search DAG
-of the collections has more than MAX_COLLECTIONS leaves, P comes from the
-double description.
+maximal noncrossing collections C are the cones of a complete fan, which
+`roots._Fan.walls` certifies unimodular, and each gives the integer point
+x_C with gamma_J(x_C) = c_J for J in C.  One fold over the search DAG of
+the collections carries the AND of the members' argmin masks, and each
+distinct mask is certified once to meet every factor, so that x_C, the
+sum of its one point per factor, is in the Minkowski sum, inside P.  Then
+the x_C are exactly the vertices of P, the facets tight at x_C are the J
+of U, the union of the C that reach it (the normal cone of x_C is the
+union of those C), and the faces are the sets F_S of vertices tight on
+every J of a noncrossing S, of codimension the largest |S| giving F_S.
+If some certificate fails, or the search DAG has more than MAX_COLLECTIONS
+leaves, P comes from the double description.
 
-The root-polytope volume and the vertices x_C come from one fold over the
-search DAG of the collections, `_unit_pivot_fold`, which keeps down each
-branch the members' `roots._fan` rows reduced to +-1 pivots by
-`linalg._pivot`, as the LP's integer simplex tableau is: every leaf is
-checked unimodular by construction and no determinant is read.
+The root-polytope volume is the number of collections, the leaf count of
+the search DAG: with every cone unimodular, each simplex conv(0, v_J : J
+in C) has relative volume 1/d!, and no determinant is read.
 
 Points are tuples of exact numbers in an ambient R^m, each an int when it
 is integral and a Fraction otherwise (`linalg._exact`); a point of the
@@ -44,13 +44,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
-from math import comb, gcd
-from operator import mul
+from math import comb
+from operator import and_, mul
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
-                       _fold_maximal_noncrossing, check_kn, nonfrozen_subsets)
+                       _fold_maximal_noncrossing, _search_dag, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import _fan, gamma_hat, grid_point, row_sums, v_root
 
@@ -374,68 +375,12 @@ def root_polytope(k, n, hat=False):
 
 def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     """Relative volume of the root polytope in units 1/d!: the number of
-    maximal noncrossing collections C, each simplex conv(0, v_J : J in C)
-    checked unimodular by `_unit_pivot_fold` on the roots in the
-    start-cone basis of `roots._fan`, a lattice basis, so every |det| is
-    as in lattice coordinates.
+    maximal noncrossing collections C, the leaves of the search DAG, each
+    simplex conv(0, v_J : J in C) unimodular by `roots._Fan.walls`.
     """
-    fan = _fan(k, n)
-    return _unit_pivot_fold(fan, fan.rows, max_collections, lambda R, echelon: None)
-
-
-def _unit_pivot_fold(fan, rows, max_collections, leaf):
-    """Fold over the Bron-Kerbosch tree of the maximal noncrossing
-    collections of the fan's (k, n) whose branches carry (R, echelon), R
-    the bitmask of the collection so far and echelon its members' rows,
-    reduced; checks every collection unimodular, hands each one's
-    (R, echelon) to leaf(R, echelon) and returns the number of leaves.
-
-    rows[v] starts with v's d = fan.dim coordinates in the start-cone
-    basis; any entries after them ride along through every row operation.
-    A branch that adds v reduces v's row against the branch's rows, in the
-    order kept, by `linalg._pivot` at prev = p = +-1 (exact), skipping a
-    row whose pivot column the new row has 0 in, and keeps it with its
-    first +-1 coordinate as pivot.  Each kept row has a +-1 pivot in a new
-    column and 0 in the earlier pivot columns, and the row operations are
-    integer and unimodular, so a leaf of d kept rows is triangular with
-    +-1 on its diagonal up to a column permutation: unimodular.  A nonzero
-    reduced row without a +-1 coordinate raises: when its coordinates
-    share a factor g > 1, every completion of the branch has |det|
-    divisible by g; when they are coprime, no unit pivot is found, which
-    does not make the cone non-unimodular.  A zero reduced row leaves a
-    short leaf, |det| 0, which raises before leaf sees it.
-    """
-    verts, d = fan.verts, fan.dim
-
-    def named(R):
-        return tuple(sorted(verts[i] for i in _bits(R)))
-
-    def add(acc, v):
-        R, echelon = acc
-        R |= 1 << v
-        M = [None, rows[v]]
-        for M[0], col in echelon:
-            if M[1][col]:
-                linalg._pivot(M, 0, col, M[0][col])
-        row = M[1]
-        col = next((c for c, x in enumerate(row) if x == 1 or x == -1), d)
-        if col < d:
-            return R, echelon + ((row, col),)
-        g = gcd(*row[:d])
-        if g > 1:
-            raise AssertionError(f"non-unimodular partial collection {named(R)}: "
-                                 f"every completion has |det| divisible by {g}")
-        if g:
-            raise AssertionError(f"no unit pivot for the partial collection {named(R)}")
-        return R, echelon
-
-    def full(acc):
-        R, echelon = acc
-        if not len(echelon) == d == R.bit_count():
-            raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
-        leaf(R, echelon)
-
-    return _fold_maximal_noncrossing(fan.k, fan.n, max_collections, (0, ()), add, full)
+    count = _search_dag(k, n, max_collections).count
+    _fan(k, n).walls()
+    return count
 
 
 def omega_vertices(k, m):
@@ -536,36 +481,37 @@ def _newton_hrep(factors, k, n):
     # gamma_J is a nonzero 0/1 row and a row-sum row has 1s: both primitive
     ineqs = [(-cJ, gamma) for cJ, gamma in zip(c, fan.gammas)]
     eqs = row_sum_equalities(k, n, lam)
-    P = _fan_polytope(fan, lam, ineqs, eqs,
-                      lambda U: _in_minkowski_sum(_bits(U), argmin, factor_bits))
+    P = _fan_polytope(fan, ineqs, eqs, list(chain(*factors)), argmin, factor_bits)
     if P is not None:
         return constants, lam, P, True
     P = polytope_from_inequalities(ineqs, eqs, (k - 1) * (n - k))
     if not all(_singles_out(i, P.incidence) for i in range(len(P.vertices))):
         raise AssertionError("tight facet normals do not single out a vertex")
-    tight = [[j for j, inc in enumerate(P.incidence) if inc >> i & 1]
-             for i in range(len(P.vertices))]
-    return constants, lam, P, all(_in_minkowski_sum(S, argmin, factor_bits) for S in tight)
+    # the AND of the argmin masks of the facets tight at each vertex
+    keys = [reduce(and_, (a for a, inc in zip(argmin, P.incidence) if inc >> i & 1), -1)
+            for i in range(len(P.vertices))]
+    return constants, lam, P, all(_in_minkowski_sum(key, factor_bits) for key in keys)
 
 
-def _fan_polytope(fan, lam, ineqs, eqs, certify):
+def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     """The _FanPolytope P = {gamma_J >= c_J over nonfrozen J, row sums
     lam}, given as the rows -c_J + gamma_J >= 0 in the order of fan.verts,
     read off the noncrossing fan; None when the search DAG has more than
-    MAX_COLLECTIONS leaves or certify(U) fails for some vertex.
+    MAX_COLLECTIONS leaves or some vertex fails its certificate.  points
+    are the factor points, numbered factor after factor, argmin and
+    factor_bits masks over them as in `_newton_hrep`.
 
-    On the fan's chart (`roots._Fan.chart`), gamma_J = c_J reads
-    rows[J] . z = b_J = c_J - gamma_J(x0), x0 the chart at z = 0.  The
-    fold `_unit_pivot_fold` carries b_J as an entry after each row; a
-    leaf's rows are triangular with +-1 pivots, and back-substitution gives
-    the integer z of x_C, which the chart maps to the grid.  Each distinct
-    x_C keeps U, the union (a bitmask over fan.verts) of the maximal
-    noncrossing collections C that reach it.
-
-    certify(U), `_in_minkowski_sum` on U, holds iff the Minkowski sum Newt
-    has a point q with gamma_J(q) = c_J for every J in U.  U holds a C,
-    whose gamma_J are a basis modulo the row sums, so q = x_C, and x_C is
-    in Newt, inside P.
+    One fold over the search DAG carries down each branch (R, key): R the
+    bitmask over fan.verts of the collection so far and key the AND of its
+    members' argmin masks.  A maximal collection C is certified by
+    `_in_minkowski_sum` on its key: then each factor has a point at which
+    every gamma_J, J in C, takes its factor minimum, and the sum q of such
+    points has gamma_J(q) = c_J on C, whose gamma_J are a basis modulo the
+    row sums, so q = x_C, in Newt, inside P.  `roots._Fan.walls` certifies
+    every C unimodular, so the key holds one point per factor, and x_C is
+    their sum.  A vertex of Newt is such a sum in one way only, so the C
+    with one vertex share their key: the leaves are grouped by key, with U
+    the union of their C.
     With every x_C feasible, P is dual to the fan (Hohlweg, Pilaud and
     Stella, Polytopal realizations of finite type g-vector fans, 2018):
     - w = sum over J in C of a_J gamma_J with every a_J > 0 takes its
@@ -585,31 +531,34 @@ def _fan_polytope(fan, lam, ineqs, eqs, certify):
     the vertices whose U holds J, and P is simple iff every U has d
     members.  `_FanPolytope.f_vector` counts the faces so.
     """
-    d = fan.dim
-    x0 = fan.chart([0] * d, lam)
-    b = [-c0 - sum(map(mul, gamma, x0)) for c0, gamma in ineqs]
-    found = {}  # z of x_C -> U, the union of the C that reach it
+    found = {}  # key -> U, the union of the C that share it
 
-    def leaf(R, echelon):
-        z = [0] * d
-        for row, col in reversed(echelon):  # z is 0 at the columns not yet solved
-            z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
-        z = tuple(z)
-        found[z] = found.get(z, 0) | R
+    def leaf(acc):
+        R, key = acc
+        found[key] = found.get(key, 0) | R
 
     try:
-        _unit_pivot_fold(fan, [row + (bJ,) for row, bJ in zip(fan.rows, b)], MAX_COLLECTIONS, leaf)
+        _fold_maximal_noncrossing(fan.k, fan.n, MAX_COLLECTIONS, (0, -1),
+                                  lambda acc, v: (acc[0] | 1 << v, acc[1] & argmin[v]), leaf)
     except ResourceLimitExceeded:
         return None
-    if not all(map(certify, found.values())):
+    if not all(_in_minkowski_sum(key, factor_bits) for key in found):
         return None
-    verts = sorted((fan.chart(z, lam), U) for z, U in found.items())
+    fan.walls()
+    verts = []
+    for key, U in found.items():
+        # key meets every factor: in one point each iff it has one per factor
+        if key.bit_count() != len(factor_bits):
+            raise AssertionError("a certified key has two points of one factor")
+        x = tuple(map(sum, zip(*[points[(key & bits).bit_length() - 1] for bits in factor_bits])))
+        verts.append((x, U))
+    verts.sort()
     incidence = [0] * len(ineqs)
     for i, (_x, U) in enumerate(verts):
         for j in _bits(U):
             incidence[j] |= 1 << i
-    return _FanPolytope([x for x, _U in verts], ineqs, eqs, len(x0), incidence, fan.adj,
-                        all(U.bit_count() == d for _x, U in verts))
+    return _FanPolytope([x for x, _U in verts], ineqs, eqs, len(points[0]), incidence, fan.adj,
+                        all(U.bit_count() == fan.dim for _x, U in verts))
 
 
 class _FanPolytope(PolytopeRep):
@@ -675,10 +624,11 @@ def _clique_counts(adj):
     return inside((1 << len(adj)) - 1)
 
 
-def _in_minkowski_sum(S, argmin, factor_bits):
+def _in_minkowski_sum(key, factor_bits):
     """Certify that the vertex v of the bounding H-polytope P at which
     phi = sum of gamma_J over J in S takes its minimum over P alone lies in
-    the Minkowski sum of the factor point sets.
+    the Minkowski sum of the factor point sets, given key, the AND of the
+    argmin masks of S.
 
     The sum lies in P, so phi is at least phi(v) = sum of c_J over J in S
     on it, and its minimum there is the sum of the per-factor minima of
@@ -687,12 +637,9 @@ def _in_minkowski_sum(S, argmin, factor_bits):
     The minimum of a sum of linear forms is at least the sum of their
     minima, with equality iff one point attains each; so they add up to
     phi(v) iff every factor has a point at which each gamma_J, J in S,
-    takes its minimum over the factor: iff the AND of the argmin masks of
-    S meets the bits of every factor."""
-    common = -1
-    for j in S:
-        common &= argmin[j]
-    return all(common & bits for bits in factor_bits)
+    takes its minimum over the factor: iff key meets the bits of every
+    factor."""
+    return all(key & bits for bits in factor_bits)
 
 
 def lift_and_lower_hull(vertices, heights):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
-from .combinat import (_bits, _crossing_labels, _first_collection, _noncrossing_graph, check_kn,
-                       check_subset, shape_cache)
+from .combinat import (_bits, _crossing_labels, _first_collection, _has_clique, _noncrossing_graph,
+                       check_kn, check_subset, shape_cache)
 # perfbench's test_tracer_wraps_every_lookup_site_and_restores asserts that
 # roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
@@ -160,11 +160,10 @@ class _Fan:
     maximal noncrossing collections: finds the cone holding a vector by
     walking the segment to it from a start cone, one wall at a time.
 
-    Every cone is unimodular, so the start cone is a lattice basis, and
-    rows[i], v_{verts[i]} in it, is an int tuple: a unit vector for a start
-    root, and gammas[i] is gamma_{verts[i]} on the dense grid.  Row p of
-    the walk's state holds the coordinates a_p of the start point and b_p
-    of the target, scaled to ints, in the cone.  The start
+    The start cone is checked unimodular, a lattice basis, and `walls`
+    carries that to every cone; gammas[i] is gamma_{verts[i]} on the dense
+    grid.  Row p of the walk's state holds the coordinates a_p of the start
+    point and b_p of the target, scaled to ints, in the cone.  The start
     point p0 = sum_i (1 + eps^i) e_i is symbolic in an infinitesimal
     eps > 0, so a_p = [sum(inv_p) | inv_p] holds its coefficients of
     eps^0, ..., eps^d, with inv_p row p of the cone's inverse basis.  A
@@ -209,26 +208,12 @@ class _Fan:
         start_inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
         if any(type(x) is not int for row in start_inv for x in row):
             raise AssertionError("start cone is not unimodular")
-        self.start_cols = cols = list(zip(*start_inv))  # rows[i] = sum coords[i][t] cols[t]
-        self.rows = [tuple(map(sum, zip(*[[c * x for x in cols[t]]
-                                          for t, c in enumerate(v) if c]))) for v in coords]
         # start_inv is sparse (a few entries +-1 per row); the start rows'
         # eps part [1 | e_p] is the same for every walk
         self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in start_inv]
         self.start_eps = [[1] + [int(q == p) for q in range(d)] for p in range(d)]
         self.relations = {}
-
-    def chart(self, z, lam):
-        """The grid point, a tuple, with row sums lam and start-cone
-        coordinates z: x = x0 + y, x0 holding lam_i in the last column of
-        row i and y of zero row sums, whose first n-k-1 entries in each row
-        form u with z = A^T u, A the start cone's basis.  So gamma_J(x) =
-        gamma_J(x0) + rows[J] . z with x0 = chart(0, lam), and x is an
-        integer point for integer z and lam."""
-        w = self.n - self.k - 1
-        u = [sum([c * x for c, x in zip(col, z)]) for col in self.start_cols]
-        rows = [u[r:r + w] for r in range(0, self.dim, w)]
-        return tuple(x for row, s in zip(rows, lam) for x in row + [s - sum(row)])
+        self._walls = None
 
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
@@ -274,6 +259,43 @@ class _Fan:
                                      f"{labels.bit_count()} crossings, tail swaps {swaps}")
             self.relations[r, X] = self.relations[X, r] = rel
         return rel
+
+    def walls(self):
+        """The crossing pairs (r, X), r < X, that a wall can exchange, each
+        certified by `exchange`, once every other crossing pair is refuted;
+        computed once.  This certifies every cone of the fan unimodular.
+
+        A pair of one crossing is certified by `exchange`: S lies in every
+        wall W exchanging it, so v_X = -v_r + sum over S of v_s gives
+        det(W + X) = -det(W + r).  A pair of two or more crossings is no
+        wall: a wall would be d - 1 pairwise adjacent vertices of
+        L = N(r) & N(X), and `_has_clique` finds none.  An adjacent pair is
+        never exchanged, since W + r + X would be a clique of d + 1 members.
+        The start cone is unimodular (checked at construction).  Assuming
+        the fan complete and simplicial, its dual graph is connected
+        (removing the cones of codimension 2 leaves the space connected; De
+        Loera, Rambau and Santos, Triangulations, 2010), so every maximal
+        cone is reached from the start cone across walls, and has |det| 1.
+        The paper's triangulation theorem, the volume as a count and the
+        fan polytopes' duality rest on the same assumption.  Raises
+        AssertionError naming a pair that passes neither test.
+        """
+        if self._walls is None:
+            verts, adj, d = self.verts, self.adj, self.dim
+            walls = []
+            for r, I in enumerate(verts):
+                for X in _bits(((1 << len(verts)) - 1) & ~adj[r] & -(2 << r)):
+                    crossings = _crossing_labels(I, verts[X]).bit_count()
+                    if crossings == 1:
+                        walls.append((r, X))
+                    elif _has_clique(adj, adj[r] & adj[X], d - 1):
+                        raise AssertionError(f"{I} and {verts[X]} cross {crossings} times, and "
+                                             f"{d - 1} of their common neighbours are pairwise "
+                                             f"noncrossing")
+            for r, X in walls:
+                self.exchange(r, X)
+            self._walls = tuple(walls)
+        return self._walls
 
 
 def _exits_first(row_p, row_q, d):
@@ -325,15 +347,21 @@ def combo_vector(coeffs, k, n):
 
 
 def tripod_vector(U, Uprime, n):
-    """Coefficient map of the tripod on the triple U = (u, v, w) with
-    replacement labels Uprime = (u', v', w') in the cyclic gaps after u, v,
-    w respectively: -[uvw] + [u'vw] + [uv'w] + [uvw'].
+    """Coefficient map of the tripod on the triple U = (u, v, w), in cyclic
+    order, with replacement labels Uprime = (u', v', w') in the cyclic gaps
+    after u, v, w respectively: -[uvw] + [u'vw] + [uv'w] + [uvw'].  Raises
+    ValueError unless U is a rotation of an increasing triple and all six
+    labels lie in [1, n].
     """
     U = tuple(U)
     Uprime = tuple(Uprime)
     if len(U) != 3 or len(Uprime) != 3:
         raise ValueError("tripod needs triples")
     u, v, w = U
+    if not (u < v < w or v < w < u or w < u < v):
+        raise ValueError(f"tripod triple {U} is not in cyclic order")
+    if not all(1 <= x <= n for x in U + Uprime):
+        raise ValueError(f"tripod labels {U}, {Uprime} not inside [1, {n}]")
     for x, lo, hi in ((Uprime[0], u, v), (Uprime[1], v, w), (Uprime[2], w, u)):
         if not _in_cyclic_open(x, lo, hi, n):
             raise ValueError(f"label {x} not in the cyclic gap ({lo}, {hi})")

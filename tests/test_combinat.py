@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from grascat import combinat, linalg
 from grascat.combinat import (ResourceLimitExceeded, _bits, _degeneracy_order,
-                              _first_collection, _fold_maximal_noncrossing,
+                              _first_collection, _fold_maximal_noncrossing, _has_clique,
                               _noncrossing_graph,
                               _search_dag, catalan_mdim, check_kn, check_subset,
                               compatibility_degree,
@@ -177,6 +177,28 @@ def test_first_collection_is_the_sorted_first_through_each_subset(k, n):
     for v, J in enumerate(verts):
         first = tuple(verts[i] for i in _bits(_first_collection(adj, 1 << v)))
         assert first == next(c for c in cols if J in c), J
+
+
+@st.composite
+def clique_queries(draw):
+    """A graph on at most 9 vertices as adjacency bitmasks, a candidate
+    bitmask and a clique size."""
+    m = draw(st.integers(1, 9))
+    adj = [0] * m
+    for a, b in draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))):
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj, draw(st.integers(0, (1 << m) - 1)), draw(st.integers(0, m + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(clique_queries())
+def test_has_clique_matches_brute_force(query):
+    adj, cand, size = query
+    brute = any(all(adj[a] >> b & 1 for a, b in combinations(S, 2))
+                for S in combinations(_bits(cand), size))
+    assert _has_clique(adj, cand, size) == brute
 
 
 def _reference_fold(k, n, start, step, leaf):

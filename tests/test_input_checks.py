@@ -26,6 +26,12 @@ CASES = {
     "tripod_vector": (
         lambda: roots.tripod_vector((1, 3), (2, 4, 6), 7),
         ValueError, "tripod needs triples"),
+    "tripod_vector order": (
+        lambda: roots.tripod_vector((3, 1, 5), (5, 2, 6), 6),
+        ValueError, "tripod triple (3, 1, 5) is not in cyclic order"),
+    "tripod_vector labels": (
+        lambda: roots.tripod_vector((1, 3, 5), (2, 4, 9), 6),
+        ValueError, "tripod labels (1, 3, 5), (2, 4, 9) not inside [1, 6]"),
     "eta_tripod": (
         lambda: kinematics.eta_tripod((1, 3, 5), (2, 3, 4), 3, 6),
         ValueError, "triples (1, 3, 5), (2, 3, 4) do not interleave"),

@@ -5,13 +5,15 @@ import re
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grascat import linalg, polytope, roots
-from grascat.combinat import ResourceLimitExceeded, nonfrozen_subsets
+from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded,
+                              enumerate_maximal_noncrossing, nonfrozen_subsets)
 from grascat.polynomial import Poly, pk_factors, tau
 from grascat.polytope import (cone_rays, hull_of_points,
                               in_convex_hull,
@@ -23,6 +25,8 @@ from grascat.polytope import (cone_rays, hull_of_points,
                               root_polytope,
                               tau_newton_facets, triangulation_volume, grid_point)
 from grascat.roots import gamma_functional, v_root
+import unit_pivot
+from unit_pivot import start_rows, unit_pivot_fold
 
 
 def test_extreme_points():
@@ -221,27 +225,65 @@ def test_root_polytope_hat_variant():
 
 @pytest.mark.parametrize("k,n,vol", [(2, 5, 5), (2, 6, 14), (2, 7, 42),
                                      (3, 6, 42), (4, 7, 462), (3, 8, 6006),
-                                     (4, 8, 24024), (3, 9, 87516)])
+                                     (4, 8, 24024), (3, 9, 87516), (3, 10, 1385670),
+                                     (5, 9, 1662804)])
 def test_triangulation_volume(k, n, vol):
-    assert triangulation_volume(k, n) == vol
+    assert triangulation_volume(k, n, max_collections=2000000) == vol
+
+
+# the per-leaf unit-pivot fold, kept as the oracle of the walls certificate
+
+def _oracle_volume(k, n, max_collections=MAX_COLLECTIONS):
+    """The root-polytope volume by the unit-pivot fold: the number of
+    collections, each checked unimodular on the roots in the start basis."""
+    fan = roots._fan(k, n)
+    return unit_pivot_fold(fan, start_rows(fan), max_collections, lambda R, echelon: None)
+
+
+def _oracle_pk_vertices(k, n):
+    """The PK polytope's vertices by the unit-pivot fold, in start-cone
+    coordinates z.  With row sums 0, gamma_J = -1 reads rows[J] . z = -1,
+    carried as an entry after each row; a leaf's rows are triangular with
+    +-1 pivots, and back-substitution gives the integer z of x_C."""
+    fan = roots._fan(k, n)
+    d, found = fan.dim, set()
+
+    def leaf(R, echelon):
+        z = [0] * d
+        for row, col in reversed(echelon):  # z is 0 at the columns not yet solved
+            z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
+        found.add(tuple(z))
+
+    unit_pivot_fold(fan, [row + (-1,) for row in start_rows(fan)], MAX_COLLECTIONS, leaf)
+    return found
+
+
+@pytest.mark.parametrize("k,n", [(3, 9), (4, 8)])
+def test_triangulation_volume_matches_the_unit_pivot_fold(k, n):
+    assert _oracle_volume(k, n) == triangulation_volume(k, n)
+    assert len(_oracle_pk_vertices(k, n)) == len(pk_polytope(k, n).vertices)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("k,n,vol", [(3, 10, 1385670), (5, 9, 1662804)])
 def test_triangulation_volume_slow(k, n, vol):
-    assert triangulation_volume(k, n, max_collections=2000000) == vol
+    assert (_oracle_volume(k, n, max_collections=2000000)
+            == triangulation_volume(k, n, max_collections=2000000) == vol)
 
 
 def _patch_root(monkeypatch, J, new_row):
-    """Give J the row new_row(row of each subset) in the cached (3,6) fan."""
+    """Give J the row new_row(row of each subset) in the start rows of the
+    cached (3,6) fan."""
     fan = roots._fan(3, 6)
-    row = dict(zip(fan.verts, fan.rows))
-    monkeypatch.setattr(fan, "rows", [new_row(row) if I == J else row[I] for I in fan.verts])
+    row = dict(zip(fan.verts, start_rows(fan)))
+    monkeypatch.setitem(unit_pivot._ROWS, fan,
+                        [new_row(row) if I == J else row[I] for I in fan.verts])
 
 
-# the one unit-pivot fold checks every collection for both of its callers
-FOLD_CALLERS = pytest.mark.parametrize("build", [triangulation_volume, pk_polytope],
-                                       ids=lambda f: f.__name__)
+# the unit-pivot fold checks every collection, with or without entries
+# riding along after the rows
+FOLD_CALLERS = pytest.mark.parametrize("build", [_oracle_volume, _oracle_pk_vertices],
+                                       ids=["triangulation_volume", "pk_polytope"])
 
 
 @FOLD_CALLERS
@@ -269,6 +311,27 @@ def test_unit_pivot_fold_names_a_singular_collection(monkeypatch, build):
     with pytest.raises(AssertionError, match=r"non-unimodular collection "
                        r".*\(1, 3, 5\), \(1, 4, 5\).*: \|det\| 0"):
         build(3, 6)
+
+
+@pytest.mark.parametrize("build", [triangulation_volume, pk_polytope], ids=lambda f: f.__name__)
+def test_a_pair_crossing_twice_with_a_wall_raises_naming_it(monkeypatch, build):
+    # join X = (2, 4, 6), which crosses r = (1, 3, 5) twice, to a cone W + r
+    # of a fresh (3,7) fan: W, d - 1 pairwise adjacent vertices, enters
+    # L = N(r) & N(X).  No single planted edge gives a pair crossing twice
+    # such an L at (3,7): their L has at most 4 members and no triangle.
+    fan = roots._Fan(3, 7)
+    r, X = fan.index[(1, 3, 5)], fan.index[(2, 4, 6)]
+    cone = next(C for C in enumerate_maximal_noncrossing(3, 7) if (1, 3, 5) in C)
+    fan.adj = adj = list(fan.adj)
+    for w in (fan.index[J] for J in cone):
+        if w != r and not adj[X] >> w & 1:
+            adj[X] |= 1 << w
+            adj[w] |= 1 << X
+    monkeypatch.setattr(polytope, "_fan", lambda k, n: fan)
+    with pytest.raises(AssertionError, match=re.escape(
+            "(1, 3, 5) and (2, 4, 6) cross 2 times, and 5 of their common neighbours are "
+            "pairwise noncrossing")):
+        build(3, 7)
 
 
 ROOT_POINTS = {(k, n): [grid_point(v_root(J, k, n), k, n) for J in nonfrozen_subsets(k, n)]
@@ -497,16 +560,20 @@ def test_newton_hrep_of_a_segment(segment):
 
 
 def _certify_spy(monkeypatch, fail_at=None):
-    """Wrap the certify of every _fan_polytope call; record its arguments,
-    and fail the call numbered fail_at (from 0)."""
+    """Wrap the certificate `_in_minkowski_sum` within every _fan_polytope
+    call; record the key of each call, and fail the call numbered fail_at
+    (from 0)."""
     calls = []
-    real = polytope._fan_polytope
+    real, certify = polytope._fan_polytope, polytope._in_minkowski_sum
 
-    def spy(fan, lam, ineqs, eqs, certify):
-        def wrapped(U):
-            calls.append(U)
-            return len(calls) - 1 != fail_at and certify(U)
-        return real(fan, lam, ineqs, eqs, wrapped)
+    def wrapped(key, factor_bits):
+        calls.append(key)
+        return len(calls) - 1 != fail_at and certify(key, factor_bits)
+
+    def spy(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "_in_minkowski_sum", wrapped)
+            return real(*args)
 
     monkeypatch.setattr(polytope, "_fan_polytope", spy)
     return calls
@@ -554,7 +621,7 @@ def test_fan_polytope_against_the_slacks(monkeypatch, build, k, n):
     BUILDS[build](k, n)
     (_factors, _k, _n, (_constants, _lam, P, agrees)), = calls
     assert type(P) is polytope._FanPolytope and agrees
-    # one certificate per vertex, on its own union of collections
+    # one certificate per vertex, on its own key
     assert len(certified) == len(set(certified)) == len(P.vertices)
     _check_against_the_slacks(P, (k - 1) * (n - k - 1))
 

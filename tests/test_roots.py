@@ -17,6 +17,7 @@ from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, comb
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
                            noncrossing_decompose, noncrossing_degree,
                            project_f, tripod_vector, v_root)
+from unit_pivot import start_rows
 
 
 def test_gamma_hat_examples():
@@ -272,12 +273,12 @@ def test_decompose_recovers_a_positive_cone_point(k, n, data):
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (5, 10)])
 def test_fan_rows_are_the_roots_in_the_start_basis(k, n):
     fan = _fan(k, n)
-    d = fan.dim
-    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in fan.rows)
-    assert [fan.rows[i] for i in fan.start] == [tuple(int(t == p) for t in range(d))
-                                                for p in range(d)]
+    d, rows = fan.dim, start_rows(fan)
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in rows)
+    assert [rows[i] for i in fan.start] == [tuple(int(t == p) for t in range(d))
+                                            for p in range(d)]
     basis = [lattice_coords(v_root(fan.verts[i], k, n), k, n) for i in fan.start]
-    for J, row in zip(fan.verts, fan.rows):
+    for J, row in zip(fan.verts, rows):
         assert ([sum(c * b[t] for c, b in zip(row, basis)) for t in range(d)]
                 == lattice_coords(v_root(J, k, n), k, n))
 
@@ -319,8 +320,9 @@ def _assert_certified(fan, r, X, S):
     assert not fan.adj[r] >> X & 1 and r not in S and X not in S
     common = fan.adj[r] & fan.adj[X]
     assert all(common & ~fan.adj[s] & ~(1 << s) == 0 for s in S)
-    assert ([a + b for a, b in zip(fan.rows[r], fan.rows[X])]
-            == [sum(fan.rows[s][t] for s in S) for t in range(fan.dim)])
+    rows = start_rows(fan)
+    assert ([a + b for a, b in zip(rows[r], rows[X])]
+            == [sum(rows[s][t] for s in S) for t in range(fan.dim)])
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (3, 9), (5, 10)])
@@ -487,8 +489,9 @@ def _tail_swaps(fan, r, X):
 def _solve_in_cone(fan, cone, X):
     """The oracle: the coordinates {vertex: c} of v_X in the basis of the
     cone, by an exact solve on the fan's rows; zeros dropped."""
-    A = [[fan.rows[i][t] for i in cone] for t in range(fan.dim)]
-    c = linalg.solve_columns(A, [[x] for x in fan.rows[X]])
+    rows = start_rows(fan)
+    A = [[rows[i][t] for i in cone] for t in range(fan.dim)]
+    c = linalg.solve_columns(A, [[x] for x in rows[X]])
     return {i: row[0] for i, row in zip(cone, c) if row[0]}
 
 
@@ -497,11 +500,11 @@ def _sweep_exchangeable_pairs(k, n, full):
     compatibility degree 1, and its tail swaps S lie in W and are
     certified.  As W + r is a basis, S is then the exchange of the pair.
     With `full`, also check that `fan.exchange(r, X)` is S and the solve of
-    v_X in the cone W + r is -v_r + sum over S of v_s, and that no other
-    crossing pair has a (d-1)-clique in L.  Returns the number of pairs
-    with a greedy wall."""
+    v_X in the cone W + r is -v_r + sum over S of v_s, that no other
+    crossing pair has a (d-1)-clique in L, and that `fan.walls()` lists
+    the pairs with a greedy wall.  Returns their number."""
     fan = _Fan(k, n)
-    d, count = fan.dim, 0
+    d, walls = fan.dim, []
     for r, X in combinations(range(len(fan.verts)), 2):
         if fan.adj[r] >> X & 1:
             continue
@@ -510,7 +513,7 @@ def _sweep_exchangeable_pairs(k, n, full):
         if len(wall) < d - 1:
             assert not full or not _has_clique(fan.adj, common, d - 1)
             continue
-        count += 1
+        walls.append((r, X))
         assert compatibility_degree(fan.verts[r], fan.verts[X], n) == 1
         S = _tail_swaps(fan, r, X)
         assert set(S) <= set(wall)
@@ -518,7 +521,8 @@ def _sweep_exchangeable_pairs(k, n, full):
         if full:
             assert fan.exchange(r, X) == S and fan.relations[X, r] is fan.relations[r, X]
             assert _solve_in_cone(fan, wall + [r], X) == {r: -1, **dict.fromkeys(S, 1)}
-    return count
+    assert not full or fan.walls() == tuple(walls)
+    return len(walls)
 
 
 @pytest.mark.parametrize("k,n,pairs", [(2, 8, 70), (3, 7, 133), (4, 8, 658), (3, 9, 966)])
@@ -555,13 +559,13 @@ def _degree_one_pairs_sum_to_their_tail_swaps(k, n):
     """Check v_r + v_X = sum over the tail swaps S of v_s on the fan's rows
     for every pair of degree 1; returns the number of pairs."""
     fan = _fan(k, n)
-    count = 0
+    rows, count = start_rows(fan), 0
     for r, X in combinations(range(len(fan.verts)), 2):
         if compatibility_degree(fan.verts[r], fan.verts[X], n) == 1:
             count += 1
             S = _tail_swaps(fan, r, X)
-            assert ([a + b for a, b in zip(fan.rows[r], fan.rows[X])]
-                    == [sum(fan.rows[s][t] for s in S) for t in range(fan.dim)])
+            assert ([a + b for a, b in zip(rows[r], rows[X])]
+                    == [sum(rows[s][t] for s in S) for t in range(fan.dim)])
     return count
 
 

@@ -1,0 +1,78 @@
+"""Test oracles on the noncrossing fan that the package no longer runs:
+the roots in the start-cone basis of `roots._Fan`, and the per-leaf
+unit-pivot fold that checks every maximal collection unimodular on them."""
+import weakref
+from math import gcd
+
+from grascat import linalg
+from grascat.combinat import _bits, _fold_maximal_noncrossing
+from grascat.roots import lattice_coords, v_root
+
+_ROWS = weakref.WeakKeyDictionary()
+
+
+def start_rows(fan):
+    """rows[i]: v_{fan.verts[i]} in the basis of the fan's start cone, an
+    int tuple (the start cone is a lattice basis), kept per fan object."""
+    rows = _ROWS.get(fan)
+    if rows is None:
+        coords = [lattice_coords(v_root(J, fan.k, fan.n), fan.k, fan.n) for J in fan.verts]
+        inv = linalg.inverse([[coords[i][t] for i in fan.start] for t in range(fan.dim)])
+        rows = _ROWS[fan] = [tuple(sum(a * c for a, c in zip(row, v)) for row in inv)
+                             for v in coords]
+    return rows
+
+
+def unit_pivot_fold(fan, rows, max_collections, leaf):
+    """Fold over the Bron-Kerbosch tree of the maximal noncrossing
+    collections of the fan's (k, n) whose branches carry (R, echelon), R
+    the bitmask of the collection so far and echelon its members' rows,
+    reduced; checks every collection unimodular, hands each one's
+    (R, echelon) to leaf(R, echelon) and returns the number of leaves.
+
+    rows[v] starts with v's d = fan.dim coordinates in the start-cone
+    basis; any entries after them ride along through every row operation.
+    A branch that adds v reduces v's row against the branch's rows, in the
+    order kept, by `linalg._pivot` at prev = p = +-1 (exact), skipping a
+    row whose pivot column the new row has 0 in, and keeps it with its
+    first +-1 coordinate as pivot.  Each kept row has a +-1 pivot in a new
+    column and 0 in the earlier pivot columns, and the row operations are
+    integer and unimodular, so a leaf of d kept rows is triangular with
+    +-1 on its diagonal up to a column permutation: unimodular.  A nonzero
+    reduced row without a +-1 coordinate raises: when its coordinates
+    share a factor g > 1, every completion of the branch has |det|
+    divisible by g; when they are coprime, no unit pivot is found, which
+    does not make the cone non-unimodular.  A zero reduced row leaves a
+    short leaf, |det| 0, which raises before leaf sees it.
+    """
+    verts, d = fan.verts, fan.dim
+
+    def named(R):
+        return tuple(sorted(verts[i] for i in _bits(R)))
+
+    def add(acc, v):
+        R, echelon = acc
+        R |= 1 << v
+        M = [None, rows[v]]
+        for M[0], col in echelon:
+            if M[1][col]:
+                linalg._pivot(M, 0, col, M[0][col])
+        row = M[1]
+        col = next((c for c, x in enumerate(row) if x == 1 or x == -1), d)
+        if col < d:
+            return R, echelon + ((row, col),)
+        g = gcd(*row[:d])
+        if g > 1:
+            raise AssertionError(f"non-unimodular partial collection {named(R)}: "
+                                 f"every completion has |det| divisible by {g}")
+        if g:
+            raise AssertionError(f"no unit pivot for the partial collection {named(R)}")
+        return R, echelon
+
+    def full(acc):
+        R, echelon = acc
+        if not len(echelon) == d == R.bit_count():
+            raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
+        leaf(R, echelon)
+
+    return _fold_maximal_noncrossing(fan.k, fan.n, max_collections, (0, ()), add, full)
