@@ -5,7 +5,8 @@ a vector's denominators, `_primitive` scales it to coprime ints, and
 
 Every exact elimination but one runs through one fraction-free row
 update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante
-on Python ints) and the simplex tableau of `polytope.in_convex_hull`.
+on Python ints) and the revised simplex of `polytope.in_convex_hull`,
+which pivots its D*B^-1 rows with the entering column prepended.
 The exception is the flip of the fan walk in `roots._Fan.locate`, its own
 unit-pivot row update, which changes only the pivot row and the rows of
 the exchange relation read off the crossed pair, not solved

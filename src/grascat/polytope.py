@@ -2,8 +2,10 @@
 description method, face lattices and f-vectors, Newton polytopes, and the
 named polytopes of the build: root polytopes, the PK polytope, fibered
 simplices, planar faces and the PK associahedron.  The LP membership test
-`in_convex_hull` is kept only for perfbench's polytopes workload; nothing
-in the package calls it.
+`in_convex_hull`, a revised phase-1 simplex on ints with the lexicographic
+rule, is kept only for perfbench's polytopes workload; nothing in the
+package calls it.  Membership in the root polytope needs no LP
+(`root_polytope_contains`, one noncrossing expansion).
 
 The PK polytope, the tau-product Newton polytope and the PK associahedron
 are H-polytopes P = {gamma_J >= c_J over nonfrozen J, row sums lam}
@@ -53,43 +55,86 @@ from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
                        _fold_maximal_noncrossing, _search_dag, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
-from .roots import _fan, gamma_hat, grid_point, row_sums, v_root
+from .roots import _fan, gamma_hat, grid_point, noncrossing_decompose, row_sums, v_root
 
 F = Fraction
 MAX_RAYS = 200000  # the most rays a double description may hold
 
 
 # ---------------------------------------------------------------------------
-# exact LP (integer phase-1 simplex with Bland's rule)
+# exact LP (revised phase-1 simplex, lexicographic rule)
 
 def in_convex_hull(p, points):
-    """Is p a convex combination of the given points?  Phase-1 simplex
-    with Bland's rule on an integer tableau: all rows, so the artificials
-    and the objective (the last row), are scaled by one common denominator
-    L (`linalg._integral`), which keeps Bland's pivot sequence;
-    `linalg._pivot` keeps the tableau D > 0 times the rational one (D the
-    basis determinant), so D cancels in ratios."""
+    """Is p a convex combination of the given points?  Raises ValueError
+    when the points and p do not all have one length.
+
+    Phase 1 of the revised simplex method (Dantzig, Orden and Wolfe, Pacific
+    J. Math. 1955) on A'lam + S*a = b, lam, a >= 0, on ints: the columns of
+    A' are the points, scaled by their common denominator L
+    (`linalg._integral`), each over a last entry 1; b is L*p over 1, both
+    scaled by the common denominator of L*p, which only rescales lam; and
+    S = diag(sign b), so that the artificials a start basic at |b|.  p is
+    in the hull iff a can reach 0.  Only the rows [beta_i | G_i] are stored,
+    G = D*B^-1 for the basis matrix B and beta = G*b, plus the objective row
+    [z0 | g], g = D*1*B^-1 over the basic artificials, and z0 = g*b their
+    sum; at the start B = S, so G = S, beta = |b|, g = sign b and D = 1.
+    Each step prices every point column, z_c = g*A'_c, enters the largest
+    positive z_c (Dantzig; the lowest index on ties), forms its column
+    G*A'_c and pivots it in through `linalg._pivot`, with the column
+    prepended to each stored row.  That keeps every row D times the
+    rational one, D > 0 the basis determinant up to sign (Edmonds, J. Res.
+    NBS 1967), so D cancels in ratios.  It stops when z0 = 0 (p is in the
+    hull) or no z_c is positive (p is not).
+
+    The leaving row is the lexicographic least [beta_i | G_i] / col_i over
+    col_i > 0, compared by cross-multiplication; the rows of a nonsingular
+    G never tie.  Every stored row starts lexicographically positive
+    (beta_i = |b_i|, and G_i = e_i where b_i = 0) and this rule keeps it
+    so.  Each pivot subtracts a positive multiple of a lexicographically
+    positive row from the objective row, so [z0 | g] / D, which the basis
+    determines, strictly decreases, and no basis repeats: the method stops.
+    Some row has col_i > 0 whenever z_c > 0, since z0 >= 0 bounds phase 1
+    below."""
     if not points:
         return False
-    N = len(points)
-    flat, L = linalg._integral([x for t in zip(*points, p, strict=True) for x in t])
-    T = [flat[i:i + N + 1] for i in range(0, len(flat), N + 1)]
-    T.append([L] * (N + 1))
-    T = [row if row[-1] >= 0 else [-x for x in row] for row in T]
-    m = len(T)
-    T.append([sum(col) for col in zip(*T)])
-    basis = list(range(N, N + m))
+    d = len(p)
+    if any(len(q) != d for q in points):
+        raise ValueError("points of unequal lengths")
+    flat, L = linalg._integral([*chain.from_iterable(points)])
+    b, s = linalg._integral([L * x for x in p])
+    b.append(s)
+    m = d + 1
+    # each column behind two zeros, so that it dots a stored row
+    # [entering column | beta | G] straight to G*A'_c
+    cols = [(0, 0, *flat[q * d:(q + 1) * d], 1) for q in range(len(points))]
+    sign = [-1 if x < 0 else 1 for x in b]
+    T = [[0, abs(b[i])] + [sign[i] * (i == j) for j in range(m)] for i in range(m)]
+    T.append([0, sum(map(abs, b))] + sign)
     prev = 1
-    while True:
+    while T[-1][1]:
         z = T[-1]
-        enter = next((c for c in range(N) if z[c] > 0), None)
-        if enter is None:
-            return z[-1] == 0
-        # some row has a positive entry: phase 1 is bounded below by 0
-        r = min((i for i in range(m) if T[i][enter] > 0),
-                key=lambda i: (F(T[i][-1], T[i][enter]), basis[i]))
-        prev = linalg._pivot(T, r, enter, prev)
-        basis[r] = enter
+        costs = [sum(map(mul, z, col)) for col in cols]
+        best = max(costs)
+        if best <= 0:
+            return False
+        col = cols[costs.index(best)]
+        r = None
+        for i in range(m):
+            row = T[i]
+            a = row[0] = sum(map(mul, row, col))
+            if a > 0:
+                if r is not None:
+                    lead = T[r]
+                    # the first pair is the entering slots: a*ar - ar*a = 0
+                    for x, y in zip(row, lead):
+                        if cmp := x * ar - y * a:
+                            break
+                    if cmp > 0:
+                        continue
+                r, ar = i, a
+        z[0] = best
+        prev = linalg._pivot(T, r, 0, prev)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +228,8 @@ class PolytopeRep:
                             for v in self.vertices[1:]])
 
     def contains(self, point):
+        if len(point) != self.ambient:
+            raise ValueError(f"point of length {len(point)} in R^{self.ambient}")
         return (all(b + sum(e * x for e, x in zip(coeffs, point)) == 0
                     for (b, coeffs) in self.equalities)
                 and all(c + sum(a * x for a, x in zip(coeffs, point)) >= 0
@@ -373,6 +420,24 @@ def root_polytope(k, n, hat=False):
     return hull_of_points(pts)
 
 
+def root_polytope_contains(x, k, n):
+    """Is the dense grid point x (`roots.grid_point`) in the root polytope
+    R = conv(0, v_J : J nonfrozen)?  No LP: the simplices conv(0, v_J : J
+    in C) over the maximal noncrossing collections C triangulate R, and
+    their cones form a complete fan of the row-sum-zero space, so x is in
+    R iff its row sums vanish and the coefficients of its unique expansion
+    `roots.noncrossing_decompose` sum to at most 1.  Raises ValueError
+    unless 2 <= k <= n - 2 and x has (k-1)(n-k) coordinates."""
+    check_kn(k, n)
+    w = n - k
+    if len(x) != (k - 1) * w:
+        raise ValueError(f"a ({k}, {n}) grid point has {(k - 1) * w} coordinates, not {len(x)}")
+    if any(row_sums(x, k, n)):
+        return False
+    v = {(r // w + 1, r % w + 1): c for r, c in enumerate(x) if c}
+    return sum(noncrossing_decompose(v, k, n).values()) <= 1
+
+
 def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     """Relative volume of the root polytope in units 1/d!: the number of
     maximal noncrossing collections C, the leaves of the search DAG, each
@@ -417,7 +482,12 @@ def minkowski_summand_count(k, n):
 
 def minimize_face(vertices, functional):
     """(minimum value, vertex sublist attaining it) of a . x over a vertex
-    list."""
+    list.  Raises ValueError on an empty list, or on a functional whose
+    length differs from a vertex's."""
+    if not vertices:
+        raise ValueError("empty vertex list")
+    if any(len(v) != len(functional) for v in vertices):
+        raise ValueError("functional and vertices of unequal lengths")
     vals = [sum(a * x for a, x in zip(functional, v)) for v in vertices]
     m = min(vals)
     return m, [v for v, val in zip(vertices, vals) if val == m]

@@ -97,6 +97,27 @@ CASES = {
     "lift_and_lower_hull lengths": (
         lambda: polytope.lift_and_lower_hull([(0, 0), (1,), (0, 1)], [0, 0, 0]),
         ValueError, "points of unequal lengths"),
+    "PolytopeRep.contains short point": (
+        lambda: polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]).contains((0,)),
+        ValueError, "point of length 1 in R^2"),
+    "PolytopeRep.contains long point": (
+        lambda: polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]).contains((0, 0, 7)),
+        ValueError, "point of length 3 in R^2"),
+    "minimize_face empty": (
+        lambda: polytope.minimize_face([], (1, 2)),
+        ValueError, "empty vertex list"),
+    "minimize_face lengths": (
+        lambda: polytope.minimize_face([(0, 0), (1, 0)], (1,)),
+        ValueError, "functional and vertices of unequal lengths"),
+    "minimize_face long functional": (
+        lambda: polytope.minimize_face([(0, 0), (1, 0)], (1, 2, 3)),
+        ValueError, "functional and vertices of unequal lengths"),
+    "root_polytope_contains length": (
+        lambda: polytope.root_polytope_contains((0,) * 5, 3, 6),
+        ValueError, "a (3, 6) grid point has 6 coordinates, not 5"),
+    "root_polytope_contains shape": (
+        lambda: polytope.root_polytope_contains((), 1, 3),
+        ValueError, "need 2 <= k <= n-2, got (1, 3)"),
 }
 
 

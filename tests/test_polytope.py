@@ -3,6 +3,7 @@ Newton polytopes, the PK polytope and associahedron."""
 import random
 import re
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from grascat import linalg, polytope, roots
 from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded,
-                              enumerate_maximal_noncrossing, nonfrozen_subsets)
+                              enumerate_maximal_noncrossing, is_noncrossing,
+                              nonfrozen_subsets)
 from grascat.polynomial import Poly, pk_factors, tau
 from grascat.polytope import (cone_rays, hull_of_points,
                               in_convex_hull,
@@ -22,7 +24,7 @@ from grascat.polytope import (cone_rays, hull_of_points,
                               minkowski_summand_count, newton, newton_points,
                               omega_vertices, pk_associahedron, pk_polytope,
                               planar_face_polytope, polytope_from_inequalities,
-                              root_polytope,
+                              root_polytope, root_polytope_contains,
                               tau_newton_facets, triangulation_volume, grid_point)
 from grascat.roots import gamma_functional, v_root
 import unit_pivot
@@ -374,6 +376,104 @@ def test_in_convex_hull_matches_double_description(query):
     p, pts = query
     assert in_convex_hull(p, pts) == hull_of_points(pts).contains(p)
     assert not in_convex_hull(p, [])
+
+
+# degenerate inputs of the LP, each checked against the double description
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+LINE_IN_R3 = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)]  # rank 1: two redundant rows
+PLANE_IN_R4 = [(1, 0, 1, 2), (0, 1, 1, 1), (1, 1, 2, 3), (0, 0, 0, 0)]  # rank 2
+DEGENERATE_LP = {
+    "duplicated points": (TRIANGLE + TRIANGLE, [(F(1, 3), F(1, 3)), (1, 1), (0, F(1, 2))]),
+    "origin twice": ([(0, 0), (2, 0), (0, 0), (0, 2)], [(0, 0), (1, 1), (1, F(3, 2))]),
+    "p a vertex": (TRIANGLE, TRIANGLE),
+    "subspace, inside": (LINE_IN_R3, [(F(3, 2),) * 3, (2, 2, 2), (-1, -1, -1), (0, 0, 0)]),
+    "subspace, past an end": (LINE_IN_R3, [(3, 3, 3), (F(-5, 4),) * 3]),
+    "subspace, off it": (LINE_IN_R3, [(1, 1, 0), (0, 0, F(1, 7))]),
+    "plane, mixed": (PLANE_IN_R4, [(1, 1, 2, 3), (F(1, 2), F(1, 3), F(5, 6), F(4, 3)),
+                                   (F(1, 2), F(1, 2), 1, 2), (1, 1, 2, F(5, 2))]),
+    "mixed denominators": ([(F(1, 2), 0), (0, F(2, 3)), (F(-3, 4), F(-1, 5))],
+                           [(0, 0), (F(1, 6), F(1, 5)), (F(1, 2), F(1, 7)), (F(-3, 4), F(-1, 5)),
+                            (F(-3, 4), F(-1, 6))]),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_LP)
+def test_in_convex_hull_degenerate_inputs(name):
+    pts, queries = DEGENERATE_LP[name]
+    hull = hull_of_points(pts)
+    answers = [in_convex_hull(p, pts) for p in queries]
+    assert answers == [hull.contains(p) for p in queries]
+    assert any(answers) or name in ("subspace, past an end", "subspace, off it")
+
+
+def test_in_convex_hull_zero_dimensional_and_lengths():
+    assert in_convex_hull((), [()]) and in_convex_hull((), [(), ()])
+    for p, pts in [((0, 0), [(0, 0), (1,)]), ((0,), [(0, 0), (1, 0)]), ((), [(0,)])]:
+        with pytest.raises(ValueError, match="^points of unequal lengths$"):
+            in_convex_hull(p, pts)
+
+
+@lru_cache(maxsize=None)
+def root_hull(k, n):
+    """The nonfrozen J, and the dense points v_J and 0 of R^(k)_{n-k}."""
+    Js = nonfrozen_subsets(k, n)
+    return Js, [grid_point(v_root(J, k, n), k, n) for J in Js] + [grid_point({}, k, n)]
+
+
+@st.composite
+def root_polytope_queries(draw, shapes):
+    """(x, k, n, expected): x a grid point of one of the shapes.  Either
+    x = sum t_J v_J over a noncrossing set with positive t_J summing to s,
+    so x is in R iff s <= 1 and on its boundary iff s = 1 (expected is
+    s <= 1); or a scaled mix of any root points (expected None); either
+    one, maybe, moved off the row-sum-zero space (expected False)."""
+    k, n = draw(st.sampled_from(shapes))
+    Js, pts = root_hull(k, n)
+    picks = draw(st.lists(st.integers(0, len(Js) - 1), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6),
+                            min_size=len(picks), max_size=len(picks)))
+    total = draw(st.sampled_from([F(1, 3), F(5, 6), F(1), F(1), F(7, 6), F(2)]))
+    if draw(st.booleans()):
+        chosen = []
+        for i in picks:
+            if all(is_noncrossing(Js[i], Js[j], n) for j in chosen):
+                chosen.append(i)
+        weights, expected = weights[:len(chosen)], total <= 1
+    else:
+        chosen, expected = picks, None
+    scale = total / sum(weights)
+    x = [scale * sum(w * pts[i][t] for w, i in zip(weights, chosen)) for t in range(len(pts[0]))]
+    if draw(st.integers(0, 4)) == 0:
+        x[draw(st.integers(0, len(x) - 1))] += draw(st.sampled_from([F(-1, 3), F(1, 5), 1]))
+        expected = False
+    return tuple(x), k, n, expected
+
+
+def _check_root_polytope_contains(query):
+    x, k, n, expected = query
+    answer = root_polytope_contains(x, k, n)
+    assert answer == in_convex_hull(x, root_hull(k, n)[1])
+    assert expected is None or answer == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(root_polytope_queries([(3, 6), (3, 7), (4, 7), (3, 8)]))
+def test_root_polytope_contains_matches_the_lp(query):
+    _check_root_polytope_contains(query)
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(root_polytope_queries([(4, 8), (3, 9)]))
+def test_root_polytope_contains_matches_the_lp_slow(query):
+    _check_root_polytope_contains(query)
+
+
+def test_root_polytope_contains_vertices_and_origin():
+    for k, n in [(2, 5), (3, 6), (4, 8)]:
+        _Js, pts = root_hull(k, n)
+        assert all(root_polytope_contains(v, k, n) for v in pts)
+        assert not root_polytope_contains(tuple(2 * x for x in pts[0]), k, n)
 
 
 def test_omega_vertices():
