@@ -22,6 +22,7 @@ CASES = {
     "nc_count_4_8": ["nc", "count", "--k", "4", "--n", "8"],
     "nc_count_3_10": ["nc", "count", "--k", "3", "--n", "10", "--max-cliques", "2000000"],
     "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
+    "nc_list_3_6": ["nc", "list", "--k", "3", "--n", "6"],
     "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
     "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
     "decompose_4_8": ["decompose", "--input", "combo_4_8.json"],
@@ -96,6 +97,8 @@ CASES = {
                                 "--input", "eta_mixed_4_9.json"],
     "kinematics_s_to_eta_3_6": ["kinematics", "s-to-eta", "--k", "3", "--n", "6",
                                 "--input", "s_3_6.json"],
+    "kinematics_s_to_eta_4_8": ["kinematics", "s-to-eta", "--k", "4", "--n", "8",
+                                "--input", "s_4_8.json"],
     "amplitude_eta_shift_3_7": ["amplitude", "--k", "3", "--n", "7",
                                 "--eta", "eta_3_7.json", "--shift"],
     "amplitude_eta_shift_3_9": ["amplitude", "--k", "3", "--n", "9",
@@ -104,6 +107,7 @@ CASES = {
                              "--eta", "random-interior", "--seed", "5"],
     "search_7": ["search", "--n", "7", "--trials", "1", "--seed", "0"],
     "search_8": ["search", "--n", "8", "--trials", "1", "--seed", "0"],
+    "search_9": ["search", "--n", "9", "--trials", "1", "--seed", "0"],
 }
 
 
