@@ -8,6 +8,8 @@ the report, so identical invocations produce byte-identical output.
 This module alone reads and writes the JSON format: input maps keyed by
 subsets ("1,3,5") with exact values, read by `_load_subset_map`, and the
 reports; the library modules take and return plain tuples and numbers.
+It keeps no per-shape cache of its own beyond its parser: the nonfrozen
+subsets and their positions come from the one table `combinat._nonfrozen`.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ import re
 import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from . import combinat, kinematics, linalg, polynomial, polytope, roots
-from .roots import gamma_hat, grid_add
 
 SCHEMA = "grascat/1"
 # the option value under which u-check and amplitude run something random,
@@ -96,19 +98,12 @@ def _load_subset_map(path, key, k=None, n=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
-@combinat.shape_cache
-def _nonfrozen(k, n):
-    """`combinat.nonfrozen_subsets(k, n)` as a tuple and as a frozenset."""
-    nf = tuple(combinat.nonfrozen_subsets(k, n))
-    return nf, frozenset(nf)
-
-
 def _read_subset_map(path, key, k, n):
     data = load_json(path)
     # a nonfrozen k-subset passes check_subset and is not frozen, so only
     # the keys outside that set are checked; a coeffs file gives its own
     # (k, n), of any size, so its keys are all checked
-    known = _nonfrozen(k, n)[1] if k is not None and 2 <= k <= n - 2 else ()
+    known = combinat._nonfrozen(k, n)[1] if k is not None and 2 <= k <= n - 2 else ()
     if k is None:
         if not isinstance(data, dict):
             raise ValueError("input JSON is not an object")
@@ -239,7 +234,7 @@ def cmd_ucheck(args):
 
 def cmd_amplitude(args):
     k, n = args.k, args.n
-    nf = _nonfrozen(k, n)[0]
+    nf = combinat._nonfrozen(k, n)[0]
     seed = args.seed
     if args.pk:
         values = dict.fromkeys(nf, 1)
@@ -277,7 +272,7 @@ def cmd_kinematics_basis(args):
 def cmd_eta_to_s(args):
     k, n = args.k, args.n
     etas = _load_subset_map(args.input, "eta", k, n)[0]
-    gap = next((J for J in _nonfrozen(k, n)[0] if J not in etas), None)
+    gap = next((J for J in combinat._nonfrozen(k, n)[0] if J not in etas), None)
     if gap:
         raise ValueError(f"{args.input}: no eta for the subset {subset_key(gap)}")
     point = kinematics.kin_basis(k, n).point_from_eta(etas)
@@ -328,23 +323,22 @@ def cmd_search(args):
 
 def _flip_quadruples(k, n):
     """Quadruples (I, J, I', J') with gamma_I + gamma_J = gamma_I' +
-    gamma_J', the first pair noncrossing and the second not."""
+    gamma_J', the first pair noncrossing and the second not, read off the
+    cached fan's dense gamma rows and noncrossing graph."""
+    fan = roots._fan(k, n)
+    verts, gammas = fan.verts, fan.gammas
     groups = {}
-    nf = combinat.nonfrozen_subsets(k, n)
-    for A, B in combinations(nf, 2):
-        vec = tuple(sorted(grid_add(gamma_hat(A, k, n), gamma_hat(B, k, n)).items()))
-        groups.setdefault(vec, []).append((A, B))
+    for a, b in combinations(range(len(verts)), 2):
+        groups.setdefault(tuple(map(add, gammas[a], gammas[b])), []).append((a, b))
     quads = []
     for pairs in groups.values():
         if len(pairs) < 2:
             continue
-        nc = [(A, B) for (A, B) in pairs if combinat.is_noncrossing(A, B, n)]
+        nc = [(a, b) for (a, b) in pairs if fan.adj[a] >> b & 1]
         if len(nc) != 1:
             continue
-        I, J = nc[0]
-        for (A, B) in pairs:
-            if (A, B) != (I, J):
-                quads.append((I, J, A, B))
+        i, j = nc[0]
+        quads += [(verts[i], verts[j], verts[a], verts[b]) for (a, b) in pairs if (a, b) != (i, j)]
     return quads
 
 

@@ -6,6 +6,11 @@ Subsets are plain sorted tuples of ints in [1, n]; the ambient (k, n) is
 passed explicitly where it matters (frozenness and weak separation are
 cyclic notions, so they depend on n).
 
+The C(n,k) - n nonfrozen k-subsets index the roots, the PK facets, the
+planar basis eta_J and the noncrossing graph.  They are listed, and mapped
+to their positions, in one table per shape, `_nonfrozen(k, n)`, which
+every module reads.
+
 Every per-shape structure that callers ask for more than once, here and
 in `roots`, `kinematics`, `polynomial` and `cli`, is kept for the whole
 process by one layer: the `shape_cache` decorator, whose keys are ints and
@@ -178,9 +183,21 @@ def check_kn(k, n):
 
 
 def nonfrozen_subsets(k, n):
-    """All k-subsets of [1, n] that are not single cyclic intervals."""
+    """All k-subsets of [1, n] that are not single cyclic intervals, in
+    sorted order: a new list of the table `_nonfrozen(k, n)`."""
     check_kn(k, n)
-    return [J for J in combinations(range(1, n + 1), k) if not is_frozen(J, n)]
+    return list(_nonfrozen(k, n)[0])
+
+
+@shape_cache
+def _nonfrozen(k, n):
+    """The one table of the nonfrozen k-subsets of [1, n], which index the
+    roots, the PK facets, the planar basis eta_J and the noncrossing graph:
+    (their sorted tuple, {subset: position in it}).  Callers read the dict
+    and never change it.  Raises ValueError unless 2 <= k <= n - 2."""
+    check_kn(k, n)
+    verts = tuple(J for J in combinations(range(1, n + 1), k) if not is_frozen(J, n))
+    return verts, {J: t for t, J in enumerate(verts)}
 
 
 def catalan_mdim(k, m):
@@ -211,13 +228,14 @@ def k3_exponent_rule(I, J):
 
 @shape_cache
 def _noncrossing_graph(k, n):
-    """Adjacency bitmasks of the noncrossing graph on nonfrozen subsets."""
-    verts = nonfrozen_subsets(k, n)
+    """(the nonfrozen subsets of `_nonfrozen`, the adjacency bitmasks of
+    the noncrossing graph on them)."""
+    verts = _nonfrozen(k, n)[0]
     m = len(verts)
     adj = [0] * m
     for a in range(m):
         for b in range(a + 1, m):
-            if is_noncrossing(verts[a], verts[b], n):
+            if not _crossing_labels(verts[a], verts[b]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return verts, adj
@@ -266,10 +284,11 @@ def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     is the k-dimensional Catalan number catalan_mdim(k, n-k).  Output is
     sorted for determinism.
     """
-    verts = nonfrozen_subsets(k, n)
+    check_kn(k, n)
     masks = []
     _fold_maximal_noncrossing(k, n, max_collections, 0,
                               lambda R, v: R | 1 << v, masks.append)
+    verts = _noncrossing_graph(k, n)[0]
     return sorted(tuple(sorted(verts[i] for i in _bits(R))) for R in masks)
 
 
@@ -277,7 +296,7 @@ def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
     """Walk the Bron-Kerbosch search tree top-down, in search order,
     threading one value down each branch.
 
-    A branch that adds vertex v (its index in nonfrozen_subsets(k, n)) to
+    A branch that adds vertex v (its index in `_nonfrozen(k, n)`) to
     the clique maps the value acc it carries to step(acc, v); the tree's
     root carries start, and each maximal clique hands its value to leaf,
     in search order.  The tree is the unfolding of the cached search DAG,

@@ -19,7 +19,7 @@ from operator import sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
-                       _search_dag, is_frozen, nonfrozen_subsets, shape_cache)
+                       _nonfrozen, _search_dag, is_frozen, nonfrozen_subsets, shape_cache)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -124,10 +124,9 @@ class KinBasis:
         self.index = {J: t for t, J in enumerate(self.subsets)}
         incidence = [[int(a in J) for J in self.subsets] for a in range(1, n + 1)]
         self.basis = linalg.nullspace(incidence)
-        self.nonfrozen = nonfrozen_subsets(k, n)
+        self.nonfrozen, position = _nonfrozen(k, n)
         self._heights = [_L(dict.fromkeys(I, 1), n) for I in self.subsets]
         self._eta_rows = [self._n_eta_row(J) for J in self.nonfrozen]
-        position = {J: t for t, J in enumerate(self.nonfrozen)}
         self.S = {I: _s_row(I, n, position) for I in self.subsets}
         self._certify(position)
 

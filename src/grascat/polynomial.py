@@ -45,15 +45,14 @@ from __future__ import annotations
 
 import random
 import weakref
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from operator import add, sub
 
-from .combinat import (_bits, _noncrossing_graph, check_subset, compatibility_degree,
-                       is_frozen, is_weakly_separated, nonfrozen_subsets, shape_cache)
+from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_subset,
+                       compatibility_degree, is_frozen, is_weakly_separated, shape_cache)
 from .linalg import _exact, _integral, _ratio
 from .roots import grid_point
 
@@ -636,11 +635,12 @@ def resolved_minor(J, n):
 
 def _graph_row(J, k, n):
     """(nonfrozen subsets, mask of those crossing J, mask of those before J
-    not crossing it), read off `combinat._noncrossing_graph`; both masks are
-    0 for a frozen J, which crosses nothing and is weakly separated from all."""
+    not crossing it), read off `combinat._noncrossing_graph` at J's position
+    in `combinat._nonfrozen`; both masks are 0 for a frozen J, which crosses
+    nothing and is weakly separated from all."""
     verts, adj = _noncrossing_graph(k, n)
-    t = bisect_left(verts, J)
-    if verts[t:t + 1] != [J]:
+    t = _nonfrozen(k, n)[1].get(J)
+    if t is None:
         return verts, 0, 0
     return verts, ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t), adj[t] & ((1 << t) - 1)
 
@@ -839,7 +839,7 @@ def binary_identities_random_all(k, n, trials=20, seed=0):
     trial evaluates every distinct factor once at an exact positive rational
     point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every J.
     Returns a verdict dict."""
-    nf = nonfrozen_subsets(k, n)
+    nf = _nonfrozen(k, n)[0]
     identities = [_identity(J, k, n)[1:] for J in nf]
     failure = _first_random_failure(identities, k, n, trials, seed)
     verdict = {"k": k, "n": n, "mode": "random", "trials": trials,

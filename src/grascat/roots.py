@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from . import linalg
 from .combinat import (_bits, _crossing_labels, _first_collection, _has_clique, _noncrossing_graph,
-                       check_kn, check_subset, shape_cache)
+                       _nonfrozen, check_kn, check_subset, shape_cache)
 # perfbench's test_tracer_wraps_every_lookup_site_and_restores asserts that
 # roots.compatibility_degree is combinat.compatibility_degree: keep the import
 from .combinat import compatibility_degree  # noqa: F401
@@ -195,7 +195,7 @@ class _Fan:
         self.k, self.n = k, n
         self.dim = d = (k - 1) * (n - k - 1)
         self.verts, self.adj = _noncrossing_graph(k, n)
-        self.index = {J: i for i, J in enumerate(self.verts)}
+        self.index = _nonfrozen(k, n)[1]
         self.gammas = [gamma_functional(J, k, n) for J in self.verts]
         # the running sums of x_{i,j} - x_{i,j-1} (column 0 read as n-k)
         # telescope: lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}

@@ -358,7 +358,7 @@ def test_clear_caches_empties_every_shape_cache():
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
-              polynomial._one_minus_u, cli._parser, cli._nonfrozen]
+              polynomial._one_minus_u, cli._parser, combinat._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs
     assert len(combinat._CLEARS) == len(caches) + 1
     assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
@@ -370,7 +370,6 @@ def test_clear_caches_empties_every_shape_cache():
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
     polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity, 1 - u
     cli._parser()
-    cli._nonfrozen(3, 6)
     sizes = {c.__name__: c.cache_info().currsize for c in caches}
     assert all(sizes.values()) and combinat._SEARCH_DAGS, sizes
     combinat.clear_caches()
