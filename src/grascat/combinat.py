@@ -22,6 +22,7 @@ import math
 from array import array
 from functools import lru_cache, wraps
 from itertools import combinations
+from types import MappingProxyType
 
 
 # the default cap on the maximal collections one search may find, shared by
@@ -193,11 +194,12 @@ def nonfrozen_subsets(k, n):
 def _nonfrozen(k, n):
     """The one table of the nonfrozen k-subsets of [1, n], which index the
     roots, the PK facets, the planar basis eta_J and the noncrossing graph:
-    (their sorted tuple, {subset: position in it}).  Callers read the dict
-    and never change it.  Raises ValueError unless 2 <= k <= n - 2."""
+    (their sorted tuple, a read-only {subset: position in it} mapping),
+    both immutable, since every caller shares them.  Raises ValueError
+    unless 2 <= k <= n - 2."""
     check_kn(k, n)
     verts = tuple(J for J in combinations(range(1, n + 1), k) if not is_frozen(J, n))
-    return verts, {J: t for t, J in enumerate(verts)}
+    return verts, MappingProxyType({J: t for t, J in enumerate(verts)})
 
 
 def catalan_mdim(k, m):
@@ -285,10 +287,10 @@ def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     sorted for determinism.
     """
     check_kn(k, n)
+    verts = _noncrossing_graph(k, n)[0]
     masks = []
     _fold_maximal_noncrossing(k, n, max_collections, 0,
                               lambda R, v: R | 1 << v, masks.append)
-    verts = _noncrossing_graph(k, n)[0]
     return sorted(tuple(sorted(verts[i] for i in _bits(R))) for R in masks)
 
 

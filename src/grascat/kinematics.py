@@ -169,7 +169,16 @@ class KinBasis:
         return {I: linalg._exact(v) for I, v in point.items() if v}
 
     def eta_values(self, point):
-        """The nonfrozen eta values of an s-value map."""
+        """The nonfrozen eta values of an s-value map, which must be a point
+        of K(k,n): ValueError for a key that is not a k-subset of [1, n] and
+        for values that break momentum conservation."""
+        k, n = self.k, self.n
+        bad = next((I for I in point if I not in self.index), None)
+        if bad is not None:
+            raise ValueError(f"s-value key {bad!r} is not a {k}-subset of [1, {n}]")
+        if not check_conservation(point, k, n):
+            raise ValueError(f"the s-values break momentum conservation: "
+                             f"not a point of K({k},{n})")
         return {J: linalg._exact(F(sum(c * point.get(I, 0) for I, c in zip(self.subsets, row)),
                                    self.n))
                 for J, row in zip(self.nonfrozen, self._eta_rows)}

@@ -55,7 +55,7 @@ from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
                        _fold_maximal_noncrossing, _search_dag, check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
-from .roots import _fan, gamma_hat, grid_point, noncrossing_decompose, row_sums, v_root
+from .roots import _fan, _running_sums, gamma_hat, grid_point, row_sums, v_root
 
 F = Fraction
 MAX_RAYS = 200000  # the most rays a double description may hold
@@ -411,6 +411,7 @@ def pk_polytope(k, n):
 def root_polytope(k, n, hat=False):
     """Convex hull of the roots v_J over nonfrozen J (or of 0 and the
     unprojected gamma_hat vectors with hat=True)."""
+    check_kn(k, n)
     if hat:
         pts = [grid_point({}, k, n)]
         pts += [grid_point(gamma_hat(J, k, n), k, n) for J in nonfrozen_subsets(k, n)]
@@ -426,16 +427,16 @@ def root_polytope_contains(x, k, n):
     in C) over the maximal noncrossing collections C triangulate R, and
     their cones form a complete fan of the row-sum-zero space, so x is in
     R iff its row sums vanish and the coefficients of its unique expansion
-    `roots.noncrossing_decompose` sum to at most 1.  Raises ValueError
-    unless 2 <= k <= n - 2 and x has (k-1)(n-k) coordinates."""
+    (`roots.noncrossing_decompose`, here the fan walk on x's lattice
+    coordinates) sum to at most 1.  Raises ValueError unless
+    2 <= k <= n - 2 and x has (k-1)(n-k) coordinates."""
     check_kn(k, n)
     w = n - k
     if len(x) != (k - 1) * w:
         raise ValueError(f"a ({k}, {n}) grid point has {(k - 1) * w} coordinates, not {len(x)}")
     if any(row_sums(x, k, n)):
         return False
-    v = {(r // w + 1, r % w + 1): c for r, c in enumerate(x) if c}
-    return sum(noncrossing_decompose(v, k, n).values()) <= 1
+    return not any(x) or sum(_fan(k, n).locate(_running_sums(x, w)).values()) <= 1
 
 
 def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
@@ -443,6 +444,7 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     maximal noncrossing collections C, the leaves of the search DAG, each
     simplex conv(0, v_J : J in C) unimodular by `roots._Fan.walls`.
     """
+    check_kn(k, n)
     count = _search_dag(k, n, max_collections).count
     _fan(k, n).walls()
     return count
@@ -468,6 +470,7 @@ def pk_associahedron(k, n):
     the product.  The facets come out as gamma_J rows plus row-sum
     equalities, the form `pk_polytope` uses.  Returns (PolytopeRep,
     summand count)."""
+    check_kn(k, n)
     pairs = planar_face_range(k, n)
     _, _, P, agrees = _newton_hrep([newton_points(delta(i, J, k, n)) for (i, J) in pairs],
                                    k, n)
@@ -499,6 +502,7 @@ def tau_newton_facets(k, n):
     row sums lambda_i, and whether the candidate H-rep {gamma_J >= c_J}
     carves out exactly the Newton polytope (`_newton_hrep`).  Returns dict
     with keys 'constants', 'lambda', 'agrees', 'polytope'."""
+    check_kn(k, n)
     factors = [pts for J in combinations(range(1, n + 1), k)
                if len(pts := newton_points(tau(J, k, n).content_split()[2])) > 1]
     constants, lam, P, agrees = _newton_hrep(factors, k, n)
@@ -717,25 +721,17 @@ def lift_and_lower_hull(vertices, heights):
     height h_i and projecting the lower hull.  Returns a sorted list of
     cells, each a tuple of vertex indices.
 
-    Lifting happens in coordinates of the base affine hull, so inputs in a
-    proper affine subspace are handled; an affine height function gives the
-    trivial one-cell subdivision.
+    The hull of the lifted points reduces to their affine hull itself, so
+    inputs in a proper affine subspace are handled.  An equality of it with
+    a nonzero height coefficient means the heights are affine: the trivial
+    one-cell subdivision.  A lower facet has an inner normal of positive
+    height.
     """
     if len(vertices) != len(heights):
         raise ValueError("need one height per vertex")
-    base = [tuple(linalg._exact(x) for x in v) for v in vertices]
-    origin, basis = _affine_basis(sorted(set(base)))
-    red = _reduce_points(base, origin, basis)
-    d = len(basis)
-    lifted = [p + (linalg._exact(h),) for p, h in zip(red, heights)]
+    lifted = [(*map(linalg._exact, v), linalg._exact(h)) for v, h in zip(vertices, heights)]
     hull = hull_of_points(lifted)
-    if hull.equalities:
+    if any(a[-1] for _c, a in hull.equalities):
         return [tuple(range(len(vertices)))]
-    cells = []
-    for (c, a) in hull.inequalities:
-        if a[d] <= 0:
-            continue  # keep lower facets: inner normal has positive height
-        members = [i for i, v in enumerate(lifted)
-                   if c + sum(x * y for x, y in zip(a, v)) == 0]
-        cells.append(tuple(sorted(members)))
-    return sorted(cells)
+    return sorted(tuple(i for i, v in enumerate(lifted) if c + sum(map(mul, a, v)) == 0)
+                  for c, a in hull.inequalities if a[-1] > 0)

@@ -197,15 +197,16 @@ class _Fan:
         self.verts, self.adj = _noncrossing_graph(k, n)
         self.index = _nonfrozen(k, n)[1]
         self.gammas = [gamma_functional(J, k, n) for J in self.verts]
-        # the running sums of x_{i,j} - x_{i,j-1} (column 0 read as n-k)
-        # telescope: lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
-        w = n - k
-        coords = [[g[r + j] - g[r + w - 1] for r in range(0, len(g), w) for j in range(w - 1)]
-                  for g in self.gammas]
         self.start = list(_bits(_first_collection(self.adj)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
-        start_inv = linalg.inverse([[coords[i][t] for i in self.start] for t in range(d)])
+        # the lattice coordinates of the start members: the running sums of
+        # x_{i,j} - x_{i,j-1} (column 0 read as n-k) telescope, so
+        # lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
+        w = n - k
+        coords = [[g[r + j] - g[r + w - 1] for r in range(0, len(g), w) for j in range(w - 1)]
+                  for g in (self.gammas[i] for i in self.start)]
+        start_inv = linalg.inverse(list(zip(*coords)))
         if any(type(x) is not int for row in start_inv for x in row):
             raise AssertionError("start cone is not unimodular")
         # start_inv is sparse (a few entries +-1 per row); the start rows'

@@ -706,3 +706,33 @@ def test_malformed_eta_key_messages(tmp_path, capsys, argv, etas, message):
     path.write_text(json.dumps({"eta": etas}))
     code, data = _error(capsys, *argv, str(path))
     assert code == 2 and data == {"schema": "grascat/1", "error": f"{path}: {message}"}
+
+
+def _flip_quadruples_per_pair(k, n):
+    """The former `cli._flip_quadruples`, the oracle below: pairs grouped by
+    their sparse gamma sum, each pair tested with is_noncrossing."""
+    from itertools import combinations
+
+    from grascat.roots import gamma_hat, grid_add
+    groups = {}
+    for A, B in combinations(nonfrozen_subsets(k, n), 2):
+        vec = tuple(sorted(grid_add(gamma_hat(A, k, n), gamma_hat(B, k, n)).items()))
+        groups.setdefault(vec, []).append((A, B))
+    quads = []
+    for pairs in groups.values():
+        if len(pairs) < 2:
+            continue
+        nc = [(A, B) for (A, B) in pairs if combinat.is_noncrossing(A, B, n)]
+        if len(nc) != 1:
+            continue
+        I, J = nc[0]
+        for (A, B) in pairs:
+            if (A, B) != (I, J):
+                quads.append((I, J, A, B))
+    return quads
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_flip_quadruples_match_the_per_pair_grouping(n):
+    quads = cli._flip_quadruples(3, n)
+    assert quads and quads == _flip_quadruples_per_pair(3, n)

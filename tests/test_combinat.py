@@ -340,16 +340,19 @@ def test_check_kn_takes_ints_only(k, n):
         check_kn(k, n)
 
 
-@pytest.mark.parametrize("build", [triangulation_volume, kin_basis],
-                         ids=lambda f: f.__name__)
-def test_non_int_shape_raises_cold_and_warm(build):
+@pytest.mark.parametrize("build,message", [
+    # check_kn runs before any cache is read
+    (triangulation_volume, "k and n must be ints"),
     # typed keys: 3.0 misses the entry of 3, and the miss rejects it
+    (kin_basis, "is not an int or a tuple of ints"),
+], ids=["triangulation_volume", "kin_basis"])
+def test_non_int_shape_raises_cold_and_warm(build, message):
     combinat.clear_caches()
-    with pytest.raises(ValueError, match="is not an int or a tuple of ints"):
+    with pytest.raises(ValueError, match=message):
         build(3.0, 6)
     build(3, 6)
     for k, n in [(3.0, 6), (3, 6.0), (True, 6)]:
-        with pytest.raises(ValueError, match="is not an int or a tuple of ints"):
+        with pytest.raises(ValueError, match=message):
             build(k, n)
 
 
@@ -375,3 +378,56 @@ def test_clear_caches_empties_every_shape_cache():
     combinat.clear_caches()
     sizes = {c.__name__: c.cache_info().currsize for c in caches}
     assert not any(sizes.values()) and not combinat._SEARCH_DAGS, sizes
+
+
+# ---------------------------------------------------------------------------
+# the one table of the nonfrozen subsets
+
+def test_every_module_reads_the_one_nonfrozen_table(monkeypatch, tmp_path):
+    import json
+
+    from grascat import cli, kinematics, roots
+    combinat.clear_caches()
+    verts, index = combinat._nonfrozen(3, 6)
+    assert index == {J: t for t, J in enumerate(verts)}
+    assert _noncrossing_graph(3, 6)[0] is verts
+    assert roots._fan(3, 6).index is index
+    # KinBasis passes the table's dict to _s_row and _certify
+    seen = []
+    s_row, certify = kinematics._s_row, kinematics.KinBasis._certify
+    monkeypatch.setattr(kinematics, "_s_row",
+                        lambda I, n, position: seen.append(position) or s_row(I, n, position))
+    monkeypatch.setattr(kinematics.KinBasis, "_certify",
+                        lambda self, position: seen.append(position) or certify(self, position))
+    kinematics.KinBasis(3, 6)
+    assert len(seen) == 20 + 1 and all(position is index for position in seen)
+    # cli keeps no table of its own: its known keys are the table's dict
+    assert not hasattr(cli, "_nonfrozen")
+    known = []
+    table = combinat._nonfrozen
+    monkeypatch.setattr(combinat, "_nonfrozen", lambda k, n: known.append(table(k, n)[1])
+                        or table(k, n))
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"eta": {"1,3,5": 2, "1,2,3": 0}}))
+    assert cli._read_subset_map(str(path), "eta", 3, 6)[0] == {(1, 3, 5): 2, (1, 2, 3): 0}
+    assert known and all(keys is index for keys in known)
+
+
+def test_nonfrozen_subsets_copies_the_table():
+    combinat.clear_caches()
+    nf = nonfrozen_subsets(3, 6)
+    nf[0] = (9, 9, 9)
+    nf.append((1, 2, 3))
+    verts, index = combinat._nonfrozen(3, 6)
+    assert nonfrozen_subsets(3, 6) == list(verts) and len(verts) == 14 == len(index)
+    assert (9, 9, 9) not in index and (1, 2, 3) not in verts
+    with pytest.raises(TypeError):
+        index[9, 9, 9] = 0
+    assert combinat._nonfrozen.cache_info().currsize == 1
+    combinat.clear_caches()
+    assert combinat._nonfrozen.cache_info().currsize == 0
+    # the messages of nonfrozen_subsets are check_kn's
+    with pytest.raises(ValueError, match=r"^k and n must be ints, got \(3\.0, 6\)$"):
+        nonfrozen_subsets(3.0, 6)
+    with pytest.raises(ValueError, match=r"^need 2 <= k <= n-2, got \(1, 4\)$"):
+        combinat._nonfrozen(1, 4)

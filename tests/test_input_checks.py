@@ -118,7 +118,28 @@ CASES = {
     "root_polytope_contains shape": (
         lambda: polytope.root_polytope_contains((), 1, 3),
         ValueError, "need 2 <= k <= n-2, got (1, 3)"),
+    "KinFunctional.value outside K": (
+        lambda: kinematics.eta_functional((1, 3, 5), 3, 6).value({(1, 2, 3): 1}),
+        ValueError, "the s-values break momentum conservation: not a point of K(3,6)"),
+    "KinFunctional.value short key": (
+        lambda: kinematics.eta_functional((1, 3, 5), 3, 6).value({(1, 2): 5}),
+        ValueError, "s-value key (1, 2) is not a 3-subset of [1, 6]"),
+    "eta_values key outside [1, n]": (
+        lambda: kinematics.kin_basis(3, 6).eta_values({(1, 2, 7): 1, (1, 2, 3): -1}),
+        ValueError, "s-value key (1, 2, 7) is not a 3-subset of [1, 6]"),
+    "eta_values unsorted key": (
+        lambda: kinematics.kin_basis(3, 6).eta_values({(3, 2, 1): 0}),
+        ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
 }
+# the polytope entry points check (k, n) with check_kn before anything else
+for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
+                  ("pk_associahedron", polytope.pk_associahedron),
+                  ("triangulation_volume", polytope.triangulation_volume),
+                  ("root_polytope hat", lambda k, n: polytope.root_polytope(k, n, hat=True))):
+    for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
+        CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
+                                         f"k and n must be ints, got ({_k!r}, {_n!r})")
+    CASES[f"{_name}(1, 4)"] = (lambda f=_f: f(1, 4), ValueError, "need 2 <= k <= n-2, got (1, 4)")
 
 
 @pytest.mark.parametrize("name", CASES)

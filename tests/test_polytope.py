@@ -809,6 +809,63 @@ def test_lift_and_lower_hull():
     assert len(cells) == 5  # a triangulation: cell count equals the volume
 
 
+def _lift_and_lower_hull_reduced(vertices, heights):
+    """The former body of `lift_and_lower_hull`, the oracle below: lift in
+    the coordinates of the base's affine hull, so a lifted hull with any
+    equality means affine heights."""
+    base = [tuple(linalg._exact(x) for x in v) for v in vertices]
+    origin, basis = polytope._affine_basis(sorted(set(base)))
+    red = polytope._reduce_points(base, origin, basis)
+    d = len(basis)
+    lifted = [p + (linalg._exact(h),) for p, h in zip(red, heights)]
+    hull = hull_of_points(lifted)
+    if hull.equalities:
+        return [tuple(range(len(vertices)))]
+    cells = []
+    for (c, a) in hull.inequalities:
+        if a[d] <= 0:
+            continue
+        members = [i for i, v in enumerate(lifted)
+                   if c + sum(x * y for x, y in zip(a, v)) == 0]
+        cells.append(tuple(sorted(members)))
+    return sorted(cells)
+
+
+def _lift_case(rng):
+    """Seeded points in R^m spanning an affine subspace of dimension up to
+    m, some repeated, with random, affine or constant heights."""
+    m = rng.randint(1, 4)
+    dim = rng.randint(0, min(m, 3))
+    origin = [rng.randint(-3, 3) for _ in range(m)]
+    dirs = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(dim)]
+    pts = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = [F(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in dirs]
+        pts.append(tuple(o + sum(c * u[t] for c, u in zip(coeffs, dirs))
+                         for t, o in enumerate(origin)))
+    pts += rng.sample(pts, rng.randint(0, len(pts) // 2))
+    kind = rng.randrange(4)
+    if kind == 0:
+        grad = [rng.randint(-3, 3) for _ in range(m)]
+        heights = [F(rng.randint(-5, 5), 2) + sum(map(mul, grad, p)) for p in pts]
+    elif kind == 1:
+        heights = [7] * len(pts)
+    else:
+        heights = [F(rng.randint(0, 12), rng.randint(1, 3)) for _ in pts]
+    return pts, heights
+
+
+def test_lift_and_lower_hull_matches_the_reduced_lift():
+    rng = random.Random(2024)
+    nontrivial = 0
+    for _ in range(400):
+        pts, heights = _lift_case(rng)
+        cells = lift_and_lower_hull(pts, heights)
+        assert cells == _lift_and_lower_hull_reduced(pts, heights), (pts, heights)
+        nontrivial += cells != [tuple(range(len(pts)))]
+    assert 100 < nontrivial < 300
+
+
 def test_octahedron_fold():
     # Delta_{2,4}(1,3,4,5,6) in the (3,6) root space folds across the square
     # holding v_{136}, v_{145} when lifted by eta at an interior point
