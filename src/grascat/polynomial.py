@@ -51,7 +51,7 @@ from itertools import combinations
 from math import comb, gcd
 from operator import add, sub
 
-from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_subset,
+from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_kn, check_subset,
                        compatibility_degree, is_frozen, is_weakly_separated, shape_cache)
 from .linalg import _exact, _integral, _ratio
 from .roots import grid_point
@@ -839,6 +839,7 @@ def binary_identities_random_all(k, n, trials=20, seed=0):
     trial evaluates every distinct factor once at an exact positive rational
     point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every J.
     Returns a verdict dict."""
+    check_kn(k, n)
     nf = _nonfrozen(k, n)[0]
     identities = [_identity(J, k, n)[1:] for J in nf]
     failure = _first_random_failure(identities, k, n, trials, seed)

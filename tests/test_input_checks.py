@@ -131,11 +131,12 @@ CASES = {
         lambda: kinematics.kin_basis(3, 6).eta_values({(3, 2, 1): 0}),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
 }
-# the polytope entry points check (k, n) with check_kn before anything else
+# these entry points check (k, n) with check_kn before anything else
 for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("pk_associahedron", polytope.pk_associahedron),
                   ("triangulation_volume", polytope.triangulation_volume),
-                  ("root_polytope hat", lambda k, n: polytope.root_polytope(k, n, hat=True))):
+                  ("root_polytope hat", lambda k, n: polytope.root_polytope(k, n, hat=True)),
+                  ("binary_identities_random_all", polynomial.binary_identities_random_all)):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")
