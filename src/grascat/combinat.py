@@ -324,14 +324,18 @@ class SearchDag:
     """The pivoting Bron-Kerbosch search over the noncrossing graph of
     (k, n), with each distinct subproblem stored once.
 
-    A subtree of the search depends only on its (P, X) pair: the pivot,
-    the candidates and each child's pair are functions of P and X alone.
-    So the search tree folds into a DAG with one node per distinct pair.
-    Nodes are numbered in post-order, children before parents.  Node
-    ``_LEAF`` (0) is the empty pair, a maximal clique; node ``root`` (the
-    last) is the degeneracy-ordered top level.  The edges of node i are
-    first[i] .. first[i+1]-1, in search order: edge e adds vertex[e] to the
-    clique and leads to node child[e].  Branches that end in no maximal
+    The search runs on the graph renumbered so that index order is the
+    degeneracy order (`_build_search_dag`): the top level adds every
+    vertex in that order with no pivot, and every node below it scans its
+    candidates in renumbered index order.  A subtree of the search depends
+    only on its (P, X) pair: the pivot, the candidates and each child's
+    pair are functions of P and X alone.  So the search tree folds into a
+    DAG with one node per distinct pair.  Nodes are numbered in
+    post-order, children before parents.  Node ``_LEAF`` (0) is the empty
+    pair, a maximal clique; node ``root`` (the last) is the top level.
+    The edges of node i are first[i] .. first[i+1]-1, in search order:
+    edge e adds vertex[e], an index in `_nonfrozen(k, n)`, to the clique
+    and leads to node child[e].  Branches that end in no maximal
     clique are dropped: node ``_DEAD`` (1) stands for every empty P with a
     nonempty X, and no edge leads to a node without leaves.  ``count`` is
     the number of maximal cliques, the number of root-to-leaf paths, and
@@ -398,21 +402,64 @@ def _build_search_dag(k, n, max_collections):
     """Pivoting Bron-Kerbosch with degeneracy ordering over the noncrossing
     graph, memoised on (P, X) into a `SearchDag`.
 
+    The graph is renumbered once so that index order is
+    `_degeneracy_order`: vertex i here is order[i] in `_nonfrozen(k, n)`.
+    Then one loop, `branch(P, X, cand)`, which adds each vertex of cand in
+    bit order and moves it from P to X after its branch, is both the top
+    level (every vertex, P all, X empty, no pivot: the degeneracy order of
+    Eppstein, Loffler and Strash) and every node below it (cand =
+    P & ~N(pivot), the pivot u in P | X maximizing |P & N(u)|, first in
+    index order: Tomita, Tanaka and Takahashi).  Each edge records the
+    vertex's original index.  The memo key is the one int X << m | P.
+
     The memo starts with the leaf, so every leaf reached is a memo hit.
     The running leaf count adds a hit node's whole count, so it equals the
     unmerged search's count at the same point of the search order, and
     the build raises ResourceLimitExceeded no later than that search
     would.
     """
-    adj = _noncrossing_graph(k, n)[1]
-    m = len(adj)
+    graph = _noncrossing_graph(k, n)[1]
+    m = len(graph)
+    order = _degeneracy_order(m, graph)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [sum(1 << rank[u] for u in _bits(graph[v])) for v in order]
     first = array("i", [0, 0, 0])
     vertex, child = array("i"), array("i")
     counts = array("q", [1, 0])  # maximal cliques below each node
-    memo = {(0, 0): _LEAF}
+    memo = {0: _LEAF}
     leaves = 0
 
-    def finish(edges):
+    def branch(P, X, cand):
+        nonlocal leaves
+        edges = []
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            bit = 1 << v
+            cand &= ~bit
+            p, x = P & adj[v], X & adj[v]
+            key = x << m | p
+            c = memo.get(key)
+            if c is not None:
+                leaves += counts[c]
+                if leaves > max_collections:
+                    raise _too_many(k, n, max_collections)
+            elif p:
+                # pivot maximizing |p & N(u)|
+                best = -1
+                q = p | x
+                while q:
+                    u = (q & -q).bit_length() - 1
+                    q &= q - 1
+                    size = (p & adj[u]).bit_count()
+                    if size > best:
+                        best, pivot = size, u
+                c = memo[key] = branch(p, x, p & ~adj[pivot])
+            else:
+                c = _DEAD
+            if counts[c]:
+                edges.append((order[v], c))
+            P &= ~bit
+            X |= bit
         for v, c in edges:
             vertex.append(v)
             child.append(c)
@@ -420,49 +467,8 @@ def _build_search_dag(k, n, max_collections):
         counts.append(sum(counts[c] for _v, c in edges))
         return len(counts) - 1
 
-    def node(P, X):
-        nonlocal leaves
-        if not P and X:
-            return _DEAD
-        key = (P, X)
-        hit = memo.get(key)
-        if hit is not None:
-            leaves += counts[hit]
-            if leaves > max_collections:
-                raise _too_many(k, n, max_collections)
-            return hit
-        # pivot maximizing |P & N(u)|
-        best, pivot = -1, -1
-        q = P | X
-        while q:
-            u = (q & -q).bit_length() - 1
-            q &= q - 1
-            c = (P & adj[u]).bit_count()
-            if c > best:
-                best, pivot = c, u
-        cand = P & ~adj[pivot]
-        edges = []
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            cand &= ~bit
-            c = node(P & adj[v], X & adj[v])
-            if counts[c]:
-                edges.append((v, c))
-            P &= ~bit
-            X |= bit
-        memo[key] = hit = finish(edges)
-        return hit
-
-    P_all = (1 << m) - 1
-    done = 0
-    edges = []
-    for v in _degeneracy_order(m, adj):
-        c = node(P_all & adj[v] & ~done, done & adj[v])
-        if counts[c]:
-            edges.append((v, c))
-        done |= 1 << v
-    finish(edges)
+    everything = (1 << m) - 1
+    branch(everything, 0, everything)
     return SearchDag(first, vertex, child, counts)
 
 

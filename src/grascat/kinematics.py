@@ -19,7 +19,8 @@ from operator import sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
-                       _nonfrozen, _search_dag, is_frozen, nonfrozen_subsets, shape_cache)
+                       _nonfrozen, _search_dag, check_kn, is_frozen, nonfrozen_subsets,
+                       shape_cache)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -379,18 +380,21 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     Fraction.
 
     The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG,
-    in integers: `combinat.SearchDag.fold_up(D, p, q)`.  With
-    values[J] = p_J / q_J in lowest terms and D the product of every p_J,
-    each node gets T = D at the leaf and T(node) = sum over its edges
-    (v, child) of T(child) // p_v * q_v.  Unfolded, T(node) is the sum
-    over the maximal cliques below it of D prod q_J / p_J over the
-    vertices J added below it.  Every division is exact: the vertices below the edge of v lie in
-    P & N(v), which excludes v, so p_v divides each term of T(child) and
-    hence their sum.  Merging equal (P, X) subtrees changes nothing,
-    because a subtree's T depends only on its pair.  So T(root) is
-    D times the sum over collections R of prod_{J in R} 1 / values[J], and
-    the amplitude is T(root) / D.
+    in integers: `combinat.SearchDag.fold_up(D, p, q)`.  The search runs
+    on the noncrossing graph renumbered in degeneracy order, but each edge
+    carries its vertex's index in verts, so p and q stay in the order of
+    verts.  With values[J] = p_J / q_J in lowest terms and D the product
+    of every p_J, each node gets T = D at the leaf and T(node) = sum over
+    its edges (v, child) of T(child) // p_v * q_v.  Unfolded, T(node) is
+    the sum over the maximal cliques below it of D prod q_J / p_J over the
+    vertices J added below it.  Every division is exact: the vertices
+    below the edge of v lie in P & N(v), which excludes v, so p_v divides
+    each term of T(child) and hence their sum.  Merging equal (P, X)
+    subtrees changes nothing, because a subtree's T depends only on its
+    pair.  So T(root) is D times the sum over collections R of
+    prod_{J in R} 1 / values[J], and the amplitude is T(root) / D.
     """
+    check_kn(k, n)
     verts, adj = _noncrossing_graph(k, n)
     vals = [values.get(J, 0) for J in verts]
     if not all(vals):

@@ -703,12 +703,14 @@ def _tau_ratio(I, k, n):
 def u_variable(J, k, n):
     """Planar face ratio u_J as a normalized FactoredRatio: the product over
     its ladder (see `_ladder`)."""
+    check_kn(k, n)
     return _ladder_product([(_ladder(check_subset(J, k, n), k, n), 1)], k, n)
 
 
 def crossing_profile(J, k, n):
     """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
     non-neighbours in the noncrossing graph."""
+    check_kn(k, n)
     J = tuple(J)
     verts, cross, _before = _graph_row(J, k, n)
     return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
@@ -782,6 +784,7 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     (`_first_random_failure`) and never builds 1 - u_J.  Returns a verdict
     dict.
     """
+    check_kn(k, n)
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     J = check_subset(J, k, n)

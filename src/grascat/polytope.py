@@ -604,6 +604,21 @@ def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     maximal cone only as one of that cone's rays.  So incidence[J] holds
     the vertices whose U holds J, and P is simple iff every U has d
     members.  `_FanPolytope.f_vector` counts the faces so.
+
+    For PK every x_C is feasible, at every shape.  At a wall (r, X) with
+    relation S (v_r + v_X = sum over S of v_s, `roots._Fan.exchange`),
+    delta = gamma_r + gamma_X - sum over S of gamma_s vanishes modulo the
+    row sums, so it is a combination of the row-sum functionals and takes
+    the one value delta(lam) on P.  S lies in the wall W, so the slack of
+    gamma_X at x_{W+r} is the sum of c_s over S, minus c_r, minus c_X, plus
+    delta(lam).  For PK, c = -1 and lam = 0, so the slack is 2 - |S|, and
+    |S| <= 2 because a pair has two tail swaps.  So no wall value is
+    negative: each x_C satisfies the inequality of its neighbour across
+    every wall, and local convexity across every wall is global (De Loera,
+    Rambau and Santos, Triangulations, 2010).  A slack of 0, |S| = 2, is a
+    tight wall, which makes PK non-simple.  The tau product's wall values
+    are only measured (the least is 1 at every shape tried), so the key
+    certificate still decides for both.
     """
     found = {}  # key -> U, the union of the C that share it
 

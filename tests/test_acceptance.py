@@ -251,6 +251,10 @@ def test_criterion_8_pk_amplitude_slow_4_10(capsys):
     assert '"count": %d' % want in capsys.readouterr().out
     assert main(["amplitude", "--k", "4", "--n", "10", "--pk", "--max-cliques", str(want)]) == 0
     assert '"value": "%d"' % want in capsys.readouterr().out
+    # the same cached DAG read as the volume, once walls() certifies the fan
+    assert main(["volume", "--k", "4", "--n", "10", "--max-cliques", str(want)]) == 0
+    out = capsys.readouterr().out
+    assert '"relative_volume": %d' % want in out and '"pass": true' in out
     report("8-slow (PK amplitude at (4,10))", True)
 
 

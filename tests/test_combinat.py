@@ -202,13 +202,25 @@ def test_has_clique_matches_brute_force(query):
 
 
 def _reference_fold(k, n, start, step, leaf):
-    """The pivoting Bron-Kerbosch search as it was before its subtrees were
-    merged: one recursive call per node of the search tree, each choosing
-    its pivot from scratch, threading step(acc, v) down every branch and
-    handing each maximal clique's value to leaf.  Returns the leaf count."""
+    """The search that `_build_search_dag` memoises, as it was before its
+    subtrees were merged: one recursive call per node of the search tree,
+    threading step(acc, v) down every branch and handing each maximal
+    clique's value to leaf.  Returns the leaf count.
+
+    The build renumbers the graph so that index order is the degeneracy
+    order; here the vertices keep their indices in `_nonfrozen(k, n)` and
+    are ranked by that order instead.  The top level adds every vertex in
+    degeneracy order, with no pivot; every node below it chooses its
+    pivot from scratch, the first of highest |P & N(u)| in rank order, and
+    adds its candidates in rank order."""
     adj = _noncrossing_graph(k, n)[1]
     m = len(adj)
+    order = _degeneracy_order(m, adj)
+    rank = {v: i for i, v in enumerate(order)}
     leaves = 0
+
+    def ranked(mask):
+        return sorted(_bits(mask), key=rank.__getitem__)
 
     def expand(acc, P, X):
         nonlocal leaves
@@ -216,25 +228,14 @@ def _reference_fold(k, n, start, step, leaf):
             leaves += 1
             leaf(acc)
             return
-        best, pivot = -1, -1
-        q = P | X
-        while q:
-            u = (q & -q).bit_length() - 1
-            q &= q - 1
-            c = (P & adj[u]).bit_count()
-            if c > best:
-                best, pivot = c, u
-        cand = P & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            cand &= ~bit
+        pivot = max(ranked(P | X), key=lambda u: (P & adj[u]).bit_count())
+        for v in ranked(P & ~adj[pivot]):
             expand(step(acc, v), P & adj[v], X & adj[v])
-            P &= ~bit
-            X |= bit
+            P &= ~(1 << v)
+            X |= 1 << v
 
     done = 0
-    for v in _degeneracy_order(m, adj):
+    for v in order:
         expand(step(start, v), (1 << m) - 1 & adj[v] & ~done, done & adj[v])
         done |= 1 << v
     return leaves

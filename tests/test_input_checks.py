@@ -136,7 +136,12 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("pk_associahedron", polytope.pk_associahedron),
                   ("triangulation_volume", polytope.triangulation_volume),
                   ("root_polytope hat", lambda k, n: polytope.root_polytope(k, n, hat=True)),
-                  ("binary_identities_random_all", polynomial.binary_identities_random_all)):
+                  ("binary_identities_random_all", polynomial.binary_identities_random_all),
+                  ("crossing_profile", lambda k, n: polynomial.crossing_profile((1, 3, 5), k, n)),
+                  ("u_variable", lambda k, n: polynomial.u_variable((1, 3, 5), k, n)),
+                  ("binary_identity_check",
+                   lambda k, n: polynomial.binary_identity_check((1, 3, 5), k, n)),
+                  ("nc_amplitude", lambda k, n: kinematics.nc_amplitude(k, n, {}))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import linalg
+from grascat import linalg, roots
 from grascat.combinat import (_bits, _crossing_labels, clear_caches, compatibility_degree,
                               enumerate_maximal_noncrossing, is_noncrossing, nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
@@ -419,6 +419,54 @@ def test_uncertified_exchange_raises_naming_both_subsets(monkeypatch, how):
             run(*args)
         assert str(fan.verts[r]) in str(info.value) and str(fan.verts[X]) in str(info.value)
         assert (r, X) not in fan.relations
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("how,message", [
+    ("short", "greedy collection is not maximal-pure"),
+    ("doubled", "start cone is not unimodular")])
+def test_broken_start_cone_raises(monkeypatch, how, message):
+    clear_caches()
+    try:
+        if how == "short":
+            # the greedy collection without its least member
+            first = roots._first_collection
+            monkeypatch.setattr(roots, "_first_collection",
+                                lambda adj: first(adj) & (first(adj) - 1))
+        else:
+            # every gamma doubled: the start cone has |det| 2^d
+            gamma = roots.gamma_functional
+            monkeypatch.setattr(roots, "gamma_functional",
+                                lambda J, k, n: [2 * x for x in gamma(J, k, n)])
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            _fan(3, 7)
+    finally:
+        clear_caches()
+
+
+def test_wall_with_two_completions_raises(monkeypatch):
+    k, n = 4, 8
+    v = _seeded_inputs(k, n, 1, 1)[0]
+    clear_caches()
+    noncrossing_decompose(v, k, n)
+    # the walk's first flip: it leaves the start cone across the wall start - r
+    r, X = next(iter(_fan(k, n).relations))
+    clear_caches()
+    fan = _fan(k, n)
+    try:
+        # join a vertex u outside the start cone to every member of that
+        # wall: u and X both complete it
+        wall = [w for w in fan.start if w != r]
+        u = next(u for u in range(len(fan.verts)) if u not in fan.start and u != X)
+        adj = list(fan.adj)
+        for w in wall:
+            adj[w] |= 1 << u
+            adj[u] |= 1 << w
+        monkeypatch.setattr(fan, "adj", adj)
+        with pytest.raises(AssertionError, match="has 2 other completions$") as info:
+            noncrossing_decompose(v, k, n)
+        assert all(str(fan.verts[w]) in str(info.value) for w in wall)
     finally:
         clear_caches()
 
