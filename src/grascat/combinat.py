@@ -333,22 +333,27 @@ class SearchDag:
     DAG with one node per distinct pair.  Nodes are numbered in
     post-order, children before parents.  Node ``_LEAF`` (0) is the empty
     pair, a maximal clique; node ``root`` (the last) is the top level.
-    The edges of node i are first[i] .. first[i+1]-1, in search order:
-    edge e adds vertex[e], an index in `_nonfrozen(k, n)`, to the clique
-    and leads to node child[e].  Branches that end in no maximal
-    clique are dropped: node ``_DEAD`` (1) stands for every empty P with a
-    nonempty X, and no edge leads to a node without leaves.  ``count`` is
-    the number of maximal cliques, the number of root-to-leaf paths, and
-    counts[i] the number of paths from node i to the leaf.
+    Edge e belongs to node owner[e], adds vertex[e], an index in
+    `_nonfrozen(k, n)`, to the clique and leads to node child[e]; the
+    edges of node i are first[i] .. first[i+1]-1, in search order.  A node's
+    edges are stored when its branch ends, after every edge of its
+    children, so owner is nondecreasing and child[e] < owner[e].  Branches
+    that end in no maximal clique are dropped: node ``_DEAD`` (1) stands
+    for every empty P with a nonempty X, and no edge leads to a node
+    without leaves.  ``count`` is the number of maximal cliques, the
+    number of root-to-leaf paths, and counts[i] the number of paths from
+    node i to the leaf.
 
     Walking it top-down meets the leaves of the unmerged search tree in
-    search order; a bottom-up fold (``fold_up``) visits each node once.
+    search order; a bottom-up fold (``fold_up``) reads each edge once, in
+    storage order.
     """
 
-    __slots__ = ("first", "vertex", "child", "counts", "root", "count")
+    __slots__ = ("first", "owner", "vertex", "child", "counts", "root", "count")
 
-    def __init__(self, first, vertex, child, counts):
-        self.first, self.vertex, self.child, self.counts = first, vertex, child, counts
+    def __init__(self, first, owner, vertex, child, counts):
+        self.first, self.owner, self.vertex, self.child = first, owner, vertex, child
+        self.counts = counts
         self.root = len(counts) - 1
         self.count = counts[self.root]
 
@@ -356,21 +361,22 @@ class SearchDag:
         """The value of the root when node ``_LEAF`` holds leaf_value and
         every other node the sum over its edges e, adding v = vertex[e], of
         (value of child[e]) // div[v] * mul[v]; dead nodes hold 0.  div and
-        mul are int sequences indexed by vertex, read once per edge into
-        per-edge lists before the pass."""
-        first, child = self.first, self.child
-        de = [div[v] for v in self.vertex]
-        me = [mul[v] for v in self.vertex]
+        mul are int sequences indexed by vertex.
+
+        One flat pass over the edges in storage order adds each edge's
+        term to its owner's value.  Every edge of child[e] is stored before
+        edge e, so the child's value is complete when e reads it, and the
+        pass is exact.  When every mul[v] is 1, as for integer values, the
+        terms skip the multiply."""
         value = [0] * (self.root + 1)
         value[_LEAF] = leaf_value
-        e = first[_DEAD + 1]
-        for node in range(_DEAD + 1, self.root + 1):
-            end = first[node + 1]
-            s = 0
-            while e < end:
-                s += value[child[e]] // de[e] * me[e]
-                e += 1
-            value[node] = s
+        de = map(div.__getitem__, self.vertex)
+        if all(x == 1 for x in mul):
+            for o, c, d in zip(self.owner, self.child, de):
+                value[o] += value[c] // d
+        else:
+            for o, c, d, x in zip(self.owner, self.child, de, map(mul.__getitem__, self.vertex)):
+                value[o] += value[c] // d * x
         return value[self.root]
 
 
@@ -424,7 +430,7 @@ def _build_search_dag(k, n, max_collections):
     rank = {v: i for i, v in enumerate(order)}
     adj = [sum(1 << rank[u] for u in _bits(graph[v])) for v in order]
     first = array("i", [0, 0, 0])
-    vertex, child = array("i"), array("i")
+    owner, vertex, child = array("i"), array("i"), array("i")
     counts = array("q", [1, 0])  # maximal cliques below each node
     memo = {0: _LEAF}
     leaves = 0
@@ -460,16 +466,18 @@ def _build_search_dag(k, n, max_collections):
                 edges.append((order[v], c))
             P &= ~bit
             X |= bit
+        node = len(counts)
         for v, c in edges:
+            owner.append(node)
             vertex.append(v)
             child.append(c)
         first.append(len(child))
         counts.append(sum(counts[c] for _v, c in edges))
-        return len(counts) - 1
+        return node
 
     everything = (1 << m) - 1
     branch(everything, 0, everything)
-    return SearchDag(first, vertex, child, counts)
+    return SearchDag(first, owner, vertex, child, counts)
 
 
 def _bits(mask):

@@ -200,8 +200,15 @@ def _s_row(I, n, position):
     return {J: c for _t, J, c in sorted(terms)}
 
 
-@shape_cache
 def kin_basis(k, n):
+    """The cached `KinBasis` of (k, n); ValueError unless k and n are ints
+    with 2 <= k <= n - 2."""
+    check_kn(k, n)
+    return _kin_basis(k, n)
+
+
+@shape_cache
+def _kin_basis(k, n):
     return KinBasis(k, n)
 
 
@@ -333,8 +340,9 @@ def eta_hat_shift(n):
     eta_{j,n-1,n}; an overcount of (N-1) eta_I is subtracted when N terms
     contribute.  Warns (UserWarning) on every call with n > 9, beyond the
     validated range.  The rows are built once per n (`_shift_rows`); each
-    call returns new functionals.
+    call returns new functionals.  ValueError unless n is an int >= 5.
     """
+    check_kn(3, n)
     if n > 9:
         warnings.warn(f"kinematic shift for (3, {n}) is beyond the validated range n <= 9",
                       stacklevel=2)
@@ -377,7 +385,8 @@ class AmplitudePole(ZeroDivisionError):
 def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     """Sum over all maximal noncrossing collections of the product of
     1/values[J]; values maps every nonfrozen subset to a nonzero int or
-    Fraction.
+    Fraction.  Any other value, bool included, is a ValueError naming its
+    subset.
 
     The sum is one bottom-up pass over the cached Bron-Kerbosch search DAG,
     in integers: `combinat.SearchDag.fold_up(D, p, q)`.  The search runs
@@ -393,10 +402,19 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     subtrees changes nothing, because a subtree's T depends only on its
     pair.  So T(root) is D times the sum over collections R of
     prod_{J in R} 1 / values[J], and the amplitude is T(root) / D.
+
+    The pass reads the DAG's edges once each, in storage order, adding
+    each term to the T of the edge's owner.  A node's edges are stored
+    after all of its children's, so each T(child) is complete before it
+    is read.  When every value is an int, every q_v is 1 and the pass
+    does no multiply.
     """
     check_kn(k, n)
     verts, adj = _noncrossing_graph(k, n)
     vals = [values.get(J, 0) for J in verts]
+    for J, x in zip(verts, vals):
+        if type(x) is bool or not isinstance(x, (int, F)):
+            raise ValueError(f"the value of {J} is not an int or a Fraction: {x!r}")
     if not all(vals):
         # a missing or zero value: report it in the sorted-first collection
         # holding one, which is what a sorted term-by-term sum meets first,

@@ -448,13 +448,13 @@ def test_s_to_eta_needs_momentum_conservation(tmp_path, capsys):
 
 
 def test_amplitude_shift_builds_no_kinematic_basis(capsys, monkeypatch):
-    from grascat.kinematics import kin_basis
+    from grascat.kinematics import _kin_basis
     monkeypatch.chdir(Path(__file__).parent / "corpus")
     combinat.clear_caches()
     code, _ = run(capsys, "amplitude", "--k", "3", "--n", "8", "--eta", "eta_3_8.json",
                   "--shift")
     assert code == 0
-    assert kin_basis.cache_info().currsize == 0
+    assert _kin_basis.cache_info().currsize == 0
 
 
 def test_coeffs_input_not_an_object(tmp_path, capsys):
@@ -499,7 +499,7 @@ def test_max_cliques_below_one_rejected(capsys, argv):
 
 @pytest.mark.parametrize("action", ["eta-to-s", "s-to-eta"])
 def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action):
-    from grascat.kinematics import kin_basis
+    from grascat.kinematics import _kin_basis
     key = "eta" if action == "eta-to-s" else "s"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({key: {"1,2,3,4,6": "5"}}))
@@ -507,7 +507,7 @@ def test_kinematics_rejects_input_before_building_basis(tmp_path, capsys, action
     code, data = _error(capsys, "kinematics", action, "--k", "4", "--n", "9",
                         "--input", str(path))
     assert code == 2 and "expected a 4-element subset" in data["error"]
-    assert kin_basis.cache_info().currsize == 0
+    assert _kin_basis.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("argv,text,message", [

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import combinat, linalg
+from grascat import combinat, kinematics, linalg
 from grascat.combinat import (ResourceLimitExceeded, _bits, _degeneracy_order,
                               _first_collection, _fold_maximal_noncrossing, _has_clique,
                               _noncrossing_graph,
@@ -288,6 +288,45 @@ def test_search_dag_amplitude_total(k, n):
         assert nc_amplitude(k, n, values) == F(expected * L ** d, D)
 
 
+@pytest.mark.parametrize("k,n", DAG_SHAPES)
+def test_search_dag_fold_with_multipliers(k, n):
+    """fold_up with a mul table other than all ones, the values of
+    nc_amplitude with Fraction values, gives the reference tree's total of
+    D prod mul_J / div_J; a table with a single entry other than 1 takes
+    the multiplying pass too."""
+    rng = random.Random(10 * k + n + 1)
+    m = len(nonfrozen_subsets(k, n))
+    div = [rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(m)]
+    D = prod(div)
+    dag = _search_dag(k, n, 10 ** 6)
+    one = [1] * m
+    one[rng.randrange(m)] = -7
+    for mul in ([rng.randint(1, 30) for _ in range(m)], one):
+        expected = 0
+
+        def add(Q):
+            nonlocal expected
+            expected += Q
+
+        _reference_fold(k, n, D, lambda Q, v: Q // div[v] * mul[v], add)
+        assert dag.fold_up(D, div, mul) == expected
+
+
+@pytest.mark.parametrize("k,n", DAG_SHAPES)
+def test_search_dag_edges_follow_their_owners(k, n):
+    """Each edge is stored with its owner's other edges, after every edge
+    of its child: owner is nondecreasing, child[e] < owner[e], and edges
+    first[i] .. first[i+1]-1 are the ones owned by i."""
+    dag = _search_dag(k, n, 10 ** 6)
+    owner, child, first = dag.owner, dag.child, dag.first
+    assert len(owner) == len(child) == len(dag.vertex) == first[-1]
+    assert len(first) == dag.root + 2
+    assert all(a <= b for a, b in zip(owner, owner[1:]))
+    assert all(c < o for o, c in zip(owner, child))
+    for i in range(dag.root + 1):
+        assert list(owner[first[i]:first[i + 1]]) == [i] * (first[i + 1] - first[i])
+
+
 def test_capped_search_dag_build_caches_nothing():
     combinat.clear_caches()
     with pytest.raises(ResourceLimitExceeded,
@@ -344,9 +383,10 @@ def test_check_kn_takes_ints_only(k, n):
 @pytest.mark.parametrize("build,message", [
     # check_kn runs before any cache is read
     (triangulation_volume, "k and n must be ints"),
+    (kin_basis, "k and n must be ints"),
     # typed keys: 3.0 misses the entry of 3, and the miss rejects it
-    (kin_basis, "is not an int or a tuple of ints"),
-], ids=["triangulation_volume", "kin_basis"])
+    (kinematics._kin_basis, "is not an int or a tuple of ints"),
+], ids=["triangulation_volume", "kin_basis", "_kin_basis"])
 def test_non_int_shape_raises_cold_and_warm(build, message):
     combinat.clear_caches()
     with pytest.raises(ValueError, match=message):
@@ -358,9 +398,9 @@ def test_non_int_shape_raises_cold_and_warm(build, message):
 
 
 def test_clear_caches_empties_every_shape_cache():
-    from grascat import cli, kinematics, polynomial, roots
+    from grascat import cli, polynomial, roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
-              kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
+              kinematics._kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
               polynomial._one_minus_u, cli._parser, combinat._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs
@@ -387,7 +427,7 @@ def test_clear_caches_empties_every_shape_cache():
 def test_every_module_reads_the_one_nonfrozen_table(monkeypatch, tmp_path):
     import json
 
-    from grascat import cli, kinematics, roots
+    from grascat import cli, roots
     combinat.clear_caches()
     verts, index = combinat._nonfrozen(3, 6)
     assert index == {J: t for t, J in enumerate(verts)}

@@ -131,6 +131,12 @@ CASES = {
         lambda: kinematics.kin_basis(3, 6).eta_values({(3, 2, 1): 0}),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
 }
+# nc_amplitude takes int and Fraction values only, checked before the fold
+for _value in (1.5, "3", True):
+    CASES[f"nc_amplitude value {_value!r}"] = (
+        lambda v=_value: kinematics.nc_amplitude(
+            3, 6, {J: v if J == (1, 3, 5) else 1 for J in combinat.nonfrozen_subsets(3, 6)}),
+        ValueError, f"the value of (1, 3, 5) is not an int or a Fraction: {_value!r}")
 # these entry points check (k, n) with check_kn before anything else
 for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("pk_associahedron", polytope.pk_associahedron),
@@ -141,11 +147,18 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("u_variable", lambda k, n: polynomial.u_variable((1, 3, 5), k, n)),
                   ("binary_identity_check",
                    lambda k, n: polynomial.binary_identity_check((1, 3, 5), k, n)),
-                  ("nc_amplitude", lambda k, n: kinematics.nc_amplitude(k, n, {}))):
+                  ("nc_amplitude", lambda k, n: kinematics.nc_amplitude(k, n, {})),
+                  ("kin_basis", kinematics.kin_basis)):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")
     CASES[f"{_name}(1, 4)"] = (lambda f=_f: f(1, 4), ValueError, "need 2 <= k <= n-2, got (1, 4)")
+# the (3, n) shift checks (3, n) with check_kn first
+for _n, _message in ((7.0, "k and n must be ints, got (3, 7.0)"),
+                     (True, "k and n must be ints, got (3, True)"),
+                     (4, "need 2 <= k <= n-2, got (3, 4)")):
+    CASES[f"eta_hat_shift({_n})"] = (lambda n=_n: kinematics.eta_hat_shift(n), ValueError,
+                                     _message)
 
 
 @pytest.mark.parametrize("name", CASES)
