@@ -221,6 +221,7 @@ def functionals_equal_on_K(f, g):
 
 def eta_combination(coeffs, k, n):
     """sum c_J eta_J as a KinFunctional."""
+    check_kn(k, n)
     return sum((eta_functional(tuple(J), k, n) * c for J, c in coeffs.items()),
                KinFunctional(k, n))
 
@@ -238,6 +239,7 @@ def check_conservation(point, k, n):
 def pk_point(k, n):
     """s-values of the Planar Kinematics point: +1 on the n cyclic windows
     of length k, -1 on the windows with the last label shifted out by one."""
+    check_kn(k, n)
     point = {}
     for j in range(n):
         plus = tuple(sorted((j + t) % n + 1 for t in range(k)))
@@ -267,6 +269,7 @@ def interior_kd_point(k, n, seed=None):
     """A strictly interior point of K_D: the uniform point (all nonfrozen
     s = -1) plus, when seeded, a small random K-perturbation that keeps
     every sign strict."""
+    check_kn(k, n)
     frozen = linalg._exact(F(comb(n - 1, k - 1) - k, k))
     base = {J: frozen if is_frozen(J, n) else -1 for J in combinations(range(1, n + 1), k)}
     if seed is None:

@@ -13,9 +13,9 @@ P_i, Q_j, delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly
 increasing column chains c_1 <= c_2 <= ... with each c_t in an interval;
 `chain_poly` enumerates them and builds the sum as one terms dict.
 
-A FactoredRatio is scalar * x^mono * prod f^{e_f} over canonical primitive
-factors f, with a sparse signed monomial and one signed exponent map, and no
-zero exponents stored, so multiplying and dividing add and subtract
+A FactoredRatio is scalar * prod f^{e_f} over factors f, each a grid
+variable or a canonical primitive polynomial, with one signed exponent map
+and no zero exponents stored, so multiplying and dividing add and subtract
 exponents.
 
 A u-variable is held as its ladder: the signed exponents of its (at most
@@ -31,11 +31,11 @@ variable it has rather than a pass over the whole grid): the point's
 denominators are cleared once, each total degree is summed in ints, and one
 Fraction is made at the end.  Each factor keeps its sparse form, built
 once; `Poly.eval` converts once per call.  A FactoredRatio is evaluated on
-int pairs: each coordinate of the point and each factor's value there is
-made one (numerator, denominator) pair (`_point_values`), and the ratio
-multiplies the pairs of the variables and factors it has into one unreduced
-pair.  The random-exact identity checks make those pairs once per point for
-every distinct factor, read both sides of every identity off them and
+int pairs: each factor's value at the point, a variable's as any other's,
+is made one (numerator, denominator) pair (`_point_values`), and the ratio
+multiplies the pairs of the factors it has into one unreduced pair.  The
+random-exact identity checks make those pairs once per point for every
+distinct factor, read both sides of every identity off them and
 compare them cross-multiplied.  The symbolic check compares the crossing
 product with 1 - u_J, built once per J (`_one_minus_u`) with u_J's
 denominator kept factored, so its taus cancel against the product's before
@@ -311,10 +311,12 @@ def det_poly(rows):
 # factored rational expressions
 
 class _Factor:
-    """A canonical primitive polynomial (coprime integer coefficients,
-    positive leading coefficient, no monomial factor) as its sorted
-    (exponent, coefficient) term tuple `Poly.key()`, with the same terms in
-    the `_sparse` form that `_term_sum` evaluates, built once here.
+    """A base of a FactoredRatio: a grid variable x_{i,j} (its one term,
+    coefficient 1) or a canonical primitive polynomial of two or more terms
+    (coprime integer coefficients, positive leading coefficient, no monomial
+    factor), as its sorted (exponent, coefficient) term tuple `Poly.key()`,
+    with the same terms in the `_sparse` form that `_term_sum` evaluates,
+    built once here.
     `_factor` hands out one object per term tuple, so factors hash and
     compare by identity: a batch of identities updates the exponent maps
     tens of thousands of times, and rehashing the term tuple at each update
@@ -336,30 +338,33 @@ def _factor(terms):
 
 
 class FactoredRatio:
-    """scalar * x^mono * prod over factors f of f^{exps[f]}.
+    """scalar * prod over factors f of f^{exps[f]}.
 
-    The factors are `_Factor`s.  `mono` is sparse, a dict from the dense
-    index of a grid variable (`roots.grid_point`'s layout) to its exponent,
-    and `exps` maps each factor to its exponent.  Both hold signed exponents
-    and never a zero one, so the only normalization a product or quotient
-    needs is adding or subtracting exponents, and every pass over a ratio
-    visits only the variables and factors it has.
+    The factors are `_Factor`s, grid variables among them, and `exps` maps
+    each to its signed exponent, never a zero one, so the only normalization
+    a product or quotient needs is adding or subtracting exponents, and
+    every pass over a ratio visits only the factors it has.
     """
 
-    __slots__ = ("k", "n", "scalar", "mono", "exps")
+    __slots__ = ("k", "n", "scalar", "exps")
 
-    def __init__(self, k, n, scalar=1, mono=None, exps=None):
+    def __init__(self, k, n, scalar=1, exps=None):
         self.k, self.n = k, n
         self.scalar = _exact(scalar)
-        self.mono = mono or {}
         self.exps = exps or {}
 
     @classmethod
     def from_poly(cls, p):
+        """p as the scalar and primitive part of `Poly.content_split`, with
+        each variable of the monomial it splits off a one-term factor."""
         scale, mono, prim = p.content_split()
+        unit = (0,) * len(mono)
+        exps = {_factor(((unit[:i] + (1,) + unit[i + 1:], 1),)): e
+                for i, e in enumerate(mono) if e}
         # a primitive part with one term is the constant 1
-        return cls(p.k, p.n, scale, {i: e for i, e in enumerate(mono) if e},
-                   {_factor(prim.key()): 1} if len(prim) > 1 else None)
+        if len(prim) > 1:
+            exps[_factor(prim.key())] = 1
+        return cls(p.k, p.n, scale, exps)
 
     def _lift(self, other):
         if isinstance(other, FactoredRatio):
@@ -382,52 +387,41 @@ class FactoredRatio:
 
     def expand(self):
         """(numerator, denominator) as polynomials: the product of the
-        factors with positive (negative) exponents, shifted by the positive
-        (negative) part of the monomial and scaled by the scalar's numerator
-        (denominator)."""
+        factors with positive (negative) exponents, scaled by the scalar's
+        numerator (denominator)."""
         k, n = self.k, self.n
-        nv = (k - 1) * (n - k)
         sides = []
         for sign, c in ((1, self.scalar.numerator), (-1, self.scalar.denominator)):
-            p = None
+            p = Poly.const(k, n, c)
             for f, e in self.exps.items():
                 if sign * e > 0:
-                    q = Poly(k, n, dict(f.terms)) ** (sign * e)
-                    p = q if p is None else p * q
-            terms = p.terms if p else {(0,) * nv: 1}
-            shift = [0] * nv
-            for i, e in self.mono.items():
-                if sign * e > 0:
-                    shift[i] = sign * e
-            sides.append(Poly(k, n, {tuple(map(add, e, shift)): a * c for e, a in terms.items()}
-                              if c else {}))
+                    p = p * Poly(k, n, dict(f.terms)) ** (sign * e)
+            sides.append(p)
         return tuple(sides)
 
-    def _eval(self, xs, table):
-        """Value as an unreduced pair (num, den) of ints, given the point's
-        coordinates xs (by dense index) and every factor's value there
-        (table, by factor), each a (numerator, denominator) int pair: each
-        base's numerator and denominator go to the sides its exponent's sign
-        says."""
+    def _eval(self, table):
+        """Value as an unreduced pair (num, den) of ints, given every
+        factor's value at a point (table, by factor) as a (numerator,
+        denominator) int pair: each factor's numerator and denominator go to
+        the sides its exponent's sign says."""
         num, den = self.scalar.numerator, self.scalar.denominator
-        for bases, values in ((self.mono, xs), (self.exps, table)):
-            for key, e in bases.items():
-                a, b = values[key]
-                if e < 0:
-                    a, b, e = b, a, -e
-                if e == 1:
-                    num *= a
-                    den *= b
-                else:
-                    num *= a ** e
-                    den *= b ** e
+        for f, e in self.exps.items():
+            a, b = table[f]
+            if e < 0:
+                a, b, e = b, a, -e
+            if e == 1:
+                num *= a
+                den *= b
+            else:
+                num *= a ** e
+                den *= b ** e
         if not den:
             raise ZeroDivisionError("denominator factor vanished at the sample point")
         return num, den
 
     def eval(self, point):
-        values = _point_values(grid_point(point, self.k, self.n), self.exps)
-        return _exact(F(*self._eval(*values)))
+        table = _point_values(grid_point(point, self.k, self.n), self.exps)
+        return _exact(F(*self._eval(table)))
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
@@ -437,27 +431,26 @@ class FactoredRatio:
 
     def __repr__(self):
         factors = [(Poly(self.k, self.n, dict(f.terms)), e) for f, e in self.exps.items()]
-        return f"FactoredRatio(scalar={self.scalar}, mono={self.mono}, factors={factors})"
+        return f"FactoredRatio(scalar={self.scalar}, factors={factors})"
 
 
 def _point_values(xs, factors):
-    """(coordinates, table) at the dense point xs as `FactoredRatio._eval`
-    reads them: each coordinate, and the value there of each of `factors`
-    (one `_term_sum` per factor), as a (numerator, denominator) int pair."""
+    """The table `FactoredRatio._eval` reads at the dense point xs: the
+    value there of each of `factors`, variables included (one `_term_sum`
+    per factor), as a (numerator, denominator) int pair."""
     cleared = _integral(xs)
     table = {}
     for f in factors:
         v = _term_sum(f.sparse, cleared)
         table[f] = v.numerator, v.denominator
-    return [(v.numerator, v.denominator) for v in xs], table
+    return table
 
 
 def _product(pairs, k, n):
     """prod r**c over (FactoredRatio r, int c) pairs: the signed exponents
-    are summed in one pass, and the variables and factors whose exponents
-    cancel to zero are dropped."""
+    are summed in one pass, and the factors whose exponents cancel to zero
+    are dropped."""
     num = den = 1
-    mono = {}
     exps = {}
     for r, c in pairs:
         a, b = r.scalar.numerator, r.scalar.denominator
@@ -465,12 +458,9 @@ def _product(pairs, k, n):
             a, b = b, a
         num *= a ** abs(c)
         den *= b ** abs(c)
-        for i, e in r.mono.items():
-            mono[i] = mono.get(i, 0) + c * e
         for f, e in r.exps.items():
             exps[f] = exps.get(f, 0) + c * e
-    return FactoredRatio(k, n, _ratio(num, den), {i: e for i, e in mono.items() if e},
-                         {f: e for f, e in exps.items() if e})
+    return FactoredRatio(k, n, _ratio(num, den), {f: e for f, e in exps.items() if e})
 
 
 def _quotient(nums, dens, k, n):
@@ -505,6 +495,7 @@ def tau(I, k, n):
     sum x_{s+1,a_1} ... x_{s+m-1,a_{m-1}} over weakly increasing tuples with
     a_t in [j_t - t, j_{t+1} - t], the last interval ending at j_m - m.
     """
+    check_kn(k, n)
     I = tuple(I)
     if len(I) != k:
         raise ValueError(f"tau index must have {k} entries")
@@ -584,6 +575,7 @@ def bcfw_matrix(k, n):
 
 def plucker(J, k, n):
     """Maximal minor with column set J of the positive parameterization."""
+    check_kn(k, n)
     M = bcfw_matrix(k, n)
     rows = [[M[r][c - 1] for c in J] for r in range(k)]
     return det_poly(rows)
@@ -735,7 +727,6 @@ def _one_minus_u(J, k, n):
     uJ = _identity(J, k, n)[1]
     num, den = uJ.expand()
     inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
-                            {i: e for i, e in uJ.mono.items() if e < 0},
                             {f: e for f, e in uJ.exps.items() if e < 0})
     return FactoredRatio.from_poly(den - num) * inverse
 
@@ -745,12 +736,12 @@ def _first_random_failure(identities, k, n, trials, seed):
     `trials` exact positive rational points drawn from random.Random(seed);
     return (index of the first failing pair, witness point) or None.
 
-    Each coordinate and each distinct factor's value is made a (numerator,
-    denominator) int pair once per point (`_point_values`), and both sides
-    of every identity are read off those pairs.  No denominator can vanish
-    there: every factor is the primitive part of a tau polynomial,
-    whose coefficients are all positive, so it is positive at a positive
-    point, and so is every monomial; every drawn point is therefore used.
+    Each distinct factor's value, a variable's as any other's, is made a
+    (numerator, denominator) int pair once per point (`_point_values`), and
+    both sides of every identity are read off those pairs.  No denominator
+    can vanish there: every factor is a grid variable or the primitive part
+    of a tau polynomial, whose coefficients are all positive, so it is
+    positive at a positive point; every drawn point is therefore used.
     Raises ValueError for trials < 1, which would check nothing.
     """
     if trials < 1:
@@ -760,10 +751,10 @@ def _first_random_failure(identities, k, n, trials, seed):
     for _ in range(trials):
         point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                  for i in range(1, k) for j in range(1, n - k + 1)}
-        xs, table = _point_values(grid_point(point, k, n), factors)
+        table = _point_values(grid_point(point, k, n), factors)
         for index, (u, rhs) in enumerate(identities):
             # a/b = 1 - c/d, cross-multiplied
-            (a, b), (c, d) = u._eval(xs, table), rhs._eval(xs, table)
+            (a, b), (c, d) = u._eval(table), rhs._eval(table)
             if a * d != (d - c) * b:
                 return index, {f"{i},{j}": str(v) for (i, j), v in point.items()}
     return None

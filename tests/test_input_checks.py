@@ -148,7 +148,12 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("binary_identity_check",
                    lambda k, n: polynomial.binary_identity_check((1, 3, 5), k, n)),
                   ("nc_amplitude", lambda k, n: kinematics.nc_amplitude(k, n, {})),
-                  ("kin_basis", kinematics.kin_basis)):
+                  ("kin_basis", kinematics.kin_basis),
+                  ("pk_point", kinematics.pk_point),
+                  ("interior_kd_point", kinematics.interior_kd_point),
+                  ("eta_combination", lambda k, n: kinematics.eta_combination({}, k, n)),
+                  ("tau", lambda k, n: polynomial.tau((1, 2, 3), k, n)),
+                  ("plucker", lambda k, n: polynomial.plucker((2, 4, 6), k, n))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")

@@ -360,7 +360,7 @@ ratios = st.builds(
 
 
 def _fields(r):
-    return r.scalar, r.mono, r.exps
+    return r.scalar, r.exps
 
 
 points = st.dictionaries(st.sampled_from([(i, j) for i in (1, 2) for j in (1, 2, 3)]),
@@ -389,15 +389,13 @@ def test_factored_ratio_power_is_repeated_product(a, m):
 
 def _expand_reference(r):
     """(numerator, denominator) of r from Poly.one by one Poly multiply per
-    unit of every exponent, monomial variables included: the expansion that
+    unit of every exponent, variables included: the expansion that
     `FactoredRatio.expand` shortened."""
     sides = []
     for sign, c in ((1, F(r.scalar).numerator), (-1, F(r.scalar).denominator)):
         p = Poly.one(r.k, r.n) * c
-        bases = [(Poly.var(*[a + 1 for a in divmod(i, r.n - r.k)], r.k, r.n), e)
-                 for i, e in r.mono.items()]
-        bases += [(Poly(r.k, r.n, dict(f.terms)), e) for f, e in r.exps.items()]
-        for base, e in bases:
+        for f, e in r.exps.items():
+            base = Poly(r.k, r.n, dict(f.terms))
             for _ in range(max(sign * e, 0)):
                 p = p * base
         sides.append(p)
@@ -409,7 +407,7 @@ def _expand_reference(r):
 def test_factored_ratio_expand_matches_repeated_products(a):
     a = a * x(1, 2) ** 2 / x(2, 1) ** 3
     assert a.expand() == _expand_reference(a)
-    assert all(a.mono.values()) and all(a.exps.values())
+    assert all(a.exps.values())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -482,6 +480,19 @@ def test_factor_sparse_form_expands_back_to_its_terms():
     for f in factors:
         dense = [(tuple([Counter(idx)[i] for i in range(nv)]), c) for idx, c in f.sparse]
         assert tuple(dense) == f.terms
+
+
+def _variable(i, j):
+    """The factor x_{i,j} of a (3, 6) FactoredRatio, as `_factor` interns it."""
+    return polynomial._factor(x(i, j).key())
+
+
+def test_monomial_content_becomes_variable_factors():
+    r = FactoredRatio.from_poly(x(1, 1) ** 2 * (x(1, 2) + x(1, 3)))
+    prim = polynomial._factor((x(1, 2) + x(1, 3)).key())
+    assert r.scalar == 1 and r.exps == {_variable(1, 1): 2, prim: 1}
+    # the variable cancels by identity, as any factor does
+    assert (r / x(1, 1) / x(1, 1)).exps == {prim: 1}
 
 
 def test_factored_ratio_eval_rejects_vanishing_denominator():
@@ -703,10 +714,10 @@ def test_pair_evaluation_matches_expanded_sides(k, n):
     factors = {f for r in sides for f in r.exps}
     for point in _seeded_points(k, n, seed=k * n):
         # one table for every factor, as the random checks make it
-        xs, table = polynomial._point_values(grid_point(point, k, n), factors)
-        assert all(type(v) is int for pair in xs + list(table.values()) for v in pair)
+        table = polynomial._point_values(grid_point(point, k, n), factors)
+        assert all(type(v) is int for pair in table.values() for v in pair)
         for r in sides:
-            num, den = r._eval(xs, table)
+            num, den = r._eval(table)
             assert type(num) is int and type(den) is int
             assert F(num, den) == _fraction_value(r, point), r
 
@@ -717,8 +728,10 @@ def test_pair_evaluation_of_signed_powers():
     f = [FactoredRatio.from_poly(POOL[i]) for i in (0, 1, -2, -1)]
     r = (FactoredRatio(3, 6, F(-3, 7)) * f[0] ** 2 / f[1] ** 2 * f[2] ** 3 / f[3] ** 3
          / x(1, 2) ** 2 * x(2, 1) ** 3 / x(1, 1) ** 3 * x(2, 3))
-    assert sorted(r.exps.values()) == [-3, -2, 2, 3]
-    assert sorted(r.mono.values()) == [-3, -2, 1, 3]
+    variables = {f: e for f, e in r.exps.items() if len(f.terms) == 1}
+    assert variables == {_variable(1, 2): -2, _variable(2, 1): 3, _variable(1, 1): -3,
+                         _variable(2, 3): 1}
+    assert sorted(e for f, e in r.exps.items() if f not in variables) == [-3, -2, 2, 3]
     rng = random.Random(7)
     for _ in range(3):
         point = {(i, j): F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
@@ -732,7 +745,6 @@ def _inline_one_minus_u(J, k, n):
     _crossing, uJ, _rhs = polynomial._identity(J, k, n)
     num, den = uJ.expand()
     inverse = FactoredRatio(k, n, F(1, uJ.scalar.denominator),
-                            {i: e for i, e in uJ.mono.items() if e < 0},
                             {f: e for f, e in uJ.exps.items() if e < 0})
     return FactoredRatio.from_poly(den - num) * inverse
 
