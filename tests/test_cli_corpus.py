@@ -23,6 +23,7 @@ CASES = {
     "nc_count_3_10": ["nc", "count", "--k", "3", "--n", "10", "--max-cliques", "2000000"],
     "nc_list_2_6": ["nc", "list", "--k", "2", "--n", "6"],
     "nc_list_3_6": ["nc", "list", "--k", "3", "--n", "6"],
+    "nc_list_3_7": ["nc", "list", "--k", "3", "--n", "7"],
     "decompose_tripod_37": ["decompose", "--input", "tripod_37.json"],
     "nc_degree_tripod_37": ["nc", "degree", "--input", "tripod_37.json"],
     "decompose_4_8": ["decompose", "--input", "combo_4_8.json"],
