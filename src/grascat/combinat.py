@@ -280,7 +280,8 @@ def _first_collection(adj, chosen=0):
 def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     """All maximal pairwise-noncrossing collections of nonfrozen subsets,
     the leaves of the pivoting Bron-Kerbosch search with degeneracy
-    ordering (see `_search_dag`).
+    ordering (see `_search_dag`), folded up the search DAG as lists of
+    bitmasks over `_nonfrozen(k, n)`.
 
     Every maximal collection has exactly (k-1)(n-k-1) members; their number
     is the k-dimensional Catalan number catalan_mdim(k, n-k).  Output is
@@ -288,36 +289,15 @@ def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     """
     check_kn(k, n)
     verts = _noncrossing_graph(k, n)[0]
-    masks = []
-    _fold_maximal_noncrossing(k, n, max_collections, 0,
-                              lambda R, v: R | 1 << v, masks.append)
+
+    def add(masks, below, v):
+        bit = 1 << v
+        masks = [] if masks is None else masks
+        masks.extend(R | bit for R in below)
+        return masks
+
+    masks = _search_dag(k, n, max_collections).fold_sets([0], add)
     return sorted(tuple(sorted(verts[i] for i in _bits(R))) for R in masks)
-
-
-def _fold_maximal_noncrossing(k, n, max_collections, start, step, leaf):
-    """Walk the Bron-Kerbosch search tree top-down, in search order,
-    threading one value down each branch.
-
-    A branch that adds vertex v (its index in `_nonfrozen(k, n)`) to
-    the clique maps the value acc it carries to step(acc, v); the tree's
-    root carries start, and each maximal clique hands its value to leaf,
-    in search order.  The tree is the unfolding of the cached search DAG,
-    without its dead branches.  Returns the number of maximal cliques;
-    raises ResourceLimitExceeded, before any leaf, when there are more
-    than max_collections.
-    """
-    dag = _search_dag(k, n, max_collections)
-    first, vertex, child = dag.first, dag.vertex, dag.child
-
-    def walk(node, acc):
-        if node == _LEAF:
-            leaf(acc)
-            return
-        for e in range(first[node], first[node + 1]):
-            walk(child[e], step(acc, vertex[e]))
-
-    walk(dag.root, start)
-    return dag.count
 
 
 class SearchDag:
@@ -334,28 +314,43 @@ class SearchDag:
     post-order, children before parents.  Node ``_LEAF`` (0) is the empty
     pair, a maximal clique; node ``root`` (the last) is the top level.
     Edge e belongs to node owner[e], adds vertex[e], an index in
-    `_nonfrozen(k, n)`, to the clique and leads to node child[e]; the
-    edges of node i are first[i] .. first[i+1]-1, in search order.  A node's
-    edges are stored when its branch ends, after every edge of its
-    children, so owner is nondecreasing and child[e] < owner[e].  Branches
-    that end in no maximal clique are dropped: node ``_DEAD`` (1) stands
-    for every empty P with a nonempty X, and no edge leads to a node
-    without leaves.  ``count`` is the number of maximal cliques, the
-    number of root-to-leaf paths, and counts[i] the number of paths from
-    node i to the leaf.
+    `_nonfrozen(k, n)`, to the clique and leads to node child[e].  A
+    node's edges are stored together, in search order, when its branch
+    ends, after every edge of its children, so owner is nondecreasing and
+    child[e] < owner[e].  Branches that end in no maximal clique are
+    dropped: node ``_DEAD`` (1) stands for every empty P with a nonempty
+    X, and no edge leads to a node without leaves.  ``count`` is the
+    number of maximal cliques, the number of root-to-leaf paths.
 
-    Walking it top-down meets the leaves of the unmerged search tree in
-    search order; a bottom-up fold (``fold_up``) reads each edge once, in
-    storage order.
+    Every reader is one pass over the edges in storage order (``fold_up``,
+    ``fold_sets``): every edge of child[e] comes before edge e, so the
+    child's value is complete when e reads it.
     """
 
-    __slots__ = ("first", "owner", "vertex", "child", "counts", "root", "count")
+    __slots__ = ("owner", "vertex", "child", "root", "count")
 
-    def __init__(self, first, owner, vertex, child, counts):
-        self.first, self.owner, self.vertex, self.child = first, owner, vertex, child
-        self.counts = counts
-        self.root = len(counts) - 1
-        self.count = counts[self.root]
+    def __init__(self, owner, vertex, child, count):
+        self.owner, self.vertex, self.child, self.count = owner, vertex, child, count
+        self.root = owner[-1]  # the root's edges are stored last
+
+    def fold_sets(self, leaf_value, add):
+        """The value of the root when node ``_LEAF`` holds leaf_value and
+        each edge e, in storage order, sets its owner's value to
+        add(the owner's value, or None at its first edge, the value of
+        child[e], vertex[e]).
+
+        A child's value is dropped at the last edge that reads it, so only
+        the values of nodes with a reader still to come are held.  add may
+        change the owner's value in place, never the child's: a child is
+        read by all of its parents."""
+        last = dict(zip(self.child, range(len(self.child))))  # a later edge overwrites
+        value = [None] * (self.root + 1)
+        value[_LEAF] = leaf_value
+        for e, (o, c, v) in enumerate(zip(self.owner, self.child, self.vertex)):
+            value[o] = add(value[o], value[c], v)
+            if last[c] == e:
+                value[c] = None
+        return value[self.root]
 
     def fold_up(self, leaf_value, div, mul):
         """The value of the root when node ``_LEAF`` holds leaf_value and
@@ -429,7 +424,6 @@ def _build_search_dag(k, n, max_collections):
     order = _degeneracy_order(m, graph)
     rank = {v: i for i, v in enumerate(order)}
     adj = [sum(1 << rank[u] for u in _bits(graph[v])) for v in order]
-    first = array("i", [0, 0, 0])
     owner, vertex, child = array("i"), array("i"), array("i")
     counts = array("q", [1, 0])  # maximal cliques below each node
     memo = {0: _LEAF}
@@ -471,13 +465,12 @@ def _build_search_dag(k, n, max_collections):
             owner.append(node)
             vertex.append(v)
             child.append(c)
-        first.append(len(child))
         counts.append(sum(counts[c] for _v, c in edges))
         return node
 
     everything = (1 << m) - 1
     branch(everything, 0, everything)
-    return SearchDag(first, owner, vertex, child, counts)
+    return SearchDag(owner, vertex, child, counts[-1])
 
 
 def _bits(mask):

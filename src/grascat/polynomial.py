@@ -530,13 +530,17 @@ def delta(i, J, k, n):
     """Face polynomial of the planar face F^{(i)}_J: the sum of x^v over its
     integer vertices, which put one unit in each of the rows i..i+m-2, the
     column of row i+l-1 inside [j_l - (l-1), j_{l+1} - (l-1)], with columns
-    weakly increasing down the rows."""
+    weakly increasing down the rows.  Raises ValueError unless (k, n) passes
+    `check_kn`, J passes `check_subset`, and the row i, an int, and J's
+    last entry are in range."""
+    check_kn(k, n)
     J = tuple(J)
     m = len(J)
     if not (2 <= m <= k):
         raise ValueError("face index J must have between 2 and k entries")
-    if not (1 <= i <= k - m + 1):
-        raise ValueError(f"row index i={i} out of range for |J|={m}")
+    check_subset(J, m, n)
+    if type(i) is not int or not (1 <= i <= k - m + 1):
+        raise ValueError(f"row index i={i!r} out of range for |J|={m}")
     if J[-1] > (n - 2) - (k - m):
         raise ValueError(f"face index {J} out of range for ({k}, {n})")
     return chain_poly(i, [(J[t - 1] - (t - 1), J[t] - (t - 1)) for t in range(1, m)], k, n)

@@ -14,16 +14,16 @@ description and no face-lattice walk (`_fan_polytope`; Hohlweg, Pilaud and
 Stella, Polytopal realizations of finite type g-vector fans, 2018).  The
 maximal noncrossing collections C are the cones of a complete fan, which
 `roots._Fan.walls` certifies unimodular, and each gives the integer point
-x_C with gamma_J(x_C) = c_J for J in C.  One fold over the search DAG of
-the collections carries the AND of the members' argmin masks, and each
-distinct mask is certified once to meet every factor, so that x_C, the
-sum of its one point per factor, is in the Minkowski sum, inside P.  Then
-the x_C are exactly the vertices of P, the facets tight at x_C are the J
-of U, the union of the C that reach it (the normal cone of x_C is the
-union of those C), and the faces are the sets F_S of vertices tight on
-every J of a noncrossing S, of codimension the largest |S| giving F_S.
-If some certificate fails, or the search DAG has more than MAX_COLLECTIONS
-leaves, P comes from the double description.
+x_C with gamma_J(x_C) = c_J for J in C.  One pass over the edges of the
+search DAG of the collections groups them by the AND of the members'
+argmin masks, and each distinct mask is certified once to meet every
+factor, so that x_C, the sum of its one point per factor, is in the
+Minkowski sum, inside P.  Then the x_C are exactly the vertices of P, the
+facets tight at x_C are the J of U, the union of the C that reach it (the
+normal cone of x_C is the union of those C), and the faces are the sets
+F_S of vertices tight on every J of a noncrossing S, of codimension the
+largest |S| giving F_S.  If some certificate fails, or the search DAG has
+more than MAX_COLLECTIONS leaves, P comes from the double description.
 
 The root-polytope volume is the number of collections, the leaf count of
 the search DAG: with every cone unimodular, each simplex conv(0, v_J : J
@@ -52,8 +52,8 @@ from math import comb
 from operator import and_, mul
 
 from . import linalg
-from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits,
-                       _fold_maximal_noncrossing, _search_dag, check_kn, nonfrozen_subsets)
+from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _search_dag, check_kn,
+                       nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import _fan, _running_sums, gamma_hat, grid_point, row_sums, v_root
 
@@ -575,17 +575,18 @@ def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     are the factor points, numbered factor after factor, argmin and
     factor_bits masks over them as in `_newton_hrep`.
 
-    One fold over the search DAG carries down each branch (R, key): R the
-    bitmask over fan.verts of the collection so far and key the AND of its
-    members' argmin masks.  A maximal collection C is certified by
-    `_in_minkowski_sum` on its key: then each factor has a point at which
-    every gamma_J, J in C, takes its factor minimum, and the sum q of such
-    points has gamma_J(q) = c_J on C, whose gamma_J are a basis modulo the
-    row sums, so q = x_C, in Newt, inside P.  `roots._Fan.walls` certifies
+    One pass over the search DAG's edges (`SearchDag.fold_sets`) gives
+    each node a dict {key: U} over the paths from it to the leaf: key the
+    AND of the argmin masks of the path's members and U the union of their
+    bitmasks over fan.verts, so the paths that share a key are merged at
+    every node.  At the root the paths are the maximal collections C, and
+    C is certified by `_in_minkowski_sum` on its key: then each factor has
+    a point at which every gamma_J, J in C, takes its factor minimum, and
+    the sum q of such points has gamma_J(q) = c_J on C, whose gamma_J are
+    a basis modulo the row sums, so q = x_C, in Newt, inside P.  `roots._Fan.walls` certifies
     every C unimodular, so the key holds one point per factor, and x_C is
     their sum.  A vertex of Newt is such a sum in one way only, so the C
-    with one vertex share their key: the leaves are grouped by key, with U
-    the union of their C.
+    with one vertex share their key, and U is the union of those C.
     With every x_C feasible, P is dual to the fan (Hohlweg, Pilaud and
     Stella, Polytopal realizations of finite type g-vector fans, 2018):
     - w = sum over J in C of a_J gamma_J with every a_J > 0 takes its
@@ -620,28 +621,27 @@ def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     are only measured (the least is 1 at every shape tried), so the key
     certificate still decides for both.
     """
-    found = {}  # key -> U, the union of the C that share it
+    def add(keys, below, v):
+        a, bit = argmin[v], 1 << v
+        keys = {} if keys is None else keys
+        for key, U in below.items():
+            key &= a
+            keys[key] = keys.get(key, 0) | U | bit
+        return keys
 
-    def leaf(acc):
-        R, key = acc
-        found[key] = found.get(key, 0) | R
-
-    try:
-        _fold_maximal_noncrossing(fan.k, fan.n, MAX_COLLECTIONS, (0, -1),
-                                  lambda acc, v: (acc[0] | 1 << v, acc[1] & argmin[v]), leaf)
+    try:  # the cap raises before any edge is read
+        found = _search_dag(fan.k, fan.n, MAX_COLLECTIONS).fold_sets({-1: 0}, add)
     except ResourceLimitExceeded:
         return None
     if not all(_in_minkowski_sum(key, factor_bits) for key in found):
         return None
     fan.walls()
-    verts = []
-    for key, U in found.items():
-        # key meets every factor: in one point each iff it has one per factor
-        if key.bit_count() != len(factor_bits):
-            raise AssertionError("a certified key has two points of one factor")
-        x = tuple(map(sum, zip(*[points[(key & bits).bit_length() - 1] for bits in factor_bits])))
-        verts.append((x, U))
-    verts.sort()
+    # a certified key meets every factor: in one point each iff it has one per factor
+    if any(key.bit_count() != len(factor_bits) for key in found):
+        raise AssertionError("a certified key has two points of one factor")
+    verts = sorted((tuple(map(sum, zip(*[points[(key & bits).bit_length() - 1]
+                                         for bits in factor_bits]))), U)
+                   for key, U in found.items())
     incidence = [0] * len(ineqs)
     for i, (_x, U) in enumerate(verts):
         for j in _bits(U):

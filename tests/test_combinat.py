@@ -2,6 +2,8 @@
 compatibility degree, and the noncrossing complex."""
 import random
 import re
+import weakref
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, prod
@@ -11,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import combinat, kinematics, linalg
-from grascat.combinat import (ResourceLimitExceeded, _bits, _degeneracy_order,
-                              _first_collection, _fold_maximal_noncrossing, _has_clique,
-                              _noncrossing_graph,
-                              _search_dag, catalan_mdim, check_kn, check_subset,
-                              compatibility_degree,
+from grascat.combinat import (ResourceLimitExceeded, _bits, _first_collection, _has_clique,
+                              _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
+                              check_subset, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
                               is_frozen, is_noncrossing, is_weakly_separated,
                               k3_exponent_rule, nonfrozen_subsets)
 from grascat.kinematics import kin_basis, nc_amplitude
 from grascat.polytope import triangulation_volume
+from unit_pivot import _reference_fold
 
 
 def test_frozen():
@@ -201,65 +202,28 @@ def test_has_clique_matches_brute_force(query):
     assert _has_clique(adj, cand, size) == brute
 
 
-def _reference_fold(k, n, start, step, leaf):
-    """The search that `_build_search_dag` memoises, as it was before its
-    subtrees were merged: one recursive call per node of the search tree,
-    threading step(acc, v) down every branch and handing each maximal
-    clique's value to leaf.  Returns the leaf count.
-
-    The build renumbers the graph so that index order is the degeneracy
-    order; here the vertices keep their indices in `_nonfrozen(k, n)` and
-    are ranked by that order instead.  The top level adds every vertex in
-    degeneracy order, with no pivot; every node below it chooses its
-    pivot from scratch, the first of highest |P & N(u)| in rank order, and
-    adds its candidates in rank order."""
-    adj = _noncrossing_graph(k, n)[1]
-    m = len(adj)
-    order = _degeneracy_order(m, adj)
-    rank = {v: i for i, v in enumerate(order)}
-    leaves = 0
-
-    def ranked(mask):
-        return sorted(_bits(mask), key=rank.__getitem__)
-
-    def expand(acc, P, X):
-        nonlocal leaves
-        if not P and not X:
-            leaves += 1
-            leaf(acc)
-            return
-        pivot = max(ranked(P | X), key=lambda u: (P & adj[u]).bit_count())
-        for v in ranked(P & ~adj[pivot]):
-            expand(step(acc, v), P & adj[v], X & adj[v])
-            P &= ~(1 << v)
-            X |= 1 << v
-
-    done = 0
-    for v in order:
-        expand(step(start, v), (1 << m) - 1 & adj[v] & ~done, done & adj[v])
-        done |= 1 << v
-    return leaves
-
-
 DAG_SHAPES = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8), (3, 9),
               (4, 7), (4, 8)]
 
 
-def _add(R, v):
-    return R | 1 << v
+def _paths(paths, below, v):
+    if paths is None:
+        paths = []
+    paths.extend((v,) + p for p in below)
+    return paths
 
 
 @pytest.mark.parametrize("k,n", DAG_SHAPES)
 def test_search_dag_unfolds_to_the_search_tree(k, n):
-    """The top-down walk of the DAG meets the reference tree's leaves in
-    the same order, and the DAG's stored count is their number."""
+    """The DAG's root-to-leaf vertex paths, folded up by fold_sets, are the
+    reference tree's root-to-leaf paths, as multisets, and the DAG's stored
+    count is their number."""
     expected = []
-    count = _reference_fold(k, n, 0, _add, expected.append)
+    count = _reference_fold(k, n, (), lambda p, v: p + (v,), expected.append)
     assert count == catalan_mdim(k, n - k)
-    leaves = []
-    assert _fold_maximal_noncrossing(k, n, count, 0, _add, leaves.append) == count
-    assert leaves == expected
-    assert _search_dag(k, n, count).count == count
+    dag = _search_dag(k, n, count)
+    assert Counter(dag.fold_sets([()], _paths)) == Counter(expected)
+    assert dag.count == count
 
 
 @pytest.mark.parametrize("k,n", DAG_SHAPES)
@@ -315,16 +279,47 @@ def test_search_dag_fold_with_multipliers(k, n):
 @pytest.mark.parametrize("k,n", DAG_SHAPES)
 def test_search_dag_edges_follow_their_owners(k, n):
     """Each edge is stored with its owner's other edges, after every edge
-    of its child: owner is nondecreasing, child[e] < owner[e], and edges
-    first[i] .. first[i+1]-1 are the ones owned by i."""
+    of its child: owner is nondecreasing and child[e] < owner[e]; the root
+    owns the last edge, and the leaf and the dead node own none."""
     dag = _search_dag(k, n, 10 ** 6)
-    owner, child, first = dag.owner, dag.child, dag.first
-    assert len(owner) == len(child) == len(dag.vertex) == first[-1]
-    assert len(first) == dag.root + 2
+    owner, child = dag.owner, dag.child
+    assert len(owner) == len(child) == len(dag.vertex)
     assert all(a <= b for a, b in zip(owner, owner[1:]))
     assert all(c < o for o, c in zip(owner, child))
-    for i in range(dag.root + 1):
-        assert list(owner[first[i]:first[i + 1]]) == [i] * (first[i + 1] - first[i])
+    assert owner[0] > 1 and owner[-1] == dag.root
+
+
+class _Value:
+    """A value that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_fold_sets_drops_each_value_after_its_last_reader(k, n):
+    """By the time fold_sets reaches edge e, it holds no value of a node
+    whose last reader came before e; only the root's value outlives the
+    fold.  (The leaf's value is the caller's.)"""
+    dag = _search_dag(k, n, 10 ** 6)
+    owner, child = dag.owner, dag.child
+    last = dict(zip(child, range(len(child))))
+    done = sorted((e, c) for c, e in last.items() if c != combinat._LEAF)
+    refs, edges, i = {}, iter(range(len(child))), 0
+
+    def add(value, below, v):
+        nonlocal i
+        e = next(edges)
+        while done[i][0] < e:
+            assert refs[done[i][1]]() is None
+            i += 1
+        if value is None:
+            value = _Value()
+            refs[owner[e]] = weakref.ref(value)
+        return value
+
+    root = dag.fold_sets(_Value(), add)
+    assert next(edges, None) is None
+    assert all(e == len(child) - 1 for e, _c in done[i:])
+    assert [c for c, ref in refs.items() if ref() is not None] == [dag.root]
+    assert refs[dag.root]() is root
 
 
 def test_capped_search_dag_build_caches_nothing():

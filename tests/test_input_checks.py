@@ -58,6 +58,24 @@ CASES = {
     "delta face": (
         lambda: polynomial.delta(1, (1, 5), 3, 6),
         ValueError, "face index (1, 5) out of range for (3, 6)"),
+    "delta decreasing": (
+        lambda: polynomial.delta(1, (3, 2), 3, 6),
+        ValueError, "subset must be strictly increasing: (3, 2)"),
+    "delta repeated": (
+        lambda: polynomial.delta(1, (2, 2), 3, 6),
+        ValueError, "subset must be strictly increasing: (2, 2)"),
+    "delta below 1": (
+        lambda: polynomial.delta(1, (0, 3), 3, 6),
+        ValueError, "subset (0, 3) not inside [1, 6]"),
+    "delta bool row": (
+        lambda: polynomial.delta(True, (1, 3), 3, 6),
+        ValueError, "row index i=True out of range for |J|=2"),
+    "delta float row": (
+        lambda: polynomial.delta(1.0, (1, 3), 3, 6),
+        ValueError, "row index i=1.0 out of range for |J|=2"),
+    "delta float k": (
+        lambda: polynomial.delta(1, (1, 3), 3.0, 6),
+        ValueError, "k and n must be ints, got (3.0, 6)"),
     "compound_A": (
         lambda: polynomial.compound_A(1, 5, 2, 6),
         IndexError, "A_{ijk} needs column j+2 <= n; use the X form"),

@@ -13,9 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grascat import linalg, polytope, roots
-from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded,
-                              enumerate_maximal_noncrossing, is_noncrossing,
-                              nonfrozen_subsets)
+from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
+                              is_noncrossing, nonfrozen_subsets)
 from grascat.polynomial import Poly, pk_factors, tau
 from grascat.polytope import (cone_rays, hull_of_points,
                               in_convex_hull,
@@ -235,11 +234,11 @@ def test_triangulation_volume(k, n, vol):
 
 # the per-leaf unit-pivot fold, kept as the oracle of the walls certificate
 
-def _oracle_volume(k, n, max_collections=MAX_COLLECTIONS):
+def _oracle_volume(k, n):
     """The root-polytope volume by the unit-pivot fold: the number of
     collections, each checked unimodular on the roots in the start basis."""
     fan = roots._fan(k, n)
-    return unit_pivot_fold(fan, start_rows(fan), max_collections, lambda R, echelon: None)
+    return unit_pivot_fold(fan, start_rows(fan), lambda R, echelon: None)
 
 
 def _oracle_pk_vertices(k, n):
@@ -256,7 +255,7 @@ def _oracle_pk_vertices(k, n):
             z[col] = row[col] * (row[d] - sum(map(mul, row, z)))
         found.add(tuple(z))
 
-    unit_pivot_fold(fan, [row + (-1,) for row in start_rows(fan)], MAX_COLLECTIONS, leaf)
+    unit_pivot_fold(fan, [row + (-1,) for row in start_rows(fan)], leaf)
     return found
 
 
@@ -269,8 +268,7 @@ def test_triangulation_volume_matches_the_unit_pivot_fold(k, n):
 @pytest.mark.slow
 @pytest.mark.parametrize("k,n,vol", [(3, 10, 1385670), (5, 9, 1662804)])
 def test_triangulation_volume_slow(k, n, vol):
-    assert (_oracle_volume(k, n, max_collections=2000000)
-            == triangulation_volume(k, n, max_collections=2000000) == vol)
+    assert _oracle_volume(k, n) == triangulation_volume(k, n, max_collections=2000000) == vol
 
 
 def _patch_root(monkeypatch, J, new_row):

@@ -1,14 +1,56 @@
-"""Test oracles on the noncrossing fan that the package no longer runs:
-the roots in the start-cone basis of `roots._Fan`, and the per-leaf
-unit-pivot fold that checks every maximal collection unimodular on them."""
+"""Test oracles that the package no longer runs: the Bron-Kerbosch search
+of the maximal noncrossing collections before its subtrees were merged
+into `combinat.SearchDag`, the roots in the start-cone basis of
+`roots._Fan`, and the per-leaf unit-pivot fold over that search that checks
+every maximal collection unimodular on them."""
 import weakref
 from math import gcd
 
 from grascat import linalg
-from grascat.combinat import _bits, _fold_maximal_noncrossing
+from grascat.combinat import _bits, _degeneracy_order, _noncrossing_graph
 from grascat.roots import lattice_coords, v_root
 
 _ROWS = weakref.WeakKeyDictionary()
+
+
+def _reference_fold(k, n, start, step, leaf):
+    """The search that `_build_search_dag` memoises, as it was before its
+    subtrees were merged: one recursive call per node of the search tree,
+    threading step(acc, v) down every branch and handing each maximal
+    clique's value to leaf.  Returns the leaf count.
+
+    The build renumbers the graph so that index order is the degeneracy
+    order; here the vertices keep their indices in `_nonfrozen(k, n)` and
+    are ranked by that order instead.  The top level adds every vertex in
+    degeneracy order, with no pivot; every node below it chooses its
+    pivot from scratch, the first of highest |P & N(u)| in rank order, and
+    adds its candidates in rank order."""
+    adj = _noncrossing_graph(k, n)[1]
+    m = len(adj)
+    order = _degeneracy_order(m, adj)
+    rank = {v: i for i, v in enumerate(order)}
+    leaves = 0
+
+    def ranked(mask):
+        return sorted(_bits(mask), key=rank.__getitem__)
+
+    def expand(acc, P, X):
+        nonlocal leaves
+        if not P and not X:
+            leaves += 1
+            leaf(acc)
+            return
+        pivot = max(ranked(P | X), key=lambda u: (P & adj[u]).bit_count())
+        for v in ranked(P & ~adj[pivot]):
+            expand(step(acc, v), P & adj[v], X & adj[v])
+            P &= ~(1 << v)
+            X |= 1 << v
+
+    done = 0
+    for v in order:
+        expand(step(start, v), (1 << m) - 1 & adj[v] & ~done, done & adj[v])
+        done |= 1 << v
+    return leaves
 
 
 def start_rows(fan):
@@ -23,11 +65,11 @@ def start_rows(fan):
     return rows
 
 
-def unit_pivot_fold(fan, rows, max_collections, leaf):
-    """Fold over the Bron-Kerbosch tree of the maximal noncrossing
-    collections of the fan's (k, n) whose branches carry (R, echelon), R
-    the bitmask of the collection so far and echelon its members' rows,
-    reduced; checks every collection unimodular, hands each one's
+def unit_pivot_fold(fan, rows, leaf):
+    """Fold over the reference search tree (`_reference_fold`) of the
+    maximal noncrossing collections of the fan's (k, n), whose branches
+    carry (R, echelon), R the bitmask of the collection so far and echelon
+    its members' rows, reduced; checks every collection unimodular, hands each one's
     (R, echelon) to leaf(R, echelon) and returns the number of leaves.
 
     rows[v] starts with v's d = fan.dim coordinates in the start-cone
@@ -75,4 +117,4 @@ def unit_pivot_fold(fan, rows, max_collections, leaf):
             raise AssertionError(f"non-unimodular collection {named(R)}: |det| 0")
         leaf(R, echelon)
 
-    return _fold_maximal_noncrossing(fan.k, fan.n, max_collections, (0, ()), add, full)
+    return _reference_fold(fan.k, fan.n, (0, ()), add, full)
