@@ -157,8 +157,10 @@ def cmd_nc_count(args):
 
 def cmd_nc_list(args):
     cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
+    # one key string per nonfrozen subset, shared by every collection
+    keys = {J: subset_key(J) for J in combinat._nonfrozen(args.k, args.n)[0]}
     return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,
-                        "collections": [[subset_key(J) for J in c] for c in cols]})
+                        "collections": [[keys[J] for J in c] for c in cols]})
 
 
 def cmd_nc_degree(args):

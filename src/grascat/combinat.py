@@ -13,14 +13,15 @@ every module reads.
 
 Every per-shape structure that callers ask for more than once, here and
 in `roots`, `kinematics`, `polynomial` and `cli`, is kept for the whole
-process by one layer: the `shape_cache` decorator, whose keys are ints and
-tuples of ints only, and `_search_dag`'s DAGs.  `clear_caches()` empties all.
+process by one layer: the `shape_cache` decorator, a typed lru_cache
+whose builds check their own shape, and `_search_dag`'s DAGs.
+`clear_caches()` empties all.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
@@ -38,34 +39,21 @@ class ResourceLimitExceeded(RuntimeError):
 _CLEARS = []
 
 
-def _is_ints(arg):
-    """arg is an exact int, or a tuple of exact ints (bool is not one)."""
-    return type(arg) is int or type(arg) is tuple and all(type(a) is int for a in arg)
-
-
 def shape_cache(build):
     """Keep build(*args) for the whole process, one entry per argument
     tuple, and register the cache with `clear_caches`.  The layer holds
     the per-shape structures that callers ask for more than once.
 
-    An lru_cache with typed keys over a miss path that raises ValueError,
-    before anything is built, unless every argument is an int or a tuple
-    of ints (bool rejected).  A hit is a plain lru_cache hit, unchecked;
-    typed keys make 3.0 miss where 3 hits, so it raises cold and warm.
-    Typing does not reach into a tuple: a warm call with (1.0, 3, 5) hits
-    the entry of (1, 3, 5) and returns its value.  The callers of
-    `polynomial._ladder` and `_identity` run `check_subset` first;
-    `kinematics.eta_functional` keeps that residual.
+    A plain lru_cache with typed keys: 3.0 or True misses the entry of 3,
+    so a build that starts with `check_kn` rejects a bad shape on every
+    call, cold or warm, with check_kn's message.  Typing does not reach
+    into a tuple: a warm call with (1.0, 3, 5) hits the entry of
+    (1, 3, 5).  So a tuple key, a subset, must be checked before the cache
+    is read: the callers of `polynomial._ladder`, `_identity` and
+    `_one_minus_u` run `check_subset` first.  `kinematics.eta_functional`
+    checks its subset in its body, on a miss only, and keeps that residual.
     """
-    @wraps(build)
-    def miss(*args):
-        for arg in args:
-            if not _is_ints(arg):
-                raise ValueError(f"{build.__name__}: argument {arg!r} is not an int "
-                                 f"or a tuple of ints")
-        return build(*args)
-
-    cached = lru_cache(maxsize=None, typed=True)(miss)
+    cached = lru_cache(maxsize=None, typed=True)(build)
     _CLEARS.append(cached.cache_clear)
     return cached
 
@@ -80,7 +68,7 @@ def check_subset(J, k, n):
     """Validate that J is a strictly increasing k-tuple of ints inside
     [1, n]; bool is not an int here."""
     J = tuple(J)
-    if not _is_ints(J):
+    if not all(type(a) is int for a in J):
         raise ValueError(f"subset entries must be ints, got {J}")
     if len(J) != k:
         raise ValueError(f"expected a {k}-element subset, got {J}")
@@ -186,7 +174,6 @@ def check_kn(k, n):
 def nonfrozen_subsets(k, n):
     """All k-subsets of [1, n] that are not single cyclic intervals, in
     sorted order: a new list of the table `_nonfrozen(k, n)`."""
-    check_kn(k, n)
     return list(_nonfrozen(k, n)[0])
 
 
@@ -287,7 +274,6 @@ def enumerate_maximal_noncrossing(k, n, max_collections=MAX_COLLECTIONS):
     is the k-dimensional Catalan number catalan_mdim(k, n-k).  Output is
     sorted for determinism.
     """
-    check_kn(k, n)
     verts = _noncrossing_graph(k, n)[0]
 
     def add(masks, below, v):

@@ -19,8 +19,8 @@ from operator import sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
-                       _nonfrozen, _search_dag, check_kn, is_frozen, nonfrozen_subsets,
-                       shape_cache)
+                       _nonfrozen, _search_dag, check_kn, check_subset, is_frozen,
+                       nonfrozen_subsets, shape_cache)
 from .roots import _in_cyclic_open, gamma_hat
 
 F = Fraction
@@ -53,9 +53,10 @@ class KinFunctional:
         integer eta -> s map: its eta_J-coordinate is sum_I coeffs[I] S[I][J]."""
         self.k, self.n, self.eta = k, n, {}
         if coeffs:
-            S = kin_basis(k, n).S
+            B = kin_basis(k, n)
+            B._check_keys(coeffs)
             self.eta = self._of(k, n, ((J, a * c) for I, a in coeffs.items()
-                                       for J, c in S[I].items())).eta
+                                       for J, c in B.S[I].items())).eta
 
     @classmethod
     def _of(cls, k, n, pairs):
@@ -93,7 +94,10 @@ class KinFunctional:
 @shape_cache
 def eta_functional(J, k, n):
     """Planar kinematic invariant eta_J as a functional: a unit coordinate
-    vector, empty (identically zero on K(k,n)) iff J is frozen."""
+    vector, empty (identically zero on K(k,n)) iff J is frozen.  ValueError
+    unless (k, n) passes `check_kn` and J `check_subset`."""
+    check_kn(k, n)
+    J = check_subset(J, k, n)
     return KinFunctional._of(k, n, [] if is_frozen(J, n) else [(J, 1)])
 
 
@@ -169,14 +173,19 @@ class KinBasis:
                  for I, row in self.S.items()}
         return {I: linalg._exact(v) for I, v in point.items() if v}
 
+    def _check_keys(self, point):
+        """ValueError naming the first key of the s-indexed map point that
+        is not a k-subset of [1, n]."""
+        bad = next((I for I in point if I not in self.index), None)
+        if bad is not None:
+            raise ValueError(f"s-value key {bad!r} is not a {self.k}-subset of [1, {self.n}]")
+
     def eta_values(self, point):
         """The nonfrozen eta values of an s-value map, which must be a point
         of K(k,n): ValueError for a key that is not a k-subset of [1, n] and
         for values that break momentum conservation."""
         k, n = self.k, self.n
-        bad = next((I for I in point if I not in self.index), None)
-        if bad is not None:
-            raise ValueError(f"s-value key {bad!r} is not a {k}-subset of [1, {n}]")
+        self._check_keys(point)
         if not check_conservation(point, k, n):
             raise ValueError(f"the s-values break momentum conservation: "
                              f"not a point of K({k},{n})")
@@ -200,15 +209,11 @@ def _s_row(I, n, position):
     return {J: c for _t, J, c in sorted(terms)}
 
 
+@shape_cache
 def kin_basis(k, n):
     """The cached `KinBasis` of (k, n); ValueError unless k and n are ints
     with 2 <= k <= n - 2."""
     check_kn(k, n)
-    return _kin_basis(k, n)
-
-
-@shape_cache
-def _kin_basis(k, n):
     return KinBasis(k, n)
 
 
@@ -412,7 +417,6 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     is read.  When every value is an int, every q_v is 1 and the pass
     does no multiply.
     """
-    check_kn(k, n)
     verts, adj = _noncrossing_graph(k, n)
     vals = [values.get(J, 0) for J in verts]
     for J, x in zip(verts, vals):

@@ -69,7 +69,7 @@ def _sparse(terms):
 
 def _check_exponent(m):
     """Reject an exponent that is not an int (`bool` included), as
-    `combinat.shape_cache` rejects such a key."""
+    `combinat.check_kn` rejects such a shape."""
     if type(m) is not int:
         raise TypeError(f"exponent must be an int, not {type(m).__name__}")
 
@@ -562,6 +562,7 @@ def bcfw_matrix(k, n):
     1..k, then column k+j holding m_{i,j} 'in rows i < k and 1 in the last
     row.  Rows of the polynomial block carry alternating signs (-1)^{k-1-i}
     so that every maximal minor has nonnegative coefficients."""
+    check_kn(k, n)
     cols = []
     for c in range(1, k + 1):
         cols.append([Poly.const(k, n, 1 if r == c else 0) for r in range(1, k + 1)])
@@ -578,8 +579,10 @@ def bcfw_matrix(k, n):
 
 
 def plucker(J, k, n):
-    """Maximal minor with column set J of the positive parameterization."""
+    """Maximal minor with column set J of the positive parameterization;
+    ValueError unless (k, n) passes `check_kn` and J `check_subset`."""
     check_kn(k, n)
+    J = check_subset(J, k, n)
     M = bcfw_matrix(k, n)
     rows = [[M[r][c - 1] for c in J] for r in range(k)]
     return det_poly(rows)
@@ -705,9 +708,10 @@ def u_variable(J, k, n):
 
 def crossing_profile(J, k, n):
     """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
-    non-neighbours in the noncrossing graph."""
+    non-neighbours in the noncrossing graph, none for a frozen J.
+    ValueError unless (k, n) passes `check_kn` and J `check_subset`."""
     check_kn(k, n)
-    J = tuple(J)
+    J = check_subset(J, k, n)
     verts, cross, _before = _graph_row(J, k, n)
     return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
 
@@ -837,7 +841,6 @@ def binary_identities_random_all(k, n, trials=20, seed=0):
     trial evaluates every distinct factor once at an exact positive rational
     point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every J.
     Returns a verdict dict."""
-    check_kn(k, n)
     nf = _nonfrozen(k, n)[0]
     identities = [_identity(J, k, n)[1:] for J in nf]
     failure = _first_random_failure(identities, k, n, trials, seed)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import combinat, kinematics, linalg
+from grascat import combinat, kinematics, linalg, polynomial
 from grascat.combinat import (ResourceLimitExceeded, _bits, _first_collection, _has_clique,
                               _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
                               check_subset, compatibility_degree,
@@ -375,27 +375,30 @@ def test_check_kn_takes_ints_only(k, n):
         check_kn(k, n)
 
 
-@pytest.mark.parametrize("build,message", [
+@pytest.mark.parametrize("build", [
     # check_kn runs before any cache is read
-    (triangulation_volume, "k and n must be ints"),
-    (kin_basis, "k and n must be ints"),
-    # typed keys: 3.0 misses the entry of 3, and the miss rejects it
-    (kinematics._kin_basis, "is not an int or a tuple of ints"),
-], ids=["triangulation_volume", "kin_basis", "_kin_basis"])
-def test_non_int_shape_raises_cold_and_warm(build, message):
+    triangulation_volume,
+    # shape caches with typed keys: 3.0 misses the entry of 3, and the
+    # build's own check_kn rejects it
+    kin_basis,
+    polynomial.bcfw_matrix,
+    lambda k, n: kinematics.eta_functional((1, 3, 5), k, n),
+], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional"])
+def test_non_int_shape_raises_cold_and_warm(build):
     combinat.clear_caches()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="k and n must be ints"):
         build(3.0, 6)
     build(3, 6)
     for k, n in [(3.0, 6), (3, 6.0), (True, 6)]:
-        with pytest.raises(ValueError, match=message):
+        message = f"k and n must be ints, got ({k!r}, {n!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(k, n)
 
 
 def test_clear_caches_empties_every_shape_cache():
-    from grascat import cli, polynomial, roots
+    from grascat import cli, roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
-              kinematics._kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
+              kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
               polynomial._one_minus_u, cli._parser, combinat._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs

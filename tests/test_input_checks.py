@@ -148,6 +148,39 @@ CASES = {
     "eta_values unsorted key": (
         lambda: kinematics.kin_basis(3, 6).eta_values({(3, 2, 1): 0}),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
+    "KinFunctional short key": (
+        lambda: kinematics.KinFunctional(3, 6, {(1, 2): 1}),
+        ValueError, "s-value key (1, 2) is not a 3-subset of [1, 6]"),
+    "eta_functional short": (
+        lambda: kinematics.eta_functional((1, 2), 3, 6),
+        ValueError, "expected a 3-element subset, got (1, 2)"),
+    "eta_functional decreasing": (
+        lambda: kinematics.eta_functional((3, 2, 1), 3, 6),
+        ValueError, "subset must be strictly increasing: (3, 2, 1)"),
+    "eta_functional long": (
+        lambda: kinematics.eta_functional((1, 3, 5, 6), 3, 6),
+        ValueError, "expected a 3-element subset, got (1, 3, 5, 6)"),
+    "eta_combination label outside [1, n]": (
+        lambda: kinematics.eta_combination({(1, 2, 9): 2}, 3, 6),
+        ValueError, "subset (1, 2, 9) not inside [1, 6]"),
+    "eta_tripod pairs": (
+        lambda: kinematics.eta_tripod((1, 3), (2, 4), 3, 6),
+        ValueError, "expected a 3-element subset, got (1, 3)"),
+    "plucker label outside [1, n]": (
+        lambda: polynomial.plucker((1, 2, 9), 3, 6),
+        ValueError, "subset (1, 2, 9) not inside [1, 6]"),
+    "plucker short": (
+        lambda: polynomial.plucker((1, 2), 3, 6),
+        ValueError, "expected a 3-element subset, got (1, 2)"),
+    "crossing_profile label outside [1, n]": (
+        lambda: polynomial.crossing_profile((1, 2, 9), 3, 7),
+        ValueError, "subset (1, 2, 9) not inside [1, 7]"),
+    "crossing_profile short": (
+        lambda: polynomial.crossing_profile((1, 2), 3, 7),
+        ValueError, "expected a 3-element subset, got (1, 2)"),
+    "crossing_profile decreasing": (
+        lambda: polynomial.crossing_profile((3, 2, 1), 3, 7),
+        ValueError, "subset must be strictly increasing: (3, 2, 1)"),
 }
 # nc_amplitude takes int and Fraction values only, checked before the fold
 for _value in (1.5, "3", True):
@@ -171,7 +204,9 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("interior_kd_point", kinematics.interior_kd_point),
                   ("eta_combination", lambda k, n: kinematics.eta_combination({}, k, n)),
                   ("tau", lambda k, n: polynomial.tau((1, 2, 3), k, n)),
-                  ("plucker", lambda k, n: polynomial.plucker((2, 4, 6), k, n))):
+                  ("plucker", lambda k, n: polynomial.plucker((2, 4, 6), k, n)),
+                  ("bcfw_matrix", polynomial.bcfw_matrix),
+                  ("eta_functional", lambda k, n: kinematics.eta_functional((1, 3, 5), k, n))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")
