@@ -51,6 +51,8 @@ CASES = {
     "pk_facets_4_8": ["pk", "facets", "--k", "4", "--n", "8"],
     "newton_4_7": ["newton", "--k", "4", "--n", "7", "--fvector"],
     "newton_3_8": ["newton", "--k", "3", "--n", "8", "--fvector"],
+    "newton_4_8": ["newton", "--k", "4", "--n", "8", "--fvector"],
+    "newton_5_8": ["newton", "--k", "5", "--n", "8", "--fvector"],
     "pk_fvector_4_8": ["pk", "fvector", "--k", "4", "--n", "8"],
     "ucheck_random_3_7": ["u-check", "--k", "3", "--n", "7", "--mode", "random",
                           "--trials", "2", "--seed", "7"],
