@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -196,6 +197,58 @@ def catalan_mdim(k, m):
     for i in range(k):
         num = num * math.factorial(i) // math.factorial(m + i)
     return num
+
+
+def _face_numbers(k, n):
+    """f[i]: the sets of i pairwise noncrossing nonfrozen k-subsets of
+    [1, n], the cliques of `_noncrossing_graph`, for i = 0..d with
+    d = (k-1)(n-k-1), counted from the standard Young tableaux of the
+    k x (n-k) rectangle with no clique search; f[d] is
+    catalan_mdim(k, n - k).
+
+    Let h(t) = sum over i of f[i] t^i (1-t)^(d-i), the h-vector of the
+    complex of these sets.  Then h_j is the number of tableaux with j
+    descents, by this chain:
+    1. `compatibility_degree` == 0, the relation of the noncrossing graph,
+       is the noncrossing relation of Petersen, Pylyavskyy and Speyer (A
+       non-crossing standard monomial basis for the coordinate ring of the
+       Grassmannian, J. Algebra 2010): no a < b with i_l = j_l for
+       a < l < b and {i_a, i_b}, {j_a, j_b} crossing.  Santos, Stump and
+       Welker (Noncrossing sets and a Grassmann associahedron, Forum Math.
+       Sigma 2017) prove that its flag complex on all k-subsets of [1, n]
+       is a regular unimodular triangulation of the order polytope of the
+       poset [k] x [n-k].
+    2. The n frozen subsets cross nothing (`is_noncrossing`), so a set is
+       pairwise noncrossing iff its nonfrozen part is: that complex is the
+       join of the simplex on the frozen subsets with the complex here.
+    3. A join with a simplex keeps h: the f-polynomial sum of f[i] x^i
+       multiplies over a join, so h(t), (1-t)^dim times it at
+       x = t/(1-t), does too, and a simplex has h(t) = 1.
+    4. A unimodular triangulation of a lattice polytope has h equal to
+       the polytope's h* (Stanley, Decompositions of rational convex
+       polytopes, 1980; Betke and McMullen, Lattice points in lattice
+       polytopes, 1985).
+    The h* of an order polytope counts the poset's linear extensions by
+    descents under a natural labeling (Stanley, Two poset polytopes,
+    Discrete Comput. Geom. 1986).  The linear extensions of [k] x [n-k]
+    are the tableaux, and under the row-major labeling, which is natural,
+    i is a descent iff i + 1 lies in a higher row.  Inverting h(t) gives
+    f[i] = sum over j of h_j C(d - j, i - j).
+
+    The tableaux are filled in one entry at a time, 1..k(n-k): a state is
+    the partition filled so far, the row of its last entry and its number
+    of descents, and holds the count of its fillings."""
+    d, m = (k - 1) * (n - k - 1), n - k
+    level = Counter({((0,) * k, 0, 0): 1})
+    for _ in range(k * m):
+        grown = Counter()
+        for (shape, last, des), count in level.items():
+            for r, (above, here) in enumerate(zip((m,) + shape, shape)):
+                if here < above:
+                    grown[shape[:r] + (here + 1,) + shape[r + 1:], r, des + (r < last)] += count
+        level = grown
+    h = [level[(m,) * k, k - 1, j] for j in range(d + 1)]
+    return [sum(h[j] * math.comb(d - j, i - j) for j in range(i + 1)) for i in range(d + 1)]
 
 
 def k3_exponent_rule(I, J):

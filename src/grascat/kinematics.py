@@ -54,7 +54,7 @@ class KinFunctional:
         self.k, self.n, self.eta = k, n, {}
         if coeffs:
             B = kin_basis(k, n)
-            B._check_keys(coeffs)
+            _check_keys(coeffs, B.index, k, n)
             self.eta = self._of(k, n, ((J, a * c) for I, a in coeffs.items()
                                        for J, c in B.S[I].items())).eta
 
@@ -173,19 +173,12 @@ class KinBasis:
                  for I, row in self.S.items()}
         return {I: linalg._exact(v) for I, v in point.items() if v}
 
-    def _check_keys(self, point):
-        """ValueError naming the first key of the s-indexed map point that
-        is not a k-subset of [1, n]."""
-        bad = next((I for I in point if I not in self.index), None)
-        if bad is not None:
-            raise ValueError(f"s-value key {bad!r} is not a {self.k}-subset of [1, {self.n}]")
-
     def eta_values(self, point):
         """The nonfrozen eta values of an s-value map, which must be a point
         of K(k,n): ValueError for a key that is not a k-subset of [1, n] and
         for values that break momentum conservation."""
         k, n = self.k, self.n
-        self._check_keys(point)
+        _check_keys(point, self.index, k, n)
         if not check_conservation(point, k, n):
             raise ValueError(f"the s-values break momentum conservation: "
                              f"not a point of K({k},{n})")
@@ -254,12 +247,25 @@ def pk_point(k, n):
     return {J: v for J, v in point.items() if v}
 
 
+def _check_keys(point, subsets, k, n):
+    """ValueError naming the first key of the s-indexed map point that is
+    not in subsets, the k-subsets of [1, n]."""
+    bad = next((I for I in point if I not in subsets), None)
+    if bad is not None:
+        raise ValueError(f"s-value key {bad!r} is not a {k}-subset of [1, {n}]")
+
+
 def kd_membership(point, k, n, strict=False):
     """Membership of an s-value map in the planar cone K_D: nonpositive on
-    nonfrozen subsets, nonnegative on the frozen windows."""
+    nonfrozen subsets, nonnegative on the frozen windows.  Raises
+    ValueError unless (k, n) passes `check_kn`, and for a key that is not
+    a k-subset of [1, n], as `KinBasis.eta_values` does."""
+    check_kn(k, n)
+    subsets = dict.fromkeys(combinations(range(1, n + 1), k))
+    _check_keys(point, subsets, k, n)
     if not check_conservation(point, k, n):
         return False
-    for J in combinations(range(1, n + 1), k):
+    for J in subsets:
         v = point.get(J, 0)
         if is_frozen(J, n):
             if v < 0 or (strict and v == 0):

@@ -254,8 +254,8 @@ class Poly:
                     i, j = divmod(idx, self.n - self.k)
                     name = f"x{i + 1}{j + 1}"
                     mono.append(name if p == 1 else f"{name}^{p}")
-            body = "*".join(mono) or "1"
-            bits.append(f"{c}*{body}" if c != 1 or not mono else body)
+            body = "*".join(mono)
+            bits.append(f"{c}*{body}" if mono and c != 1 else body or f"{c}")
         return " + ".join(bits)
 
 
@@ -521,7 +521,9 @@ def pk_factors(k, n):
 
 def planar_face_range(k, n):
     """Admissible (i, J) pairs for the planar faces, grouped over the sizes
-    m = 2..k: i in [1, k-m+1] and J an m-subset of [1, (n-2)-(k-m)]."""
+    m = 2..k: i in [1, k-m+1] and J an m-subset of [1, (n-2)-(k-m)].
+    Raises ValueError unless (k, n) passes `check_kn`."""
+    check_kn(k, n)
     return [(i, J) for m in range(2, k + 1) for i in range(1, k - m + 2)
             for J in combinations(range(1, (n - 2) - (k - m) + 1), m)]
 
@@ -552,7 +554,9 @@ def delta(i, J, k, n):
 def m_poly(i, j, k, n):
     """Matrix entry m_{i,j}: sum over weakly increasing column tuples
     (c_i <= ... <= c_{k-1}) in [1, j] of prod_a x_{a,c_a} --- the vertex sum
-    of a fibered simplex."""
+    of a fibered simplex.  Raises ValueError unless (k, n) passes
+    `check_kn`."""
+    check_kn(k, n)
     return chain_poly(i, [(1, j)] * (k - i), k, n)
 
 
@@ -646,8 +650,9 @@ def _graph_row(J, k, n):
 
 def needs_resolution(J, n):
     """Lexicographic criterion: some I < J with (I, J) noncrossing and not
-    weakly separated."""
-    J = tuple(J)
+    weakly separated.  Raises ValueError unless J passes `check_subset`
+    as a 3-subset of [1, n]."""
+    J = check_subset(J, 3, n)
     verts, _cross, before = _graph_row(J, 3, n)
     return any(not is_weakly_separated(verts[i], J, n) for i in _bits(before))
 

@@ -22,8 +22,13 @@ Minkowski sum, inside P.  Then the x_C are exactly the vertices of P, the
 facets tight at x_C are the J of U, the union of the C that reach it (the
 normal cone of x_C is the union of those C), and the faces are the sets
 F_S of vertices tight on every J of a noncrossing S, of codimension the
-largest |S| giving F_S.  If some certificate fails, or the search DAG has
-more than MAX_COLLECTIONS leaves, P comes from the double description.
+largest |S| giving F_S.  When P is simple, as the tau-product Newton
+polytope is, distinct S give distinct faces, and the faces are counted
+from (k, n) alone, by the standard Young tableaux of the k x (n-k)
+rectangle counted by descents (`combinat._face_numbers`); otherwise, as
+for the PK polytope, the F_S are deduplicated.  If some certificate
+fails, or the search DAG has more than MAX_COLLECTIONS leaves, P comes
+from the double description.
 
 The root-polytope volume is the number of collections, the leaf count of
 the search DAG: with every cone unimodular, each simplex conv(0, v_J : J
@@ -52,8 +57,8 @@ from math import comb
 from operator import and_, mul
 
 from . import linalg
-from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _search_dag, check_kn,
-                       nonfrozen_subsets)
+from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _face_numbers, _search_dag,
+                       check_kn, nonfrozen_subsets)
 from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
 from .roots import _fan, _running_sums, gamma_hat, grid_point, row_sums, v_root
 
@@ -646,7 +651,7 @@ def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     for i, (_x, U) in enumerate(verts):
         for j in _bits(U):
             incidence[j] |= 1 << i
-    return _FanPolytope([x for x, _U in verts], ineqs, eqs, len(points[0]), incidence, fan.adj,
+    return _FanPolytope([x for x, _U in verts], ineqs, eqs, len(points[0]), incidence, fan,
                         all(U.bit_count() == fan.dim for _x, U in verts))
 
 
@@ -654,21 +659,22 @@ class _FanPolytope(PolytopeRep):
     """A PolytopeRep read off the noncrossing fan (`_fan_polytope`), whose
     faces are the F_S over the noncrossing collections S."""
 
-    def __init__(self, vertices, inequalities, equalities, ambient, incidence, adj, simple):
+    def __init__(self, vertices, inequalities, equalities, ambient, incidence, fan, simple):
         super().__init__(vertices, inequalities, equalities, ambient, incidence)
-        self._adj, self._simple = adj, simple
+        self._fan, self._simple = fan, simple
 
     def f_vector(self):
         """When every vertex is tight on exactly d facets, P is simple and
         x_C is tight on the J of C alone; then F_S holds the x_C with C
         containing S, and distinct S give distinct faces (in a simplicial
-        sphere the maximal faces containing S meet in S), so the faces are
-        counted by clique size and no face is stored.  Otherwise the F_S
-        are deduplicated, each at its largest |S|."""
+        sphere the maximal faces containing S meet in S), so the faces of
+        codimension i are the noncrossing sets of i nonfrozen subsets,
+        counted from (k, n) alone by `combinat._face_numbers`.  Otherwise
+        the F_S are deduplicated, each at its largest |S|."""
         if self._simple:
-            return [1] + _clique_counts(self._adj)[::-1]
+            return [1] + _face_numbers(self._fan.k, self._fan.n)[::-1]
         codims = {}
-        adj, incidence = self._adj, self.incidence
+        adj, incidence = self._fan.adj, self.incidence
 
         def grow(cand, size, face):
             if codims.get(face, -1) < size:
@@ -682,35 +688,6 @@ class _FanPolytope(PolytopeRep):
         d = max(codims.values())  # the codimension of a vertex x_C
         dims = Counter(d - size for size in codims.values())
         return [1] + [dims[j] for j in range(max(dims) + 1)]
-
-
-def _clique_counts(adj):
-    """counts[s]: the cliques of s vertices of the graph with adjacency
-    bitmasks adj, the empty one included.
-
-    The cliques inside a vertex set P are the empty one and, for each v in
-    P, v joined to a clique inside the neighbours of v that follow it in
-    P.  Their counts depend on P alone, so each distinct P is counted
-    once."""
-    memo = {}
-
-    def inside(P):
-        counts = memo.get(P)
-        if counts is None:
-            counts = [1]
-            rest = P
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                for size, c in enumerate(inside(rest & adj[v]), 1):
-                    if size < len(counts):
-                        counts[size] += c
-                    else:
-                        counts.append(c)
-            memo[P] = counts
-        return counts
-
-    return inside((1 << len(adj)) - 1)
 
 
 def _in_minkowski_sum(key, factor_bits):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import combinat, kinematics, linalg, polynomial
-from grascat.combinat import (ResourceLimitExceeded, _bits, _first_collection, _has_clique,
-                              _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
+from grascat.combinat import (ResourceLimitExceeded, _bits, _face_numbers, _first_collection,
+                              _has_clique, _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
                               check_subset, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
                               is_frozen, is_noncrossing, is_weakly_separated,
@@ -200,6 +200,58 @@ def test_has_clique_matches_brute_force(query):
     brute = any(all(adj[a] >> b & 1 for a, b in combinations(S, 2))
                 for S in combinations(_bits(cand), size))
     assert _has_clique(adj, cand, size) == brute
+
+
+# face numbers of the noncrossing complex from standard Young tableaux
+
+def _plain_clique_counts(adj):
+    """counts[s]: the cliques of s vertices of the graph with adjacency
+    bitmasks adj, the empty one included, by plain recursion with no memo:
+    each clique is reached once, growing it in index order."""
+    counts = []
+
+    def grow(cand, size):
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += 1
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            grow(cand & adj[v], size + 1)
+
+    grow((1 << len(adj)) - 1, 0)
+    return counts
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 7), (3, 8), (5, 8)])
+def test_face_numbers_count_the_cliques(k, n):
+    assert _face_numbers(k, n) == _plain_clique_counts(_noncrossing_graph(k, n)[1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,n", [(4, 8), (3, 9)])
+def test_face_numbers_count_the_cliques_slow(k, n):
+    assert _face_numbers(k, n) == _plain_clique_counts(_noncrossing_graph(k, n)[1])
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 13) for k in range(2, n - 1)])
+def test_face_numbers_h_vector(k, n):
+    """The h-vector read back from the face numbers is palindromic with
+    h_0 = 1, sums to the tableaux count, and is the Narayana numbers at
+    k = 2.  Also checked: the frozen subsets cross nothing, the join link
+    of `_face_numbers`'s argument (the relation itself is checked against
+    its definition in `test_compatibility_degree_matches_definition`)."""
+    f = _face_numbers(k, n)
+    d, m = (k - 1) * (n - k - 1), n - k
+    assert len(f) == d + 1 and f[0] == 1 and f[-1] == catalan_mdim(k, m)
+    h = [sum((-1) ** (j - i) * comb(d - i, j - i) * f[i] for i in range(j + 1))
+         for j in range(d + 1)]
+    assert h == h[::-1] and h[0] == 1 and sum(h) == f[-1]
+    if k == 2:
+        assert h == [comb(m, j) * comb(m, j + 1) // m for j in range(m)]
+    subsets = list(combinations(range(1, n + 1), k))
+    assert not any(compatibility_degree(J, I, n) for J in subsets if is_frozen(J, n)
+                   for I in subsets)
 
 
 DAG_SHAPES = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8), (3, 9),

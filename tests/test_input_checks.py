@@ -181,6 +181,21 @@ CASES = {
     "crossing_profile decreasing": (
         lambda: polynomial.crossing_profile((3, 2, 1), 3, 7),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),
+    "needs_resolution label outside [1, n]": (
+        lambda: polynomial.needs_resolution((1, 2, 9), 6),
+        ValueError, "subset (1, 2, 9) not inside [1, 6]"),
+    "needs_resolution decreasing": (
+        lambda: polynomial.needs_resolution((3, 2, 1), 6),
+        ValueError, "subset must be strictly increasing: (3, 2, 1)"),
+    "needs_resolution short": (
+        lambda: polynomial.needs_resolution((1, 3), 6),
+        ValueError, "expected a 3-element subset, got (1, 3)"),
+    "kd_membership short key": (
+        lambda: kinematics.kd_membership({(1, 2): -1}, 3, 6),
+        ValueError, "s-value key (1, 2) is not a 3-subset of [1, 6]"),
+    "kd_membership unsorted key": (
+        lambda: kinematics.kd_membership({(3, 2, 1): 0}, 3, 6),
+        ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
 }
 # nc_amplitude takes int and Fraction values only, checked before the fold
 for _value in (1.5, "3", True):
@@ -206,7 +221,10 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("tau", lambda k, n: polynomial.tau((1, 2, 3), k, n)),
                   ("plucker", lambda k, n: polynomial.plucker((2, 4, 6), k, n)),
                   ("bcfw_matrix", polynomial.bcfw_matrix),
-                  ("eta_functional", lambda k, n: kinematics.eta_functional((1, 3, 5), k, n))):
+                  ("eta_functional", lambda k, n: kinematics.eta_functional((1, 3, 5), k, n)),
+                  ("kd_membership", lambda k, n: kinematics.kd_membership({}, k, n)),
+                  ("planar_face_range", polynomial.planar_face_range),
+                  ("m_poly", lambda k, n: polynomial.m_poly(1, 2, k, n))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")

@@ -495,6 +495,16 @@ def test_monomial_content_becomes_variable_factors():
     assert (r / x(1, 1) / x(1, 1)).exps == {prim: 1}
 
 
+def test_factored_ratio_repr():
+    # the scalar, then each factor with its exponent in the order of the
+    # exponent map; a Poly prints its terms by degree, a constant bare
+    r = FactoredRatio.from_poly(6 * x(1, 1) ** 2 * (x(1, 2) + x(2, 1))) / (2 * x(1, 3) + 2)
+    assert repr(r) == ("FactoredRatio(scalar=3, factors=[(x11, 2), (x21 + x12, 1), "
+                       "(1 + x13, -1)])")
+    assert repr(FactoredRatio(3, 6, 0)) == "FactoredRatio(scalar=0, factors=[])"
+    assert repr(2 * x(1, 1) ** 2 * x(2, 3) - x(1, 2) - 3) == "-3 + -1*x12 + 2*x11^2*x23"
+
+
 def test_factored_ratio_eval_rejects_vanishing_denominator():
     r = FactoredRatio(3, 6) / (x(1, 1) + x(1, 2))
     with pytest.raises(ZeroDivisionError):
