@@ -23,7 +23,8 @@ import math
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from types import MappingProxyType
 
 
@@ -271,15 +272,41 @@ def k3_exponent_rule(I, J):
 @shape_cache
 def _noncrossing_graph(k, n):
     """(the nonfrozen subsets of `_nonfrozen`, the adjacency bitmasks of
-    the noncrossing graph on them)."""
+    the noncrossing graph on them): J is adjacent to I iff J != I and
+    `_crossing_labels(I, J)` is 0.
+
+    Each row is built whole, from bitmasks over the positions of the
+    subsets: eq[a][x] holds the J with j_a = x, and below[a][t] the J with
+    j_a < t.  J crosses I at positions a < b iff j_l = i_l for a < l < b
+    (the AND of eq[l][i_l]) and i_a < j_a < i_b < j_b or
+    j_a < i_a < j_b < i_b.  The strict inequalities make j_a != i_a and
+    j_b != i_b, so with equality in between, a and b are consecutive
+    positions where I and J differ, which is `_crossing_labels`'s rule.
+    That is O(V k^2) operations on V-bit ints for V subsets, in place of
+    V^2 / 2 pair tests."""
     verts = _nonfrozen(k, n)[0]
-    m = len(verts)
-    adj = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not _crossing_labels(verts[a], verts[b]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    eq = [[0] * (n + 2) for _ in range(k)]
+    for t, J in enumerate(verts):
+        for a, x in enumerate(J):
+            eq[a][x] |= 1 << t
+    below = [list(accumulate(row, or_, initial=0)) for row in eq]
+    full = (1 << len(verts)) - 1
+    adj = []
+    for t, I in enumerate(verts):
+        cross = 0
+        for a in range(k - 1):
+            x, low, high = I[a], below[a], full
+            for b in range(a + 1, k):
+                u = I[b]
+                if u - x > 1:
+                    lb = below[b]
+                    inside_a = low[u] & ~low[x + 1]  # i_a < j_a < i_b
+                    inside_b = lb[u] & ~lb[x + 1]  # i_a < j_b < i_b
+                    cross |= high & (inside_a & ~lb[u + 1] | low[x] & inside_b)
+                high &= eq[b][u]
+                if not high:
+                    break
+        adj.append(full & ~cross & ~(1 << t))
     return verts, adj
 
 

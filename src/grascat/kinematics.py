@@ -249,8 +249,11 @@ def pk_point(k, n):
 
 def _check_keys(point, subsets, k, n):
     """ValueError naming the first key of the s-indexed map point that is
-    not in subsets, the k-subsets of [1, n]."""
-    bad = next((I for I in point if I not in subsets), None)
+    not in subsets, the k-subsets of [1, n], or whose entries are not all
+    ints: (1.0, 3, 5) and (True, 3, 5) equal (1, 3, 5), but are rejected as
+    `check_subset` rejects them."""
+    bad = next((I for I in point
+                if I not in subsets or not all(type(a) is int for a in I)), None)
     if bad is not None:
         raise ValueError(f"s-value key {bad!r} is not a {k}-subset of [1, {n}]")
 

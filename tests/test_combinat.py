@@ -21,7 +21,7 @@ from grascat.combinat import (ResourceLimitExceeded, _bits, _face_numbers, _firs
                               k3_exponent_rule, nonfrozen_subsets)
 from grascat.kinematics import kin_basis, nc_amplitude
 from grascat.polytope import triangulation_volume
-from unit_pivot import _reference_fold
+from unit_pivot import _reference_fold, _reference_graph
 
 
 def test_frozen():
@@ -168,6 +168,24 @@ def test_compat_support_count_5_14():
     cnt = sum(1 for I in combinations(range(1, 15), 5)
               if I != J and compatibility_degree(I, J, 14) > 0)
     assert cnt == 1293
+
+
+# the noncrossing graph, row by row from bitmasks, against one crossing
+# test per pair
+
+GRAPH_SHAPES = [(k, n) for n in range(4, 11) for k in range(2, n - 1)] + [(3, 12), (4, 11)]
+
+
+@pytest.mark.parametrize("k,n", GRAPH_SHAPES)
+def test_noncrossing_graph_matches_the_pair_tests(k, n):
+    verts, adj = _noncrossing_graph(k, n)
+    assert (verts, adj) == _reference_graph(k, n)
+    assert type(adj) is list and all(type(row) is int for row in adj)
+
+
+@pytest.mark.slow
+def test_noncrossing_graph_matches_the_pair_tests_slow():
+    assert _noncrossing_graph(6, 12) == _reference_graph(6, 12)
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8)])
@@ -435,7 +453,9 @@ def test_check_kn_takes_ints_only(k, n):
     kin_basis,
     polynomial.bcfw_matrix,
     lambda k, n: kinematics.eta_functional((1, 3, 5), k, n),
-], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional"])
+    _noncrossing_graph,
+], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional",
+        "noncrossing_graph"])
 def test_non_int_shape_raises_cold_and_warm(build):
     combinat.clear_caches()
     with pytest.raises(ValueError, match="k and n must be ints"):

@@ -1,6 +1,7 @@
 """Every library input check fires: each call below is rejected with its
 exception type and message, before any result is built."""
 import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -197,6 +198,14 @@ CASES = {
         lambda: kinematics.kd_membership({(3, 2, 1): 0}, 3, 6),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
 }
+# an s-value key must be a tuple of ints: one that only equals a subset is
+# rejected, as check_subset rejects it
+for _key in ((1.0, 2, 4), (True, 2, 4), (F(1), 2, 4)):
+    for _name, _f in (("kd_membership", lambda p: kinematics.kd_membership(p, 3, 6)),
+                      ("eta_values", lambda p: kinematics.kin_basis(3, 6).eta_values(p)),
+                      ("KinFunctional", lambda p: kinematics.KinFunctional(3, 6, p))):
+        CASES[f"{_name} key {_key!r}"] = (lambda f=_f, key=_key: f({key: 0}), ValueError,
+                                          f"s-value key {_key!r} is not a 3-subset of [1, 6]")
 # nc_amplitude takes int and Fraction values only, checked before the fold
 for _value in (1.5, "3", True):
     CASES[f"nc_amplitude value {_value!r}"] = (

@@ -1,16 +1,34 @@
-"""Test oracles that the package no longer runs: the Bron-Kerbosch search
-of the maximal noncrossing collections before its subtrees were merged
-into `combinat.SearchDag`, the roots in the start-cone basis of
-`roots._Fan`, and the per-leaf unit-pivot fold over that search that checks
-every maximal collection unimodular on them."""
+"""Test oracles that the package no longer runs: the noncrossing graph
+from one crossing test per pair of subsets, before its rows came from
+bitmasks, the Bron-Kerbosch search of the maximal noncrossing collections
+before its subtrees were merged into `combinat.SearchDag`, the roots in the
+start-cone basis of `roots._Fan`, and the per-leaf unit-pivot fold over
+that search that checks every maximal collection unimodular on them."""
 import weakref
 from math import gcd
 
 from grascat import linalg
-from grascat.combinat import _bits, _degeneracy_order, _noncrossing_graph
+from grascat.combinat import (_bits, _degeneracy_order, _noncrossing_graph,
+                              compatibility_degree, nonfrozen_subsets)
 from grascat.roots import lattice_coords, v_root
 
 _ROWS = weakref.WeakKeyDictionary()
+
+
+def _reference_graph(k, n):
+    """(the nonfrozen k-subsets of [1, n], the adjacency bitmasks of the
+    noncrossing graph on them), as `combinat._noncrossing_graph` built it
+    before its rows came from bitmasks: one `compatibility_degree` per
+    pair of subsets."""
+    verts = tuple(nonfrozen_subsets(k, n))
+    m = len(verts)
+    adj = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if not compatibility_degree(verts[a], verts[b], n):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return verts, adj
 
 
 def _reference_fold(k, n, start, step, leaf):
