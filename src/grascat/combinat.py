@@ -254,10 +254,13 @@ def _face_numbers(k, n):
 
 def k3_exponent_rule(I, J):
     """Conjectured k=3 exponent: 0 when noncrossing, 2 when the two triples
-    fully interleave, 1 for any other crossing."""
+    fully interleave, 1 for any other crossing.  Each triple must be a
+    strictly increasing triple of ints from 1, as `check_subset` checks."""
     I, J = tuple(I), tuple(J)
     if len(I) != 3 or len(J) != 3:
         raise ValueError("rule applies to 3-element subsets only")
+    for S in (I, J):
+        check_subset(S, 3, S[-1])
     n = max(I[-1], J[-1])
     c = compatibility_degree(I, J, n)
     if c == 0:

@@ -15,13 +15,13 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
-from operator import sub
+from operator import mul, sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
                        _nonfrozen, _search_dag, check_kn, check_subset, is_frozen,
                        nonfrozen_subsets, shape_cache)
-from .roots import _in_cyclic_open, gamma_hat
+from .roots import _in_cyclic_open, gamma_hat, grid_point
 
 F = Fraction
 
@@ -38,7 +38,9 @@ def _L(x, n):
 def rho_height(u, v, n):
     """-(1/n) min_t L_t(v - u) for integer points u, v on the level-k
     hyperplane; this is the tropical height whose bending encodes the
-    planar basis."""
+    planar basis.  Raises ValueError unless u and v have n entries each."""
+    if len(u) != n or len(v) != n:
+        raise ValueError(f"u and v must have {n} entries, got {len(u)} and {len(v)}")
     return linalg._exact(F(-min(_L({a: v[a - 1] - u[a - 1] for a in range(1, n + 1)}, n)), n))
 
 
@@ -320,11 +322,12 @@ def octahedral_commutator(J, a, b, c, d, k, n):
 
 
 def root_kinematics_point(alpha, k, n):
-    """The K-point with eta_J = gamma_J(alpha) for every nonfrozen J."""
-    values = {}
-    for J in nonfrozen_subsets(k, n):
-        g = gamma_hat(J, k, n)
-        values[J] = sum(c * alpha.get(key, 0) for key, c in g.items())
+    """The K-point with eta_J = gamma_J(alpha) for every nonfrozen J.
+    alpha is a sparse grid vector, read through `roots.grid_point`, so a
+    key outside the (k, n) grid raises IndexError."""
+    x = grid_point(alpha, k, n)
+    values = {J: sum(map(mul, grid_point(gamma_hat(J, k, n), k, n), x))
+              for J in nonfrozen_subsets(k, n)}
     return kin_basis(k, n).point_from_eta(values)
 
 

@@ -593,6 +593,10 @@ def plucker(J, k, n):
 
 
 def _col(M, j):
+    """Column j of the 3 x n matrix M, for a label j in [1, n]."""
+    n = len(M[0])
+    if type(j) is not int or not 1 <= j <= n:
+        raise ValueError(f"column label {j!r} not inside [1, {n}]")
     return [M[r][j - 1] for r in range(3)]
 
 

@@ -44,8 +44,9 @@ far exactly once, with the rows tight on it as a bitmask.
 Polytopes that live in an affine subspace carry explicit equalities and
 all conversions happen in reduced coordinates of the affine hull.
 Combinatorial questions are answered from vertex-facet incidence bitmasks:
-a point is a vertex iff the facets tight at it meet in it alone, and the
-face lattice of any other polytope is walked one dimension at a time.
+a point is a vertex iff the facets tight at it meet in it alone, and on
+any other polytope a face's dimension is one more than the largest among
+its nonempty proper intersections with the facets, memoised per face.
 """
 from __future__ import annotations
 
@@ -358,25 +359,33 @@ def polytope_from_inequalities(ineqs, eqs, ambient):
 def face_lattice_f_vector(P):
     """f-vector including the empty face and the polytope itself.
 
-    Faces are vertex bitmasks, walked one dimension at a time down from P:
-    the facets of a face are its inclusion-maximal nonempty proper
-    intersections with the facets of P, and a vertex has none.
+    Faces are vertex bitmasks.  The face lattice is coatomic, so each facet
+    of a face F is F's intersection with some facet of P, and dim F is one
+    more than the largest dimension of its nonempty proper intersections
+    with the facets of P; a vertex has none, and dimension 0.  Each face is
+    reached from P by such intersections and memoised once.
     """
-    level = {_mask(range(len(P.vertices)))}
-    counts = []
-    while level:
-        counts.append(len(level))
-        below = set()
-        for f in level:
-            cuts = sorted({f & inc for inc in P.incidence} - {0, f},
-                          key=int.bit_count, reverse=True)
-            facets = []
-            for g in cuts:
-                if all(g & h != g for h in facets):
-                    facets.append(g)
-            below.update(facets)
-        level = below
-    return [1] + counts[::-1]
+    dims = {}
+
+    def dim(face):
+        d = -1
+        for g in {face & inc for inc in P.incidence} - {0, face}:
+            e = dims[g] if g in dims else dim(g)
+            if e > d:
+                d = e
+        dims[face] = d = d + 1
+        return d
+
+    if P.vertices:
+        dim(_mask(range(len(P.vertices))))
+    return _f_vector(dims.values())
+
+
+def _f_vector(dims):
+    """[1, then the number of faces of each dimension 0, 1, ...] from the
+    dimensions of the nonempty faces."""
+    counts = Counter(dims)
+    return [1] + [counts[j] for j in range(max(counts, default=-1) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +695,7 @@ class _FanPolytope(PolytopeRep):
 
         grow((1 << len(adj)) - 1, 0, _mask(range(len(self.vertices))))
         d = max(codims.values())  # the codimension of a vertex x_C
-        dims = Counter(d - size for size in codims.values())
-        return [1] + [dims[j] for j in range(max(dims) + 1)]
+        return _f_vector(d - size for size in codims.values())
 
 
 def _in_minkowski_sum(key, factor_bits):

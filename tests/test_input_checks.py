@@ -15,6 +15,15 @@ CASES = {
     "k3_exponent_rule": (
         lambda: combinat.k3_exponent_rule((1, 2), (1, 2, 3)),
         ValueError, "rule applies to 3-element subsets only"),
+    "k3_exponent_rule unsorted": (
+        lambda: combinat.k3_exponent_rule((3, 2, 1), (1, 2, 4)),
+        ValueError, "subset must be strictly increasing: (3, 2, 1)"),
+    "k3_exponent_rule repeated": (
+        lambda: combinat.k3_exponent_rule((1, 3, 5), (2, 2, 4)),
+        ValueError, "subset must be strictly increasing: (2, 2, 4)"),
+    "k3_exponent_rule float": (
+        lambda: combinat.k3_exponent_rule((1, 3, 5), (2.0, 3, 4)),
+        ValueError, "subset entries must be ints, got (2.0, 3, 4)"),
     "check_four_term": (
         lambda: roots.check_four_term((1,), 3, 2, 4, 5, 3, 6),
         ValueError, "need disjoint I and a < b < c < d"),
@@ -33,6 +42,15 @@ CASES = {
     "tripod_vector labels": (
         lambda: roots.tripod_vector((1, 3, 5), (2, 4, 9), 6),
         ValueError, "tripod labels (1, 3, 5), (2, 4, 9) not inside [1, 6]"),
+    "root_kinematics_point key off the grid": (
+        lambda: kinematics.root_kinematics_point({(9, 9): 1}, 3, 6),
+        IndexError, "variable x_{9,9} outside the (3,6) grid"),
+    "rho_height long vectors": (
+        lambda: kinematics.rho_height([1, 0, 0, 0, 9], [0, 1, 0, 0, 7], 4),
+        ValueError, "u and v must have 4 entries, got 5 and 5"),
+    "rho_height short vector": (
+        lambda: kinematics.rho_height([1, -1, 0, 0], [0, 0, 0], 4),
+        ValueError, "u and v must have 4 entries, got 4 and 3"),
     "eta_tripod": (
         lambda: kinematics.eta_tripod((1, 3, 5), (2, 3, 4), 3, 6),
         ValueError, "triples (1, 3, 5), (2, 3, 4) do not interleave"),
@@ -80,6 +98,15 @@ CASES = {
     "compound_A": (
         lambda: polynomial.compound_A(1, 5, 2, 6),
         IndexError, "A_{ijk} needs column j+2 <= n; use the X form"),
+    "compound_X label 0": (
+        lambda: polynomial.compound_X((0, 1), (2, 3), (5, 6), 6),
+        ValueError, "column label 0 not inside [1, 6]"),
+    "compound_A label 0": (
+        lambda: polynomial.compound_A(0, 2, 5, 6),
+        ValueError, "column label 0 not inside [1, 6]"),
+    "compound_A label past n": (
+        lambda: polynomial.compound_A(5, 2, 9, 6),
+        ValueError, "column label 9 not inside [1, 6]"),
     "root_potential_check": (
         lambda: polynomial.root_potential_check(2, 5),
         ValueError, "no tabulated root potential for (2, 5)"),

@@ -53,7 +53,7 @@ def test_hull_roundtrips():
     assert one.contains((1, 2)) and not one.contains((5, 7)) and one.f_vector() == [1, 1]
     # x >= 1 and x <= 0: no vertex, dimension -1
     none = polytope_from_inequalities([(-1, (1,)), (0, (-1,))], [], 1)
-    assert none.vertices == [] and none.dim == -1
+    assert none.vertices == [] and none.dim == -1 and none.f_vector() == [1]
 
 
 def test_conversion_errors():
@@ -734,18 +734,49 @@ def _seeded_newton_polytopes():
         yield newton(p)
 
 
-def test_passed_incidence_is_the_dot_product_one():
+def _assorted_hulls():
+    """Hulls of full and of lower dimension, some with points inside."""
     rng = random.Random(3)
     hulls = [hull_of_points([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))]),
              hull_of_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
              hull_of_points([(1, 1, 2, 1), (0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1),
                              (2, 2, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1)])]
-    hulls += [hull_of_points(_random_hull_points(rng, d, d + extra))
-              for d in (2, 3, 4) for extra in (0, 1)]
+    return hulls + [hull_of_points(_random_hull_points(rng, d, d + extra))
+                    for d in (2, 3, 4) for extra in (0, 1)]
+
+
+def test_passed_incidence_is_the_dot_product_one():
     # the fan route's masks are checked in test_fan_route_matches_the_double_description
-    for P in hulls + list(_seeded_newton_polytopes()):
+    for P in _assorted_hulls() + list(_seeded_newton_polytopes()):
         dot = polytope.PolytopeRep(P.vertices, P.inequalities, P.equalities, P.ambient)
         assert P.incidence == dot.incidence
+
+
+# name: the polytopes; they are built with polytope.MAX_COLLECTIONS at 0,
+# which sends the PK polytope through the double description
+F_VECTOR_CASES = {
+    "point": lambda: [hull_of_points([(1, 2)])],
+    "segment": lambda: [hull_of_points([(0, 0, 1), (2, 1, 1)])],
+    "empty": lambda: [polytope_from_inequalities([(-1, (1,)), (0, (-1,))], [], 1)],
+    "assorted hulls": _assorted_hulls,
+    "seeded newton": lambda: list(_seeded_newton_polytopes()),
+}
+for _k, _n in [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7)]:
+    for _hat in (False, True):
+        F_VECTOR_CASES[f"root_polytope({_k}, {_n}, hat={_hat})"] = (
+            lambda k=_k, n=_n, hat=_hat: [root_polytope(k, n, hat)])
+for _k, _n in [(3, 6), (3, 7), (4, 8)]:
+    F_VECTOR_CASES[f"pk_polytope({_k}, {_n})"] = lambda k=_k, n=_n: [pk_polytope(k, n)]
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=[pytest.mark.slow] if "(4, 8)" in name else [])
+    for name in F_VECTOR_CASES])
+def test_f_vector_matches_the_level_walk(monkeypatch, name):
+    monkeypatch.setattr(polytope, "MAX_COLLECTIONS", 0)
+    for P in F_VECTOR_CASES[name]():
+        assert type(P) is polytope.PolytopeRep
+        assert polytope.face_lattice_f_vector(P) == unit_pivot._reference_f_vector(P)
 
 
 def test_minimize_face_Q_rule():

@@ -2,8 +2,10 @@
 from one crossing test per pair of subsets, before its rows came from
 bitmasks, the Bron-Kerbosch search of the maximal noncrossing collections
 before its subtrees were merged into `combinat.SearchDag`, the roots in the
-start-cone basis of `roots._Fan`, and the per-leaf unit-pivot fold over
-that search that checks every maximal collection unimodular on them."""
+start-cone basis of `roots._Fan`, the per-leaf unit-pivot fold over
+that search that checks every maximal collection unimodular on them, and
+the f-vector walked one dimension at a time before
+`polytope.face_lattice_f_vector` became one memoised recursion."""
 import weakref
 from math import gcd
 
@@ -29,6 +31,30 @@ def _reference_graph(k, n):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return verts, adj
+
+
+def _reference_f_vector(P):
+    """f-vector including the empty face and the polytope itself, as
+    `polytope.face_lattice_f_vector` walked it before it became one
+    memoised recursion: faces are vertex bitmasks, walked one dimension at
+    a time down from P, and the facets of a face are its inclusion-maximal
+    nonempty proper intersections with the facets of P.  The walk starts
+    at P unless P has no vertex: then the empty face is its only face."""
+    level = {(1 << len(P.vertices)) - 1} - {0}
+    counts = []
+    while level:
+        counts.append(len(level))
+        below = set()
+        for f in level:
+            cuts = sorted({f & inc for inc in P.incidence} - {0, f},
+                          key=int.bit_count, reverse=True)
+            facets = []
+            for g in cuts:
+                if all(g & h != g for h in facets):
+                    facets.append(g)
+            below.update(facets)
+        level = below
+    return [1] + counts[::-1]
 
 
 def _reference_fold(k, n, start, step, leaf):
