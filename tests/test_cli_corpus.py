@@ -108,6 +108,12 @@ CASES = {
                                 "--eta", "eta_mixed_3_9.json", "--shift"],
     "amplitude_random_3_7": ["amplitude", "--k", "3", "--n", "7",
                              "--eta", "random-interior", "--seed", "5"],
+    # keys spelled with leading zeros, spaces and plus signs, and a zero
+    # frozen eta: the reader's path for keys that are not canonical
+    "amplitude_eta_spelled_3_7": ["amplitude", "--k", "3", "--n", "7",
+                                  "--eta", "eta_spelled_3_7.json"],
+    "kinematics_eta_to_s_spelled_3_6": ["kinematics", "eta-to-s", "--k", "3", "--n", "6",
+                                        "--input", "eta_spelled_3_6.json"],
     "search_7": ["search", "--n", "7", "--trials", "1", "--seed", "0"],
     "search_8": ["search", "--n", "8", "--trials", "1", "--seed", "0"],
     "search_9": ["search", "--n", "9", "--trials", "1", "--seed", "0"],
