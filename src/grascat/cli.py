@@ -8,7 +8,9 @@ the report, so identical invocations produce byte-identical output.
 This module alone reads and writes the JSON format: input maps keyed by
 subsets ("1,3,5") with exact values, read by `_load_subset_map`, and the
 reports; the library modules take and return plain tuples and numbers.
-It keeps no per-shape cache of its own beyond its parser: the nonfrozen
+Beyond its parser it keeps one per-shape cache, `_subset_keys(k, n)`: the
+key string of each k-subset of [1, n] both ways, so that a map read or
+written under --k/--n parses and joins no canonical key; the nonfrozen
 subsets and their positions come from the one table `combinat._nonfrozen`.
 """
 from __future__ import annotations
@@ -58,6 +60,8 @@ def parse_value(val):
     conversion of input numbers: an int (not a bool), a Fraction or a string
     such as "3/2" or "0.1" (a JSON decimal, as load_json keeps it); ValueError
     otherwise, also for a zero denominator or an exponent over MAX_EXPONENT."""
+    if type(val) is int:  # a JSON integer, the common case
+        return val
     exp = isinstance(val, str) and re.search(r"e([-+]?\d+(?:_\d+)*)", val, re.IGNORECASE)
     if exp and abs(int(exp[1])) > MAX_EXPONENT:
         raise ValueError(f"input value {val!r} has a decimal exponent over {MAX_EXPONENT}")
@@ -86,12 +90,26 @@ def _unique_keys(pairs):
     return obj
 
 
+@combinat.shape_cache
+def _subset_keys(k, n):
+    """The key table of (k, n): ({key string: subset}, {subset: key string})
+    over the k-subsets of [1, n], both in sorted order, and the nonfrozen
+    positions of `combinat._nonfrozen`, whose build runs check_kn first.
+    Shared by every call, so never written to."""
+    known = combinat._nonfrozen(k, n)[1]
+    texts = {J: subset_key(J) for J in combinations(range(1, n + 1), k)}
+    return {text: J for J, text in texts.items()}, texts, known
+
+
 def _load_subset_map(path, key, k=None, n=None):
     """(values, k, n) of a JSON input file: the map under ``key`` as
     {subset: int or Fraction}, every key a k-subset of [1, n].  Without k and n
     (a ``coeffs`` file) they are read from the file as well.  An ``eta``
     map may not give a frozen subset, whose eta vanishes on K(k,n), a
-    nonzero value.  Every ValueError names the file."""
+    nonzero value.  Every ValueError about the file names it; a bad k and n
+    fail first, with check_kn's message."""
+    if k is not None:
+        _subset_keys(k, n)  # check_kn's ValueError, which names no file
     try:
         return _read_subset_map(path, key, k, n)
     except ValueError as exc:
@@ -99,11 +117,12 @@ def _load_subset_map(path, key, k=None, n=None):
 
 
 def _read_subset_map(path, key, k, n):
+    # a key in the table of (k, n) names a k-subset of [1, n] as written
+    # out, so only the other spellings are parsed and checked; a coeffs file
+    # gives its own (k, n), of any size, so it has no table and its keys are
+    # all checked
+    subsets, _, known = _subset_keys(k, n) if k is not None else ({}, None, ())
     data = load_json(path)
-    # a nonfrozen k-subset passes check_subset and is not frozen, so only
-    # the keys outside that set are checked; a coeffs file gives its own
-    # (k, n), of any size, so its keys are all checked
-    known = combinat._nonfrozen(k, n)[1] if k is not None and 2 <= k <= n - 2 else ()
     if k is None:
         if not isinstance(data, dict):
             raise ValueError("input JSON is not an object")
@@ -117,9 +136,9 @@ def _read_subset_map(path, key, k, n):
         raise ValueError(f"input JSON has no {key!r} object")
     out = {}
     for text, val in data[key].items():
-        J = parse_subset(text)
-        if J not in known:
-            J = combinat.check_subset(J, k, n)
+        J = subsets.get(text)
+        if J is None:
+            J = combinat.check_subset(parse_subset(text), k, n)
         if J in out:
             raise ValueError(f"two {key} keys name the subset {subset_key(J)}")
         out[J] = parse_value(val)
@@ -129,10 +148,13 @@ def _read_subset_map(path, key, k, n):
     return out, k, n
 
 
-def _dump_subset_map(values):
+def _dump_subset_map(values, k=None, n=None):
     """The output form of a {subset: number} map: subset keys in sorted
-    order, numbers as exact strings."""
-    return {subset_key(J): str(v) for J, v in sorted(values.items())}
+    order, numbers as exact strings.  Given the shape, every key is a
+    k-subset of [1, n] and its string comes from the key table."""
+    if k is None:
+        return {subset_key(J): str(v) for J, v in sorted(values.items())}
+    return {text: str(values[J]) for J, text in _subset_keys(k, n)[1].items() if J in values}
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +179,7 @@ def cmd_nc_count(args):
 
 def cmd_nc_list(args):
     cols = combinat.enumerate_maximal_noncrossing(args.k, args.n, args.max_cliques)
-    # one key string per nonfrozen subset, shared by every collection
-    keys = {J: subset_key(J) for J in combinat._nonfrozen(args.k, args.n)[0]}
+    keys = _subset_keys(args.k, args.n)[1]
     return _emit(args, {"command": "nc list", "k": args.k, "n": args.n,
                         "collections": [[keys[J] for J in c] for c in cols]})
 
@@ -206,7 +227,7 @@ def cmd_newton(args):
                "facets": len(report["polytope"].inequalities),
                "vertices": len(report["polytope"].vertices),
                "lambda": [str(x) for x in report["lambda"]],
-               "constants": _dump_subset_map(report["constants"]),
+               "constants": _dump_subset_map(report["constants"], args.k, args.n),
                "hrep_agrees": report["agrees"]}
     if args.fvector:
         payload["f_vector"] = report["polytope"].f_vector()
@@ -280,7 +301,7 @@ def cmd_eta_to_s(args):
         raise ValueError(f"{args.input}: no eta for the subset {subset_key(gap)}")
     point = kinematics.kin_basis(k, n).point_from_eta(etas)
     return _emit(args, {"command": "kinematics eta-to-s", "k": k, "n": n,
-                        "s": _dump_subset_map(point)})
+                        "s": _dump_subset_map(point, k, n)})
 
 
 def cmd_s_to_eta(args):
@@ -288,7 +309,7 @@ def cmd_s_to_eta(args):
     point = _load_subset_map(args.input, "s", k, n)[0]
     values = kinematics.kin_basis(k, n).eta_values(point)
     return _emit(args, {"command": "kinematics s-to-eta", "k": k, "n": n,
-                        "eta": _dump_subset_map(values)})
+                        "eta": _dump_subset_map(values, k, n)})
 
 
 def cmd_search(args):

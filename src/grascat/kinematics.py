@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, prod
 from operator import mul, sub
 
@@ -123,6 +123,10 @@ class KinBasis:
     in K), and the n eta_J rows times S are n times the identity.  So S
     maps onto K, the nonfrozen eta_J are a basis of the dual of K, and S
     is the integral eta -> s map.
+
+    Every entry of S is +-1, so `point_from_eta` reads each row as two
+    index rows, the J with +1 and the J with -1, and takes s_I as one sum
+    minus the other, with no multiply.
     """
 
     def __init__(self, k, n):
@@ -135,6 +139,8 @@ class KinBasis:
         self._heights = [_L(dict.fromkeys(I, 1), n) for I in self.subsets]
         self._eta_rows = [self._n_eta_row(J) for J in self.nonfrozen]
         self.S = {I: _s_row(I, n, position) for I in self.subsets}
+        self._signed_rows = [([J for J, c in row.items() if c == 1],
+                              [J for J, c in row.items() if c == -1]) for row in self.S.values()]
         self._certify(position)
 
     def _certify(self, position):
@@ -171,8 +177,9 @@ class KinBasis:
     def point_from_eta(self, eta_values):
         """The unique K-point whose nonfrozen eta-values are as given
         (missing ones are zero); returns the s-value map without zeros."""
-        point = {I: sum(c * eta_values.get(J, 0) for J, c in row.items())
-                 for I, row in self.S.items()}
+        get, zeros = eta_values.get, repeat(0)
+        point = {I: sum(map(get, plus, zeros)) - sum(map(get, minus, zeros))
+                 for I, (plus, minus) in zip(self.subsets, self._signed_rows)}
         return {I: linalg._exact(v) for I, v in point.items() if v}
 
     def eta_values(self, point):

@@ -617,7 +617,7 @@ def compound_A(i, j, kk, n):
     """A_{ijk} = det((u1 x u2) x (u_i x u_{i+1}), u_j,
     (u_{j+1} x u_{j+2}) x (u_k x u_1)) on the k=3 parameterization."""
     if j + 2 > n:
-        raise IndexError("A_{ijk} needs column j+2 <= n; use the X form")
+        raise ValueError("A_{ijk} needs column j+2 <= n; use the X form")
     M = bcfw_matrix(3, n)
     c1 = _cross(_cross(_col(M, 1), _col(M, 2)), _cross(_col(M, i), _col(M, i + 1)))
     c2 = _col(M, j)

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -531,6 +532,46 @@ def test_two_keys_naming_one_subset_rejected(tmp_path, capsys, argv, text, messa
     assert data["error"] == f"{path}: {message}"
 
 
+# spellings of a subset key that are not the canonical "1,3,5": each misses
+# the key table and is parsed and checked
+SPELLINGS = [lambda t: "0" + t, lambda t: " " + t, lambda t: "+" + t, lambda t: t + " ",
+             lambda t: t.replace(",", ", "), lambda t: ",".join("0" + a for a in t.split(","))]
+
+
+@pytest.mark.parametrize("key", ["eta", "s"])
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 8), (4, 8)])
+def test_spelled_keys_read_as_canonical_ones(tmp_path, key, k, n):
+    rng = random.Random(100 * k + n)
+    nonfrozen = set(nonfrozen_subsets(k, n))
+    # every k-subset, the frozen ones with eta 0, in a seeded order
+    subsets = list(combinations(range(1, n + 1), k))
+    rng.shuffle(subsets)
+    values = {J: 0 if key == "eta" and J not in nonfrozen
+              else rng.choice([rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"])
+              for J in subsets}
+    reads = []
+    for name, spell in (("canonical", lambda t, _i: t),
+                        ("spelled", lambda t, i: SPELLINGS[i % len(SPELLINGS)](t))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({key: {spell(subset_key(J), i): v
+                                          for i, (J, v) in enumerate(values.items())}}))
+        reads.append(cli._read_subset_map(str(path), key, k, n))
+    want = {J: cli.parse_value(v) for J, v in values.items()}
+    assert reads[0] == reads[1] == (want, k, n)
+    assert list(reads[0][0]) == list(reads[1][0]) == subsets
+    # written back, the keys are the canonical ones in sorted order
+    assert (list(cli._dump_subset_map(want, k, n).items())
+            == [(subset_key(J), str(want[J])) for J in sorted(want)])
+
+
+@pytest.mark.parametrize("action", ["eta-to-s", "s-to-eta"])
+def test_kinematics_bad_shape_fails_before_the_file(tmp_path, capsys, action):
+    # the shape's own message, naming no file, even for a file that is missing
+    code, data = _error(capsys, "kinematics", action, "--k", "1", "--n", "6",
+                        "--input", str(tmp_path / "nope.json"))
+    assert code == 2 and data["error"] == "need 2 <= k <= n-2, got (1, 6)"
+
+
 def test_max_cliques_only_where_read(capsys):
     # pk never enumerates collections, so it takes no --max-cliques
     with pytest.raises(SystemExit) as exc:
@@ -696,6 +737,11 @@ def test_well_formed_eta_keys_skip_the_subset_checks(tmp_path, capsys, monkeypat
     ({"0,2,4": 5}, "subset (0, 2, 4) not inside [1, 7]"),
     ({"1,2": 5}, "expected a 3-element subset, got (1, 2)"),
     ({"a,2,4": 5}, "invalid literal for int() with base 10: 'a'"),
+    ({"+1,2,4": 5, "1,2,4": 7}, "two eta keys name the subset 1,2,4"),
+    ({" 1,2,4": 5, "1,2,4 ": 7}, "two eta keys name the subset 1,2,4"),
+    ({"1, 2,4": True}, "input value true is not a number"),
+    ({"1,2,4": None}, "input value null is not a number"),
+    ({"+1,2,4": None}, "input value null is not a number"),
 ])
 @pytest.mark.parametrize("argv", [
     ("amplitude", "--k", "3", "--n", "7", "--eta"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import combinat, kinematics, linalg, polynomial
+from grascat import cli, combinat, kinematics, linalg, polynomial
 from grascat.combinat import (ResourceLimitExceeded, _bits, _face_numbers, _first_collection,
                               _has_clique, _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
                               check_subset, compatibility_degree,
@@ -454,8 +454,9 @@ def test_check_kn_takes_ints_only(k, n):
     polynomial.bcfw_matrix,
     lambda k, n: kinematics.eta_functional((1, 3, 5), k, n),
     _noncrossing_graph,
+    cli._subset_keys,
 ], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional",
-        "noncrossing_graph"])
+        "noncrossing_graph", "subset_keys"])
 def test_non_int_shape_raises_cold_and_warm(build):
     combinat.clear_caches()
     with pytest.raises(ValueError, match="k and n must be ints"):
@@ -468,11 +469,11 @@ def test_non_int_shape_raises_cold_and_warm(build):
 
 
 def test_clear_caches_empties_every_shape_cache():
-    from grascat import cli, roots
+    from grascat import roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
-              polynomial._one_minus_u, cli._parser, combinat._nonfrozen]
+              polynomial._one_minus_u, cli._parser, cli._subset_keys, combinat._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs
     assert len(combinat._CLEARS) == len(caches) + 1
     assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
@@ -484,6 +485,7 @@ def test_clear_caches_empties_every_shape_cache():
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
     polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity, 1 - u
     cli._parser()
+    cli._subset_keys(3, 6)
     sizes = {c.__name__: c.cache_info().currsize for c in caches}
     assert all(sizes.values()) and combinat._SEARCH_DAGS, sizes
     combinat.clear_caches()
@@ -512,7 +514,8 @@ def test_every_module_reads_the_one_nonfrozen_table(monkeypatch, tmp_path):
                         lambda self, position: seen.append(position) or certify(self, position))
     kinematics.KinBasis(3, 6)
     assert len(seen) == 20 + 1 and all(position is index for position in seen)
-    # cli keeps no table of its own: its known keys are the table's dict
+    # cli keeps no nonfrozen table of its own: its key table's known keys
+    # are the table's dict
     assert not hasattr(cli, "_nonfrozen")
     known = []
     table = combinat._nonfrozen

@@ -97,7 +97,7 @@ CASES = {
         ValueError, "k and n must be ints, got (3.0, 6)"),
     "compound_A": (
         lambda: polynomial.compound_A(1, 5, 2, 6),
-        IndexError, "A_{ijk} needs column j+2 <= n; use the X form"),
+        ValueError, "A_{ijk} needs column j+2 <= n; use the X form"),
     "compound_X label 0": (
         lambda: polynomial.compound_X((0, 1), (2, 3), (5, 6), 6),
         ValueError, "column label 0 not inside [1, 6]"),

@@ -386,6 +386,24 @@ def test_point_from_eta_takes_numbers_only():
         kin_basis(3, 6).point_from_eta({(1, 2, 4): "3"})
 
 
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 8), (4, 8), (4, 9)])
+@pytest.mark.parametrize("exact", [int, F])
+def test_point_from_eta_is_the_S_row_sum(k, n, exact):
+    # the +1 and -1 index rows give s_I = sum_J S[I][J] eta_J, zeros dropped,
+    # with missing and zero etas among the inputs
+    B = kin_basis(k, n)
+    rng = random.Random(100 * k + n)
+    draw = {int: lambda: rng.randint(-9, 9),
+            F: lambda: F(rng.randint(-9, 9), rng.randint(1, 6))}[exact]
+    eta = {J: draw() for J in B.nonfrozen if rng.random() < 0.8}
+    want = {I: sum(c * eta.get(J, 0) for J, c in row.items()) for I, row in B.S.items()}
+    want = {I: linalg._exact(v) for I, v in want.items() if v}
+    got = B.point_from_eta(eta)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert B.point_from_eta({}) == {}
+
+
 _nonzero = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool)
 
 
