@@ -9,9 +9,9 @@ This module alone reads and writes the JSON format: input maps keyed by
 subsets ("1,3,5") with exact values, read by `_load_subset_map`, and the
 reports; the library modules take and return plain tuples and numbers.
 Beyond its parser it keeps one per-shape cache, `_subset_keys(k, n)`: the
-key string of each k-subset of [1, n] both ways, so that a map read or
-written under --k/--n parses and joins no canonical key; the nonfrozen
-subsets and their positions come from the one table `combinat._nonfrozen`.
+key string of each k-subset of [1, n] both ways, so that a map read under
+--k/--n parses no canonical key and a map written joins no key; the
+nonfrozen subsets come from the one table `combinat._nonfrozen`.
 """
 from __future__ import annotations
 
@@ -93,12 +93,11 @@ def _unique_keys(pairs):
 @combinat.shape_cache
 def _subset_keys(k, n):
     """The key table of (k, n): ({key string: subset}, {subset: key string})
-    over the k-subsets of [1, n], both in sorted order, and the nonfrozen
-    positions of `combinat._nonfrozen`, whose build runs check_kn first.
-    Shared by every call, so never written to."""
-    known = combinat._nonfrozen(k, n)[1]
+    over the k-subsets of [1, n], both in sorted order; its build runs
+    check_kn first.  Shared by every call, so never written to."""
+    combinat.check_kn(k, n)
     texts = {J: subset_key(J) for J in combinations(range(1, n + 1), k)}
-    return {text: J for J, text in texts.items()}, texts, known
+    return {text: J for J, text in texts.items()}, texts
 
 
 def _load_subset_map(path, key, k=None, n=None):
@@ -108,20 +107,19 @@ def _load_subset_map(path, key, k=None, n=None):
     map may not give a frozen subset, whose eta vanishes on K(k,n), a
     nonzero value.  Every ValueError about the file names it; a bad k and n
     fail first, with check_kn's message."""
-    if k is not None:
-        _subset_keys(k, n)  # check_kn's ValueError, which names no file
+    table = _subset_keys(k, n) if k is not None else ({}, {})
     try:
-        return _read_subset_map(path, key, k, n)
+        return _read_subset_map(path, key, k, n, table)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_subset_map(path, key, k, n):
+def _read_subset_map(path, key, k, n, table):
     # a key in the table of (k, n) names a k-subset of [1, n] as written
-    # out, so only the other spellings are parsed and checked; a coeffs file
-    # gives its own (k, n), of any size, so it has no table and its keys are
-    # all checked
-    subsets, _, known = _subset_keys(k, n) if k is not None else ({}, None, ())
+    # out, and a key spelled otherwise ("01,2,4") one if its subset is in
+    # the table, so only the rest are checked; a coeffs file gives its own
+    # (k, n), of any size, so it has no table and its keys are all checked
+    subsets, texts = table
     data = load_json(path)
     if k is None:
         if not isinstance(data, dict):
@@ -134,26 +132,29 @@ def _read_subset_map(path, key, k, n):
         k, n = data["k"], data["n"]
     elif not isinstance(data, dict) or not isinstance(data.get(key), dict):
         raise ValueError(f"input JSON has no {key!r} object")
+    nonfrozen = combinat._nonfrozen(k, n)[1] if key == "eta" else ()
     out = {}
     for text, val in data[key].items():
         J = subsets.get(text)
         if J is None:
-            J = combinat.check_subset(parse_subset(text), k, n)
+            J = parse_subset(text)
+            if J not in texts:
+                J = combinat.check_subset(J, k, n)
         if J in out:
             raise ValueError(f"two {key} keys name the subset {subset_key(J)}")
         out[J] = parse_value(val)
-        if key == "eta" and out[J] and J not in known and combinat.is_frozen(J, n):
+        if key == "eta" and out[J] and J not in nonfrozen:
             raise ValueError(f"eta of the frozen subset {text} is zero on K({k},{n}), "
                              f"not {out[J]}")
     return out, k, n
 
 
-def _dump_subset_map(values, k=None, n=None):
-    """The output form of a {subset: number} map: subset keys in sorted
-    order, numbers as exact strings.  Given the shape, every key is a
-    k-subset of [1, n] and its string comes from the key table."""
-    if k is None:
-        return {subset_key(J): str(v) for J, v in sorted(values.items())}
+def _dump_subset_map(values, k, n):
+    """The output form of a {subset: number} map of k-subsets of [1, n]:
+    subset keys in sorted order, from the key table, and numbers as exact
+    strings.  An empty map builds no table."""
+    if not values:
+        return {}
     return {text: str(values[J]) for J, text in _subset_keys(k, n)[1].items() if J in values}
 
 
@@ -165,7 +166,7 @@ def _expansion(path):
     combination in an input file, sorted by subset."""
     coeffs, k, n = _load_subset_map(path, "coeffs")
     expansion = roots.noncrossing_decompose(roots.combo_vector(coeffs, k, n), k, n)
-    return k, n, _dump_subset_map(expansion)
+    return k, n, _dump_subset_map(expansion, k, n)
 
 
 def cmd_nc_count(args):

@@ -47,6 +47,18 @@ def test_nc_degree_and_decompose(tmp_path, capsys):
     assert json.loads(out)["expansion"] == {"1,4,5": "1", "2,3,6": "1"}
 
 
+
+@pytest.mark.parametrize("command", [("decompose",), ("nc", "degree")])
+def test_zero_expansion_builds_no_key_table(tmp_path, capsys, command):
+    # a zero combination expands to {} with no fan, and its empty output
+    # map with no key table, whatever the file's (k, n)
+    combinat.clear_caches()
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"k": 4, "n": 11, "coeffs": {"1,3,5,7": 0, "2,4,6,8": "0/3"}}))
+    code, out = run(capsys, *command, "--input", str(path))
+    assert code == 0 and json.loads(out)["expansion"] == {}
+    assert cli._subset_keys.cache_info().currsize == 0
+
 def test_volume(capsys):
     code, out = run(capsys, "volume", "--k", "2", "--n", "6")
     assert code == 0 and json.loads(out)["relative_volume"] == 14
@@ -533,14 +545,14 @@ def test_two_keys_naming_one_subset_rejected(tmp_path, capsys, argv, text, messa
 
 
 # spellings of a subset key that are not the canonical "1,3,5": each misses
-# the key table and is parsed and checked
+# the key table and is parsed, and checked unless its subset is in the table
 SPELLINGS = [lambda t: "0" + t, lambda t: " " + t, lambda t: "+" + t, lambda t: t + " ",
              lambda t: t.replace(",", ", "), lambda t: ",".join("0" + a for a in t.split(","))]
 
 
 @pytest.mark.parametrize("key", ["eta", "s"])
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 8), (4, 8)])
-def test_spelled_keys_read_as_canonical_ones(tmp_path, key, k, n):
+def test_spelled_keys_read_as_canonical_ones(tmp_path, monkeypatch, key, k, n):
     rng = random.Random(100 * k + n)
     nonfrozen = set(nonfrozen_subsets(k, n))
     # every k-subset, the frozen ones with eta 0, in a seeded order
@@ -549,16 +561,19 @@ def test_spelled_keys_read_as_canonical_ones(tmp_path, key, k, n):
     values = {J: 0 if key == "eta" and J not in nonfrozen
               else rng.choice([rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"])
               for J in subsets}
+    # each names a k-subset of [1, n], in the key table, so none is checked
+    checked = []
+    monkeypatch.setattr(combinat, "check_subset", lambda *a: checked.append(a))
     reads = []
     for name, spell in (("canonical", lambda t, _i: t),
                         ("spelled", lambda t, i: SPELLINGS[i % len(SPELLINGS)](t))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({key: {spell(subset_key(J), i): v
                                           for i, (J, v) in enumerate(values.items())}}))
-        reads.append(cli._read_subset_map(str(path), key, k, n))
+        reads.append(cli._load_subset_map(str(path), key, k, n))
     want = {J: cli.parse_value(v) for J, v in values.items()}
     assert reads[0] == reads[1] == (want, k, n)
-    assert list(reads[0][0]) == list(reads[1][0]) == subsets
+    assert list(reads[0][0]) == list(reads[1][0]) == subsets and checked == []
     # written back, the keys are the canonical ones in sorted order
     assert (list(cli._dump_subset_map(want, k, n).items())
             == [(subset_key(J), str(want[J])) for J in sorted(want)])

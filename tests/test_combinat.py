@@ -514,8 +514,7 @@ def test_every_module_reads_the_one_nonfrozen_table(monkeypatch, tmp_path):
                         lambda self, position: seen.append(position) or certify(self, position))
     kinematics.KinBasis(3, 6)
     assert len(seen) == 20 + 1 and all(position is index for position in seen)
-    # cli keeps no nonfrozen table of its own: its key table's known keys
-    # are the table's dict
+    # cli keeps no table of its own: its known keys are the table's dict
     assert not hasattr(cli, "_nonfrozen")
     known = []
     table = combinat._nonfrozen
@@ -523,7 +522,7 @@ def test_every_module_reads_the_one_nonfrozen_table(monkeypatch, tmp_path):
                         or table(k, n))
     path = tmp_path / "eta.json"
     path.write_text(json.dumps({"eta": {"1,3,5": 2, "1,2,3": 0}}))
-    assert cli._read_subset_map(str(path), "eta", 3, 6)[0] == {(1, 3, 5): 2, (1, 2, 3): 0}
+    assert cli._load_subset_map(str(path), "eta", 3, 6)[0] == {(1, 3, 5): 2, (1, 2, 3): 0}
     assert known and all(keys is index for keys in known)
 
 
