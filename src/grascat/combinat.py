@@ -328,21 +328,23 @@ def _has_clique(adj, cand, size):
     return False
 
 
-def _first_collection(adj, chosen=0):
-    """The sorted-first maximal clique of the graph adj that holds the
-    clique chosen: chosen extended by each vertex, in index order, that is
-    adjacent to everything chosen so far.
+def _first_collection(adj, chosen=0, order=None):
+    """The first maximal clique, in the vertex order given (index order by
+    default), of the graph adj that holds the clique chosen: chosen
+    extended by each vertex, in that order, that is adjacent to everything
+    chosen so far.
 
     Greedy is maximal, since a vertex it skips is not adjacent to some
     vertex chosen before it.  Against any other maximal clique C holding
-    chosen, take the least index i in one of the two but not both.  Every
-    vertex greedy had chosen before reaching i lies in C, so were i in C it
-    would be adjacent to all of them, and greedy would have taken it.  So
-    i is greedy's, and the sorted index list of greedy's clique comes
-    first; for verts sorted, so does its sorted tuple of subsets.
+    chosen, take the first vertex i in the order in one of the two but not
+    both.  Every vertex greedy had chosen before reaching i lies in C, so
+    were i in C it would be adjacent to all of them, and greedy would have
+    taken it.  So i is greedy's, and greedy's clique, listed in the order,
+    comes first; in index order and for verts sorted, so does its sorted
+    tuple of subsets.
     """
-    for i, nbrs in enumerate(adj):
-        if not chosen & ~nbrs:
+    for i in range(len(adj)) if order is None else order:
+        if not chosen & ~adj[i]:
             chosen |= 1 << i
     return chosen
 

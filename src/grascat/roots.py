@@ -69,6 +69,7 @@ def f_combination(fcoeffs, k, n):
 def gamma_hat(J, k, n):
     """0/1 int e-basis coefficient vector of gamma_J: row i carries the
     interval [j_i - (i-1), j_{i+1} - i - 1], possibly empty."""
+    check_kn(k, n)
     J = check_subset(J, k, n)
     return {(i, j): 1 for i in range(1, k) for j in range(J[i - 1] - (i - 1), J[i] - i)}
 
@@ -84,8 +85,23 @@ def gamma_functional(J, k, n):
 
 
 def v_root(J, k, n):
-    """Root vector v_J in the quotient; zero iff J is a cyclic interval."""
-    return project_f(gamma_hat(J, k, n), k, n)
+    """Root vector v_J in the quotient; zero iff J is a cyclic interval.
+
+    project_f(gamma_hat(J)) in closed form: row i of gamma_hat(J) is the
+    column interval [a, b] = [j_i - i + 1, j_{i+1} - i - 1], and its
+    f-image telescopes to e_{i,a} - e_{i,b+1}, column n-k+1 read as 1.  An
+    empty row gives nothing, and so does a full one, [1, n-k].
+    """
+    check_kn(k, n)
+    J = check_subset(J, k, n)
+    w = n - k
+    v = {}
+    for i in range(1, k):
+        a, b = J[i - 1] - i + 1, J[i] - i - 1
+        if 0 <= b - a < w - 1:
+            v[i, a] = 1
+            v[i, b + 1 if b < w else 1] = -1
+    return v
 
 
 def row_sums(x, k, n):
@@ -160,6 +176,14 @@ class _Fan:
     maximal noncrossing collections: finds the cone holding a vector by
     walking the segment to it from a start cone, one wall at a time.
 
+    A walk costs one flip per wall it crosses, so the start cone is the
+    greedy maximal collection over the roots shortest first (fewest grid
+    cells of gamma_J, ties by index), not the lexicographically first
+    collection, which sits at a corner of the fan: walks from that corner
+    take 1.2 to 1.5 times the flips on seeded 3-term combinations from
+    (3,7) to (6,12).  The expansion is unique, so the start changes no
+    result.
+
     The start cone is checked unimodular, a lattice basis, and `walls`
     carries that to every cone; gammas[i] is gamma_{verts[i]} on the dense
     grid.  Row p of the walk's state holds the coordinates a_p of the start
@@ -197,7 +221,8 @@ class _Fan:
         self.verts, self.adj = _noncrossing_graph(k, n)
         self.index = _nonfrozen(k, n)[1]
         self.gammas = [gamma_functional(J, k, n) for J in self.verts]
-        self.start = list(_bits(_first_collection(self.adj)))
+        order = sorted(range(len(self.verts)), key=lambda i: sum(self.gammas[i]))
+        self.start = list(_bits(_first_collection(self.adj, order=order)))
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
         # the lattice coordinates of the start members: the running sums of
@@ -209,8 +234,9 @@ class _Fan:
         start_inv = linalg.inverse(list(zip(*coords)))
         if any(type(x) is not int for row in start_inv for x in row):
             raise AssertionError("start cone is not unimodular")
-        # start_inv is sparse (a few entries +-1 per row); the start rows'
-        # eps part [1 | e_p] is the same for every walk
+        # start_inv is sparse (one or two entries +-1 per row at every shape
+        # with n <= 12); the start rows' eps part [1 | e_p] is the same for
+        # every walk
         self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in start_inv]
         self.start_eps = [[1] + [int(q == p) for q in range(d)] for p in range(d)]
         self.relations = {}
@@ -341,6 +367,7 @@ def noncrossing_degree(coeffs, k, n):
 
 def combo_vector(coeffs, k, n):
     """Grid vector of a formal combination sum c_J v_J."""
+    check_kn(k, n)
     v = {}
     for J, c in coeffs.items():
         v = grid_add(v, v_root(J, k, n), c)

@@ -189,6 +189,16 @@ def test_noncrossing_graph_matches_the_pair_tests_slow():
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8)])
+def test_first_collection_in_an_order_is_the_first_listed_in_it(k, n):
+    verts, adj = _noncrossing_graph(k, n)
+    index = {J: i for i, J in enumerate(verts)}
+    order = random.Random(f"{k},{n}").sample(range(len(verts)), len(verts))
+    rank = {v: t for t, v in enumerate(order)}
+    first = min(sorted(rank[index[J]] for J in c) for c in enumerate_maximal_noncrossing(k, n))
+    assert sorted(map(rank.get, _bits(_first_collection(adj, order=order)))) == first
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8)])
 def test_first_collection_is_the_sorted_first_through_each_subset(k, n):
     verts, adj = _noncrossing_graph(k, n)
     cols = enumerate_maximal_noncrossing(k, n)

@@ -224,6 +224,27 @@ CASES = {
     "kd_membership unsorted key": (
         lambda: kinematics.kd_membership({(3, 2, 1): 0}, 3, 6),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
+    "combo_vector k = n": (
+        lambda: roots.combo_vector({(1, 2, 3): 1}, 3, 3),
+        ValueError, "need 2 <= k <= n-2, got (3, 3)"),
+    "gamma_hat k = n - 1": (
+        lambda: roots.gamma_hat((1, 3), 2, 3),
+        ValueError, "need 2 <= k <= n-2, got (2, 3)"),
+    "v_root decreasing": (
+        lambda: roots.v_root((3, 2, 1), 3, 6),
+        ValueError, "subset must be strictly increasing: (3, 2, 1)"),
+    "v_root short": (
+        lambda: roots.v_root((1, 3), 3, 6),
+        ValueError, "expected a 3-element subset, got (1, 3)"),
+    "v_root label outside [1, n]": (
+        lambda: roots.v_root((1, 3, 7), 3, 6),
+        ValueError, "subset (1, 3, 7) not inside [1, 6]"),
+    "v_root float label": (
+        lambda: roots.v_root((1, 3.0, 5), 3, 6),
+        ValueError, "subset entries must be ints, got (1, 3.0, 5)"),
+    "combo_vector bad subset": (
+        lambda: roots.combo_vector({(1, 3, 5): 1, (2, 2, 4): 1}, 3, 6),
+        ValueError, "subset must be strictly increasing: (2, 2, 4)"),
 }
 # an s-value key must be a tuple of ints: one that only equals a subset is
 # rejected, as check_subset rejects it
@@ -260,7 +281,10 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("eta_functional", lambda k, n: kinematics.eta_functional((1, 3, 5), k, n)),
                   ("kd_membership", lambda k, n: kinematics.kd_membership({}, k, n)),
                   ("planar_face_range", polynomial.planar_face_range),
-                  ("m_poly", lambda k, n: polynomial.m_poly(1, 2, k, n))):
+                  ("m_poly", lambda k, n: polynomial.m_poly(1, 2, k, n)),
+                  ("v_root", lambda k, n: roots.v_root((1, 3, 5), k, n)),
+                  ("gamma_hat", lambda k, n: roots.gamma_hat((1, 3, 5), k, n)),
+                  ("combo_vector", lambda k, n: roots.combo_vector({}, k, n))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from grascat import linalg, roots
 from grascat.combinat import (_bits, _crossing_labels, clear_caches, compatibility_degree,
-                              enumerate_maximal_noncrossing, is_noncrossing, nonfrozen_subsets)
+                              enumerate_maximal_noncrossing, is_frozen, is_noncrossing,
+                              nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
 from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, combo_vector,
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
@@ -40,6 +41,23 @@ def test_v_root_zero_iff_cyclic_interval():
     assert v_root((1, 5, 6), 3, 6) == {}
     assert v_root((1, 2, 6), 3, 6) == {}
     assert v_root((1, 3, 5), 3, 6) != {}
+
+
+def _assert_v_root_closed_form(k, n):
+    for J in combinations(range(1, n + 1), k):
+        v = v_root(J, k, n)
+        assert list(v.items()) == list(project_f(gamma_hat(J, k, n), k, n).items()), J
+        assert (v == {}) == is_frozen(J, n), J
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 11) for k in range(2, n - 1)])
+def test_v_root_is_the_f_image_of_gamma_hat(k, n):
+    _assert_v_root_closed_form(k, n)
+
+
+@pytest.mark.slow
+def test_v_root_is_the_f_image_of_gamma_hat_slow():
+    _assert_v_root_closed_form(6, 12)
 
 
 def test_root_combination_displays():
@@ -430,10 +448,14 @@ def test_broken_start_cone_raises(monkeypatch, how, message):
     clear_caches()
     try:
         if how == "short":
-            # the greedy collection without its least member
+            # the greedy collection without its last member: the order cut
+            # just before the vertex that completes it
             first = roots._first_collection
-            monkeypatch.setattr(roots, "_first_collection",
-                                lambda adj: first(adj) & (first(adj) - 1))
+
+            def short(adj, chosen=0, order=None):
+                last = max(map(order.index, _bits(first(adj, chosen, order))))
+                return first(adj, chosen, order[:last])
+            monkeypatch.setattr(roots, "_first_collection", short)
         else:
             # every gamma doubled: the start cone has |det| 2^d
             gamma = roots.gamma_functional
@@ -443,6 +465,66 @@ def test_broken_start_cone_raises(monkeypatch, how, message):
             _fan(3, 7)
     finally:
         clear_caches()
+
+
+def _lexicographic_start_fan(monkeypatch, k, n):
+    """A fan that starts its walks at the lexicographically first
+    collection, the greedy one in index order."""
+    first = roots._first_collection
+    with monkeypatch.context() as m:
+        m.setattr(roots, "_first_collection", lambda adj, chosen=0, order=None: first(adj))
+        return _Fan(k, n)
+
+
+def _count_flips(monkeypatch, fan):
+    """A one-element list that counts the fan's flips: `exchange` runs once
+    per flip of `locate`."""
+    flips = [0]
+    exchange = fan.exchange
+
+    def counted(r, X):
+        flips[0] += 1
+        return exchange(r, X)
+    monkeypatch.setattr(fan, "exchange", counted)
+    return flips
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8), (3, 9), (5, 10)])
+def test_walks_from_both_starts_agree_and_the_short_start_flips_less(monkeypatch, k, n):
+    nf = nonfrozen_subsets(k, n)
+    J1, J2, J3 = nf[1], nf[len(nf) // 2], nf[-2]
+    targets = (_seeded_inputs(k, n, 7, 40) + _seeded_inputs(k, n, 8, 40, rational=True)
+               + [v_root(J, k, n) for J in (J1, J2, J3)]
+               + [combo_vector({J1: 2, J2: 0, J3: F(-1, 3)}, k, n)])
+    fans = [_Fan(k, n), _lexicographic_start_fan(monkeypatch, k, n)]
+    assert fans[0].start != fans[1].start
+    flips = [_count_flips(monkeypatch, fan) for fan in fans]
+    for v in targets:
+        x = lattice_coords(v, k, n)
+        new, old = (fan.locate(x) for fan in fans)
+        assert _typed(new) == _typed(old)
+    assert flips[0][0] < flips[1][0]
+    assert [fans[0].locate(lattice_coords(v_root(J, k, n), k, n)) for J in (J1, J2, J3)] == [
+        {J: 1} for J in (J1, J2, J3)]
+
+
+def _assert_start_is_a_unimodular_maximal_collection(k, n):
+    fan = _Fan(k, n)
+    start = [fan.verts[i] for i in fan.start]
+    assert len(start) == fan.dim
+    assert all(is_noncrossing(I, J, n) for I, J in combinations(start, 2))
+    assert abs(linalg.det([lattice_coords(v_root(J, k, n), k, n) for J in start])) == 1
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 12) for k in range(2, n - 1)])
+def test_start_cone_is_a_unimodular_maximal_collection(k, n):
+    _assert_start_is_a_unimodular_maximal_collection(k, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(2, 11))
+def test_start_cone_is_a_unimodular_maximal_collection_slow(k):
+    _assert_start_is_a_unimodular_maximal_collection(k, 12)
 
 
 def test_wall_with_two_completions_raises(monkeypatch):
