@@ -385,7 +385,8 @@ class SearchDag:
     post-order, children before parents.  Node ``_LEAF`` (0) is the empty
     pair, a maximal clique; node ``root`` (the last) is the top level.
     Edge e belongs to node owner[e], adds vertex[e], an index in
-    `_nonfrozen(k, n)`, to the clique and leads to node child[e].  A
+    `_nonfrozen(k, n)`, to the clique and leads to node child[e]; the
+    three are flat int `array`s, one entry per edge.  A
     node's edges are stored together, in search order, when its branch
     ends, after every edge of its children, so owner is nondecreasing and
     child[e] < owner[e].  Branches that end in no maximal clique are

@@ -52,7 +52,9 @@ class KinFunctional:
 
     def __init__(self, k, n, coeffs=None):
         """The functional sum_I coeffs[I] s_I, converted once through the
-        integer eta -> s map: its eta_J-coordinate is sum_I coeffs[I] S[I][J]."""
+        integer eta -> s map: its eta_J-coordinate is sum_I coeffs[I] S[I][J].
+        A key of coeffs is checked as `KinBasis.eta_values` checks one
+        (`_check_keys`)."""
         self.k, self.n, self.eta = k, n, {}
         if coeffs:
             B = kin_basis(k, n)
@@ -404,6 +406,15 @@ def _shift_rows(n):
 # the noncrossing amplitude
 
 class AmplitudePole(ZeroDivisionError):
+    """A zero or missing value met by `nc_amplitude`.  ``collection`` is
+    the sorted-first maximal collection holding one, which a sorted
+    term-by-term sum meets first: the least of the greedy first
+    collections through each such subset (`combinat._first_collection`),
+    read off the noncrossing graph with no search, so the report does not
+    depend on max_collections.  The CLI's `amplitude` never gets there: it
+    lists every zero or missing value under ``poles``, with exit 1,
+    before it calls `nc_amplitude`."""
+
     def __init__(self, collection):
         self.collection = collection
         super().__init__(f"zero eta-hat on the collection {collection}")
@@ -428,7 +439,9 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     each term of T(child) and hence their sum.  Merging equal (P, X)
     subtrees changes nothing, because a subtree's T depends only on its
     pair.  So T(root) is D times the sum over collections R of
-    prod_{J in R} 1 / values[J], and the amplitude is T(root) / D.
+    prod_{J in R} 1 / values[J], and the amplitude is T(root) / D, made
+    one Fraction at the end (an int where integral); no lcm of the
+    denominators is formed.
 
     The pass reads the DAG's edges once each, in storage order, adding
     each term to the T of the edge's owner.  A node's edges are stored
@@ -449,7 +462,7 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
         coll = min(tuple(verts[i] for i in _bits(_first_collection(adj, 1 << v)))
                    for v, x in enumerate(vals) if not x)
         for J in coll:
-            if not values[J]:
+            if not values.get(J):
                 raise AmplitudePole(coll)
     p, q = [x.numerator for x in vals], [x.denominator for x in vals]
     D = prod(p)

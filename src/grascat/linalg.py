@@ -2,6 +2,7 @@
 one rule for exact numbers that every module follows: `_integral` clears
 a vector's denominators, `_primitive` scales it to coprime ints, and
 `_exact` holds a value as an int when it is integral, else as a Fraction.
+No other module calls `lcm`.
 
 Every exact elimination but one runs through one fraction-free row
 update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante

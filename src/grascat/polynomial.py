@@ -184,7 +184,9 @@ class Poly:
 
     def __pow__(self, m):
         """self ** m for an int m >= 0, by square-and-multiply started from
-        self, so that self ** 1 is self and self ** 0 is Poly.one."""
+        self, so that self ** 1 is self and self ** 0 is Poly.one.  Raises
+        TypeError for an m that is not an int (bool included) and
+        ValueError for m < 0."""
         _check_exponent(m)
         if m < 0:
             raise ValueError(f"Poly exponent must be nonnegative, not {m}")
@@ -231,7 +233,8 @@ class Poly:
         coefficient and no common variable factor.  The scalar is +-g / den
         for the ints den * c of `linalg._integral` and g their gcd, which for
         reduced fractions c is gcd(numerators) / lcm(denominators), an int
-        when integral (`linalg._ratio`)."""
+        when integral (`linalg._ratio`).  The primitive part is computed in
+        ints, so the scalar is the one Fraction made."""
         if not self.terms:
             return 0, (0,) * self.nvars, Poly.zero(self.k, self.n)
         ints, den = _integral(self.terms.values())
@@ -382,6 +385,8 @@ class FactoredRatio:
         return _product([(self, 1), (self._lift(other), -1)], self.k, self.n)
 
     def __pow__(self, m):
+        """self ** m for any int m; TypeError for any other m, bool
+        included."""
         _check_exponent(m)
         return _product([(self, m)], self.k, self.n)
 
@@ -565,7 +570,8 @@ def bcfw_matrix(k, n):
     """k x n positive-parameterization matrix: identity block in columns
     1..k, then column k+j holding m_{i,j} 'in rows i < k and 1 in the last
     row.  Rows of the polynomial block carry alternating signs (-1)^{k-1-i}
-    so that every maximal minor has nonnegative coefficients."""
+    so that every maximal minor has nonnegative coefficients.  Built once
+    per (k, n); ValueError unless (k, n) passes `check_kn`."""
     check_kn(k, n)
     cols = []
     for c in range(1, k + 1):
@@ -593,7 +599,8 @@ def plucker(J, k, n):
 
 
 def _col(M, j):
-    """Column j of the 3 x n matrix M, for a label j in [1, n]."""
+    """Column j of the 3 x n matrix M, for a label j in [1, n]; any other
+    label raises ValueError, so `compound_X` and `compound_A` reject it."""
     n = len(M[0])
     if type(j) is not int or not 1 <= j <= n:
         raise ValueError(f"column label {j!r} not inside [1, {n}]")

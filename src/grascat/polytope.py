@@ -5,7 +5,10 @@ simplices, planar faces and the PK associahedron.  The LP membership test
 `in_convex_hull`, a revised phase-1 simplex on ints with the lexicographic
 rule, is kept only for perfbench's polytopes workload; nothing in the
 package calls it.  Membership in the root polytope needs no LP
-(`root_polytope_contains`, one noncrossing expansion).
+(`root_polytope_contains`, one noncrossing expansion).  `pk_polytope`,
+`root_polytope`, `root_polytope_contains`, `tau_newton_facets`,
+`pk_associahedron` and `triangulation_volume` run `combinat.check_kn`
+first.
 
 The PK polytope, the tau-product Newton polytope and the PK associahedron
 are H-polytopes P = {gamma_J >= c_J over nonfrozen J, row sums lam}
@@ -443,7 +446,8 @@ def root_polytope_contains(x, k, n):
     R iff its row sums vanish and the coefficients of its unique expansion
     (`roots.noncrossing_decompose`, here the fan walk on x's lattice
     coordinates) sum to at most 1.  Raises ValueError unless
-    2 <= k <= n - 2 and x has (k-1)(n-k) coordinates."""
+    2 <= k <= n - 2 and x has (k-1)(n-k) coordinates.  Nothing in the
+    package or in perfbench calls it yet."""
     check_kn(k, n)
     w = n - k
     if len(x) != (k - 1) * w:
@@ -531,8 +535,11 @@ def _newton_hrep(factors, k, n):
     No coefficients cancel, so Newt(prod f) is the Minkowski sum of the
     Newt(f), and a linear form's minimum over it is the sum of the
     per-factor minima: c_J for gamma_J, read off one table of gamma_J at
-    every factor point.  Each factor's points have one row sum vector
-    (ValueError otherwise), and these add up to lam.  So Newt lies in
+    every factor point.  The gamma_J rows are the cached fan's
+    (`roots._Fan.gammas`), in the order of its verts, so the inequality
+    rows and the fan's vertices share one index.  Each factor's points
+    have one row sum vector (ValueError otherwise), and these add up to
+    lam.  So Newt lies in
     P = {gamma_J >= c_J over nonfrozen J, row sums lam}, and `agrees`
     (every vertex of P is in the sum, `_in_minkowski_sum`) gives P inside
     Newt: agrees iff P == Newt.

@@ -186,8 +186,10 @@ class _Fan:
 
     The start cone is checked unimodular, a lattice basis, and `walls`
     carries that to every cone; gammas[i] is gamma_{verts[i]} on the dense
-    grid.  Row p of the walk's state holds the coordinates a_p of the start
-    point and b_p of the target, scaled to ints, in the cone.  The start
+    grid, built once per (k, n) with the fan and read by the fan polytopes
+    of `polytope` as their inequality rows.  Row p of the walk's state
+    holds the coordinates a_p of the start point and b_p of the target,
+    scaled to ints, in the cone.  The start
     point p0 = sum_i (1 + eps^i) e_i is symbolic in an infinitesimal
     eps > 0, so a_p = [sum(inv_p) | inv_p] holds its coefficients of
     eps^0, ..., eps^d, with inv_p row p of the cone's inverse basis.  A

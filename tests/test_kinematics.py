@@ -435,12 +435,13 @@ def test_nc_amplitude_pole_report():
     with pytest.raises(AmplitudePole) as exc:
         nc_amplitude(2, 5, values)
     assert exc.value.collection == ((1, 3), (3, 5))
-    # a missing subset met before any zero is a KeyError
+    # a missing subset is a pole too: with (1, 4) missing and (2, 5) zero,
+    # the first collection through (1, 4) is named
     values[(3, 5)] = F(1)
     del values[(1, 4)]
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(AmplitudePole) as exc:
         nc_amplitude(2, 5, values)
-    assert exc.value.args == ((1, 4),)
+    assert exc.value.collection == ((1, 3), (1, 4))
 
 
 @pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (3, 8), (4, 8)])
