@@ -366,8 +366,16 @@ def _flip_quadruples(k, n):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads an option only under its full name;
+    its subparsers are of its own class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="grascat",
         description="exact computations for noncrossing complexes, generalized "
                     "root systems, PK polytopes and noncrossing amplitudes")
@@ -495,7 +503,16 @@ def main(argv=None):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout fails here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): as the Python docs'
+        # note on SIGPIPE does, point stdout at devnull so that the flush at
+        # exit does not fail again, and exit 1 with no report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (combinat.ResourceLimitExceeded, ValueError, OSError) as exc:
         return _error(str(exc))
     except MemoryError:

@@ -417,7 +417,7 @@ class AmplitudePole(ZeroDivisionError):
 
     def __init__(self, collection):
         self.collection = collection
-        super().__init__(f"zero eta-hat on the collection {collection}")
+        super().__init__(f"zero or missing value on the collection {collection}")
 
 
 def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):

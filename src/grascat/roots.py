@@ -15,6 +15,7 @@ attached to J.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -187,16 +188,25 @@ class _Fan:
     The start cone is checked unimodular, a lattice basis, and `walls`
     carries that to every cone; gammas[i] is gamma_{verts[i]} on the dense
     grid, built once per (k, n) with the fan and read by the fan polytopes
-    of `polytope` as their inequality rows.  Row p of the walk's state
-    holds the coordinates a_p of the start point and b_p of the target,
-    scaled to ints, in the cone.  The start
-    point p0 = sum_i (1 + eps^i) e_i is symbolic in an infinitesimal
-    eps > 0, so a_p = [sum(inv_p) | inv_p] holds its coefficients of
-    eps^0, ..., eps^d, with inv_p row p of the cone's inverse basis.  A
-    wall's other completion is the one common neighbour of its members in
-    the noncrossing graph; crossing to it is one pivot, on the entry -1.
-    The first coordinate to hit zero on the segment has b_p < 0, and p
-    hits zero before q iff a_p b_q - a_q b_p > 0, lexicographically.
+    of `polytope` as their inequality rows.  A walk keeps two ints per cone
+    member v: a_v, its coordinate of the start point
+    W = sum_i w_i v_{start_i}, and b_v, its coordinate of the target,
+    scaled to ints.  The weights w_i are positive and fixed per (k, n),
+    drawn from a generator seeded with the shape; any positive weights
+    give the same expansions, and generic ones make the tie-break below
+    rare.  A wall's other completion is the one common neighbour of its
+    members in the noncrossing graph; crossing from r to it, X, is one
+    pivot on the entry -1: a_s += a_r and b_s += b_r for s in S, then
+    a_X, b_X = -a_r, -b_r.  The first coordinate to hit zero on the
+    segment has b_p < 0, and p hits zero before q iff a_p b_q - a_q b_p > 0.
+
+    Ties are broken by simulation of simplicity (Edelsbrunner and Mucke,
+    ACM TOG 1990): the start point is in truth
+    p0(eps) = sum_i (w_i + eps^i) v_{start_i}, symbolic in an
+    infinitesimal eps > 0.  Its eps^t coefficient is start vector t in the
+    current basis, and is needed only when a_p b_q - a_q b_p is 0: it is
+    then built by replaying the walk's log of flips on the unit vector
+    e_t, for t = 1, ..., d in turn until one column decides.
 
     Exchange relations come from a lemma: at a crossing (a, b) of I and J
     the tail swaps I[:b] + J[b:] and J[:b] + I[b:] are increasing, and
@@ -206,15 +216,16 @@ class _Fan:
     crosses once and each s is in L = N(r) & N(X) and adjacent to the rest
     of L.  A wall W exchanging r and X is a maximal clique of L (a vertex of
     L adjacent to all of W would extend W + r), and s is in every maximal
-    clique of L, so S is in W: the flip adds the pivot row to the rows of S.
+    clique of L, so S is in W: the flip adds r's two ints to those of S.
 
     Termination: for every small enough real eps the walk is that of the
     segment from p0(eps), and it meets no cone of codimension 2 before its
     end, because a linear form h vanishing on such a cone and the target
-    takes at p0(eps) the value sum_i (1 + eps^i) h(e_i), a nonzero
-    polynomial in eps.  So exit times never tie, and the segment meets each
-    convex cone in one interval: no cone is entered twice, and the walk
-    ends within catalan_mdim(k, n - k) - 1 flips.
+    takes at p0(eps) the value sum_i (w_i + eps^i) h(v_{start_i}), a
+    nonzero polynomial in eps, since the v_{start_i} are a basis.  So exit
+    times never tie, and the segment meets each convex cone in one
+    interval: no cone is entered twice, and the walk ends within
+    catalan_mdim(k, n - k) - 1 flips.
     """
 
     def __init__(self, k, n):
@@ -237,40 +248,64 @@ class _Fan:
         if any(type(x) is not int for row in start_inv for x in row):
             raise AssertionError("start cone is not unimodular")
         # start_inv is sparse (one or two entries +-1 per row at every shape
-        # with n <= 12); the start rows' eps part [1 | e_p] is the same for
-        # every walk
+        # with n <= 12)
         self.start_terms = [[(t, x) for t, x in enumerate(row) if x] for row in start_inv]
-        self.start_eps = [[1] + [int(q == p) for q in range(d)] for p in range(d)]
+        rng = random.Random(f"{k},{n}")
+        self.weights = [rng.randrange(1 << 40, 1 << 41) for _ in range(d)]
         self.relations = {}
         self._walls = None
 
     def locate(self, target):
         """Positive cone coefficients {J: t_J} of lattice coordinates; {} for 0."""
-        d = self.dim
         goal, scale = linalg._integral(target)
-        # a row per cone member, [1 | e_p | b_p] for start position p: a_p = 1 + eps^(p+1)
-        rows = {v: eps + [sum([x * goal[t] for t, x in terms])]
-                for v, eps, terms in zip(self.start, self.start_eps, self.start_terms)}
+        a = dict(zip(self.start, self.weights))
+        b = {v: sum([x * goal[t] for t, x in terms])
+             for v, terms in zip(self.start, self.start_terms)}
+        log = []
         while True:
             r = None
-            for v, row in rows.items():
-                if row[-1] < 0 and (r is None or _exits_first(row, rows[r], d)):
-                    r = v
+            for v, bv in b.items():
+                if bv < 0:
+                    if r is not None:
+                        s = a[v] * br - ar * bv
+                        if s < 0 or not s and not self._eps_exits_first(v, r, b, log):
+                            continue
+                    r, ar, br = v, a[v], bv
             if r is None:
-                out = {self.verts[v]: rows[v][-1] for v in sorted(rows) if rows[v][-1]}
-                return out if scale == 1 else {J: linalg._exact(Fraction(b, scale))
-                                               for J, b in out.items()}
-            pivot = rows.pop(r)
+                out = {self.verts[v]: b[v] for v in sorted(b) if b[v]}
+                return out if scale == 1 else {J: linalg._exact(Fraction(c, scale))
+                                               for J, c in out.items()}
+            del a[r], b[r]
             entering = ((1 << len(self.verts)) - 1) & ~(1 << r)
-            for i in rows:
+            for i in b:
                 entering &= self.adj[i]
             if not entering or entering & (entering - 1):
-                raise AssertionError(f"a wall of {[self.verts[i] for i in (*rows, r)]} has "
+                raise AssertionError(f"a wall of {[self.verts[i] for i in (*b, r)]} has "
                                      f"{bin(entering).count('1')} other completions")
             X = entering.bit_length() - 1
-            for s in self.exchange(r, X):
-                rows[s] = [x + y for x, y in zip(rows[s], pivot)]
-            rows[X] = [-y for y in pivot]
+            S = self.exchange(r, X)
+            for s in S:
+                a[s] += ar
+                b[s] += br
+            a[X], b[X] = -ar, -br
+            log.append((r, X, S))
+
+    def _eps_exits_first(self, p, q, b, log):
+        """Whether p hits zero before q when a_p b_q - a_q b_p is 0: the
+        first eps column c, start vector t in the current basis (the log
+        replayed on e_t), with c_p b_q - c_q b_p nonzero decides."""
+        for u in self.start:
+            c = {u: 1}
+            for r, X, S in log:
+                cr = c.pop(r, 0)
+                if cr:
+                    for s in S:
+                        c[s] = c.get(s, 0) + cr
+                    c[X] = -cr
+            s = c.get(p, 0) * b[q] - c.get(q, 0) * b[p]
+            if s:
+                return s > 0
+        raise AssertionError("two exit times coincide")
 
     def exchange(self, r, X):
         """S, sorted vertex indices, with v_r + v_X = sum over S of v_s: the
@@ -325,16 +360,6 @@ class _Fan:
                 self.exchange(r, X)
             self._walls = tuple(walls)
         return self._walls
-
-
-def _exits_first(row_p, row_q, d):
-    """Whether p hits zero before q: a_p b_q - a_q b_p > 0, lexicographically."""
-    b_p, b_q = row_p[-1], row_q[-1]
-    for t in range(d + 1):
-        s = row_p[t] * b_q - row_q[t] * b_p
-        if s:
-            return s > 0
-    raise AssertionError("two exit times coincide")
 
 
 @shape_cache

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -595,6 +597,45 @@ def test_max_cliques_only_where_read(capsys):
     assert "unrecognized arguments: --max-cliques 5" in capsys.readouterr().err
     code, data = _error(capsys, "nc", "count", "--k", "3", "--n", "7", "--max-cliques", "3")
     assert code == 2 and data["error"] == "more than 3 maximal collections for (3, 7)"
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("nc", "count", "--k", "3", "--n", "6", "--max", "5"), "--max 5"),
+    (("search", "--n", "8", "--trial", "5"), "--trial 5"),
+    (("u-check", "--k", "3", "--n", "6", "--J", "1,3,5", "--mo", "random"), "--mo random"),
+])
+def test_option_prefixes_are_rejected(capsys, argv, option):
+    # a prefix of an option is not the option
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {option}\n" in capsys.readouterr().err
+
+
+def _run_with_closed_stdout(tmp_path, *argv):
+    """(exit code, stderr) of the CLI in a fresh process whose stdout is a
+    pipe that nothing reads: its read end is closed before the process
+    starts, so every write to stdout fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grascat.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+                              timeout=60)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_exits_1_without_a_report(tmp_path):
+    # `grascat pk facets ... | head -1`, with the reader gone before the
+    # first write
+    code, err = _run_with_closed_stdout(tmp_path, "pk", "facets", "--k", "3", "--n", "6")
+    assert (code, err) == (1, "")
+    # an unreadable input file is still an input error
+    code, err = _run_with_closed_stdout(tmp_path, "decompose", "--input", "nope.json")
+    assert code == 2 and "nope.json" in json.loads(err)["error"]
 
 
 TRIPOD_37 = str(Path(__file__).parent / "corpus" / "tripod_37.json")

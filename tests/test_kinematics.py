@@ -444,6 +444,21 @@ def test_nc_amplitude_pole_report():
     assert exc.value.collection == ((1, 3), (1, 4))
 
 
+def test_nc_amplitude_pole_message_names_no_shift():
+    # the values are whatever the caller passed, shifted or not: a missing
+    # value and a plain zero are reported alike
+    from grascat.kinematics import AmplitudePole
+    with pytest.raises(AmplitudePole, match=r"^zero or missing value on the collection "
+                                            r"\(\(1, 3\), \(1, 4\), \(1, 5\)\)$"):
+        nc_amplitude(2, 6, {})
+    values = {J: 1 for J in nonfrozen_subsets(2, 6)}
+    values[(2, 4)] = 0
+    with pytest.raises(AmplitudePole) as exc:
+        nc_amplitude(2, 6, values)
+    assert str(exc.value) == f"zero or missing value on the collection {exc.value.collection}"
+    assert (2, 4) in exc.value.collection
+
+
 @pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (3, 8), (4, 8)])
 def test_nc_amplitude_pole_is_the_sorted_first(k, n):
     """The pole report names the first sorted collection holding a zero

@@ -18,7 +18,7 @@ from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, comb
                            cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
                            noncrossing_decompose, noncrossing_degree,
                            project_f, tripod_vector, v_root)
-from unit_pivot import start_rows
+from unit_pivot import _reference_locate, start_rows
 
 
 def test_gamma_hat_examples():
@@ -506,6 +506,40 @@ def test_walks_from_both_starts_agree_and_the_short_start_flips_less(monkeypatch
     assert flips[0][0] < flips[1][0]
     assert [fans[0].locate(lattice_coords(v_root(J, k, n), k, n)) for J in (J1, J2, J3)] == [
         {J: 1} for J in (J1, J2, J3)]
+
+
+def _record(monkeypatch, obj, name):
+    """A list that records the arguments of each call of obj.name."""
+    calls = []
+    method = getattr(obj, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return method(*args)
+    monkeypatch.setattr(obj, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8), (3, 9), (5, 10)])
+def test_walk_matches_the_dense_row_reference(monkeypatch, k, n):
+    targets = [lattice_coords(v, k, n) for v in _seeded_inputs(k, n, 11, 40)
+               + _seeded_inputs(k, n, 12, 40, rational=True)]
+    fan = _Fan(k, n)
+    for x in targets:
+        assert _typed(fan.locate(x)) == _typed(_reference_locate(fan, x))
+    # all-ones weights start where the reference does, at sum_i v_{start_i}:
+    # exit times tie there often, the eps columns decide, and the walk must
+    # make the reference's flips
+    monkeypatch.setattr(fan, "weights", [1] * fan.dim)
+    flips = _record(monkeypatch, fan, "exchange")
+    ties = _record(monkeypatch, fan, "_eps_exits_first")
+    for x in targets:
+        new = fan.locate(x)
+        walked, flips[:] = flips[:], []
+        assert _typed(new) == _typed(_reference_locate(fan, x))
+        assert walked == flips
+        flips.clear()
+    assert ties
 
 
 def _assert_start_is_a_unimodular_maximal_collection(k, n):

@@ -3,10 +3,13 @@ from one crossing test per pair of subsets, before its rows came from
 bitmasks, the Bron-Kerbosch search of the maximal noncrossing collections
 before its subtrees were merged into `combinat.SearchDag`, the roots in the
 start-cone basis of `roots._Fan`, the per-leaf unit-pivot fold over
-that search that checks every maximal collection unimodular on them, and
-the f-vector walked one dimension at a time before
-`polytope.face_lattice_f_vector` became one memoised recursion."""
+that search that checks every maximal collection unimodular on them, the
+f-vector walked one dimension at a time before
+`polytope.face_lattice_f_vector` became one memoised recursion, and the
+fan walk on dense rows before `roots._Fan.locate` kept two ints per cone
+member."""
 import weakref
+from fractions import Fraction
 from math import gcd
 
 from grascat import linalg
@@ -31,6 +34,46 @@ def _reference_graph(k, n):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return verts, adj
+
+
+def _reference_locate(fan, target):
+    """`fan.locate(target)` as `roots._Fan.locate` walked it before its cone
+    members held two ints: a dense row [1 | e_p | b_p] per member, start
+    position p, the coefficients of eps^0, ..., eps^d of the start point
+    p0 = sum_i (1 + eps^i) v_{start_i} and the target's coordinate b_p,
+    every flip adding the leaving row to the rows of S.  It reads the
+    fan's start, start_terms, adj and exchange, so the flips it makes go
+    through `fan.exchange`."""
+    d = fan.dim
+    goal, scale = linalg._integral(target)
+    rows = {v: [1] + [int(q == p) for q in range(d)] + [sum([x * goal[t] for t, x in terms])]
+            for p, (v, terms) in enumerate(zip(fan.start, fan.start_terms))}
+
+    def exits_first(row_p, row_q):
+        b_p, b_q = row_p[-1], row_q[-1]
+        for t in range(d + 1):
+            s = row_p[t] * b_q - row_q[t] * b_p
+            if s:
+                return s > 0
+        raise AssertionError("two exit times coincide")
+
+    while True:
+        r = None
+        for v, row in rows.items():
+            if row[-1] < 0 and (r is None or exits_first(row, rows[r])):
+                r = v
+        if r is None:
+            out = {fan.verts[v]: rows[v][-1] for v in sorted(rows) if rows[v][-1]}
+            return out if scale == 1 else {J: linalg._exact(Fraction(b, scale))
+                                           for J, b in out.items()}
+        pivot = rows.pop(r)
+        entering = ((1 << len(fan.verts)) - 1) & ~(1 << r)
+        for i in rows:
+            entering &= fan.adj[i]
+        X = entering.bit_length() - 1
+        for s in fan.exchange(r, X):
+            rows[s] = [x + y for x, y in zip(rows[s], pivot)]
+        rows[X] = [-y for y in pivot]
 
 
 def _reference_f_vector(P):
