@@ -24,19 +24,19 @@ product of a binary identity) sums the ladders' exponents on tau indices,
 drops the indices that cancel and makes one FactoredRatio product over the
 rest.  Each tau FactoredRatio is built once per (k, n) and index
 (`_tau_ratio`), and each binary identity once per (k, n) and J
-(`_identity`).  Polynomials are evaluated by one integer kernel,
-`_term_sum`, over a sparse form of their terms (`_sparse`: each monomial as
-the indices of its variables, so a term costs one multiplication per
-variable it has rather than a pass over the whole grid): the point's
-denominators are cleared once, each total degree is summed in ints, and one
-Fraction is made at the end.  Each factor keeps its sparse form, built
-once; `Poly.eval` converts once per call.  A FactoredRatio is evaluated on
-int pairs: each factor's value at the point, a variable's as any other's,
-is made one (numerator, denominator) pair (`_point_values`), and the ratio
-multiplies the pairs of the factors it has into one unreduced pair.  The
-random-exact identity checks make those pairs once per point for every
-distinct factor, read both sides of every identity off them and
-compare them cross-multiplied.  The symbolic check compares the crossing
+(`_identity`).  Everything is evaluated by one integer kernel, `_Plan`,
+laid out once over a list of FactoredRatios (`Poly.eval` goes through its
+`FactoredRatio.from_poly`): the distinct monomials of their factors, each
+as the indices of its variables (`_sparse`, kept on each factor), so that
+one monomial serves every factor that has it; each factor's terms grouped
+by degree and coefficient; and each ratio as two rows of positions.  At a
+point the denominators are cleared once, each monomial is one product,
+each factor one int sum over D^top reduced by one gcd into an int pair,
+and each side of a ratio one product over its row, all in ints
+(`FactoredRatio.eval` makes its value's one Fraction at the end).
+The random-exact batch check keeps the plan of every identity of a shape
+(`_identity_plan`) and compares both sides of each identity
+cross-multiplied.  The symbolic check compares the crossing
 product with 1 - u_J, built once per J (`_one_minus_u`) with u_J's
 denominator kept factored, so its taus cancel against the product's before
 anything is expanded.
@@ -48,7 +48,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import add, sub
 
 from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_kn, check_subset,
@@ -61,7 +61,7 @@ F = Fraction
 
 def _sparse(terms):
     """The (exponent tuple, coefficient) pairs `terms` in the sparse form
-    `_term_sum` reads: one (index tuple, coefficient) pair per term, the
+    `_Plan` reads: one (index tuple, coefficient) pair per term, the
     index tuple naming each variable of the term's monomial, x^p p times."""
     return tuple([(tuple([i for i, p in enumerate(e) for _ in range(p)]), c)
                   for e, c in terms])
@@ -72,25 +72,6 @@ def _check_exponent(m):
     `combinat.check_kn` rejects such a shape."""
     if type(m) is not int:
         raise TypeError(f"exponent must be an int, not {type(m).__name__}")
-
-
-def _term_sum(sparse, point):
-    """Value of the `_sparse` terms at a dense point given as
-    `linalg._integral`'s (ints X, den D), i.e. at X / D, as a Fraction.
-    Each term multiplies its coefficient by X at its indices only, each
-    total degree d is summed in ints (in the coefficients' type), and the
-    value is one Fraction sum_d N_d D^(top-d) / D^top."""
-    X, D = point
-    sums = {}
-    for idx, c in sparse:
-        for i in idx:
-            c *= X[i]
-        d = len(idx)
-        sums[d] = sums.get(d, 0) + c
-    if not sums:
-        return F(0)
-    top = max(sums)
-    return F(sum([N * D ** (top - d) for d, N in sums.items()]), D ** top)
 
 
 class Poly:
@@ -224,8 +205,7 @@ class Poly:
 
     def eval(self, point):
         """Evaluate at {(i, j): rational}; missing variables default to 0."""
-        cleared = _integral(grid_point(point, self.k, self.n))
-        return _exact(_term_sum(_sparse(self.terms.items()), cleared))
+        return FactoredRatio.from_poly(self).eval(point)
 
     def content_split(self):
         """(scalar, monomial exponent tuple, primitive polynomial) with the
@@ -318,8 +298,8 @@ class _Factor:
     coefficient 1) or a canonical primitive polynomial of two or more terms
     (coprime integer coefficients, positive leading coefficient, no monomial
     factor), as its sorted (exponent, coefficient) term tuple `Poly.key()`,
-    with the same terms in the `_sparse` form that `_term_sum` evaluates,
-    built once here.
+    with the same terms in the `_sparse` form, built once here, from which
+    a `_Plan` reads the factor's monomials.
     `_factor` hands out one object per term tuple, so factors hash and
     compare by identity: a batch of identities updates the exponent maps
     tens of thousands of times, and rehashing the term tuple at each update
@@ -404,29 +384,12 @@ class FactoredRatio:
             sides.append(p)
         return tuple(sides)
 
-    def _eval(self, table):
-        """Value as an unreduced pair (num, den) of ints, given every
-        factor's value at a point (table, by factor) as a (numerator,
-        denominator) int pair: each factor's numerator and denominator go to
-        the sides its exponent's sign says."""
-        num, den = self.scalar.numerator, self.scalar.denominator
-        for f, e in self.exps.items():
-            a, b = table[f]
-            if e < 0:
-                a, b, e = b, a, -e
-            if e == 1:
-                num *= a
-                den *= b
-            else:
-                num *= a ** e
-                den *= b ** e
-        if not den:
-            raise ZeroDivisionError("denominator factor vanished at the sample point")
-        return num, den
-
     def eval(self, point):
-        table = _point_values(grid_point(point, self.k, self.n), self.exps)
-        return _exact(F(*self._eval(table)))
+        """Value at {(i, j): rational}, missing variables 0, through a
+        one-off `_Plan`; ZeroDivisionError when a denominator factor
+        vanishes there."""
+        nums, dens = _Plan([self]).pairs(grid_point(point, self.k, self.n))
+        return _ratio(nums[0], dens[0])
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
@@ -439,16 +402,67 @@ class FactoredRatio:
         return f"FactoredRatio(scalar={self.scalar}, factors={factors})"
 
 
-def _point_values(xs, factors):
-    """The table `FactoredRatio._eval` reads at the dense point xs: the
-    value there of each of `factors`, variables included (one `_term_sum`
-    per factor), as a (numerator, denominator) int pair."""
-    cleared = _integral(xs)
-    table = {}
-    for f in factors:
-        v = _term_sum(f.sparse, cleared)
-        table[f] = v.numerator, v.denominator
-    return table
+class _Plan:
+    """The evaluation of a list of FactoredRatios at many points, laid out
+    flat once: the distinct monomials of their factors (`_sparse` index
+    tuples, so one monomial serves every factor that has it), each factor's
+    terms as (degree, coefficient, monomial slots) groups in increasing
+    degree, and each side of each ratio as its scalar's numerator or
+    denominator with a tuple of positions in the row of every factor's
+    numerator and denominator (2p and 2p + 1 for the factor at position p),
+    repeated |exponent| times, on the side the exponent's sign says."""
+
+    __slots__ = ("monomials", "factors", "top", "num_rows", "den_rows")
+
+    def __init__(self, ratios):
+        slots, position, self.factors = {}, {}, []
+        self.num_rows, self.den_rows = [], []
+        for r in ratios:
+            up, down = [], []
+            for f, e in r.exps.items():
+                p = position.get(f)
+                if p is None:
+                    p = position[f] = len(self.factors)
+                    groups = {}
+                    for idx, c in f.sparse:
+                        slot = slots.setdefault(idx, len(slots))
+                        groups.setdefault((len(idx), c), []).append(slot)
+                    self.factors.append(tuple(sorted([(d, c, tuple(s))
+                                                      for (d, c), s in groups.items()])))
+                a, b = (2 * p, 2 * p + 1) if e > 0 else (2 * p + 1, 2 * p)
+                up += [a] * abs(e)
+                down += [b] * abs(e)
+            self.num_rows.append((r.scalar.numerator, tuple(up)))
+            self.den_rows.append((r.scalar.denominator, tuple(down)))
+        self.monomials = tuple(slots)
+        self.top = max([len(idx) for idx in slots], default=0)
+
+    def pairs(self, xs):
+        """The ratios' values at the dense point xs as two lists, their
+        numerators and their denominators, ints and unreduced.  The point's
+        denominators are cleared once (X / D, `linalg._integral`), each
+        monomial is one product of X, and each factor is the int sum
+        sum_d N_d D^(top-d) over its degree groups (N_d the group's sum of
+        coefficient times monomial) over D^top, reduced by one gcd; each
+        side of a ratio is then one product over its row.  Raises
+        ZeroDivisionError when a denominator vanishes."""
+        X, D = _integral(xs)
+        M = [prod([X[i] for i in idx]) for idx in self.monomials]
+        powers = [D ** d for d in range(self.top + 1)]
+        row = []
+        for groups in self.factors:
+            num = last = 0
+            for d, c, s in groups:
+                num = num * powers[d - last] + c * sum(map(M.__getitem__, s))
+                last = d
+            g = gcd(num, powers[last])
+            row += (num // g, powers[last] // g)
+        get = row.__getitem__
+        nums = [prod(map(get, up), start=a) for a, up in self.num_rows]
+        dens = [prod(map(get, down), start=b) for b, down in self.den_rows]
+        if not all(dens):
+            raise ZeroDivisionError("denominator factor vanished at the sample point")
+        return nums, dens
 
 
 def _product(pairs, k, n):
@@ -755,30 +769,43 @@ def _one_minus_u(J, k, n):
     return FactoredRatio.from_poly(den - num) * inverse
 
 
-def _first_random_failure(identities, k, n, trials, seed):
-    """Check u = 1 - rhs for every (u, rhs) pair of FactoredRatios at
-    `trials` exact positive rational points drawn from random.Random(seed);
-    return (index of the first failing pair, witness point) or None.
-
-    Each distinct factor's value, a variable's as any other's, is made a
-    (numerator, denominator) int pair once per point (`_point_values`), and
-    both sides of every identity are read off those pairs.  No denominator
-    can vanish there: every factor is a grid variable or the primitive part
-    of a tau polynomial, whose coefficients are all positive, so it is
-    positive at a positive point; every drawn point is therefore used.
-    Raises ValueError for trials < 1, which would check nothing.
-    """
+def _check_trials(trials):
+    """Reject trials < 1, which would check nothing; the random checks run
+    this before they build any identity or plan."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
+
+
+@shape_cache
+def _identity_plan(k, n):
+    """The `_Plan` of every binary identity at (k, n): u_J and then its
+    crossing product, for each nonfrozen J in table order, read off the
+    cached `_identity` entries once per shape."""
+    check_kn(k, n)
+    return _Plan([r for J in _nonfrozen(k, n)[0] for r in _identity(J, k, n)[1:]])
+
+
+def _first_random_failure(plan, k, n, trials, seed):
+    """Check u = 1 - rhs for every identity of `plan`, a `_Plan` over the
+    ratios u_0, rhs_0, u_1, rhs_1, ..., at `trials` exact positive rational
+    points drawn from random.Random(seed); return (index of the first
+    failing identity, witness point) or None.
+
+    The plan makes every distinct monomial and factor once per point and
+    each side of every identity one product of the factors' reduced int
+    pairs; the sides are compared cross-multiplied.  No denominator can
+    vanish there: every factor is a grid variable or the primitive part of a
+    tau polynomial, whose coefficients are all positive, so it is positive
+    at a positive point; every drawn point is therefore used.
+    """
     rng = random.Random(seed)
-    factors = {f for pair in identities for r in pair for f in r.exps}
     for _ in range(trials):
         point = {(i, j): F(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
                  for i in range(1, k) for j in range(1, n - k + 1)}
-        table = _point_values(grid_point(point, k, n), factors)
-        for index, (u, rhs) in enumerate(identities):
-            # a/b = 1 - c/d, cross-multiplied
-            (a, b), (c, d) = u._eval(table), rhs._eval(table)
+        nums, dens = plan.pairs(grid_point(point, k, n))
+        # a/b = 1 - c/d, cross-multiplied
+        sides = zip(nums[::2], dens[::2], nums[1::2], dens[1::2])
+        for index, (a, b, c, d) in enumerate(sides):
             if a * d != (d - c) * b:
                 return index, {f"{i},{j}": str(v) for (i, j), v in point.items()}
     return None
@@ -803,6 +830,8 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     if mode not in ("symbolic", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     J = check_subset(J, k, n)
+    if mode == "random":
+        _check_trials(trials)
     crossing, uJ, rhs = _identity(J, k, n)
     verdict = {"J": list(J), "k": k, "n": n, "mode": mode,
                "crossing": crossing, "pass": False}
@@ -811,7 +840,7 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
         return verdict
     verdict["trials"] = trials
     verdict["seed"] = seed
-    failure = _first_random_failure([(uJ, rhs)], k, n, trials, seed)
+    failure = _first_random_failure(_Plan([uJ, rhs]), k, n, trials, seed)
     verdict["pass"] = failure is None
     if failure:
         verdict["witness"] = failure[1]
@@ -852,14 +881,14 @@ def _digits(code):
 
 
 def binary_identities_random_all(k, n, trials=20, seed=0):
-    """Random-exact verification of every binary identity at (k, n): the
-    cached identity of every nonfrozen J (`_identity`) is read, and each
-    trial evaluates every distinct factor once at an exact positive rational
-    point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every J.
-    Returns a verdict dict."""
+    """Random-exact verification of every binary identity at (k, n)
+    through the shape's cached plan (`_identity_plan`): each trial evaluates
+    every distinct monomial and factor once at an exact positive rational
+    point and then checks u_J = 1 - prod u_I^{c_{I,J}} for every nonfrozen
+    J.  Returns a verdict dict."""
     nf = _nonfrozen(k, n)[0]
-    identities = [_identity(J, k, n)[1:] for J in nf]
-    failure = _first_random_failure(identities, k, n, trials, seed)
+    _check_trials(trials)
+    failure = _first_random_failure(_identity_plan(k, n), k, n, trials, seed)
     verdict = {"k": k, "n": n, "mode": "random", "trials": trials,
                "seed": seed, "pass": failure is None}
     if failure:

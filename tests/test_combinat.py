@@ -465,8 +465,9 @@ def test_check_kn_takes_ints_only(k, n):
     lambda k, n: kinematics.eta_functional((1, 3, 5), k, n),
     _noncrossing_graph,
     cli._subset_keys,
+    polynomial._identity_plan,
 ], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional",
-        "noncrossing_graph", "subset_keys"])
+        "noncrossing_graph", "subset_keys", "identity_plan"])
 def test_non_int_shape_raises_cold_and_warm(build):
     combinat.clear_caches()
     with pytest.raises(ValueError, match="k and n must be ints"):
@@ -483,7 +484,8 @@ def test_clear_caches_empties_every_shape_cache():
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
-              polynomial._one_minus_u, cli._parser, cli._subset_keys, combinat._nonfrozen]
+              polynomial._one_minus_u, polynomial._identity_plan, cli._parser,
+              cli._subset_keys, combinat._nonfrozen]
     # the registry holds the clears of these caches and of the search DAGs
     assert len(combinat._CLEARS) == len(caches) + 1
     assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
@@ -494,6 +496,7 @@ def test_clear_caches_empties_every_shape_cache():
     kinematics.eta_hat_shift(6)
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
     polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity, 1 - u
+    polynomial.binary_identities_random_all(3, 6, trials=1)  # and the plan
     cli._parser()
     cli._subset_keys(3, 6)
     sizes = {c.__name__: c.cache_info().currsize for c in caches}

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from grascat import linalg, polynomial
 from grascat.combinat import clear_caches, nonfrozen_subsets
-from grascat.linalg import _integral
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identities_random_all,
                                 binary_identity_check, compound_X, delta, det_poly,
@@ -278,11 +277,15 @@ def test_binary_identity_single():
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_random_identity_checks_reject_trials_below_one(trials):
-    # no point drawn would pass every identity without checking one
+    # no point drawn would pass every identity without checking one, and
+    # the count is checked before any identity or plan is built
+    clear_caches()
     with pytest.raises(ValueError, match=f"trials must be at least 1, not {trials}"):
         binary_identity_check((1, 2, 4), 3, 7, "random", trials=trials)
     with pytest.raises(ValueError, match=f"trials must be at least 1, not {trials}"):
         binary_identities_random_all(3, 7, trials=trials)
+    assert polynomial._identity.cache_info().currsize == 0
+    assert polynomial._identity_plan.cache_info().currsize == 0
 
 
 def test_root_potential_tables():
@@ -440,7 +443,7 @@ def test_divide_exact_round_trip(f, g):
 
 def _term_sum_reference(terms, xs):
     """One Fraction operation per term: the evaluation the integer kernel
-    `polynomial._term_sum` replaced."""
+    `polynomial._Plan` replaced."""
     tot = F(0)
     for e, c in terms:
         m = F(c)
@@ -464,11 +467,12 @@ coords = st.one_of(st.integers(-4, 4),
 @example(Poly(3, 6, {(3, 0, 0, 0, 1, 0): F(-1, 4), (0, 0, 2, 0, 0, 0): 2}),
          (F(2, 3), -1, F(-5, 2), 0, 3, 1))
 def test_term_sum_matches_one_fraction_per_term(f, xs):
-    # f is not homogeneous in general; xs mixes ints, zeros, negatives and
-    # Fractions, as `roots.grid_point` makes them
-    got = polynomial._term_sum(polynomial._sparse(f.terms.items()), _integral(xs))
-    assert got == _term_sum_reference(f.terms.items(), xs)
-    assert type(got) is F
+    # f is not homogeneous in general, so neither is its primitive factor;
+    # xs mixes ints, zeros, negatives and Fractions, as `roots.grid_point`
+    # makes them
+    nums, dens = polynomial._Plan([FactoredRatio.from_poly(f)]).pairs(xs)
+    assert type(nums[0]) is int and type(dens[0]) is int
+    assert F(nums[0], dens[0]) == _term_sum_reference(f.terms.items(), xs)
 
 
 def test_factor_sparse_form_expands_back_to_its_terms():
@@ -721,13 +725,12 @@ def _seeded_points(k, n, seed, count=3):
 @pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
 def test_pair_evaluation_matches_expanded_sides(k, n):
     sides = [r for J in nonfrozen_subsets(k, n) for r in polynomial._identity(J, k, n)[1:]]
-    factors = {f for r in sides for f in r.exps}
+    # one plan for every side, as the batch check makes it
+    plan = polynomial._Plan(sides)
     for point in _seeded_points(k, n, seed=k * n):
-        # one table for every factor, as the random checks make it
-        table = polynomial._point_values(grid_point(point, k, n), factors)
-        assert all(type(v) is int for pair in table.values() for v in pair)
-        for r in sides:
-            num, den = r._eval(table)
+        nums, dens = plan.pairs(grid_point(point, k, n))
+        assert len(nums) == len(dens) == len(sides)
+        for r, num, den in zip(sides, nums, dens):
             assert type(num) is int and type(den) is int
             assert F(num, den) == _fraction_value(r, point), r
 
@@ -867,6 +870,26 @@ def test_batch_random_witness_is_first_point(broken_profiles, k, n):
     verdict = binary_identities_random_all(k, n, trials=3, seed=5)
     assert verdict["pass"] is False
     assert verdict["J"] == list(nonfrozen_subsets(k, n)[0])
+    assert verdict["witness"] == _first_point(k, n, 5)
+
+
+@pytest.mark.parametrize("k,n", [(3, 8), (4, 8)])
+def test_batch_random_witness_names_the_one_broken_identity(monkeypatch, k, n):
+    # one identity false, not the first: the plan pairs each J with its own
+    # sides, so the verdict names that J and the first point drawn
+    nf = nonfrozen_subsets(k, n)
+    broken = nf[len(nf) // 2]
+    original = polynomial.crossing_profile
+    clear_caches()
+    monkeypatch.setattr(polynomial, "crossing_profile",
+                        lambda J, k, n: original(J, k, n)[1:] if J == broken
+                        else original(J, k, n))
+    try:
+        verdict = binary_identities_random_all(k, n, trials=3, seed=5)
+    finally:
+        clear_caches()
+    assert verdict["pass"] is False
+    assert verdict["J"] == list(broken)
     assert verdict["witness"] == _first_point(k, n, 5)
 
 
