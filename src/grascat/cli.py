@@ -39,7 +39,7 @@ def _emit(args, payload, ok=True):
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = "\n".join(f"{k}: {v}" for k, v in payload.items())
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -241,7 +241,7 @@ def cmd_ucheck(args):
         verdict = polynomial.binary_identities_random_all(
             args.k, args.n, trials=args.trials, seed=args.seed)
         return _emit(args, {"command": "u-check", **verdict}, verdict["pass"])
-    targets = ([parse_subset(args.J)] if args.J
+    targets = ([parse_subset(args.J)] if args.J is not None
                else combinat.nonfrozen_subsets(args.k, args.n))
     results = []
     ok = True

@@ -13,9 +13,8 @@ every module reads.
 
 Every per-shape structure that callers ask for more than once, here and
 in `roots`, `kinematics`, `polynomial` and `cli`, is kept for the whole
-process by one layer: the `shape_cache` decorator, a typed lru_cache
-whose builds check their own shape, and `_search_dag`'s DAGs.
-`clear_caches()` empties all.
+process by one layer, the `shape_cache` decorator: a typed lru_cache
+whose builds check their own shape.  `clear_caches()` empties it.
 """
 from __future__ import annotations
 
@@ -61,7 +60,7 @@ def shape_cache(build):
 
 
 def clear_caches():
-    """Empty every per-shape cache: each `shape_cache` and the search DAGs."""
+    """Empty every per-shape cache, each a `shape_cache`."""
     for clear in _CLEARS:
         clear()
 
@@ -392,7 +391,10 @@ class SearchDag:
     child[e] < owner[e].  Branches that end in no maximal clique are
     dropped: node ``_DEAD`` (1) stands for every empty P with a nonempty
     X, and no edge leads to a node without leaves.  ``count`` is the
-    number of maximal cliques, the number of root-to-leaf paths.
+    number of maximal cliques, the number of root-to-leaf paths:
+    catalan_mdim(k, n - k), which `_search_dag` compares with its cap
+    before any build.  `test_search_dag_unfolds_to_the_search_tree` and
+    the ``pass`` field of ``nc count`` hold the count to it.
 
     Every reader is one pass over the edges in storage order (``fold_up``,
     ``fold_sets``): every edge of child[e] comes before edge e, so the
@@ -449,31 +451,25 @@ class SearchDag:
 
 _LEAF, _DEAD = 0, 1
 
-# (k, n) -> SearchDag, filled by _search_dag; a build that hits its cap
-# leaves no entry
-_SEARCH_DAGS = {}
-_CLEARS.append(_SEARCH_DAGS.clear)
-
 
 def _search_dag(k, n, max_collections):
-    """The cached search DAG of (k, n); raises ResourceLimitExceeded when
-    it has, or while building finds, more than max_collections leaves."""
-    dag = _SEARCH_DAGS.get((k, n))
-    if dag is None:
-        dag = _SEARCH_DAGS[k, n] = _build_search_dag(k, n, max_collections)
-    elif dag.count > max_collections:
-        raise _too_many(k, n, max_collections)
-    return dag
+    """The cached search DAG of (k, n) (`_build_search_dag`).  Raises
+    ValueError unless 2 <= k <= n - 2, and ResourceLimitExceeded, with
+    nothing built, when the DAG's count, catalan_mdim(k, n - k), exceeds
+    max_collections."""
+    check_kn(k, n)
+    if catalan_mdim(k, n - k) > max_collections:
+        raise ResourceLimitExceeded(
+            f"more than {max_collections} maximal collections for ({k}, {n})")
+    return _build_search_dag(k, n)
 
 
-def _too_many(k, n, max_collections):
-    return ResourceLimitExceeded(
-        f"more than {max_collections} maximal collections for ({k}, {n})")
-
-
-def _build_search_dag(k, n, max_collections):
+@shape_cache
+def _build_search_dag(k, n):
     """Pivoting Bron-Kerbosch with degeneracy ordering over the noncrossing
-    graph, memoised on (P, X) into a `SearchDag`.
+    graph, memoised on (P, X) into a `SearchDag`.  It takes no cap:
+    `_search_dag` compares the count, catalan_mdim(k, n - k), with it
+    first.
 
     The graph is renumbered once so that index order is
     `_degeneracy_order`: vertex i here is order[i] in `_nonfrozen(k, n)`.
@@ -483,13 +479,8 @@ def _build_search_dag(k, n, max_collections):
     Eppstein, Loffler and Strash) and every node below it (cand =
     P & ~N(pivot), the pivot u in P | X maximizing |P & N(u)|, first in
     index order: Tomita, Tanaka and Takahashi).  Each edge records the
-    vertex's original index.  The memo key is the one int X << m | P.
-
-    The memo starts with the leaf, so every leaf reached is a memo hit.
-    The running leaf count adds a hit node's whole count, so it equals the
-    unmerged search's count at the same point of the search order, and
-    the build raises ResourceLimitExceeded no later than that search
-    would.
+    vertex's original index.  The memo key is the one int X << m | P, and
+    the memo starts with the leaf, so every leaf reached is a memo hit.
     """
     graph = _noncrossing_graph(k, n)[1]
     m = len(graph)
@@ -499,10 +490,8 @@ def _build_search_dag(k, n, max_collections):
     owner, vertex, child = array("i"), array("i"), array("i")
     counts = array("q", [1, 0])  # maximal cliques below each node
     memo = {0: _LEAF}
-    leaves = 0
 
     def branch(P, X, cand):
-        nonlocal leaves
         edges = []
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -511,11 +500,7 @@ def _build_search_dag(k, n, max_collections):
             p, x = P & adj[v], X & adj[v]
             key = x << m | p
             c = memo.get(key)
-            if c is not None:
-                leaves += counts[c]
-                if leaves > max_collections:
-                    raise _too_many(k, n, max_collections)
-            elif p:
+            if c is None and p:
                 # pivot maximizing |p & N(u)|
                 best = -1
                 q = p | x
@@ -526,7 +511,7 @@ def _build_search_dag(k, n, max_collections):
                     if size > best:
                         best, pivot = size, u
                 c = memo[key] = branch(p, x, p & ~adj[pivot])
-            else:
+            elif c is None:
                 c = _DEAD
             if counts[c]:
                 edges.append((order[v], c))

@@ -30,8 +30,9 @@ polytope is, distinct S give distinct faces, and the faces are counted
 from (k, n) alone, by the standard Young tableaux of the k x (n-k)
 rectangle counted by descents (`combinat._face_numbers`); otherwise, as
 for the PK polytope, the F_S are deduplicated.  If some certificate
-fails, or the search DAG has more than MAX_COLLECTIONS leaves, P comes
-from the double description.
+fails, or the collections number more than MAX_COLLECTIONS (their number
+is catalan_mdim(k, n - k), read before any search), P comes from the
+double description.
 
 The root-polytope volume is the number of collections, the leaf count of
 the search DAG: with every cone unimodular, each simplex conv(0, v_J : J
@@ -546,11 +547,12 @@ def _newton_hrep(factors, k, n):
 
     P is read off the noncrossing fan (`_fan_polytope`), which certifies
     every vertex in the sum before it builds P, so agrees is True there.
-    It returns None when some vertex fails its certificate or the search
-    DAG has more than MAX_COLLECTIONS leaves; then P comes from the double
-    description (`polytope_from_inequalities`), and a vertex is certified
-    with the facets tight at it, once `_singles_out` checks that they
-    single it out.
+    It returns None when some vertex fails its certificate or
+    catalan_mdim(k, n - k), the number of collections, exceeds
+    MAX_COLLECTIONS; then P comes from the double description
+    (`polytope_from_inequalities`), and a vertex is certified with the
+    facets tight at it, once `_singles_out` checks that they single it
+    out.
     """
     lam = [0] * (k - 1)
     for pts in factors:
@@ -591,10 +593,11 @@ def _newton_hrep(factors, k, n):
 def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
     """The _FanPolytope P = {gamma_J >= c_J over nonfrozen J, row sums
     lam}, given as the rows -c_J + gamma_J >= 0 in the order of fan.verts,
-    read off the noncrossing fan; None when the search DAG has more than
-    MAX_COLLECTIONS leaves or some vertex fails its certificate.  points
-    are the factor points, numbered factor after factor, argmin and
-    factor_bits masks over them as in `_newton_hrep`.
+    read off the noncrossing fan; None when catalan_mdim(k, n - k), the
+    number of collections, exceeds MAX_COLLECTIONS, with no search built,
+    or some vertex fails its certificate.  points are the factor points,
+    numbered factor after factor, argmin and factor_bits masks over them
+    as in `_newton_hrep`.
 
     One pass over the search DAG's edges (`SearchDag.fold_sets`) gives
     each node a dict {key: U} over the paths from it to the leaf: key the
@@ -650,7 +653,7 @@ def _fan_polytope(fan, ineqs, eqs, points, argmin, factor_bits):
             keys[key] = keys.get(key, 0) | U | bit
         return keys
 
-    try:  # the cap raises before any edge is read
+    try:  # the cap, from (k, n) alone, raises before any search is built
         found = _search_dag(fan.k, fan.n, MAX_COLLECTIONS).fold_sets({-1: 0}, add)
     except ResourceLimitExceeded:
         return None

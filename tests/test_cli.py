@@ -226,6 +226,14 @@ def test_ucheck_subset_with_spaces(capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+def test_ucheck_empty_subset_rejected(capsys, mode):
+    """--J "" is a malformed subset, not an absent --J: no identity runs."""
+    code = main(["u-check", "--k", "3", "--n", "6", "--J", "", "--mode", mode])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1 and json.loads(err)["error"]
+
+
 # explicit ids keep the names these cases have always run under
 
 @pytest.mark.parametrize("argv,message", [
@@ -698,14 +706,24 @@ def test_output_file(tmp_path, capsys):
     assert path.read_bytes() == (corpus / "nc_count_3_6.out").read_bytes()
 
 
+def test_empty_output_path_rejected(capsys):
+    """--output "" names no file; it is not an absent --output."""
+    code = main(["nc", "count", "--k", "3", "--n", "6", "--output", ""])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1 and json.loads(err)["error"]
+
+
 def test_capped_nc_count_stops_early(capsys):
-    """The capped search-DAG build stops with the cap message and exit 2,
-    and leaves nothing cached."""
+    """A capped count stops with the cap message and exit 2, read off
+    (k, n) before any build: neither the noncrossing graph nor the search
+    DAG is cached."""
+    combinat.clear_caches()
     code, data = _error(capsys, "nc", "count", "--k", "5", "--n", "12",
                         "--max-cliques", "1000")
     assert code == 2
     assert data["error"] == "more than 1000 maximal collections for (5, 12)"
-    assert (5, 12) not in combinat._SEARCH_DAGS
+    assert combinat._noncrossing_graph.cache_info().currsize == 0
+    assert combinat._build_search_dag.cache_info().currsize == 0
 
 
 def test_parser_is_built_once(capsys):

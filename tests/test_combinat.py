@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import cli, combinat, kinematics, linalg, polynomial
-from grascat.combinat import (ResourceLimitExceeded, _bits, _face_numbers, _first_collection,
+from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _face_numbers, _first_collection,
                               _has_clique, _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
                               check_subset, compatibility_degree,
                               enumerate_maximal_noncrossing, is_crossing,
@@ -407,26 +407,25 @@ def test_capped_search_dag_build_caches_nothing():
     with pytest.raises(ResourceLimitExceeded,
                        match=re.escape("more than 461 maximal collections for (3, 7)")):
         _search_dag(3, 7, 461)
-    assert (3, 7) not in combinat._SEARCH_DAGS
+    # the cap is read off (k, n): neither the graph nor the DAG is built
+    assert _noncrossing_graph.cache_info().currsize == 0
+    assert combinat._build_search_dag.cache_info().currsize == 0
     dag = _search_dag(3, 7, 462)
-    assert combinat._SEARCH_DAGS[3, 7] is dag and dag.count == 462
-    # a cached DAG checks its stored count against the cap first
+    assert combinat._build_search_dag(3, 7) is dag and dag.count == 462
+    # a cached DAG still raises for a smaller cap
     with pytest.raises(ResourceLimitExceeded,
                        match=re.escape("more than 100 maximal collections for (3, 7)")):
         enumerate_maximal_noncrossing(3, 7, 100)
 
 
-def test_search_dag_is_built_once_per_shape(monkeypatch):
+def test_search_dag_is_built_once_per_shape():
     combinat.clear_caches()
-    builds = []
-    build = combinat._build_search_dag
-    monkeypatch.setattr(combinat, "_build_search_dag",
-                        lambda *args: builds.append(args) or build(*args))
     verts = nonfrozen_subsets(3, 7)
     nc_amplitude(3, 7, {J: F(i + 1) for i, J in enumerate(verts)})
     nc_amplitude(3, 7, {J: F(1, i + 2) for i, J in enumerate(verts)})
     assert len(enumerate_maximal_noncrossing(3, 7)) == 462
-    assert builds == [(3, 7, 200000)]
+    info = combinat._build_search_dag.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_one_default_cap():
@@ -466,8 +465,9 @@ def test_check_kn_takes_ints_only(k, n):
     _noncrossing_graph,
     cli._subset_keys,
     polynomial._identity_plan,
+    lambda k, n: _search_dag(k, n, MAX_COLLECTIONS),
 ], ids=["triangulation_volume", "kin_basis", "bcfw_matrix", "eta_functional",
-        "noncrossing_graph", "subset_keys", "identity_plan"])
+        "noncrossing_graph", "subset_keys", "identity_plan", "search_dag"])
 def test_non_int_shape_raises_cold_and_warm(build):
     combinat.clear_caches()
     with pytest.raises(ValueError, match="k and n must be ints"):
@@ -485,11 +485,10 @@ def test_clear_caches_empties_every_shape_cache():
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
               polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
               polynomial._one_minus_u, polynomial._identity_plan, cli._parser,
-              cli._subset_keys, combinat._nonfrozen]
-    # the registry holds the clears of these caches and of the search DAGs
-    assert len(combinat._CLEARS) == len(caches) + 1
-    assert set(combinat._CLEARS) == ({c.cache_clear for c in caches}
-                                     | {combinat._SEARCH_DAGS.clear})
+              cli._subset_keys, combinat._nonfrozen, combinat._build_search_dag]
+    # the registry holds the clears of these caches and nothing else
+    assert len(combinat._CLEARS) == len(caches)
+    assert set(combinat._CLEARS) == {c.cache_clear for c in caches}
     triangulation_volume(3, 6)  # the graph, the fan and the search DAG
     kinematics.eta_functional((1, 3, 5), 3, 6)
     kinematics.kin_basis(3, 6)
@@ -500,10 +499,10 @@ def test_clear_caches_empties_every_shape_cache():
     cli._parser()
     cli._subset_keys(3, 6)
     sizes = {c.__name__: c.cache_info().currsize for c in caches}
-    assert all(sizes.values()) and combinat._SEARCH_DAGS, sizes
+    assert all(sizes.values()), sizes
     combinat.clear_caches()
     sizes = {c.__name__: c.cache_info().currsize for c in caches}
-    assert not any(sizes.values()) and not combinat._SEARCH_DAGS, sizes
+    assert not any(sizes.values()), sizes
 
 
 # ---------------------------------------------------------------------------
