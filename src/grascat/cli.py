@@ -52,7 +52,12 @@ def subset_key(J):
 
 
 def parse_subset(key):
-    return tuple(int(p) for p in key.split(","))
+    """The tuple of ints of a subset key such as "1,3,5"; a ValueError
+    naming the key when a part is not an int."""
+    try:
+        return tuple(int(p) for p in key.split(","))
+    except ValueError:
+        raise ValueError(f"subset key {key!r} is not a comma-separated list of ints") from None
 
 
 def parse_value(val):

@@ -306,8 +306,6 @@ def _noncrossing_graph(k, n):
                     inside_b = lb[u] & ~lb[x + 1]  # i_a < j_b < i_b
                     cross |= high & (inside_a & ~lb[u + 1] | low[x] & inside_b)
                 high &= eq[b][u]
-                if not high:
-                    break
         adj.append(full & ~cross & ~(1 << t))
     return verts, adj
 

@@ -59,28 +59,25 @@ class KinFunctional:
         if coeffs:
             B = kin_basis(k, n)
             _check_keys(coeffs, B.index, k, n)
-            self.eta = self._of(k, n, ((J, a * c) for I, a in coeffs.items()
-                                       for J, c in B.S[I].items())).eta
+            self.eta = self._of(k, n, [(B.S[I], a) for I, a in coeffs.items()]).eta
 
     @classmethod
-    def _of(cls, k, n, pairs):
-        """The functional whose eta_J-coordinate is the sum of the c in the
-        pairs (J, c); zeros are dropped and integral values become ints."""
-        acc = {}
-        for J, c in pairs:
-            acc[J] = acc.get(J, 0) + c
+    def _of(cls, k, n, terms):
+        """The functional whose eta-coordinates are the sum of c * eta over
+        the (eta map, scalar c) terms (`linalg._combine`); zeros are
+        dropped and integral values become ints."""
         out = cls(k, n)
-        out.eta = {J: linalg._exact(c) for J, c in acc.items() if c}
+        out.eta = {J: linalg._exact(c) for J, c in linalg._combine(terms).items()}
         return out
 
     def __add__(self, other):
-        return self._of(self.k, self.n, [*self.eta.items(), *other.eta.items()])
+        return self._of(self.k, self.n, [(self.eta, 1), (other.eta, 1)])
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        return self._of(self.k, self.n, ((J, c * scalar) for J, c in self.eta.items()))
+        return self._of(self.k, self.n, [(self.eta, scalar)])
 
     __rmul__ = __mul__
 
@@ -102,7 +99,7 @@ def eta_functional(J, k, n):
     unless (k, n) passes `check_kn` and J `check_subset`."""
     check_kn(k, n)
     J = check_subset(J, k, n)
-    return KinFunctional._of(k, n, [] if is_frozen(J, n) else [(J, 1)])
+    return KinFunctional._of(k, n, [] if is_frozen(J, n) else [({J: 1}, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +246,9 @@ def pk_point(k, n):
     """s-values of the Planar Kinematics point: +1 on the n cyclic windows
     of length k, -1 on the windows with the last label shifted out by one."""
     check_kn(k, n)
-    point = {}
-    for j in range(n):
-        plus = tuple(sorted((j + t) % n + 1 for t in range(k)))
-        minus = tuple(sorted([(j + t) % n + 1 for t in range(k - 1)] + [(j + k) % n + 1]))
-        point[plus] = point.get(plus, 0) + 1
-        point[minus] = point.get(minus, 0) - 1
-    return {J: v for J, v in point.items() if v}
+    windows = [[(j + t) % n + 1 for t in range(k + 1)] for j in range(n)]
+    return linalg._combine([({tuple(sorted(w[:k])): 1, tuple(sorted(w[:k - 1] + w[k:])): -1}, 1)
+                            for w in windows])
 
 
 def _check_keys(point, subsets, k, n):
@@ -295,7 +288,7 @@ def interior_kd_point(k, n, seed=None):
     s = -1) plus, when seeded, a small random K-perturbation that keeps
     every sign strict."""
     check_kn(k, n)
-    frozen = linalg._exact(F(comb(n - 1, k - 1) - k, k))
+    frozen = linalg._ratio(comb(n - 1, k - 1) - k, k)
     base = {J: frozen if is_frozen(J, n) else -1 for J in combinations(range(1, n + 1), k)}
     if seed is None:
         return base
@@ -467,7 +460,7 @@ def nc_amplitude(k, n, values, max_collections=MAX_COLLECTIONS):
     p, q = [x.numerator for x in vals], [x.denominator for x in vals]
     D = prod(p)
     total = _search_dag(k, n, max_collections).fold_up(D, p, q)
-    return linalg._exact(F(total, D))
+    return linalg._ratio(total, D)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra on lists of lists of ints or Fractions, and the
 one rule for exact numbers that every module follows: `_integral` clears
-a vector's denominators, `_primitive` scales it to coprime ints, and
-`_exact` holds a value as an int when it is integral, else as a Fraction.
-No other module calls `lcm`.
+a vector's denominators, `_primitive` scales it to coprime ints, `_exact`
+holds a value as an int when it is integral, else as a Fraction, `_ratio`
+is the exact quotient of two ints, and `_combine` sums sparse vectors
+(grid vectors, eta coordinates, polynomial terms, exponent maps), dropping
+the zeros.  No other module calls `lcm`.
 
 Every exact elimination but one runs through one fraction-free row
 update, `_pivot`: the Gauss-Jordan kernel `_eliminate` (Bareiss-Montante
@@ -106,6 +108,21 @@ def _exact(x):
 def _ratio(a, d):
     """`_exact(Fraction(a, d))` for ints a and d != 0, built directly."""
     return a // d if a % d == 0 else F(a, d)
+
+
+def _combine(terms):
+    """sum of c*v over the (sparse dict v, scalar c) pairs terms, as a dict
+    with no zero values and its keys in the order first seen; a key whose
+    sum cancels is dropped at once, so if it comes back it is seen anew."""
+    out = {}
+    for v, c in terms:
+        for key, x in v.items():
+            s = out.get(key, 0) + c * x
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
 
 
 def rank(rows):

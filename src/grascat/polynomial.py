@@ -53,7 +53,7 @@ from operator import add, sub
 
 from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_kn, check_subset,
                        compatibility_degree, is_frozen, is_weakly_separated, shape_cache)
-from .linalg import _exact, _integral, _ratio
+from .linalg import _combine, _exact, _integral, _ratio
 from .roots import grid_point
 
 F = Fraction
@@ -119,14 +119,7 @@ class Poly:
         if isinstance(other, (int, F)):
             other = Poly.const(self.k, self.n, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.k, self.n, terms)
+        return Poly(self.k, self.n, _combine([(self.terms, 1), (other.terms, 1)]))
 
     __radd__ = __add__
 
@@ -151,6 +144,7 @@ class Poly:
         if len(a) > len(b):
             a, b = b, a
         terms = {}
+        # not `_combine`: a convolution, each pair of terms adds into one key
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(map(add, e1, e2))
@@ -252,6 +246,7 @@ def divide_exact(f, g):
     quot = {}
     glead = max(g.terms, key=lambda e: (sum(e), e))
     gc = g.terms[glead]
+    # not `_combine`: each step reads the running leading term of fk
     while fk:
         flead = max(fk, key=lambda e: (sum(e), e))
         diff = tuple(map(sub, flead, glead))
@@ -470,16 +465,13 @@ def _product(pairs, k, n):
     are summed in one pass, and the factors whose exponents cancel to zero
     are dropped."""
     num = den = 1
-    exps = {}
     for r, c in pairs:
         a, b = r.scalar.numerator, r.scalar.denominator
         if c < 0:
             a, b = b, a
         num *= a ** abs(c)
         den *= b ** abs(c)
-        for f, e in r.exps.items():
-            exps[f] = exps.get(f, 0) + c * e
-    return FactoredRatio(k, n, _ratio(num, den), {f: e for f, e in exps.items() if e})
+    return FactoredRatio(k, n, _ratio(num, den), _combine([(r.exps, c) for r, c in pairs]))
 
 
 def _quotient(nums, dens, k, n):
@@ -716,11 +708,7 @@ def _ladder_product(pairs, k, n):
     """prod u^c over (ladder of u, int c) pairs as one FactoredRatio: the
     exponents are summed on tau indices first, the indices whose exponents
     cancel are dropped, and one `_product` runs over the rest."""
-    exps = {}
-    for ladder, c in pairs:
-        for I, e in ladder.items():
-            exps[I] = exps.get(I, 0) + c * e
-    return _product([(_tau_ratio(I, k, n), e) for I, e in exps.items() if e], k, n)
+    return _product([(_tau_ratio(I, k, n), e) for I, e in _combine(pairs).items()], k, n)
 
 
 @shape_cache

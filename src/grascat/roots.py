@@ -16,7 +16,6 @@ attached to J.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
@@ -45,26 +44,17 @@ def grid_point(v, k, n):
 
 def grid_add(a, b, mult=1):
     """a + mult*b for sparse grid vectors; drops exact zeros."""
-    out = dict(a)
-    for key, c in b.items():
-        s = out.get(key, 0) + mult * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return linalg._combine([(a, 1), (b, mult)])
 
 
 def f_combination(fcoeffs, k, n):
     """Expand a combination of the cyclic differences f_{i,j} into e-basis
     coordinates; f_{i,j} = e_{i,j} - e_{i,j+1} with column n-k wrapping to 1."""
-    out = {}
+    w = n - k
+    terms = []
     for (i, j), c in fcoeffs.items():
-        if c:
-            j2 = 1 if j == n - k else j + 1
-            out[(i, j)] = out.get((i, j), 0) + c
-            out[(i, j2)] = out.get((i, j2), 0) - c
-    return {key: c for key, c in out.items() if c}
+        terms += [({(i, j): c}, 1), ({(i, 1 if j == w else j + 1): c}, -1)]
+    return linalg._combine(terms)
 
 
 def gamma_hat(J, k, n):
@@ -273,7 +263,7 @@ class _Fan:
                     r, ar, br = v, a[v], bv
             if r is None:
                 out = {self.verts[v]: b[v] for v in sorted(b) if b[v]}
-                return out if scale == 1 else {J: linalg._exact(Fraction(c, scale))
+                return out if scale == 1 else {J: linalg._ratio(c, scale)
                                                for J, c in out.items()}
             del a[r], b[r]
             entering = ((1 << len(self.verts)) - 1) & ~(1 << r)
@@ -296,6 +286,7 @@ class _Fan:
         replayed on e_t), with c_p b_q - c_q b_p nonzero decides."""
         for u in self.start:
             c = {u: 1}
+            # not `linalg._combine`: each flip pops r and sets X as it adds
             for r, X, S in log:
                 cr = c.pop(r, 0)
                 if cr:
@@ -395,10 +386,7 @@ def noncrossing_degree(coeffs, k, n):
 def combo_vector(coeffs, k, n):
     """Grid vector of a formal combination sum c_J v_J."""
     check_kn(k, n)
-    v = {}
-    for J, c in coeffs.items():
-        v = grid_add(v, v_root(J, k, n), c)
-    return v
+    return linalg._combine([(v_root(J, k, n), c) for J, c in coeffs.items()])
 
 
 def tripod_vector(U, Uprime, n):
@@ -420,11 +408,9 @@ def tripod_vector(U, Uprime, n):
     for x, lo, hi in ((Uprime[0], u, v), (Uprime[1], v, w), (Uprime[2], w, u)):
         if not _in_cyclic_open(x, lo, hi, n):
             raise ValueError(f"label {x} not in the cyclic gap ({lo}, {hi})")
-    coeffs = {tuple(sorted(U)): -1}
-    for old, new in zip(U, Uprime):
-        S = tuple(sorted(set(U) - {old} | {new}))
-        coeffs[S] = coeffs.get(S, 0) + 1
-    return {J: c for J, c in coeffs.items() if c}
+    return linalg._combine([({tuple(sorted(U)): 1}, -1)]
+                           + [({tuple(sorted(set(U) - {old} | {new})): 1}, 1)
+                              for old, new in zip(U, Uprime)])
 
 
 def tripod_pair(U, Uprime, n):

@@ -234,6 +234,23 @@ def test_ucheck_empty_subset_rejected(capsys, mode):
     assert code == 2 and out == "" and err.count("\n") == 1 and json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+@pytest.mark.parametrize("key", ["1,3,x", "", "1,,3"])
+def test_ucheck_malformed_subset_names_the_key(capsys, mode, key):
+    """A --J that does not parse is an input error naming the key, not
+    int()'s own message."""
+    code = main(["u-check", "--k", "3", "--n", "6", "--J", key, "--mode", mode])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and json.loads(err) == {
+        "schema": "grascat/1", "error": f"subset key {key!r} is not a comma-separated list of ints"}
+
+
+@pytest.mark.parametrize("key", [" 1,3,5", "+1,3,5", "01,3,5", "1, 3,5 "])
+def test_ucheck_subset_spellings_still_parse(capsys, key):
+    code, out = run(capsys, "u-check", "--k", "3", "--n", "6", "--J", key)
+    assert code == 0 and json.loads(out)["checked"] == 1
+
+
 # explicit ids keep the names these cases have always run under
 
 @pytest.mark.parametrize("argv,message", [
@@ -713,6 +730,23 @@ def test_empty_output_path_rejected(capsys):
     assert code == 2 and out == "" and err.count("\n") == 1 and json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+@pytest.mark.parametrize("key", ["1,3,x", "", "1,,3"])
+def test_ucheck_malformed_subset_names_the_key(capsys, mode, key):
+    """A --J that does not parse is an input error naming the key, not
+    int()'s own message."""
+    code = main(["u-check", "--k", "3", "--n", "6", "--J", key, "--mode", mode])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and json.loads(err) == {
+        "schema": "grascat/1", "error": f"subset key {key!r} is not a comma-separated list of ints"}
+
+
+@pytest.mark.parametrize("key", [" 1,3,5", "+1,3,5", "01,3,5", "1, 3,5 "])
+def test_ucheck_subset_spellings_still_parse(capsys, key):
+    code, out = run(capsys, "u-check", "--k", "3", "--n", "6", "--J", key)
+    assert code == 0 and json.loads(out)["checked"] == 1
+
+
 def test_capped_nc_count_stops_early(capsys):
     """A capped count stops with the cap message and exit 2, read off
     (k, n) before any build: neither the noncrossing graph nor the search
@@ -810,7 +844,7 @@ def test_well_formed_eta_keys_skip_the_subset_checks(tmp_path, capsys, monkeypat
     ({"1,2,9": 5}, "subset (1, 2, 9) not inside [1, 7]"),
     ({"0,2,4": 5}, "subset (0, 2, 4) not inside [1, 7]"),
     ({"1,2": 5}, "expected a 3-element subset, got (1, 2)"),
-    ({"a,2,4": 5}, "invalid literal for int() with base 10: 'a'"),
+    ({"a,2,4": 5}, "subset key 'a,2,4' is not a comma-separated list of ints"),
     ({"+1,2,4": 5, "1,2,4": 7}, "two eta keys name the subset 1,2,4"),
     ({" 1,2,4": 5, "1,2,4 ": 7}, "two eta keys name the subset 1,2,4"),
     ({"1, 2,4": True}, "input value true is not a number"),

@@ -1,15 +1,19 @@
 """Exact linear algebra: solves, null spaces, ranks and determinants on
 seeded random int, 0/+-1 and Fraction matrices, rank-deficient ones
-included."""
+included; the exact-number rule; and `linalg._combine`, checked directly
+and against the accumulation loops that `roots` and `kinematics` ran
+before it."""
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import linalg
+from grascat import kinematics, linalg, roots
+from grascat.combinat import nonfrozen_subsets
 
 KINDS = ("int", "sign", "fraction")
 
@@ -158,3 +162,148 @@ def test_exact_is_int_iff_integral(x):
     value = linalg._exact(x)
     assert value == F(x)
     assert type(value) is (int if F(x).denominator == 1 else F)
+
+
+# ---------------------------------------------------------------------------
+# sparse sums
+
+def test_combine_keeps_keys_in_first_seen_order():
+    out = linalg._combine([({"b": 1, "a": 2}, 1), ({"c": 1, "a": 1}, 3)])
+    assert list(out.items()) == [("b", 1), ("a", 5), ("c", 3)]
+
+
+def test_combine_drops_zero_sums():
+    assert linalg._combine([({"a": 1, "b": 2}, 1), ({"a": 1}, -1)]) == {"b": 2}
+    # a key that cancels and comes back is seen anew, after "b"
+    out = linalg._combine([({"a": 1, "b": 1}, 1), ({"a": 1}, -1), ({"a": 3}, 1)])
+    assert list(out.items()) == [("b", 1), ("a", 3)]
+    assert linalg._combine([({"a": 1}, 1), ({"a": 1}, -1), ({"a": 2}, 1), ({"a": 1}, -2)]) == {}
+    assert linalg._combine([({"a": 1, "b": 0}, 1), ({"c": 4}, 0)]) == {"a": 1}
+
+
+def test_combine_takes_int_and_fraction_scalars():
+    out = linalg._combine([({"a": F(1, 2), "b": 1}, 2), ({"a": 1, "b": 3}, F(1, 3))])
+    assert out == {"a": F(4, 3), "b": 3}
+    assert linalg._combine([({"a": F(1, 3)}, 3), ({"a": 1}, -1)]) == {}
+
+
+def test_combine_of_no_terms_is_empty():
+    assert linalg._combine([]) == {}
+    assert linalg._combine([({}, 5)]) == {}
+
+
+sparse = st.dictionaries(st.sampled_from("abcdef"), exacts, max_size=6)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.tuples(sparse, exacts), max_size=5))
+def test_combine_is_the_sum_of_the_scaled_vectors(terms):
+    out = linalg._combine(terms)
+    assert all(out.values())
+    assert {key: sum(c * v.get(key, 0) for v, c in terms) for key in "abcdef"} == {
+        key: out.get(key, 0) for key in "abcdef"}
+
+
+# the accumulation loops that `linalg._combine` replaced, kept as oracles
+
+def _retired_grid_add(a, b, mult=1):
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key, 0) + mult * c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _retired_combo_vector(coeffs, k, n):
+    v = {}
+    for J, c in coeffs.items():
+        v = _retired_grid_add(v, roots.v_root(J, k, n), c)
+    return v
+
+
+def _retired_tripod_vector(U, Uprime):
+    coeffs = {tuple(sorted(U)): -1}
+    for old, new in zip(U, Uprime):
+        S = tuple(sorted(set(U) - {old} | {new}))
+        coeffs[S] = coeffs.get(S, 0) + 1
+    return {J: c for J, c in coeffs.items() if c}
+
+
+def _retired_eta(pairs):
+    """`KinFunctional._of` before it summed eta maps: the eta-coordinates
+    summed from (J, c) pairs."""
+    acc = {}
+    for J, c in pairs:
+        acc[J] = acc.get(J, 0) + c
+    return {J: linalg._exact(c) for J, c in acc.items() if c}
+
+
+def _same(got, want):
+    """Equal maps with the same keys in the same order and equal values of
+    the same type."""
+    assert list(got) == list(want)
+    assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in want.values()]
+
+
+SHAPES = [(3, 6), (3, 7), (4, 8)]
+scalars = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _combinations(draw):
+    k, n = draw(st.sampled_from(SHAPES))
+    coeffs = draw(st.dictionaries(st.sampled_from(nonfrozen_subsets(k, n)), scalars, max_size=6))
+    return k, n, coeffs
+
+
+def _tripods(n):
+    """Every tripod (U, Uprime) on [1, n] with U increasing."""
+    def gaps(lo, hi):
+        return [x for x in range(1, n + 1) if roots._in_cyclic_open(x, lo, hi, n)]
+    return [((u, v, w), (a, b, c)) for u, v, w in combinations(range(1, n + 1), 3)
+            for a in gaps(u, v) for b in gaps(v, w) for c in gaps(w, u)]
+
+
+@settings(derandomize=True, max_examples=100)
+@given(_combinations(), _combinations())
+def test_grid_sums_match_the_retired_loops(first, second):
+    k, n, coeffs = first
+    _same(roots.combo_vector(coeffs, k, n), _retired_combo_vector(coeffs, k, n))
+    if second[:2] == (k, n):
+        a, b = roots.combo_vector(coeffs, k, n), roots.combo_vector(second[2], k, n)
+        for mult in (1, -1, F(2, 3)):
+            _same(roots.grid_add(a, b, mult), _retired_grid_add(a, b, mult))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.sampled_from([(n, *t) for n in (6, 7, 8) for t in _tripods(n)]))
+def test_tripod_vector_matches_the_retired_loop(tripod):
+    n, U, Uprime = tripod
+    _same(roots.tripod_vector(U, Uprime, n), _retired_tripod_vector(U, Uprime))
+
+
+@st.composite
+def _s_coefficients(draw):
+    k, n = draw(st.sampled_from(SHAPES))
+    subsets = list(combinations(range(1, n + 1), k))
+    return k, n, [draw(st.dictionaries(st.sampled_from(subsets), scalars, max_size=5))
+                  for _ in range(2)]
+
+
+@settings(derandomize=True, max_examples=100)
+@given(_s_coefficients(), scalars)
+def test_kin_functional_sums_match_the_retired_loop(data, scalar):
+    k, n, (cf, cg) = data
+    S = kinematics.kin_basis(k, n).S
+    f, g = kinematics.KinFunctional(k, n, cf), kinematics.KinFunctional(k, n, cg)
+    # keys may come in another order: one that cancels is now seen anew
+    assert f.eta == _retired_eta((J, a * c) for I, a in cf.items() for J, c in S[I].items())
+    for got, want in (((f + g).eta, _retired_eta([*f.eta.items(), *g.eta.items()])),
+                      ((f * scalar).eta, _retired_eta((J, c * scalar) for J, c in f.eta.items())),
+                      ((f - g).eta, _retired_eta([*f.eta.items(),
+                                                  *((J, -c) for J, c in g.eta.items())]))):
+        assert got == want
+        assert {J: type(c) for J, c in got.items()} == {J: type(c) for J, c in want.items()}
