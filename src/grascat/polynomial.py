@@ -27,8 +27,8 @@ rest.  Each tau FactoredRatio is built once per (k, n) and index
 (`_identity`).  Everything is evaluated by one integer kernel, `_Plan`,
 laid out once over a list of FactoredRatios (`Poly.eval` goes through its
 `FactoredRatio.from_poly`): the distinct monomials of their factors, each
-as the indices of its variables (`_sparse`, kept on each factor), so that
-one monomial serves every factor that has it; each factor's terms grouped
+as the indices of its variables (`_Factor.sparse`, kept on each factor), so
+that one monomial serves every factor that has it; each factor's terms grouped
 by degree and coefficient; and each ratio as two rows of positions.  At a
 point the denominators are cleared once, each monomial is one product,
 each factor one int sum over D^top reduced by one gcd into an int pair,
@@ -40,6 +40,26 @@ cross-multiplied.  The symbolic check compares the crossing
 product with 1 - u_J, built once per J (`_one_minus_u`) with u_J's
 denominator kept factored, so its taus cancel against the product's before
 anything is expanded.
+
+The symbolic check multiplies out on packed monomials (Monagan and Pearce,
+CASC 2007; Kronecker substitution, von zur Gathen and Gerhard, "Modern
+Computer Algebra").  A monomial x^e in nv variables is the one int
+sum_i e_i 2^(8 w i), exponent i at bits [8 w i, 8 w (i + 1)) for a field of
+w bytes (`_pack`), so that multiplying two monomials adds their ints.  Each
+factor keeps its terms packed, built once with the factor, at the fewest
+bytes for its own total degree.  `FactoredRatio._packed_sides`
+multiplies out each side of a ratio (`_convolve`, `_power`) at one width w
+with 2^(8w) > D, D the larger of the two sides' total degrees, the sum of
+|e| deg f over the factors f of the side; a factor packed at another width
+is repacked.  Every product and square formed on the way to a side divides
+that side's product, so its total degree is at most D, and a variable's
+exponent never exceeds its monomial's total degree: no field reaches 2^(8w)
+and no sum carries into the next field, so adding the ints is exactly
+adding the exponent tuples, at any degree, `FactoredRatio ** m` for a large
+m included.  `ratio_equal` compares the two packed sides, and
+`_one_minus_u` forms den - num of u_J packed.  Only two things are unpacked
+to exponent tuples (`_unpacked`): that den - num, on its way into
+`FactoredRatio.from_poly`, and the sides the public `expand` returns.
 """
 from __future__ import annotations
 
@@ -47,7 +67,8 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
 from math import comb, gcd, prod
 from operator import add, sub
 
@@ -59,12 +80,65 @@ from .roots import grid_point
 F = Fraction
 
 
-def _sparse(terms):
-    """The (exponent tuple, coefficient) pairs `terms` in the sparse form
-    `_Plan` reads: one (index tuple, coefficient) pair per term, the
-    index tuple naming each variable of the term's monomial, x^p p times."""
-    return tuple([(tuple([i for i, p in enumerate(e) for _ in range(p)]), c)
-                  for e, c in terms])
+def _width(degree):
+    """The bytes w of each exponent field of a packed monomial whose
+    polynomial has total degree at most `degree`: the fewest, at least one,
+    with 2^(8w) > degree."""
+    return max(1, -(-degree.bit_length() // 8))
+
+
+def _pack(e, width):
+    """The exponent tuple e as one int, exponent i at bytes
+    [width * i, width * (i + 1)), little-endian."""
+    if width == 1:
+        return int.from_bytes(bytes(e), "little")
+    return int.from_bytes(b"".join([p.to_bytes(width, "little") for p in e]), "little")
+
+
+def _unpacked(terms, k, n, width):
+    """The packed terms dict `terms`, at `width` bytes per exponent, as a
+    `Poly` of (k, n), keyed by exponent tuples."""
+    size = (k - 1) * (n - k) * width
+    out = {}
+    for key, c in terms.items():
+        data = key.to_bytes(size, "little")
+        e = tuple(data) if width == 1 else tuple(
+            [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)])
+        out[e] = c
+    return Poly(k, n, out)
+
+
+def _convolve(a, b):
+    """The product of two packed terms dicts: each pair of terms adds its
+    keys, which is exact while no exponent field overflows (see the module
+    docstring)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:  # no stored coefficient is zero, so e held -c1 * c2
+                del out[e]
+    return out
+
+
+def _power(a, m):
+    """a ** m for a packed terms dict a and an int m >= 1, by
+    square-and-multiply started from a, as `Poly.__pow__`: no square
+    has degree above m deg a."""
+    out = None
+    while True:
+        if m & 1:
+            out = a if out is None else _convolve(out, a)
+        m >>= 1
+        if not m:
+            return out
+        a = _convolve(a, a)
 
 
 def _check_exponent(m):
@@ -264,8 +338,12 @@ def divide_exact(f, g):
 
 
 def det_poly(rows):
-    """Determinant of a square matrix of Poly, by cofactor expansion."""
+    """Determinant of a square matrix of Poly, by cofactor expansion.
+    Raises ValueError for a matrix that is empty or not square, as
+    `linalg.det` does."""
     m = len(rows)
+    if not m or any(len(row) != m for row in rows):
+        raise ValueError("determinant needs a nonempty square matrix")
     if m == 1:
         return rows[0][0]
     if m == 2:
@@ -292,19 +370,48 @@ class _Factor:
     """A base of a FactoredRatio: a grid variable x_{i,j} (its one term,
     coefficient 1) or a canonical primitive polynomial of two or more terms
     (coprime integer coefficients, positive leading coefficient, no monomial
-    factor), as its sorted (exponent, coefficient) term tuple `Poly.key()`,
-    with the same terms in the `_sparse` form, built once here, from which
-    a `_Plan` reads the factor's monomials.
+    factor), as its sorted (exponent, coefficient) term tuple `Poly.key()`.
+    The symbolic check reads the same terms as `packed`, a dict from packed
+    monomials (`_pack`) at `width` bytes per exponent, the fewest for the
+    factor's total degree `degree` (`_width`), built here once; a `_Plan`
+    reads them as `sparse`, built on its first read.
     `_factor` hands out one object per term tuple, so factors hash and
     compare by identity: a batch of identities updates the exponent maps
     tens of thousands of times, and rehashing the term tuple at each update
     would cost more than the rest of the batch."""
 
-    __slots__ = ("terms", "sparse", "__weakref__")
+    __slots__ = ("terms", "degree", "width", "packed", "_sparse", "__weakref__")
 
     def __init__(self, terms):
         self.terms = terms
-        self.sparse = _sparse(terms)
+        self.degree = max([sum(e) for e, _c in terms])
+        self.width = _width(self.degree)
+        self.packed = {_pack(e, self.width): c for e, c in terms}
+        self._sparse = None
+
+    @property
+    def sparse(self):
+        """The terms as (index tuple, coefficient) pairs, the index tuple
+        naming each variable of the term's monomial, x^p p times, from which
+        a `_Plan` reads the factor's monomials; built on the first read, so
+        a factor that only the symbolic check reads holds none."""
+        if self._sparse is None:
+            cells = range(len(self.terms[0][0]))
+            sparse = []
+            for e, c in self.terms:
+                idx = tuple(compress(cells, e))
+                if len(idx) != sum(e):  # an exponent above 1
+                    idx = tuple([i for i in idx for _ in range(e[i])])
+                sparse.append((idx, c))
+            self._sparse = tuple(sparse)
+        return self._sparse
+
+    def packed_at(self, width):
+        """The packed terms at `width` bytes per exponent, at least the
+        factor's own `width`."""
+        if width == self.width:
+            return self.packed
+        return {_pack(e, width): c for e, c in self.terms}
 
 
 # the live factors by term tuple; an entry goes with the last ratio using it
@@ -365,19 +472,27 @@ class FactoredRatio:
         _check_exponent(m)
         return _product([(self, m)], self.k, self.n)
 
+    def _packed_sides(self):
+        """(numerator, denominator, width): the sides of `expand` as packed
+        terms dicts at one width of `width` bytes per exponent, chosen so
+        that 2^(8 width) exceeds the total degree of either side (see the
+        module docstring)."""
+        sides = ([(f, e) for f, e in self.exps.items() if e > 0],
+                 [(f, -e) for f, e in self.exps.items() if e < 0])
+        width = _width(max([sum([f.degree * e for f, e in side]) for side in sides]))
+        out = []
+        for c, side in zip((self.scalar.numerator, self.scalar.denominator), sides):
+            powers = [_power(f.packed_at(width), e) for f, e in side]
+            p = reduce(_convolve, powers) if powers else {0: 1}
+            out.append(p if c == 1 else {e: c * x for e, x in p.items()} if c else {})
+        return out[0], out[1], width
+
     def expand(self):
         """(numerator, denominator) as polynomials: the product of the
         factors with positive (negative) exponents, scaled by the scalar's
-        numerator (denominator)."""
-        k, n = self.k, self.n
-        sides = []
-        for sign, c in ((1, self.scalar.numerator), (-1, self.scalar.denominator)):
-            p = Poly.const(k, n, c)
-            for f, e in self.exps.items():
-                if sign * e > 0:
-                    p = p * Poly(k, n, dict(f.terms)) ** (sign * e)
-            sides.append(p)
-        return tuple(sides)
+        numerator (denominator), multiplied out packed (`_packed_sides`)."""
+        num, den, width = self._packed_sides()
+        return _unpacked(num, self.k, self.n, width), _unpacked(den, self.k, self.n, width)
 
     def eval(self, point):
         """Value at {(i, j): rational}, missing variables 0, through a
@@ -388,8 +503,8 @@ class FactoredRatio:
 
     def ratio_equal(self, other):
         """Exact equality as rational functions: cancel shared factors, then
-        compare one cross-multiplied polynomial pair."""
-        num, den = (self / other).expand()
+        compare one cross-multiplied pair of packed sides."""
+        num, den = (self / other)._packed_sides()[:2]
         return num == den
 
     def __repr__(self):
@@ -399,8 +514,8 @@ class FactoredRatio:
 
 class _Plan:
     """The evaluation of a list of FactoredRatios at many points, laid out
-    flat once: the distinct monomials of their factors (`_sparse` index
-    tuples, so one monomial serves every factor that has it), each factor's
+    flat once: the distinct monomials of their factors (`_Factor.sparse`
+    index tuples, so one monomial serves every factor that has it), each factor's
     terms as (degree, coefficient, monomial slots) groups in increasing
     degree, and each side of each ratio as its scalar's numerator or
     denominator with a tuple of positions in the row of every factor's
@@ -751,10 +866,11 @@ def _one_minus_u(J, k, n):
     own denominator, inverted and still factored, so that its taus cancel
     against a crossing product's by adding exponents."""
     uJ = _identity(J, k, n)[1]
-    num, den = uJ.expand()
+    num, den, width = uJ._packed_sides()
+    diff = _unpacked(_combine([(den, 1), (num, -1)]), k, n, width)
     inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
                             {f: e for f, e in uJ.exps.items() if e < 0})
-    return FactoredRatio.from_poly(den - num) * inverse
+    return FactoredRatio.from_poly(diff) * inverse
 
 
 def _check_trials(trials):

@@ -9,6 +9,7 @@ as a strict expected failure (the reference f-vectors belong to the
 tau-product Newton polytope, not to the PK polytope itself; both are
 computed and checked here).
 """
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -183,6 +184,17 @@ def test_criterion_6_binary_identities_symbolic():
     for I in ((1, 2, 4, 7), (1, 2, 5, 7), (1, 3, 4, 7), (1, 3, 5, 7)):
         assert combinat.compatibility_degree(I, (2, 3, 6, 8), 8) == 2
     report("6a (binary identities, symbolic, all nonfrozen J)", True)
+
+
+@pytest.mark.slow
+def test_criterion_6_binary_identities_symbolic_7_14(capsys):
+    # the worldsheet u-equations of W+_{7,14}: every binary identity at
+    # (7,14) proved symbolically, through the CLI
+    from grascat.cli import main
+    assert main(["u-check", "--k", "7", "--n", "14"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["pass"] is True and verdict["checked"] == 3418 and not verdict["failures"]
+    report("6a-slow (binary identities, symbolic, all 3418 at (7,14))", True)
 
 
 def test_criterion_6_binary_identities_random():

@@ -119,6 +119,22 @@ CASES = {
     "divide_exact by zero": (
         lambda: polynomial.divide_exact(Poly.var(1, 1, 3, 6), Poly.const(3, 6, 0)),
         ZeroDivisionError, "division by the zero polynomial"),
+    "det_poly one row of two": (
+        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)]]),
+        ValueError, "determinant needs a nonempty square matrix"),
+    "det_poly empty": (
+        lambda: polynomial.det_poly([]),
+        ValueError, "determinant needs a nonempty square matrix"),
+    "det_poly two rows of one": (
+        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6)], [Poly.var(1, 2, 3, 6)]]),
+        ValueError, "determinant needs a nonempty square matrix"),
+    "det_poly empty dict": (
+        lambda: polynomial.det_poly({}),
+        ValueError, "determinant needs a nonempty square matrix"),
+    "det_poly ragged": (
+        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)],
+                                     [Poly.var(2, 1, 3, 6)]]),
+        ValueError, "determinant needs a nonempty square matrix"),
     "resolved_minor order": (
         lambda: polynomial.resolved_minor((3, 2, 1), 6),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -413,6 +414,93 @@ def test_factored_ratio_expand_matches_repeated_products(a):
     assert all(a.exps.values())
 
 
+# ---------------------------------------------------------------------------
+# the packed convolution against the tuple convolution it replaced
+
+def _tuple_product(a, b):
+    """The product of two exponent-tuple terms dicts, one tuple sum per
+    pair of terms: the oracle for `polynomial._convolve`."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _degree(terms):
+    return max([sum(e) for e in terms], default=0)
+
+
+def _packed(terms, width):
+    return {polynomial._pack(e, width): c for e, c in terms.items()}
+
+
+def _sparse_poly(nv):
+    """Terms dicts in nv variables: up to six terms, each with up to four
+    variables of exponent 1 to 3, and nonzero int coefficients."""
+    exponents = st.dictionaries(st.integers(0, nv - 1), st.integers(1, 3), max_size=4).map(
+        lambda e: tuple([e.get(i, 0) for i in range(nv)]))
+    return st.dictionaries(exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=6)
+
+
+packed_cases = st.sampled_from([(3, 9), (4, 8), (6, 13)]).flatmap(
+    lambda kn: st.tuples(st.just(kn), _sparse_poly((kn[0] - 1) * (kn[1] - kn[0])),
+                         _sparse_poly((kn[0] - 1) * (kn[1] - kn[0])), st.integers(1, 4)))
+
+
+_X0, _X1 = (1,) + (0,) * 11, (0, 1) + (0,) * 10
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(packed_cases)
+# (x0 + x1)(x0 - x1): the x0 x1 terms cancel and must leave no key
+@example(((4, 8), {_X0: 1, _X1: 1}, {_X0: 1, _X1: -1}, 2))
+def test_packed_product_and_power_match_the_tuple_convolution(case):
+    (k, n), a, b, m = case
+    # each at the width `FactoredRatio._packed_sides` picks: the fewest
+    # bytes for the total degree of the result
+    width = polynomial._width(_degree(a) + _degree(b))
+    product = polynomial._convolve(_packed(a, width), _packed(b, width))
+    assert polynomial._unpacked(product, k, n, width).terms == _tuple_product(a, b)
+    width = polynomial._width(m * _degree(a))
+    repeated = a
+    for _ in range(m - 1):
+        repeated = _tuple_product(repeated, a)
+    power = polynomial._power(_packed(a, width), m)
+    assert polynomial._unpacked(power, k, n, width).terms == repeated
+
+
+def test_packed_fields_at_the_width_bound():
+    assert [polynomial._width(d) for d in (0, 1, 255, 256, 65535, 65536)] == [1, 1, 1, 2, 2, 3]
+    # 2^8 - 1 in the field of x_{1,2}, next to x_{1,1} and x_{1,3}: total
+    # degree 255 still fits one byte, and no field carries into the next
+    a = {(0, 200, 0, 0, 0, 0): 3, (0, 150, 2, 0, 0, 0): -1}
+    b = {(0, 55, 0, 0, 0, 0): 2, (53, 0, 0, 0, 0, 0): 5}
+    assert _degree(a) + _degree(b) == 255
+    product = polynomial._convolve(_packed(a, 1), _packed(b, 1))
+    assert polynomial._unpacked(product, 3, 6, 1).terms == _tuple_product(a, b)
+    assert polynomial._unpacked(product, 3, 6, 1).terms[(0, 255, 0, 0, 0, 0)] == 6
+    # a power of total degree 256 needs two bytes a field: the factor is
+    # packed at one byte and repacked at two by FactoredRatio.expand
+    f = x(1, 1) + x(1, 2)
+    r = FactoredRatio.from_poly(f) ** 256
+    (factor,) = r.exps
+    assert factor.width == 1 and polynomial._width(256 * factor.degree) == 2
+    num, den = r.expand()
+    assert num == f ** 256 and den == 1 and num.terms[(256, 0, 0, 0, 0, 0)] == 1
+    # f^256 / x_{1,1} against the one factor f^256 of two bytes a field
+    folded = FactoredRatio.from_poly(f ** 256 * x(1, 1) ** 255) / x(1, 1) ** 256
+    assert (r / x(1, 1)).ratio_equal(folded)
+    assert not (r / x(1, 1)).ratio_equal(folded * x(1, 2))
+    # a factor of its own degree above 255, and a variable to the 2^70:
+    # nine bytes a field
+    g = x(1, 1) ** 300 + x(2, 3)
+    assert FactoredRatio.from_poly(g).expand() == (g, Poly.one(3, 6))
+    big = FactoredRatio.from_poly(x(2, 1)) ** (2 ** 70) / x(1, 1)
+    assert big.expand() == (x(2, 1) ** (2 ** 70), x(1, 1))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(ratios, ratios, points)
 def test_factored_ratio_eval_is_multiplicative(a, b, point):
@@ -484,6 +572,9 @@ def test_factor_sparse_form_expands_back_to_its_terms():
     for f in factors:
         dense = [(tuple([Counter(idx)[i] for i in range(nv)]), c) for idx, c in f.sparse]
         assert tuple(dense) == f.terms
+        # and the packed form, at the fewest bytes for the factor's degree
+        assert f.degree == _degree(dict(f.terms)) and f.width == 1
+        assert polynomial._unpacked(f.packed, k, n, f.width).terms == dict(f.terms)
 
 
 def _variable(i, j):
@@ -896,6 +987,20 @@ def test_batch_random_witness_names_the_one_broken_identity(monkeypatch, k, n):
 @pytest.mark.parametrize("k,n,J", [(3, 7, (2, 4, 6)), (4, 8, (2, 3, 6, 8))])
 def test_symbolic_check_fails_on_broken_profile(broken_profiles, k, n, J):
     assert binary_identity_check(J, k, n, "symbolic")["pass"] is False
+
+
+@pytest.mark.parametrize("k,n,J", [(3, 7, (2, 4, 6)), (4, 8, (2, 3, 6, 8))])
+def test_broken_identity_leaves_packed_sides_that_differ(broken_profiles, k, n, J):
+    # with one crossing entry dropped, factors are left after cancelling:
+    # the packed sides are really multiplied out and compared, and they
+    # unpack to the tuple expansion
+    assert binary_identity_check(J, k, n, "symbolic")["pass"] is False
+    left = polynomial._one_minus_u(J, k, n) / polynomial._identity(J, k, n)[2]
+    assert left.exps
+    num, den, width = left._packed_sides()
+    assert num != den and len(num) > 1
+    assert (polynomial._unpacked(num, k, n, width),
+            polynomial._unpacked(den, k, n, width)) == _expand_reference(left)
 
 
 @pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
