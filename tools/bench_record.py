@@ -1,6 +1,6 @@
 """Record one run of every benchmark workload into a BENCH_<PR>.json file.
 
-    python3 tools/bench_record.py BENCH_51.json [--seconds 10] [--workload W ...]
+    python3 tools/bench_record.py BENCH_51.json [--seconds 10]
 
 For each workload it runs, in a fresh process from the checkout root,
 
@@ -45,11 +45,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("output", help="the BENCH_<PR>.json file to write")
     ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="a workload to run (repeatable; default all four)")
     args = ap.parse_args(argv)
     runs = {}
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         meta, result = record(workload, args.seconds)
         runs[workload] = {"meta": meta, "result": result}
         print(f"{workload}: {json.dumps(result)}", flush=True)
