@@ -1,4 +1,4 @@
-"""Record one run of every benchmark workload into a BENCH_<PR>.json file.
+"""Record one run of every benchmark workload into a BENCH_<N>.json file.
 
     python3 tools/bench_record.py BENCH_51.json [--seconds 10]
 
@@ -43,7 +43,7 @@ def record(workload, seconds):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("output", help="the BENCH_<PR>.json file to write")
+    ap.add_argument("output", help="the BENCH_<N>.json file to write")
     ap.add_argument("--seconds", type=int, default=10)
     args = ap.parse_args(argv)
     runs = {}
