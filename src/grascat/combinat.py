@@ -50,8 +50,8 @@ def shape_cache(build):
     call, cold or warm, with check_kn's message.  Typing does not reach
     into a tuple: a warm call with (1.0, 3, 5) hits the entry of
     (1, 3, 5).  So a tuple key, a subset, must be checked before the cache
-    is read: the callers of `polynomial._ladder`, `_identity` and
-    `_one_minus_u` run `check_subset` first.  `kinematics.eta_functional`
+    is read: the callers of `polynomial._identity` and `_one_minus_u` run
+    `check_subset` first.  `kinematics.eta_functional`
     checks its subset in its body, on a miss only, and keeps that residual.
     """
     cached = lru_cache(maxsize=None, typed=True)(build)

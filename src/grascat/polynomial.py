@@ -11,7 +11,8 @@ coefficients.  Exponent tuples and evaluation points are laid out as
 a variable outside the grid.  Every staircase polynomial (tau, m_{i,j},
 P_i, Q_j, delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly
 increasing column chains c_1 <= c_2 <= ... with each c_t in an interval;
-`chain_poly` enumerates them and builds the sum as one terms dict.
+`_chains` enumerates them, and `chain_poly` builds the sum as one terms
+dict.
 
 A FactoredRatio is scalar * prod f^{e_f} over factors f, each a grid
 variable or a canonical primitive polynomial, with one signed exponent map
@@ -19,11 +20,15 @@ and no zero exponents stored, so multiplying and dividing add and subtract
 exponents.
 
 A u-variable is held as its ladder: the signed exponents of its (at most
-four) tau indices.  A product of u-variables (u_J itself, or the crossing
-product of a binary identity) sums the ladders' exponents on tau indices,
-drops the indices that cancel and makes one FactoredRatio product over the
-rest.  Each tau FactoredRatio is built once per (k, n) and index
-(`_tau_ratio`), and each binary identity once per (k, n) and J
+four) tau indices.  One table per (k, n) (`_ladder_table`) numbers the
+ladder taus and holds each nonfrozen J's ladder as (tau id, +-1) pairs.  A
+product of u-variables (u_J itself, or the crossing product of a binary
+identity) adds its exponents into one list indexed by tau id and makes one
+FactoredRatio product over the ids whose sums do not cancel.  Each tau
+FactoredRatio is built once per (k, n) and index straight from its chains,
+with no Poly (`_tau_ratio`): its scalar is 1, each cell on every chain is a
+grid-variable factor, and the chains less those cells are the terms of its
+primitive factor.  Each binary identity is built once per (k, n) and J
 (`_identity`).  Everything is evaluated by one integer kernel, `_Plan`,
 laid out once over a list of FactoredRatios (`Poly.eval` goes through its
 `FactoredRatio.from_poly`): the distinct monomials of their factors, each
@@ -70,10 +75,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress
 from math import comb, gcd, prod
-from operator import add, sub
+from operator import add, and_, sub
 
 from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_kn, check_subset,
-                       compatibility_degree, is_frozen, is_weakly_separated, shape_cache)
+                       compatibility_degree, is_weakly_separated, shape_cache)
 from .linalg import _combine, _exact, _integral, _ratio
 from .roots import grid_point
 
@@ -422,6 +427,11 @@ def _factor(terms):
     return _FACTORS.get(terms) or _FACTORS.setdefault(terms, _Factor(terms))
 
 
+def _variable(i, nv):
+    """The factor of the grid variable at dense index i of nv."""
+    return _factor((((0,) * i + (1,) + (0,) * (nv - i - 1), 1),))
+
+
 class FactoredRatio:
     """scalar * prod over factors f of f^{exps[f]}.
 
@@ -443,9 +453,7 @@ class FactoredRatio:
         """p as the scalar and primitive part of `Poly.content_split`, with
         each variable of the monomial it splits off a one-term factor."""
         scale, mono, prim = p.content_split()
-        unit = (0,) * len(mono)
-        exps = {_factor(((unit[:i] + (1,) + unit[i + 1:], 1),)): e
-                for i, e in enumerate(mono) if e}
+        exps = {_variable(i, len(mono)): e for i, e in enumerate(mono) if e}
         # a primitive part with one term is the constant 1
         if len(prim) > 1:
             exps[_factor(prim.key())] = 1
@@ -578,7 +586,9 @@ class _Plan:
 def _product(pairs, k, n):
     """prod r**c over (FactoredRatio r, int c) pairs: the signed exponents
     are summed in one pass, and the factors whose exponents cancel to zero
-    are dropped."""
+    are dropped.  The sum is copied once, since a dict keeps the room of
+    every key it dropped, and a crossing product drops nearly all of its
+    hundreds."""
     num = den = 1
     for r, c in pairs:
         a, b = r.scalar.numerator, r.scalar.denominator
@@ -586,7 +596,7 @@ def _product(pairs, k, n):
             a, b = b, a
         num *= a ** abs(c)
         den *= b ** abs(c)
-    return FactoredRatio(k, n, _ratio(num, den), _combine([(r.exps, c) for r, c in pairs]))
+    return FactoredRatio(k, n, _ratio(num, den), dict(_combine([(r.exps, c) for r, c in pairs])))
 
 
 def _quotient(nums, dens, k, n):
@@ -598,42 +608,61 @@ def _quotient(nums, dens, k, n):
 # ---------------------------------------------------------------------------
 # staircase face polynomials
 
-def chain_poly(row, ivals, k, n):
-    """Sum of x_{row,c_1} x_{row+1,c_2} ... x_{row+r-1,c_r} over the weakly
-    increasing chains c_1 <= ... <= c_r with lo_t <= c_t <= hi_t for
-    (lo_t, hi_t) = ivals[t]: one coefficient-1 monomial per chain, in
-    lexicographic chain order, built as one terms dict.  A chain is the
-    tuple of its cells (row + t, c_t); one outside the grid raises
-    IndexError (`grid_point`)."""
+def _chains(row, ivals):
+    """The weakly increasing column chains c_1 <= ... <= c_r with
+    lo_t <= c_t <= hi_t for (lo_t, hi_t) = ivals[t], each as the tuple of
+    its cells (row + t, c_t), in lexicographic order: the one enumerator of
+    every staircase polynomial."""
     chains = [()]
     for r, (lo, hi) in enumerate(ivals, start=row):
         chains = [ch + ((r, c),) for ch in chains
                   for c in range(max(lo, ch[-1][1]) if ch else lo, hi + 1)]
-    return Poly(k, n, {grid_point(dict.fromkeys(ch, 1), k, n): 1 for ch in chains})
+    return chains
 
 
-def tau(I, k, n):
-    """Planar face polynomial tau_I for a weakly increasing index tuple I of
-    length k (strictly increasing for honest subsets; internal u-variable
-    calls pass repeated indices).
+def chain_poly(row, ivals, k, n):
+    """Sum of x_{row,c_1} x_{row+1,c_2} ... x_{row+r-1,c_r} over the weakly
+    increasing chains c_1 <= ... <= c_r with lo_t <= c_t <= hi_t for
+    (lo_t, hi_t) = ivals[t] (`_chains`): one coefficient-1 monomial per
+    chain, in lexicographic chain order, built as one terms dict.  A chain
+    cell outside the grid raises IndexError (`grid_point`)."""
+    return Poly(k, n, {grid_point(dict.fromkeys(ch, 1), k, n): 1 for ch in _chains(row, ivals)})
 
-    Strip the maximal prefix [1, s] from I, shift the rest down by s, and
-    sum x_{s+1,a_1} ... x_{s+m-1,a_{m-1}} over weakly increasing tuples with
-    a_t in [j_t - t, j_{t+1} - t], the last interval ending at j_m - m.
-    """
+
+def _tau_ivals(I, k, n):
+    """(first row, column intervals) of the chains of tau_I (see `tau`),
+    read off a weakly increasing index I of k ints inside [1, n];
+    ValueError, naming I, for any other I, and unless (k, n) passes
+    `check_kn`."""
     check_kn(k, n)
     I = tuple(I)
+    if not all(type(a) is int for a in I):
+        raise ValueError(f"tau index entries must be ints, got {I}")
     if len(I) != k:
         raise ValueError(f"tau index must have {k} entries")
-    if any(a > b for a, b in zip(I, I[1:])):
+    if list(I) != sorted(I):
         raise ValueError("tau index must be weakly increasing")
+    if I[0] < 1 or I[-1] > n:
+        raise ValueError(f"tau index {I} not inside [1, {n}]")
     s = 0
     while s < len(I) and I[s] == s + 1:
         s += 1
     J = [j - s for j in I[s:]]
     m = len(J)
     ivals = [(max(J[t - 1] - t, 1), min(J[t] - t - (t == m - 1), n - k)) for t in range(1, m)]
-    return chain_poly(s + 1, ivals, k, n)
+    return s + 1, ivals
+
+
+def tau(I, k, n):
+    """Planar face polynomial tau_I for a weakly increasing index tuple I of
+    k ints inside [1, n] (strictly increasing for honest subsets; u-variable
+    ladders hold repeated indices); ValueError naming any other I.
+
+    Strip the maximal prefix [1, s] from I, shift the rest down by s, and
+    sum x_{s+1,a_1} ... x_{s+m-1,a_{m-1}} over weakly increasing tuples with
+    a_t in [j_t - t, j_{t+1} - t], the last interval ending at j_m - m.
+    """
+    return chain_poly(*_tau_ivals(I, k, n), k, n)
 
 
 def pk_factors(k, n):
@@ -798,45 +827,79 @@ def resolved_count_formula(n):
 # u-variables
 
 @shape_cache
-def _ladder(J, k, n):
-    """u_J as its ladder {tau index: +-1}, for a checked subset J and any
-    k, by one rule in 0-based positions: with J[q+1:] the run of labels J
+def _ladder_table(k, n):
+    """(ladders, taus): the ladder of each nonfrozen J, in the order of
+    `combinat._nonfrozen`, as a tuple of (tau id, +-1) pairs, and the tau
+    index of each id, numbered as first met; both immutable, since every
+    u-variable and identity of the shape reads them.
+
+    The ladder of u_J holds the signed exponents of its tau indices, by one
+    rule for any k in 0-based positions: with J[q+1:] the run of labels J
     ends with at n (q = k - 1 if none) and up, B' the tuples J, B with
     their first entry raised by one (the orientation the binary identities
     pin), u_J is tau(up) / tau(J) for q = 0 and else tau(up) tau(B) /
-    (tau(J) tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q).  The four
-    indices are distinct: up and B' differ from J and B in entry 0, and B
-    from J and up from B' in entry q.  The ladder is cached, so callers
-    only read the dict."""
-    if is_frozen(J, n):
-        raise ValueError(f"{J} is frozen; no u-variable")
-    q = next(q for q in range(k - 1, -1, -1) if J[q] != n - k + 1 + q)
-    num, den = [(J[0] + 1, *J[1:])], [J]
-    if q:
-        B = J[:q] + tuple(range(J[q] + 1, J[q] + k - q + 1))
-        num.append(B)
-        den.append((B[0] + 1, *B[1:]))
-    return {**dict.fromkeys(num, 1), **dict.fromkeys(den, -1)}
+    (tau(J) tau(B')), for B = J[:q] + (j_q + 1, ..., j_q + k - q) (so every
+    index lies in [1, n]).  The four indices are distinct: up and B' differ
+    from J and B in entry 0, and B from J and up from B' in entry q."""
+    ids, ladders = {}, []
+    for J in _nonfrozen(k, n)[0]:
+        q = next(q for q in range(k - 1, -1, -1) if J[q] != n - k + 1 + q)
+        num, den = [(J[0] + 1, *J[1:])], [J]
+        if q:
+            B = J[:q] + tuple(range(J[q] + 1, J[q] + k - q + 1))
+            num.append(B)
+            den.append((B[0] + 1, *B[1:]))
+        ladders.append(tuple([(ids.setdefault(I, len(ids)), e)
+                              for e, side in ((1, num), (-1, den)) for I in side]))
+    return tuple(ladders), tuple(ids)
 
 
 def _ladder_product(pairs, k, n):
-    """prod u^c over (ladder of u, int c) pairs as one FactoredRatio: the
-    exponents are summed on tau indices first, the indices whose exponents
-    cancel are dropped, and one `_product` runs over the rest."""
-    return _product([(_tau_ratio(I, k, n), e) for I, e in _combine(pairs).items()], k, n)
+    """prod u_J^c over (checked subset J, int c) pairs as one FactoredRatio:
+    c e is added into a list indexed by tau id over each (id, e) of J's
+    ladder, and one `_product` runs over the taus whose sums do not cancel.
+    ValueError for a frozen J, which has no u-variable."""
+    ladders, taus = _ladder_table(k, n)
+    index = _nonfrozen(k, n)[1]
+    sums = [0] * len(taus)
+    for J, c in pairs:
+        if J not in index:
+            raise ValueError(f"{J} is frozen; no u-variable")
+        for i, e in ladders[index[J]]:
+            sums[i] += c * e
+    return _product([(_tau_ratio(taus[i], k, n), sums[i])
+                     for i in compress(range(len(sums)), sums)], k, n)
 
 
 @shape_cache
 def _tau_ratio(I, k, n):
-    """tau(I) as a FactoredRatio, built once per (k, n) and index."""
-    return FactoredRatio.from_poly(tau(I, k, n))
+    """tau(I) as a FactoredRatio, built once per (k, n) and index straight
+    from its chains (`_chains`), as `FactoredRatio.from_poly(tau(I, k, n))`
+    would give it: every coefficient is 1, so the scalar is 1 (0 with no
+    chain); each cell on every chain is a grid-variable factor; and with two
+    or more chains, all of one degree, the chains less those cells are the
+    terms of the primitive factor, sorted as `Poly.key()` sorts them.  Each
+    chain's monomial is packed at one byte an exponent (`_pack`), so the
+    common cells are the AND of the packed chains, and sorting the
+    little-endian bytes of the rest sorts their exponent tuples."""
+    chains = _chains(*_tau_ivals(I, k, n))
+    if not chains:
+        return FactoredRatio(k, n, 0)
+    w, nv = n - k, (k - 1) * (n - k)
+    mons = [sum([1 << 8 * ((r - 1) * w + c - 1) for r, c in ch]) for ch in chains]
+    common = reduce(and_, mons)
+    exps = {_variable(i, nv): 1 for i, e in enumerate(common.to_bytes(nv, "little")) if e}
+    if len(chains) > 1:
+        rest = sorted([(m - common).to_bytes(nv, "little") for m in mons])
+        exps[_factor(tuple([(tuple(e), 1) for e in rest]))] = 1
+    return FactoredRatio(k, n, 1, exps)
 
 
 def u_variable(J, k, n):
     """Planar face ratio u_J as a normalized FactoredRatio: the product over
-    its ladder (see `_ladder`)."""
+    its ladder (see `_ladder_table`); ValueError for a frozen J."""
     check_kn(k, n)
-    return _ladder_product([(_ladder(check_subset(J, k, n), k, n), 1)], k, n)
+    return _ladder_product([(check_subset(J, k, n), 1)], k, n)
 
 
 def crossing_profile(J, k, n):
@@ -855,8 +918,7 @@ def _identity(J, k, n):
     u_I^{c_{I,J}}) for a checked subset J: the binary identity of J, both
     sides ladder products, built once per J."""
     profile = crossing_profile(J, k, n)
-    return (len(profile), _ladder_product([(_ladder(J, k, n), 1)], k, n),
-            _ladder_product([(_ladder(I, k, n), c) for I, c in profile], k, n))
+    return len(profile), _ladder_product([(J, 1)], k, n), _ladder_product(profile, k, n)
 
 
 @shape_cache

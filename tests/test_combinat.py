@@ -483,7 +483,7 @@ def test_clear_caches_empties_every_shape_cache():
     from grascat import roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
               kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
-              polynomial._ladder, polynomial._tau_ratio, polynomial._identity,
+              polynomial._ladder_table, polynomial._tau_ratio, polynomial._identity,
               polynomial._one_minus_u, polynomial._identity_plan, cli._parser,
               cli._subset_keys, combinat._nonfrozen, combinat._build_search_dag]
     # the registry holds the clears of these caches and nothing else
@@ -494,7 +494,7 @@ def test_clear_caches_empties_every_shape_cache():
     kinematics.kin_basis(3, 6)
     kinematics.eta_hat_shift(6)
     polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
-    polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladders, taus, identity, 1 - u
+    polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladder table, taus, identity, 1 - u
     polynomial.binary_identities_random_all(3, 6, trials=1)  # and the plan
     cli._parser()
     cli._subset_keys(3, 6)

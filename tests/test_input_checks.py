@@ -68,6 +68,24 @@ CASES = {
     "tau order": (
         lambda: polynomial.tau((1, 3, 2), 3, 6),
         ValueError, "tau index must be weakly increasing"),
+    "tau index above n": (
+        lambda: polynomial.tau((1, 2, 9), 3, 6),
+        ValueError, "tau index (1, 2, 9) not inside [1, 6]"),
+    "tau index below 1": (
+        lambda: polynomial.tau((0, 1, 2), 3, 6),
+        ValueError, "tau index (0, 1, 2) not inside [1, 6]"),
+    "tau index float": (
+        lambda: polynomial.tau((1.0, 2, 4), 3, 6),
+        ValueError, "tau index entries must be ints, got (1.0, 2, 4)"),
+    "tau index bool": (
+        lambda: polynomial.tau((True, 2, 4), 3, 6),
+        ValueError, "tau index entries must be ints, got (True, 2, 4)"),
+    "u_variable frozen": (
+        lambda: polynomial.u_variable((1, 2, 3), 3, 6),
+        ValueError, "(1, 2, 3) is frozen; no u-variable"),
+    "binary_identity_check frozen": (
+        lambda: polynomial.binary_identity_check((4, 5, 6), 3, 6, "random"),
+        ValueError, "(4, 5, 6) is frozen; no u-variable"),
     "delta size": (
         lambda: polynomial.delta(1, (1,), 3, 6),
         ValueError, "face index J must have between 2 and k entries"),

@@ -2,16 +2,17 @@
 parameterization, resolved minors and the u-variable identities."""
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grascat import linalg, polynomial
+from grascat import combinat, linalg, polynomial
 from grascat.combinat import clear_caches, nonfrozen_subsets
 from grascat.polynomial import (FactoredRatio, Poly, bcfw_matrix,
                                 binary_identities_random_all,
@@ -780,10 +781,58 @@ def test_ladder_sum_matches_product_of_u_variables(k, n):
     nf = nonfrozen_subsets(k, n)
     us = {I: u_variable(I, k, n) for I in nf}
     for J in nf:
-        ladders = [(polynomial._ladder(I, k, n), c)
-                   for I, c in polynomial.crossing_profile(J, k, n)]
-        summed = polynomial._ladder_product(ladders, k, n)
+        summed = polynomial._identity(J, k, n)[2]
         assert _fields(summed) == _fields(_crossing_product_reference(J, k, n, us)), J
+
+
+def _combined_ladders(J, k, n):
+    """The crossing product of J summed over whole ladder dicts keyed by tau
+    index (`linalg._combine`), the route the per-shape tau ids replaced."""
+    table, taus = polynomial._ladder_table(k, n)
+    index = combinat._nonfrozen(k, n)[1]
+    ladders = [({taus[i]: e for i, e in table[index[I]]}, c)
+               for I, c in polynomial.crossing_profile(J, k, n)]
+    return polynomial._product([(polynomial._tau_ratio(I, k, n), e)
+                                for I, e in linalg._combine(ladders).items()], k, n)
+
+
+@pytest.mark.parametrize("k,n", [(3, 9), (4, 8), (4, 9)])
+def test_id_summed_crossing_product_matches_combined_ladders(k, n):
+    for J in nonfrozen_subsets(k, n):
+        summed, combined = polynomial._identity(J, k, n)[2], _combined_ladders(J, k, n)
+        assert summed.scalar == combined.scalar and summed.exps == combined.exps, J
+
+
+def test_identity_sides_keep_no_room_for_cancelled_factors():
+    # a crossing product cancels nearly all of the factors it sums; its
+    # exponent map is copied, so it holds only the room of what is left
+    for J in nonfrozen_subsets(4, 8):
+        for r in polynomial._identity(J, 4, 8)[1:]:
+            assert sys.getsizeof(r.exps) == sys.getsizeof(dict(r.exps)), J
+
+
+def _assert_direct_tau_ratios(k, n):
+    for I in combinations_with_replacement(range(1, n + 1), k):
+        direct, oracle = polynomial._tau_ratio(I, k, n), FactoredRatio.from_poly(tau(I, k, n))
+        # the same scalar, of the same type, and the same interned factors in
+        # the same order
+        assert type(direct.scalar) is type(oracle.scalar) and direct.scalar == oracle.scalar, I
+        assert list(direct.exps.items()) == list(oracle.exps.items()), I
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 8), (4, 9), (5, 10)])
+def test_tau_ratio_from_chains_matches_from_poly(k, n):
+    _assert_direct_tau_ratios(k, n)
+    # zero, constant and variable-only taus are among them
+    scalars = {polynomial._tau_ratio(I, k, n).scalar
+               for I in combinations_with_replacement(range(1, n + 1), k)}
+    assert scalars == {0, 1}
+    assert not polynomial._tau_ratio(tuple(range(1, k + 1)), k, n).exps
+
+
+@pytest.mark.slow
+def test_tau_ratio_from_chains_matches_from_poly_slow():
+    _assert_direct_tau_ratios(6, 12)
 
 
 def _whole_denominator_verdict(J, k, n):
@@ -867,15 +916,17 @@ def test_cached_one_minus_u_matches_inline_form(k, n):
 
 @pytest.fixture
 def tau_builds(monkeypatch):
+    # a tau FactoredRatio is built from the chains `_tau_ivals` reads off its
+    # index, once per build; identity builds call `tau` no more
     built = Counter()
-    original = polynomial.tau
+    original = polynomial._tau_ivals
 
     def counting(I, k, n):
         built[tuple(I)] += 1
         return original(I, k, n)
 
     clear_caches()
-    monkeypatch.setattr(polynomial, "tau", counting)
+    monkeypatch.setattr(polynomial, "_tau_ivals", counting)
     yield built
     clear_caches()
 

@@ -29,6 +29,10 @@ FLIPS = {(3, 7): 287, (4, 8): 459, (3, 9): 470, (5, 10): 757}
 # shape: (distinct monomials, factor terms) of the random batch's plan
 PLAN = {(3, 12): (63, 1782), (4, 9): (80, 750)}
 
+# shape: (taus of the per-shape ladder table, distinct factors of their
+# FactoredRatios, grid variables included)
+LADDERS = {(3, 12): (264, 210), (4, 9): (175, 120)}
+
 
 @pytest.mark.parametrize("k,n", SEARCH)
 def test_search_dag_and_wall_counts(k, n):
@@ -63,3 +67,10 @@ def test_identity_plan_counts(k, n):
     plan = polynomial._identity_plan(k, n)
     terms = sum(len(slots) for groups in plan.factors for _d, _c, slots in groups)
     assert (len(plan.monomials), terms) == PLAN[k, n]
+
+
+@pytest.mark.parametrize("k,n", LADDERS)
+def test_ladder_table_counts(k, n):
+    _ladders, taus = polynomial._ladder_table(k, n)
+    factors = {f for I in taus for f in polynomial._tau_ratio(I, k, n).exps}
+    assert (len(taus), len(factors)) == LADDERS[k, n]

@@ -30,12 +30,13 @@ WORKLOADS = ("decompose", "identities", "polytopes", "amplitude")
 DONT_WRITE_BYTECODE = "1"
 
 
-def record(workload, seconds):
-    """(meta, result) of one fresh run of `workload`."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+def record(workload, seconds, seed=1, root=ROOT):
+    """(meta, result) of one fresh run of `workload` in the checkout at
+    `root`."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE=DONT_WRITE_BYTECODE)
-    out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
                          check=True).stdout.splitlines()
     meta = next(json.loads(line)["meta"] for line in out if line.startswith('{"meta"'))
     return meta, json.loads(out[-1])
