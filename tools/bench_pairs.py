@@ -10,11 +10,13 @@ odd pairs and the change first in the even ones, each in a fresh process
 through `tools/bench_record.py`'s `record`, so with the same
 PYTHONDONTWRITEBYTECODE=1 and `--trace 0`.  Give both checkouts without
 cached bytecode, as a fresh checkout is, or set-up compiles on one side
-only.  For each end-to-end metric it
-prints the median and quartiles of either side and the pairs the change
-wins, in the direction BENCHMARK.json gives the metric.  A claimed gain
-wants at least nine wins in ten and a gap between the medians larger than
-the parent's interquartile range; the last column says whether that holds.
+only.
+
+For each end-to-end metric it prints the quartiles of either side and the
+pairs the change wins, in the direction BENCHMARK.json gives the metric.
+A claimed gain wants at least nine wins in ten and a gap between the
+medians larger than the parent's interquartile range; the last column
+says whether that holds.
 Exit code 1 when a run does not report every op correct with 0 failed.
 """
 import argparse
