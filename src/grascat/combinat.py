@@ -1,10 +1,10 @@
-"""Combinatorics of k-element subsets of {1..n}: frozen subsets, weak
-separation, the crossing/noncrossing predicates, compatibility degree, and
-enumeration of maximal noncrossing collections.
+"""Combinatorics of k-element subsets of {1..n}: frozen subsets,
+compatibility degree (zero iff a pair is noncrossing), and enumeration of
+maximal noncrossing collections.
 
 Subsets are plain sorted tuples of ints in [1, n]; the ambient (k, n) is
-passed explicitly where it matters (frozenness and weak separation are
-cyclic notions, so they depend on n).
+passed explicitly where it matters (frozenness is a cyclic notion, so it
+depends on n).
 
 The C(n,k) - n nonfrozen k-subsets index the roots, the PK facets, the
 planar basis eta_J and the noncrossing graph.  They are listed, and mapped
@@ -81,7 +81,11 @@ def check_subset(J, k, n):
 
 
 def is_frozen(J, n):
-    """True iff the elements of J form one cyclic interval of (1..n)."""
+    """True iff the elements of J form one cyclic interval of (1..n).
+    ValueError, naming J, for an empty J or a label outside [1, n]."""
+    J = tuple(J)
+    if not J or min(J) < 1 or max(J) > n:
+        raise ValueError(f"subset {J} is not a nonempty subset of [1, {n}]")
     J = sorted(J)
     k = len(J)
     if k == n:
@@ -94,26 +98,6 @@ def is_frozen(J, n):
     if (J[0] + n) - J[-1] > 1:
         gaps += 1
     return gaps <= 1
-
-
-def is_weakly_separated(I, J, n):
-    """Weak separation of two subsets with respect to the cyclic order.
-
-    The indicator difference e_I - e_J must not contain a cyclically
-    alternating sign pattern at four positions; equivalently the cyclic
-    sequence of its nonzero signs has at most two sign changes.
-    """
-    I, J = set(I), set(J)
-    signs = []
-    for a in range(1, n + 1):
-        if a in I and a not in J:
-            signs.append(1)
-        elif a in J and a not in I:
-            signs.append(-1)
-    if len(signs) <= 2:
-        return True
-    changes = sum(1 for s, t in zip(signs, signs[1:] + signs[:1]) if s != t)
-    return changes <= 2
 
 
 def compatibility_degree(I, J, n):
@@ -146,20 +130,6 @@ def _crossing_labels(I, J):
                 labels |= 1 << u
             x, y = u, v
     return labels
-
-
-def is_noncrossing(I, J, n):
-    """True iff the pair has compatibility degree zero.
-
-    Frozen subsets cross nothing (their windows are always weakly
-    separated from everything or shielded by differing interiors), so the
-    predicate is safe to call on them too.
-    """
-    return compatibility_degree(I, J, n) == 0
-
-
-def is_crossing(I, J, n):
-    return compatibility_degree(I, J, n) > 0
 
 
 def check_kn(k, n):
@@ -218,9 +188,10 @@ def _face_numbers(k, n):
        Sigma 2017) prove that its flag complex on all k-subsets of [1, n]
        is a regular unimodular triangulation of the order polytope of the
        poset [k] x [n-k].
-    2. The n frozen subsets cross nothing (`is_noncrossing`), so a set is
-       pairwise noncrossing iff its nonfrozen part is: that complex is the
-       join of the simplex on the frozen subsets with the complex here.
+    2. The n frozen subsets cross nothing (`compatibility_degree` is 0
+       on every pair with one), so a set is pairwise noncrossing iff its
+       nonfrozen part is: that complex is the join of the simplex on the
+       frozen subsets with the complex here.
     3. A join with a simplex keeps h: the f-polynomial sum of f[i] x^i
        multiplies over a join, so h(t), (1-t)^dim times it at
        x = t/(1-t), does too, and a simplex has h(t) = 1.
@@ -249,26 +220,6 @@ def _face_numbers(k, n):
         level = grown
     h = [level[(m,) * k, k - 1, j] for j in range(d + 1)]
     return [sum(h[j] * math.comb(d - j, i - j) for j in range(i + 1)) for i in range(d + 1)]
-
-
-def k3_exponent_rule(I, J):
-    """Conjectured k=3 exponent: 0 when noncrossing, 2 when the two triples
-    fully interleave, 1 for any other crossing.  Each triple must be a
-    strictly increasing triple of ints from 1, as `check_subset` checks."""
-    I, J = tuple(I), tuple(J)
-    if len(I) != 3 or len(J) != 3:
-        raise ValueError("rule applies to 3-element subsets only")
-    for S in (I, J):
-        check_subset(S, 3, S[-1])
-    n = max(I[-1], J[-1])
-    c = compatibility_degree(I, J, n)
-    if c == 0:
-        return 0
-    i1, i2, i3 = I
-    j1, j2, j3 = J
-    if i1 < j1 < i2 < j2 < i3 < j3 or j1 < i1 < j2 < i2 < j3 < i3:
-        return 2
-    return 1
 
 
 @shape_cache

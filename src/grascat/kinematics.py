@@ -1,6 +1,6 @@
-"""The kinematic space K(k,n), the planar basis eta_J, distinguished
-points (PK, root kinematics, the K_D cone), octahedral commutators, the
-(3,n) kinematic shift eta-hat, and noncrossing amplitude evaluation.
+"""The kinematic space K(k,n), the planar basis eta_J, a strictly interior
+point of the planar cone K_D, the (3,n) kinematic shift eta-hat, and
+noncrossing amplitude evaluation.
 
 The nonfrozen eta_J form a basis of the dual of K(k,n) and eta_J of a
 frozen J vanishes on K, so functionals are kept as sparse eta-coordinates
@@ -15,13 +15,12 @@ import warnings
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, prod
-from operator import mul, sub
+from operator import sub
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, _bits, _first_collection, _noncrossing_graph,
                        _nonfrozen, _search_dag, check_kn, check_subset, is_frozen,
                        nonfrozen_subsets, shape_cache)
-from .roots import _in_cyclic_open, gamma_hat, grid_point
 
 F = Fraction
 
@@ -33,15 +32,6 @@ def _L(x, n):
     """[L_t(x) for t = 0..n-1] of a map x from labels to weights, where
     L_t(x) = x_{t+1} + 2 x_{t+2} + ... + (n-1) x_{t-1}, labels mod n."""
     return [sum((a - t) % n * w for a, w in x.items()) for t in range(n)]
-
-
-def rho_height(u, v, n):
-    """-(1/n) min_t L_t(v - u) for integer points u, v on the level-k
-    hyperplane; this is the tropical height whose bending encodes the
-    planar basis.  Raises ValueError unless u and v have n entries each."""
-    if len(u) != n or len(v) != n:
-        raise ValueError(f"u and v must have {n} entries, got {len(u)} and {len(v)}")
-    return linalg._exact(F(-min(_L({a: v[a - 1] - u[a - 1] for a in range(1, n + 1)}, n)), n))
 
 
 class KinFunctional:
@@ -85,11 +75,6 @@ class KinFunctional:
         """Evaluate on the point of K(k,n) with the given nonfrozen eta
         values (missing ones are zero)."""
         return linalg._exact(sum(c * eta_values.get(J, 0) for J, c in self.eta.items()))
-
-    def value(self, point):
-        """Evaluate on an s-value map, which must lie in K(k,n): the value
-        is read off the point's eta values."""
-        return self.on_eta(kin_basis(self.k, self.n).eta_values(point))
 
 
 @shape_cache
@@ -218,20 +203,6 @@ def kin_basis(k, n):
     return KinBasis(k, n)
 
 
-def functionals_equal_on_K(f, g):
-    """Equality of two functionals modulo the conservation relations."""
-    if (f.k, f.n) != (g.k, g.n):
-        raise ValueError("ambient mismatch")
-    return f.eta == g.eta
-
-
-def eta_combination(coeffs, k, n):
-    """sum c_J eta_J as a KinFunctional."""
-    check_kn(k, n)
-    return sum((eta_functional(tuple(J), k, n) * c for J, c in coeffs.items()),
-               KinFunctional(k, n))
-
-
 # ---------------------------------------------------------------------------
 # distinguished points
 
@@ -240,15 +211,6 @@ def check_conservation(point, k, n):
         if sum(v for J, v in point.items() if a in J):
             return False
     return True
-
-
-def pk_point(k, n):
-    """s-values of the Planar Kinematics point: +1 on the n cyclic windows
-    of length k, -1 on the windows with the last label shifted out by one."""
-    check_kn(k, n)
-    windows = [[(j + t) % n + 1 for t in range(k + 1)] for j in range(n)]
-    return linalg._combine([({tuple(sorted(w[:k])): 1, tuple(sorted(w[:k - 1] + w[k:])): -1}, 1)
-                            for w in windows])
 
 
 def _check_keys(point, subsets, k, n):
@@ -260,27 +222,6 @@ def _check_keys(point, subsets, k, n):
                 if I not in subsets or not all(type(a) is int for a in I)), None)
     if bad is not None:
         raise ValueError(f"s-value key {bad!r} is not a {k}-subset of [1, {n}]")
-
-
-def kd_membership(point, k, n, strict=False):
-    """Membership of an s-value map in the planar cone K_D: nonpositive on
-    nonfrozen subsets, nonnegative on the frozen windows.  Raises
-    ValueError unless (k, n) passes `check_kn`, and for a key that is not
-    a k-subset of [1, n], as `KinBasis.eta_values` does."""
-    check_kn(k, n)
-    subsets = dict.fromkeys(combinations(range(1, n + 1), k))
-    _check_keys(point, subsets, k, n)
-    if not check_conservation(point, k, n):
-        return False
-    for J in subsets:
-        v = point.get(J, 0)
-        if is_frozen(J, n):
-            if v < 0 or (strict and v == 0):
-                return False
-        else:
-            if v > 0 or (strict and v == 0):
-                return False
-    return True
 
 
 def interior_kd_point(k, n, seed=None):
@@ -304,37 +245,15 @@ def interior_kd_point(k, n, seed=None):
     return {J: v for J, v in base.items() if v}
 
 
-def octahedral_commutator(J, a, b, c, d, k, n):
-    """eta_J + eta_{J - e_b + e_a - e_d + e_c} - eta_{J - e_b + e_a}
-    - eta_{J - e_d + e_c}; requires b, d in J, a, c not in J, and the four
-    labels in alternating cyclic order (a < b < c < d up to rotation).
-    Nonnegative on K_D."""
-    J = tuple(sorted(J))
-    if not (b in J and d in J and a not in J and c not in J):
-        raise ValueError("need moves a<-b and c<-d with b, d in J and a, c outside")
-    signs = [s for _x, s in sorted([(a, 1), (b, -1), (c, 1), (d, -1)])]
-    if any(signs[i] == signs[i + 1] for i in range(3)):
-        raise ValueError("labels a, b, c, d must alternate in cyclic order")
-    J_ab = tuple(sorted(set(J) - {b} | {a}))
-    J_cd = tuple(sorted(set(J) - {d} | {c}))
-    J_both = tuple(sorted(set(J) - {b, d} | {a, c}))
-    out = eta_functional(J, k, n) + eta_functional(J_both, k, n)
-    out = out - eta_functional(J_ab, k, n) - eta_functional(J_cd, k, n)
-    return out
-
-
-def root_kinematics_point(alpha, k, n):
-    """The K-point with eta_J = gamma_J(alpha) for every nonfrozen J.
-    alpha is a sparse grid vector, read through `roots.grid_point`, so a
-    key outside the (k, n) grid raises IndexError."""
-    x = grid_point(alpha, k, n)
-    values = {J: sum(map(mul, grid_point(gamma_hat(J, k, n), k, n), x))
-              for J in nonfrozen_subsets(k, n)}
-    return kin_basis(k, n).point_from_eta(values)
-
-
 # ---------------------------------------------------------------------------
 # the (3, n) kinematic shift
+
+def _in_cyclic_open(x, lo, hi, n):
+    """x strictly inside the cyclic interval (lo, hi)."""
+    if lo < hi:
+        return lo < x < hi
+    return x > lo or x < hi
+
 
 def eta_tripod(A, B, k, n):
     """-eta_A + sum of eta with each element of A replaced by the unique
@@ -476,26 +395,6 @@ PRIME_ETA_36 = {
 NC_AMPLITUDE_36_VALUE = F(
     123056338102581409136850198886105885604358154,
     117823347678612917535483161041113226062939619903306798191335)
-
-
-def prime_kinematics_reproduction():
-    """Recompute the (3,6) prime-kinematics benchmark end to end: the
-    shifts -s_356 = 714 and -s_236 = 1324 from the prime eta table, the
-    shifted values eta-hat_124 = 7373 and eta-hat_145 = 11935, and the
-    exact noncrossing amplitude."""
-    point = kin_basis(3, 6).point_from_eta(PRIME_ETA_36)
-    hats = eta_hat_shift(6)
-    hat_values = {J: hat.on_eta(PRIME_ETA_36) for J, hat in hats.items()}
-    amplitude = nc_amplitude(3, 6, hat_values)
-    return {
-        "point": point,
-        "minus_s356": -point.get((3, 5, 6), 0),
-        "minus_s236": -point.get((2, 3, 6), 0),
-        "eta_hat_124": hat_values[(1, 2, 4)],
-        "eta_hat_145": hat_values[(1, 4, 5)],
-        "hat_values": hat_values,
-        "amplitude": amplitude,
-    }
 
 
 # frozen golden values for the 19 shifted (3,8) functionals, written as

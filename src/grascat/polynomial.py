@@ -1,18 +1,15 @@
 """Exact multivariate polynomials in the grid variables x_{i,j} for
 (i, j) in [1, k-1] x [1, n-k], and everything built on them: the staircase
 face polynomials tau, the PK factors P_i and Q_j, face polynomials delta,
-the positive (BCFW-style) parameterization matrix, Plucker minors,
-compound-determinant resolved minors, u-variables and the binary
-identities they satisfy.
+u-variables and the binary identities they satisfy.
 
 Polynomials are dicts from dense exponent tuples to integer (or rational)
 coefficients.  Exponent tuples and evaluation points are laid out as
 `roots.grid_point`, the one dense form of a grid vector, which also rejects
-a variable outside the grid.  Every staircase polynomial (tau, m_{i,j},
-P_i, Q_j, delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly
-increasing column chains c_1 <= c_2 <= ... with each c_t in an interval;
-`_chains` enumerates them, and `chain_poly` builds the sum as one terms
-dict.
+a variable outside the grid.  Every staircase polynomial (tau, P_i, Q_j,
+delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly increasing column
+chains c_1 <= c_2 <= ... with each c_t in an interval; `_chains`
+enumerates them, and `chain_poly` builds the sum as one terms dict.
 
 A FactoredRatio is scalar * prod f^{e_f} over factors f, each a grid
 variable or a canonical primitive polynomial, with one signed exponent map
@@ -74,11 +71,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress
-from math import comb, gcd, prod
+from math import gcd, prod
 from operator import add, and_, sub
 
 from .combinat import (_bits, _noncrossing_graph, _nonfrozen, check_kn, check_subset,
-                       compatibility_degree, is_weakly_separated, shape_cache)
+                       compatibility_degree, shape_cache)
 from .linalg import _combine, _exact, _integral, _ratio
 from .roots import grid_point
 
@@ -342,32 +339,6 @@ def divide_exact(f, g):
     return Poly(f.k, f.n, quot)
 
 
-def det_poly(rows):
-    """Determinant of a square matrix of Poly, by cofactor expansion.
-    Raises ValueError for a matrix that is empty or not square, as
-    `linalg.det` does."""
-    m = len(rows)
-    if not m or any(len(row) != m for row in rows):
-        raise ValueError("determinant needs a nonempty square matrix")
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for c in range(m):
-        entry = rows[0][c]
-        if not entry:
-            continue
-        sub = [[row[cc] for cc in range(m) if cc != c] for row in rows[1:]]
-        term = entry * det_poly(sub)
-        if c % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return Poly.zero(rows[0][0].k, rows[0][0].n)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # factored rational expressions
 
@@ -599,12 +570,6 @@ def _product(pairs, k, n):
     return FactoredRatio(k, n, _ratio(num, den), dict(_combine([(r.exps, c) for r, c in pairs])))
 
 
-def _quotient(nums, dens, k, n):
-    """prod nums / prod dens for lists of Poly, as one FactoredRatio."""
-    return _product([(FactoredRatio.from_poly(p), 1) for p in nums]
-                    + [(FactoredRatio.from_poly(p), -1) for p in dens], k, n)
-
-
 # ---------------------------------------------------------------------------
 # staircase face polynomials
 
@@ -704,126 +669,6 @@ def delta(i, J, k, n):
 
 
 # ---------------------------------------------------------------------------
-# positive parameterization
-
-def m_poly(i, j, k, n):
-    """Matrix entry m_{i,j}: sum over weakly increasing column tuples
-    (c_i <= ... <= c_{k-1}) in [1, j] of prod_a x_{a,c_a} --- the vertex sum
-    of a fibered simplex.  Raises ValueError unless (k, n) passes
-    `check_kn`."""
-    check_kn(k, n)
-    return chain_poly(i, [(1, j)] * (k - i), k, n)
-
-
-@shape_cache
-def bcfw_matrix(k, n):
-    """k x n positive-parameterization matrix: identity block in columns
-    1..k, then column k+j holding m_{i,j} 'in rows i < k and 1 in the last
-    row.  Rows of the polynomial block carry alternating signs (-1)^{k-1-i}
-    so that every maximal minor has nonnegative coefficients.  Built once
-    per (k, n); ValueError unless (k, n) passes `check_kn`."""
-    check_kn(k, n)
-    cols = []
-    for c in range(1, k + 1):
-        cols.append([Poly.const(k, n, 1 if r == c else 0) for r in range(1, k + 1)])
-    for j in range(1, n - k + 1):
-        col = []
-        for i in range(1, k):
-            p = m_poly(i, j, k, n)
-            if (k - i) % 2 == 1:
-                p = p * (-1)
-            col.append(p)
-        col.append(Poly.one(k, n))
-        cols.append(col)
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(k))
-
-
-def plucker(J, k, n):
-    """Maximal minor with column set J of the positive parameterization;
-    ValueError unless (k, n) passes `check_kn` and J `check_subset`."""
-    check_kn(k, n)
-    J = check_subset(J, k, n)
-    M = bcfw_matrix(k, n)
-    rows = [[M[r][c - 1] for c in J] for r in range(k)]
-    return det_poly(rows)
-
-
-def _col(M, j):
-    """Column j of the 3 x n matrix M, for a label j in [1, n]; any other
-    label raises ValueError, so `compound_X` and `compound_A` reject it."""
-    n = len(M[0])
-    if type(j) is not int or not 1 <= j <= n:
-        raise ValueError(f"column label {j!r} not inside [1, {n}]")
-    return [M[r][j - 1] for r in range(3)]
-
-
-def _cross(u, v):
-    return [u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0]]
-
-
-def compound_X(pair1, pair2, pair3, n):
-    """X determinant of the three cross products of column pairs, k=3."""
-    M = bcfw_matrix(3, n)
-    vs = [_cross(_col(M, a), _col(M, b)) for (a, b) in (pair1, pair2, pair3)]
-    return det_poly([[vs[c][r] for c in range(3)] for r in range(3)])
-
-
-def compound_A(i, j, kk, n):
-    """A_{ijk} = det((u1 x u2) x (u_i x u_{i+1}), u_j,
-    (u_{j+1} x u_{j+2}) x (u_k x u_1)) on the k=3 parameterization."""
-    if j + 2 > n:
-        raise ValueError("A_{ijk} needs column j+2 <= n; use the X form")
-    M = bcfw_matrix(3, n)
-    c1 = _cross(_cross(_col(M, 1), _col(M, 2)), _cross(_col(M, i), _col(M, i + 1)))
-    c2 = _col(M, j)
-    c3 = _cross(_cross(_col(M, j + 1), _col(M, j + 2)), _cross(_col(M, kk), _col(M, 1)))
-    return det_poly([[c1[r], c2[r], c3[r]] for r in range(3)])
-
-
-def resolved_minor(J, n):
-    """Resolved minor p-hat_J on the (3, n) parameterization, as an exact
-    polynomial; equals plucker(J) unless some lexicographically smaller I
-    forms a noncrossing-but-not-weakly-separated pair with J."""
-    i, j, kk = check_subset(J, 3, n)
-    if i == 1:
-        return plucker(J, 3, n)
-    if j == n - 1 and kk == n:
-        num = compound_X((1, 2), (i, i + 1), (n - 1, n), n)
-        return divide_exact(num, plucker((1, 2, i + 1), 3, n))
-    num = compound_A(i, j, kk, n)
-    den = plucker((1, 2, i + 1), 3, n) * plucker((1, j + 1, j + 2), 3, n)
-    return divide_exact(num, den)
-
-
-def _graph_row(J, k, n):
-    """(nonfrozen subsets, mask of those crossing J, mask of those before J
-    not crossing it), read off `combinat._noncrossing_graph` at J's position
-    in `combinat._nonfrozen`; both masks are 0 for a frozen J, which crosses
-    nothing and is weakly separated from all."""
-    verts, adj = _noncrossing_graph(k, n)
-    t = _nonfrozen(k, n)[1].get(J)
-    if t is None:
-        return verts, 0, 0
-    return verts, ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t), adj[t] & ((1 << t) - 1)
-
-
-def needs_resolution(J, n):
-    """Lexicographic criterion: some I < J with (I, J) noncrossing and not
-    weakly separated.  Raises ValueError unless J passes `check_subset`
-    as a 3-subset of [1, n]."""
-    J = check_subset(J, 3, n)
-    verts, _cross, before = _graph_row(J, 3, n)
-    return any(not is_weakly_separated(verts[i], J, n) for i in _bits(before))
-
-
-def resolved_count_formula(n):
-    """N_n = C(n-5, 3) + 2 (n-5)^2 nontrivially resolved minors on (3, n)."""
-    return comb(n - 5, 3) + 2 * (n - 5) ** 2
-
-
-# ---------------------------------------------------------------------------
 # u-variables
 
 @shape_cache
@@ -904,11 +749,17 @@ def u_variable(J, k, n):
 
 def crossing_profile(J, k, n):
     """Sorted list of (I, c_{I,J}) over subsets crossing J: J's
-    non-neighbours in the noncrossing graph, none for a frozen J.
-    ValueError unless (k, n) passes `check_kn` and J `check_subset`."""
+    non-neighbours in the noncrossing graph, read off its row at J's
+    position in `combinat._nonfrozen`; none for a frozen J, which crosses
+    nothing.  ValueError unless (k, n) passes `check_kn` and J
+    `check_subset`."""
     check_kn(k, n)
     J = check_subset(J, k, n)
-    verts, cross, _before = _graph_row(J, k, n)
+    verts, adj = _noncrossing_graph(k, n)
+    t = _nonfrozen(k, n)[1].get(J)
+    if t is None:
+        return []
+    cross = ((1 << len(verts)) - 1) & ~adj[t] & ~(1 << t)
     return [(verts[i], compatibility_degree(verts[i], J, n)) for i in _bits(cross)]
 
 
@@ -1013,39 +864,6 @@ def binary_identity_check(J, k, n, mode="symbolic", trials=20, seed=0):
     return verdict
 
 
-# ---------------------------------------------------------------------------
-# the potential-function coordinate identities
-
-ROOT_POTENTIAL_RATIOS = {
-    (3, 6): {
-        (1, 1): ((156, 234), (134, 256)),
-        (1, 2): ((124, 156, 345), (134, 145, 256)),
-        (1, 3): ((125, 456), (145, 256)),
-        (2, 1): ((126, 134), (124, 136)),
-        (2, 2): ((123, 126, 145), (124, 125, 136)),
-        (2, 3): ((123, 156), (125, 136)),
-    },
-    (4, 8): {
-        (1, 1): ((1678, 2345), (1345, 2678)),
-        (1, 2): ((1245, 1678, 3456), (1345, 1456, 2678)),
-        (1, 3): ((1256, 1678, 4567), (1456, 1567, 2678)),
-        (1, 4): ((1267, 5678), (1567, 2678)),
-        (2, 1): ((1278, 1345), (1245, 1378)),
-        (2, 2): ((1235, 1278, 1456), (1245, 1256, 1378)),
-        (2, 3): ((1236, 1278, 1567), (1256, 1267, 1378)),
-        (2, 4): ((1237, 1678), (1267, 1378)),
-        (3, 1): ((1238, 1245), (1235, 1248)),
-        (3, 2): ((1234, 1238, 1256), (1235, 1236, 1248)),
-        (3, 3): ((1234, 1238, 1267), (1236, 1237, 1248)),
-        (3, 4): ((1234, 1278), (1237, 1248)),
-    },
-}
-
-
-def _digits(code):
-    return tuple(int(ch) for ch in str(code))
-
-
 def binary_identities_random_all(k, n, trials=20, seed=0):
     """Random-exact verification of every binary identity at (k, n)
     through the shape's cached plan (`_identity_plan`): each trial evaluates
@@ -1063,20 +881,3 @@ def binary_identities_random_all(k, n, trials=20, seed=0):
     else:
         verdict["checked"] = len(nf)
     return verdict
-
-
-def root_potential_check(k, n):
-    """Check every displayed minor-ratio coefficient of the root-kinematics
-    potential against x_{i,j} / sum_l x_{i,l} on the parameterization.
-    Returns {(i, j): bool}."""
-    table = ROOT_POTENTIAL_RATIOS.get((k, n))
-    if table is None:
-        raise ValueError(f"no tabulated root potential for ({k}, {n})")
-    results = {}
-    for (i, j), (nums, dens) in table.items():
-        ratio = _quotient([plucker(_digits(code), k, n) for code in nums],
-                          [plucker(_digits(code), k, n) for code in dens], k, n)
-        # x_{i,j} over the row sum P_i
-        target = _quotient([Poly.var(i, j, k, n)], [chain_poly(i, [(1, n - k)], k, n)], k, n)
-        results[(i, j)] = ratio.ratio_equal(target)
-    return results

@@ -1,10 +1,10 @@
 """Exact rational polyhedral machinery: V/H conversion by the double
 description method, face lattices and f-vectors, Newton polytopes, and the
-named polytopes of the build: root polytopes, the PK polytope, fibered
-simplices, planar faces and the PK associahedron.  The LP membership test
-`in_convex_hull`, a revised phase-1 simplex on ints with the lexicographic
-rule, is kept only for perfbench's polytopes workload; nothing in the
-package calls it.  Membership in the root polytope needs no LP
+named polytopes of the build: root polytopes, the PK polytope and the PK
+associahedron.  The LP membership test `in_convex_hull`, a revised
+phase-1 simplex on ints with the lexicographic rule, is kept only for
+perfbench's polytopes workload; nothing in the package calls it.
+Membership in the root polytope needs no LP
 (`root_polytope_contains`, one noncrossing expansion).  `pk_polytope`,
 `root_polytope`, `root_polytope_contains`, `tau_newton_facets`,
 `pk_associahedron` and `triangulation_volume` run `combinat.check_kn`
@@ -58,13 +58,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
-from math import comb
 from operator import and_, mul
 
 from . import linalg
 from .combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _face_numbers, _search_dag,
                        check_kn, nonfrozen_subsets)
-from .polynomial import chain_poly, delta, pk_factors, planar_face_range, tau
+from .polynomial import delta, pk_factors, planar_face_range, tau
 from .roots import _fan, _running_sums, gamma_hat, grid_point, row_sums, v_root
 
 F = Fraction
@@ -174,8 +173,11 @@ def cone_rays(rows):
     1996): a pair is adjacent iff no third ray is tight wherever both are,
     so the two span a 2-face with no other old ray on it, and the new ray
     is where that face meets the new hyperplane, in its relative interior,
-    which it shares with no other face.
+    which it shares with no other face.  ValueError, naming rows, for an
+    empty list of rows.
     """
+    if not rows:
+        raise ValueError(f"cone_rays needs at least one row, got {rows!r}")
     rows = [linalg._primitive(row) for row in rows]
     D = len(rows[0])
     idxs = _independent_rows(rows)
@@ -236,14 +238,6 @@ class PolytopeRep:
             return -1
         return linalg.rank([[x - y for x, y in zip(v, self.vertices[0])]
                             for v in self.vertices[1:]])
-
-    def contains(self, point):
-        if len(point) != self.ambient:
-            raise ValueError(f"point of length {len(point)} in R^{self.ambient}")
-        return (all(b + sum(e * x for e, x in zip(coeffs, point)) == 0
-                    for (b, coeffs) in self.equalities)
-                and all(c + sum(a * x for a, x in zip(coeffs, point)) >= 0
-                        for (c, coeffs) in self.inequalities))
 
     def f_vector(self):
         return face_lattice_f_vector(self)
@@ -469,19 +463,6 @@ def triangulation_volume(k, n, max_collections=MAX_COLLECTIONS):
     return count
 
 
-def omega_vertices(k, m):
-    """0/1 vertices of the fibered simplex: row i has its 1 in column c_i
-    with c_1 <= c_2 <= ... <= c_{k-1}; dense points in R^{(k-1) x m}, the
-    exponent vectors of the chain sum over [1, m] in the (k, k + m) grid."""
-    return list(chain_poly(1, [(1, m)] * (k - 1), k, k + m).terms)
-
-
-def planar_face_polytope(i, J, k, n):
-    """Vertex list of the planar face F^{(i)}_J as a PolytopeRep: the
-    exponent vectors of its face polynomial delta."""
-    return hull_of_points(list(delta(i, J, k, n).terms))
-
-
 def pk_associahedron(k, n):
     """Minkowski sum of all planar faces F^{(i)}_J, the Newton polytope of
     the product of the face polynomials delta^{(i)}_J, certified by
@@ -496,23 +477,6 @@ def pk_associahedron(k, n):
     if not agrees:
         raise AssertionError("the gamma_J H-rep is not the Minkowski sum of the planar faces")
     return P, len(pairs)
-
-
-def minkowski_summand_count(k, n):
-    return comb(n, k) - k * (n - k) - 1
-
-
-def minimize_face(vertices, functional):
-    """(minimum value, vertex sublist attaining it) of a . x over a vertex
-    list.  Raises ValueError on an empty list, or on a functional whose
-    length differs from a vertex's."""
-    if not vertices:
-        raise ValueError("empty vertex list")
-    if any(len(v) != len(functional) for v in vertices):
-        raise ValueError("functional and vertices of unequal lengths")
-    vals = [sum(a * x for a, x in zip(functional, v)) for v in vertices]
-    m = min(vals)
-    return m, [v for v, val in zip(vertices, vals) if val == m]
 
 
 def tau_newton_facets(k, n):
@@ -724,24 +688,3 @@ def _in_minkowski_sum(key, factor_bits):
     takes its minimum over the factor: iff key meets the bits of every
     factor."""
     return all(key & bits for bits in factor_bits)
-
-
-def lift_and_lower_hull(vertices, heights):
-    """Cells of the regular subdivision induced by lifting vertex i to
-    height h_i and projecting the lower hull.  Returns a sorted list of
-    cells, each a tuple of vertex indices.
-
-    The hull of the lifted points reduces to their affine hull itself, so
-    inputs in a proper affine subspace are handled.  An equality of it with
-    a nonzero height coefficient means the heights are affine: the trivial
-    one-cell subdivision.  A lower facet has an inner normal of positive
-    height.
-    """
-    if len(vertices) != len(heights):
-        raise ValueError("need one height per vertex")
-    lifted = [(*map(linalg._exact, v), linalg._exact(h)) for v, h in zip(vertices, heights)]
-    hull = hull_of_points(lifted)
-    if any(a[-1] for _c, a in hull.equalities):
-        return [tuple(range(len(vertices)))]
-    return sorted(tuple(i for i, v in enumerate(lifted) if c + sum(map(mul, a, v)) == 0)
-                  for c, a in hull.inequalities if a[-1] > 0)

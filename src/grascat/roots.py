@@ -1,17 +1,16 @@
-"""Generalized positive roots, their quotient-lattice images, cubical
-relations, and the unique positive noncrossing expansion of any vector in
-the row-sum-zero subspace (the complete simplicial fan of noncrossing
-cones).
+"""Generalized positive roots, their quotient-lattice images, and the
+unique positive noncrossing expansion of any vector in the row-sum-zero
+subspace (the complete simplicial fan of noncrossing cones).
 
 Grid vectors live in R^{(k-1) x (n-k)} and are stored sparsely as dicts
 {(i, j): int or Fraction} with 1-based row/column indices; the ambient
 (k, n) is passed alongside.  `grid_point` is their one dense form, the
 row-major tuple, and the one bounds check of the grid layout: every
 module that needs dense coordinates reads them from it.  gamma_hat gives
-the e-basis coefficient vector of the linear function gamma_J; project_f
-sends e_{i,j} to f_{i,j} so that every row sums to zero, and
-v_root(J) = project_f(gamma_hat(J)) is the vertex of the root polytope
-attached to J.
+the e-basis coefficient vector of the linear function gamma_J, and
+v_root(J), its image under e_{i,j} -> f_{i,j} = e_{i,j} - e_{i,j+1}
+(column n-k+1 read as 1), under which every row sums to zero, is the
+vertex of the root polytope attached to J.
 """
 from __future__ import annotations
 
@@ -42,32 +41,12 @@ def grid_point(v, k, n):
     return tuple(xs)
 
 
-def grid_add(a, b, mult=1):
-    """a + mult*b for sparse grid vectors; drops exact zeros."""
-    return linalg._combine([(a, 1), (b, mult)])
-
-
-def f_combination(fcoeffs, k, n):
-    """Expand a combination of the cyclic differences f_{i,j} into e-basis
-    coordinates; f_{i,j} = e_{i,j} - e_{i,j+1} with column n-k wrapping to 1."""
-    w = n - k
-    terms = []
-    for (i, j), c in fcoeffs.items():
-        terms += [({(i, j): c}, 1), ({(i, 1 if j == w else j + 1): c}, -1)]
-    return linalg._combine(terms)
-
-
 def gamma_hat(J, k, n):
     """0/1 int e-basis coefficient vector of gamma_J: row i carries the
     interval [j_i - (i-1), j_{i+1} - i - 1], possibly empty."""
     check_kn(k, n)
     J = check_subset(J, k, n)
     return {(i, j): 1 for i in range(1, k) for j in range(J[i - 1] - (i - 1), J[i] - i)}
-
-
-def project_f(v, k, n):
-    """Image of a grid vector under e_{i,j} -> f_{i,j}; rows then sum to 0."""
-    return f_combination(v, k, n)
 
 
 def gamma_functional(J, k, n):
@@ -78,7 +57,7 @@ def gamma_functional(J, k, n):
 def v_root(J, k, n):
     """Root vector v_J in the quotient; zero iff J is a cyclic interval.
 
-    project_f(gamma_hat(J)) in closed form: row i of gamma_hat(J) is the
+    The f-image of gamma_hat(J) in closed form: row i of gamma_hat(J) is the
     column interval [a, b] = [j_i - i + 1, j_{i+1} - i - 1], and its
     f-image telescopes to e_{i,a} - e_{i,b+1}, column n-k+1 read as 1.  An
     empty row gives nothing, and so does a full one, [1, n-k].
@@ -101,58 +80,10 @@ def row_sums(x, k, n):
     return [sum(x[r:r + w]) for r in range(0, (k - 1) * w, w)]
 
 
-def lattice_coords(v, k, n):
-    """Coordinates of a row-sum-zero grid vector in the lattice basis
-    {f_{i,j} : 1 <= j <= n-k-1} (last column dropped per row): the running
-    partial sums of each dense row, ints for an int vector."""
-    return _running_sums(grid_point(v, k, n), n - k)
-
-
 def _running_sums(x, w):
     """The running partial sums of each row of length w of the dense point
     x, the last (the row sum) dropped."""
     return [s for r in range(0, len(x), w) for s in accumulate(x[r:r + w - 1])]
-
-
-# ---------------------------------------------------------------------------
-# cubical relations
-
-def check_four_term(I, a, b, c, d, k, n):
-    """Verify gamma_{Iac} + gamma_{Ibd} = gamma_{Iad} + gamma_{Ibc} as exact
-    e-basis vectors (degenerating to the three-term identity when one of the
-    subsets is a plain interval, whose gamma vanishes)."""
-    I = tuple(sorted(I))
-    if not a < b < c < d or set(I) & {a, b, c, d}:
-        raise ValueError("need disjoint I and a < b < c < d")
-
-    def gam(extra):
-        J = tuple(sorted(I + extra))
-        return gamma_hat(J, k, n)
-
-    lhs = grid_add(gam((a, c)), gam((b, d)))
-    rhs = grid_add(gam((a, d)), gam((b, c)))
-    return lhs == rhs
-
-
-def cube_antipode(pairs, L=()):
-    """The unique noncrossing pair of antipodal vertices of the cube built
-    on interlaced pairs (i_1, j_1), ..., (i_m, j_m) plus fixed labels L:
-    take i from the odd pairs and j from the even ones, and conversely."""
-    pairs = [tuple(p) for p in pairs]
-    flat = [x for p in pairs for x in p]
-    if flat != sorted(flat) or len(set(flat)) != len(flat):
-        raise ValueError("pairs must interlace: i1 < j1 < i2 < j2 < ...")
-    if set(flat) & set(L):
-        raise ValueError("extra labels must avoid the interlaced pairs")
-    m1, m2 = [], []
-    for t, (i, j) in enumerate(pairs):
-        if t % 2 == 0:
-            m1.append(i)
-            m2.append(j)
-        else:
-            m1.append(j)
-            m2.append(i)
-    return tuple(sorted(m1 + list(L))), tuple(sorted(m2 + list(L)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +160,9 @@ class _Fan:
         if len(self.start) != d:
             raise AssertionError("greedy collection is not maximal-pure")
         # the lattice coordinates of the start members: the running sums of
-        # x_{i,j} - x_{i,j-1} (column 0 read as n-k) telescope, so
-        # lattice_coords(project_f(x)) at (i, j) is x_{i,j} - x_{i,n-k}
+        # x_{i,j} - x_{i,j-1} (column 0 read as n-k) telescope, so the
+        # lattice coordinates of the f-image of x at (i, j) are
+        # x_{i,j} - x_{i,n-k}
         w = n - k
         coords = [[g[r + j] - g[r + w - 1] for r in range(0, len(g), w) for j in range(w - 1)]
                   for g in (self.gammas[i] for i in self.start)]
@@ -378,51 +310,7 @@ def noncrossing_decompose(v, k, n):
     return _fan(k, n).locate(_running_sums(x, n - k))
 
 
-def noncrossing_degree(coeffs, k, n):
-    """Support size of the noncrossing expansion of sum c_J v_J."""
-    return len(noncrossing_decompose(combo_vector(coeffs, k, n), k, n))
-
-
 def combo_vector(coeffs, k, n):
     """Grid vector of a formal combination sum c_J v_J."""
     check_kn(k, n)
     return linalg._combine([(v_root(J, k, n), c) for J, c in coeffs.items()])
-
-
-def tripod_vector(U, Uprime, n):
-    """Coefficient map of the tripod on the triple U = (u, v, w), in cyclic
-    order, with replacement labels Uprime = (u', v', w') in the cyclic gaps
-    after u, v, w respectively: -[uvw] + [u'vw] + [uv'w] + [uvw'].  Raises
-    ValueError unless U is a rotation of an increasing triple and all six
-    labels lie in [1, n].
-    """
-    U = tuple(U)
-    Uprime = tuple(Uprime)
-    if len(U) != 3 or len(Uprime) != 3:
-        raise ValueError("tripod needs triples")
-    u, v, w = U
-    if not (u < v < w or v < w < u or w < u < v):
-        raise ValueError(f"tripod triple {U} is not in cyclic order")
-    if not all(1 <= x <= n for x in U + Uprime):
-        raise ValueError(f"tripod labels {U}, {Uprime} not inside [1, {n}]")
-    for x, lo, hi in ((Uprime[0], u, v), (Uprime[1], v, w), (Uprime[2], w, u)):
-        if not _in_cyclic_open(x, lo, hi, n):
-            raise ValueError(f"label {x} not in the cyclic gap ({lo}, {hi})")
-    return linalg._combine([({tuple(sorted(U)): 1}, -1)]
-                           + [({tuple(sorted(set(U) - {old} | {new})): 1}, 1)
-                              for old, new in zip(U, Uprime)])
-
-
-def tripod_pair(U, Uprime, n):
-    """The image of the tripod (U, Uprime) in the bijection of tripods of
-    Delta_{3,n} with noncrossing pairs of 3-subsets that are not weakly
-    separated: the noncrossing expansion of `tripod_vector`, which is that
-    pair with coefficients 1, as a {subset: coefficient} map."""
-    return noncrossing_decompose(combo_vector(tripod_vector(U, Uprime, n), 3, n), 3, n)
-
-
-def _in_cyclic_open(x, lo, hi, n):
-    """x strictly inside the cyclic interval (lo, hi)."""
-    if lo < hi:
-        return lo < x < hi
-    return x > lo or x < hi

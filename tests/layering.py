@@ -1,13 +1,15 @@
 """The architecture rules of ``src/grascat``, one row each, and the one AST
 walker that checks them: `rule_test` turns a row (the module it exempts, if
 any, the message naming what it found and a predicate on AST nodes) into a
-test over the package's modules, so a new rule is one more row and a call."""
+test over the package's modules, and over the files `ALSO` adds to a rule,
+so a new rule is one more row and a call."""
 import ast
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "grascat").glob("*.py"))
+CLAIMS = Path(__file__).parent / "claims.py"
 
 
 def _named(name):
@@ -43,13 +45,17 @@ RULES = {
     "in_convex_hull": (None, "in_convex_hull named", _named("in_convex_hull")),
 }
 
+# rule: files outside the package that it also walks; the paper claims that
+# moved out of the library to the tests stay exact
+ALSO = {"float": [CLAIMS]}
+
 
 def rule_test(rule):
     """The test of RULES[rule] over every module of the package it does not
     exempt."""
     exempt, message, hit = RULES[rule]
 
-    @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != exempt],
+    @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != exempt] + ALSO.get(rule, []),
                              ids=lambda p: p.name)
     def test(path):
         tree = ast.parse(path.read_text(), filename=str(path))

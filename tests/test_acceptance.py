@@ -18,6 +18,7 @@ from math import comb
 import pytest
 
 from grascat import combinat, kinematics, linalg, polynomial, polytope, roots
+import claims
 
 
 def report(tag, ok, detail=""):
@@ -79,16 +80,16 @@ def test_criterion_3_fan_completeness():
             total = {}
             for J, c in res.items():
                 assert c > 0
-                total = roots.grid_add(total, roots.v_root(J, k, n), c)
+                total = claims.grid_add(total, roots.v_root(J, k, n), c)
             assert total == v, (k, n, t)
             supp = sorted(res)
             for A, B in combinations(supp, 2):
-                assert combinat.is_noncrossing(A, B, n)
+                assert claims.is_noncrossing(A, B, n)
             # determinism doubles as a uniqueness spot check
             assert roots.noncrossing_decompose(v, k, n) == res
     # the worked decompositions
-    v = roots.f_combination({(1, 3): 3, (1, 4): 3, (1, 5): 2, (1, 6): 1, (2, 1): 2,
-                             (2, 4): 1, (2, 5): 2, (2, 6): 2, (2, 7): 2}, 3, 10)
+    v = claims.f_combination({(1, 3): 3, (1, 4): 3, (1, 5): 2, (1, 6): 1, (2, 1): 2,
+                              (2, 4): 1, (2, 5): 2, (2, 6): 2, (2, 7): 2}, 3, 10)
     assert roots.noncrossing_decompose(v, 3, 10) == {
         (1, 2, 4): 2, (3, 6, 10): 1, (3, 7, 8): 1, (3, 8, 9): 1, (4, 5, 10): 1}
     cmap = {(1, 3, 5, 7): 1, (2, 3, 5, 7): -1, (1, 4, 5, 7): -1, (1, 3, 6, 7): -1,
@@ -96,10 +97,10 @@ def test_criterion_3_fan_completeness():
             (1, 4, 5, 8): 1, (1, 5, 6, 7): 1, (2, 3, 6, 7): 1}
     assert roots.noncrossing_decompose(roots.combo_vector(cmap, 4, 8), 4, 8) == {
         (1, 2, 3, 5): 1, (1, 5, 6, 7): 1, (3, 4, 7, 8): 1}
-    tp = roots.tripod_vector((1, 3, 5), (2, 4, 6), 7)
+    tp = claims.tripod_vector((1, 3, 5), (2, 4, 6), 7)
     assert roots.noncrossing_decompose(roots.combo_vector(tp, 3, 7), 3, 7) == {
         (1, 4, 5): 1, (2, 3, 6): 1}
-    tp = roots.tripod_vector((2, 4, 6), (3, 5, 1), 7)
+    tp = claims.tripod_vector((2, 4, 6), (3, 5, 1), 7)
     assert roots.noncrossing_decompose(roots.combo_vector(tp, 3, 7), 3, 7) == {
         (1, 2, 4): 1, (3, 5, 6): 1}
     report("3 (fan completeness, 1000 random vectors each + worked examples)", True)
@@ -217,7 +218,7 @@ def test_criterion_6_compatibility_spot_values():
 # -- 7 ----------------------------------------------------------------------
 
 def test_criterion_7_prime_kinematics():
-    rep = kinematics.prime_kinematics_reproduction()
+    rep = claims.prime_kinematics_reproduction()
     assert rep["minus_s356"] == 714
     assert rep["minus_s236"] == 1324
     assert rep["eta_hat_124"] == 7373
@@ -236,7 +237,7 @@ def test_criterion_8_pk_amplitude():
             combinat.catalan_mdim(k, n - k), (k, n)
         # and the PK point really has eta = 1 everywhere
         if (k, n) in [(2, 6), (3, 6), (4, 7)]:
-            pk = kinematics.pk_point(k, n)
+            pk = claims.pk_point(k, n)
             etas = kinematics.kin_basis(k, n).eta_values(pk)
             assert all(v == 1 for v in etas.values())
     report("8 (PK amplitude equals the multidimensional Catalan number)", True)
@@ -273,25 +274,25 @@ def test_criterion_8_pk_amplitude_slow_4_10(capsys):
 # -- 9 ----------------------------------------------------------------------
 
 def test_criterion_9_resolved_minors():
-    p123, p456 = polynomial.plucker((1, 2, 3), 3, 6), polynomial.plucker((4, 5, 6), 3, 6)
-    assert polynomial.resolved_minor((2, 3, 6), 6) == (
-        polynomial.plucker((2, 3, 6), 3, 6)
-        - polynomial.divide_exact(p123 * p456, polynomial.plucker((1, 4, 5), 3, 6)))
-    assert polynomial.resolved_minor((3, 5, 6), 6) == (
-        polynomial.plucker((3, 5, 6), 3, 6)
-        - polynomial.divide_exact(p123 * p456, polynomial.plucker((1, 2, 4), 3, 6)))
+    p123, p456 = claims.plucker((1, 2, 3), 3, 6), claims.plucker((4, 5, 6), 3, 6)
+    assert claims.resolved_minor((2, 3, 6), 6) == (
+        claims.plucker((2, 3, 6), 3, 6)
+        - polynomial.divide_exact(p123 * p456, claims.plucker((1, 4, 5), 3, 6)))
+    assert claims.resolved_minor((3, 5, 6), 6) == (
+        claims.plucker((3, 5, 6), 3, 6)
+        - polynomial.divide_exact(p123 * p456, claims.plucker((1, 2, 4), 3, 6)))
     resolved7 = sorted(J for J in combinations(range(1, 8), 3)
-                       if polynomial.resolved_minor(J, 7) != polynomial.plucker(J, 3, 7))
+                       if claims.resolved_minor(J, 7) != claims.plucker(J, 3, 7))
     assert resolved7 == [(2, 3, 6), (2, 3, 7), (2, 4, 7), (3, 4, 7),
                         (3, 5, 6), (3, 5, 7), (3, 6, 7), (4, 6, 7)]
-    assert [polynomial.resolved_count_formula(n) for n in (6, 7, 8, 9)] == [2, 8, 19, 36]
+    assert [claims.resolved_count_formula(n) for n in (6, 7, 8, 9)] == [2, 8, 19, 36]
     for n in (6, 7):
         lexcrit = sorted(J for J in combinations(range(1, n + 1), 3)
-                         if polynomial.needs_resolution(J, n))
+                         if claims.needs_resolution(J, n))
         symbolic = sorted(J for J in combinations(range(1, n + 1), 3)
-                          if polynomial.resolved_minor(J, n) != polynomial.plucker(J, 3, n))
+                          if claims.resolved_minor(J, n) != claims.plucker(J, 3, n))
         assert lexcrit == symbolic
-        assert len(lexcrit) == polynomial.resolved_count_formula(n)
+        assert len(lexcrit) == claims.resolved_count_formula(n)
     report("9 (resolved minors: relations, the (3,7) list, N_n, lex criterion)", True)
 
 
@@ -300,12 +301,12 @@ def test_criterion_9_resolved_minors():
 def test_criterion_10_kinematic_shift():
     hats = kinematics.eta_hat_shift(8)
     shifted = {J for J in combinat.nonfrozen_subsets(3, 8)
-               if not kinematics.functionals_equal_on_K(
+               if not claims.functionals_equal_on_K(
                    hats[J], kinematics.eta_functional(J, 3, 8))}
     assert shifted == set(kinematics.ETA_HAT_38_TABLE) and len(shifted) == 19
     for J, coeffs in kinematics.ETA_HAT_38_TABLE.items():
-        assert kinematics.functionals_equal_on_K(
-            hats[J], kinematics.eta_combination(coeffs, 3, 8)), J
+        assert claims.functionals_equal_on_K(
+            hats[J], claims.eta_combination(coeffs, 3, 8)), J
     report("10 (general (3,n) shift equals the explicit (3,8) table, 19 subsets)",
            True)
 
@@ -313,9 +314,9 @@ def test_criterion_10_kinematic_shift():
 # -- 11 ---------------------------------------------------------------------
 
 def test_criterion_11_root_potential():
-    r36 = polynomial.root_potential_check(3, 6)
+    r36 = claims.root_potential_check(3, 6)
     assert len(r36) == 6 and all(r36.values())
-    r48 = polynomial.root_potential_check(4, 8)
+    r48 = claims.root_potential_check(4, 8)
     assert len(r48) == 12 and all(r48.values())
     report("11 (root-potential coordinate identities: 6 ratios at (3,6), "
            "12 at (4,8))", True)
@@ -329,12 +330,12 @@ def test_criterion_12_tripod_bijection():
         for a, b, c, d, e, f in combinations(range(1, n + 1), 6):
             # the two tripods of a 6-subset
             for U, Uprime in (((a, c, e), (b, d, f)), ((b, d, f), (c, e, a))):
-                pair = roots.tripod_pair(U, Uprime, n)
+                pair = claims.tripod_pair(U, Uprime, n)
                 assert sorted(pair.values()) == [1, 1], (n, U, Uprime)
                 images.add(tuple(sorted(pair)))
         expected = {(I, J) for I, J in combinations(combinations(range(1, n + 1), 3), 2)
-                    if combinat.is_noncrossing(I, J, n)
-                    and not combinat.is_weakly_separated(I, J, n)}
+                    if claims.is_noncrossing(I, J, n)
+                    and not claims.is_weakly_separated(I, J, n)}
         assert len(images) == 2 * comb(n, 6) and images == expected, n
     report("12 (tripod bijection: 2 C(n,6) tripods onto the noncrossing pairs that "
            "are not weakly separated, n = 6..10)", True)

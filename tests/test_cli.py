@@ -14,6 +14,7 @@ from grascat import cli, combinat
 from grascat.cli import main, subset_key
 from grascat.combinat import nonfrozen_subsets
 from grascat.kinematics import nc_amplitude
+import claims
 
 
 def run(capsys, *argv):
@@ -867,7 +868,8 @@ def _flip_quadruples_per_pair(k, n):
     their sparse gamma sum, each pair tested with is_noncrossing."""
     from itertools import combinations
 
-    from grascat.roots import gamma_hat, grid_add
+    from claims import grid_add
+    from grascat.roots import gamma_hat
     groups = {}
     for A, B in combinations(nonfrozen_subsets(k, n), 2):
         vec = tuple(sorted(grid_add(gamma_hat(A, k, n), gamma_hat(B, k, n)).items()))
@@ -876,7 +878,7 @@ def _flip_quadruples_per_pair(k, n):
     for pairs in groups.values():
         if len(pairs) < 2:
             continue
-        nc = [(A, B) for (A, B) in pairs if combinat.is_noncrossing(A, B, n)]
+        nc = [(A, B) for (A, B) in pairs if claims.is_noncrossing(A, B, n)]
         if len(nc) != 1:
             continue
         I, J = nc[0]

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import cli, combinat, kinematics, linalg, polynomial
-from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _face_numbers, _first_collection,
-                              _has_clique, _noncrossing_graph, _search_dag, catalan_mdim, check_kn,
-                              check_subset, compatibility_degree,
-                              enumerate_maximal_noncrossing, is_crossing,
-                              is_frozen, is_noncrossing, is_weakly_separated,
-                              k3_exponent_rule, nonfrozen_subsets)
+from grascat.combinat import (MAX_COLLECTIONS, ResourceLimitExceeded, _bits, _face_numbers,
+                              _first_collection, _has_clique, _noncrossing_graph, _search_dag,
+                              catalan_mdim, check_kn, check_subset, compatibility_degree,
+                              enumerate_maximal_noncrossing, is_frozen, nonfrozen_subsets)
 from grascat.kinematics import kin_basis, nc_amplitude
 from grascat.polytope import triangulation_volume
+import claims
+from claims import is_crossing, is_noncrossing, is_weakly_separated, k3_exponent_rule
 from unit_pivot import _reference_fold, _reference_graph
 
 
@@ -460,7 +460,7 @@ def test_check_kn_takes_ints_only(k, n):
     # shape caches with typed keys: 3.0 misses the entry of 3, and the
     # build's own check_kn rejects it
     kin_basis,
-    polynomial.bcfw_matrix,
+    claims.bcfw_matrix,
     lambda k, n: kinematics.eta_functional((1, 3, 5), k, n),
     _noncrossing_graph,
     cli._subset_keys,
@@ -482,10 +482,10 @@ def test_non_int_shape_raises_cold_and_warm(build):
 def test_clear_caches_empties_every_shape_cache():
     from grascat import roots
     caches = [combinat._noncrossing_graph, roots._fan, kinematics.eta_functional,
-              kinematics.kin_basis, kinematics._shift_rows, polynomial.bcfw_matrix,
-              polynomial._ladder_table, polynomial._tau_ratio, polynomial._identity,
-              polynomial._one_minus_u, polynomial._identity_plan, cli._parser,
-              cli._subset_keys, combinat._nonfrozen, combinat._build_search_dag]
+              kinematics.kin_basis, kinematics._shift_rows, polynomial._ladder_table,
+              polynomial._tau_ratio, polynomial._identity, polynomial._one_minus_u,
+              polynomial._identity_plan, cli._parser, cli._subset_keys, combinat._nonfrozen,
+              combinat._build_search_dag]
     # the registry holds the clears of these caches and nothing else
     assert len(combinat._CLEARS) == len(caches)
     assert set(combinat._CLEARS) == {c.cache_clear for c in caches}
@@ -493,7 +493,6 @@ def test_clear_caches_empties_every_shape_cache():
     kinematics.eta_functional((1, 3, 5), 3, 6)
     kinematics.kin_basis(3, 6)
     kinematics.eta_hat_shift(6)
-    polynomial.plucker((2, 4, 6), 3, 6)  # and the matrix
     polynomial.binary_identity_check((1, 3, 5), 3, 6)  # ladder table, taus, identity, 1 - u
     polynomial.binary_identities_random_all(3, 6, trials=1)  # and the plan
     cli._parser()

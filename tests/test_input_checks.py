@@ -7,58 +7,68 @@ import pytest
 
 from grascat import combinat, kinematics, polynomial, polytope, roots
 from grascat.polynomial import Poly
+import claims
 
 CASES = {
+    "is_frozen empty": (
+        lambda: combinat.is_frozen((), 40),
+        ValueError, "subset () is not a nonempty subset of [1, 40]"),
+    "is_frozen label past n": (
+        lambda: combinat.is_frozen((1, 3, 9), 6),
+        ValueError, "subset (1, 3, 9) is not a nonempty subset of [1, 6]"),
+    "is_frozen label below 1": (
+        lambda: combinat.is_frozen((0, 1, 2), 6),
+        ValueError, "subset (0, 1, 2) is not a nonempty subset of [1, 6]"),
     "compatibility_degree sizes": (
         lambda: combinat.compatibility_degree((1, 2), (1, 2, 3), 5),
         ValueError, "subsets must have the same size"),
     "k3_exponent_rule": (
-        lambda: combinat.k3_exponent_rule((1, 2), (1, 2, 3)),
+        lambda: claims.k3_exponent_rule((1, 2), (1, 2, 3)),
         ValueError, "rule applies to 3-element subsets only"),
     "k3_exponent_rule unsorted": (
-        lambda: combinat.k3_exponent_rule((3, 2, 1), (1, 2, 4)),
+        lambda: claims.k3_exponent_rule((3, 2, 1), (1, 2, 4)),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),
     "k3_exponent_rule repeated": (
-        lambda: combinat.k3_exponent_rule((1, 3, 5), (2, 2, 4)),
+        lambda: claims.k3_exponent_rule((1, 3, 5), (2, 2, 4)),
         ValueError, "subset must be strictly increasing: (2, 2, 4)"),
     "k3_exponent_rule float": (
-        lambda: combinat.k3_exponent_rule((1, 3, 5), (2.0, 3, 4)),
+        lambda: claims.k3_exponent_rule((1, 3, 5), (2.0, 3, 4)),
         ValueError, "subset entries must be ints, got (2.0, 3, 4)"),
     "check_four_term": (
-        lambda: roots.check_four_term((1,), 3, 2, 4, 5, 3, 6),
+        lambda: claims.check_four_term((1,), 3, 2, 4, 5, 3, 6),
         ValueError, "need disjoint I and a < b < c < d"),
     "cube_antipode order": (
-        lambda: roots.cube_antipode([(1, 3), (2, 4)]),
+        lambda: claims.cube_antipode([(1, 3), (2, 4)]),
         ValueError, "pairs must interlace: i1 < j1 < i2 < j2 < ..."),
     "cube_antipode labels": (
-        lambda: roots.cube_antipode([(1, 2), (3, 4)], L=(2,)),
+        lambda: claims.cube_antipode([(1, 2), (3, 4)], L=(2,)),
         ValueError, "extra labels must avoid the interlaced pairs"),
     "tripod_vector": (
-        lambda: roots.tripod_vector((1, 3), (2, 4, 6), 7),
+        lambda: claims.tripod_vector((1, 3), (2, 4, 6), 7),
         ValueError, "tripod needs triples"),
     "tripod_vector order": (
-        lambda: roots.tripod_vector((3, 1, 5), (5, 2, 6), 6),
+        lambda: claims.tripod_vector((3, 1, 5), (5, 2, 6), 6),
         ValueError, "tripod triple (3, 1, 5) is not in cyclic order"),
     "tripod_vector labels": (
-        lambda: roots.tripod_vector((1, 3, 5), (2, 4, 9), 6),
+        lambda: claims.tripod_vector((1, 3, 5), (2, 4, 9), 6),
         ValueError, "tripod labels (1, 3, 5), (2, 4, 9) not inside [1, 6]"),
     "root_kinematics_point key off the grid": (
-        lambda: kinematics.root_kinematics_point({(9, 9): 1}, 3, 6),
+        lambda: claims.root_kinematics_point({(9, 9): 1}, 3, 6),
         IndexError, "variable x_{9,9} outside the (3,6) grid"),
     "rho_height long vectors": (
-        lambda: kinematics.rho_height([1, 0, 0, 0, 9], [0, 1, 0, 0, 7], 4),
+        lambda: claims.rho_height([1, 0, 0, 0, 9], [0, 1, 0, 0, 7], 4),
         ValueError, "u and v must have 4 entries, got 5 and 5"),
     "rho_height short vector": (
-        lambda: kinematics.rho_height([1, -1, 0, 0], [0, 0, 0], 4),
+        lambda: claims.rho_height([1, -1, 0, 0], [0, 0, 0], 4),
         ValueError, "u and v must have 4 entries, got 4 and 3"),
     "eta_tripod": (
         lambda: kinematics.eta_tripod((1, 3, 5), (2, 3, 4), 3, 6),
         ValueError, "triples (1, 3, 5), (2, 3, 4) do not interleave"),
     "octahedral_commutator moves": (
-        lambda: kinematics.octahedral_commutator((1, 2, 4), 3, 5, 6, 7, 3, 7),
+        lambda: claims.octahedral_commutator((1, 2, 4), 3, 5, 6, 7, 3, 7),
         ValueError, "need moves a<-b and c<-d with b, d in J and a, c outside"),
     "functionals_equal_on_K": (
-        lambda: kinematics.functionals_equal_on_K(
+        lambda: claims.functionals_equal_on_K(
             kinematics.eta_functional((1, 3, 5), 3, 6),
             kinematics.eta_functional((1, 3, 5), 3, 7)),
         ValueError, "ambient mismatch"),
@@ -114,19 +124,19 @@ CASES = {
         lambda: polynomial.delta(1, (1, 3), 3.0, 6),
         ValueError, "k and n must be ints, got (3.0, 6)"),
     "compound_A": (
-        lambda: polynomial.compound_A(1, 5, 2, 6),
+        lambda: claims.compound_A(1, 5, 2, 6),
         ValueError, "A_{ijk} needs column j+2 <= n; use the X form"),
     "compound_X label 0": (
-        lambda: polynomial.compound_X((0, 1), (2, 3), (5, 6), 6),
+        lambda: claims.compound_X((0, 1), (2, 3), (5, 6), 6),
         ValueError, "column label 0 not inside [1, 6]"),
     "compound_A label 0": (
-        lambda: polynomial.compound_A(0, 2, 5, 6),
+        lambda: claims.compound_A(0, 2, 5, 6),
         ValueError, "column label 0 not inside [1, 6]"),
     "compound_A label past n": (
-        lambda: polynomial.compound_A(5, 2, 9, 6),
+        lambda: claims.compound_A(5, 2, 9, 6),
         ValueError, "column label 9 not inside [1, 6]"),
     "root_potential_check": (
-        lambda: polynomial.root_potential_check(2, 5),
+        lambda: claims.root_potential_check(2, 5),
         ValueError, "no tabulated root potential for (2, 5)"),
     "binary_identity_check mode": (
         lambda: polynomial.binary_identity_check((1, 3, 5), 3, 6, mode="exact"),
@@ -138,30 +148,33 @@ CASES = {
         lambda: polynomial.divide_exact(Poly.var(1, 1, 3, 6), Poly.const(3, 6, 0)),
         ZeroDivisionError, "division by the zero polynomial"),
     "det_poly one row of two": (
-        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)]]),
+        lambda: claims.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)]]),
         ValueError, "determinant needs a nonempty square matrix"),
     "det_poly empty": (
-        lambda: polynomial.det_poly([]),
+        lambda: claims.det_poly([]),
         ValueError, "determinant needs a nonempty square matrix"),
     "det_poly two rows of one": (
-        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6)], [Poly.var(1, 2, 3, 6)]]),
+        lambda: claims.det_poly([[Poly.var(1, 1, 3, 6)], [Poly.var(1, 2, 3, 6)]]),
         ValueError, "determinant needs a nonempty square matrix"),
     "det_poly empty dict": (
-        lambda: polynomial.det_poly({}),
+        lambda: claims.det_poly({}),
         ValueError, "determinant needs a nonempty square matrix"),
     "det_poly ragged": (
-        lambda: polynomial.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)],
-                                     [Poly.var(2, 1, 3, 6)]]),
+        lambda: claims.det_poly([[Poly.var(1, 1, 3, 6), Poly.var(1, 2, 3, 6)],
+                                 [Poly.var(2, 1, 3, 6)]]),
         ValueError, "determinant needs a nonempty square matrix"),
     "resolved_minor order": (
-        lambda: polynomial.resolved_minor((3, 2, 1), 6),
+        lambda: claims.resolved_minor((3, 2, 1), 6),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),
     "resolved_minor repeat": (
-        lambda: polynomial.resolved_minor((2, 4, 4), 6),
+        lambda: claims.resolved_minor((2, 4, 4), 6),
         ValueError, "subset must be strictly increasing: (2, 4, 4)"),
     "resolved_minor size": (
-        lambda: polynomial.resolved_minor((2, 4), 6),
+        lambda: claims.resolved_minor((2, 4), 6),
         ValueError, "expected a 3-element subset, got (2, 4)"),
+    "cone_rays no rows": (
+        lambda: polytope.cone_rays([]),
+        ValueError, "cone_rays needs at least one row, got []"),
     "hull_of_points": (
         lambda: polytope.hull_of_points([]),
         ValueError, "empty point set"),
@@ -169,28 +182,28 @@ CASES = {
         lambda: polytope.hull_of_points([(0, 0), (1,), (0, 1)]),
         ValueError, "points of unequal lengths"),
     "lift_and_lower_hull": (
-        lambda: polytope.lift_and_lower_hull([(0,), (1,)], [0]),
+        lambda: claims.lift_and_lower_hull([(0,), (1,)], [0]),
         ValueError, "need one height per vertex"),
     "lift_and_lower_hull empty": (
-        lambda: polytope.lift_and_lower_hull([], []),
+        lambda: claims.lift_and_lower_hull([], []),
         ValueError, "empty point set"),
     "lift_and_lower_hull lengths": (
-        lambda: polytope.lift_and_lower_hull([(0, 0), (1,), (0, 1)], [0, 0, 0]),
+        lambda: claims.lift_and_lower_hull([(0, 0), (1,), (0, 1)], [0, 0, 0]),
         ValueError, "points of unequal lengths"),
     "PolytopeRep.contains short point": (
-        lambda: polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]).contains((0,)),
+        lambda: claims.contains(polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]), (0,)),
         ValueError, "point of length 1 in R^2"),
     "PolytopeRep.contains long point": (
-        lambda: polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]).contains((0, 0, 7)),
+        lambda: claims.contains(polytope.hull_of_points([(0, 0), (1, 0), (0, 1)]), (0, 0, 7)),
         ValueError, "point of length 3 in R^2"),
     "minimize_face empty": (
-        lambda: polytope.minimize_face([], (1, 2)),
+        lambda: claims.minimize_face([], (1, 2)),
         ValueError, "empty vertex list"),
     "minimize_face lengths": (
-        lambda: polytope.minimize_face([(0, 0), (1, 0)], (1,)),
+        lambda: claims.minimize_face([(0, 0), (1, 0)], (1,)),
         ValueError, "functional and vertices of unequal lengths"),
     "minimize_face long functional": (
-        lambda: polytope.minimize_face([(0, 0), (1, 0)], (1, 2, 3)),
+        lambda: claims.minimize_face([(0, 0), (1, 0)], (1, 2, 3)),
         ValueError, "functional and vertices of unequal lengths"),
     "root_polytope_contains length": (
         lambda: polytope.root_polytope_contains((0,) * 5, 3, 6),
@@ -199,10 +212,10 @@ CASES = {
         lambda: polytope.root_polytope_contains((), 1, 3),
         ValueError, "need 2 <= k <= n-2, got (1, 3)"),
     "KinFunctional.value outside K": (
-        lambda: kinematics.eta_functional((1, 3, 5), 3, 6).value({(1, 2, 3): 1}),
+        lambda: claims.value(kinematics.eta_functional((1, 3, 5), 3, 6), {(1, 2, 3): 1}),
         ValueError, "the s-values break momentum conservation: not a point of K(3,6)"),
     "KinFunctional.value short key": (
-        lambda: kinematics.eta_functional((1, 3, 5), 3, 6).value({(1, 2): 5}),
+        lambda: claims.value(kinematics.eta_functional((1, 3, 5), 3, 6), {(1, 2): 5}),
         ValueError, "s-value key (1, 2) is not a 3-subset of [1, 6]"),
     "eta_values key outside [1, n]": (
         lambda: kinematics.kin_basis(3, 6).eta_values({(1, 2, 7): 1, (1, 2, 3): -1}),
@@ -223,16 +236,16 @@ CASES = {
         lambda: kinematics.eta_functional((1, 3, 5, 6), 3, 6),
         ValueError, "expected a 3-element subset, got (1, 3, 5, 6)"),
     "eta_combination label outside [1, n]": (
-        lambda: kinematics.eta_combination({(1, 2, 9): 2}, 3, 6),
+        lambda: claims.eta_combination({(1, 2, 9): 2}, 3, 6),
         ValueError, "subset (1, 2, 9) not inside [1, 6]"),
     "eta_tripod pairs": (
         lambda: kinematics.eta_tripod((1, 3), (2, 4), 3, 6),
         ValueError, "expected a 3-element subset, got (1, 3)"),
     "plucker label outside [1, n]": (
-        lambda: polynomial.plucker((1, 2, 9), 3, 6),
+        lambda: claims.plucker((1, 2, 9), 3, 6),
         ValueError, "subset (1, 2, 9) not inside [1, 6]"),
     "plucker short": (
-        lambda: polynomial.plucker((1, 2), 3, 6),
+        lambda: claims.plucker((1, 2), 3, 6),
         ValueError, "expected a 3-element subset, got (1, 2)"),
     "crossing_profile label outside [1, n]": (
         lambda: polynomial.crossing_profile((1, 2, 9), 3, 7),
@@ -244,19 +257,19 @@ CASES = {
         lambda: polynomial.crossing_profile((3, 2, 1), 3, 7),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),
     "needs_resolution label outside [1, n]": (
-        lambda: polynomial.needs_resolution((1, 2, 9), 6),
+        lambda: claims.needs_resolution((1, 2, 9), 6),
         ValueError, "subset (1, 2, 9) not inside [1, 6]"),
     "needs_resolution decreasing": (
-        lambda: polynomial.needs_resolution((3, 2, 1), 6),
+        lambda: claims.needs_resolution((3, 2, 1), 6),
         ValueError, "subset must be strictly increasing: (3, 2, 1)"),
     "needs_resolution short": (
-        lambda: polynomial.needs_resolution((1, 3), 6),
+        lambda: claims.needs_resolution((1, 3), 6),
         ValueError, "expected a 3-element subset, got (1, 3)"),
     "kd_membership short key": (
-        lambda: kinematics.kd_membership({(1, 2): -1}, 3, 6),
+        lambda: claims.kd_membership({(1, 2): -1}, 3, 6),
         ValueError, "s-value key (1, 2) is not a 3-subset of [1, 6]"),
     "kd_membership unsorted key": (
-        lambda: kinematics.kd_membership({(3, 2, 1): 0}, 3, 6),
+        lambda: claims.kd_membership({(3, 2, 1): 0}, 3, 6),
         ValueError, "s-value key (3, 2, 1) is not a 3-subset of [1, 6]"),
     "combo_vector k = n": (
         lambda: roots.combo_vector({(1, 2, 3): 1}, 3, 3),
@@ -283,7 +296,7 @@ CASES = {
 # an s-value key must be a tuple of ints: one that only equals a subset is
 # rejected, as check_subset rejects it
 for _key in ((1.0, 2, 4), (True, 2, 4), (F(1), 2, 4)):
-    for _name, _f in (("kd_membership", lambda p: kinematics.kd_membership(p, 3, 6)),
+    for _name, _f in (("kd_membership", lambda p: claims.kd_membership(p, 3, 6)),
                       ("eta_values", lambda p: kinematics.kin_basis(3, 6).eta_values(p)),
                       ("KinFunctional", lambda p: kinematics.KinFunctional(3, 6, p))):
         CASES[f"{_name} key {_key!r}"] = (lambda f=_f, key=_key: f({key: 0}), ValueError,
@@ -306,16 +319,16 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                    lambda k, n: polynomial.binary_identity_check((1, 3, 5), k, n)),
                   ("nc_amplitude", lambda k, n: kinematics.nc_amplitude(k, n, {})),
                   ("kin_basis", kinematics.kin_basis),
-                  ("pk_point", kinematics.pk_point),
+                  ("pk_point", claims.pk_point),
                   ("interior_kd_point", kinematics.interior_kd_point),
-                  ("eta_combination", lambda k, n: kinematics.eta_combination({}, k, n)),
+                  ("eta_combination", lambda k, n: claims.eta_combination({}, k, n)),
                   ("tau", lambda k, n: polynomial.tau((1, 2, 3), k, n)),
-                  ("plucker", lambda k, n: polynomial.plucker((2, 4, 6), k, n)),
-                  ("bcfw_matrix", polynomial.bcfw_matrix),
+                  ("plucker", lambda k, n: claims.plucker((2, 4, 6), k, n)),
+                  ("bcfw_matrix", claims.bcfw_matrix),
                   ("eta_functional", lambda k, n: kinematics.eta_functional((1, 3, 5), k, n)),
-                  ("kd_membership", lambda k, n: kinematics.kd_membership({}, k, n)),
+                  ("kd_membership", lambda k, n: claims.kd_membership({}, k, n)),
                   ("planar_face_range", polynomial.planar_face_range),
-                  ("m_poly", lambda k, n: polynomial.m_poly(1, 2, k, n)),
+                  ("m_poly", lambda k, n: claims.m_poly(1, 2, k, n)),
                   ("v_root", lambda k, n: roots.v_root((1, 3, 5), k, n)),
                   ("gamma_hat", lambda k, n: roots.gamma_hat((1, 3, 5), k, n)),
                   ("combo_vector", lambda k, n: roots.combo_vector({}, k, n))):

@@ -10,17 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import kinematics, linalg
-from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
-                              is_noncrossing, nonfrozen_subsets)
-from grascat.kinematics import (ETA_HAT_38_TABLE, KinFunctional,
-                                NC_AMPLITUDE_36_VALUE, PRIME_ETA_36,
-                                prime_kinematics_reproduction, check_conservation,
-                                eta_combination, eta_functional, eta_hat_shift,
-                                eta_tripod, functionals_equal_on_K,
-                                interior_kd_point, kd_membership, kin_basis,
-                                nc_amplitude, octahedral_commutator, pk_point,
-                                rho_height, root_kinematics_point)
+from grascat.combinat import ResourceLimitExceeded, enumerate_maximal_noncrossing, nonfrozen_subsets
+from grascat.kinematics import (ETA_HAT_38_TABLE, KinFunctional, NC_AMPLITUDE_36_VALUE,
+                                PRIME_ETA_36, check_conservation, eta_functional, eta_hat_shift,
+                                eta_tripod, interior_kd_point, kin_basis, nc_amplitude)
 from grascat.roots import gamma_hat
+from claims import (eta_combination, functionals_equal_on_K, is_noncrossing, kd_membership,
+                    octahedral_commutator, pk_point, prime_kinematics_reproduction, rho_height,
+                    root_kinematics_point, value)
 
 
 def test_rho_height():
@@ -231,7 +228,7 @@ def test_octahedral_commutators_nonnegative(k, n):
                 except ValueError:
                     continue
                 # strict at an interior point of the planar cone
-                assert f.value(point) > 0, (J, a, b, c, d)
+                assert value(f, point) > 0, (J, a, b, c, d)
                 count += 1
     assert count > 0
 
@@ -246,7 +243,7 @@ def test_root_kinematics():
         for J in nonfrozen_subsets(k, n):
             g = gamma_hat(J, k, n)
             want = sum((F(c) * alpha.get(key, F(0)) for key, c in g.items()), F(0))
-            assert eta_functional(J, k, n).value(pt) == want
+            assert value(eta_functional(J, k, n), pt) == want
 
 
 def test_eta_tripod_orientations():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from grascat import kinematics, linalg, roots
 from grascat.combinat import nonfrozen_subsets
+import claims
 
 KINDS = ("int", "sign", "fraction")
 
@@ -262,7 +263,7 @@ def _combinations(draw):
 def _tripods(n):
     """Every tripod (U, Uprime) on [1, n] with U increasing."""
     def gaps(lo, hi):
-        return [x for x in range(1, n + 1) if roots._in_cyclic_open(x, lo, hi, n)]
+        return [x for x in range(1, n + 1) if kinematics._in_cyclic_open(x, lo, hi, n)]
     return [((u, v, w), (a, b, c)) for u, v, w in combinations(range(1, n + 1), 3)
             for a in gaps(u, v) for b in gaps(v, w) for c in gaps(w, u)]
 
@@ -275,14 +276,14 @@ def test_grid_sums_match_the_retired_loops(first, second):
     if second[:2] == (k, n):
         a, b = roots.combo_vector(coeffs, k, n), roots.combo_vector(second[2], k, n)
         for mult in (1, -1, F(2, 3)):
-            _same(roots.grid_add(a, b, mult), _retired_grid_add(a, b, mult))
+            _same(claims.grid_add(a, b, mult), _retired_grid_add(a, b, mult))
 
 
 @settings(derandomize=True, max_examples=100)
 @given(st.sampled_from([(n, *t) for n in (6, 7, 8) for t in _tripods(n)]))
 def test_tripod_vector_matches_the_retired_loop(tripod):
     n, U, Uprime = tripod
-    _same(roots.tripod_vector(U, Uprime, n), _retired_tripod_vector(U, Uprime))
+    _same(claims.tripod_vector(U, Uprime, n), _retired_tripod_vector(U, Uprime))
 
 
 @st.composite

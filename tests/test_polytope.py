@@ -13,19 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grascat import linalg, polytope, roots
-from grascat.combinat import (ResourceLimitExceeded, enumerate_maximal_noncrossing,
-                              is_noncrossing, nonfrozen_subsets)
+from grascat.combinat import ResourceLimitExceeded, enumerate_maximal_noncrossing, nonfrozen_subsets
 from grascat.polynomial import Poly, pk_factors, tau
-from grascat.polytope import (cone_rays, hull_of_points,
-                              in_convex_hull,
-                              lift_and_lower_hull,
-                              minimize_face,
-                              minkowski_summand_count, newton, newton_points,
-                              omega_vertices, pk_associahedron, pk_polytope,
-                              planar_face_polytope, polytope_from_inequalities,
-                              root_polytope, root_polytope_contains,
-                              tau_newton_facets, triangulation_volume, grid_point)
+from grascat.polytope import (cone_rays, hull_of_points, in_convex_hull, newton, newton_points,
+                              pk_associahedron, pk_polytope, polytope_from_inequalities,
+                              root_polytope, root_polytope_contains, tau_newton_facets,
+                              triangulation_volume, grid_point)
 from grascat.roots import gamma_functional, v_root
+from claims import (contains, is_noncrossing, lift_and_lower_hull, minimize_face,
+                    minkowski_summand_count, omega_vertices, planar_face_polytope, value)
 import unit_pivot
 from unit_pivot import start_rows, unit_pivot_fold
 
@@ -50,7 +46,7 @@ def test_hull_roundtrips():
     assert sorted(back.vertices) == sorted(tri.vertices)
     # a single point is its own hull
     one = hull_of_points([(1, 2), (1, 2)])
-    assert one.contains((1, 2)) and not one.contains((5, 7)) and one.f_vector() == [1, 1]
+    assert contains(one, (1, 2)) and not contains(one, (5, 7)) and one.f_vector() == [1, 1]
     # x >= 1 and x <= 0: no vertex, dimension -1
     none = polytope_from_inequalities([(-1, (1,)), (0, (-1,))], [], 1)
     assert none.vertices == [] and none.dim == -1 and none.f_vector() == [1]
@@ -372,7 +368,7 @@ def rational_hull_queries(draw):
 @given(st.one_of(root_hull_queries(), rational_hull_queries()))
 def test_in_convex_hull_matches_double_description(query):
     p, pts = query
-    assert in_convex_hull(p, pts) == hull_of_points(pts).contains(p)
+    assert in_convex_hull(p, pts) == contains(hull_of_points(pts), p)
     assert not in_convex_hull(p, [])
 
 
@@ -400,7 +396,7 @@ def test_in_convex_hull_degenerate_inputs(name):
     pts, queries = DEGENERATE_LP[name]
     hull = hull_of_points(pts)
     answers = [in_convex_hull(p, pts) for p in queries]
-    assert answers == [hull.contains(p) for p in queries]
+    assert answers == [contains(hull, p) for p in queries]
     assert any(answers) or name in ("subspace, past an end", "subspace, off it")
 
 
@@ -899,15 +895,15 @@ def test_octahedron_fold():
     # Delta_{2,4}(1,3,4,5,6) in the (3,6) root space folds across the square
     # holding v_{136}, v_{145} when lifted by eta at an interior point
     from grascat.kinematics import eta_functional, interior_kd_point
-    from grascat.roots import grid_add
+    from claims import grid_add
     point = interior_kd_point(3, 6, seed=9)
     names = [(1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6)]
     base = [grid_point(v_root(J, 3, 6), 3, 6) for J in names]
     apex_vec = grid_add(v_root((1, 3, 5), 3, 6), v_root((1, 4, 6), 3, 6))
     verts = [tuple(F(0) for _ in base[0])] + base + [grid_point(apex_vec, 3, 6)]
-    hts = [F(0)] + [eta_functional(J, 3, 6).value(point) for J in names]
-    hts.append(eta_functional((1, 3, 6), 3, 6).value(point)
-               + eta_functional((1, 4, 5), 3, 6).value(point))
+    hts = [F(0)] + [value(eta_functional(J, 3, 6), point) for J in names]
+    hts.append(value(eta_functional((1, 3, 6), 3, 6), point)
+               + value(eta_functional((1, 4, 5), 3, 6), point))
     cells = lift_and_lower_hull(verts, hts)
     assert len(cells) == 2
     shared = set(cells[0]) & set(cells[1])

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from grascat import linalg, roots
 from grascat.combinat import (_bits, _crossing_labels, clear_caches, compatibility_degree,
-                              enumerate_maximal_noncrossing, is_frozen, is_noncrossing,
-                              nonfrozen_subsets)
+                              enumerate_maximal_noncrossing, is_frozen, nonfrozen_subsets)
 from grascat.polytope import triangulation_volume
-from grascat.roots import (DecompositionError, _Fan, _fan, check_four_term, combo_vector,
-                           cube_antipode, f_combination, gamma_hat, grid_add, lattice_coords,
-                           noncrossing_decompose, noncrossing_degree,
-                           project_f, tripod_vector, v_root)
+from grascat.roots import (DecompositionError, _Fan, _fan, combo_vector, gamma_hat,
+                           noncrossing_decompose, v_root)
+from claims import (check_four_term, cube_antipode, f_combination, grid_add, is_noncrossing,
+                    lattice_coords, noncrossing_degree, project_f, tripod_vector)
 from unit_pivot import _reference_locate, start_rows
 
 

@@ -7,9 +7,11 @@ a smaller number is how a change that saves work shows.
 """
 import pytest
 
-from grascat import polynomial
-from grascat.combinat import _build_search_dag
-from grascat.roots import _Fan, _fan, lattice_coords
+from grascat import polynomial, polytope
+from grascat.combinat import ResourceLimitExceeded, _build_search_dag
+from grascat.roots import _Fan, _fan
+from claims import lattice_coords
+from test_polytope import _seeded_newton_polytopes
 from test_roots import _seeded_inputs
 
 # shape: (search-DAG nodes, search-DAG edges, walls of the fan, members of
@@ -32,6 +34,11 @@ PLAN = {(3, 12): (63, 1782), (4, 9): (80, 750)}
 # shape: (taus of the per-shape ladder table, distinct factors of their
 # FactoredRatios, grid variables included)
 LADDERS = {(3, 12): (264, 210), (4, 9): (175, 120)}
+
+# shape: (rows, peak rays held after a row, rays out) of the double
+# description of each seeded Newton hull of
+# test_polytope._seeded_newton_polytopes, in the order it builds them
+RAYS = {(3, 6): (11, 7, 6), (3, 7): (6, 5, 5), (4, 7): (9, 7, 6), (4, 8): (37, 13, 10)}
 
 
 @pytest.mark.parametrize("k,n", SEARCH)
@@ -74,3 +81,33 @@ def test_ladder_table_counts(k, n):
     _ladders, taus = polynomial._ladder_table(k, n)
     factors = {f for I in taus for f in polynomial._tau_ratio(I, k, n).exps}
     assert (len(taus), len(factors)) == LADDERS[k, n]
+
+
+def test_cone_rays_peak_counts(monkeypatch):
+    recorded, real = [], polytope.cone_rays
+    monkeypatch.setattr(polytope, "cone_rays", lambda rows: recorded.append(rows) or real(rows))
+    list(_seeded_newton_polytopes())
+    monkeypatch.undo()
+    counts = {}
+    for shape, rows in zip(RAYS, recorded):
+        # the peak as the run holds it: the smallest cap under which it
+        # runs through, since the cap is checked after every row
+        low, peak = 0, polytope.MAX_RAYS
+        while peak - low > 1:
+            monkeypatch.setattr(polytope, "MAX_RAYS", (low + peak) // 2)
+            try:
+                real(rows)
+                peak = polytope.MAX_RAYS
+            except ResourceLimitExceeded:
+                low = polytope.MAX_RAYS
+        monkeypatch.undo()
+        # the same peak replayed: the rays held after a row are the extreme
+        # rays of the cone of the rows read so far, the start rows (the first
+        # maximal independent subfamily) and every row up to it, so a fresh
+        # double description of those rows counts them
+        start = set(polytope._independent_rows(rows))
+        after = [len(real([r for j, r in enumerate(rows) if j in start or j <= i]))
+                 for i in range(len(rows)) if i not in start]
+        assert max(after) == peak, shape
+        counts[shape] = (len(rows), peak, after[-1])
+    assert counts == RAYS

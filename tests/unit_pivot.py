@@ -15,7 +15,8 @@ from math import gcd
 from grascat import linalg
 from grascat.combinat import (_bits, _degeneracy_order, _noncrossing_graph,
                               compatibility_degree, nonfrozen_subsets)
-from grascat.roots import lattice_coords, v_root
+from grascat.roots import v_root
+from claims import lattice_coords
 
 _ROWS = weakref.WeakKeyDictionary()
 

@@ -3,10 +3,10 @@ than a comment, a docstring or a line break, so blank lines, comment lines
 and docstrings do not count.  A docstring here is any statement that is a
 bare string, the first in a module, class or function body included.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py [PATH]
 
-prints each module's count and the total, for the .py files under DIR
-(default src/grascat).
+prints each module's count and the total, for the .py files under PATH
+(default src/grascat), or the count of the one file PATH.
 """
 import sys
 import tokenize
@@ -35,6 +35,9 @@ def code_lines(path):
 
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else "src/grascat")
+    if root.is_file():
+        print(f"{code_lines(root):6d}  {root}")
+        return
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path)
