@@ -82,8 +82,14 @@ def check_subset(J, k, n):
 
 def is_frozen(J, n):
     """True iff the elements of J form one cyclic interval of (1..n).
-    ValueError, naming J, for an empty J or a label outside [1, n]."""
+    ValueError, naming J, unless J is a nonempty subset of [1, n] by
+    `check_subset`'s rules in any order: int labels (bool is not an int
+    here), none repeated."""
     J = tuple(J)
+    if not all(type(a) is int for a in J):
+        raise ValueError(f"subset entries must be ints, got {J}")
+    if len(set(J)) != len(J):
+        raise ValueError(f"subset {J} repeats a label")
     if not J or min(J) < 1 or max(J) > n:
         raise ValueError(f"subset {J} is not a nonempty subset of [1, {n}]")
     J = sorted(J)

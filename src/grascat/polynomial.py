@@ -3,13 +3,15 @@
 face polynomials tau, the PK factors P_i and Q_j, face polynomials delta,
 u-variables and the binary identities they satisfy.
 
-Polynomials are dicts from dense exponent tuples to integer (or rational)
-coefficients.  Exponent tuples and evaluation points are laid out as
-`roots.grid_point`, the one dense form of a grid vector, which also rejects
-a variable outside the grid.  Every staircase polynomial (tau, P_i, Q_j,
-delta) is a sum of x_{r,c_1} x_{r+1,c_2} ... over weakly increasing column
-chains c_1 <= c_2 <= ... with each c_t in an interval; `_chains`
-enumerates them, and `chain_poly` builds the sum as one terms dict.
+A `Poly`, the public form of a polynomial, is a dict from dense exponent
+tuples to integer (or rational) coefficients; its products, and every
+factor, run on packed monomials (below).  Exponent tuples and evaluation
+points are laid out as `roots.grid_point`, the one dense form of a grid
+vector, which also rejects a variable outside the grid.  Every staircase
+polynomial (tau, P_i, Q_j, delta) is a sum of x_{r,c_1} x_{r+1,c_2} ...
+over weakly increasing column chains c_1 <= c_2 <= ... with each c_t in an
+interval; `_chains` enumerates them, and `chain_poly` builds the sum as one
+terms dict.
 
 A FactoredRatio is scalar * prod f^{e_f} over factors f, each a grid
 variable or a canonical primitive polynomial, with one signed exponent map
@@ -29,9 +31,9 @@ primitive factor.  Each binary identity is built once per (k, n) and J
 (`_identity`).  Everything is evaluated by one integer kernel, `_Plan`,
 laid out once over a list of FactoredRatios (`Poly.eval` goes through its
 `FactoredRatio.from_poly`): the distinct monomials of their factors, each
-as the indices of its variables (`_Factor.sparse`, kept on each factor), so
-that one monomial serves every factor that has it; each factor's terms grouped
-by degree and coefficient; and each ratio as two rows of positions.  At a
+decoded once into the indices of its variables, so that one monomial serves
+every factor that has it; each factor's terms grouped by degree and
+coefficient; and each ratio as two rows of positions.  At a
 point the denominators are cleared once, each monomial is one product,
 each factor one int sum over D^top reduced by one gcd into an int pair,
 and each side of a ratio one product over its row, all in ints
@@ -43,25 +45,30 @@ product with 1 - u_J, built once per J (`_one_minus_u`) with u_J's
 denominator kept factored, so its taus cancel against the product's before
 anything is expanded.
 
-The symbolic check multiplies out on packed monomials (Monagan and Pearce,
-CASC 2007; Kronecker substitution, von zur Gathen and Gerhard, "Modern
-Computer Algebra").  A monomial x^e in nv variables is the one int
+Products multiply out on packed monomials (Monagan and Pearce, CASC 2007;
+Kronecker substitution, von zur Gathen and Gerhard, "Modern Computer
+Algebra").  A monomial x^e in nv variables is the one int
 sum_i e_i 2^(8 w i), exponent i at bits [8 w i, 8 w (i + 1)) for a field of
-w bytes (`_pack`), so that multiplying two monomials adds their ints.  Each
-factor keeps its terms packed, built once with the factor, at the fewest
-bytes for its own total degree.  `FactoredRatio._packed_sides`
-multiplies out each side of a ratio (`_convolve`, `_power`) at one width w
-with 2^(8w) > D, D the larger of the two sides' total degrees, the sum of
-|e| deg f over the factors f of the side; a factor packed at another width
-is repacked.  Every product and square formed on the way to a side divides
+w bytes (`_pack`), so that multiplying two monomials adds their ints; one
+decoder, `_exponents`, reads the fields back.  Packed terms are sequences
+of (monomial, coefficient) pairs: `_convolve` multiplies two of them and
+`_power` raises one to a power, each into a dict.  A factor holds its
+terms once, packed, sorted by monomial, at the fewest bytes for its own
+total degree.  `Poly.__mul__` and `Poly.__pow__` pack their operands at
+the fewest bytes for the result's total degree and unpack the result.
+`FactoredRatio._packed_sides` multiplies out each side of a ratio at one
+width w with 2^(8w) > D, D the larger of the two sides' total degrees, the
+sum of |e| deg f over the factors f of the side; a factor packed at another
+width is repacked.  Every product and square formed on the way to a side divides
 that side's product, so its total degree is at most D, and a variable's
 exponent never exceeds its monomial's total degree: no field reaches 2^(8w)
 and no sum carries into the next field, so adding the ints is exactly
 adding the exponent tuples, at any degree, `FactoredRatio ** m` for a large
 m included.  `ratio_equal` compares the two packed sides, and
-`_one_minus_u` forms den - num of u_J packed.  Only two things are unpacked
-to exponent tuples (`_unpacked`): that den - num, on its way into
-`FactoredRatio.from_poly`, and the sides the public `expand` returns.
+`_one_minus_u` forms den - num of u_J packed.  Exponent tuples are made
+only at the public edge: `_unpacked` makes the `Poly` of a product or a
+power, of that den - num on its way into `FactoredRatio.from_poly`, of the
+sides the public `expand` returns and of a factor in a `repr`.
 """
 from __future__ import annotations
 
@@ -91,56 +98,76 @@ def _width(degree):
 
 def _pack(e, width):
     """The exponent tuple e as one int, exponent i at bytes
-    [width * i, width * (i + 1)), little-endian."""
+    [width * i, width * (i + 1)), little-endian.  ValueError, naming e,
+    for an exponent that does not fit: a negative one."""
+    try:
+        if width == 1:
+            return int.from_bytes(bytes(e), "little")
+        return int.from_bytes(b"".join([p.to_bytes(width, "little") for p in e]), "little")
+    except (ValueError, OverflowError):
+        raise ValueError(f"exponents {e} do not fit {width}-byte fields") from None
+
+
+def _exponents(m, width, nv):
+    """The exponent tuple, nv long, that `_pack` packed into m at `width`
+    bytes per exponent: the one decoder of a packed monomial."""
+    data = m.to_bytes(nv * width, "little")
     if width == 1:
-        return int.from_bytes(bytes(e), "little")
-    return int.from_bytes(b"".join([p.to_bytes(width, "little") for p in e]), "little")
+        return tuple(data)
+    return tuple([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
+
+
+def _degree(terms):
+    """The total degree of an exponent-tuple terms dict, 0 if it is empty."""
+    return max([sum(e) for e in terms], default=0)
+
+
+def _packed_terms(terms, width):
+    """An exponent-tuple terms dict as a list of (packed monomial,
+    coefficient) pairs at `width` bytes per exponent."""
+    return [(_pack(e, width), c) for e, c in terms.items()]
 
 
 def _unpacked(terms, k, n, width):
-    """The packed terms dict `terms`, at `width` bytes per exponent, as a
-    `Poly` of (k, n), keyed by exponent tuples."""
-    size = (k - 1) * (n - k) * width
-    out = {}
-    for key, c in terms.items():
-        data = key.to_bytes(size, "little")
-        e = tuple(data) if width == 1 else tuple(
-            [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)])
-        out[e] = c
-    return Poly(k, n, out)
+    """The packed (monomial, coefficient) pairs `terms`, at `width` bytes
+    per exponent, as a `Poly` of (k, n), keyed by exponent tuples."""
+    nv = (k - 1) * (n - k)
+    return Poly(k, n, {_exponents(m, width, nv): c for m, c in terms})
 
 
 def _convolve(a, b):
-    """The product of two packed terms dicts: each pair of terms adds its
-    keys, which is exact while no exponent field overflows (see the module
+    """The product of two packed term sequences, each of (monomial,
+    coefficient) pairs, as a dict: each pair of terms adds its monomials,
+    which is exact while no exponent field overflows (see the module
     docstring)."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+    for e1, c1 in a:
+        for e2, c2 in b:
             e = e1 + e2
             s = get(e, 0) + c1 * c2
             if s:
                 out[e] = s
-            else:  # no stored coefficient is zero, so e held -c1 * c2
-                del out[e]
+            else:  # e held -c1 * c2, or c1 * c2 is a zero a Poly stored
+                out.pop(e, None)
     return out
 
 
 def _power(a, m):
-    """a ** m for a packed terms dict a and an int m >= 1, by
-    square-and-multiply started from a, as `Poly.__pow__`: no square
-    has degree above m deg a."""
+    """a ** m as a dict, for a packed term sequence a and an int m >= 1, by
+    square-and-multiply started from a: no square has degree above
+    m deg a."""
     out = None
     while True:
         if m & 1:
-            out = a if out is None else _convolve(out, a)
+            out = dict(a) if out is None else _convolve(out.items(), a)
         m >>= 1
         if not m:
             return out
-        a = _convolve(a, a)
+        a = _convolve(a, a).items()
 
 
 def _check_exponent(m):
@@ -216,41 +243,26 @@ class Poly:
                 return Poly.zero(self.k, self.n)
             return Poly(self.k, self.n, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        terms = {}
-        # not `_combine`: a convolution, each pair of terms adds into one key
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.k, self.n, terms)
+        # packed at the fewest bytes for the product's total degree
+        width = _width(_degree(self.terms) + _degree(other.terms))
+        terms = _convolve(_packed_terms(self.terms, width), _packed_terms(other.terms, width))
+        return _unpacked(terms.items(), self.k, self.n, width)
 
     __rmul__ = __mul__
 
     def __pow__(self, m):
-        """self ** m for an int m >= 0, by square-and-multiply started from
-        self, so that self ** 1 is self and self ** 0 is Poly.one.  Raises
-        TypeError for an m that is not an int (bool included) and
-        ValueError for m < 0."""
+        """self ** m for an int m >= 0, by `_power`'s square-and-multiply
+        started from self, so that self ** 1 is self and self ** 0 is
+        Poly.one.  Raises TypeError for an m that is not an int (bool
+        included) and ValueError for m < 0."""
         _check_exponent(m)
         if m < 0:
             raise ValueError(f"Poly exponent must be nonnegative, not {m}")
-        if not m:
-            return Poly.one(self.k, self.n)
-        out, base = None, self
-        while True:
-            if m & 1:
-                out = base if out is None else out * base
-            m >>= 1
-            if not m:
-                return out
-            base = base * base
+        if m < 2:
+            return self if m else Poly.one(self.k, self.n)
+        width = _width(m * _degree(self.terms))
+        terms = _power(_packed_terms(self.terms, width), m)
+        return _unpacked(terms.items(), self.k, self.n, width)
 
     def __eq__(self, other):
         if isinstance(other, (int, F)):
@@ -346,61 +358,45 @@ class _Factor:
     """A base of a FactoredRatio: a grid variable x_{i,j} (its one term,
     coefficient 1) or a canonical primitive polynomial of two or more terms
     (coprime integer coefficients, positive leading coefficient, no monomial
-    factor), as its sorted (exponent, coefficient) term tuple `Poly.key()`.
-    The symbolic check reads the same terms as `packed`, a dict from packed
-    monomials (`_pack`) at `width` bytes per exponent, the fewest for the
-    factor's total degree `degree` (`_width`), built here once; a `_Plan`
-    reads them as `sparse`, built on its first read.
-    `_factor` hands out one object per term tuple, so factors hash and
-    compare by identity: a batch of identities updates the exponent maps
-    tens of thousands of times, and rehashing the term tuple at each update
-    would cost more than the rest of the batch."""
+    factor), held once, as `packed`: its (packed monomial, coefficient)
+    pairs sorted by monomial, at `width` bytes per exponent (`_pack`), the
+    fewest for the factor's total degree `degree` (`_width`).
+    `_factor` hands out one object per (width, packed) key, the same tuple
+    the factor holds, so factors hash and compare by identity: a batch of
+    identities updates the exponent maps tens of thousands of times, and
+    rehashing the term tuple at each update would cost more than the rest
+    of the batch."""
 
-    __slots__ = ("terms", "degree", "width", "packed", "_sparse", "__weakref__")
+    __slots__ = ("packed", "degree", "width", "__weakref__")
 
-    def __init__(self, terms):
-        self.terms = terms
-        self.degree = max([sum(e) for e, _c in terms])
-        self.width = _width(self.degree)
-        self.packed = {_pack(e, self.width): c for e, c in terms}
-        self._sparse = None
+    def __init__(self, packed, degree, width):
+        self.packed = packed
+        self.degree = degree
+        self.width = width
 
-    @property
-    def sparse(self):
-        """The terms as (index tuple, coefficient) pairs, the index tuple
-        naming each variable of the term's monomial, x^p p times, from which
-        a `_Plan` reads the factor's monomials; built on the first read, so
-        a factor that only the symbolic check reads holds none."""
-        if self._sparse is None:
-            cells = range(len(self.terms[0][0]))
-            sparse = []
-            for e, c in self.terms:
-                idx = tuple(compress(cells, e))
-                if len(idx) != sum(e):  # an exponent above 1
-                    idx = tuple([i for i in idx for _ in range(e[i])])
-                sparse.append((idx, c))
-            self._sparse = tuple(sparse)
-        return self._sparse
-
-    def packed_at(self, width):
+    def packed_at(self, width, nv):
         """The packed terms at `width` bytes per exponent, at least the
-        factor's own `width`."""
+        factor's own `width`, for nv variables."""
         if width == self.width:
             return self.packed
-        return {_pack(e, width): c for e, c in self.terms}
+        return [(_pack(_exponents(m, self.width, nv), width), c) for m, c in self.packed]
 
 
-# the live factors by term tuple; an entry goes with the last ratio using it
+# the live factors by (width, packed terms): one int names different
+# monomials at different widths; an entry goes with the last ratio using it
 _FACTORS = weakref.WeakValueDictionary()
 
 
-def _factor(terms):
-    return _FACTORS.get(terms) or _FACTORS.setdefault(terms, _Factor(terms))
+def _factor(packed, degree):
+    """The one live factor with the sorted packed terms `packed` of total
+    degree `degree`, packed at `_width(degree)` bytes per exponent."""
+    key = (_width(degree), packed)
+    return _FACTORS.get(key) or _FACTORS.setdefault(key, _Factor(packed, degree, key[0]))
 
 
-def _variable(i, nv):
-    """The factor of the grid variable at dense index i of nv."""
-    return _factor((((0,) * i + (1,) + (0,) * (nv - i - 1), 1),))
+def _variable(i):
+    """The factor of the grid variable at dense index i."""
+    return _factor(((1 << 8 * i, 1),), 1)
 
 
 class FactoredRatio:
@@ -424,10 +420,11 @@ class FactoredRatio:
         """p as the scalar and primitive part of `Poly.content_split`, with
         each variable of the monomial it splits off a one-term factor."""
         scale, mono, prim = p.content_split()
-        exps = {_variable(i, len(mono)): e for i, e in enumerate(mono) if e}
+        exps = {_variable(i): e for i, e in enumerate(mono) if e}
         # a primitive part with one term is the constant 1
         if len(prim) > 1:
-            exps[_factor(prim.key())] = 1
+            degree = _degree(prim.terms)
+            exps[_factor(tuple(sorted(_packed_terms(prim.terms, _width(degree)))), degree)] = 1
         return cls(p.k, p.n, scale, exps)
 
     def _lift(self, other):
@@ -459,10 +456,12 @@ class FactoredRatio:
         sides = ([(f, e) for f, e in self.exps.items() if e > 0],
                  [(f, -e) for f, e in self.exps.items() if e < 0])
         width = _width(max([sum([f.degree * e for f, e in side]) for side in sides]))
+        nv = (self.k - 1) * (self.n - self.k)
         out = []
         for c, side in zip((self.scalar.numerator, self.scalar.denominator), sides):
-            powers = [_power(f.packed_at(width), e) for f, e in side]
-            p = reduce(_convolve, powers) if powers else {0: 1}
+            p = {0: 1}
+            for f, e in side:
+                p = _convolve(p.items(), _power(f.packed_at(width, nv), e).items())
             out.append(p if c == 1 else {e: c * x for e, x in p.items()} if c else {})
         return out[0], out[1], width
 
@@ -471,7 +470,8 @@ class FactoredRatio:
         factors with positive (negative) exponents, scaled by the scalar's
         numerator (denominator), multiplied out packed (`_packed_sides`)."""
         num, den, width = self._packed_sides()
-        return _unpacked(num, self.k, self.n, width), _unpacked(den, self.k, self.n, width)
+        return (_unpacked(num.items(), self.k, self.n, width),
+                _unpacked(den.items(), self.k, self.n, width))
 
     def eval(self, point):
         """Value at {(i, j): rational}, missing variables 0, through a
@@ -487,35 +487,46 @@ class FactoredRatio:
         return num == den
 
     def __repr__(self):
-        factors = [(Poly(self.k, self.n, dict(f.terms)), e) for f, e in self.exps.items()]
+        factors = [(_unpacked(f.packed, self.k, self.n, f.width), e)
+                   for f, e in self.exps.items()]
         return f"FactoredRatio(scalar={self.scalar}, factors={factors})"
 
 
 class _Plan:
     """The evaluation of a list of FactoredRatios at many points, laid out
-    flat once: the distinct monomials of their factors (`_Factor.sparse`
-    index tuples, so one monomial serves every factor that has it), each factor's
-    terms as (degree, coefficient, monomial slots) groups in increasing
-    degree, and each side of each ratio as its scalar's numerator or
-    denominator with a tuple of positions in the row of every factor's
-    numerator and denominator (2p and 2p + 1 for the factor at position p),
-    repeated |exponent| times, on the side the exponent's sign says."""
+    flat once: the distinct monomials of their factors, keyed on (factor
+    width, packed monomial) and each decoded once (`_exponents`) into the
+    indices of its variables, x^p p times, so one monomial serves every
+    factor that has it; each factor's terms as (degree, coefficient,
+    monomial slots) groups in increasing degree; and each side of each
+    ratio as its scalar's numerator or denominator with a tuple of
+    positions in the row of every factor's numerator and denominator (2p and
+    2p + 1 for the factor at position p), repeated |exponent| times, on the
+    side the exponent's sign says."""
 
     __slots__ = ("monomials", "factors", "top", "num_rows", "den_rows")
 
     def __init__(self, ratios):
-        slots, position, self.factors = {}, {}, []
+        slots, position, monomials, self.factors = {}, {}, [], []
         self.num_rows, self.den_rows = [], []
         for r in ratios:
+            nv = (r.k - 1) * (r.n - r.k)
             up, down = [], []
             for f, e in r.exps.items():
                 p = position.get(f)
                 if p is None:
                     p = position[f] = len(self.factors)
                     groups = {}
-                    for idx, c in f.sparse:
-                        slot = slots.setdefault(idx, len(slots))
-                        groups.setdefault((len(idx), c), []).append(slot)
+                    for m, c in f.packed:
+                        slot = slots.get((f.width, m))
+                        if slot is None:
+                            slot = slots[f.width, m] = len(monomials)
+                            x = _exponents(m, f.width, nv)
+                            idx = tuple(compress(range(nv), x))
+                            if len(idx) != sum(x):  # an exponent above 1
+                                idx = tuple([i for i in idx for _ in range(x[i])])
+                            monomials.append(idx)
+                        groups.setdefault((len(monomials[slot]), c), []).append(slot)
                     self.factors.append(tuple(sorted([(d, c, tuple(s))
                                                       for (d, c), s in groups.items()])))
                 a, b = (2 * p, 2 * p + 1) if e > 0 else (2 * p + 1, 2 * p)
@@ -523,8 +534,8 @@ class _Plan:
                 down += [b] * abs(e)
             self.num_rows.append((r.scalar.numerator, tuple(up)))
             self.den_rows.append((r.scalar.denominator, tuple(down)))
-        self.monomials = tuple(slots)
-        self.top = max([len(idx) for idx in slots], default=0)
+        self.monomials = tuple(monomials)
+        self.top = max([len(idx) for idx in monomials], default=0)
 
     def pairs(self, xs):
         """The ratios' values at the dense point xs as two lists, their
@@ -723,20 +734,26 @@ def _tau_ratio(I, k, n):
     would give it: every coefficient is 1, so the scalar is 1 (0 with no
     chain); each cell on every chain is a grid-variable factor; and with two
     or more chains, all of one degree, the chains less those cells are the
-    terms of the primitive factor, sorted as `Poly.key()` sorts them.  Each
-    chain's monomial is packed at one byte an exponent (`_pack`), so the
-    common cells are the AND of the packed chains, and sorting the
-    little-endian bytes of the rest sorts their exponent tuples."""
-    chains = _chains(*_tau_ivals(I, k, n))
+    terms of the primitive factor.  Each chain's monomial is packed at one
+    byte an exponent (`_pack`), so the common cells are the AND of the
+    packed chains, and the rest are the primitive factor's packed terms as
+    they are, sorted as `from_poly` sorts them, unless its degree needs a
+    wider field."""
+    row, ivals = _tau_ivals(I, k, n)
+    chains = _chains(row, ivals)
     if not chains:
         return FactoredRatio(k, n, 0)
     w, nv = n - k, (k - 1) * (n - k)
     mons = [sum([1 << 8 * ((r - 1) * w + c - 1) for r, c in ch]) for ch in chains]
     common = reduce(and_, mons)
-    exps = {_variable(i, nv): 1 for i, e in enumerate(common.to_bytes(nv, "little")) if e}
+    exps = {_variable(i): 1 for i, e in enumerate(common.to_bytes(nv, "little")) if e}
     if len(chains) > 1:
-        rest = sorted([(m - common).to_bytes(nv, "little") for m in mons])
-        exps[_factor(tuple([(tuple(e), 1) for e in rest]))] = 1
+        # one cell a row on every chain, one set bit a common cell
+        degree = len(ivals) - common.bit_count()
+        rest = [m - common for m in mons]
+        if _width(degree) > 1:
+            rest = [_pack(_exponents(m, 1, nv), _width(degree)) for m in rest]
+        exps[_factor(tuple([(m, 1) for m in sorted(rest)]), degree)] = 1
     return FactoredRatio(k, n, 1, exps)
 
 
@@ -780,7 +797,7 @@ def _one_minus_u(J, k, n):
     against a crossing product's by adding exponents."""
     uJ = _identity(J, k, n)[1]
     num, den, width = uJ._packed_sides()
-    diff = _unpacked(_combine([(den, 1), (num, -1)]), k, n, width)
+    diff = _unpacked(_combine([(den, 1), (num, -1)]).items(), k, n, width)
     inverse = FactoredRatio(k, n, _ratio(1, uJ.scalar.denominator),
                             {f: e for f, e in uJ.exps.items() if e < 0})
     return FactoredRatio.from_poly(diff) * inverse

@@ -30,6 +30,8 @@ def test_frozen():
     assert not is_frozen((1, 3, 5), 6)
     assert is_frozen((1, 2, 7, 8), 8)
     assert is_frozen((1, 2, 3), 3)
+    # distinct labels in any order are still a subset
+    assert is_frozen((6, 1, 5), 6) and not is_frozen((5, 3, 1), 6)
 
 
 def test_weak_separation():

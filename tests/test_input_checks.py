@@ -19,6 +19,18 @@ CASES = {
     "is_frozen label below 1": (
         lambda: combinat.is_frozen((0, 1, 2), 6),
         ValueError, "subset (0, 1, 2) is not a nonempty subset of [1, 6]"),
+    "is_frozen repeated label": (
+        lambda: combinat.is_frozen((1, 1, 2), 6),
+        ValueError, "subset (1, 1, 2) repeats a label"),
+    "is_frozen one label thrice": (
+        lambda: combinat.is_frozen((2, 2, 2), 6),
+        ValueError, "subset (2, 2, 2) repeats a label"),
+    "is_frozen float label": (
+        lambda: combinat.is_frozen((1.5, 2, 3), 6),
+        ValueError, "subset entries must be ints, got (1.5, 2, 3)"),
+    "is_frozen bool label": (
+        lambda: combinat.is_frozen((True, 2, 3), 6),
+        ValueError, "subset entries must be ints, got (True, 2, 3)"),
     "compatibility_degree sizes": (
         lambda: combinat.compatibility_degree((1, 2), (1, 2, 3), 5),
         ValueError, "subsets must have the same size"),

@@ -38,6 +38,8 @@ def test_poly_ring_ops():
     # constants on either side, the zero product, hashing and the zero repr
     assert a - 2 == a + (-2) and 2 - a == -a + 2 and Poly.one(3, 6) == 1
     assert a * 0 == Poly.zero(3, 6) and not a * 0
+    # a stored zero coefficient multiplies into no term
+    assert not Poly(3, 6, {(0,) * 6: 0}) * a
     assert hash(a * b) == hash(b * a) and repr(Poly.zero(3, 6)) == "0"
     assert det_poly([[a]]) == a
 
@@ -391,17 +393,18 @@ def test_factored_ratio_power_is_repeated_product(a, m):
 
 
 def _expand_reference(r):
-    """(numerator, denominator) of r from Poly.one by one Poly multiply per
-    unit of every exponent, variables included: the expansion that
-    `FactoredRatio.expand` shortened."""
+    """(numerator, denominator) of r from the constant by one tuple product
+    (`_tuple_product`) per unit of every exponent, variables included: the
+    expansion that `FactoredRatio.expand` shortened, with no packed
+    product in it."""
     sides = []
     for sign, c in ((1, F(r.scalar).numerator), (-1, F(r.scalar).denominator)):
-        p = Poly.one(r.k, r.n) * c
+        terms = {(0,) * ((r.k - 1) * (r.n - r.k)): c} if c else {}
         for f, e in r.exps.items():
-            base = Poly(r.k, r.n, dict(f.terms))
+            base = polynomial._unpacked(f.packed, r.k, r.n, f.width).terms
             for _ in range(max(sign * e, 0)):
-                p = p * base
-        sides.append(p)
+                terms = _tuple_product(terms, base)
+        sides.append(Poly(r.k, r.n, terms))
     return tuple(sides)
 
 
@@ -432,7 +435,8 @@ def _degree(terms):
 
 
 def _packed(terms, width):
-    return {polynomial._pack(e, width): c for e, c in terms.items()}
+    """An exponent-tuple terms dict as packed (monomial, coefficient) pairs."""
+    return [(polynomial._pack(e, width), c) for e, c in terms.items()]
 
 
 def _sparse_poly(nv):
@@ -461,13 +465,13 @@ def test_packed_product_and_power_match_the_tuple_convolution(case):
     # bytes for the total degree of the result
     width = polynomial._width(_degree(a) + _degree(b))
     product = polynomial._convolve(_packed(a, width), _packed(b, width))
-    assert polynomial._unpacked(product, k, n, width).terms == _tuple_product(a, b)
+    assert polynomial._unpacked(product.items(), k, n, width).terms == _tuple_product(a, b)
     width = polynomial._width(m * _degree(a))
     repeated = a
     for _ in range(m - 1):
         repeated = _tuple_product(repeated, a)
     power = polynomial._power(_packed(a, width), m)
-    assert polynomial._unpacked(power, k, n, width).terms == repeated
+    assert polynomial._unpacked(power.items(), k, n, width).terms == repeated
 
 
 def test_packed_fields_at_the_width_bound():
@@ -477,7 +481,7 @@ def test_packed_fields_at_the_width_bound():
     a = {(0, 200, 0, 0, 0, 0): 3, (0, 150, 2, 0, 0, 0): -1}
     b = {(0, 55, 0, 0, 0, 0): 2, (53, 0, 0, 0, 0, 0): 5}
     assert _degree(a) + _degree(b) == 255
-    product = polynomial._convolve(_packed(a, 1), _packed(b, 1))
+    product = polynomial._convolve(_packed(a, 1), _packed(b, 1)).items()
     assert polynomial._unpacked(product, 3, 6, 1).terms == _tuple_product(a, b)
     assert polynomial._unpacked(product, 3, 6, 1).terms[(0, 255, 0, 0, 0, 0)] == 6
     # a power of total degree 256 needs two bytes a field: the factor is
@@ -500,6 +504,30 @@ def test_packed_fields_at_the_width_bound():
     assert big.expand() == (x(2, 1) ** (2 ** 70), x(1, 1))
 
 
+def test_poly_product_at_the_width_bound():
+    # Poly products pack at the fewest bytes for the product's total
+    # degree: 255 fits one byte a field, 256 needs two
+    a = Poly(3, 6, {(0, 200, 0, 0, 0, 0): 3, (0, 150, 2, 0, 0, 0): -1})
+    for b in (Poly(3, 6, {(0, 55, 0, 0, 0, 0): 2, (53, 0, 0, 0, 0, 0): 5}),
+              Poly(3, 6, {(0, 56, 0, 0, 0, 0): 2, (53, 1, 0, 0, 0, 0): 5})):
+        assert (a * b).terms == _tuple_product(a.terms, b.terms)
+    assert (a * b).terms[(0, 256, 0, 0, 0, 0)] == 6
+    assert (a * b).terms[(53, 201, 0, 0, 0, 0)] == 15
+
+
+def test_poly_product_with_a_negative_exponent_is_a_value_error():
+    # a Poly built with a negative exponent has no packed form, at one byte
+    # a field or at more
+    negative = Poly(3, 6, {(-1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1})
+    for other in (x(1, 1), x(1, 1) ** 300):
+        with pytest.raises(ValueError, match=r"exponents \(-1, 0, 0, 0, 0, 0\) do not fit"):
+            negative * other
+        with pytest.raises(ValueError, match="do not fit"):
+            other * negative
+    with pytest.raises(ValueError, match="do not fit"):
+        negative ** 2
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(ratios, ratios, points)
 def test_factored_ratio_eval_is_multiplicative(a, b, point):
@@ -520,6 +548,17 @@ def test_poly_ring_laws(f, g, h):
     assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
     assert f + g == g + f and f * g == g * f
     assert f * (g + h) == f * g + f * h
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polys, polys, st.integers(0, 4))
+def test_poly_products_match_the_tuple_convolution(f, g, m):
+    # Poly products run on the packed convolution: against the tuple oracle
+    assert (f * g).terms == _tuple_product(f.terms, g.terms)
+    repeated = {(0,) * 6: 1}
+    for _ in range(m):
+        repeated = _tuple_product(repeated, f.terms)
+    assert (f ** m).terms == repeated
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -562,28 +601,53 @@ def test_term_sum_matches_one_fraction_per_term(f, xs):
     assert F(nums[0], dens[0]) == _term_sum_reference(f.terms.items(), xs)
 
 
-def test_factor_sparse_form_expands_back_to_its_terms():
+def test_factor_packed_terms_unpack_to_the_primitive_part():
     k, n = 3, 12
-    factors = {f for J in nonfrozen_subsets(k, n)
-               for r in polynomial._identity(J, k, n)[1:] for f in r.exps}
+    sides = [r for J in nonfrozen_subsets(k, n) for r in polynomial._identity(J, k, n)[1:]]
+    factors = list(dict.fromkeys([f for r in sides for f in r.exps]))
     assert factors
-    nv = (k - 1) * (n - k)
     for f in factors:
-        dense = [(tuple([Counter(idx)[i] for i in range(nv)]), c) for idx, c in f.sparse]
-        assert tuple(dense) == f.terms
-        # and the packed form, at the fewest bytes for the factor's degree
-        assert f.degree == _degree(dict(f.terms)) and f.width == 1
-        assert polynomial._unpacked(f.packed, k, n, f.width).terms == dict(f.terms)
+        # each factor's packed terms, sorted by monomial at the fewest bytes
+        # for its degree, unpack to a primitive polynomial (or a variable)
+        # that `from_poly` interns as the same factor
+        p = polynomial._unpacked(f.packed, k, n, f.width)
+        assert FactoredRatio.from_poly(p).exps == {f: 1}
+        assert p.content_split()[2] == p or len(p) == 1
+        assert list(f.packed) == sorted(f.packed)
+        assert f.degree == _degree(p.terms) and f.width == 1
+    # a plan over the same sides decodes each monomial into the indices of
+    # its variables, and each factor's groups expand back to its terms
+    plan = polynomial._Plan(sides)
+    assert len(plan.factors) == len(factors)
+    nv = (k - 1) * (n - k)
+    for f, groups in zip(factors, plan.factors):
+        dense = {}
+        for d, c, slots in groups:
+            for s in slots:
+                idx = plan.monomials[s]
+                assert len(idx) == d
+                dense[tuple([Counter(idx)[i] for i in range(nv)])] = c
+        assert dense == polynomial._unpacked(f.packed, k, n, f.width).terms
+
+
+def test_factors_of_one_packed_tuple_at_two_widths_stay_apart():
+    # x12 + x22 at one byte a field and x11^256 + x13 at two pack to the
+    # same ints, 2^8 and 2^32: the width keys a factor too
+    a, b = x(1, 2) + x(2, 2), x(1, 1) ** 256 + x(1, 3)
+    ra, rb = FactoredRatio.from_poly(a), FactoredRatio.from_poly(b)
+    (fa,), (fb,) = ra.exps, rb.exps
+    assert fa.packed == fb.packed and (fa.width, fb.width) == (1, 2) and fa is not fb
+    assert ra.expand() == (a, 1) and rb.expand() == (b, 1)
 
 
 def _variable(i, j):
     """The factor x_{i,j} of a (3, 6) FactoredRatio, as `_factor` interns it."""
-    return polynomial._factor(x(i, j).key())
+    return polynomial._variable((i - 1) * 3 + j - 1)
 
 
 def test_monomial_content_becomes_variable_factors():
     r = FactoredRatio.from_poly(x(1, 1) ** 2 * (x(1, 2) + x(1, 3)))
-    prim = polynomial._factor((x(1, 2) + x(1, 3)).key())
+    prim = polynomial._factor(tuple(sorted(_packed((x(1, 2) + x(1, 3)).terms, 1))), 1)
     assert r.scalar == 1 and r.exps == {_variable(1, 1): 2, prim: 1}
     # the variable cancels by identity, as any factor does
     assert (r / x(1, 1) / x(1, 1)).exps == {prim: 1}
@@ -828,6 +892,17 @@ def test_tau_ratio_from_chains_matches_from_poly(k, n):
     assert not polynomial._tau_ratio(tuple(range(1, k + 1)), k, n).exps
 
 
+def test_tau_ratio_of_degree_past_255_matches_from_poly():
+    # 258 chains through 257 rows, each row's column 2 or 3: no common cell,
+    # so the primitive factor has degree 257 and two bytes a field, and the
+    # chains packed at one byte are repacked
+    I, k, n = tuple(range(3, 260)) + (261,), 258, 261
+    direct, oracle = polynomial._tau_ratio(I, k, n), FactoredRatio.from_poly(tau(I, k, n))
+    assert list(direct.exps.items()) == list(oracle.exps.items())
+    (f,) = direct.exps
+    assert (f.degree, f.width, len(f.packed)) == (257, 2, 258)
+
+
 @pytest.mark.slow
 def test_tau_ratio_from_chains_matches_from_poly_slow():
     _assert_direct_tau_ratios(6, 12)
@@ -879,7 +954,7 @@ def test_pair_evaluation_of_signed_powers():
     f = [FactoredRatio.from_poly(POOL[i]) for i in (0, 1, -2, -1)]
     r = (FactoredRatio(3, 6, F(-3, 7)) * f[0] ** 2 / f[1] ** 2 * f[2] ** 3 / f[3] ** 3
          / x(1, 2) ** 2 * x(2, 1) ** 3 / x(1, 1) ** 3 * x(2, 3))
-    variables = {f: e for f, e in r.exps.items() if len(f.terms) == 1}
+    variables = {f: e for f, e in r.exps.items() if len(f.packed) == 1}
     assert variables == {_variable(1, 2): -2, _variable(2, 1): 3, _variable(1, 1): -3,
                          _variable(2, 3): 1}
     assert sorted(e for f, e in r.exps.items() if f not in variables) == [-3, -2, 2, 3]
@@ -1048,8 +1123,8 @@ def test_broken_identity_leaves_packed_sides_that_differ(broken_profiles, k, n, 
     assert left.exps
     num, den, width = left._packed_sides()
     assert num != den and len(num) > 1
-    assert (polynomial._unpacked(num, k, n, width),
-            polynomial._unpacked(den, k, n, width)) == _expand_reference(left)
+    assert (polynomial._unpacked(num.items(), k, n, width),
+            polynomial._unpacked(den.items(), k, n, width)) == _expand_reference(left)
 
 
 @pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
