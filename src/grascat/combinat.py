@@ -67,7 +67,9 @@ def clear_caches():
 
 def check_subset(J, k, n):
     """Validate that J is a strictly increasing k-tuple of ints inside
-    [1, n]; bool is not an int here."""
+    [1, n], n an int; bool is not an int here."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     J = tuple(J)
     if not all(type(a) is int for a in J):
         raise ValueError(f"subset entries must be ints, got {J}")

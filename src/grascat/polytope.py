@@ -7,8 +7,8 @@ perfbench's polytopes workload; nothing in the package calls it.
 Membership in the root polytope needs no LP
 (`root_polytope_contains`, one noncrossing expansion).  `pk_polytope`,
 `root_polytope`, `root_polytope_contains`, `tau_newton_facets`,
-`pk_associahedron` and `triangulation_volume` run `combinat.check_kn`
-first.
+`pk_associahedron`, `triangulation_volume` and `row_sum_equalities` run
+`combinat.check_kn` first.
 
 The PK polytope, the tau-product Newton polytope and the PK associahedron
 are H-polytopes P = {gamma_J >= c_J over nonfrozen J, row sums lam}
@@ -400,7 +400,12 @@ def newton(poly):
 
 
 def row_sum_equalities(k, n, lam):
-    """The equalities sum_j x_{i,j} = lam_i on the dense grid."""
+    """The equalities sum_j x_{i,j} = lam_i on the dense grid, lam the k - 1
+    row sums.  Runs `combinat.check_kn` first; ValueError unless lam has
+    k - 1 entries."""
+    check_kn(k, n)
+    if len(lam) != k - 1:
+        raise ValueError(f"expected {k - 1} row sums, got {lam!r}")
     return [(-lam[i - 1], grid_point({(i, j): 1 for j in range(1, n - k + 1)}, k, n))
             for i in range(1, k)]
 

@@ -31,7 +31,12 @@ from .combinat import compatibility_degree  # noqa: F401
 def grid_point(v, k, n):
     """Dense row-major tuple of a sparse grid vector: x_{i,j} at
     (i-1)(n-k) + j-1, each entry exact (`linalg._exact`), missing keys 0.
-    A key outside [1, k-1] x [1, n-k] raises IndexError."""
+    ValueError unless k and n are ints, bool excluded, as in
+    `combinat.check_kn`; their range is not checked, so the (k, k + 1) grid
+    of a chain sum is taken.  A key outside [1, k-1] x [1, n-k] raises
+    IndexError."""
+    if type(k) is not int or type(n) is not int:
+        raise ValueError(f"k and n must be ints, got ({k!r}, {n!r})")
     w = n - k
     xs = [0] * ((k - 1) * w)
     for (i, j), c in v.items():

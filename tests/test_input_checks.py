@@ -304,6 +304,27 @@ CASES = {
     "combo_vector bad subset": (
         lambda: roots.combo_vector({(1, 3, 5): 1, (2, 2, 4): 1}, 3, 6),
         ValueError, "subset must be strictly increasing: (2, 2, 4)"),
+    "check_subset str n": (
+        lambda: combinat.check_subset((2, 4, 6), 3, "3"),
+        ValueError, "n must be an int, got '3'"),
+    "check_subset bool n": (
+        lambda: combinat.check_subset((1, 2, 3), 3, True),
+        ValueError, "n must be an int, got True"),
+    "check_subset float n": (
+        lambda: combinat.check_subset((1, 2, 3), 3, 6.0),
+        ValueError, "n must be an int, got 6.0"),
+    "row_sum_equalities lam a map": (
+        lambda: polytope.row_sum_equalities(3, 6, {(1, 1): 1}),
+        ValueError, "expected 2 row sums, got {(1, 1): 1}"),
+    "row_sum_equalities lam long": (
+        lambda: polytope.row_sum_equalities(3, 6, [0, 0, 0]),
+        ValueError, "expected 2 row sums, got [0, 0, 0]"),
+    "row_sum_equalities shape": (
+        lambda: polytope.row_sum_equalities(5, 6, {(1, 1): 1}),
+        ValueError, "need 2 <= k <= n-2, got (5, 6)"),
+    "grid_point bool n with a key": (
+        lambda: roots.grid_point({(1, 1): 1}, 3, True),
+        ValueError, "k and n must be ints, got (3, True)"),
 }
 # an s-value key must be a tuple of ints: one that only equals a subset is
 # rejected, as check_subset rejects it
@@ -343,11 +364,17 @@ for _name, _f in (("tau_newton_facets", polytope.tau_newton_facets),
                   ("m_poly", lambda k, n: claims.m_poly(1, 2, k, n)),
                   ("v_root", lambda k, n: roots.v_root((1, 3, 5), k, n)),
                   ("gamma_hat", lambda k, n: roots.gamma_hat((1, 3, 5), k, n)),
-                  ("combo_vector", lambda k, n: roots.combo_vector({}, k, n))):
+                  ("combo_vector", lambda k, n: roots.combo_vector({}, k, n)),
+                  ("row_sum_equalities", lambda k, n: polytope.row_sum_equalities(k, n, [0, 0]))):
     for _k, _n in ((3.0, 6), (True, 6), (3, 6.0)):
         CASES[f"{_name}({_k}, {_n})"] = (lambda f=_f, k=_k, n=_n: f(k, n), ValueError,
                                          f"k and n must be ints, got ({_k!r}, {_n!r})")
     CASES[f"{_name}(1, 4)"] = (lambda f=_f: f(1, 4), ValueError, "need 2 <= k <= n-2, got (1, 4)")
+# grid_point checks only that k and n are ints, since chain sums use the
+# (k, k + 1) grid, outside check_kn's range
+for _k, _n in ((3.0, 6), (True, 6), (3, 6.0), (3, True)):
+    CASES[f"grid_point({_k}, {_n})"] = (lambda k=_k, n=_n: roots.grid_point({}, k, n), ValueError,
+                                        f"k and n must be ints, got ({_k!r}, {_n!r})")
 # the (3, n) shift checks (3, n) with check_kn first
 for _n, _message in ((7.0, "k and n must be ints, got (3, 7.0)"),
                      (True, "k and n must be ints, got (3, True)"),
